@@ -25,7 +25,7 @@ use urk_syntax::core::{CoreProgram, Expr};
 use urk_syntax::{
     desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv, Exception, Symbol,
 };
-use urk_types::{infer_expr, infer_program, Scheme};
+use urk_types::{infer_bindings, infer_expr, infer_program, Scheme};
 
 use crate::error::Error;
 use crate::prelude_source;
@@ -147,26 +147,49 @@ impl Session {
         }
     }
 
-    /// Loads a program: `data` declarations and bindings are added to the
-    /// session, and the combined program is re-type-checked.
+    /// Loads a program: its `data` declarations and bindings are added to
+    /// the session once they check. Only the new bindings are inferred
+    /// (together with any a load without type checking left unchecked),
+    /// against the schemes already in the session: earlier bindings can
+    /// never refer to later ones. A failing load changes nothing.
     ///
     /// # Errors
     ///
     /// Syntax, desugaring, duplicate-definition, or type errors.
     pub fn load(&mut self, src: &str) -> Result<(), Error> {
         let parsed = parse_program(src)?;
-        let new = desugar_program(&parsed, &mut self.data)?;
+        let mut data = self.data.clone();
+        let new = desugar_program(&parsed, &mut data)?;
         for (name, _) in &new.binds {
             if self.program.binds.iter().any(|(n, _)| n == name) {
                 return Err(Error::DuplicateDefinition(name.as_str()));
             }
         }
+        if self.options.typecheck {
+            let unchecked = |n: &Symbol| !self.types.contains_key(n);
+            let binds: Vec<_> = self
+                .program
+                .binds
+                .iter()
+                .filter(|(n, _)| unchecked(n))
+                .chain(&new.binds)
+                .cloned()
+                .collect();
+            let sigs: Vec<_> = self
+                .program
+                .sigs
+                .iter()
+                .filter(|(n, _)| unchecked(n))
+                .chain(&new.sigs)
+                .cloned()
+                .collect();
+            let schemes = infer_bindings(&binds, &sigs, &data, &self.types)?;
+            self.types.extend(schemes);
+        }
+        self.data = data;
         self.program.binds.extend(new.binds);
         self.program.sigs.extend(new.sigs);
         self.compiled.replace(None);
-        if self.options.typecheck {
-            self.types = infer_program(&self.program, &self.data)?;
-        }
         Ok(())
     }
 

@@ -15,6 +15,7 @@
 //! as in the human-readable mode.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use urk_io::{parse_json, Json};
 
@@ -29,10 +30,17 @@ discard = let u = 1 / 0 in 42
 deadHandler = mapException (\\e -> e) 42
 ";
 
+/// Numbers each call's fixture file: the tests run on parallel threads of
+/// one process, so a shared file name would let one read the other's.
+static CALLS: AtomicUsize = AtomicUsize::new(0);
+
 fn run_lint_json(src: &str) -> (Json, std::process::ExitStatus) {
     let dir = std::env::temp_dir().join(format!("urk-lint-json-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let file = dir.join("fixture.urk");
+    let file = dir.join(format!(
+        "fixture-{}.urk",
+        CALLS.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::write(&file, src).expect("write fixture");
     let out = Command::new(env!("CARGO_BIN_EXE_urk"))
         .arg("lint")

@@ -15,6 +15,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::rc::Rc;
 
 use urk_syntax::ast::SType;
 use urk_syntax::core::{Alt, AltCon, CoreProgram, Expr, PrimOp};
@@ -37,20 +38,21 @@ impl std::error::Error for TypeError {}
 /// The inference engine.
 pub struct Inferencer<'a> {
     data: &'a DataEnv,
+    /// Top-level schemes inferred before this run, looked up by name.
+    /// Every one is closed, so none contributes to the environment's free
+    /// variables and generalization never needs to walk them.
+    globals: &'a HashMap<Symbol, Scheme>,
+    /// Top-level schemes inferred by this run, as closed as `globals`.
+    top: HashMap<Symbol, Scheme>,
     subst: HashMap<TyVar, Type>,
     next: u32,
-    /// Lexically scoped term variables.
+    /// Lexically scoped term variables (locals only).
     scopes: Vec<(Symbol, Scheme)>,
     next_skolem: u32,
 }
 
 /// Infers a scheme for every top-level binding of `prog`, then checks user
-/// signatures.
-///
-/// The top level is split into strongly connected binding groups
-/// (dependency analysis, as in Haskell), so that a function is polymorphic
-/// in the groups *after* its own: without this, monomorphic recursion
-/// would force e.g. every use of `foldl` across the Prelude to one type.
+/// signatures: [`infer_bindings`] started from an empty environment.
 ///
 /// # Errors
 ///
@@ -59,31 +61,56 @@ pub fn infer_program(
     prog: &CoreProgram,
     data: &DataEnv,
 ) -> Result<HashMap<Symbol, Scheme>, TypeError> {
-    let mut inf = Inferencer::new(data);
-    let mut out = HashMap::new();
-    for group in binding_groups(&prog.binds) {
-        let binds: Vec<(Symbol, std::rc::Rc<Expr>)> =
-            group.iter().map(|&i| prog.binds[i].clone()).collect();
-        let tys = inf.infer_letrec_group(&binds)?;
-        let env_fv = inf.env_free_vars();
+    infer_bindings(&prog.binds, &prog.sigs, data, &HashMap::new())
+}
+
+/// Infers schemes for top-level `binds` that may refer to each other and
+/// to the already-inferred `globals` (which never refer back to them), then
+/// checks `sigs` against the result. Returns the schemes of `binds` only.
+///
+/// The bindings are split into strongly connected binding groups
+/// (dependency analysis, as in Haskell), so that a function is polymorphic
+/// in the groups *after* its own: without this, monomorphic recursion
+/// would force e.g. every use of `foldl` across the Prelude to one type.
+///
+/// # Errors
+///
+/// Returns the first [`TypeError`] encountered.
+pub fn infer_bindings(
+    binds: &[(Symbol, Rc<Expr>)],
+    sigs: &[(Symbol, SType)],
+    data: &DataEnv,
+    globals: &HashMap<Symbol, Scheme>,
+) -> Result<HashMap<Symbol, Scheme>, TypeError> {
+    let mut inf = Inferencer::new(data, globals);
+    for group in binding_groups(binds) {
+        let group: Vec<(Symbol, Rc<Expr>)> = group.iter().map(|&i| binds[i].clone()).collect();
+        let tys = inf.infer_letrec_group(&group)?;
+        // No locals are in scope at the top level and every global is
+        // closed, so the environment has no free variables.
+        debug_assert!(inf.scopes.is_empty());
         for (name, ty) in tys {
-            let scheme = inf.generalize_over(ty, &env_fv);
-            inf.scopes.push((name, scheme.clone()));
-            out.insert(name, scheme);
+            let scheme = inf.generalize_over(ty, &BTreeSet::new());
+            inf.top.insert(name, scheme);
         }
     }
-    for (name, sig) in &prog.sigs {
-        let Some(inferred) = out.get(name) else {
+    for (name, sig) in sigs {
+        let Some(inferred) = inf.top.get(name).or_else(|| globals.get(name)) else {
             return Err(TypeError(format!("signature for '{name}' lacks a binding")));
         };
         inf.check_signature(*name, inferred.clone(), sig)?;
     }
-    Ok(out)
+    Ok(inf.top)
+}
+
+/// Whether every type variable of `s` is quantified.
+fn is_closed(s: &Scheme) -> bool {
+    s.ty.free_vars().iter().all(|v| s.vars.contains(v))
 }
 
 /// Splits bindings into strongly connected components in dependency order
 /// (Tarjan's algorithm, iterative).
-fn binding_groups(binds: &[(Symbol, std::rc::Rc<Expr>)]) -> Vec<Vec<usize>> {
+fn binding_groups(binds: &[(Symbol, Rc<Expr>)]) -> Vec<Vec<usize>> {
     let index_of: HashMap<Symbol, usize> = binds
         .iter()
         .enumerate()
@@ -171,7 +198,8 @@ fn binding_groups(binds: &[(Symbol, std::rc::Rc<Expr>)]) -> Vec<Vec<usize>> {
     sccs
 }
 
-/// Infers the type of a single expression against a global environment.
+/// Infers the type of a single expression against the closed top-level
+/// schemes `globals`.
 ///
 /// # Errors
 ///
@@ -181,18 +209,17 @@ pub fn infer_expr(
     data: &DataEnv,
     globals: &HashMap<Symbol, Scheme>,
 ) -> Result<Type, TypeError> {
-    let mut inf = Inferencer::new(data);
-    for (name, scheme) in globals {
-        inf.scopes.push((*name, scheme.clone()));
-    }
+    let mut inf = Inferencer::new(data, globals);
     let t = inf.infer(e)?;
     Ok(inf.resolve_deep(&t))
 }
 
 impl<'a> Inferencer<'a> {
-    pub fn new(data: &'a DataEnv) -> Inferencer<'a> {
+    pub fn new(data: &'a DataEnv, globals: &'a HashMap<Symbol, Scheme>) -> Inferencer<'a> {
         Inferencer {
             data,
+            globals,
+            top: HashMap::new(),
             subst: HashMap::new(),
             next: 0,
             scopes: Vec::new(),
@@ -283,27 +310,25 @@ impl<'a> Inferencer<'a> {
     // Environment and generalization
     // ------------------------------------------------------------------
 
-    fn lookup(&self, name: Symbol) -> Option<&Scheme> {
-        self.scopes
-            .iter()
-            .rev()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
-    }
-
-    fn instantiate(&mut self, s: &Scheme) -> Type {
-        let mapping: HashMap<TyVar, Type> = s.vars.iter().map(|v| (*v, self.fresh())).collect();
-        fn go(t: &Type, m: &HashMap<TyVar, Type>) -> Type {
-            match t {
-                Type::Var(v) => m.get(v).cloned().unwrap_or(Type::Var(*v)),
-                Type::Fun(a, b) => Type::fun(go(a, m), go(b, m)),
-                Type::Con(c, args) => Type::Con(*c, args.iter().map(|a| go(a, m)).collect()),
-                other => other.clone(),
+    /// A fresh instance of the scheme bound to `name`: locals first
+    /// (innermost wins), then the top level.
+    fn instantiate_var(&mut self, name: Symbol) -> Option<Type> {
+        let s = match self.scopes.iter().rev().find(|(n, _)| *n == name) {
+            Some((_, s)) => s,
+            None => {
+                let s = self.top.get(&name).or_else(|| self.globals.get(&name))?;
+                debug_assert!(
+                    is_closed(s),
+                    "the top-level scheme of '{name}' is not closed"
+                );
+                s
             }
-        }
-        go(&s.ty, &mapping)
+        };
+        Some(instantiate(s, &mut self.next))
     }
 
+    /// The free variables of the local scopes; top-level schemes are
+    /// closed and contribute none.
     fn env_free_vars(&self) -> BTreeSet<TyVar> {
         let mut out = BTreeSet::new();
         for (_, s) in &self.scopes {
@@ -479,13 +504,9 @@ impl<'a> Inferencer<'a> {
 
     pub fn infer(&mut self, e: &Expr) -> Result<Type, TypeError> {
         match e {
-            Expr::Var(v) => match self.lookup(*v) {
-                Some(s) => {
-                    let s = s.clone();
-                    Ok(self.instantiate(&s))
-                }
-                None => Err(TypeError(format!("unbound variable '{v}'"))),
-            },
+            Expr::Var(v) => self
+                .instantiate_var(*v)
+                .ok_or_else(|| TypeError(format!("unbound variable '{v}'"))),
             Expr::Int(_) => Ok(Type::Int),
             Expr::Char(_) => Ok(Type::Char),
             Expr::Str(_) => Ok(Type::Str),
@@ -572,7 +593,7 @@ impl<'a> Inferencer<'a> {
     /// recursion, generalized by the caller).
     fn infer_letrec_group(
         &mut self,
-        binds: &[(Symbol, std::rc::Rc<Expr>)],
+        binds: &[(Symbol, Rc<Expr>)],
     ) -> Result<Vec<(Symbol, Type)>, TypeError> {
         let n = self.scopes.len();
         let placeholders: Vec<Type> = binds.iter().map(|_| self.fresh()).collect();
@@ -664,7 +685,7 @@ impl<'a> Inferencer<'a> {
     ) -> Result<(), TypeError> {
         let mut mapping: HashMap<Symbol, Type> = HashMap::new();
         let declared = skolemize(sig, &mut mapping, &mut self.next_skolem);
-        let got = self.instantiate(&inferred);
+        let got = instantiate(&inferred, &mut self.next);
         self.unify(&got, &declared).map_err(|e| {
             TypeError(format!(
                 "signature for '{name}' does not match inferred type {}: {}",
@@ -672,6 +693,25 @@ impl<'a> Inferencer<'a> {
             ))
         })
     }
+}
+
+/// A copy of `s.ty` with its quantified variables replaced by the fresh
+/// variables `next..next + s.vars.len()`.
+fn instantiate(s: &Scheme, next: &mut u32) -> Type {
+    fn go(t: &Type, s: &Scheme, base: u32) -> Type {
+        match t {
+            Type::Var(v) => match s.vars.iter().position(|q| q == v) {
+                Some(i) => Type::Var(TyVar(base + i as u32)),
+                None => t.clone(),
+            },
+            Type::Fun(a, b) => Type::fun(go(a, s, base), go(b, s, base)),
+            Type::Con(c, args) => Type::Con(*c, args.iter().map(|a| go(a, s, base)).collect()),
+            other => other.clone(),
+        }
+    }
+    let base = *next;
+    *next += s.vars.len() as u32;
+    go(&s.ty, s, base)
 }
 
 /// Converts a surface type, mapping type variables through `mapping`.

@@ -22,7 +22,7 @@
 pub mod infer;
 pub mod ty;
 
-pub use infer::{infer_expr, infer_program, Inferencer, TypeError};
+pub use infer::{infer_bindings, infer_expr, infer_program, Inferencer, TypeError};
 pub use ty::{Scheme, TyVar, Type};
 
 #[cfg(test)]
