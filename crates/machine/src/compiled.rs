@@ -1,13 +1,10 @@
-//! The compiled-code execution mode: the same abstract machine as
-//! [`crate::machine`], running flat [`crate::code`] ops instead of
-//! `Rc<Expr>` trees.
+//! The compiled-code execution mode: flat [`crate::code`] ops run by the
+//! shared [`crate::kernel`] instead of `Rc<Expr>` trees.
 //!
-//! Everything semantics-bearing is byte-for-byte the tree loop's logic —
-//! the step prologue (event schedule, interrupt poll, chaos tick, timeout
-//! watchdog, stack/heap limits, GC), §3.3's stack-trimming raise with
-//! thunk poisoning, §5.1's resumable-thunk restore under asynchronous
-//! trims, §5.2's detectable black holes, and the operand-order policy
-//! (§3.5) — only the *representation* differs:
+//! The kernel owns everything semantics-bearing — the step prologue, §3.3's
+//! stack-trimming raise with thunk poisoning, §5.1's resumable restore,
+//! §5.2's black holes, the catch mark and GC rooting. This module supplies
+//! the [`Flat`] representation:
 //!
 //! * control evaluates a `CodeId` under a slot-addressed [`CEnv`] instead
 //!   of an `Rc<Expr>` under a `Symbol`-keyed `MEnv`;
@@ -17,7 +14,10 @@
 //!   constructor tags by interned-`u32` compare;
 //! * top-level names are direct indices into the machine's global node
 //!   table ([`Machine::link_code`] ties the knot through it, so global
-//!   thunks carry *empty* environments).
+//!   thunks carry *empty* environments);
+//! * returns are fused into the step that produced them, and the eval
+//!   step fuses variable entry, direct calls, tier-2 regions and inline
+//!   caches, so a flat run takes far fewer steps than a tree run.
 //!
 //! Both executors share one heap, one `Stats`, and one GC, so a value
 //! built by either backend renders identically ([`Machine::eval_node`]
@@ -26,63 +26,15 @@
 use rand::Rng;
 use std::sync::Arc;
 
-use urk_syntax::core::{Expr, PrimOp};
-use urk_syntax::{Exception, Symbol};
+use urk_syntax::core::Expr;
+use urk_syntax::Exception;
 
 use crate::code::{compile_query, COp, CPat, Code, CodeId, LinkedCode};
 use crate::env::CEnv;
 use crate::heap::{HValue, Node, NodeId, Whnf};
-use crate::machine::{Backend, BlackholeMode, Machine, MachineError, Outcome, PrimResult, Tier};
+use crate::kernel::{Control, Frame, Repr};
+use crate::machine::{Backend, Machine, MachineError, Outcome, PrimResult, Tier};
 use crate::OrderPolicy;
-
-/// The compiled loop's control register (the tree loop's `Control` with
-/// `CodeId`/`CEnv` in place of `Rc<Expr>`/`MEnv`).
-enum CControl {
-    Eval(CodeId, CEnv),
-    Enter(NodeId),
-    Return(NodeId),
-    Raising(Exception),
-}
-
-/// Compiled stack frames — the same frame discipline as the tree loop's
-/// `Frame`, with code ids for the deferred work.
-enum CFrame {
-    Update(NodeId),
-    Apply(NodeId),
-    /// Scrutinise with the pre-lowered arms at `arms_at..arms_at + n`.
-    Select {
-        arms_at: u32,
-        n: u16,
-        env: CEnv,
-    },
-    PrimArgs {
-        op: PrimOp,
-        env: CEnv,
-        current: u8,
-        pending: Option<(u8, CodeId)>,
-        results: [Option<NodeId>; 2],
-    },
-    SeqSecond {
-        code: CodeId,
-        env: CEnv,
-    },
-    RaiseEval,
-    RaisePayload {
-        con: Symbol,
-    },
-    IsExnCatch,
-    UnsafeGetExnCatch,
-    MapExnCatch {
-        f: CodeId,
-        env: CEnv,
-    },
-    Catch,
-}
-
-enum CStep {
-    Continue(CControl),
-    Done(Outcome),
-}
 
 impl Machine {
     /// Links a compiled program into this machine: allocates one knot-tied
@@ -149,7 +101,7 @@ impl Machine {
         }
         self.stats.compile_ops += ops;
         self.stats.compile_micros += t0.elapsed().as_micros() as u64;
-        self.run_compiled(CControl::Eval(entry, CEnv::empty()), catch)
+        self.run::<Flat>(Control::Eval(entry, CEnv::empty()), catch)
     }
 
     /// Compiles a query expression and suspends it as a heap thunk — the
@@ -178,233 +130,10 @@ impl Machine {
         })
     }
 
-    /// Forces a compiled suspension to WHNF (dispatched to from
-    /// [`Machine::eval_node`]).
-    pub(crate) fn enter_compiled(
-        &mut self,
-        node: NodeId,
-        catch: bool,
-    ) -> Result<Outcome, MachineError> {
-        self.run_compiled(CControl::Enter(node), catch)
-    }
-
     fn linked(&self) -> &LinkedCode {
         self.code
             .as_ref()
             .expect("compiled node reached a machine with no linked code")
-    }
-
-    fn run_compiled(
-        &mut self,
-        mut control: CControl,
-        catch: bool,
-    ) -> Result<Outcome, MachineError> {
-        let mut stack: Vec<CFrame> = Vec::with_capacity(64);
-        if catch {
-            stack.push(CFrame::Catch);
-        }
-        // A fresh episode: the first op must not pair with the last op of
-        // the previous episode in the coverage map.
-        if let Some(cov) = self.coverage.as_deref_mut() {
-            cov.end_episode();
-        }
-        loop {
-            // --- step accounting, limits, and asynchronous events -------
-            // (kept in lockstep with the tree loop: same order, same
-            // conditions, so every §5.1 delivery point exists here too)
-            self.stats.steps += 1;
-            if stack.len() > self.stats.max_stack_depth {
-                self.stats.max_stack_depth = stack.len();
-            }
-            if let Some((at, exn)) = self.config.event_schedule.get(self.next_event) {
-                if self.stats.steps >= *at && !matches!(control, CControl::Raising(_)) {
-                    self.next_event += 1;
-                    control = CControl::Raising(exn.clone());
-                }
-            }
-            if self.interrupt.is_pending() && !matches!(control, CControl::Raising(_)) {
-                if let Some(exn) = self.interrupt.take() {
-                    self.stats.async_injected += 1;
-                    control = CControl::Raising(exn);
-                }
-            }
-            if self.chaos.is_some() {
-                if let Some(next) = self.chaos_ctick(&mut control, &mut stack) {
-                    control = next;
-                }
-            }
-            if self.stats.steps >= self.next_timeout_at {
-                if self.config.timeout_on_step_limit {
-                    self.next_timeout_at = self.stats.steps + self.config.max_steps;
-                    if !matches!(control, CControl::Raising(ref e) if e.is_asynchronous()) {
-                        control = CControl::Raising(Exception::Timeout);
-                    }
-                } else {
-                    return Err(MachineError::StepLimit);
-                }
-            }
-            if stack.len() >= self.config.max_stack && !matches!(control, CControl::Raising(_)) {
-                control = CControl::Raising(Exception::StackOverflow);
-            }
-            if self.config.gc {
-                if self.heap.nursery_len() >= self.config.nursery_size {
-                    self.minor_ccollect(&mut control, &mut stack);
-                }
-                if self.heap.live() >= self.next_gc_at && self.heap.live() < self.config.max_heap {
-                    self.collect_during_crun(&mut control, &mut stack);
-                }
-            }
-            if self.heap.live() >= self.config.max_heap && !matches!(control, CControl::Raising(_))
-            {
-                control = CControl::Raising(Exception::HeapOverflow);
-            }
-
-            // --- the transition function --------------------------------
-            control = match control {
-                CControl::Eval(code, env) => self.step_ceval(code, env, &mut stack),
-                CControl::Enter(node) => self.step_center(node, &mut stack),
-                CControl::Return(node) => CControl::Return(node),
-                CControl::Raising(exn) => match self.step_craise(exn, &mut stack) {
-                    CStep::Continue(c) => c,
-                    CStep::Done(outcome) => return Ok(self.tenure_outcome(outcome)),
-                },
-            };
-            // Return-processing is fused into the producing step: frames
-            // are popped until control leaves `Return`, without paying the
-            // prologue per pop. Flat code makes this safe — a `Return`
-            // never allocates unboundedly or loops (every pop consumes a
-            // frame), so limits and asynchronous delivery points are
-            // preserved at every step that can actually run code. This is
-            // where the compiled backend's step count drops below the
-            // tree-walker's.
-            while let CControl::Return(node) = control {
-                match self.step_creturn(node, &mut stack) {
-                    CStep::Continue(c) => control = c,
-                    CStep::Done(outcome) => return Ok(self.tenure_outcome(outcome)),
-                }
-            }
-        }
-    }
-
-    /// The compiled chaos step: identical decisions to the tree loop's
-    /// `chaos_tick` (shared via [`Machine::chaos_decide`]), applied with
-    /// this loop's control/stack types for GC rooting.
-    fn chaos_ctick(&mut self, control: &mut CControl, stack: &mut [CFrame]) -> Option<CControl> {
-        let raising = matches!(&*control, CControl::Raising(_));
-        let d = self.chaos_decide(raising)?;
-        let sabotage = self
-            .chaos
-            .as_ref()
-            .is_some_and(|st| st.plan.sabotage_forwarding);
-        if d.force_minor {
-            self.stats.forced_gcs += 1;
-            self.minor_ccollect(control, stack);
-            if sabotage {
-                // Test-only sabotage: strand a stale forwarding pointer
-                // to prove the generational audit catches evacuation
-                // corruption (the planted cell is unreachable, so
-                // execution and re-evaluation stay sound).
-                self.heap.plant_stale_forwarding();
-            }
-        }
-        if d.force_gc {
-            self.stats.forced_gcs += 1;
-            self.collect_during_crun(control, stack);
-            if sabotage {
-                self.heap.plant_stale_forwarding();
-            }
-        }
-        if let Some(exn) = d.inject {
-            self.stats.async_injected += 1;
-            return Some(CControl::Raising(exn));
-        }
-        if let Some(cap) = d.cap {
-            if self.heap.live() >= cap && !raising {
-                return Some(CControl::Raising(Exception::HeapOverflow));
-            }
-        }
-        None
-    }
-
-    /// A minor collection mid-run: evacuates the live nursery into the
-    /// tenured space, rewriting the registered roots, the current control,
-    /// and every compiled stack frame (the compiled twin of the tree
-    /// loop's `minor_collect`).
-    fn minor_ccollect(&mut self, control: &mut CControl, stack: &mut [CFrame]) {
-        let reuses_before = self.heap.reuses();
-        let Machine {
-            heap, roots, ics, ..
-        } = self;
-        let outcome = heap.collect_minor(&mut |f| {
-            for r in roots.iter_mut() {
-                *r = f(*r);
-            }
-            for slot in ics.iter_mut().flatten() {
-                *slot = f(*slot);
-            }
-            rewrite_ccontrol(control, f);
-            for frame in stack.iter_mut() {
-                rewrite_cframe(frame, f);
-            }
-        });
-        self.stats.minor_gcs += 1;
-        self.stats.gc_runs += 1;
-        self.stats.nodes_promoted += outcome.promoted;
-        self.stats.gc_freed += outcome.freed;
-        self.stats.freelist_reuses += self.heap.reuses() - reuses_before;
-    }
-
-    /// Mid-run major collection rooted at the compiled loop's transient
-    /// state. Evacuates the nursery first, so the mark table only has to
-    /// cover the tenured arena.
-    fn collect_during_crun(&mut self, control: &mut CControl, stack: &mut [CFrame]) {
-        self.minor_ccollect(control, stack);
-        let mut c = crate::gc::Collector::new(self.heap.tenured_len());
-        match &*control {
-            CControl::Eval(_, env) => c.mark_cenv(env),
-            CControl::Enter(n) | CControl::Return(n) => c.mark_root(*n),
-            CControl::Raising(_) => {}
-        }
-        for f in stack.iter() {
-            match f {
-                CFrame::Update(n) | CFrame::Apply(n) => c.mark_root(*n),
-                CFrame::Select { env, .. }
-                | CFrame::SeqSecond { env, .. }
-                | CFrame::MapExnCatch { env, .. } => c.mark_cenv(env),
-                CFrame::PrimArgs { env, results, .. } => {
-                    c.mark_cenv(env);
-                    for r in results.iter().flatten() {
-                        c.mark_root(*r);
-                    }
-                }
-                CFrame::RaiseEval
-                | CFrame::RaisePayload { .. }
-                | CFrame::IsExnCatch
-                | CFrame::UnsafeGetExnCatch
-                | CFrame::Catch => {}
-            }
-        }
-        // Registered roots include the global node table (pushed by
-        // `link_code`), so every top-level binding survives.
-        for r in &self.roots {
-            c.mark_root(*r);
-        }
-        // Inline-cache entries are kept live defensively: a cached callee
-        // is always reachable through its global thunk anyway, but marking
-        // it here means a slot can never hold a freed node even if that
-        // invariant is ever weakened.
-        for slot in self.ics.iter().flatten() {
-            c.mark_root(*slot);
-        }
-        c.trace(&self.heap);
-        let prev_free = self.heap.free_list();
-        let (freed, head) = c.sweep(&mut self.heap, prev_free);
-        self.heap.set_free_list(head, freed);
-        self.stats.gc_runs += 1;
-        self.stats.major_gcs += 1;
-        self.stats.gc_freed += freed;
-        let live = self.heap.live();
-        self.next_gc_at = (live + live / 2).max(self.config.gc_threshold);
     }
 
     /// Allocates a node for an operand op — the compiled counterpart of
@@ -586,14 +315,14 @@ impl Machine {
         ic: u32,
         a: CodeId,
         env: &CEnv,
-        stack: &mut Vec<CFrame>,
-    ) -> CControl {
+        stack: &mut Vec<Frame<Flat>>,
+    ) -> Control<Flat> {
         let arg = self.alloc_code(a, env);
         if let Some(cached) = self.ics[ic as usize] {
             if let Some(Whnf::CFun { body, env: fenv }) = self.heap.whnf(cached) {
                 self.stats.ic_hits += 1;
                 let fenv = fenv.clone();
-                return CControl::Eval(body, fenv.push(arg));
+                return Control::Eval(body, fenv.push(arg));
             }
             self.ics[ic as usize] = None;
         }
@@ -607,29 +336,29 @@ impl Machine {
         if let Some(Whnf::CFun { body, env: fenv }) = self.heap.whnf(resolved) {
             let fenv = fenv.clone();
             self.ics[ic as usize] = Some(resolved);
-            return CControl::Eval(body, fenv.push(arg));
+            return Control::Eval(body, fenv.push(arg));
         }
-        stack.push(CFrame::Apply(arg));
+        stack.push(Frame::Apply(arg));
         self.enter_fused(node, stack)
     }
 
     /// Entering a node without paying a separate `Enter` step: values
     /// return directly (the fused-return loop then pops frames in the
     /// same step) and thunks blackhole + push their update frame here,
-    /// leaving control at the thunk body — exactly `step_center`'s two
+    /// leaving control at the thunk body — exactly the kernel's `Enter`
     /// transitions, minus the prologue passes between them. Black holes,
-    /// poisoned nodes and foreign suspensions take the full
-    /// [`Machine::step_center`] path (they are rare and some — §5.2
-    /// detection — must observe the prologue's state).
-    fn enter_fused(&mut self, node: NodeId, stack: &mut Vec<CFrame>) -> CControl {
+    /// poisoned nodes and foreign suspensions take the kernel's full
+    /// `Enter` step (they are rare and some — §5.2 detection — must
+    /// observe the prologue's state).
+    fn enter_fused(&mut self, node: NodeId, stack: &mut Vec<Frame<Flat>>) -> Control<Flat> {
         let node = self.heap.resolve(node);
         // Tagged immediates are their own weak-head normal form — there is
         // no cell to enter.
         if node.is_imm() {
-            return CControl::Return(node);
+            return Control::Return(node);
         }
         match self.heap.get(node) {
-            Node::Value(_) => CControl::Return(node),
+            Node::Value(_) => Control::Return(node),
             Node::CThunk { code, env } => {
                 let (code, env) = (*code, env.clone());
                 // A thunk whose body is already a weak-head normal form
@@ -644,11 +373,11 @@ impl Machine {
                         Ok(v) => {
                             self.stats.thunk_updates += 1;
                             self.heap.set(node, Node::Ind(v));
-                            CControl::Return(v)
+                            Control::Return(v)
                         }
                         Err(exn) => {
                             self.heap.set(node, Node::Poisoned(exn.clone()));
-                            CControl::Raising(exn)
+                            Control::Raising(exn)
                         }
                     };
                 }
@@ -659,10 +388,10 @@ impl Machine {
                         env: env.clone(),
                     },
                 );
-                stack.push(CFrame::Update(node));
-                CControl::Eval(code, env)
+                stack.push(Frame::Update(node));
+                Control::Eval(code, env)
             }
-            _ => CControl::Enter(node),
+            _ => Control::Enter(node),
         }
     }
 
@@ -673,8 +402,8 @@ impl Machine {
         &mut self,
         mut code: CodeId,
         env: &CEnv,
-        stack: &mut Vec<CFrame>,
-    ) -> CControl {
+        stack: &mut Vec<Frame<Flat>>,
+    ) -> Control<Flat> {
         loop {
             match self.linked().op(code) {
                 COp::Local(back) => return self.enter_fused(env.get_back(back), stack),
@@ -700,10 +429,10 @@ impl Machine {
                     if let Some(node) = callee {
                         if let Some(Whnf::CFun { body, env: fenv }) = self.heap.whnf(node) {
                             let fenv = fenv.clone();
-                            return CControl::Eval(body, fenv.push(arg));
+                            return Control::Eval(body, fenv.push(arg));
                         }
                     }
-                    stack.push(CFrame::Apply(arg));
+                    stack.push(Frame::Apply(arg));
                     code = f;
                 }
                 COp::AppG { f, ic, a } => return self.eval_appg(f, ic, a, env, stack),
@@ -715,9 +444,9 @@ impl Machine {
                     // the raise path) exactly as it would after a stepped
                     // evaluation.
                     return match self.fused_force_body(code, env) {
-                        Some(Ok(v)) => CControl::Return(v),
-                        Some(Err(exn)) => CControl::Raising(exn),
-                        None => CControl::Eval(code, env.clone()),
+                        Some(Ok(v)) => Control::Return(v),
+                        Some(Err(exn)) => Control::Raising(exn),
+                        None => Control::Eval(code, env.clone()),
                     };
                 }
             }
@@ -803,321 +532,10 @@ impl Machine {
         }
     }
 
-    fn step_ceval(&mut self, code: CodeId, env: CEnv, stack: &mut Vec<CFrame>) -> CControl {
-        let op = self.linked().op(code);
-        if let Some(cov) = self.coverage.as_deref_mut() {
-            cov.hit(op.kind_index());
-        }
-        match op {
-            COp::Local(back) => self.enter_fused(env.get_back(back), stack),
-            COp::Global(g) => {
-                let node = self.linked().global_nodes[g as usize];
-                self.enter_fused(node, stack)
-            }
-            COp::Int(n) => CControl::Return(self.int_node(n)),
-            COp::Char(c) => CControl::Return(self.alloc_value(HValue::Char(c))),
-            COp::Str(i) => {
-                let s = self.linked().str_at(i);
-                CControl::Return(self.alloc_value(HValue::Str(s)))
-            }
-            COp::Con { tag, args, n } => {
-                if n == 0 {
-                    return CControl::Return(self.nullary_con_node(tag));
-                }
-                let mut fields = Vec::with_capacity(usize::from(n));
-                for i in 0..u32::from(n) {
-                    let k = self.linked().kid(args + i);
-                    fields.push(self.alloc_code(k, &env));
-                }
-                CControl::Return(self.alloc_value(HValue::Con(tag, fields)))
-            }
-            COp::Lam { body } => CControl::Return(self.alloc_value(HValue::CFun { body, env })),
-            COp::App { .. } => self.eval_code_fused(code, &env, stack),
-            COp::Let { rhs, body } => {
-                let t = self.alloc_code(rhs, &env);
-                // Test-only sabotage: propagate a speculation's stored
-                // poison at the binding site — the "unlicensed fusion"
-                // that treats a lazy binding as strict. The differential
-                // battery proves the oracle catches it.
-                if !t.is_imm()
-                    && self
-                        .chaos
-                        .as_ref()
-                        .is_some_and(|st| st.plan.sabotage_spec_propagate)
-                {
-                    if let Node::Poisoned(exn) = self.heap.get(t) {
-                        return CControl::Raising(exn.clone());
-                    }
-                }
-                CControl::Eval(body, env.push(t))
-            }
-            COp::LetRec { rhss, n, body } => {
-                // Tie the knot exactly as `bind_recursive_inner`: allocate
-                // empty-environment thunks, extend, then rewrite each with
-                // the extended environment.
-                let mut nodes = Vec::with_capacity(usize::from(n));
-                for i in 0..u32::from(n) {
-                    let k = self.linked().kid(rhss + i);
-                    nodes.push((
-                        k,
-                        self.alloc(Node::CThunk {
-                            code: k,
-                            env: CEnv::empty(),
-                        }),
-                    ));
-                }
-                let mut env2 = env;
-                for (_, nd) in &nodes {
-                    env2 = env2.push(*nd);
-                }
-                for (k, nd) in nodes {
-                    self.heap.set(
-                        nd,
-                        Node::CThunk {
-                            code: k,
-                            env: env2.clone(),
-                        },
-                    );
-                }
-                CControl::Eval(body, env2)
-            }
-            COp::Case { scrut, arms_at, n } => {
-                // A forced scrutinee dispatches in this step — no Select
-                // frame, no Eval round trip.
-                if let Some(node) = self.immediate_node(scrut, &env) {
-                    return self.select_arms(node, arms_at, n, &env);
-                }
-                stack.push(CFrame::Select {
-                    arms_at,
-                    n,
-                    env: env.clone(),
-                });
-                self.eval_code_fused(scrut, &env, stack)
-            }
-            COp::Prim1 { op, a } => {
-                if let Some(na) = self.immediate_node(a, &env) {
-                    return match self.apply_prim(op, &[na]) {
-                        PrimResult::Value(v) => CControl::Return(v),
-                        PrimResult::Raise(exn) => CControl::Raising(exn),
-                    };
-                }
-                stack.push(CFrame::PrimArgs {
-                    op,
-                    env: env.clone(),
-                    current: 0,
-                    pending: None,
-                    results: [None, None],
-                });
-                self.eval_code_fused(a, &env, stack)
-            }
-            COp::Prim2 { op, a, b } => {
-                // The operand-order policy (§3.5). The Seeded draw must
-                // stay one `gen_bool` per binary primitive so a seeded
-                // machine agrees with the tree backend's sequence —
-                // including on the fused path below, where the order is
-                // unobservable (both operands are values already) but the
-                // stream position must still advance.
-                let left_first = match self.config.order {
-                    OrderPolicy::LeftToRight => true,
-                    OrderPolicy::RightToLeft => false,
-                    OrderPolicy::Seeded(_) => self.rng.gen_bool(0.5),
-                };
-                if let Some(na) = self.immediate_node(a, &env) {
-                    if let Some(nb) = self.immediate_node(b, &env) {
-                        return match self.apply_prim(op, &[na, nb]) {
-                            PrimResult::Value(v) => CControl::Return(v),
-                            PrimResult::Raise(exn) => CControl::Raising(exn),
-                        };
-                    }
-                }
-                let (current, first, pending) = if left_first {
-                    (0u8, a, Some((1u8, b)))
-                } else {
-                    (1u8, b, Some((0u8, a)))
-                };
-                stack.push(CFrame::PrimArgs {
-                    op,
-                    env: env.clone(),
-                    current,
-                    pending,
-                    results: [None, None],
-                });
-                self.eval_code_fused(first, &env, stack)
-            }
-            COp::Seq { a, b } => {
-                // `seq` on a value that already exists is the identity on
-                // control: go straight to `b`.
-                if self.immediate_node(a, &env).is_some() {
-                    return CControl::Eval(b, env);
-                }
-                stack.push(CFrame::SeqSecond {
-                    code: b,
-                    env: env.clone(),
-                });
-                self.eval_code_fused(a, &env, stack)
-            }
-            COp::MapExn { f, a } => {
-                stack.push(CFrame::MapExnCatch {
-                    f,
-                    env: env.clone(),
-                });
-                CControl::Eval(a, env)
-            }
-            COp::IsExn { a } => {
-                stack.push(CFrame::IsExnCatch);
-                CControl::Eval(a, env)
-            }
-            COp::GetExn { a } => {
-                stack.push(CFrame::UnsafeGetExnCatch);
-                CControl::Eval(a, env)
-            }
-            COp::Raise { a } => {
-                stack.push(CFrame::RaiseEval);
-                CControl::Eval(a, env)
-            }
-            COp::Fused { body } => match self.exec_region(body, &env) {
-                Some(Ok(v)) => CControl::Return(v),
-                Some(Err(exn)) => CControl::Raising(exn),
-                // Not every leaf is forced yet: fall back to stepped
-                // evaluation of the region body, which is ordinary code.
-                None => CControl::Eval(body, env),
-            },
-            COp::Spec { body } => {
-                // Defensive: the pass only emits `Spec` in operand
-                // positions (handled by `alloc_code`), but evaluating one
-                // directly is still well-defined — build and enter.
-                let node = self.alloc_spec(body, &env);
-                self.enter_fused(node, stack)
-            }
-            COp::AppG { f, ic, a } => self.eval_appg(f, ic, a, &env, stack),
-        }
-    }
-
-    fn step_center(&mut self, node: NodeId, stack: &mut Vec<CFrame>) -> CControl {
-        let node = self.heap.resolve(node);
-        if node.is_imm() {
-            return CControl::Return(node);
-        }
-        match self.heap.get(node) {
-            Node::Value(_) => CControl::Return(node),
-            Node::Ind(_) => unreachable!("resolved"),
-            Node::Free { .. } => {
-                panic!("entered a freed node — a live node escaped the GC roots")
-            }
-            Node::Forwarded(_) => {
-                panic!("entered a stale forwarding pointer — evacuation corruption")
-            }
-            Node::Poisoned(exn) => CControl::Raising(exn.clone()),
-            // §5.2: a black hole of either representation is the same
-            // detectable bottom.
-            Node::Blackhole { .. } | Node::CBlackhole { .. } => match self.config.blackholes {
-                BlackholeMode::Detect => {
-                    self.stats.blackholes_detected += 1;
-                    CControl::Raising(Exception::NonTermination)
-                }
-                BlackholeMode::Loop => CControl::Enter(node),
-            },
-            Node::CThunk { code, env } => {
-                let (code, env) = (*code, env.clone());
-                self.heap.set(
-                    node,
-                    Node::CBlackhole {
-                        code,
-                        env: env.clone(),
-                    },
-                );
-                stack.push(CFrame::Update(node));
-                CControl::Eval(code, env)
-            }
-            Node::Thunk { .. } => {
-                // Episodes never mix executors: `eval_node` routes tree
-                // suspensions to the tree loop up front, and compiled code
-                // can only reference nodes it (or `link_code`) built.
-                panic!("tree thunk entered by the compiled executor")
-            }
-        }
-    }
-
-    fn step_creturn(&mut self, node: NodeId, stack: &mut Vec<CFrame>) -> CStep {
-        let Some(frame) = stack.pop() else {
-            return CStep::Done(Outcome::Value(node));
-        };
-        if matches!(frame, CFrame::Catch) {
-            // The answer reached the episode's catch mark: finish now, as
-            // the tree machine does — one more loop iteration with the
-            // mark already popped would let a freshly delivered
-            // asynchronous exception escape as `Uncaught`.
-            return CStep::Done(Outcome::Value(node));
-        }
-        CStep::Continue(match frame {
-            CFrame::Update(target) => {
-                self.stats.thunk_updates += 1;
-                self.heap.set(target, Node::Ind(node));
-                CControl::Return(node)
-            }
-            CFrame::Apply(arg) => {
-                let (body, env) = match self.heap.whnf(node) {
-                    Some(Whnf::CFun { body, env }) => (body, env.clone()),
-                    _ => panic!("application of a non-function (ill-typed program)"),
-                };
-                // The compiler reserved the top slot for the argument.
-                CControl::Eval(body, env.push(arg))
-            }
-            CFrame::Select { arms_at, n, env } => self.select_arms(node, arms_at, n, &env),
-            CFrame::PrimArgs {
-                op,
-                env,
-                current,
-                mut pending,
-                mut results,
-            } => {
-                results[current as usize] = Some(node);
-                if let Some((idx, code)) = pending.take() {
-                    stack.push(CFrame::PrimArgs {
-                        op,
-                        env: env.clone(),
-                        current: idx,
-                        pending: None,
-                        results,
-                    });
-                    self.eval_code_fused(code, &env, stack)
-                } else {
-                    let mut nodes = [NodeId(0); 2];
-                    let mut n = 0;
-                    for r in results.into_iter().flatten() {
-                        nodes[n] = r;
-                        n += 1;
-                    }
-                    match self.apply_prim(op, &nodes[..n]) {
-                        PrimResult::Value(v) => CControl::Return(v),
-                        PrimResult::Raise(exn) => CControl::Raising(exn),
-                    }
-                }
-            }
-            CFrame::SeqSecond { code, env } => self.eval_code_fused(code, &env, stack),
-            CFrame::RaiseEval => self.convert_and_craise(node, stack),
-            CFrame::RaisePayload { con } => {
-                let exn = match self.heap.whnf(node) {
-                    Some(Whnf::Str(s)) => Exception::from_constructor(con, Some(s))
-                        .unwrap_or_else(|| panic!("unknown exception constructor '{con}'")),
-                    _ => panic!("exception payload is not a string (ill-typed program)"),
-                };
-                CControl::Raising(exn)
-            }
-            CFrame::IsExnCatch => CControl::Return(self.bool_node(false)),
-            CFrame::UnsafeGetExnCatch => {
-                let ok = HValue::Con(Symbol::intern("OK"), vec![node]);
-                CControl::Return(self.alloc_value(ok))
-            }
-            CFrame::MapExnCatch { .. } => CControl::Return(node),
-            CFrame::Catch => unreachable!("Catch is finished before the match"),
-        })
-    }
-
     /// Matches a WHNF value against the pre-lowered arms — the tree
     /// machine's `select` over the dispatch table, with constructor match
     /// an interned-tag compare and binders pushed positionally.
-    fn select_arms(&mut self, node: NodeId, arms_at: u32, n: u16, env: &CEnv) -> CControl {
+    fn select_arms(&mut self, node: NodeId, arms_at: u32, n: u16, env: &CEnv) -> Control<Flat> {
         let v = self.heap.whnf(node).expect("select on a non-value");
         for i in 0..u32::from(n) {
             let arm = self.linked().arm(arms_at + i);
@@ -1142,121 +560,270 @@ impl Machine {
                 _ => None,
             };
             if let Some(env2) = matched {
-                return CControl::Eval(arm.rhs, env2);
+                return Control::Eval(arm.rhs, env2);
             }
         }
-        CControl::Raising(Exception::PatternMatchFail("case".into()))
+        Control::Raising(Exception::PatternMatchFail("case".into()))
     }
+}
 
-    /// Converts a WHNF `Exception` constructor value into a raise (the
-    /// compiled counterpart of `convert_and_raise`).
-    fn convert_and_craise(&mut self, node: NodeId, stack: &mut Vec<CFrame>) -> CControl {
-        let (name, payload) = match self.heap.whnf(node) {
-            Some(Whnf::Con(name, fields)) => (name, fields.first().copied()),
-            _ => panic!("raise applied to a non-Exception value (ill-typed program)"),
-        };
-        match payload {
-            None => {
-                let exn = Exception::from_constructor(name, None)
-                    .unwrap_or_else(|| panic!("unknown exception constructor '{name}'"));
-                CControl::Raising(exn)
-            }
-            Some(payload) => {
-                stack.push(CFrame::RaisePayload { con: name });
-                CControl::Enter(payload)
-            }
+/// The flat representation: `CodeId`s into the linked image under
+/// slot-addressed [`CEnv`]s. A `Select` frame holds its pre-lowered arms as
+/// `(first arm, count)`.
+pub(crate) struct Flat;
+
+impl Repr for Flat {
+    type Code = CodeId;
+    type Env = CEnv;
+    type Alts = (u32, u16);
+    const FUSE_RETURNS: bool = true;
+
+    #[inline(always)]
+    fn eval(
+        m: &mut Machine,
+        code: CodeId,
+        env: CEnv,
+        stack: &mut Vec<Frame<Flat>>,
+    ) -> Control<Flat> {
+        let op = m.linked().op(code);
+        if let Some(cov) = m.coverage.as_deref_mut() {
+            cov.hit(op.kind_index());
         }
-    }
-
-    /// §3.3's stack trim for the compiled loop: identical frame-by-frame
-    /// policy to `step_raise` — synchronous raises poison in-flight thunks,
-    /// asynchronous ones restore them (§5.1), handler marks intercept
-    /// synchronous exceptions only.
-    fn step_craise(&mut self, exn: Exception, stack: &mut Vec<CFrame>) -> CStep {
-        let asynchronous = exn.is_asynchronous();
-        loop {
-            let Some(frame) = stack.pop() else {
-                return CStep::Done(Outcome::Uncaught(exn));
-            };
-            match frame {
-                CFrame::Catch => return CStep::Done(Outcome::Caught(exn)),
-                CFrame::Update(target) => {
-                    let target = self.heap.resolve(target);
-                    if asynchronous {
-                        let sabotaged = self
-                            .chaos
-                            .as_ref()
-                            .is_some_and(|st| st.plan.sabotage_async_restore);
-                        // §5.1: restore a *resumable* suspension.
-                        if !sabotaged {
-                            if let Node::CBlackhole { code, env } = self.heap.get(target) {
-                                let (code, env) = (*code, env.clone());
-                                self.heap.set(target, Node::CThunk { code, env });
-                                self.stats.thunks_restored += 1;
-                            }
-                        }
-                    } else {
-                        // §3.3: overwrite with `raise ex`.
-                        self.heap.set(target, Node::Poisoned(exn.clone()));
-                        self.stats.thunks_poisoned += 1;
+        match op {
+            COp::Local(back) => m.enter_fused(env.get_back(back), stack),
+            COp::Global(g) => {
+                let node = m.linked().global_nodes[g as usize];
+                m.enter_fused(node, stack)
+            }
+            COp::Int(n) => Control::Return(m.int_node(n)),
+            COp::Char(c) => Control::Return(m.alloc_value(HValue::Char(c))),
+            COp::Str(i) => {
+                let s = m.linked().str_at(i);
+                Control::Return(m.alloc_value(HValue::Str(s)))
+            }
+            COp::Con { tag, args, n } => {
+                if n == 0 {
+                    return Control::Return(m.nullary_con_node(tag));
+                }
+                let mut fields = Vec::with_capacity(usize::from(n));
+                for i in 0..u32::from(n) {
+                    let k = m.linked().kid(args + i);
+                    fields.push(m.alloc_code(k, &env));
+                }
+                Control::Return(m.alloc_value(HValue::Con(tag, fields)))
+            }
+            COp::Lam { body } => Control::Return(m.alloc_value(HValue::CFun { body, env })),
+            COp::App { .. } => m.eval_code_fused(code, &env, stack),
+            COp::Let { rhs, body } => {
+                let t = m.alloc_code(rhs, &env);
+                // Test-only sabotage: propagate a speculation's stored
+                // poison at the binding site — the "unlicensed fusion"
+                // that treats a lazy binding as strict. The differential
+                // battery proves the oracle catches it.
+                if !t.is_imm()
+                    && m.chaos
+                        .as_ref()
+                        .is_some_and(|st| st.plan.sabotage_spec_propagate)
+                {
+                    if let Node::Poisoned(exn) = m.heap.get(t) {
+                        return Control::Raising(exn.clone());
                     }
-                    self.stats.frames_trimmed += 1;
                 }
-                CFrame::IsExnCatch if !asynchronous => {
-                    let t = self.bool_node(true);
-                    return CStep::Continue(CControl::Return(t));
-                }
-                CFrame::UnsafeGetExnCatch if !asynchronous => {
-                    let ev = self.alloc_exception_value(&exn);
-                    let bad = HValue::Con(Symbol::intern("Bad"), vec![ev]);
-                    let t = self.alloc_value(bad);
-                    return CStep::Continue(CControl::Return(t));
-                }
-                CFrame::MapExnCatch { f, env } if !asynchronous => {
-                    // Rewrite the representative exception through f: no
-                    // synthetic application node needed — push the Apply
-                    // frame directly and evaluate f.
-                    let exn_node = self.alloc_exception_value(&exn);
-                    stack.push(CFrame::RaiseEval);
-                    stack.push(CFrame::Apply(exn_node));
-                    return CStep::Continue(CControl::Eval(f, env));
-                }
-                _ => {
-                    self.stats.frames_trimmed += 1;
-                }
+                Control::Eval(body, env.push(t))
             }
+            COp::LetRec { rhss, n, body } => {
+                // Tie the knot exactly as `bind_recursive_inner`: allocate
+                // empty-environment thunks, extend, then rewrite each with
+                // the extended environment.
+                let mut nodes = Vec::with_capacity(usize::from(n));
+                for i in 0..u32::from(n) {
+                    let k = m.linked().kid(rhss + i);
+                    nodes.push((
+                        k,
+                        m.alloc(Node::CThunk {
+                            code: k,
+                            env: CEnv::empty(),
+                        }),
+                    ));
+                }
+                let mut env2 = env;
+                for (_, nd) in &nodes {
+                    env2 = env2.push(*nd);
+                }
+                for (k, nd) in nodes {
+                    m.heap.set(
+                        nd,
+                        Node::CThunk {
+                            code: k,
+                            env: env2.clone(),
+                        },
+                    );
+                }
+                Control::Eval(body, env2)
+            }
+            COp::Case { scrut, arms_at, n } => {
+                // A forced scrutinee dispatches in this step — no Select
+                // frame, no Eval round trip.
+                if let Some(node) = m.immediate_node(scrut, &env) {
+                    return m.select_arms(node, arms_at, n, &env);
+                }
+                stack.push(Frame::Select {
+                    alts: (arms_at, n),
+                    env: env.clone(),
+                });
+                m.eval_code_fused(scrut, &env, stack)
+            }
+            COp::Prim1 { op, a } => {
+                if let Some(na) = m.immediate_node(a, &env) {
+                    return match m.apply_prim(op, &[na]) {
+                        PrimResult::Value(v) => Control::Return(v),
+                        PrimResult::Raise(exn) => Control::Raising(exn),
+                    };
+                }
+                stack.push(Frame::PrimArgs {
+                    op,
+                    env: env.clone(),
+                    current: 0,
+                    pending: None,
+                    results: [None, None],
+                });
+                m.eval_code_fused(a, &env, stack)
+            }
+            COp::Prim2 { op, a, b } => {
+                // The operand-order policy (§3.5). The Seeded draw must
+                // stay one `gen_bool` per binary primitive so a seeded
+                // machine agrees with the tree backend's sequence —
+                // including on the fused path below, where the order is
+                // unobservable (both operands are values already) but the
+                // stream position must still advance.
+                let left_first = match m.config.order {
+                    OrderPolicy::LeftToRight => true,
+                    OrderPolicy::RightToLeft => false,
+                    OrderPolicy::Seeded(_) => m.rng.gen_bool(0.5),
+                };
+                if let Some(na) = m.immediate_node(a, &env) {
+                    if let Some(nb) = m.immediate_node(b, &env) {
+                        return match m.apply_prim(op, &[na, nb]) {
+                            PrimResult::Value(v) => Control::Return(v),
+                            PrimResult::Raise(exn) => Control::Raising(exn),
+                        };
+                    }
+                }
+                let (current, first, pending) = if left_first {
+                    (0u8, a, Some((1u8, b)))
+                } else {
+                    (1u8, b, Some((0u8, a)))
+                };
+                stack.push(Frame::PrimArgs {
+                    op,
+                    env: env.clone(),
+                    current,
+                    pending,
+                    results: [None, None],
+                });
+                m.eval_code_fused(first, &env, stack)
+            }
+            COp::Seq { a, b } => {
+                // `seq` on a value that already exists is the identity on
+                // control: go straight to `b`.
+                if m.immediate_node(a, &env).is_some() {
+                    return Control::Eval(b, env);
+                }
+                stack.push(Frame::SeqSecond {
+                    code: b,
+                    env: env.clone(),
+                });
+                m.eval_code_fused(a, &env, stack)
+            }
+            COp::MapExn { f, a } => {
+                stack.push(Frame::MapExnCatch {
+                    f,
+                    env: env.clone(),
+                });
+                Control::Eval(a, env)
+            }
+            COp::IsExn { a } => {
+                stack.push(Frame::IsExnCatch);
+                Control::Eval(a, env)
+            }
+            COp::GetExn { a } => {
+                stack.push(Frame::UnsafeGetExnCatch);
+                Control::Eval(a, env)
+            }
+            COp::Raise { a } => {
+                stack.push(Frame::RaiseEval);
+                Control::Eval(a, env)
+            }
+            COp::Fused { body } => match m.exec_region(body, &env) {
+                Some(Ok(v)) => Control::Return(v),
+                Some(Err(exn)) => Control::Raising(exn),
+                // Not every leaf is forced yet: fall back to stepped
+                // evaluation of the region body, which is ordinary code.
+                None => Control::Eval(body, env),
+            },
+            COp::Spec { body } => {
+                // Defensive: the pass only emits `Spec` in operand
+                // positions (handled by `alloc_code`), but evaluating one
+                // directly is still well-defined — build and enter.
+                let node = m.alloc_spec(body, &env);
+                m.enter_fused(node, stack)
+            }
+            COp::AppG { f, ic, a } => m.eval_appg(f, ic, a, &env, stack),
         }
     }
-}
 
-/// Rewrites every node reference the compiled control register holds —
-/// the minor collector's evacuation hook (`f` is idempotent).
-fn rewrite_ccontrol(control: &mut CControl, f: &mut dyn FnMut(NodeId) -> NodeId) {
-    match control {
-        CControl::Eval(_, env) => env.update_nodes(f),
-        CControl::Enter(n) | CControl::Return(n) => *n = f(*n),
-        CControl::Raising(_) => {}
+    #[inline]
+    fn resume(
+        m: &mut Machine,
+        code: CodeId,
+        env: CEnv,
+        stack: &mut Vec<Frame<Flat>>,
+    ) -> Control<Flat> {
+        m.eval_code_fused(code, &env, stack)
     }
-}
 
-/// Rewrites every node reference a compiled stack frame holds.
-fn rewrite_cframe(frame: &mut CFrame, f: &mut dyn FnMut(NodeId) -> NodeId) {
-    match frame {
-        CFrame::Update(n) | CFrame::Apply(n) => *n = f(*n),
-        CFrame::Select { env, .. }
-        | CFrame::SeqSecond { env, .. }
-        | CFrame::MapExnCatch { env, .. } => env.update_nodes(f),
-        CFrame::PrimArgs { env, results, .. } => {
-            env.update_nodes(f);
-            for r in results.iter_mut().flatten() {
-                *r = f(*r);
-            }
+    #[inline]
+    fn apply(m: &mut Machine, fun: NodeId, arg: NodeId) -> Control<Flat> {
+        let (body, env) = match m.heap.whnf(fun) {
+            Some(Whnf::CFun { body, env }) => (body, env.clone()),
+            _ => panic!("application of a non-function (ill-typed program)"),
+        };
+        // The compiler reserved the top slot for the argument.
+        Control::Eval(body, env.push(arg))
+    }
+
+    #[inline]
+    fn select(
+        m: &mut Machine,
+        node: NodeId,
+        &(arms_at, n): &(u32, u16),
+        env: &CEnv,
+    ) -> Control<Flat> {
+        m.select_arms(node, arms_at, n, env)
+    }
+
+    #[inline]
+    fn thunk(node: &Node) -> Option<(CodeId, CEnv)> {
+        match node {
+            Node::CThunk { code, env } => Some((*code, env.clone())),
+            _ => None,
         }
-        CFrame::RaiseEval
-        | CFrame::RaisePayload { .. }
-        | CFrame::IsExnCatch
-        | CFrame::UnsafeGetExnCatch
-        | CFrame::Catch => {}
+    }
+
+    #[inline]
+    fn blackhole(code: CodeId, env: CEnv) -> Node {
+        Node::CBlackhole { code, env }
+    }
+
+    #[inline]
+    fn restore(node: &Node) -> Option<Node> {
+        match node {
+            Node::CBlackhole { code, env } => Some(Node::CThunk {
+                code: *code,
+                env: env.clone(),
+            }),
+            _ => None,
+        }
     }
 }
 
@@ -1306,9 +873,10 @@ mod tests {
 
     #[test]
     fn async_delivery_at_every_step_of_a_protected_episode_is_caught() {
-        // Regression (found by `urk fuzz`), compiled twin of the tree
-        // machine's test: the catch mark must protect the episode up to
-        // and including the step on which the answer is returned.
+        // Regression (found by `urk fuzz`), on the flat executor, where a
+        // fused return can reach the catch mark inside the step that made
+        // the answer: the mark must protect the episode up to and
+        // including the step on which the answer is returned.
         let data = DataEnv::new();
         let e = desugar_expr(
             &parse_expr_src("seq ((\\x -> x) (19 / 28)) (case Just 3 of { Just v -> 21 })")

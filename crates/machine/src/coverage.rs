@@ -1,7 +1,7 @@
 //! A cheap execution-coverage signal for the fuzzer.
 //!
 //! The compiled backend dispatches one flat [`COp`](crate::code) per
-//! `step_ceval`; recording the *pair* of consecutive op kinds gives an
+//! flat `Eval` step; recording the *pair* of consecutive op kinds gives an
 //! edge-coverage signal analogous to AFL's branch pairs, but over the
 //! lowered code's control skeleton instead of machine branches. The map is
 //! a dense `KINDS × KINDS` matrix of hit counters — small enough to clear

@@ -138,6 +138,34 @@ impl MEnv {
     }
 }
 
+/// The node references an environment holds, as the collectors and the
+/// run loop's GC hooks see them; both environment representations expose
+/// them the same way.
+pub(crate) trait NodeEnv: Clone {
+    /// Visits every bound node.
+    fn for_each_node(&self, f: impl FnMut(NodeId));
+    /// Rewrites every bound node in place through `f` (idempotent).
+    fn update_nodes(&self, f: &mut dyn FnMut(NodeId) -> NodeId);
+}
+
+impl NodeEnv for MEnv {
+    fn for_each_node(&self, f: impl FnMut(NodeId)) {
+        MEnv::for_each_node(self, f)
+    }
+    fn update_nodes(&self, f: &mut dyn FnMut(NodeId) -> NodeId) {
+        MEnv::update_nodes(self, f)
+    }
+}
+
+impl NodeEnv for CEnv {
+    fn for_each_node(&self, f: impl FnMut(NodeId)) {
+        CEnv::for_each_node(self, f)
+    }
+    fn update_nodes(&self, f: &mut dyn FnMut(NodeId) -> NodeId) {
+        CEnv::update_nodes(self, f)
+    }
+}
+
 impl std::fmt::Debug for MEnv {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "MEnv({} bindings)", self.len())

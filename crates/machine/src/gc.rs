@@ -23,7 +23,7 @@
 //! * nothing else: unreachable thunks, values, and poisoned cells are
 //!   reclaimed.
 
-use crate::env::{CEnv, MEnv};
+use crate::env::NodeEnv;
 use crate::heap::{HValue, Heap, Node, NodeId};
 
 /// Mark-phase worklist traversal over a root set.
@@ -55,14 +55,11 @@ impl Collector {
         }
     }
 
-    pub(crate) fn mark_env(&mut self, env: &MEnv) {
+    /// Marks every node an environment of either representation binds.
+    pub(crate) fn mark_env(&mut self, env: &impl NodeEnv) {
         // Persistent environments share tails; marking stops at already
         // visited nodes only per-binding (tail sharing just re-marks
         // cheaply — bindings are few and the check is O(1)).
-        env.for_each_node(|n| self.mark_root(n));
-    }
-
-    pub(crate) fn mark_cenv(&mut self, env: &CEnv) {
         env.for_each_node(|n| self.mark_root(n));
     }
 
@@ -77,7 +74,7 @@ impl Collector {
                 }
                 Node::CThunk { env, .. } | Node::CBlackhole { env, .. } => {
                     let env = env.clone();
-                    self.mark_cenv(&env);
+                    self.mark_env(&env);
                 }
                 // A reachable Forwarded cell is corruption (the audit
                 // reports it), but the collector still traces through it
@@ -98,7 +95,7 @@ impl Collector {
                     }
                     HValue::CFun { env, .. } => {
                         let env = env.clone();
-                        self.mark_cenv(&env);
+                        self.mark_env(&env);
                     }
                     HValue::Int(_) | HValue::Char(_) | HValue::Str(_) => {}
                 },
@@ -131,6 +128,7 @@ impl Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::MEnv;
     use std::rc::Rc;
     use urk_syntax::core::Expr;
     use urk_syntax::Symbol;

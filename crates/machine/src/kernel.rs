@@ -1,0 +1,621 @@
+//! The abstract-machine kernel both executors run: one eval/apply loop,
+//! generic over how deferred code is represented.
+//!
+//! The paper's implementation rules are written here once each:
+//!
+//! * the step prologue — the asynchronous event schedule, the interrupt
+//!   poll, the chaos plan, the timeout watchdog, the stack and heap limits
+//!   and the collection triggers — so every §5.1 delivery point exists on
+//!   both executors;
+//! * §3.3's raise: trim the stack to the topmost catch mark, overwriting
+//!   each thunk under evaluation with `raise ex`; an asynchronous trim
+//!   restores those thunks resumably instead (§5.1);
+//! * §5.2's black holes as a detectable bottom;
+//! * the catch mark that ends its episode on the step its answer returns;
+//! * GC rooting of the control register and every stack frame.
+//!
+//! A [`Repr`] supplies only what differs between the `Rc<Expr>`
+//! tree-walker ([`crate::machine::Tree`]) and flat code
+//! ([`crate::compiled::Flat`]): the eval step, function application, case
+//! selection, resuming deferred code, and the shapes of its thunk and
+//! black-hole nodes. Both impls are zero-sized and the kernel is
+//! monomorphised per representation, so it never branches at runtime on
+//! which one it runs.
+
+use urk_syntax::core::PrimOp;
+use urk_syntax::{Exception, Symbol};
+
+use crate::env::NodeEnv;
+use crate::heap::{HValue, Node, NodeId, Whnf};
+use crate::machine::{BlackholeMode, Machine, MachineError, Outcome, PrimResult};
+
+/// What an executor's code representation supplies to the kernel.
+///
+/// Impls mark their methods `#[inline]` (the eval step
+/// `#[inline(always)]`): the kernel is their only caller, and trait
+/// methods are otherwise compiled out of line, which costs a call per
+/// step.
+pub(crate) trait Repr: Sized {
+    /// Deferred code.
+    type Code: Clone;
+    /// The environment deferred code runs under.
+    type Env: NodeEnv;
+    /// What a `Select` frame matches the scrutinee against.
+    type Alts;
+    /// Pop the frames a returned value meets inside the step that produced
+    /// it, with no prologue pass per pop. The flat loop does (a `Return`
+    /// only consumes frames, so no delivery point that can run code is
+    /// lost); the tree loop spends one step per frame.
+    const FUSE_RETURNS: bool;
+
+    /// One `Eval` transition.
+    fn eval(
+        m: &mut Machine,
+        code: Self::Code,
+        env: Self::Env,
+        stack: &mut Vec<Frame<Self>>,
+    ) -> Control<Self>;
+    /// Continues with deferred code a popped frame held.
+    fn resume(
+        m: &mut Machine,
+        code: Self::Code,
+        env: Self::Env,
+        stack: &mut Vec<Frame<Self>>,
+    ) -> Control<Self>;
+    /// Applies the function value `fun` to `arg`.
+    fn apply(m: &mut Machine, fun: NodeId, arg: NodeId) -> Control<Self>;
+    /// Matches the value `node` against a `Select` frame's alternatives.
+    fn select(m: &mut Machine, node: NodeId, alts: &Self::Alts, env: &Self::Env) -> Control<Self>;
+    /// The code and environment of a thunk of this representation.
+    fn thunk(node: &Node) -> Option<(Self::Code, Self::Env)>;
+    /// The black hole marking that thunk as under evaluation.
+    fn blackhole(code: Self::Code, env: Self::Env) -> Node;
+    /// The resumable thunk a black hole of this representation restores
+    /// to (§5.1).
+    fn restore(node: &Node) -> Option<Node>;
+}
+
+/// The control register.
+pub(crate) enum Control<R: Repr> {
+    Eval(R::Code, R::Env),
+    Enter(NodeId),
+    Return(NodeId),
+    Raising(Exception),
+}
+
+/// A stack frame.
+pub(crate) enum Frame<R: Repr> {
+    /// Update this thunk with the result.
+    Update(NodeId),
+    /// Apply the result to this argument.
+    Apply(NodeId),
+    /// Scrutinise the result with these alternatives.
+    Select { alts: R::Alts, env: R::Env },
+    /// A binary/unary strict primitive collecting its operands. Primops
+    /// have at most two operands, so the frame is fixed-size — no
+    /// per-evaluation vectors.
+    PrimArgs {
+        op: PrimOp,
+        env: R::Env,
+        /// Operand position the result on top of the stack fills.
+        current: u8,
+        /// The not-yet-evaluated operand (position, code), if any.
+        pending: Option<(u8, R::Code)>,
+        /// Evaluated operands by position.
+        results: [Option<NodeId>; 2],
+    },
+    /// `seq`: discard the result, then evaluate this.
+    SeqSecond { code: R::Code, env: R::Env },
+    /// Convert the returned `Exception` constructor value and raise it.
+    RaiseEval,
+    /// The payload of this exception constructor is being forced.
+    RaisePayload { con: Symbol },
+    /// `unsafeIsException`: a value means `False`, a synchronous raise
+    /// means `True`.
+    IsExnCatch,
+    /// §6's `unsafeGetException`: a value means `OK v`, a synchronous
+    /// raise means `Bad e` — purely, with the proof obligation.
+    UnsafeGetExnCatch,
+    /// `mapException f`: a synchronous raise is rewritten through `f`.
+    MapExnCatch { f: R::Code, env: R::Env },
+    /// A `getException` catch mark (the episode boundary for handlers).
+    Catch,
+}
+
+/// The result of a transition that may end the episode.
+enum Step<R: Repr> {
+    Continue(Control<R>),
+    Done(Outcome),
+}
+
+impl Machine {
+    /// Runs one evaluation episode from `control`. With `catch`, a catch
+    /// mark is planted at the base of the stack (`getException`'s mode).
+    pub(crate) fn run<R: Repr>(
+        &mut self,
+        mut control: Control<R>,
+        catch: bool,
+    ) -> Result<Outcome, MachineError> {
+        let mut stack: Vec<Frame<R>> = Vec::with_capacity(64);
+        if catch {
+            stack.push(Frame::Catch);
+        }
+        // A fresh episode: its first op must not pair with the previous
+        // episode's last op in the coverage map.
+        if let Some(cov) = self.coverage.as_deref_mut() {
+            cov.end_episode();
+        }
+        loop {
+            // --- step accounting, limits, and asynchronous events -------
+            self.stats.steps += 1;
+            if stack.len() > self.stats.max_stack_depth {
+                self.stats.max_stack_depth = stack.len();
+            }
+            if let Some((at, exn)) = self.config.event_schedule.get(self.next_event) {
+                if self.stats.steps >= *at && !matches!(control, Control::Raising(_)) {
+                    self.next_event += 1;
+                    // §5.1: "v might not be an exceptional value ... but
+                    // getException is nevertheless free to discard v and
+                    // return the asynchronous exception instead."
+                    control = Control::Raising(exn.clone());
+                }
+            }
+            // Wall-clock asynchronous delivery: one relaxed load per step;
+            // an armed handle stays pending across a trim in progress and
+            // is taken on the first non-raising step.
+            if self.interrupt.is_pending() && !matches!(control, Control::Raising(_)) {
+                if let Some(exn) = self.interrupt.take() {
+                    self.stats.async_injected += 1;
+                    control = Control::Raising(exn);
+                }
+            }
+            if self.chaos.is_some() {
+                if let Some(next) = self.chaos_tick(&mut control, &mut stack) {
+                    control = next;
+                }
+            }
+            if self.stats.steps >= self.next_timeout_at {
+                if self.config.timeout_on_step_limit {
+                    // Deliver Timeout and re-arm the watchdog.
+                    self.next_timeout_at = self.stats.steps + self.config.max_steps;
+                    if !matches!(control, Control::Raising(ref e) if e.is_asynchronous()) {
+                        control = Control::Raising(Exception::Timeout);
+                    }
+                } else {
+                    return Err(MachineError::StepLimit);
+                }
+            }
+            if stack.len() >= self.config.max_stack && !matches!(control, Control::Raising(_)) {
+                control = Control::Raising(Exception::StackOverflow);
+            }
+            if self.config.gc {
+                if self.heap.nursery_len() >= self.config.nursery_size {
+                    self.minor_collect(&mut control, &mut stack);
+                }
+                if self.heap.live() >= self.next_gc_at && self.heap.live() < self.config.max_heap {
+                    self.collect_during_run(&mut control, &mut stack);
+                }
+            }
+            if self.heap.live() >= self.config.max_heap && !matches!(control, Control::Raising(_)) {
+                control = Control::Raising(Exception::HeapOverflow);
+            }
+
+            // --- the transition function --------------------------------
+            control = match control {
+                Control::Eval(code, env) => R::eval(self, code, env, &mut stack),
+                Control::Enter(node) => self.step_enter(node, &mut stack),
+                // A fusing representation pops returns only in the loop
+                // below, so `step_return` keeps one call site (inlined).
+                Control::Return(node) if R::FUSE_RETURNS => Control::Return(node),
+                Control::Return(node) => match self.step_return(node, &mut stack) {
+                    Step::Continue(c) => c,
+                    Step::Done(outcome) => return Ok(self.tenure_outcome(outcome)),
+                },
+                Control::Raising(exn) => match self.step_raise(exn, &mut stack) {
+                    Step::Continue(c) => c,
+                    Step::Done(outcome) => return Ok(self.tenure_outcome(outcome)),
+                },
+            };
+            if R::FUSE_RETURNS {
+                while let Control::Return(node) = control {
+                    match self.step_return(node, &mut stack) {
+                        Step::Continue(c) => control = c,
+                        Step::Done(outcome) => return Ok(self.tenure_outcome(outcome)),
+                    }
+                }
+            }
+        }
+    }
+
+    /// One step of the armed chaos plan: deliver at most one scheduled
+    /// injection, force at most one scheduled collection of each kind,
+    /// advance the shrinking heap budget, and enforce the active cap. Past
+    /// the plan's horizon the plan is dropped entirely, returning the
+    /// machine to undisturbed behaviour. Returns the replacement control
+    /// when a fault fires, `None` when this step is undisturbed (the
+    /// common case — kept out of the return value so the hot loop never
+    /// moves `Control`).
+    // Out of line: it runs only under an armed plan, and inlined into the
+    // run loop it costs the unarmed hot path.
+    #[inline(never)]
+    fn chaos_tick<R: Repr>(
+        &mut self,
+        control: &mut Control<R>,
+        stack: &mut [Frame<R>],
+    ) -> Option<Control<R>> {
+        let raising = matches!(control, Control::Raising(_));
+        let step = self.stats.steps;
+        let st = self.chaos.as_mut()?;
+        if step >= st.plan.horizon {
+            self.chaos = None;
+            return None;
+        }
+        let mut inject = None;
+        if let Some((at, e)) = st.plan.injections.get(st.next_injection) {
+            if step >= *at && !raising {
+                st.next_injection += 1;
+                inject = Some(e.clone());
+            }
+        }
+        let force_gc = st
+            .plan
+            .force_gc_at
+            .get(st.next_gc)
+            .is_some_and(|at| step >= *at);
+        if force_gc {
+            st.next_gc += 1;
+        }
+        let force_minor = st
+            .plan
+            .force_minor_at
+            .get(st.next_minor)
+            .is_some_and(|at| step >= *at);
+        if force_minor {
+            st.next_minor += 1;
+        }
+        while let Some((at, c)) = st.plan.heap_budget.get(st.next_budget) {
+            if step < *at {
+                break;
+            }
+            st.active_cap = Some(*c);
+            st.next_budget += 1;
+        }
+        let cap = st.active_cap;
+        let sabotage = st.plan.sabotage_forwarding;
+        if force_minor {
+            self.stats.forced_gcs += 1;
+            self.minor_collect(control, stack);
+            if sabotage {
+                // Test-only sabotage: strand a stale forwarding pointer
+                // to prove the generational audit catches evacuation
+                // corruption (the planted cell is unreachable, so
+                // execution and re-evaluation stay sound).
+                self.heap.plant_stale_forwarding();
+            }
+        }
+        if force_gc {
+            // Rooted at the pre-fault control: conservative (keeps at most
+            // one extra node alive for one cycle) and correct either way.
+            self.stats.forced_gcs += 1;
+            self.collect_during_run(control, stack);
+            if sabotage {
+                self.heap.plant_stale_forwarding();
+            }
+        }
+        if let Some(exn) = inject {
+            self.stats.async_injected += 1;
+            return Some(Control::Raising(exn));
+        }
+        if let Some(cap) = cap {
+            if self.heap.live() >= cap && !raising {
+                // The shrinking budget: allocation past the cap fails with
+                // an asynchronous HeapOverflow, as a real memory monitor
+                // would deliver it.
+                return Some(Control::Raising(Exception::HeapOverflow));
+            }
+        }
+        None
+    }
+
+    /// A minor collection mid-run: evacuates the live nursery into the
+    /// tenured space, rewriting every root the run loop holds — the
+    /// registered roots, the inline caches, the current control, and every
+    /// stack frame.
+    fn minor_collect<R: Repr>(&mut self, control: &mut Control<R>, stack: &mut [Frame<R>]) {
+        let reuses_before = self.heap.reuses();
+        let Machine {
+            heap, roots, ics, ..
+        } = self;
+        let outcome = heap.collect_minor(&mut |f| {
+            for r in roots.iter_mut() {
+                *r = f(*r);
+            }
+            for slot in ics.iter_mut().flatten() {
+                *slot = f(*slot);
+            }
+            control.visit_nodes(f);
+            for frame in stack.iter_mut() {
+                frame.visit_nodes(f);
+            }
+        });
+        self.stats.minor_gcs += 1;
+        self.stats.gc_runs += 1;
+        self.stats.nodes_promoted += outcome.promoted;
+        self.stats.gc_freed += outcome.freed;
+        self.stats.freelist_reuses += self.heap.reuses() - reuses_before;
+    }
+
+    /// A major collection mid-run: evacuates the nursery first (so every
+    /// live reference is immediate or tenured), then marks the transient
+    /// roots of the current control and stack plus the registered roots
+    /// and sweeps the tenured arena.
+    fn collect_during_run<R: Repr>(&mut self, control: &mut Control<R>, stack: &mut [Frame<R>]) {
+        self.minor_collect(control, stack);
+        let mut c = crate::gc::Collector::new(self.heap.tenured_len());
+        let mut mark = |n| {
+            c.mark_root(n);
+            n
+        };
+        control.visit_nodes(&mut mark);
+        for frame in stack.iter_mut() {
+            frame.visit_nodes(&mut mark);
+        }
+        // Registered roots include the flat executor's global node table
+        // (pushed by `link_code`), so every top-level binding survives.
+        for r in &self.roots {
+            c.mark_root(*r);
+        }
+        // Inline-cache entries are kept live defensively: a cached callee
+        // is always reachable through its global thunk anyway, but marking
+        // it here means a slot can never hold a freed node even if that
+        // invariant is ever weakened.
+        for slot in self.ics.iter().flatten() {
+            c.mark_root(*slot);
+        }
+        c.trace(&self.heap);
+        let prev_free = self.heap.free_list();
+        let (freed, head) = c.sweep(&mut self.heap, prev_free);
+        self.heap.set_free_list(head, freed);
+        self.stats.gc_runs += 1;
+        self.stats.major_gcs += 1;
+        self.stats.gc_freed += freed;
+        // Re-arm: if the collection did not reclaim much, back off so we
+        // do not thrash.
+        let live = self.heap.live();
+        self.next_gc_at = (live + live / 2).max(self.config.gc_threshold);
+    }
+
+    /// Forces `node`: values return, poisoned nodes re-raise (§3.3), black
+    /// holes are detected (§5.2), and a thunk is black-holed under an
+    /// update frame while its code runs.
+    fn step_enter<R: Repr>(&mut self, node: NodeId, stack: &mut Vec<Frame<R>>) -> Control<R> {
+        let node = self.heap.resolve(node);
+        if node.is_imm() {
+            // Tagged immediates are WHNF already.
+            return Control::Return(node);
+        }
+        match self.heap.get(node) {
+            Node::Value(_) => Control::Return(node),
+            Node::Ind(_) => unreachable!("resolved"),
+            Node::Forwarded(_) => {
+                panic!("entered a stale forwarding pointer — evacuation corruption")
+            }
+            Node::Free { .. } => {
+                panic!("entered a freed node — a live node escaped the GC roots")
+            }
+            // §3.3: a poisoned thunk re-raises the same exception.
+            Node::Poisoned(exn) => Control::Raising(exn.clone()),
+            // §5.2: a black hole of either representation is the same
+            // detectable bottom.
+            Node::Blackhole { .. } | Node::CBlackhole { .. } => match self.config.blackholes {
+                BlackholeMode::Detect => {
+                    self.stats.blackholes_detected += 1;
+                    Control::Raising(Exception::NonTermination)
+                }
+                // Spin in place; the step limit will eventually fire.
+                BlackholeMode::Loop => Control::Enter(node),
+            },
+            thunk => {
+                // Episodes never mix executors: `eval_node` routes each
+                // suspension to the loop of its own representation.
+                let (code, env) = R::thunk(thunk)
+                    .unwrap_or_else(|| panic!("a thunk entered by the other executor"));
+                self.heap.set(node, R::blackhole(code.clone(), env.clone()));
+                stack.push(Frame::Update(node));
+                Control::Eval(code, env)
+            }
+        }
+    }
+
+    /// Pops one frame for the value `node`.
+    fn step_return<R: Repr>(&mut self, node: NodeId, stack: &mut Vec<Frame<R>>) -> Step<R> {
+        let Some(frame) = stack.pop() else {
+            return Step::Done(Outcome::Value(node));
+        };
+        Step::Continue(match frame {
+            // The answer reached the episode's catch mark: finish now.
+            // Re-entering the loop with the mark already popped would open
+            // a one-step window in which a freshly delivered asynchronous
+            // exception finds an empty stack and escapes as `Uncaught`
+            // from a fully protected episode.
+            Frame::Catch => return Step::Done(Outcome::Value(node)),
+            Frame::Update(target) => {
+                self.stats.thunk_updates += 1;
+                self.heap.set(target, Node::Ind(node));
+                Control::Return(node)
+            }
+            Frame::Apply(arg) => R::apply(self, node, arg),
+            Frame::Select { alts, env } => R::select(self, node, &alts, &env),
+            Frame::PrimArgs {
+                op,
+                env,
+                current,
+                mut pending,
+                mut results,
+            } => {
+                results[current as usize] = Some(node);
+                if let Some((idx, code)) = pending.take() {
+                    stack.push(Frame::PrimArgs {
+                        op,
+                        env: env.clone(),
+                        current: idx,
+                        pending: None,
+                        results,
+                    });
+                    R::resume(self, code, env, stack)
+                } else {
+                    let mut nodes = [NodeId(0); 2];
+                    let mut n = 0;
+                    for r in results.into_iter().flatten() {
+                        nodes[n] = r;
+                        n += 1;
+                    }
+                    match self.apply_prim(op, &nodes[..n]) {
+                        PrimResult::Value(v) => Control::Return(v),
+                        PrimResult::Raise(exn) => Control::Raising(exn),
+                    }
+                }
+            }
+            Frame::SeqSecond { code, env } => R::resume(self, code, env, stack),
+            Frame::RaiseEval => self.convert_and_raise(node, stack),
+            Frame::RaisePayload { con } => {
+                let exn = match self.heap.whnf(node) {
+                    Some(Whnf::Str(s)) => Exception::from_constructor(con, Some(s))
+                        .unwrap_or_else(|| panic!("unknown exception constructor '{con}'")),
+                    _ => panic!("exception payload is not a string (ill-typed program)"),
+                };
+                Control::Raising(exn)
+            }
+            // The argument evaluated to a value: not an exception.
+            Frame::IsExnCatch => Control::Return(self.bool_node(false)),
+            Frame::UnsafeGetExnCatch => {
+                let ok = HValue::Con(Symbol::intern("OK"), vec![node]);
+                Control::Return(self.alloc_value(ok))
+            }
+            Frame::MapExnCatch { .. } => Control::Return(node),
+        })
+    }
+
+    /// Converts a WHNF `Exception` constructor value into a raise,
+    /// forcing the string payload first if there is one.
+    fn convert_and_raise<R: Repr>(
+        &mut self,
+        node: NodeId,
+        stack: &mut Vec<Frame<R>>,
+    ) -> Control<R> {
+        let (name, payload) = match self.heap.whnf(node) {
+            Some(Whnf::Con(name, fields)) => (name, fields.first().copied()),
+            _ => panic!("raise applied to a non-Exception value (ill-typed program)"),
+        };
+        match payload {
+            None => {
+                let exn = Exception::from_constructor(name, None)
+                    .unwrap_or_else(|| panic!("unknown exception constructor '{name}'"));
+                Control::Raising(exn)
+            }
+            Some(payload) => {
+                stack.push(Frame::RaisePayload { con: name });
+                Control::Enter(payload)
+            }
+        }
+    }
+
+    /// §3.3's core move: trim the stack to the topmost catch mark.
+    /// Synchronous raises poison the thunks under evaluation; asynchronous
+    /// ones restore them (§5.1); handler frames intercept synchronous
+    /// exceptions only.
+    fn step_raise<R: Repr>(&mut self, exn: Exception, stack: &mut Vec<Frame<R>>) -> Step<R> {
+        let asynchronous = exn.is_asynchronous();
+        loop {
+            let Some(frame) = stack.pop() else {
+                return Step::Done(Outcome::Uncaught(exn));
+            };
+            match frame {
+                Frame::Catch => return Step::Done(Outcome::Caught(exn)),
+                Frame::Update(target) => {
+                    let target = self.heap.resolve(target);
+                    if asynchronous {
+                        // Test-only sabotage: strand the black hole to
+                        // prove the heap audit catches a broken restore.
+                        let sabotaged = self
+                            .chaos
+                            .as_ref()
+                            .is_some_and(|st| st.plan.sabotage_async_restore);
+                        // §5.1: restore a *resumable* suspension.
+                        if !sabotaged {
+                            if let Some(thunk) = R::restore(self.heap.get(target)) {
+                                self.heap.set(target, thunk);
+                                self.stats.thunks_restored += 1;
+                            }
+                        }
+                    } else {
+                        // §3.3: overwrite with `raise ex`.
+                        self.heap.set(target, Node::Poisoned(exn.clone()));
+                        self.stats.thunks_poisoned += 1;
+                    }
+                    self.stats.frames_trimmed += 1;
+                }
+                Frame::IsExnCatch if !asynchronous => {
+                    // unsafeIsException caught a synchronous exception.
+                    let t = self.bool_node(true);
+                    return Step::Continue(Control::Return(t));
+                }
+                Frame::UnsafeGetExnCatch if !asynchronous => {
+                    let ev = self.alloc_exception_value(&exn);
+                    let bad = HValue::Con(Symbol::intern("Bad"), vec![ev]);
+                    let t = self.alloc_value(bad);
+                    return Step::Continue(Control::Return(t));
+                }
+                Frame::MapExnCatch { f, env } if !asynchronous => {
+                    // Rewrite the representative exception through f and
+                    // re-raise whatever comes back: evaluate f under an
+                    // Apply frame holding the exception value.
+                    let exn_node = self.alloc_exception_value(&exn);
+                    stack.push(Frame::RaiseEval);
+                    stack.push(Frame::Apply(exn_node));
+                    return Step::Continue(Control::Eval(f, env));
+                }
+                _ => {
+                    self.stats.frames_trimmed += 1;
+                }
+            }
+        }
+    }
+}
+
+impl<R: Repr> Control<R> {
+    /// Passes every node reference the control register holds through
+    /// `f`, storing what it returns: the minor collector's evacuation, or
+    /// the major collector's marking with an `f` that returns its input.
+    fn visit_nodes(&mut self, f: &mut dyn FnMut(NodeId) -> NodeId) {
+        match self {
+            Control::Eval(_, env) => env.update_nodes(f),
+            Control::Enter(n) | Control::Return(n) => *n = f(*n),
+            Control::Raising(_) => {}
+        }
+    }
+}
+
+impl<R: Repr> Frame<R> {
+    /// As [`Control::visit_nodes`], for every node reference the frame
+    /// holds.
+    fn visit_nodes(&mut self, f: &mut dyn FnMut(NodeId) -> NodeId) {
+        match self {
+            Frame::Update(n) | Frame::Apply(n) => *n = f(*n),
+            Frame::Select { env, .. }
+            | Frame::SeqSecond { env, .. }
+            | Frame::MapExnCatch { env, .. } => env.update_nodes(f),
+            Frame::PrimArgs { env, results, .. } => {
+                env.update_nodes(f);
+                for r in results.iter_mut().flatten() {
+                    *r = f(*r);
+                }
+            }
+            Frame::RaiseEval
+            | Frame::RaisePayload { .. }
+            | Frame::IsExnCatch
+            | Frame::UnsafeGetExnCatch
+            | Frame::Catch => {}
+        }
+    }
+}

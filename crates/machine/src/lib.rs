@@ -37,6 +37,7 @@ pub mod env;
 pub mod gc;
 pub mod heap;
 pub mod interrupt;
+mod kernel;
 pub mod machine;
 pub mod tier2;
 pub mod validate;

@@ -1,5 +1,7 @@
 //! The lazy graph-reduction machine with §3.3's stack-trimming exception
-//! implementation.
+//! implementation: its configuration, state and allocators, and the
+//! `Rc<Expr>` tree representation ([`Tree`]) the shared
+//! [`crate::kernel`] runs.
 //!
 //! One evaluation episode runs a standard eval/apply abstract machine:
 //!
@@ -24,14 +26,16 @@ use std::rc::Rc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use urk_syntax::core::{Alt, AltCon, Expr, PrimOp};
+use urk_syntax::core::{AltCon, Expr, PrimOp};
 use urk_syntax::{Exception, Symbol};
 
 use crate::chaos::{ChaosState, FaultPlan};
 use crate::code::LinkedCode;
+use crate::compiled::Flat;
 use crate::env::MEnv;
 use crate::heap::{HValue, Heap, HeapAudit, Node, NodeId, Whnf};
 use crate::interrupt::InterruptHandle;
+use crate::kernel::{Control, Frame, Repr};
 
 /// In which order the machine evaluates the operands of a binary primitive.
 ///
@@ -291,67 +295,11 @@ impl std::fmt::Display for MachineError {
 
 impl std::error::Error for MachineError {}
 
-enum Control {
-    Eval(Rc<Expr>, MEnv),
-    Enter(NodeId),
-    Return(NodeId),
-    Raising(Exception),
-}
-
-/// What an armed chaos plan wants done on this step (shared by both
-/// backends' run loops; see [`Machine::chaos_decide`]).
-pub(crate) struct ChaosDecision {
-    pub(crate) force_gc: bool,
-    pub(crate) force_minor: bool,
-    pub(crate) inject: Option<Exception>,
-    pub(crate) cap: Option<usize>,
-}
-
 /// A strict primitive's outcome, independent of the executor's control
 /// representation.
 pub(crate) enum PrimResult {
     Value(NodeId),
     Raise(Exception),
-}
-
-enum Frame {
-    /// Update this thunk with the result.
-    Update(NodeId),
-    /// Apply the result to this argument.
-    Apply(NodeId),
-    /// Scrutinise the result with the alternatives of this `Case`
-    /// expression (kept whole so no per-`case` copy of the alternatives is
-    /// made).
-    Select { case: Rc<Expr>, env: MEnv },
-    /// A binary/unary strict primitive collecting its operands. Primops
-    /// have at most two operands, so the frame is fixed-size — no
-    /// per-evaluation vectors.
-    PrimArgs {
-        op: PrimOp,
-        env: MEnv,
-        /// Operand position the result on top of the stack fills.
-        current: u8,
-        /// The not-yet-evaluated operand (position, expression), if any.
-        pending: Option<(u8, Rc<Expr>)>,
-        /// Evaluated operands by position.
-        results: [Option<NodeId>; 2],
-    },
-    /// `seq`: discard the result, then evaluate this.
-    SeqSecond { expr: Rc<Expr>, env: MEnv },
-    /// Convert the returned `Exception` constructor value and raise it.
-    RaiseEval,
-    /// The payload of this exception constructor is being forced.
-    RaisePayload { con: Symbol },
-    /// `unsafeIsException`: a value means `False`, a synchronous raise
-    /// means `True`.
-    IsExnCatch,
-    /// §6's `unsafeGetException`: a value means `OK v`, a synchronous
-    /// raise means `Bad e` — purely, with the proof obligation.
-    UnsafeGetExnCatch,
-    /// `mapException f`: a synchronous raise is rewritten through `f`.
-    MapExnCatch { f: Rc<Expr>, env: MEnv },
-    /// A `getException` catch mark (the episode boundary for handlers).
-    Catch,
 }
 
 /// The graph-reduction machine. The heap persists across episodes, so the
@@ -611,83 +559,6 @@ impl Machine {
         freed + outcome.freed
     }
 
-    /// A minor collection mid-run: evacuates the live nursery into the
-    /// tenured space, rewriting every root the run loop holds — the
-    /// registered roots, the current control, and every stack frame.
-    fn minor_collect(&mut self, control: &mut Control, stack: &mut [Frame]) {
-        let reuses_before = self.heap.reuses();
-        let Machine {
-            heap, roots, ics, ..
-        } = self;
-        let outcome = heap.collect_minor(&mut |f| {
-            for r in roots.iter_mut() {
-                *r = f(*r);
-            }
-            for slot in ics.iter_mut().flatten() {
-                *slot = f(*slot);
-            }
-            rewrite_control(control, f);
-            for frame in stack.iter_mut() {
-                rewrite_frame(frame, f);
-            }
-        });
-        self.stats.minor_gcs += 1;
-        self.stats.gc_runs += 1;
-        self.stats.nodes_promoted += outcome.promoted;
-        self.stats.gc_freed += outcome.freed;
-        self.stats.freelist_reuses += self.heap.reuses() - reuses_before;
-    }
-
-    /// A major collection mid-run: evacuates the nursery first (so every
-    /// live reference is immediate or tenured), then marks the transient
-    /// roots of the current control and stack plus the registered roots
-    /// and sweeps the tenured arena.
-    fn collect_during_run(&mut self, control: &mut Control, stack: &mut [Frame]) {
-        self.minor_collect(control, stack);
-        let mut c = crate::gc::Collector::new(self.heap.tenured_len());
-        match &*control {
-            Control::Eval(_, env) => c.mark_env(env),
-            Control::Enter(n) | Control::Return(n) => c.mark_root(*n),
-            Control::Raising(_) => {}
-        }
-        for f in stack.iter() {
-            match f {
-                Frame::Update(n) | Frame::Apply(n) => c.mark_root(*n),
-                Frame::Select { env, .. }
-                | Frame::SeqSecond { env, .. }
-                | Frame::MapExnCatch { env, .. } => c.mark_env(env),
-                Frame::PrimArgs { env, results, .. } => {
-                    c.mark_env(env);
-                    for r in results.iter().flatten() {
-                        c.mark_root(*r);
-                    }
-                }
-                Frame::RaiseEval
-                | Frame::RaisePayload { .. }
-                | Frame::IsExnCatch
-                | Frame::UnsafeGetExnCatch
-                | Frame::Catch => {}
-            }
-        }
-        for r in &self.roots {
-            c.mark_root(*r);
-        }
-        for slot in self.ics.iter().flatten() {
-            c.mark_root(*slot);
-        }
-        c.trace(&self.heap);
-        let prev_free = self.heap.free_list();
-        let (freed, head) = c.sweep(&mut self.heap, prev_free);
-        self.heap.set_free_list(head, freed);
-        self.stats.gc_runs += 1;
-        self.stats.major_gcs += 1;
-        self.stats.gc_freed += freed;
-        // Re-arm: if the collection did not reclaim much, back off so we
-        // do not thrash.
-        let live = self.heap.live();
-        self.next_gc_at = (live + live / 2).max(self.config.gc_threshold);
-    }
-
     /// Allocates a thunk for `expr` — except that variables reuse their
     /// bound node (preserving sharing) and literals go straight to a WHNF
     /// value (a tagged immediate where possible), skipping the
@@ -856,7 +727,7 @@ impl Machine {
         env: &MEnv,
         catch: bool,
     ) -> Result<Outcome, MachineError> {
-        self.run(Control::Eval(expr, env.clone()), catch)
+        self.run::<Tree>(Control::Eval(expr, env.clone()), catch)
     }
 
     /// Forces an existing node to WHNF. Compiled suspensions are routed to
@@ -872,252 +743,24 @@ impl Machine {
             self.heap.get(r),
             Node::CThunk { .. } | Node::CBlackhole { .. }
         ) {
-            return self.enter_compiled(node, catch);
+            return self.run::<Flat>(Control::Enter(node), catch);
         }
-        self.run(Control::Enter(node), catch)
+        self.run::<Tree>(Control::Enter(node), catch)
     }
 
-    fn run(&mut self, mut control: Control, catch: bool) -> Result<Outcome, MachineError> {
-        let mut stack: Vec<Frame> = Vec::with_capacity(64);
-        if catch {
-            stack.push(Frame::Catch);
-        }
-        loop {
-            // --- step accounting, limits, and asynchronous events -------
-            self.stats.steps += 1;
-            if stack.len() > self.stats.max_stack_depth {
-                self.stats.max_stack_depth = stack.len();
-            }
-            if let Some((at, exn)) = self.config.event_schedule.get(self.next_event) {
-                if self.stats.steps >= *at && !matches!(control, Control::Raising(_)) {
-                    self.next_event += 1;
-                    // §5.1: "v might not be an exceptional value ... but
-                    // getException is nevertheless free to discard v and
-                    // return the asynchronous exception instead."
-                    control = Control::Raising(exn.clone());
-                }
-            }
-            // Wall-clock asynchronous delivery: one relaxed load per step;
-            // an armed handle stays pending across a trim in progress and
-            // is taken on the first non-raising step.
-            if self.interrupt.is_pending() && !matches!(control, Control::Raising(_)) {
-                if let Some(exn) = self.interrupt.take() {
-                    self.stats.async_injected += 1;
-                    control = Control::Raising(exn);
-                }
-            }
-            if self.chaos.is_some() {
-                if let Some(next) = self.chaos_tick(&mut control, &mut stack) {
-                    control = next;
-                }
-            }
-            if self.stats.steps >= self.next_timeout_at {
-                if self.config.timeout_on_step_limit {
-                    // Deliver Timeout and re-arm the watchdog.
-                    self.next_timeout_at = self.stats.steps + self.config.max_steps;
-                    if !matches!(control, Control::Raising(ref e) if e.is_asynchronous()) {
-                        control = Control::Raising(Exception::Timeout);
-                    }
-                } else {
-                    return Err(MachineError::StepLimit);
-                }
-            }
-            if stack.len() >= self.config.max_stack && !matches!(control, Control::Raising(_)) {
-                control = Control::Raising(Exception::StackOverflow);
-            }
-            if self.config.gc {
-                if self.heap.nursery_len() >= self.config.nursery_size {
-                    self.minor_collect(&mut control, &mut stack);
-                }
-                if self.heap.live() >= self.next_gc_at && self.heap.live() < self.config.max_heap {
-                    self.collect_during_run(&mut control, &mut stack);
-                }
-            }
-            if self.heap.live() >= self.config.max_heap && !matches!(control, Control::Raising(_)) {
-                control = Control::Raising(Exception::HeapOverflow);
-            }
-
-            // --- the transition function --------------------------------
-            control = match control {
-                Control::Eval(expr, env) => self.step_eval(expr, env, &mut stack),
-                Control::Enter(node) => self.step_enter(node, &mut stack),
-                Control::Return(node) => match self.step_return(node, &mut stack) {
-                    StepResult::Continue(c) => c,
-                    StepResult::Done(outcome) => return Ok(self.tenure_outcome(outcome)),
-                },
-                Control::Raising(exn) => match self.step_raise(exn, &mut stack) {
-                    StepResult::Continue(c) => c,
-                    StepResult::Done(outcome) => return Ok(self.tenure_outcome(outcome)),
-                },
-            };
-        }
-    }
-
-    /// One step of the armed chaos plan: deliver at most one scheduled
-    /// injection, force at most one scheduled collection, advance the
-    /// shrinking heap budget, and enforce the active cap. Past the plan's
-    /// horizon the plan is dropped entirely, returning the machine to
-    /// undisturbed behaviour. Returns the replacement control when a fault
-    /// fires, `None` when this step is undisturbed (the common case — kept
-    /// out of the return value so the hot loop never moves `Control`).
-    fn chaos_tick(&mut self, control: &mut Control, stack: &mut [Frame]) -> Option<Control> {
-        let raising = matches!(&*control, Control::Raising(_));
-        let d = self.chaos_decide(raising)?;
-        let sabotage = self
-            .chaos
-            .as_ref()
-            .is_some_and(|st| st.plan.sabotage_forwarding);
-        if d.force_minor {
-            self.stats.forced_gcs += 1;
-            self.minor_collect(control, stack);
-            if sabotage {
-                // Test-only sabotage: strand a stale forwarding pointer
-                // to prove the generational audit catches evacuation
-                // corruption (the planted cell is unreachable, so
-                // execution and re-evaluation stay sound).
-                self.heap.plant_stale_forwarding();
-            }
-        }
-        if d.force_gc {
-            // Rooted at the pre-fault control: conservative (keeps at most
-            // one extra node alive for one cycle) and correct either way.
-            self.stats.forced_gcs += 1;
-            self.collect_during_run(control, stack);
-            if sabotage {
-                self.heap.plant_stale_forwarding();
-            }
-        }
-        if let Some(exn) = d.inject {
-            self.stats.async_injected += 1;
-            return Some(Control::Raising(exn));
-        }
-        if let Some(cap) = d.cap {
-            if self.heap.live() >= cap && !raising {
-                // The shrinking budget: allocation past the cap fails with
-                // an asynchronous HeapOverflow, as a real memory monitor
-                // would deliver it.
-                return Some(Control::Raising(Exception::HeapOverflow));
-            }
-        }
-        None
-    }
-
-    /// The backend-independent half of a chaos step: advance the plan's
-    /// cursors and report what should happen (the per-backend run loops
-    /// perform the collection/raise themselves, since rooting a collection
-    /// needs the backend's own control/stack types). `None` means the step
-    /// is undisturbed or the plan's horizon has passed (the plan is then
-    /// dropped entirely).
-    pub(crate) fn chaos_decide(&mut self, raising: bool) -> Option<ChaosDecision> {
-        let step = self.stats.steps;
-        let st = self.chaos.as_mut()?;
-        if step >= st.plan.horizon {
-            self.chaos = None;
-            return None;
-        }
-        let mut inject: Option<Exception> = None;
-        let mut force_gc = false;
-        let mut force_minor = false;
-        if let Some((at, e)) = st.plan.injections.get(st.next_injection) {
-            if step >= *at && !raising {
-                st.next_injection += 1;
-                inject = Some(e.clone());
-            }
-        }
-        if let Some(at) = st.plan.force_gc_at.get(st.next_gc) {
-            if step >= *at {
-                st.next_gc += 1;
-                force_gc = true;
-            }
-        }
-        if let Some(at) = st.plan.force_minor_at.get(st.next_minor) {
-            if step >= *at {
-                st.next_minor += 1;
-                force_minor = true;
-            }
-        }
-        while let Some((at, c)) = st.plan.heap_budget.get(st.next_budget) {
-            if step >= *at {
-                st.active_cap = Some(*c);
-                st.next_budget += 1;
-            } else {
-                break;
-            }
-        }
-        Some(ChaosDecision {
-            force_gc,
-            force_minor,
-            inject,
-            cap: st.active_cap,
-        })
-    }
-
-    fn step_eval(&mut self, expr: Rc<Expr>, env: MEnv, stack: &mut Vec<Frame>) -> Control {
-        match &*expr {
-            Expr::Var(v) => {
-                let node = env
-                    .lookup(*v)
-                    .unwrap_or_else(|| panic!("unbound variable '{v}'"));
-                Control::Enter(node)
-            }
-            Expr::Int(n) => Control::Return(self.int_node(*n)),
-            Expr::Char(c) => Control::Return(self.alloc_value(HValue::Char(*c))),
-            Expr::Str(s) => Control::Return(self.alloc_value(HValue::Str(s.clone()))),
-            Expr::Con(c, args) => {
-                if args.is_empty() {
-                    return Control::Return(self.nullary_con_node(*c));
-                }
-                let fields = args
-                    .iter()
-                    .map(|a| self.alloc_expr_nursery(a, &env))
-                    .collect();
-                Control::Return(self.alloc_value(HValue::Con(*c, fields)))
-            }
-            Expr::Lam(x, b) => Control::Return(self.alloc_value(HValue::Fun {
-                param: *x,
-                body: b.clone(),
-                env,
-            })),
-            Expr::App(f, x) => {
-                let arg = self.alloc_expr_nursery(x, &env);
-                stack.push(Frame::Apply(arg));
-                Control::Eval(f.clone(), env)
-            }
-            Expr::Let(x, rhs, body) => {
-                let t = self.alloc_expr_nursery(rhs, &env);
-                Control::Eval(body.clone(), env.bind(*x, t))
-            }
-            Expr::LetRec(binds, body) => {
-                let env2 = self.bind_recursive_inner(binds, &env);
-                Control::Eval(body.clone(), env2)
-            }
-            Expr::Case(scrut, _) => {
-                let scrut = scrut.clone();
-                stack.push(Frame::Select {
-                    case: expr,
-                    env: env.clone(),
-                });
-                Control::Eval(scrut, env)
-            }
-            Expr::Prim(op, args) => self.step_prim(*op, args, env, stack),
-            Expr::Raise(e) => {
-                stack.push(Frame::RaiseEval);
-                Control::Eval(e.clone(), env)
-            }
-        }
-    }
-
+    // Inlined into `Tree::eval`, its only caller.
+    #[inline]
     fn step_prim(
         &mut self,
         op: PrimOp,
         args: &[Rc<Expr>],
         env: MEnv,
-        stack: &mut Vec<Frame>,
-    ) -> Control {
+        stack: &mut Vec<Frame<Tree>>,
+    ) -> Control<Tree> {
         match op {
             PrimOp::Seq => {
                 stack.push(Frame::SeqSecond {
-                    expr: args[1].clone(),
+                    code: args[1].clone(),
                     env: env.clone(),
                 });
                 Control::Eval(args[0].clone(), env)
@@ -1162,249 +805,6 @@ impl Machine {
                     results: [None, None],
                 });
                 Control::Eval(args[first as usize].clone(), env)
-            }
-        }
-    }
-
-    fn step_enter(&mut self, node: NodeId, stack: &mut Vec<Frame>) -> Control {
-        let node = self.heap.resolve(node);
-        if node.is_imm() {
-            // Tagged immediates are WHNF already.
-            return Control::Return(node);
-        }
-        match self.heap.get(node) {
-            Node::Value(_) => Control::Return(node),
-            Node::Ind(_) => unreachable!("resolved"),
-            Node::Forwarded(_) => {
-                panic!("entered a stale forwarding pointer — evacuation corruption")
-            }
-            Node::Free { .. } => {
-                panic!("entered a freed node — a live node escaped the GC roots")
-            }
-            Node::Poisoned(exn) => {
-                // §3.3: a poisoned thunk re-raises the same exception.
-                Control::Raising(exn.clone())
-            }
-            Node::Blackhole { .. } => match self.config.blackholes {
-                BlackholeMode::Detect => {
-                    self.stats.blackholes_detected += 1;
-                    Control::Raising(Exception::NonTermination)
-                }
-                // Spin in place; the step limit will eventually fire.
-                BlackholeMode::Loop => Control::Enter(node),
-            },
-            Node::Thunk { expr, env } => {
-                let (expr, env) = (expr.clone(), env.clone());
-                self.heap.set(
-                    node,
-                    Node::Blackhole {
-                        expr: expr.clone(),
-                        env: env.clone(),
-                    },
-                );
-                stack.push(Frame::Update(node));
-                Control::Eval(expr, env)
-            }
-            Node::CThunk { .. } | Node::CBlackhole { .. } => {
-                // Episodes never mix executors: `eval_node` routes whole
-                // compiled suspensions to the compiled loop up front.
-                panic!("compiled thunk entered by the tree executor")
-            }
-        }
-    }
-
-    fn step_return(&mut self, node: NodeId, stack: &mut Vec<Frame>) -> StepResult {
-        let Some(frame) = stack.pop() else {
-            return StepResult::Done(Outcome::Value(node));
-        };
-        if matches!(frame, Frame::Catch) {
-            // The answer reached the episode's catch mark: finish now.
-            // Re-entering the loop with the mark already popped would open
-            // a one-step window in which a freshly delivered asynchronous
-            // exception finds an empty stack and escapes as `Uncaught`
-            // from a fully protected episode.
-            return StepResult::Done(Outcome::Value(node));
-        }
-        StepResult::Continue(match frame {
-            Frame::Update(target) => {
-                self.stats.thunk_updates += 1;
-                self.heap.set(target, Node::Ind(node));
-                Control::Return(node)
-            }
-            Frame::Apply(arg) => {
-                let (param, body, env) = match self.heap.whnf(node) {
-                    Some(Whnf::Fun { param, body, env }) => (param, body.clone(), env.clone()),
-                    _ => panic!("application of a non-function (ill-typed program)"),
-                };
-                Control::Eval(body, env.bind(param, arg))
-            }
-            Frame::Select { case, env } => {
-                let Expr::Case(_, alts) = &*case else {
-                    unreachable!("Select frame holds a Case expression");
-                };
-                self.select(node, alts, &env)
-            }
-            Frame::PrimArgs {
-                op,
-                env,
-                current,
-                mut pending,
-                mut results,
-            } => {
-                results[current as usize] = Some(node);
-                if let Some((idx, e)) = pending.take() {
-                    stack.push(Frame::PrimArgs {
-                        op,
-                        env: env.clone(),
-                        current: idx,
-                        pending: None,
-                        results,
-                    });
-                    Control::Eval(e, env)
-                } else {
-                    let mut nodes = [NodeId(0); 2];
-                    let mut n = 0;
-                    for r in results.into_iter().flatten() {
-                        nodes[n] = r;
-                        n += 1;
-                    }
-                    match self.apply_prim(op, &nodes[..n]) {
-                        PrimResult::Value(v) => Control::Return(v),
-                        PrimResult::Raise(exn) => Control::Raising(exn),
-                    }
-                }
-            }
-            Frame::SeqSecond { expr, env } => Control::Eval(expr, env),
-            Frame::RaiseEval => self.convert_and_raise(node, stack),
-            Frame::RaisePayload { con } => {
-                let exn = match self.heap.whnf(node) {
-                    Some(Whnf::Str(s)) => Exception::from_constructor(con, Some(s))
-                        .unwrap_or_else(|| panic!("unknown exception constructor '{con}'")),
-                    _ => panic!("exception payload is not a string (ill-typed program)"),
-                };
-                Control::Raising(exn)
-            }
-            Frame::IsExnCatch => {
-                // The argument evaluated to a value: not an exception.
-                Control::Return(self.bool_node(false))
-            }
-            Frame::UnsafeGetExnCatch => {
-                let ok = HValue::Con(Symbol::intern("OK"), vec![node]);
-                Control::Return(self.alloc_value(ok))
-            }
-            Frame::MapExnCatch { .. } => Control::Return(node),
-            Frame::Catch => unreachable!("Catch is finished before the match"),
-        })
-    }
-
-    /// Matches a WHNF value against case alternatives.
-    fn select(&mut self, node: NodeId, alts: &[Alt], env: &MEnv) -> Control {
-        let v = self.heap.whnf(node).expect("select on a non-value");
-        for alt in alts {
-            let matched = match (&alt.con, &v) {
-                // A default alternative may bind the forced scrutinee.
-                (AltCon::Default, _) => {
-                    let mut env2 = env.clone();
-                    if let Some(b) = alt.binders.first() {
-                        env2 = env2.bind(*b, node);
-                    }
-                    Some(env2)
-                }
-                (AltCon::Int(n), Whnf::Int(m)) if n == m => Some(env.clone()),
-                (AltCon::Char(a), Whnf::Char(b)) if a == b => Some(env.clone()),
-                (AltCon::Str(a), Whnf::Str(b)) if **a == ***b => Some(env.clone()),
-                (AltCon::Con(c), Whnf::Con(d, fields)) if c == d => {
-                    let mut env2 = env.clone();
-                    for (b, f) in alt.binders.iter().zip(fields.iter()) {
-                        env2 = env2.bind(*b, *f);
-                    }
-                    Some(env2)
-                }
-                _ => None,
-            };
-            if let Some(env2) = matched {
-                return Control::Eval(alt.rhs.clone(), env2);
-            }
-        }
-        Control::Raising(Exception::PatternMatchFail("case".into()))
-    }
-
-    /// Converts a WHNF `Exception` constructor value into a raise,
-    /// forcing the string payload first if there is one.
-    fn convert_and_raise(&mut self, node: NodeId, stack: &mut Vec<Frame>) -> Control {
-        let (name, payload) = match self.heap.whnf(node) {
-            Some(Whnf::Con(name, fields)) => (name, fields.first().copied()),
-            _ => panic!("raise applied to a non-Exception value (ill-typed program)"),
-        };
-        match payload {
-            None => {
-                let exn = Exception::from_constructor(name, None)
-                    .unwrap_or_else(|| panic!("unknown exception constructor '{name}'"));
-                Control::Raising(exn)
-            }
-            Some(payload) => {
-                stack.push(Frame::RaisePayload { con: name });
-                Control::Enter(payload)
-            }
-        }
-    }
-
-    /// §3.3's core move: trim the stack to the topmost catch mark.
-    fn step_raise(&mut self, exn: Exception, stack: &mut Vec<Frame>) -> StepResult {
-        let asynchronous = exn.is_asynchronous();
-        loop {
-            let Some(frame) = stack.pop() else {
-                return StepResult::Done(Outcome::Uncaught(exn));
-            };
-            match frame {
-                Frame::Catch => return StepResult::Done(Outcome::Caught(exn)),
-                Frame::Update(target) => {
-                    let target = self.heap.resolve(target);
-                    if asynchronous {
-                        // Test-only sabotage: strand the black hole to
-                        // prove the heap audit catches a broken restore.
-                        let sabotaged = self
-                            .chaos
-                            .as_ref()
-                            .is_some_and(|st| st.plan.sabotage_async_restore);
-                        // §5.1: restore a *resumable* suspension.
-                        if !sabotaged {
-                            if let Node::Blackhole { expr, env } = self.heap.get(target) {
-                                let (expr, env) = (expr.clone(), env.clone());
-                                self.heap.set(target, Node::Thunk { expr, env });
-                                self.stats.thunks_restored += 1;
-                            }
-                        }
-                    } else {
-                        // §3.3: overwrite with `raise ex`.
-                        self.heap.set(target, Node::Poisoned(exn.clone()));
-                        self.stats.thunks_poisoned += 1;
-                    }
-                    self.stats.frames_trimmed += 1;
-                }
-                Frame::IsExnCatch if !asynchronous => {
-                    // unsafeIsException caught a synchronous exception.
-                    let t = self.bool_node(true);
-                    return StepResult::Continue(Control::Return(t));
-                }
-                Frame::UnsafeGetExnCatch if !asynchronous => {
-                    let ev = self.alloc_exception_value(&exn);
-                    let bad = HValue::Con(Symbol::intern("Bad"), vec![ev]);
-                    let t = self.alloc_value(bad);
-                    return StepResult::Continue(Control::Return(t));
-                }
-                Frame::MapExnCatch { f, env } if !asynchronous => {
-                    // Rewrite the representative exception through f and
-                    // re-raise whatever comes back.
-                    let exn_node = self.alloc_exception_value(&exn);
-                    let v = Symbol::fresh("exn");
-                    let app = Rc::new(Expr::App(f, Rc::new(Expr::Var(v))));
-                    stack.push(Frame::RaiseEval);
-                    return StepResult::Continue(Control::Eval(app, env.bind(v, exn_node)));
-                }
-                _ => {
-                    self.stats.frames_trimmed += 1;
-                }
             }
         }
     }
@@ -1581,38 +981,152 @@ impl Machine {
     }
 }
 
-/// Rewrites every node reference the run loop's control holds through `f`
-/// (the minor collector's evacuation function).
-fn rewrite_control(control: &mut Control, f: &mut dyn FnMut(NodeId) -> NodeId) {
-    match control {
-        Control::Eval(_, env) => env.update_nodes(f),
-        Control::Enter(n) | Control::Return(n) => *n = f(*n),
-        Control::Raising(_) => {}
-    }
-}
+/// The tree representation: `Rc<Expr>` code under `Symbol`-keyed
+/// [`MEnv`]s, one prologue pass per transition.
+pub(crate) struct Tree;
 
-/// Rewrites every node reference a stack frame holds through `f`.
-fn rewrite_frame(frame: &mut Frame, f: &mut dyn FnMut(NodeId) -> NodeId) {
-    match frame {
-        Frame::Update(n) | Frame::Apply(n) => *n = f(*n),
-        Frame::Select { env, .. }
-        | Frame::SeqSecond { env, .. }
-        | Frame::MapExnCatch { env, .. } => env.update_nodes(f),
-        Frame::PrimArgs { env, results, .. } => {
-            env.update_nodes(f);
-            for r in results.iter_mut().flatten() {
-                *r = f(*r);
+impl Repr for Tree {
+    type Code = Rc<Expr>;
+    type Env = MEnv;
+    /// The whole `Case` expression, so no per-`case` copy of the
+    /// alternatives is made.
+    type Alts = Rc<Expr>;
+    const FUSE_RETURNS: bool = false;
+
+    #[inline(always)]
+    fn eval(
+        m: &mut Machine,
+        expr: Rc<Expr>,
+        env: MEnv,
+        stack: &mut Vec<Frame<Tree>>,
+    ) -> Control<Tree> {
+        match &*expr {
+            Expr::Var(v) => {
+                let node = env
+                    .lookup(*v)
+                    .unwrap_or_else(|| panic!("unbound variable '{v}'"));
+                Control::Enter(node)
+            }
+            Expr::Int(n) => Control::Return(m.int_node(*n)),
+            Expr::Char(c) => Control::Return(m.alloc_value(HValue::Char(*c))),
+            Expr::Str(s) => Control::Return(m.alloc_value(HValue::Str(s.clone()))),
+            Expr::Con(c, args) => {
+                if args.is_empty() {
+                    return Control::Return(m.nullary_con_node(*c));
+                }
+                let fields = args.iter().map(|a| m.alloc_expr_nursery(a, &env)).collect();
+                Control::Return(m.alloc_value(HValue::Con(*c, fields)))
+            }
+            Expr::Lam(x, b) => Control::Return(m.alloc_value(HValue::Fun {
+                param: *x,
+                body: b.clone(),
+                env,
+            })),
+            Expr::App(f, x) => {
+                let arg = m.alloc_expr_nursery(x, &env);
+                stack.push(Frame::Apply(arg));
+                Control::Eval(f.clone(), env)
+            }
+            Expr::Let(x, rhs, body) => {
+                let t = m.alloc_expr_nursery(rhs, &env);
+                Control::Eval(body.clone(), env.bind(*x, t))
+            }
+            Expr::LetRec(binds, body) => {
+                let env2 = m.bind_recursive_inner(binds, &env);
+                Control::Eval(body.clone(), env2)
+            }
+            Expr::Case(scrut, _) => {
+                let scrut = scrut.clone();
+                stack.push(Frame::Select {
+                    alts: expr,
+                    env: env.clone(),
+                });
+                Control::Eval(scrut, env)
+            }
+            Expr::Prim(op, args) => m.step_prim(*op, args, env, stack),
+            Expr::Raise(e) => {
+                stack.push(Frame::RaiseEval);
+                Control::Eval(e.clone(), env)
             }
         }
-        Frame::RaiseEval
-        | Frame::RaisePayload { .. }
-        | Frame::IsExnCatch
-        | Frame::UnsafeGetExnCatch
-        | Frame::Catch => {}
     }
-}
 
-enum StepResult {
-    Continue(Control),
-    Done(Outcome),
+    #[inline]
+    fn resume(
+        _: &mut Machine,
+        expr: Rc<Expr>,
+        env: MEnv,
+        _: &mut Vec<Frame<Tree>>,
+    ) -> Control<Tree> {
+        Control::Eval(expr, env)
+    }
+
+    #[inline]
+    fn apply(m: &mut Machine, fun: NodeId, arg: NodeId) -> Control<Tree> {
+        let (param, body, env) = match m.heap.whnf(fun) {
+            Some(Whnf::Fun { param, body, env }) => (param, body.clone(), env.clone()),
+            _ => panic!("application of a non-function (ill-typed program)"),
+        };
+        Control::Eval(body, env.bind(param, arg))
+    }
+
+    /// Matches a WHNF value against case alternatives.
+    #[inline]
+    fn select(m: &mut Machine, node: NodeId, case: &Rc<Expr>, env: &MEnv) -> Control<Tree> {
+        let Expr::Case(_, alts) = &**case else {
+            unreachable!("Select frame holds a Case expression");
+        };
+        let v = m.heap.whnf(node).expect("select on a non-value");
+        for alt in alts {
+            let matched = match (&alt.con, &v) {
+                // A default alternative may bind the forced scrutinee.
+                (AltCon::Default, _) => {
+                    let mut env2 = env.clone();
+                    if let Some(b) = alt.binders.first() {
+                        env2 = env2.bind(*b, node);
+                    }
+                    Some(env2)
+                }
+                (AltCon::Int(a), Whnf::Int(b)) if a == b => Some(env.clone()),
+                (AltCon::Char(a), Whnf::Char(b)) if a == b => Some(env.clone()),
+                (AltCon::Str(a), Whnf::Str(b)) if **a == ***b => Some(env.clone()),
+                (AltCon::Con(c), Whnf::Con(d, fields)) if c == d => {
+                    let mut env2 = env.clone();
+                    for (b, f) in alt.binders.iter().zip(fields.iter()) {
+                        env2 = env2.bind(*b, *f);
+                    }
+                    Some(env2)
+                }
+                _ => None,
+            };
+            if let Some(env2) = matched {
+                return Control::Eval(alt.rhs.clone(), env2);
+            }
+        }
+        Control::Raising(Exception::PatternMatchFail("case".into()))
+    }
+
+    #[inline]
+    fn thunk(node: &Node) -> Option<(Rc<Expr>, MEnv)> {
+        match node {
+            Node::Thunk { expr, env } => Some((expr.clone(), env.clone())),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn blackhole(expr: Rc<Expr>, env: MEnv) -> Node {
+        Node::Blackhole { expr, env }
+    }
+
+    #[inline]
+    fn restore(node: &Node) -> Option<Node> {
+        match node {
+            Node::Blackhole { expr, env } => Some(Node::Thunk {
+                expr: expr.clone(),
+                env: env.clone(),
+            }),
+            _ => None,
+        }
+    }
 }

@@ -548,7 +548,13 @@ impl Parser {
 
     /// Precedence climbing over the fixity table.
     fn op_expr(&mut self, min_prec: u8) -> Result<SExpr, ParseError> {
-        let mut lhs = self.unary()?;
+        let lhs = self.unary()?;
+        self.op_rest(lhs, min_prec)
+    }
+
+    /// The operator loop of [`Parser::op_expr`] over an already parsed
+    /// left operand.
+    fn op_rest(&mut self, mut lhs: SExpr, min_prec: u8) -> Result<SExpr, ParseError> {
         loop {
             let (op, prec, right) = match self.peek() {
                 Tok::Op(s) => {
@@ -709,25 +715,22 @@ impl Parser {
                     }
                 }
                 // `(e op)` — a left section; the lhs is an application
-                // spine (operator-free). Backtrack if the shape is not a
-                // section.
-                {
-                    let save = self.pos;
-                    if self.starts_atom() {
-                        if let Ok(lhs) = self.app_expr() {
-                            if let Tok::Op(o) = self.peek().clone() {
-                                if fixity(&o.as_str()).is_some() && *self.peek_at(1) == Tok::RParen
-                                {
-                                    self.bump();
-                                    self.bump();
-                                    return Ok(SExpr::SectionL(Box::new(lhs), o));
-                                }
-                            }
+                // spine (operator-free). Otherwise the spine already parsed
+                // is the first operand of the parenthesised expression, so
+                // each token is parsed once.
+                let first = if self.starts_atom() {
+                    let lhs = self.app_expr()?;
+                    if let Tok::Op(o) = self.peek().clone() {
+                        if fixity(&o.as_str()).is_some() && *self.peek_at(1) == Tok::RParen {
+                            self.bump();
+                            self.bump();
+                            return Ok(SExpr::SectionL(Box::new(lhs), o));
                         }
                     }
-                    self.pos = save;
-                }
-                let first = self.expr()?;
+                    self.op_rest(lhs, 0)?
+                } else {
+                    self.expr()?
+                };
                 if self.eat(&Tok::Comma) {
                     let mut items = vec![first, self.expr()?];
                     while self.eat(&Tok::Comma) {
@@ -995,6 +998,28 @@ mod tests {
         assert!(matches!(expr("(- 3)"), SExpr::Neg(_)));
         // Plain parenthesised expressions still work.
         assert!(matches!(expr("(1 + 2)"), SExpr::BinOp(_, _, _)));
+    }
+
+    #[test]
+    fn deeply_nested_parentheses_parse_in_linear_time() {
+        // Each `(` level must parse its interior once: parsing it again
+        // after trying a left section makes nesting exponential.
+        let mut src = "1".to_string();
+        let mut want = SExpr::Int(1);
+        for k in 0..40 {
+            let op = if k % 2 == 0 { "+" } else { "-" };
+            src = format!("({src} {op} {k})");
+            want = SExpr::BinOp(Symbol::intern(op), Box::new(want), Box::new(SExpr::Int(k)));
+        }
+        assert_eq!(expr(&src), want);
+
+        let mut src = "x".to_string();
+        let mut want = SExpr::var("x");
+        for _ in 0..40 {
+            src = format!("({src} +)");
+            want = SExpr::SectionL(Box::new(want), Symbol::intern("+"));
+        }
+        assert_eq!(expr(&src), want);
     }
 
     #[test]
