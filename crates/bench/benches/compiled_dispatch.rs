@@ -1,25 +1,20 @@
-//! E15 — the flat-code backend vs the tree-walker.
-//!
-//! The tree-walker re-traverses `Rc<Expr>` nodes, hashes variable names
-//! into chunked environments, and scans case alternatives linearly; the
-//! flat backend executes u32-indexed `Copy` ops with slot-resolved
-//! variables and pre-lowered dispatch tables. Same semantics machinery
-//! (stack marks, trimming, GC, interrupt polling) on both sides, so the
-//! difference is pure dispatch-and-lookup overhead.
+//! Flat-code dispatch, end to end: the machine executes u32-indexed
+//! `Copy` ops with slot-resolved variables and pre-lowered dispatch
+//! tables.
 //!
 //! Two groups:
 //!
 //! * `exec` — fib / primes / pipeline (and the rest of the standard
-//!   suite) on a fresh machine per run: `tree` walks the core term,
-//!   `flat` links a pre-lowered `Arc<Code>` and lowers only the query.
+//!   suite) on a fresh machine per run, linking a pre-lowered
+//!   `Arc<Code>` and lowering only the query.
 //! * `pool` — end-to-end batch throughput at 4 workers, caching
-//!   disabled, tree vs compiled backend sharing one `Arc<Code>`. On a
+//!   disabled, at tier 1 and tier 2, each sharing one `Arc<Code>`. On a
 //!   single-CPU host the workers timeshare one core, so this measures
 //!   per-job cost, not parallel speedup.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use urk::{Backend, EvalPool, Options, PoolConfig};
-use urk_bench::{compile, lower, pipeline_workload, run, run_flat, workloads};
+use urk::{EvalPool, Options, PoolConfig, Tier};
+use urk_bench::{compile, lower, pipeline_workload, run_flat, workloads};
 use urk_machine::MachineConfig;
 
 fn bench(c: &mut Criterion) {
@@ -35,17 +30,11 @@ fn bench(c: &mut Criterion) {
         for w in suite {
             let compiled = compile(&w);
             let code = lower(&compiled);
-            // Guard: both executors must produce the expected answer
-            // before either is timed.
-            assert_eq!(run(&compiled, MachineConfig::default()).0, w.expected);
+            // Guard: the expected answer before anything is timed.
             assert_eq!(
                 run_flat(&compiled, &code, MachineConfig::default()).0,
                 w.expected
             );
-
-            group.bench_with_input(BenchmarkId::new("tree", w.name), &compiled, |b, c| {
-                b.iter(|| run(c, MachineConfig::default()))
-            });
             group.bench_with_input(
                 BenchmarkId::new("flat", w.name),
                 &(&compiled, &code),
@@ -55,9 +44,9 @@ fn bench(c: &mut Criterion) {
         group.finish();
     }
 
-    // End-to-end: the serving pool on both backends, cache off so every
-    // job runs a machine. The compiled pool lowers the Prelude once and
-    // shares the image across workers.
+    // End-to-end: the serving pool at both tiers, cache off so every job
+    // runs a machine. Each pool lowers the Prelude once and shares the
+    // image across workers.
     {
         let mut group = c.benchmark_group("compiled_dispatch/pool");
         group
@@ -66,11 +55,11 @@ fn bench(c: &mut Criterion) {
             .measurement_time(std::time::Duration::from_secs(3));
 
         let jobs: Vec<String> = (0..8).map(|i| format!("sum [1 .. {}]", 2000 + i)).collect();
-        for backend in [Backend::Tree, Backend::Compiled] {
+        for tier in [Tier::One, Tier::Two] {
             let pool = EvalPool::start(
                 &[],
                 Options {
-                    backend,
+                    tier,
                     ..Options::default()
                 },
                 PoolConfig {
@@ -81,7 +70,7 @@ fn bench(c: &mut Criterion) {
             )
             .expect("pool starts");
             group.bench_with_input(
-                BenchmarkId::from_parameter(backend.name()),
+                BenchmarkId::from_parameter(format!("tier{}", tier.name())),
                 &pool,
                 |b, p| b.iter(|| p.eval_batch(&jobs)),
             );

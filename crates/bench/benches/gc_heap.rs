@@ -11,15 +11,15 @@
 //!
 //! Groups:
 //!
-//! * `exec` — the standard suite on both executors with the default
-//!   config, directly comparable to `compiled_dispatch/exec`;
+//! * `exec` — the standard suite with the default config, directly
+//!   comparable to `compiled_dispatch/exec`;
 //! * `churn` — a list-heavy workload under real collection pressure
 //!   (nursery crossings and major thresholds), timed at several nursery
-//!   sizes on the flat backend, so the minor-collection cost curve is
+//!   sizes, so the minor-collection cost curve is
 //!   visible rather than inferred.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use urk_bench::{compile, lower, pipeline_workload, run, run_flat, workloads, Workload};
+use urk_bench::{compile, lower, pipeline_workload, run_flat, workloads, Workload};
 use urk_machine::MachineConfig;
 
 /// Allocation-heavy churn: builds, sorts, and folds short-lived lists so
@@ -51,15 +51,10 @@ fn bench(c: &mut Criterion) {
         for w in suite {
             let compiled = compile(&w);
             let code = lower(&compiled);
-            assert_eq!(run(&compiled, MachineConfig::default()).0, w.expected);
             assert_eq!(
                 run_flat(&compiled, &code, MachineConfig::default()).0,
                 w.expected
             );
-
-            group.bench_with_input(BenchmarkId::new("tree", w.name), &compiled, |b, c| {
-                b.iter(|| run(c, MachineConfig::default()))
-            });
             group.bench_with_input(
                 BenchmarkId::new("flat", w.name),
                 &(&compiled, &code),

@@ -33,14 +33,11 @@ fn bench(c: &mut Criterion) {
     // Re-raising a poisoned thunk is O(1) regardless of the original
     // depth (§3.3: the thunk was overwritten with `raise ex`).
     group.bench_function("re-raise-poisoned", |b| {
-        use std::rc::Rc;
-        use urk_machine::{MEnv, Machine};
+        use urk_machine::{compile_program, Machine};
         use urk_syntax::core::Expr;
         let mut m = Machine::new(MachineConfig::default());
-        let t = m.alloc_thunk(
-            Rc::new(Expr::div(Expr::int(1), Expr::int(0))),
-            MEnv::empty(),
-        );
+        m.link_code(std::sync::Arc::new(compile_program(&[])));
+        let t = m.alloc_code_thunk(&Expr::div(Expr::int(1), Expr::int(0)));
         let _ = m.eval_node(t, true).expect("first raise");
         b.iter(|| m.eval_node(t, true).expect("re-raise"));
     });

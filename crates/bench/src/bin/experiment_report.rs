@@ -5,11 +5,16 @@
 //! cargo run -p urk-bench --bin experiment_report
 //! ```
 
+use std::sync::Arc;
+
 use urk_bench::{
     apply_cbv, compile, deep_propagate, deep_raise, encode, lower, lower_t2, pipeline_workload,
     run, run_caught, run_flat, workloads,
 };
-use urk_machine::{MachineConfig, OrderPolicy};
+use urk_io::{run_concurrent, run_machine, IoResult, StringInput};
+use urk_machine::{compile_program, BlackholeMode, Machine, MachineConfig, OrderPolicy, Outcome};
+use urk_syntax::core::Expr;
+use urk_syntax::{desugar_expr, parse_expr_src, DataEnv};
 use urk_transform::{classify_all, render_table};
 
 fn main() {
@@ -80,6 +85,42 @@ fn main() {
     println!();
     println!("(The whole trim is a single machine transition; the explicit encoding");
     println!("allocates a `Bad` cell and pattern-matches at every level on the way out.)");
+    println!();
+
+    // ------------------------------------------------------------------
+    // E10: detectable bottoms (§5.2) — detection is permitted, not
+    // required; both modes are selectable.
+    // ------------------------------------------------------------------
+    println!("## E10 — detectable bottoms (§5.2)");
+    println!();
+    println!("| mode | outcome | steps | black holes detected |");
+    println!("|---|---|---|---|");
+    let black = desugar_expr(
+        &parse_expr_src("let black = black + 1 in black").expect("parses"),
+        &DataEnv::new(),
+    )
+    .expect("desugars");
+    for (mode, blackholes) in [
+        ("detect", BlackholeMode::Detect),
+        ("loop", BlackholeMode::Loop),
+    ] {
+        let mut m = Machine::new(MachineConfig {
+            blackholes,
+            max_steps: 5_000,
+            ..MachineConfig::default()
+        });
+        m.link_code(Arc::new(compile_program(&[])));
+        let outcome = match m.eval_code_expr(&black, true) {
+            Ok(Outcome::Caught(e)) => format!("caught {e}"),
+            Ok(other) => format!("{other:?}"),
+            Err(e) => format!("{e}"),
+        };
+        println!(
+            "| {mode} | {outcome} | {} | {} |",
+            m.stats().steps,
+            m.stats().blackholes_detected
+        );
+    }
     println!();
 
     // ------------------------------------------------------------------
@@ -206,27 +247,20 @@ fn main() {
     // ------------------------------------------------------------------
     println!("## E19 — generational heap: allocations and collection gauges");
     println!();
-    println!("| workload | backend | allocations | unboxed hits | steps | minor gcs | promoted |");
+    println!("| workload | tier | allocations | unboxed hits | steps | minor gcs | promoted |");
     println!("|---|---|---|---|---|---|---|");
     let mut suite = workloads();
     suite.push(pipeline_workload());
     for w in suite {
         let c = compile(&w);
-        let code = lower(&c);
-        let (got, tree) = run(&c, MachineConfig::default());
-        assert_eq!(got, w.expected);
-        let (fgot, flat) = run_flat(&c, &code, MachineConfig::default());
-        assert_eq!(fgot, w.expected);
-        for (backend, s) in [("tree", &tree), ("flat", &flat)] {
+        let (got1, t1) = run_flat(&c, &lower(&c), MachineConfig::default());
+        assert_eq!(got1, w.expected);
+        let (got2, t2) = run_flat(&c, &lower_t2(&c), MachineConfig::default());
+        assert_eq!(got2, w.expected);
+        for (tier, s) in [("1", &t1), ("2", &t2)] {
             println!(
                 "| {} | {} | {} | {} | {} | {} | {} |",
-                w.name,
-                backend,
-                s.allocations,
-                s.unboxed_hits,
-                s.steps,
-                s.minor_gcs,
-                s.nodes_promoted,
+                w.name, tier, s.allocations, s.unboxed_hits, s.steps, s.minor_gcs, s.nodes_promoted,
             );
         }
     }
@@ -266,4 +300,53 @@ fn main() {
     }
     println!();
     println!("(Same machine, same flat executor; only the image differs. Wall-clock medians live in `BENCH_codegen.json`.)");
+
+    // ------------------------------------------------------------------
+    // E14: the §4.4 concurrency extension — the scheduler drives the
+    // same machine one IO action per quantum.
+    // ------------------------------------------------------------------
+    println!();
+    println!("## E14 — concurrency: the same work sequentially and under the scheduler (§4.4)");
+    println!();
+    println!("| program | runner | result | steps | allocations | thunk updates |");
+    println!("|---|---|---|---|---|---|");
+    const WORK: &str = "work n acc = if n == 0 then return acc else work (n - 1) (acc + n)\n\
+                        main = work 2000 0";
+    const FOUR: &str = "work m n acc = if n == 0 then putMVar m acc else work m (n - 1) (acc + n)\n\
+         collect m k acc = if k == 0 then return acc\n                   else takeMVar m >>= \\v -> collect m (k - 1) (acc + v)\n\
+         main = do\n  m <- newEmptyMVar\n  forkIO (work m 500 0)\n  forkIO (work m 500 0)\n  forkIO (work m 500 0)\n  forkIO (work m 500 0)\n  collect m 4 0";
+    for (program, src, concurrent, expected) in [
+        ("work 2000", WORK, false, "2001000"),
+        ("work 2000", WORK, true, "2001000"),
+        ("4 × work 500 + MVar", FOUR, true, "501000"),
+    ] {
+        let mut s = urk::Session::new();
+        s.load(src).expect("loads");
+        let mut m = s.compiled_machine();
+        let main = Expr::var("main");
+        let mut input = StringInput::new("");
+        let result = if concurrent {
+            let root = m.alloc_code_thunk(&main);
+            run_concurrent(&mut m, root, &mut input).main
+        } else {
+            run_machine(&mut m, &main, &mut input).result
+        };
+        let IoResult::Done(result) = result else {
+            panic!("{program}: {result:?}")
+        };
+        assert_eq!(result, expected, "{program}");
+        println!(
+            "| {program} | {} | {result} | {} | {} | {} |",
+            if concurrent {
+                "scheduler"
+            } else {
+                "sequential"
+            },
+            m.stats().steps,
+            m.stats().allocations,
+            m.stats().thunk_updates,
+        );
+    }
+    println!();
+    println!("(Wall-clock medians live in the `concurrency_overhead` bench.)");
 }

@@ -14,7 +14,7 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use urk_machine::{compile_program, Code, MEnv, Machine, MachineConfig, Outcome, Stats};
+use urk_machine::{compile_program, Code, Machine, MachineConfig, Outcome, Stats};
 use urk_syntax::core::{CoreProgram, Expr};
 use urk_syntax::{desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv, Symbol};
 
@@ -120,11 +120,16 @@ pub fn compile(w: &Workload) -> Compiled {
     }
 }
 
-fn run_inner(c: &Compiled, config: MachineConfig, catch: bool) -> (String, Stats) {
+fn run_inner(
+    c: &Compiled,
+    code: &Arc<Code>,
+    config: MachineConfig,
+    catch: bool,
+) -> (String, Stats) {
     let mut m = Machine::new(config);
-    let env = m.bind_recursive(&c.program.binds, &MEnv::empty());
+    m.link_code(Arc::clone(code));
     let out = m
-        .eval(c.query.clone(), &env, catch)
+        .eval_code_expr(&c.query, catch)
         .expect("workload within limits");
     let rendered = match out {
         Outcome::Value(n) => m.render(n, 16),
@@ -133,23 +138,24 @@ fn run_inner(c: &Compiled, config: MachineConfig, catch: bool) -> (String, Stats
     (rendered, m.stats().clone())
 }
 
-/// Runs a compiled workload on a fresh machine; returns the rendering and
-/// the stats.
+/// Runs a compiled workload on a fresh machine at tier 1, lowering its
+/// program first; returns the rendering and the stats (whose
+/// `compile_ops` count the query's lowering only).
 ///
 /// # Panics
 ///
 /// Panics if the machine hits a hard limit.
 pub fn run(c: &Compiled, config: MachineConfig) -> (String, Stats) {
-    run_inner(c, config, false)
+    run_inner(c, &lower(c), config, false)
 }
 
-/// Runs under a catch mark (as `getException` would evaluate it).
+/// As [`run`], under a catch mark (as `getException` would evaluate it).
 ///
 /// # Panics
 ///
 /// Panics if the machine hits a hard limit.
 pub fn run_caught(c: &Compiled, config: MachineConfig) -> (String, Stats) {
-    run_inner(c, config, true)
+    run_inner(c, &lower(c), config, true)
 }
 
 /// Lowers a workload's program to the flat code image once, for sharing
@@ -168,24 +174,15 @@ pub fn lower_t2(c: &Compiled) -> Arc<Code> {
     Arc::new(urk::tier2_optimize(&base, &facts))
 }
 
-/// Runs a workload through the flat-code executor. The image is linked
-/// per run (cheap: an `Arc` clone plus the query lowering), mirroring a
-/// pool worker picking up a job.
+/// Runs a workload against an image lowered once (by [`lower`] or
+/// [`lower_t2`]). The image is linked per run (cheap: an `Arc` clone plus
+/// the query lowering), mirroring a pool worker picking up a job.
 ///
 /// # Panics
 ///
 /// Panics if the machine hits a hard limit.
 pub fn run_flat(c: &Compiled, code: &Arc<Code>, config: MachineConfig) -> (String, Stats) {
-    let mut m = Machine::new(config);
-    m.link_code(Arc::clone(code));
-    let out = m
-        .eval_code_expr(&c.query, false)
-        .expect("workload within limits");
-    let rendered = match out {
-        Outcome::Value(n) => m.render(n, 16),
-        Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
-    };
-    (rendered, m.stats().clone())
+    run_inner(c, code, config, false)
 }
 
 /// The §2.2 explicit encoding of a compiled workload (program and query).
@@ -296,17 +293,16 @@ mod tests {
     }
 
     #[test]
-    fn the_flat_executor_computes_every_expected_answer() {
+    fn both_tiers_compute_every_expected_answer() {
         let mut all = workloads();
         all.push(pipeline_workload());
         for w in all {
             let c = compile(&w);
-            let code = lower(&c);
-            let (got, _) = run_flat(&c, &code, MachineConfig::default());
+            let (got, _) = run_flat(&c, &lower(&c), MachineConfig::default());
             assert_eq!(got, w.expected, "workload {}", w.name);
-            // And it agrees with the tree-walker byte for byte.
-            let (tree, _) = run(&c, MachineConfig::default());
-            assert_eq!(got, tree, "workload {}", w.name);
+            // And tier 2 agrees with it byte for byte.
+            let (t2, _) = run_flat(&c, &lower_t2(&c), MachineConfig::default());
+            assert_eq!(got, t2, "workload {}", w.name);
         }
     }
 

@@ -15,11 +15,10 @@
 //! urk --expr "f 9" --chaos 42          # differential fault injection
 //! urk --jobs 4 --batch exprs.txt       # pooled evaluation, one expr per line
 //! urk --jobs 4 --batch exprs.txt --cache-cap 1024 --stats
-//! urk --expr "f 9" --backend compiled  # run on the flat-code backend
-//! urk --expr "f 9" --backend compiled --tier 2   # superinstruction codegen
+//! urk --expr "f 9" --tier 2           # superinstruction codegen
 //! urk lint program.urk                 # static exception-effect lint
 //! urk lint --expr "head []"            # lint one expression
-//! urk program.urk --backend compiled --verify-code   # check arenas in release
+//! urk program.urk --verify-code        # check arenas in release
 //! urk serve --listen 127.0.0.1:7199 --jobs 4          # network serving tier
 //! urk serve program.urk --listen 127.0.0.1:0 --queue-cap 64 --cache-cap 1024
 //! urk fuzz --seed 1 --execs 2000 --corpus corpus       # coverage-guided fuzzing
@@ -31,8 +30,8 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use urk::{
-    Backend, EvalPool, Exception, IoResult, OrderPolicy, PoolConfig, SemIoResult, ServeConfig,
-    Server, Session, Supervisor, Tier,
+    EvalPool, Exception, IoResult, OrderPolicy, PoolConfig, SemIoResult, ServeConfig, Server,
+    Session, Supervisor, Tier,
 };
 
 struct Args {
@@ -41,7 +40,6 @@ struct Args {
     type_of: Option<String>,
     denot: Option<String>,
     order: OrderPolicy,
-    backend: Backend,
     tier: Tier,
     optimize: bool,
     dump_core: bool,
@@ -71,7 +69,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: urk [FILE.urk] [--expr E | --type E | --denot E]\n\
-         \x20          [--order l|r|s[:SEED]] [--backend tree|compiled] [--tier 1|2]\n\
+         \x20          [--order l|r|s[:SEED]] [--tier 1|2]\n\
          \x20          [--optimize] [--input STR]\n\
          \x20          [--semantic|--concurrent] [--seed N] [--trace] [--dump-core] [--stats]\n\
          \x20          [--max-steps N] [--max-heap N] [--max-stack N]\n\
@@ -79,7 +77,7 @@ fn usage() -> ! {
          \x20          [--batch FILE] [--jobs N] [--cache-cap N]\n\
          \x20      urk lint [FILE.urk] [--expr E] [--optimize] [--json]\n\
          \x20      urk serve [FILE.urk] --listen ADDR [--jobs N] [--queue-cap N]\n\
-         \x20          [--cache-cap N] [--timeout-ms N] [--backend tree|compiled] [--tier 1|2]\n\
+         \x20          [--cache-cap N] [--timeout-ms N] [--tier 1|2]\n\
          \x20      urk fuzz [--seed N] [--execs N] [--max-depth N] [--chaos-rounds N]\n\
          \x20          [--sabotage] [--interrupt-every N] [--corpus DIR] [--out DIR]\n\
          \x20          [--replay FILE]\n\
@@ -236,7 +234,6 @@ fn parse_args() -> Args {
         type_of: None,
         denot: None,
         order: OrderPolicy::LeftToRight,
-        backend: Backend::Tree,
         tier: Tier::One,
         optimize: false,
         dump_core: false,
@@ -309,14 +306,6 @@ fn parse_args() -> Args {
                     _ => usage(),
                 };
             }
-            "--backend" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                out.backend = match v.as_str() {
-                    "tree" => Backend::Tree,
-                    "compiled" => Backend::Compiled,
-                    _ => usage(),
-                };
-            }
             "--tier" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 out.tier = match v.as_str() {
@@ -354,7 +343,6 @@ fn main() -> ExitCode {
     session.options.machine.order = args.order;
     session.options.machine.verify_code = args.verify_code;
     session.options.validate_tier2 |= args.validate_tier2;
-    session.options.backend = args.backend;
     session.options.tier = args.tier;
     if let Some(n) = args.max_steps {
         session.options.machine.max_steps = n;
@@ -694,19 +682,17 @@ fn main() -> ExitCode {
                         r.stats.nodes_promoted,
                         r.stats.unboxed_hits,
                     );
-                    if r.stats.backend == Backend::Compiled {
-                        eprintln!(
-                            "compile: {} ops in {}µs (program + query lowering)",
-                            r.stats.compile_ops, r.stats.compile_micros,
-                        );
-                        eprintln!(
-                            "tier: {}  fused-steps: {}  ic-hits: {}  ic-misses: {}",
-                            r.stats.tier.name(),
-                            r.stats.fused_steps,
-                            r.stats.ic_hits,
-                            r.stats.ic_misses,
-                        );
-                    }
+                    eprintln!(
+                        "compile: {} ops in {}µs (program + query lowering)",
+                        r.stats.compile_ops, r.stats.compile_micros,
+                    );
+                    eprintln!(
+                        "tier: {}  fused-steps: {}  ic-hits: {}  ic-misses: {}",
+                        r.stats.tier.name(),
+                        r.stats.fused_steps,
+                        r.stats.ic_hits,
+                        r.stats.ic_misses,
+                    );
                     if let Ok(set) = session.predicted_exceptions(e) {
                         eprintln!("predicted exceptions: {set}");
                     }

@@ -19,9 +19,9 @@
 //!   blackhole mode, budgets, the async event schedule, GC policy, the
 //!   denotational fuel/depth/`unsafeIsException` settings, the render
 //!   depth (the rendered string is part of the cached answer), the
-//!   executing backend (tree-walker vs compiled code), and the
-//!   execution tier (direct lowering vs the analysis-licensed
-//!   superinstruction image). Run-only
+//!   executor tag (one executor, one byte), and the execution tier
+//!   (direct lowering vs the analysis-licensed superinstruction
+//!   image). Run-only
 //!   plumbing (the interrupt handle, the chaos plan, and the pure
 //!   pass/panic gates that cannot change an answer — the `verify_code`
 //!   arena check and the `validate_tier2` translation validator) is
@@ -129,17 +129,14 @@ fn config_slice_bytes(
     out.extend_from_slice(&denot.max_depth.to_le_bytes());
     out.push(u8::from(denot.pessimistic_is_exception));
     out.extend_from_slice(&render_depth.to_le_bytes());
-    // The backend is part of the key even though both executors must
-    // agree on outcomes: keeping the dimensions separate means a
-    // divergence bug degrades to a duplicated entry, never to one
-    // backend serving the other's (possibly wrong) answer.
+    // The executor byte: there is one executor, and its byte is kept so
+    // keys stay stable.
     out.push(match backend {
-        Backend::Tree => 0x01,
         Backend::Compiled => 0x02,
     });
-    // Likewise for the execution tier: tier 2 must agree with tier 1 on
-    // every outcome, but keying them apart means a codegen bug degrades
-    // to a duplicated entry instead of cross-tier answer pollution.
+    // The execution tier: tier 2 must agree with tier 1 on every
+    // outcome, but keying them apart means a codegen bug degrades to a
+    // duplicated entry instead of cross-tier answer pollution.
     out.push(match tier {
         Tier::One => 0x01,
         Tier::Two => 0x02,

@@ -34,7 +34,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use urk_io::SharedBatch;
-use urk_machine::{Backend, Code, InterruptHandle, Stats};
+use urk_machine::{Code, InterruptHandle, Stats};
 use urk_syntax::Exception;
 
 use crate::cache::{cache_key, CacheStats, CachedEval, ResultCache};
@@ -321,17 +321,17 @@ impl EvalPool {
         config: PoolConfig,
     ) -> Result<EvalPool, Error> {
         // Probe-load on the caller's thread: validates every source (and
-        // warms the global interner) before any worker exists. On the
-        // compiled backend the probe also lowers the program to flat code
-        // once; every worker links this same `Arc<Code>` image instead of
-        // recompiling it per thread.
+        // warms the global interner) before any worker exists. The probe
+        // also lowers the program to flat code once; every worker links
+        // this same `Arc<Code>` image instead of recompiling it per
+        // thread.
         let shared_code = {
             let mut probe = Session::new();
             probe.options = options.clone();
             for src in sources {
                 probe.load(src)?;
             }
-            (options.backend == Backend::Compiled).then(|| probe.compiled_code())
+            probe.compiled_code()
         };
 
         let nworkers = config.workers.max(1);
@@ -533,7 +533,7 @@ fn worker_loop(
     supervisor: &Supervisor,
     options: Options,
     sources: &[String],
-    code: Option<Arc<Code>>,
+    code: Arc<Code>,
 ) {
     let mut session = Session::new();
     session.options = options;
@@ -542,12 +542,9 @@ fn worker_loop(
             .load(src)
             .expect("sources were validated by the probe load");
     }
-    if let Some(code) = code {
-        // The worker's program is byte-for-byte the probe's (same
-        // sources, same Prelude), so the probe's compiled image is its
-        // compiled image.
-        session.set_compiled_code(code);
-    }
+    // The worker's program is byte-for-byte the probe's (same sources,
+    // same Prelude), so the probe's image is its image.
+    session.set_compiled_code(code);
 
     while let Some(job) = queue.pop() {
         // Per-job limits tighten (or relax) the pool envelope for this

@@ -19,7 +19,7 @@ use urk_io::{
 };
 use urk_machine::{
     compile_program, tier2_optimize_certified, validate_tier2, Backend, Code, FactVal, GlobalFact,
-    MEnv, Machine, MachineConfig, Outcome, Stats, Tier, Tier2Facts,
+    Machine, MachineConfig, Outcome, Stats, Tier, Tier2Facts,
 };
 use urk_syntax::core::{CoreProgram, Expr};
 use urk_syntax::{
@@ -47,18 +47,17 @@ pub struct Options {
     /// request; the serving cache keys on it, since the rendered string
     /// is part of the cached answer.
     pub render_depth: u32,
-    /// Which execution engine machine evaluations run on: the
-    /// tree-walking interpreter (default) or the flat-code compiled
-    /// backend. Both implement the same semantics; the compiled backend
-    /// trades a one-time lowering of the program for cheaper dispatch
-    /// on every step.
+    /// Which executor machine evaluations run on. There is one, flat
+    /// code: the program is lowered once (on first use) and every query
+    /// lowers against it. The field survives as the tag stats, wire
+    /// frames and cache keys carry.
     pub backend: Backend,
-    /// Which optimisation tier the compiled backend runs at. Tier 1 is
-    /// the direct lowering; tier 2 reruns the exception-effect analysis
-    /// and uses its summaries as a *license* to fuse WHNF-safe regions
-    /// into superinstructions, speculate lazy bindings, and patch
-    /// monomorphic inline caches into known-global call sites. Ignored
-    /// by the tree backend.
+    /// Which optimisation tier the program is lowered at. Tier 1 (the
+    /// default) is the direct lowering; tier 2 reruns the
+    /// exception-effect analysis and uses its summaries as a *license* to
+    /// fuse WHNF-safe regions into superinstructions, speculate lazy
+    /// bindings, and patch monomorphic inline caches into known-global
+    /// call sites.
     pub tier: Tier,
     /// Translation-validate every tier-2 compilation before linking it:
     /// audit the analysis facts against a fresh recomputation, then walk
@@ -76,7 +75,7 @@ impl Default for Options {
             denot: DenotConfig::default(),
             typecheck: true,
             render_depth: 32,
-            backend: Backend::Tree,
+            backend: Backend::Compiled,
             tier: Tier::One,
             validate_tier2: cfg!(debug_assertions),
         }
@@ -237,19 +236,11 @@ impl Session {
         Ok(t.to_string())
     }
 
-    /// A fresh machine with the session program bound; returns the
-    /// machine and its global environment.
-    pub fn machine(&self) -> (Machine, MEnv) {
-        let mut m = Machine::new(self.options.machine.clone());
-        let env = m.bind_recursive(&self.program.binds, &MEnv::empty());
-        (m, env)
-    }
-
     /// The session program lowered to flat code, compiling it on first
     /// use and caching the result until the program changes
     /// ([`Session::load`] and the optimisation passes invalidate it).
-    /// The returned `Arc` is the image every compiled-backend machine
-    /// links; the pool shares one across all workers.
+    /// The returned `Arc` is the image every machine links; the pool
+    /// shares one across all workers.
     pub fn compiled_code(&self) -> Arc<Code> {
         let tier = self.options.tier;
         if let Some((cached_tier, code)) = self.compiled.borrow().as_ref() {
@@ -292,8 +283,8 @@ impl Session {
     }
 
     /// Whether the program is already lowered *at the current tier* —
-    /// i.e. whether the next compiled-backend evaluation will reuse a
-    /// cached image rather than paying the lowering cost.
+    /// i.e. whether the next evaluation will reuse a cached image rather
+    /// than paying the lowering cost.
     pub fn has_compiled_code(&self) -> bool {
         self.compiled
             .borrow()
@@ -316,7 +307,7 @@ impl Session {
         self.compiled.replace(Some((tier, code)));
     }
 
-    /// A fresh machine with the compiled program linked (globals
+    /// A fresh machine with the lowered program linked (globals
     /// allocated and rooted), ready for [`Machine::eval_code_expr`].
     pub fn compiled_machine(&self) -> Machine {
         let mut m = Machine::new(self.options.machine.clone());
@@ -325,8 +316,8 @@ impl Session {
     }
 
     /// Evaluates an expression on the machine (no catch mark: an
-    /// exception is reported as uncaught), on whichever backend
-    /// [`Options::backend`] selects.
+    /// exception is reported as uncaught), at the tier [`Options::tier`]
+    /// selects.
     ///
     /// # Errors
     ///
@@ -335,19 +326,9 @@ impl Session {
         let e = self.compile_expr(src)?;
         // If this evaluation is the one that pays the program's one-time
         // lowering cost, stamp that cost onto its stats below.
-        let first_compile = self.options.backend == Backend::Compiled && !self.has_compiled_code();
-        let (mut m, out) = match self.options.backend {
-            Backend::Tree => {
-                let (mut m, env) = self.machine();
-                let out = m.eval(e, &env, false);
-                (m, out)
-            }
-            Backend::Compiled => {
-                let mut m = self.compiled_machine();
-                let out = m.eval_code_expr(&e, false);
-                (m, out)
-            }
-        };
+        let first_compile = !self.has_compiled_code();
+        let mut m = self.compiled_machine();
+        let out = m.eval_code_expr(&e, false);
         // An aborted run still burned steps and allocations; carry the
         // counters into the error so hitting a limit is diagnosable.
         let out = match out {
@@ -425,25 +406,15 @@ impl Session {
     /// Front-end errors.
     pub fn chaos_check(&self, src: &str, seed: u64) -> Result<urk_io::ChaosReport, Error> {
         let e = self.compile_expr(src)?;
-        Ok(match self.options.backend {
-            Backend::Tree => urk_io::chaos_run(
-                &self.data,
-                &self.program.binds,
-                &e,
-                &self.options.machine,
-                self.options.denot.fuel,
-                seed,
-            ),
-            Backend::Compiled => urk_io::chaos_run_compiled(
-                &self.data,
-                &self.program.binds,
-                &self.compiled_code(),
-                &e,
-                &self.options.machine,
-                self.options.denot.fuel,
-                seed,
-            ),
-        })
+        Ok(urk_io::chaos_run(
+            &self.data,
+            &self.program.binds,
+            &self.compiled_code(),
+            &e,
+            &self.options.machine,
+            self.options.denot.fuel,
+            seed,
+        ))
     }
 
     /// Performs `main` on the machine with the given input.
@@ -466,9 +437,9 @@ impl Session {
         if self.program.lookup(sym).is_none() {
             return Err(Error::MissingBinding(name.into()));
         }
-        let (mut m, env) = self.machine();
+        let mut m = self.compiled_machine();
         let mut inp = StringInput::new(input);
-        Ok(run_machine(&mut m, &env, Rc::new(Expr::Var(sym)), &mut inp))
+        Ok(run_machine(&mut m, &Expr::Var(sym), &mut inp))
     }
 
     /// Performs `main` as the root of a cooperative thread group
@@ -482,8 +453,8 @@ impl Session {
         if self.program.lookup(sym).is_none() {
             return Err(Error::MissingBinding("main".into()));
         }
-        let (mut m, env) = self.machine();
-        let root = m.alloc_expr(&Rc::new(Expr::Var(sym)), &env);
+        let mut m = self.compiled_machine();
+        let root = m.alloc_code_thunk(&Expr::Var(sym));
         let mut inp = StringInput::new(input);
         Ok(urk_io::run_concurrent(&mut m, root, &mut inp))
     }
@@ -551,7 +522,7 @@ impl Session {
 
     /// The statically predicted exception set of an expression — a
     /// superset of what [`Session::exception_set`] denotes, and of any
-    /// representative either machine backend can raise.
+    /// representative the machine can raise at either tier.
     ///
     /// # Errors
     ///

@@ -7,7 +7,7 @@
 //! cache that returns different bytes for the same key, a pool that
 //! reorders a batch. Three lanes run against one seeded term ring:
 //!
-//! * **machine lane** — long-lived tree and compiled machines evaluate
+//! * **machine lane** — long-lived tier-1 and tier-2 machines evaluate
 //!   ring terms over and over; every render must match the expected
 //!   answer recorded on first evaluation (or `Caught(Interrupt)` when
 //!   the lane's periodic interrupt churn landed), and both machines are
@@ -30,14 +30,13 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use urk_fuzz::{FuzzCtx, TermGen, FUZZ_PRELUDE_SRC};
-use urk_machine::{MEnv, Machine, MachineConfig, Outcome};
+use urk_machine::{Machine, MachineConfig, Outcome};
 use urk_syntax::core::Expr;
 use urk_syntax::{pretty::pretty, Exception};
 
 use crate::pool::{EvalPool, PoolConfig};
 use crate::serve::{Client, RemoteOutcome, ServeConfig, Server};
 use crate::session::Options;
-use crate::Backend;
 
 /// Soak tunables.
 #[derive(Debug)]
@@ -145,11 +144,11 @@ fn observe(m: &mut Machine, out: &Result<Outcome, urk_machine::MachineError>) ->
     }
 }
 
-/// The long-lived machine pair of the machine lane.
+/// The long-lived machine pair of the machine lane: the fuzz prelude
+/// linked at tier 1 and at tier 2.
 struct MachineLane {
-    tree: Machine,
-    tree_env: MEnv,
-    compiled: Machine,
+    tier1: Machine,
+    tier2: Machine,
     episodes: u64,
 }
 
@@ -164,14 +163,13 @@ impl MachineLane {
             gc_threshold: 65_536,
             ..MachineConfig::default()
         };
-        let mut tree = Machine::new(config.clone());
-        let tree_env = tree.bind_recursive(&ctx.binds, &MEnv::empty());
-        let mut compiled = Machine::new(config);
-        compiled.link_code(std::sync::Arc::clone(&ctx.code));
+        let mut tier1 = Machine::new(config.clone());
+        tier1.link_code(std::sync::Arc::clone(&ctx.code));
+        let mut tier2 = Machine::new(config);
+        tier2.link_code(std::sync::Arc::clone(&ctx.code_t2));
         MachineLane {
-            tree,
-            tree_env,
-            compiled,
+            tier1,
+            tier2,
             episodes: 0,
         }
     }
@@ -184,20 +182,18 @@ impl MachineLane {
         if interrupted {
             // Pre-armed delivery: the machine must catch it at the episode
             // boundary and stay resumable — §5.1's contract under churn.
-            self.tree.interrupt_handle().deliver(Exception::Interrupt);
-            self.compiled
-                .interrupt_handle()
-                .deliver(Exception::Interrupt);
+            self.tier1.interrupt_handle().deliver(Exception::Interrupt);
+            self.tier2.interrupt_handle().deliver(Exception::Interrupt);
             report.interrupts += 1;
         }
-        let t_out = self.tree.eval(Rc::clone(&entry.term), &self.tree_env, true);
-        let t_obs = observe(&mut self.tree, &t_out);
-        let c_out = self.compiled.eval_code_expr(&entry.term, true);
-        let c_obs = observe(&mut self.compiled, &c_out);
+        let out1 = self.tier1.eval_code_expr(&entry.term, true);
+        let obs1 = observe(&mut self.tier1, &out1);
+        let out2 = self.tier2.eval_code_expr(&entry.term, true);
+        let obs2 = observe(&mut self.tier2, &out2);
         report.machine_evals += 2;
         report.evals += 2;
         let caught_interrupt = "caught interrupt: Interrupt";
-        for (name, obs) in [("tree", &t_obs), ("compiled", &c_obs)] {
+        for (name, obs) in [("tier1", &obs1), ("tier2", &obs2)] {
             let ok = obs == &entry.expected
                 || (interrupted && obs.starts_with("caught"))
                 || obs == caught_interrupt;
@@ -210,7 +206,7 @@ impl MachineLane {
         }
         if self.episodes.is_multiple_of(cfg.audit_every) {
             report.audits += 2;
-            for (name, m) in [("tree", &mut self.tree), ("compiled", &mut self.compiled)] {
+            for (name, m) in [("tier1", &mut self.tier1), ("tier2", &mut self.tier2)] {
                 let audit = m.audit_heap();
                 if !audit.is_consistent() {
                     report.violate(format!("machine lane ep {}: {name} {audit}", self.episodes));
@@ -283,11 +279,11 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
     let mut ring: Vec<RingEntry> = Vec::with_capacity(cfg.ring.max(1));
     while ring.len() < cfg.ring.max(1) {
         let term = Rc::new(gen.term());
-        let out = probe.tree.eval(Rc::clone(&term), &probe.tree_env, true);
+        let out = probe.tier1.eval_code_expr(&term, true);
         if out.is_err() {
             continue; // step-limit pathology; not soak material
         }
-        let expected = observe(&mut probe.tree, &out);
+        let expected = observe(&mut probe.tier1, &out);
         let src = pretty(&term);
         ring.push(RingEntry {
             term,
@@ -296,10 +292,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
         });
     }
 
-    let options = Options {
-        backend: Backend::Compiled,
-        ..Options::default()
-    };
+    let options = Options::default();
     let pool = EvalPool::start(
         &[FUZZ_PRELUDE_SRC],
         options.clone(),
@@ -409,7 +402,7 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
 
     // Final audits on the long-lived machines.
     report.audits += 2;
-    for (name, m) in [("tree", &mut lane.tree), ("compiled", &mut lane.compiled)] {
+    for (name, m) in [("tier1", &mut lane.tier1), ("tier2", &mut lane.tier2)] {
         let audit = m.audit_heap();
         if !audit.is_consistent() {
             report.violate(format!("final audit: {name} {audit}"));

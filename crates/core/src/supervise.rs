@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use urk_machine::{Backend, InterruptHandle, MEnv, Machine, MachineConfig, MachineError, Outcome};
+use urk_machine::{InterruptHandle, Machine, MachineConfig, MachineError, Outcome};
 use urk_syntax::core::Expr;
 use urk_syntax::Exception;
 
@@ -146,15 +146,12 @@ impl Session {
             cfg.max_stack = s;
         }
 
-        // Resolve the backend once: on the compiled backend every attempt
-        // links the same shared image, and if this call is the one that
-        // pays the program's one-time lowering cost, that cost is stamped
-        // onto the final result's stats.
-        let first_compile = self.options.backend == Backend::Compiled && !self.has_compiled_code();
-        let code = match self.options.backend {
-            Backend::Compiled => Some(self.compiled_code()),
-            Backend::Tree => None,
-        };
+        // Lower the program once: every attempt links the same shared
+        // image, and if this call is the one that pays the program's
+        // one-time lowering cost, that cost is stamped onto the final
+        // result's stats.
+        let first_compile = !self.has_compiled_code();
+        let code = self.compiled_code();
 
         let growth = u64::from(supervisor.growth.max(1));
         let mut attempts = 0u32;
@@ -189,19 +186,10 @@ impl Session {
 
             // One attempt on a fresh machine, panic-isolated. The machine
             // is moved out so stats and rendering survive the unwind guard.
-            let binds = &self.program().binds;
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 let mut m = Machine::new(run_cfg);
-                let out = match &code {
-                    Some(code) => {
-                        m.link_code(Arc::clone(code));
-                        m.eval_code_expr(&expr, true)
-                    }
-                    None => {
-                        let env = m.bind_recursive(binds, &MEnv::empty());
-                        m.eval(expr.clone(), &env, true)
-                    }
-                };
+                m.link_code(Arc::clone(&code));
+                let out = m.eval_code_expr(&expr, true);
                 (m, out)
             }));
 
@@ -257,10 +245,8 @@ impl Session {
                 matches!(exception, Some(Exception::Timeout)) && m.stats().async_injected > 0;
             let mut stats = m.stats().clone();
             if first_compile {
-                if let Some(code) = &code {
-                    stats.compile_ops += code.compile_ops();
-                    stats.compile_micros += code.compile_micros();
-                }
+                stats.compile_ops += code.compile_ops();
+                stats.compile_micros += code.compile_micros();
             }
             let result = match out {
                 Outcome::Value(n) => EvalResult {

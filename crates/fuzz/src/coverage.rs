@@ -2,7 +2,7 @@
 //!
 //! Two feature families, both cheap and fully deterministic:
 //!
-//! * **op-pair edges** — the compiled backend's [`OpCoverage`] matrix:
+//! * **op-pair edges** — the machine's [`OpCoverage`] matrix:
 //!   feature id = `prev_kind * OP_KINDS + cur_kind` (`< OP_KINDS²`);
 //! * **stats buckets** — log₂-bucketed machine [`Stats`] counters
 //!   (steps, allocations, stack depth, trims, restores, ...), so a mutant
@@ -65,7 +65,7 @@ impl Fingerprint {
     }
 
     /// Merges another execution of the same candidate (a different order
-    /// or backend) into this fingerprint.
+    /// or tier) into this fingerprint.
     pub fn merge(&mut self, other: &Fingerprint) {
         self.features.extend_from_slice(&other.features);
         self.features.sort_unstable();

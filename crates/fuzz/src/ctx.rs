@@ -1,5 +1,5 @@
 //! The shared evaluation context every fuzz candidate runs against: a
-//! small recursive "fuzz prelude" compiled once for all three evaluators.
+//! small recursive "fuzz prelude" compiled once for every evaluator.
 //!
 //! The prelude is deliberately tiny but adversarial: a recursive loop
 //! (steps for chaos plans to land in), a partial function (reachable
@@ -26,10 +26,10 @@ fzpick n = case n of { 0 -> 1; 1 -> 2 }
 fztwice f x = f (f x)
 ";
 
-/// Everything a candidate needs to run on all three evaluators: the data
+/// Everything a candidate needs to run on every evaluator: the data
 /// environment, the core bindings, their inferred type schemes (for
-/// re-checking mutants), and the one-time compiled image shared by every
-/// compiled-backend machine.
+/// re-checking mutants), and the one-time tier-1 and tier-2 images every
+/// machine links.
 pub struct FuzzCtx {
     pub data: DataEnv,
     pub binds: Vec<(Symbol, Rc<Expr>)>,
@@ -37,8 +37,8 @@ pub struct FuzzCtx {
     pub code: Arc<Code>,
     /// The same program at tier 2: the exception-effect analysis run over
     /// the binds and used as a license for superinstruction fusion,
-    /// speculation, and inline caches. A third execution-engine column in
-    /// the cross-product oracle.
+    /// speculation, and inline caches. The second machine column of the
+    /// cross-product oracle.
     pub code_t2: Arc<Code>,
 }
 

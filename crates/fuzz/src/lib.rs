@@ -14,9 +14,9 @@
 //! * [`coverage`] — the candidate fingerprint: compiled-`Code` op-pair
 //!   edges ([`urk_machine::OpCoverage`]) plus log-bucketed `Stats`
 //!   features; novelty admits the mutant into the corpus;
-//! * [`oracle`] — the full cross-product check for one candidate: tree vs
-//!   compiled on both deterministic orders plus a seeded order, all vs the
-//!   denotational set, under seeded [`urk_machine::FaultPlan`] chaos and an
+//! * [`oracle`] — the full cross-product check for one candidate: tier 1
+//!   vs tier 2 on both deterministic orders plus a seeded order, all vs
+//!   the denotational set, under seeded [`urk_machine::FaultPlan`] chaos and an
 //!   optional wall-clock interrupt, with a heap audit after every run;
 //! * [`shrink`] — deterministic greedy minimization of a failing term (the
 //!   same seed and failing term always produce the byte-identical minimal

@@ -4,23 +4,21 @@
 //!
 //! * **denotationally** — the ground truth: a value, or an imprecise
 //!   exception *set*;
-//! * on the **tree machine** and the **compiled backend at both tiers**
-//!   (direct lowering and the analysis-licensed tier-2 image), under
-//!   left-to-right, right-to-left, and a seeded order — nine machine
-//!   runs whose renderings must agree pairwise (tree vs compiled is the
-//!   PR 4 invariant; tree vs tier 2 is the tier-2 license check) and
+//! * on the **machine at both tiers** (direct lowering and the
+//!   analysis-licensed tier-2 image), under left-to-right, right-to-left,
+//!   and a seeded order — six machine runs whose renderings must agree
+//!   exactly per order (tier 1 vs tier 2 is the tier-2 license check) and
 //!   individually refine the denotation (§3.5: any member of the set is
 //!   a correct answer);
-//! * under seeded [`FaultPlan`] **chaos** on the tree backend and both
-//!   compiled tiers (the §5.1 robustness claim, via
-//!   `urk_io::chaos_run_with_plan*`);
+//! * under seeded [`FaultPlan`] **chaos** at both tiers (the §5.1
+//!   robustness claim, via `urk_io::chaos_run_with_plan`);
 //! * optionally under a **wall-clock interrupt** delivered from a real
 //!   watchdog thread mid-run.
 //!
 //! Every machine is audited after its episode ([`Machine::audit_heap`]) —
 //! the structured [`urk_machine::HeapAudit`] report lands in the failure
 //! detail. Runs that hit the step limit are *skipped*, not failed: the
-//! two backends count steps differently, so a limit on one side proves
+//! two tiers count steps differently, so a limit on one side proves
 //! nothing (and the generator's grammar terminates; limits only trip on
 //! pathological mutants).
 
@@ -28,8 +26,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use urk_denot::{show_denot, Denot, DenotConfig, DenotEvaluator, Env};
-use urk_io::{chaos_run_with_plan, chaos_run_with_plan_compiled};
-use urk_machine::{FaultPlan, MEnv, Machine, MachineConfig, MachineError, Outcome};
+use urk_io::chaos_run_with_plan;
+use urk_machine::{FaultPlan, Machine, MachineConfig, MachineError, Outcome};
 use urk_syntax::core::Expr;
 use urk_syntax::Exception;
 
@@ -40,7 +38,7 @@ use crate::ctx::FuzzCtx;
 /// kind: the minimized term fails the *same* check as the original.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum CheckKind {
-    /// Tree and compiled backends disagreed under the same order.
+    /// Tier 1 and tier 2 disagreed under the same order.
     BackendDivergence,
     /// A machine produced a value the denotation does not justify.
     UnsoundValue,
@@ -108,9 +106,9 @@ pub struct Verdict {
     /// True when the candidate was inconclusive (step-limit or
     /// denotational fuel exhaustion) — not counted as covered or failing.
     pub skipped: bool,
-    /// Coverage features from the compiled runs.
+    /// Coverage features from the machine runs.
     pub fingerprint: Fingerprint,
-    /// Compiled left-to-right step count (the coverage-signal run).
+    /// Tier-1 left-to-right step count (the coverage-signal run).
     pub steps: u64,
 }
 
@@ -136,7 +134,7 @@ impl Verdict {
 pub struct OracleConfig {
     pub machine: MachineConfig,
     pub denot_fuel: u64,
-    /// One chaos round per seed, each run on both backends.
+    /// One chaos round per seed, each run at both tiers.
     pub chaos_seeds: Vec<u64>,
     /// Arm `FaultPlan::sabotage_async_restore` on every chaos plan (the
     /// seeded-bug acceptance switch: the audit must catch it).
@@ -183,11 +181,9 @@ enum Observed {
     Caught(Exception),
 }
 
-/// Which execution engine one oracle run drives: the tree walker, or the
-/// compiled backend linked with the tier-1 or tier-2 image.
+/// Which image one oracle run links: tier 1 or tier 2.
 #[derive(Copy, Clone, PartialEq, Eq)]
 enum Engine {
-    Tree,
     Tier1,
     Tier2,
 }
@@ -195,9 +191,15 @@ enum Engine {
 impl Engine {
     fn name(self) -> &'static str {
         match self {
-            Engine::Tree => "tree",
             Engine::Tier1 => "compiled",
             Engine::Tier2 => "compiled-t2",
+        }
+    }
+
+    fn code(self, ctx: &FuzzCtx) -> &Arc<urk_machine::Code> {
+        match self {
+            Engine::Tier1 => &ctx.code,
+            Engine::Tier2 => &ctx.code_t2,
         }
     }
 }
@@ -220,20 +222,8 @@ fn run_one(
         coverage: with_coverage,
         ..base.clone()
     });
-    let out = match engine {
-        Engine::Tree => {
-            let menv = m.bind_recursive(&ctx.binds, &MEnv::empty());
-            m.eval(Rc::clone(query), &menv, true)
-        }
-        Engine::Tier1 => {
-            m.link_code(Arc::clone(&ctx.code));
-            m.eval_code_expr(query, true)
-        }
-        Engine::Tier2 => {
-            m.link_code(Arc::clone(&ctx.code_t2));
-            m.eval_code_expr(query, true)
-        }
-    };
+    m.link_code(Arc::clone(engine.code(ctx)));
+    let out = m.eval_code_expr(query, true);
     let outcome = match out {
         Ok(o) => o,
         Err(MachineError::StepLimit) => return Err(Verdict::skip()),
@@ -318,22 +308,8 @@ pub fn run_oracle(ctx: &FuzzCtx, query: &Rc<Expr>, cfg: &OracleConfig) -> Verdic
     ];
     let mut fp = Fingerprint::default();
     let mut steps = 0u64;
-    let mut tree_steps = 0u64;
     for order in orders {
-        let tree = match run_one(
-            ctx,
-            query,
-            &cfg.machine,
-            order,
-            Engine::Tree,
-            false,
-            &mut fp,
-            &mut steps,
-        ) {
-            Ok(o) => o,
-            Err(v) => return v,
-        };
-        let compiled = match run_one(
+        let tier1 = match run_one(
             ctx,
             query,
             &cfg.machine,
@@ -359,25 +335,18 @@ pub fn run_oracle(ctx: &FuzzCtx, query: &Rc<Expr>, cfg: &OracleConfig) -> Verdic
             Ok(o) => o,
             Err(v) => return v,
         };
-        // PR 4's invariant: same order ⇒ byte-identical behaviour across
-        // backends. Tier 2 must preserve it too — the analysis license
-        // never buys observable divergence, only fewer steps.
-        let (t, c) = (observed_text(&tree), observed_text(&compiled));
-        if t != c {
+        // Same order ⇒ byte-identical behaviour at both tiers: the
+        // analysis license never buys observable divergence, only fewer
+        // steps.
+        let (c, c2) = (observed_text(&tier1), observed_text(&tier2));
+        if c != c2 {
             return Verdict::fail(
                 CheckKind::BackendDivergence,
-                format!("{}: tree={t} compiled={c}", order_name(order)),
-            );
-        }
-        let c2 = observed_text(&tier2);
-        if t != c2 {
-            return Verdict::fail(
-                CheckKind::BackendDivergence,
-                format!("{}: tree={t} compiled-t2={c2}", order_name(order)),
+                format!("{}: compiled={c} compiled-t2={c2}", order_name(order)),
             );
         }
         // §3.5 refinement against the denoted set.
-        match &tree {
+        match &tier1 {
             Observed::Rendered(r) => {
                 let ok = matches!(&denot, Denot::Ok(_)) && renders_agree(r, &oracle);
                 if !ok {
@@ -397,75 +366,40 @@ pub fn run_oracle(ctx: &FuzzCtx, query: &Rc<Expr>, cfg: &OracleConfig) -> Verdic
                 }
             }
         }
-        if order == urk_machine::OrderPolicy::LeftToRight {
-            tree_steps = baseline_tree_steps(ctx, query, &cfg.machine);
-        }
     }
 
-    // Chaos rounds: both backends, per-backend horizons, seeded plans.
+    // Chaos rounds: both tiers, seeded plans over the tier-1 horizon. On
+    // the tier-2 image fused regions must leave every suspension
+    // restorable (§5.1), so asynchronous injection mid-superinstruction
+    // has to behave exactly like injection at the equivalent unfused
+    // step boundary.
     for &seed in &cfg.chaos_seeds {
-        let mut plan = FaultPlan::generate(seed, tree_steps);
-        plan.sabotage_async_restore = cfg.sabotage;
-        let rep = chaos_run_with_plan(
-            &ctx.data,
-            &ctx.binds,
-            query,
-            &cfg.machine,
-            cfg.denot_fuel,
-            plan,
-        );
-        if !rep.passed() {
-            return Verdict::fail(
-                CheckKind::ChaosFailure,
-                format!(
-                    "tree chaos seed {seed}: sound={} heap={} reeval={} outcome={} oracle={}",
-                    rep.sound, rep.heap_consistent, rep.reeval_ok, rep.outcome, rep.oracle
-                ),
+        for engine in [Engine::Tier1, Engine::Tier2] {
+            let mut plan = FaultPlan::generate(seed, steps.max(64));
+            plan.sabotage_async_restore = cfg.sabotage;
+            let rep = chaos_run_with_plan(
+                &ctx.data,
+                &ctx.binds,
+                engine.code(ctx),
+                query,
+                &cfg.machine,
+                cfg.denot_fuel,
+                plan,
             );
-        }
-        let mut plan = FaultPlan::generate(seed, steps.max(64));
-        plan.sabotage_async_restore = cfg.sabotage;
-        let rep = chaos_run_with_plan_compiled(
-            &ctx.data,
-            &ctx.binds,
-            &ctx.code,
-            query,
-            &cfg.machine,
-            cfg.denot_fuel,
-            plan,
-        );
-        if !rep.passed() {
-            return Verdict::fail(
-                CheckKind::ChaosFailure,
-                format!(
-                    "compiled chaos seed {seed}: sound={} heap={} reeval={} outcome={} oracle={}",
-                    rep.sound, rep.heap_consistent, rep.reeval_ok, rep.outcome, rep.oracle
-                ),
-            );
-        }
-        // The tier-2 image under the same plan: fused regions must leave
-        // every suspension restorable (§5.1), so asynchronous injection
-        // mid-superinstruction has to behave exactly like injection at
-        // the equivalent unfused step boundary.
-        let mut plan = FaultPlan::generate(seed, steps.max(64));
-        plan.sabotage_async_restore = cfg.sabotage;
-        let rep = chaos_run_with_plan_compiled(
-            &ctx.data,
-            &ctx.binds,
-            &ctx.code_t2,
-            query,
-            &cfg.machine,
-            cfg.denot_fuel,
-            plan,
-        );
-        if !rep.passed() {
-            return Verdict::fail(
-                CheckKind::ChaosFailure,
-                format!(
-                    "compiled-t2 chaos seed {seed}: sound={} heap={} reeval={} outcome={} oracle={}",
-                    rep.sound, rep.heap_consistent, rep.reeval_ok, rep.outcome, rep.oracle
-                ),
-            );
+            if !rep.passed() {
+                return Verdict::fail(
+                    CheckKind::ChaosFailure,
+                    format!(
+                        "{} chaos seed {seed}: sound={} heap={} reeval={} outcome={} oracle={}",
+                        engine.name(),
+                        rep.sound,
+                        rep.heap_consistent,
+                        rep.reeval_ok,
+                        rep.outcome,
+                        rep.oracle
+                    ),
+                );
+            }
         }
     }
 
@@ -488,15 +422,6 @@ pub fn run_oracle(ctx: &FuzzCtx, query: &Rc<Expr>, cfg: &OracleConfig) -> Verdic
         fingerprint: fp,
         steps,
     }
-}
-
-/// Tree-backend step count of one undisturbed run (the tree chaos
-/// horizon; the compiled horizon reuses the coverage run's count).
-fn baseline_tree_steps(ctx: &FuzzCtx, query: &Rc<Expr>, base: &MachineConfig) -> u64 {
-    let mut m = Machine::new(base.clone());
-    let menv = m.bind_recursive(&ctx.binds, &MEnv::empty());
-    let _ = m.eval(Rc::clone(query), &menv, true);
-    m.stats().steps.max(64)
 }
 
 /// Delivers a real wall-clock `Interrupt` mid-run and checks §5.1's

@@ -27,7 +27,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use urk_denot::{show_denot, Denot, DenotConfig, DenotEvaluator, Env};
-use urk_machine::{Code, FaultPlan, MEnv, Machine, MachineConfig, Outcome};
+use urk_machine::{Code, FaultPlan, Machine, MachineConfig, Outcome};
 use urk_syntax::core::Expr;
 use urk_syntax::{DataEnv, Symbol};
 
@@ -59,29 +59,12 @@ impl ChaosReport {
     }
 }
 
-/// Runs the full differential check for one seed. The fault plan's horizon
-/// is calibrated from an undisturbed baseline run, so the faults land
-/// mid-evaluation rather than after the answer is already computed.
+/// Runs the full differential check for one seed. The program is `binds`
+/// for the oracle and its lowered image `code` for the machine. The fault
+/// plan's horizon is calibrated from an undisturbed baseline run, so the
+/// faults land mid-evaluation rather than after the answer is already
+/// computed.
 pub fn chaos_run(
-    data: &DataEnv,
-    binds: &[(Symbol, Rc<Expr>)],
-    query: &Rc<Expr>,
-    base: &MachineConfig,
-    denot_fuel: u64,
-    seed: u64,
-) -> ChaosReport {
-    let horizon = baseline_steps(binds, query, base);
-    let plan = FaultPlan::generate(seed, horizon);
-    chaos_run_with_plan(data, binds, query, base, denot_fuel, plan)
-}
-
-/// As [`chaos_run`], but the fault-injected machine executes the
-/// *compiled* backend: the program image in `code` is linked and the
-/// query runs through [`Machine::eval_code_expr`]. The oracle is the
-/// same denotational evaluator — the whole point is that §5.1's
-/// robustness claim is representation-independent, so the compiled
-/// executor must satisfy exactly the invariants the tree-walker does.
-pub fn chaos_run_compiled(
     data: &DataEnv,
     binds: &[(Symbol, Rc<Expr>)],
     code: &Arc<Code>,
@@ -90,9 +73,9 @@ pub fn chaos_run_compiled(
     denot_fuel: u64,
     seed: u64,
 ) -> ChaosReport {
-    let horizon = baseline_steps_compiled(code, query, base);
+    let horizon = baseline_steps(code, query, base);
     let plan = FaultPlan::generate(seed, horizon);
-    chaos_run_with_plan_compiled(data, binds, code, query, base, denot_fuel, plan)
+    chaos_run_with_plan(data, binds, code, query, base, denot_fuel, plan)
 }
 
 /// As [`chaos_run`], but with a caller-supplied plan — used by the tests
@@ -101,36 +84,7 @@ pub fn chaos_run_compiled(
 pub fn chaos_run_with_plan(
     data: &DataEnv,
     binds: &[(Symbol, Rc<Expr>)],
-    query: &Rc<Expr>,
-    base: &MachineConfig,
-    denot_fuel: u64,
-    plan: FaultPlan,
-) -> ChaosReport {
-    chaos_run_inner(data, binds, None, query, base, denot_fuel, plan)
-}
-
-/// As [`chaos_run_compiled`] with a caller-supplied plan.
-pub fn chaos_run_with_plan_compiled(
-    data: &DataEnv,
-    binds: &[(Symbol, Rc<Expr>)],
     code: &Arc<Code>,
-    query: &Rc<Expr>,
-    base: &MachineConfig,
-    denot_fuel: u64,
-    plan: FaultPlan,
-) -> ChaosReport {
-    chaos_run_inner(data, binds, Some(code), query, base, denot_fuel, plan)
-}
-
-/// The shared driver: the oracle and every invariant check are identical
-/// for both backends; only how the machine is prepared and entered
-/// differs (recursive environment + tree `eval` vs linked image +
-/// `eval_code_expr`).
-#[allow(clippy::too_many_arguments)]
-fn chaos_run_inner(
-    data: &DataEnv,
-    binds: &[(Symbol, Rc<Expr>)],
-    code: Option<&Arc<Code>>,
     query: &Rc<Expr>,
     base: &MachineConfig,
     denot_fuel: u64,
@@ -157,17 +111,8 @@ fn chaos_run_inner(
         chaos: Some(plan.clone()),
         ..base.clone()
     });
-    let menv = match code {
-        Some(code) => {
-            m.link_code(Arc::clone(code));
-            MEnv::empty()
-        }
-        None => m.bind_recursive(binds, &MEnv::empty()),
-    };
-    let chaos_out = match code {
-        Some(_) => m.eval_code_expr(query, true),
-        None => m.eval(query.clone(), &menv, true),
-    };
+    m.link_code(Arc::clone(code));
+    let chaos_out = m.eval_code_expr(query, true);
     let faults_fired = m.stats().async_injected + m.stats().forced_gcs;
 
     let (outcome, sound) = match &chaos_out {
@@ -195,11 +140,7 @@ fn chaos_run_inner(
 
     // Same machine, faults disarmed: must agree with the oracle again.
     m.disarm_chaos();
-    let reeval_out = match code {
-        Some(_) => m.eval_code_expr(query, true),
-        None => m.eval(query.clone(), &menv, true),
-    };
-    let reeval_ok = match reeval_out {
+    let reeval_ok = match m.eval_code_expr(query, true) {
         Ok(Outcome::Value(n)) => {
             let rendered = m.render(n, 16);
             matches!(&denot, Denot::Ok(_)) && renders_agree(&rendered, &oracle)
@@ -220,19 +161,11 @@ fn chaos_run_inner(
     }
 }
 
-/// Step count of one undisturbed episode, for calibrating the horizon.
-/// Falls back to whatever was spent if the baseline itself hits a limit.
-fn baseline_steps(binds: &[(Symbol, Rc<Expr>)], query: &Rc<Expr>, base: &MachineConfig) -> u64 {
-    let mut m = Machine::new(base.clone());
-    let menv = m.bind_recursive(binds, &MEnv::empty());
-    let _ = m.eval(query.clone(), &menv, true);
-    m.stats().steps
-}
-
-/// As [`baseline_steps`], on the compiled backend (each backend gets its
-/// own horizon: their step counts differ, and the faults must land inside
-/// the episode actually being disturbed).
-fn baseline_steps_compiled(code: &Arc<Code>, query: &Rc<Expr>, base: &MachineConfig) -> u64 {
+/// Step count of one undisturbed episode, for calibrating the horizon
+/// (each tier gets its own: their step counts differ, and the faults must
+/// land inside the episode actually being disturbed). Falls back to
+/// whatever was spent if the baseline itself hits a limit.
+fn baseline_steps(code: &Arc<Code>, query: &Rc<Expr>, base: &MachineConfig) -> u64 {
     let mut m = Machine::new(base.clone());
     m.link_code(Arc::clone(code));
     let _ = m.eval_code_expr(query, true);
@@ -253,7 +186,12 @@ fn renders_agree(machine: &str, denot: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use urk_machine::compile_program;
     use urk_syntax::{desugar_expr, parse_expr_src, Exception};
+
+    fn empty_image() -> Arc<Code> {
+        Arc::new(compile_program(&[]))
+    }
 
     fn core_of(data: &DataEnv, src: &str) -> Rc<Expr> {
         Rc::new(desugar_expr(&parse_expr_src(src).expect("parses"), data).expect("desugars"))
@@ -270,7 +208,15 @@ mod tests {
             horizon: 64,
             ..FaultPlan::default()
         };
-        let r = chaos_run_with_plan(&data, &[], &query, &MachineConfig::default(), 200_000, plan);
+        let r = chaos_run_with_plan(
+            &data,
+            &[],
+            &empty_image(),
+            &query,
+            &MachineConfig::default(),
+            200_000,
+            plan,
+        );
         assert!(r.passed(), "{r:?}");
         assert_eq!(r.outcome, "1275");
         assert_eq!(r.oracle, "1275");
@@ -288,7 +234,15 @@ mod tests {
             injections: vec![(100, Exception::Interrupt)],
             ..FaultPlan::default()
         };
-        let r = chaos_run_with_plan(&data, &[], &query, &MachineConfig::default(), 400_000, plan);
+        let r = chaos_run_with_plan(
+            &data,
+            &[],
+            &empty_image(),
+            &query,
+            &MachineConfig::default(),
+            400_000,
+            plan,
+        );
         assert!(r.passed(), "{r:?}");
         assert_eq!(r.outcome, "Caught(Interrupt)");
         assert!(r.faults_fired >= 1);
@@ -302,7 +256,15 @@ mod tests {
             "let f = \\n -> if n == 0 then 1 else n * f (n - 1) in f 12",
         );
         for seed in 0..16 {
-            let r = chaos_run(&data, &[], &query, &MachineConfig::default(), 400_000, seed);
+            let r = chaos_run(
+                &data,
+                &[],
+                &empty_image(),
+                &query,
+                &MachineConfig::default(),
+                400_000,
+                seed,
+            );
             assert!(r.passed(), "seed {seed}: {r:?}");
         }
     }
@@ -323,7 +285,15 @@ mod tests {
             sabotage_async_restore: true,
             ..FaultPlan::default()
         };
-        let r = chaos_run_with_plan(&data, &[], &query, &MachineConfig::default(), 400_000, plan);
+        let r = chaos_run_with_plan(
+            &data,
+            &[],
+            &empty_image(),
+            &query,
+            &MachineConfig::default(),
+            400_000,
+            plan,
+        );
         assert!(
             !r.heap_consistent,
             "a deliberately-broken restore must fail the audit: {r:?}"
@@ -346,7 +316,15 @@ mod tests {
             sabotage_forwarding: true,
             ..FaultPlan::default()
         };
-        let r = chaos_run_with_plan(&data, &[], &query, &MachineConfig::default(), 400_000, plan);
+        let r = chaos_run_with_plan(
+            &data,
+            &[],
+            &empty_image(),
+            &query,
+            &MachineConfig::default(),
+            400_000,
+            plan,
+        );
         assert!(
             !r.heap_consistent,
             "a planted stale forwarding pointer must fail the audit: {r:?}"

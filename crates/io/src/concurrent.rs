@@ -76,6 +76,8 @@ enum BlockKind {
 }
 
 /// Performs `root` as the main thread of a cooperative thread group.
+/// `root` is a node of `machine`'s heap, typically a
+/// [`Machine::alloc_code_thunk`] over the linked program's `main`.
 pub fn run_concurrent(
     machine: &mut Machine,
     root: NodeId,
@@ -410,7 +412,7 @@ pub fn run_concurrent(
                 }
                 Some(k_idx) => {
                     let k = machine.root(k_idx);
-                    let next = apply_node(machine, k, produced);
+                    let next = machine.alloc_apply(k, produced);
                     t.current = push_root(machine, next, &mut total_rooted);
                     // One effectful action performed: rotate.
                     ready.push_back(t);
@@ -511,15 +513,4 @@ fn force_payload(machine: &mut Machine, node: NodeId) -> Result<NodeId, Died> {
         Ok(Outcome::Uncaught(e)) | Ok(Outcome::Caught(e)) => Err(Died::Exception(e)),
         Err(e) => Err(Died::Machine(e)),
     }
-}
-
-fn apply_node(machine: &mut Machine, k: NodeId, v: NodeId) -> NodeId {
-    let fk = Symbol::fresh("ck");
-    let fv = Symbol::fresh("cv");
-    let expr = std::rc::Rc::new(urk_syntax::core::Expr::App(
-        std::rc::Rc::new(urk_syntax::core::Expr::Var(fk)),
-        std::rc::Rc::new(urk_syntax::core::Expr::Var(fv)),
-    ));
-    let env = urk_machine::MEnv::empty().bind(fk, k).bind(fv, v);
-    machine.alloc_thunk(expr, env)
 }

@@ -27,9 +27,7 @@ pub mod trace;
 pub mod wire;
 
 pub use batch::{BatchOutcome, SharedBatch};
-pub use chaos::{
-    chaos_run, chaos_run_compiled, chaos_run_with_plan, chaos_run_with_plan_compiled, ChaosReport,
-};
+pub use chaos::{chaos_run, chaos_run_with_plan, ChaosReport};
 pub use concurrent::{run_concurrent, ConcurrentOutcome, ThreadResult};
 pub use denot_run::{run_denot, AsyncSchedule, SemIoResult, SemRunOutcome};
 pub use json::{parse_json, Json, JsonError};
@@ -46,8 +44,9 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
     use std::rc::Rc;
+    use std::sync::Arc;
     use urk_denot::{DenotEvaluator, Env, Thunk};
-    use urk_machine::{MEnv, Machine, MachineConfig, OrderPolicy};
+    use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy};
     use urk_syntax::core::Expr;
     use urk_syntax::Exception;
     use urk_syntax::{desugar_expr, parse_expr_src, DataEnv};
@@ -63,8 +62,9 @@ mod tests {
 
     fn run_m_config(src: &str, input: &str, config: MachineConfig) -> RunOutcome {
         let mut m = Machine::new(config);
+        m.link_code(Arc::new(compile_program(&[])));
         let mut inp = StringInput::new(input);
-        run_machine(&mut m, &MEnv::empty(), core_of(src), &mut inp)
+        run_machine(&mut m, &core_of(src), &mut inp)
     }
 
     fn run_d(src: &str, input: &str, seed: u64) -> SemRunOutcome {

@@ -8,9 +8,7 @@
 //! `getException` here simply evaluates its argument under a catch mark
 //! and reports whatever exception surfaces — no oracle required.
 
-use std::rc::Rc;
-
-use urk_machine::{HValue, MEnv, Machine, MachineError, NodeId, Outcome, Whnf};
+use urk_machine::{HValue, Machine, MachineError, NodeId, Outcome, Whnf};
 use urk_syntax::core::Expr;
 use urk_syntax::{Exception, Symbol};
 
@@ -45,14 +43,15 @@ pub struct RunOutcome {
     pub trace: Trace,
 }
 
-/// Performs the `IO` action denoted by `action` (typically `main`).
+/// Performs the `IO` action denoted by `action` (typically `main`),
+/// lowered against the program image linked into `machine`.
 ///
 /// # Examples
 ///
 /// ```
-/// use std::rc::Rc;
+/// use std::sync::Arc;
 /// use urk_io::{run_machine, StringInput, IoResult};
-/// use urk_machine::{Machine, MachineConfig, MEnv};
+/// use urk_machine::{compile_program, Machine, MachineConfig};
 /// use urk_syntax::{parse_expr_src, desugar_expr, DataEnv};
 ///
 /// let data = DataEnv::new();
@@ -61,19 +60,19 @@ pub struct RunOutcome {
 ///     &data,
 /// )?;
 /// let mut machine = Machine::new(MachineConfig::default());
+/// machine.link_code(Arc::new(compile_program(&[])));
 /// let mut input = StringInput::new("x");
-/// let out = run_machine(&mut machine, &MEnv::empty(), Rc::new(action), &mut input);
+/// let out = run_machine(&mut machine, &action, &mut input);
 /// assert!(matches!(out.result, IoResult::Done(_)));
 /// assert_eq!(out.trace.to_string(), "?x !x");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn run_machine(
-    machine: &mut Machine,
-    env: &MEnv,
-    action: Rc<Expr>,
-    input: &mut dyn Input,
-) -> RunOutcome {
-    let root = machine.alloc_expr(&action, env);
+///
+/// # Panics
+///
+/// Panics if no program image is linked into `machine`.
+pub fn run_machine(machine: &mut Machine, action: &Expr, input: &mut dyn Input) -> RunOutcome {
+    let root = machine.alloc_code_thunk(action);
     run_machine_node(machine, root, input)
 }
 
@@ -116,7 +115,7 @@ pub fn run_machine_node(machine: &mut Machine, root: NodeId, input: &mut dyn Inp
             "GetChar" => match input.get_char() {
                 Some(c) => {
                     trace.push(Event::Input(c));
-                    alloc_value(machine, HValue::Char(c))
+                    machine.alloc_hvalue(HValue::Char(c))
                 }
                 None => return finish(machine, rooted, IoResult::OutOfInput, trace),
             },
@@ -129,7 +128,7 @@ pub fn run_machine_node(machine: &mut Machine, root: NodeId, input: &mut dyn Inp
                             panic!("putChar of a non-character (ill-typed program)");
                         };
                         trace.push(Event::Output(c));
-                        alloc_value(machine, HValue::Con(Symbol::intern("Unit"), vec![]))
+                        machine.alloc_hvalue(HValue::Con(Symbol::intern("Unit"), vec![]))
                     }
                     Ok(Outcome::Uncaught(e)) | Ok(Outcome::Caught(e)) => {
                         return finish(machine, rooted, IoResult::Uncaught(e), trace)
@@ -143,7 +142,7 @@ pub fn run_machine_node(machine: &mut Machine, root: NodeId, input: &mut dyn Inp
                         panic!("putStr of a non-string (ill-typed program)");
                     };
                     trace.push(Event::OutputStr(s.to_string()));
-                    alloc_value(machine, HValue::Con(Symbol::intern("Unit"), vec![]))
+                    machine.alloc_hvalue(HValue::Con(Symbol::intern("Unit"), vec![]))
                 }
                 Ok(Outcome::Uncaught(e)) | Ok(Outcome::Caught(e)) => {
                     return finish(machine, rooted, IoResult::Uncaught(e), trace)
@@ -154,7 +153,7 @@ pub fn run_machine_node(machine: &mut Machine, root: NodeId, input: &mut dyn Inp
                 // §3.3: mark the stack, evaluate the argument.
                 match machine.eval_node(fields[0], true) {
                     Ok(Outcome::Value(n)) => {
-                        alloc_value(machine, HValue::Con(Symbol::intern("OK"), vec![n]))
+                        machine.alloc_hvalue(HValue::Con(Symbol::intern("OK"), vec![n]))
                     }
                     Ok(Outcome::Caught(exn)) => {
                         trace.push(if exn.is_asynchronous() {
@@ -163,7 +162,7 @@ pub fn run_machine_node(machine: &mut Machine, root: NodeId, input: &mut dyn Inp
                             Event::ChoseException(exn.clone())
                         });
                         let ev = machine.alloc_exception_value(&exn);
-                        alloc_value(machine, HValue::Con(Symbol::intern("Bad"), vec![ev]))
+                        machine.alloc_hvalue(HValue::Con(Symbol::intern("Bad"), vec![ev]))
                     }
                     Ok(Outcome::Uncaught(exn)) => {
                         // Cannot happen: the catch mark is at the episode
@@ -186,7 +185,7 @@ pub fn run_machine_node(machine: &mut Machine, root: NodeId, input: &mut dyn Inp
                 // cached at push time may have been rewritten by a minor
                 // collection during the evaluations above.
                 let k = machine.root(k_idx);
-                let next = apply_node(machine, k, produced);
+                let next = machine.alloc_apply(k, produced);
                 current = machine.push_root(next);
                 rooted += 1;
             }
@@ -200,20 +199,4 @@ fn finish(machine: &mut Machine, rooted: usize, result: IoResult, trace: Trace) 
         machine.pop_root();
     }
     RunOutcome { result, trace }
-}
-
-fn alloc_value(machine: &mut Machine, v: HValue) -> NodeId {
-    // Machine has no public alloc-value; route through a thunk-free
-    // expression would be wasteful, so we expose it via alloc_expr of a
-    // literal... instead, use the dedicated helper below.
-    machine.alloc_hvalue(v)
-}
-
-/// Builds the application node `k v` in the heap.
-fn apply_node(machine: &mut Machine, k: NodeId, v: NodeId) -> NodeId {
-    let fk = Symbol::fresh("k");
-    let fv = Symbol::fresh("v");
-    let expr = Rc::new(Expr::App(Rc::new(Expr::Var(fk)), Rc::new(Expr::Var(fv))));
-    let env = MEnv::empty().bind(fk, k).bind(fv, v);
-    machine.alloc_thunk(expr, env)
 }

@@ -154,7 +154,7 @@ pub struct WireStats {
     pub compile_micros: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
-    /// Which backend produced the answer (`"tree"` or `"compiled"`).
+    /// Which executor produced the answer (always `"compiled"`).
     pub backend: String,
     /// Which execution tier produced the answer (`"1"` or `"2"`).
     pub tier: String,
@@ -707,7 +707,7 @@ mod tests {
                 compile_micros: 0,
                 cache_hits: 0,
                 cache_misses: 1,
-                backend: "tree".into(),
+                backend: "compiled".into(),
                 tier: "1".into(),
             },
         });

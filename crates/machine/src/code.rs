@@ -1,9 +1,9 @@
 //! Core lowered to a flat, arena-indexed code format.
 //!
-//! The tree-walking machine interprets `Rc<Expr>` nodes, cloning
-//! refcounted children every step and resolving every variable by
-//! scanning `Symbol` entries in chunked environment frames. This module
-//! compiles a desugared program once into a single flat [`Code`] arena:
+//! Interpreting `Rc<Expr>` nodes directly would clone refcounted
+//! children every step and resolve every variable by scanning `Symbol`
+//! entries. This module compiles a desugared program once into a single
+//! flat [`Code`] arena, the only code the machine runs:
 //!
 //! * every expression node becomes one `u32`-indexed [`COp`] in a
 //!   contiguous `Vec` — the executor copies a small `Copy` op instead of
@@ -230,7 +230,7 @@ pub struct Code {
     /// Top-level bindings in program order: `(name, rhs entry point)`.
     pub(crate) globals: Vec<(Symbol, CodeId)>,
     /// Name → global-table index (later bindings shadow earlier ones,
-    /// matching the tree machine's environment order).
+    /// as in the denotational evaluator's environment).
     pub(crate) global_index: HashMap<Symbol, u32>,
     /// Ops emitted compiling the program (observability).
     pub(crate) compile_ops: u64,
@@ -627,14 +627,14 @@ fn verify_spec(view: &VerifyView<'_>, at: CodeId, body: CodeId) -> Result<(), Co
 ///
 /// # Panics
 ///
-/// Panics on an unbound variable — like the tree machine, which panics
-/// when `MEnv::lookup` misses; the front end guarantees closedness.
+/// Panics on an unbound variable; the front end guarantees closedness.
 pub fn compile_program(binds: &[(Symbol, Rc<Expr>)]) -> Code {
     let t0 = std::time::Instant::now();
     let mut buf = CodeBuf::default();
     let mut global_index: HashMap<Symbol, u32> = HashMap::with_capacity(binds.len());
     for (i, (name, _)) in binds.iter().enumerate() {
-        // Later bindings shadow earlier ones, as in `bind_recursive`.
+        // Later bindings shadow earlier ones, as in the denotational
+        // evaluator's environment.
         global_index.insert(*name, i as u32);
     }
     let mut globals = Vec::with_capacity(binds.len());
@@ -676,6 +676,20 @@ pub(crate) fn compile_query(base: &Code, ext: &mut CodeBuf, expr: &Expr) -> (Cod
     };
     let entry = c.compile(expr);
     (entry, (ext.ops.len() - before) as u64)
+}
+
+/// Lowers `f x` for an environment whose top two slots hold `f` (below)
+/// and `x` (on top) into the extension buffer, and returns its entry.
+pub(crate) fn compile_apply(base: &Code, ext: &mut CodeBuf) -> CodeId {
+    let mut c = Compiler {
+        buf: ext,
+        globals: &base.global_index,
+        scope: Vec::new(),
+        bases: base.buf.len_of(),
+    };
+    let f = c.emit(COp::Local(1));
+    let a = c.emit(COp::Local(0));
+    c.emit(COp::App { f, a })
 }
 
 /// The one-pass lowering walk. `scope` is the compile-time mirror of the
@@ -825,7 +839,7 @@ impl Compiler<'_> {
         match &alt.con {
             AltCon::Default => {
                 // A default arm may bind the forced scrutinee (only the
-                // first binder, matching the tree machine's `select`).
+                // first binder, as the denotational evaluator does).
                 let bind_scrut = !alt.binders.is_empty();
                 if bind_scrut {
                     self.scope.push(alt.binders[0]);
@@ -886,6 +900,8 @@ pub(crate) struct LinkedCode {
     /// (global code refers here by index, so global thunks carry empty
     /// environments).
     pub(crate) global_nodes: Vec<NodeId>,
+    /// The entry of [`compile_apply`]'s code in `ext`, once lowered.
+    pub(crate) apply: Option<CodeId>,
 }
 
 impl LinkedCode {
@@ -894,6 +910,7 @@ impl LinkedCode {
             base,
             ext: CodeBuf::default(),
             global_nodes: Vec::new(),
+            apply: None,
         }
     }
 

@@ -1,27 +1,17 @@
-//! The compiled-code execution mode: flat [`crate::code`] ops run by the
-//! shared [`crate::kernel`] instead of `Rc<Expr>` trees.
+//! Flat code on the machine: linking an image, lowering queries into the
+//! machine-local extension, and the fused paths the kernel's eval step
+//! ([`crate::kernel`]) takes.
 //!
-//! The kernel owns everything semantics-bearing — the step prologue, §3.3's
-//! stack-trimming raise with thunk poisoning, §5.1's resumable restore,
-//! §5.2's black holes, the catch mark and GC rooting. This module supplies
-//! the [`Flat`] representation:
-//!
-//! * control evaluates a `CodeId` under a slot-addressed [`CEnv`] instead
-//!   of an `Rc<Expr>` under a `Symbol`-keyed `MEnv`;
-//! * suspensions are [`Node::CThunk`]/[`Node::CBlackhole`] (a `Copy`
-//!   `CodeId` plus environment — no refcount traffic to suspend);
-//! * case dispatch walks pre-lowered [`crate::code::CArm`]s, matching
-//!   constructor tags by interned-`u32` compare;
 //! * top-level names are direct indices into the machine's global node
 //!   table ([`Machine::link_code`] ties the knot through it, so global
 //!   thunks carry *empty* environments);
-//! * returns are fused into the step that produced them, and the eval
-//!   step fuses variable entry, direct calls, tier-2 regions and inline
-//!   caches, so a flat run takes far fewer steps than a tree run.
-//!
-//! Both executors share one heap, one `Stats`, and one GC, so a value
-//! built by either backend renders identically ([`Machine::eval_node`]
-//! routes each forced node to the loop that understands its suspension).
+//! * operand positions allocate without a thunk where they can: slot loads
+//!   reuse the bound node, literals go straight to WHNF, and tier-2
+//!   speculation sites build their value eagerly;
+//! * variable entry, direct calls, tier-2 regions and inline caches are
+//!   fused into the step that caused them;
+//! * case dispatch walks pre-lowered [`crate::code::CArm`]s, matching
+//!   constructor tags by interned-`u32` compare.
 
 use rand::Rng;
 use std::sync::Arc;
@@ -29,17 +19,17 @@ use std::sync::Arc;
 use urk_syntax::core::Expr;
 use urk_syntax::Exception;
 
-use crate::code::{compile_query, COp, CPat, Code, CodeId, LinkedCode};
+use crate::code::{compile_apply, compile_query, COp, CPat, Code, CodeId, LinkedCode};
 use crate::env::CEnv;
 use crate::heap::{HValue, Node, NodeId, Whnf};
-use crate::kernel::{Control, Frame, Repr};
-use crate::machine::{Backend, Machine, MachineError, Outcome, PrimResult, Tier};
+use crate::kernel::{Control, Frame};
+use crate::machine::{Machine, MachineError, Outcome, PrimResult, Tier};
 use crate::OrderPolicy;
 
 impl Machine {
     /// Links a compiled program into this machine: allocates one knot-tied
     /// thunk per top-level binding (rooted for the machine's life) and
-    /// switches the machine's backend tag. The `Arc<Code>` is shared —
+    /// sets the machine's tier tag. The `Arc<Code>` is shared —
     /// an evaluation pool links the same program into every worker.
     ///
     /// # Panics
@@ -78,15 +68,13 @@ impl Machine {
         // impossible (the assert above), so a populated slot can never
         // point at a stale program's callee.
         self.ics = vec![None; ic_slots];
-        self.stats.backend = Backend::Compiled;
         if tier2 {
             self.stats.tier = Tier::Two;
         }
     }
 
     /// Compiles a query expression against the linked program (into the
-    /// machine-local extension buffer) and evaluates it to WHNF — the
-    /// compiled counterpart of [`Machine::eval`].
+    /// machine-local extension buffer) and evaluates it to WHNF.
     pub fn eval_code_expr(&mut self, expr: &Expr, catch: bool) -> Result<Outcome, MachineError> {
         let t0 = std::time::Instant::now();
         let code = self
@@ -101,13 +89,12 @@ impl Machine {
         }
         self.stats.compile_ops += ops;
         self.stats.compile_micros += t0.elapsed().as_micros() as u64;
-        self.run::<Flat>(Control::Eval(entry, CEnv::empty()), catch)
+        self.run(Control::Eval(entry, CEnv::empty()), catch)
     }
 
-    /// Compiles a query expression and suspends it as a heap thunk — the
-    /// compiled counterpart of [`Machine::alloc_expr`] for a whole closed
-    /// expression. Forcing the node (with [`Machine::eval_node`]) runs the
-    /// compiled loop, and an asynchronous trim restores it resumably.
+    /// Compiles a query expression and suspends it as a heap thunk.
+    /// Forcing the node (with [`Machine::eval_node`]) runs it, and an
+    /// asynchronous trim restores it resumably.
     pub fn alloc_code_thunk(&mut self, expr: &Expr) -> NodeId {
         let t0 = std::time::Instant::now();
         let code = self
@@ -130,18 +117,37 @@ impl Machine {
         })
     }
 
-    fn linked(&self) -> &LinkedCode {
+    /// Suspends the application `fun arg` as a heap thunk: the IO
+    /// runners' `>>=` step, applying a continuation to the value an action
+    /// produced. The thunk runs one `App` op over a two-slot environment
+    /// (`fun` below `arg`), lowered once per linked machine, so a bind
+    /// step allocates one cell and interns nothing. Tenured, like
+    /// [`Machine::alloc_code_thunk`].
+    pub fn alloc_apply(&mut self, fun: NodeId, arg: NodeId) -> NodeId {
+        let code = self
+            .code
+            .as_mut()
+            .expect("no compiled code linked (call link_code first)");
+        let entry = *code
+            .apply
+            .get_or_insert_with(|| compile_apply(&code.base, &mut code.ext));
+        self.alloc_tenured(Node::CThunk {
+            code: entry,
+            env: CEnv::empty().push(fun).push(arg),
+        })
+    }
+
+    pub(crate) fn linked(&self) -> &LinkedCode {
         self.code
             .as_ref()
             .expect("compiled node reached a machine with no linked code")
     }
 
-    /// Allocates a node for an operand op — the compiled counterpart of
-    /// `alloc_expr`, with the same fast paths: slot loads reuse the bound
+    /// Allocates a node for an operand op: slot loads reuse the bound
     /// node (sharing preserved), literals go straight to WHNF (a tagged
     /// immediate where possible), everything else suspends as a `CThunk`
     /// in the nursery.
-    fn alloc_code(&mut self, code: CodeId, env: &CEnv) -> NodeId {
+    pub(crate) fn alloc_code(&mut self, code: CodeId, env: &CEnv) -> NodeId {
         match self.linked().op(code) {
             COp::Local(back) => env.get_back(back),
             COp::Global(g) => self.linked().global_nodes[g as usize],
@@ -168,7 +174,7 @@ impl Machine {
     /// `raise ex` overwrite §3.3 trimming would eventually perform — so
     /// demand that never arrives never observes the exception, and demand
     /// that does arrive raises the same member of the denoted set.
-    fn alloc_spec(&mut self, body: CodeId, env: &CEnv) -> NodeId {
+    pub(crate) fn alloc_spec(&mut self, body: CodeId, env: &CEnv) -> NodeId {
         match self.linked().op(body) {
             COp::Lam { body: lam_body } => {
                 self.stats.fused_steps += 1;
@@ -193,10 +199,10 @@ impl Machine {
             }
             _ => {
                 // A prim region. Under a Seeded order policy the region
-                // stays a thunk: the tree backend draws from the §3.5
-                // stream when the binding is *demanded*, and evaluating
-                // here would move (or drop) those draws and desync the
-                // per-seed lockstep the differential battery checks.
+                // stays a thunk: tier 1 draws from the §3.5 stream when
+                // the binding is *demanded*, and evaluating here would
+                // move (or drop) those draws and desync the per-seed
+                // lockstep the differential battery checks.
                 if !matches!(self.config.order, OrderPolicy::Seeded(_)) {
                     if let Some(result) = self.exec_region(body, env) {
                         return match result {
@@ -220,7 +226,11 @@ impl Machine {
     /// termination is syntactic and no asynchronous delivery point is
     /// lost: the whole region occupies a single step, exactly like a
     /// tier-1 primitive over immediates.
-    fn exec_region(&mut self, root: CodeId, env: &CEnv) -> Option<Result<NodeId, Exception>> {
+    pub(crate) fn exec_region(
+        &mut self,
+        root: CodeId,
+        env: &CEnv,
+    ) -> Option<Result<NodeId, Exception>> {
         if !self.region_ready(root, env) {
             return None;
         }
@@ -309,14 +319,14 @@ impl Machine {
     /// function value. The cache is per-machine (GC rewrites and marks
     /// the slots) and per-link (relinking panics), so a populated slot is
     /// always the current program's callee.
-    fn eval_appg(
+    pub(crate) fn eval_appg(
         &mut self,
         f: CodeId,
         ic: u32,
         a: CodeId,
         env: &CEnv,
-        stack: &mut Vec<Frame<Flat>>,
-    ) -> Control<Flat> {
+        stack: &mut Vec<Frame>,
+    ) -> Control {
         let arg = self.alloc_code(a, env);
         if let Some(cached) = self.ics[ic as usize] {
             if let Some(Whnf::CFun { body, env: fenv }) = self.heap.whnf(cached) {
@@ -346,11 +356,10 @@ impl Machine {
     /// return directly (the fused-return loop then pops frames in the
     /// same step) and thunks blackhole + push their update frame here,
     /// leaving control at the thunk body — exactly the kernel's `Enter`
-    /// transitions, minus the prologue passes between them. Black holes,
-    /// poisoned nodes and foreign suspensions take the kernel's full
-    /// `Enter` step (they are rare and some — §5.2 detection — must
+    /// transitions, minus the prologue passes between them. Black holes
+    /// and poisoned nodes take the kernel's full `Enter` step (they are rare and some — §5.2 detection — must
     /// observe the prologue's state).
-    fn enter_fused(&mut self, node: NodeId, stack: &mut Vec<Frame<Flat>>) -> Control<Flat> {
+    pub(crate) fn enter_fused(&mut self, node: NodeId, stack: &mut Vec<Frame>) -> Control {
         let node = self.heap.resolve(node);
         // Tagged immediates are their own weak-head normal form — there is
         // no cell to enter.
@@ -398,12 +407,12 @@ impl Machine {
     /// Evaluates an operand position with variable references fused: a
     /// slot or global is entered in this step (forced value or thunk
     /// body), anything structured becomes a fresh `Eval` step.
-    fn eval_code_fused(
+    pub(crate) fn eval_code_fused(
         &mut self,
         mut code: CodeId,
         env: &CEnv,
-        stack: &mut Vec<Frame<Flat>>,
-    ) -> Control<Flat> {
+        stack: &mut Vec<Frame>,
+    ) -> Control {
         loop {
             match self.linked().op(code) {
                 COp::Local(back) => return self.enter_fused(env.get_back(back), stack),
@@ -515,7 +524,7 @@ impl Machine {
     /// operands cannot raise and cannot be interrupted mid-evaluation,
     /// so a parent primitive/case may consume them in its own step
     /// without losing any §3.3/§5.1 behaviour.
-    fn immediate_node(&mut self, code: CodeId, env: &CEnv) -> Option<NodeId> {
+    pub(crate) fn immediate_node(&mut self, code: CodeId, env: &CEnv) -> Option<NodeId> {
         match self.linked().op(code) {
             COp::Local(back) => {
                 let n = self.heap.resolve(env.get_back(back));
@@ -532,10 +541,15 @@ impl Machine {
         }
     }
 
-    /// Matches a WHNF value against the pre-lowered arms — the tree
-    /// machine's `select` over the dispatch table, with constructor match
-    /// an interned-tag compare and binders pushed positionally.
-    fn select_arms(&mut self, node: NodeId, arms_at: u32, n: u16, env: &CEnv) -> Control<Flat> {
+    /// Matches a WHNF value against the pre-lowered arms, with constructor
+    /// match an interned-tag compare and binders pushed positionally.
+    pub(crate) fn select_arms(
+        &mut self,
+        node: NodeId,
+        arms_at: u32,
+        n: u16,
+        env: &CEnv,
+    ) -> Control {
         let v = self.heap.whnf(node).expect("select on a non-value");
         for i in 0..u32::from(n) {
             let arm = self.linked().arm(arms_at + i);
@@ -567,282 +581,27 @@ impl Machine {
     }
 }
 
-/// The flat representation: `CodeId`s into the linked image under
-/// slot-addressed [`CEnv`]s. A `Select` frame holds its pre-lowered arms as
-/// `(first arm, count)`.
-pub(crate) struct Flat;
-
-impl Repr for Flat {
-    type Code = CodeId;
-    type Env = CEnv;
-    type Alts = (u32, u16);
-    const FUSE_RETURNS: bool = true;
-
-    #[inline(always)]
-    fn eval(
-        m: &mut Machine,
-        code: CodeId,
-        env: CEnv,
-        stack: &mut Vec<Frame<Flat>>,
-    ) -> Control<Flat> {
-        let op = m.linked().op(code);
-        if let Some(cov) = m.coverage.as_deref_mut() {
-            cov.hit(op.kind_index());
-        }
-        match op {
-            COp::Local(back) => m.enter_fused(env.get_back(back), stack),
-            COp::Global(g) => {
-                let node = m.linked().global_nodes[g as usize];
-                m.enter_fused(node, stack)
-            }
-            COp::Int(n) => Control::Return(m.int_node(n)),
-            COp::Char(c) => Control::Return(m.alloc_value(HValue::Char(c))),
-            COp::Str(i) => {
-                let s = m.linked().str_at(i);
-                Control::Return(m.alloc_value(HValue::Str(s)))
-            }
-            COp::Con { tag, args, n } => {
-                if n == 0 {
-                    return Control::Return(m.nullary_con_node(tag));
-                }
-                let mut fields = Vec::with_capacity(usize::from(n));
-                for i in 0..u32::from(n) {
-                    let k = m.linked().kid(args + i);
-                    fields.push(m.alloc_code(k, &env));
-                }
-                Control::Return(m.alloc_value(HValue::Con(tag, fields)))
-            }
-            COp::Lam { body } => Control::Return(m.alloc_value(HValue::CFun { body, env })),
-            COp::App { .. } => m.eval_code_fused(code, &env, stack),
-            COp::Let { rhs, body } => {
-                let t = m.alloc_code(rhs, &env);
-                // Test-only sabotage: propagate a speculation's stored
-                // poison at the binding site — the "unlicensed fusion"
-                // that treats a lazy binding as strict. The differential
-                // battery proves the oracle catches it.
-                if !t.is_imm()
-                    && m.chaos
-                        .as_ref()
-                        .is_some_and(|st| st.plan.sabotage_spec_propagate)
-                {
-                    if let Node::Poisoned(exn) = m.heap.get(t) {
-                        return Control::Raising(exn.clone());
-                    }
-                }
-                Control::Eval(body, env.push(t))
-            }
-            COp::LetRec { rhss, n, body } => {
-                // Tie the knot exactly as `bind_recursive_inner`: allocate
-                // empty-environment thunks, extend, then rewrite each with
-                // the extended environment.
-                let mut nodes = Vec::with_capacity(usize::from(n));
-                for i in 0..u32::from(n) {
-                    let k = m.linked().kid(rhss + i);
-                    nodes.push((
-                        k,
-                        m.alloc(Node::CThunk {
-                            code: k,
-                            env: CEnv::empty(),
-                        }),
-                    ));
-                }
-                let mut env2 = env;
-                for (_, nd) in &nodes {
-                    env2 = env2.push(*nd);
-                }
-                for (k, nd) in nodes {
-                    m.heap.set(
-                        nd,
-                        Node::CThunk {
-                            code: k,
-                            env: env2.clone(),
-                        },
-                    );
-                }
-                Control::Eval(body, env2)
-            }
-            COp::Case { scrut, arms_at, n } => {
-                // A forced scrutinee dispatches in this step — no Select
-                // frame, no Eval round trip.
-                if let Some(node) = m.immediate_node(scrut, &env) {
-                    return m.select_arms(node, arms_at, n, &env);
-                }
-                stack.push(Frame::Select {
-                    alts: (arms_at, n),
-                    env: env.clone(),
-                });
-                m.eval_code_fused(scrut, &env, stack)
-            }
-            COp::Prim1 { op, a } => {
-                if let Some(na) = m.immediate_node(a, &env) {
-                    return match m.apply_prim(op, &[na]) {
-                        PrimResult::Value(v) => Control::Return(v),
-                        PrimResult::Raise(exn) => Control::Raising(exn),
-                    };
-                }
-                stack.push(Frame::PrimArgs {
-                    op,
-                    env: env.clone(),
-                    current: 0,
-                    pending: None,
-                    results: [None, None],
-                });
-                m.eval_code_fused(a, &env, stack)
-            }
-            COp::Prim2 { op, a, b } => {
-                // The operand-order policy (§3.5). The Seeded draw must
-                // stay one `gen_bool` per binary primitive so a seeded
-                // machine agrees with the tree backend's sequence —
-                // including on the fused path below, where the order is
-                // unobservable (both operands are values already) but the
-                // stream position must still advance.
-                let left_first = match m.config.order {
-                    OrderPolicy::LeftToRight => true,
-                    OrderPolicy::RightToLeft => false,
-                    OrderPolicy::Seeded(_) => m.rng.gen_bool(0.5),
-                };
-                if let Some(na) = m.immediate_node(a, &env) {
-                    if let Some(nb) = m.immediate_node(b, &env) {
-                        return match m.apply_prim(op, &[na, nb]) {
-                            PrimResult::Value(v) => Control::Return(v),
-                            PrimResult::Raise(exn) => Control::Raising(exn),
-                        };
-                    }
-                }
-                let (current, first, pending) = if left_first {
-                    (0u8, a, Some((1u8, b)))
-                } else {
-                    (1u8, b, Some((0u8, a)))
-                };
-                stack.push(Frame::PrimArgs {
-                    op,
-                    env: env.clone(),
-                    current,
-                    pending,
-                    results: [None, None],
-                });
-                m.eval_code_fused(first, &env, stack)
-            }
-            COp::Seq { a, b } => {
-                // `seq` on a value that already exists is the identity on
-                // control: go straight to `b`.
-                if m.immediate_node(a, &env).is_some() {
-                    return Control::Eval(b, env);
-                }
-                stack.push(Frame::SeqSecond {
-                    code: b,
-                    env: env.clone(),
-                });
-                m.eval_code_fused(a, &env, stack)
-            }
-            COp::MapExn { f, a } => {
-                stack.push(Frame::MapExnCatch {
-                    f,
-                    env: env.clone(),
-                });
-                Control::Eval(a, env)
-            }
-            COp::IsExn { a } => {
-                stack.push(Frame::IsExnCatch);
-                Control::Eval(a, env)
-            }
-            COp::GetExn { a } => {
-                stack.push(Frame::UnsafeGetExnCatch);
-                Control::Eval(a, env)
-            }
-            COp::Raise { a } => {
-                stack.push(Frame::RaiseEval);
-                Control::Eval(a, env)
-            }
-            COp::Fused { body } => match m.exec_region(body, &env) {
-                Some(Ok(v)) => Control::Return(v),
-                Some(Err(exn)) => Control::Raising(exn),
-                // Not every leaf is forced yet: fall back to stepped
-                // evaluation of the region body, which is ordinary code.
-                None => Control::Eval(body, env),
-            },
-            COp::Spec { body } => {
-                // Defensive: the pass only emits `Spec` in operand
-                // positions (handled by `alloc_code`), but evaluating one
-                // directly is still well-defined — build and enter.
-                let node = m.alloc_spec(body, &env);
-                m.enter_fused(node, stack)
-            }
-            COp::AppG { f, ic, a } => m.eval_appg(f, ic, a, &env, stack),
-        }
-    }
-
-    #[inline]
-    fn resume(
-        m: &mut Machine,
-        code: CodeId,
-        env: CEnv,
-        stack: &mut Vec<Frame<Flat>>,
-    ) -> Control<Flat> {
-        m.eval_code_fused(code, &env, stack)
-    }
-
-    #[inline]
-    fn apply(m: &mut Machine, fun: NodeId, arg: NodeId) -> Control<Flat> {
-        let (body, env) = match m.heap.whnf(fun) {
-            Some(Whnf::CFun { body, env }) => (body, env.clone()),
-            _ => panic!("application of a non-function (ill-typed program)"),
-        };
-        // The compiler reserved the top slot for the argument.
-        Control::Eval(body, env.push(arg))
-    }
-
-    #[inline]
-    fn select(
-        m: &mut Machine,
-        node: NodeId,
-        &(arms_at, n): &(u32, u16),
-        env: &CEnv,
-    ) -> Control<Flat> {
-        m.select_arms(node, arms_at, n, env)
-    }
-
-    #[inline]
-    fn thunk(node: &Node) -> Option<(CodeId, CEnv)> {
-        match node {
-            Node::CThunk { code, env } => Some((*code, env.clone())),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn blackhole(code: CodeId, env: CEnv) -> Node {
-        Node::CBlackhole { code, env }
-    }
-
-    #[inline]
-    fn restore(node: &Node) -> Option<Node> {
-        match node {
-            Node::CBlackhole { code, env } => Some(Node::CThunk {
-                code: *code,
-                env: env.clone(),
-            }),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::code::compile_program;
-    use crate::machine::{MachineConfig, Stats};
-    use crate::MEnv;
-    use std::rc::Rc;
+    use crate::machine::{Backend, MachineConfig, Stats};
+    use crate::tier2::{tier2_optimize, Tier2Facts};
     use urk_syntax::{desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv};
 
-    fn compiled_render(prog_src: &str, query: &str) -> String {
+    /// Renders `query` against `prog_src` lowered at tier 1, or at tier 2
+    /// with no analysis licence (regions, speculation and inline caches
+    /// only).
+    fn render_at(prog_src: &str, query: &str, tier2: bool, config: MachineConfig) -> String {
         let mut data = DataEnv::new();
         let prog = desugar_program(&parse_program(prog_src).expect("parses"), &mut data)
             .expect("desugars");
-        let code = Arc::new(compile_program(&prog.binds));
-        let mut m = Machine::new(MachineConfig::default());
-        m.link_code(code);
+        let mut code = compile_program(&prog.binds);
+        if tier2 {
+            code = tier2_optimize(&code, &Tier2Facts::empty());
+        }
+        let mut m = Machine::new(config);
+        m.link_code(Arc::new(code));
         let e = desugar_expr(&parse_expr_src(query).expect("parses"), &data).expect("desugars");
         match m.eval_code_expr(&e, false).expect("no machine error") {
             Outcome::Value(n) => m.render(n, 16),
@@ -850,23 +609,15 @@ mod tests {
         }
     }
 
-    fn tree_render(prog_src: &str, query: &str) -> String {
-        let mut data = DataEnv::new();
-        let prog = desugar_program(&parse_program(prog_src).expect("parses"), &mut data)
-            .expect("desugars");
-        let mut m = Machine::new(MachineConfig::default());
-        let env = m.bind_recursive(&prog.binds, &MEnv::empty());
-        let e = desugar_expr(&parse_expr_src(query).expect("parses"), &data).expect("desugars");
-        match m.eval(Rc::new(e), &env, false).expect("no machine error") {
-            Outcome::Value(n) => m.render(n, 16),
-            Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
-        }
+    fn compiled_render(prog_src: &str, query: &str) -> String {
+        render_at(prog_src, query, false, MachineConfig::default())
     }
 
+    /// Tier 1 and tier 2 render `query` identically.
     fn agree(prog: &str, query: &str) {
         assert_eq!(
-            tree_render(prog, query),
             compiled_render(prog, query),
+            render_at(prog, query, true, MachineConfig::default()),
             "{query}"
         );
     }
@@ -1022,8 +773,8 @@ mod tests {
             &data,
         )
         .expect("desugars");
-        // A shared suspension (as the tree test does with `alloc_expr`),
-        // so the §5.1 restore is observable and resumable.
+        // A shared suspension, so the §5.1 restore is observable and
+        // resumable.
         let work = m.alloc_code_thunk(&e);
         let first = m.eval_node(work, true).expect("no machine error");
         assert!(matches!(first, Outcome::Caught(Exception::Interrupt)));
@@ -1076,52 +827,73 @@ mod tests {
     }
 
     #[test]
-    fn compiled_seeded_order_matches_tree_backend() {
+    fn compiled_seeded_order_matches_across_tiers() {
         // Same seed, same program: the Seeded policy must surface the same
-        // representative exception on both backends (one rng draw per
-        // binary strict primitive).
+        // representative exception at both tiers (one rng draw per binary
+        // strict primitive).
+        let prog = "both a b = a + b\nmain = both ((1/0) + raise (UserError \"a\")) (2 - raise (UserError \"b\"))";
+        let query = r#"((1/0) + raise (UserError "a")) * ((2/0) - raise (UserError "b"))"#;
         for seed in 0..16 {
             let cfg = MachineConfig {
                 order: OrderPolicy::Seeded(seed),
                 ..MachineConfig::default()
             };
-            let data = DataEnv::new();
-            let e = desugar_expr(
-                &parse_expr_src(
-                    r#"((1/0) + raise (UserError "a")) * ((2/0) - raise (UserError "b"))"#,
-                )
-                .expect("parses"),
-                &data,
-            )
-            .expect("desugars");
-            let mut mt = Machine::new(cfg.clone());
-            let t = mt
-                .eval(Rc::new(e.clone()), &MEnv::empty(), true)
-                .expect("no machine error");
-            let mut mc = Machine::new(cfg);
-            mc.link_code(Arc::new(compile_program(&[])));
-            let c = mc.eval_code_expr(&e, true).expect("no machine error");
-            let (Outcome::Caught(a), Outcome::Caught(b)) = (t, c) else {
-                panic!("both catch");
-            };
-            assert_eq!(a, b, "seed {seed}");
+            for q in [query, "main"] {
+                assert_eq!(
+                    render_at(prog, q, false, cfg.clone()),
+                    render_at(prog, q, true, cfg.clone()),
+                    "seed {seed}: {q}"
+                );
+            }
         }
     }
 
     #[test]
-    fn compiled_stats_tag_backend_and_compile_cost() {
+    fn compiled_stats_tag_tier_and_compile_cost() {
         let mut m = Machine::new(MachineConfig::default());
-        assert_eq!(m.stats().backend, Backend::Tree);
-        m.link_code(Arc::new(compile_program(&[])));
         assert_eq!(m.stats().backend, Backend::Compiled);
+        assert_eq!(m.stats().tier, Tier::One);
+        m.link_code(Arc::new(tier2_optimize(
+            &compile_program(&[]),
+            &Tier2Facts::empty(),
+        )));
+        assert_eq!(m.stats().tier, Tier::Two);
         let data = DataEnv::new();
         let e = desugar_expr(&parse_expr_src("1 + 2").expect("parses"), &data).expect("desugars");
         let _ = m.eval_code_expr(&e, false).expect("no machine error");
         assert!(m.stats().compile_ops >= 3, "{:?}", m.stats());
         m.reset_stats();
-        assert_eq!(m.stats().backend, Backend::Compiled, "tag survives reset");
+        assert_eq!(m.stats().tier, Tier::Two, "tag survives reset");
         assert_eq!(m.stats().compile_ops, 0);
         let _ = Stats::default();
+    }
+
+    #[test]
+    fn alloc_apply_applies_by_slot_and_lowers_its_code_once() {
+        let mut data = DataEnv::new();
+        let prog = desugar_program(&parse_program("inc n = n + 1").expect("parses"), &mut data)
+            .expect("desugars");
+        let mut m = Machine::new(MachineConfig::default());
+        m.link_code(Arc::new(compile_program(&prog.binds)));
+        let e = desugar_expr(&parse_expr_src("inc").expect("parses"), &data).expect("desugars");
+        let Outcome::Value(inc) = m.eval_code_expr(&e, false).expect("no machine error") else {
+            panic!("inc is a function value")
+        };
+        let ext_before = m.linked().ext.ops.len();
+        let mut arg = m.int_node(40);
+        for want in ["41", "42"] {
+            let t = m.alloc_apply(inc, arg);
+            let Outcome::Value(v) = m.eval_node(t, false).expect("no machine error") else {
+                panic!("the application returns")
+            };
+            assert_eq!(m.render(v, 4), want);
+            arg = v;
+        }
+        assert_eq!(
+            m.linked().ext.ops.len() - ext_before,
+            3,
+            "the App op and its two slot loads are lowered once"
+        );
     }
 
     #[test]

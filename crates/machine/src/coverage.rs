@@ -1,6 +1,6 @@
 //! A cheap execution-coverage signal for the fuzzer.
 //!
-//! The compiled backend dispatches one flat [`COp`](crate::code) per
+//! The machine dispatches one flat [`COp`](crate::code) per
 //! flat `Eval` step; recording the *pair* of consecutive op kinds gives an
 //! edge-coverage signal analogous to AFL's branch pairs, but over the
 //! lowered code's control skeleton instead of machine branches. The map is
@@ -8,9 +8,7 @@
 //! per candidate and diff against a global "seen" bitmap in microseconds.
 //!
 //! The hook is off by default ([`MachineConfig::coverage`]) and costs one
-//! `Option` test per compiled step when disabled; nothing is recorded for
-//! the tree backend, which shares every semantic decision with the
-//! compiled one anyway (the differential battery proves it).
+//! `Option` test per step when disabled.
 //!
 //! [`MachineConfig::coverage`]: crate::MachineConfig::coverage
 
@@ -35,7 +33,7 @@ pub const OPERAND_CLASSES: usize = 8;
 ///
 /// `prims` is the value-profile companion: one counter per
 /// `(prim op, operand position, operand class)` triple, recorded by
-/// `Machine::apply_prim` on both backends when coverage is armed. It
+/// `Machine::apply_prim` at either tier when coverage is armed. It
 /// tells the fuzzer *what kinds of values* reached each primitive, which
 /// op-pair edges alone cannot distinguish (`1/2` and `1/0` walk the same
 /// edges).

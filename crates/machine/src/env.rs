@@ -1,17 +1,16 @@
-//! Machine environments: persistent maps from variables to heap nodes.
+//! Machine environments: persistent stacks of heap nodes, addressed by
+//! position.
 //!
-//! The representation is a *chunked* persistent list: bindings are packed
+//! The representation is a *chunked* persistent list: slots are packed
 //! into shared chunks of up to [`CHUNK`] entries, and an environment is a
 //! `(chunk, length)` view of a chunk chain. Extending the tip of a chunk
 //! that still has room appends in place (the old view, being shorter, is
-//! unaffected), so a run of `bind`s costs one `Rc` allocation per `CHUNK`
-//! bindings instead of one per binding — and lookup chases one pointer per
-//! chunk instead of one per binding.
+//! unaffected), so a run of `push`es costs one `Rc` allocation per `CHUNK`
+//! slots instead of one per slot — and lookup chases one pointer per
+//! chunk instead of one per slot.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-
-use urk_syntax::Symbol;
 
 use crate::heap::NodeId;
 
@@ -19,174 +18,19 @@ use crate::heap::NodeId;
 /// (lambda params + a few lets), so one chunk covers the common case.
 const CHUNK: usize = 16;
 
-struct Chunk {
-    /// Append-only within a chunk's lifetime: entries below any view's
-    /// `len` are never mutated, so older (shorter) views stay valid.
-    entries: RefCell<Vec<(Symbol, NodeId)>>,
-    parent: MEnv,
-}
-
-/// A persistent environment: a view of the first `len` entries of `chunk`,
-/// then everything in its parent chain.
-#[derive(Clone, Default)]
-pub struct MEnv {
-    chunk: Option<Rc<Chunk>>,
-    len: u32,
-}
-
-impl MEnv {
-    /// The empty environment.
-    pub fn empty() -> MEnv {
-        MEnv {
-            chunk: None,
-            len: 0,
-        }
-    }
-
-    /// Extends with one binding.
-    pub fn bind(&self, name: Symbol, node: NodeId) -> MEnv {
-        if let Some(c) = &self.chunk {
-            let mut entries = c.entries.borrow_mut();
-            // Only the *tip* view may append in place; a shorter view must
-            // not graft its binding over entries it cannot see.
-            if entries.len() == self.len as usize && entries.len() < CHUNK {
-                entries.push((name, node));
-                return MEnv {
-                    chunk: self.chunk.clone(),
-                    len: self.len + 1,
-                };
-            }
-        }
-        let mut entries = Vec::with_capacity(CHUNK);
-        entries.push((name, node));
-        MEnv {
-            chunk: Some(Rc::new(Chunk {
-                entries: RefCell::new(entries),
-                parent: self.clone(),
-            })),
-            len: 1,
-        }
-    }
-
-    /// Looks up a variable (innermost binding wins).
-    pub fn lookup(&self, name: Symbol) -> Option<NodeId> {
-        let mut chunk = self.chunk.as_ref();
-        let mut len = self.len as usize;
-        while let Some(c) = chunk {
-            let entries = c.entries.borrow();
-            for (n, id) in entries[..len].iter().rev() {
-                if *n == name {
-                    return Some(*id);
-                }
-            }
-            chunk = c.parent.chunk.as_ref();
-            len = c.parent.len as usize;
-        }
-        None
-    }
-
-    /// Number of bindings (diagnostics only).
-    pub fn len(&self) -> usize {
-        let mut n = 0;
-        let mut chunk = self.chunk.as_ref();
-        let mut len = self.len as usize;
-        while let Some(c) = chunk {
-            n += len;
-            chunk = c.parent.chunk.as_ref();
-            len = c.parent.len as usize;
-        }
-        n
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.chunk.is_none()
-    }
-
-    /// Visits every bound node (including shadowed bindings), outermost
-    /// last. Used by the garbage collector's mark phase.
-    pub fn for_each_node(&self, mut f: impl FnMut(NodeId)) {
-        let mut chunk = self.chunk.as_ref();
-        let mut len = self.len as usize;
-        while let Some(c) = chunk {
-            let entries = c.entries.borrow();
-            for (_, id) in entries[..len].iter().rev() {
-                f(*id);
-            }
-            chunk = c.parent.chunk.as_ref();
-            len = c.parent.len as usize;
-        }
-    }
-
-    /// Rewrites every bound node in place through `f`. Used by the copying
-    /// minor collector to redirect nursery references to their tenured
-    /// copies. `f` must be idempotent: shared chunks are reachable from
-    /// several views and are rewritten once per view.
-    pub fn update_nodes(&self, f: &mut dyn FnMut(NodeId) -> NodeId) {
-        let mut chunk = self.chunk.as_ref();
-        let mut len = self.len as usize;
-        while let Some(c) = chunk {
-            {
-                let mut entries = c.entries.borrow_mut();
-                for (_, id) in entries[..len].iter_mut() {
-                    *id = f(*id);
-                }
-            }
-            chunk = c.parent.chunk.as_ref();
-            len = c.parent.len as usize;
-        }
-    }
-}
-
-/// The node references an environment holds, as the collectors and the
-/// run loop's GC hooks see them; both environment representations expose
-/// them the same way.
-pub(crate) trait NodeEnv: Clone {
-    /// Visits every bound node.
-    fn for_each_node(&self, f: impl FnMut(NodeId));
-    /// Rewrites every bound node in place through `f` (idempotent).
-    fn update_nodes(&self, f: &mut dyn FnMut(NodeId) -> NodeId);
-}
-
-impl NodeEnv for MEnv {
-    fn for_each_node(&self, f: impl FnMut(NodeId)) {
-        MEnv::for_each_node(self, f)
-    }
-    fn update_nodes(&self, f: &mut dyn FnMut(NodeId) -> NodeId) {
-        MEnv::update_nodes(self, f)
-    }
-}
-
-impl NodeEnv for CEnv {
-    fn for_each_node(&self, f: impl FnMut(NodeId)) {
-        CEnv::for_each_node(self, f)
-    }
-    fn update_nodes(&self, f: &mut dyn FnMut(NodeId) -> NodeId) {
-        CEnv::update_nodes(self, f)
-    }
-}
-
-impl std::fmt::Debug for MEnv {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "MEnv({} bindings)", self.len())
-    }
-}
-
 struct CChunk {
-    /// Append-only within a chunk's lifetime, as in [`Chunk`] — but
-    /// stored inline as a fixed array, so starting a chunk is a single
-    /// allocation (the `Rc`) instead of two. Only the first `init` slots
-    /// are meaningful; slots below any view's `len` are never mutated.
+    /// Append-only within a chunk's lifetime, stored inline as a fixed
+    /// array, so starting a chunk is a single allocation (the `Rc`). Only
+    /// the first `init` slots are meaningful; slots below any view's `len`
+    /// are never mutated, so older (shorter) views stay valid.
     entries: RefCell<[NodeId; CHUNK]>,
     init: Cell<usize>,
     parent: CEnv,
 }
 
-/// The compiled backend's environment: the same chunked persistent
-/// structure as [`MEnv`], minus the names. The compiler resolved every
-/// variable to a back-index at compile time, so slots are addressed by
-/// position — `get_back(k)` walks whole chunks instead of scanning
-/// `Symbol` entries.
+/// The machine's environment. The compiler resolved every variable to a
+/// back-index at compile time, so slots are addressed by position —
+/// `get_back(k)` walks whole chunks instead of scanning names.
 #[derive(Clone, Default)]
 pub struct CEnv {
     chunk: Option<Rc<CChunk>>,
@@ -281,7 +125,10 @@ impl CEnv {
         }
     }
 
-    /// Rewrites every slot in place through `f`, as [`MEnv::update_nodes`].
+    /// Rewrites every slot in place through `f`. Used by the copying
+    /// minor collector to redirect nursery references to their tenured
+    /// copies. `f` must be idempotent: shared chunks are reachable from
+    /// several views and are rewritten once per view.
     pub fn update_nodes(&self, f: &mut dyn FnMut(NodeId) -> NodeId) {
         let mut chunk = self.chunk.as_ref();
         let mut len = self.len as usize;
@@ -308,62 +155,55 @@ impl std::fmt::Debug for CEnv {
 mod tests {
     use super::*;
 
+    fn slots(env: &CEnv) -> Vec<NodeId> {
+        (0..env.len() as u32).map(|k| env.get_back(k)).collect()
+    }
+
     #[test]
-    fn bind_shadow_lookup() {
-        let x = Symbol::intern("x");
-        let env = MEnv::empty().bind(x, NodeId(1)).bind(x, NodeId(2));
-        assert_eq!(env.lookup(x), Some(NodeId(2)));
-        assert_eq!(env.lookup(Symbol::intern("y")), None);
+    fn push_shadow_get_back() {
+        let env = CEnv::empty().push(NodeId(1)).push(NodeId(2));
+        assert_eq!(env.get_back(0), NodeId(2));
+        assert_eq!(env.get_back(1), NodeId(1));
         assert_eq!(env.len(), 2);
-        assert!(MEnv::empty().is_empty());
+        assert!(CEnv::empty().is_empty());
     }
 
     #[test]
     fn older_views_are_unaffected_by_in_place_extension() {
-        let a = Symbol::intern("a");
-        let b = Symbol::intern("b");
-        let base = MEnv::empty().bind(a, NodeId(1));
+        let base = CEnv::empty().push(NodeId(1));
         // Extend the same tip twice: the two extensions must not see each
         // other, and `base` must see neither.
-        let left = base.bind(b, NodeId(2));
-        let right = base.bind(b, NodeId(3));
-        assert_eq!(base.lookup(b), None);
-        assert_eq!(left.lookup(b), Some(NodeId(2)));
-        assert_eq!(right.lookup(b), Some(NodeId(3)));
-        assert_eq!(left.lookup(a), Some(NodeId(1)));
-        assert_eq!(right.lookup(a), Some(NodeId(1)));
-        assert_eq!(base.len(), 1);
-        assert_eq!(left.len(), 2);
-        assert_eq!(right.len(), 2);
+        let left = base.push(NodeId(2));
+        let right = base.push(NodeId(3));
+        assert_eq!(slots(&base), vec![NodeId(1)]);
+        assert_eq!(slots(&left), vec![NodeId(2), NodeId(1)]);
+        assert_eq!(slots(&right), vec![NodeId(3), NodeId(1)]);
     }
 
     #[test]
-    fn lookup_and_shadowing_across_chunk_boundaries() {
-        let syms: Vec<Symbol> = (0..3 * CHUNK)
-            .map(|i| Symbol::intern(&format!("v{i}")))
-            .collect();
-        let mut env = MEnv::empty();
-        for (i, s) in syms.iter().enumerate() {
-            env = env.bind(*s, NodeId(i as u32));
+    fn get_back_across_chunk_boundaries() {
+        let mut env = CEnv::empty();
+        for i in 0..3 * CHUNK {
+            env = env.push(NodeId(i as u32));
         }
         assert_eq!(env.len(), 3 * CHUNK);
-        for (i, s) in syms.iter().enumerate() {
-            assert_eq!(env.lookup(*s), Some(NodeId(i as u32)), "v{i}");
+        for i in 0..3 * CHUNK {
+            assert_eq!(env.get_back(i as u32), NodeId((3 * CHUNK - 1 - i) as u32));
         }
-        // Shadow an early binding from the outermost chunk.
-        let env2 = env.bind(syms[0], NodeId(999));
-        assert_eq!(env2.lookup(syms[0]), Some(NodeId(999)));
-        assert_eq!(env.lookup(syms[0]), Some(NodeId(0)));
     }
 
     #[test]
-    fn for_each_node_visits_shadowed_bindings_innermost_first() {
-        let x = Symbol::intern("x");
-        let y = Symbol::intern("y");
-        let env = MEnv::empty()
-            .bind(x, NodeId(1))
-            .bind(y, NodeId(2))
-            .bind(x, NodeId(3));
+    #[should_panic(expected = "past the end of the environment")]
+    fn get_back_past_the_end_panics() {
+        CEnv::empty().push(NodeId(1)).get_back(1);
+    }
+
+    #[test]
+    fn for_each_node_visits_innermost_first() {
+        let env = CEnv::empty()
+            .push(NodeId(1))
+            .push(NodeId(2))
+            .push(NodeId(3));
         let mut seen = Vec::new();
         env.for_each_node(|n| seen.push(n));
         assert_eq!(seen, vec![NodeId(3), NodeId(2), NodeId(1)]);
@@ -371,18 +211,25 @@ mod tests {
 
     #[test]
     fn branching_past_a_full_tip_starts_a_fresh_chunk() {
-        let mut env = MEnv::empty();
+        let mut env = CEnv::empty();
         for i in 0..CHUNK {
-            env = env.bind(Symbol::intern(&format!("f{i}")), NodeId(i as u32));
+            env = env.push(NodeId(i as u32));
         }
         // Tip is full: both extensions land in (distinct) fresh chunks.
-        let a = env.bind(Symbol::intern("a"), NodeId(100));
-        let b = env.bind(Symbol::intern("b"), NodeId(200));
-        assert_eq!(a.lookup(Symbol::intern("a")), Some(NodeId(100)));
-        assert_eq!(a.lookup(Symbol::intern("b")), None);
-        assert_eq!(b.lookup(Symbol::intern("b")), Some(NodeId(200)));
-        assert_eq!(b.lookup(Symbol::intern("a")), None);
-        assert_eq!(a.lookup(Symbol::intern("f0")), Some(NodeId(0)));
+        let a = env.push(NodeId(100));
+        let b = env.push(NodeId(200));
+        assert_eq!(a.get_back(0), NodeId(100));
+        assert_eq!(b.get_back(0), NodeId(200));
+        assert_eq!(a.get_back(CHUNK as u32), NodeId(0));
         assert_eq!(a.len(), CHUNK + 1);
+    }
+
+    #[test]
+    fn update_nodes_rewrites_every_view_of_a_shared_chunk() {
+        let base = CEnv::empty().push(NodeId(1));
+        let ext = base.push(NodeId(2));
+        ext.update_nodes(&mut |n| NodeId(n.0 + 10));
+        assert_eq!(slots(&ext), vec![NodeId(12), NodeId(11)]);
+        assert_eq!(slots(&base), vec![NodeId(11)]);
     }
 }

@@ -23,7 +23,7 @@
 //! * nothing else: unreachable thunks, values, and poisoned cells are
 //!   reclaimed.
 
-use crate::env::NodeEnv;
+use crate::env::CEnv;
 use crate::heap::{HValue, Heap, Node, NodeId};
 
 /// Mark-phase worklist traversal over a root set.
@@ -55,8 +55,8 @@ impl Collector {
         }
     }
 
-    /// Marks every node an environment of either representation binds.
-    pub(crate) fn mark_env(&mut self, env: &impl NodeEnv) {
+    /// Marks every node an environment binds.
+    pub(crate) fn mark_env(&mut self, env: &CEnv) {
         // Persistent environments share tails; marking stops at already
         // visited nodes only per-binding (tail sharing just re-marks
         // cheaply — bindings are few and the check is O(1)).
@@ -68,10 +68,6 @@ impl Collector {
         while let Some(id) = self.worklist.pop() {
             // Borrow-split: clone the small node descriptors we need.
             match heap.get(id) {
-                Node::Thunk { env, .. } | Node::Blackhole { env, .. } => {
-                    let env = env.clone();
-                    self.mark_env(&env);
-                }
                 Node::CThunk { env, .. } | Node::CBlackhole { env, .. } => {
                     let env = env.clone();
                     self.mark_env(&env);
@@ -88,10 +84,6 @@ impl Collector {
                         for f in fields.clone() {
                             self.mark_root(f);
                         }
-                    }
-                    HValue::Fun { env, .. } => {
-                        let env = env.clone();
-                        self.mark_env(&env);
                     }
                     HValue::CFun { env, .. } => {
                         let env = env.clone();
@@ -128,9 +120,8 @@ impl Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::MEnv;
+    use crate::code::CodeId;
     use std::rc::Rc;
-    use urk_syntax::core::Expr;
     use urk_syntax::Symbol;
 
     #[test]
@@ -157,9 +148,10 @@ mod tests {
     fn environments_keep_their_bindings_alive() {
         let mut heap = Heap::new();
         let bound = heap.alloc_tenured(Node::Value(HValue::Int(9)));
-        let env = MEnv::empty().bind(Symbol::intern("x"), bound);
-        let thunk = heap.alloc_tenured(Node::Thunk {
-            expr: Rc::new(Expr::var("x")),
+        let env = CEnv::empty().push(bound);
+        // The collector never runs the code; any id will do.
+        let thunk = heap.alloc_tenured(Node::CThunk {
+            code: CodeId(0),
             env,
         });
         let mut c = Collector::new(heap.tenured_len());

@@ -16,8 +16,8 @@
 //!
 //! Node kinds implement the paper's §3.3 machinery directly:
 //!
-//! * a [`Node::Thunk`] under evaluation is overwritten with a
-//!   [`Node::Blackhole`] (avoiding the "celebrated space leak");
+//! * a [`Node::CThunk`] under evaluation is overwritten with a
+//!   [`Node::CBlackhole`] (avoiding the "celebrated space leak");
 //! * when a *synchronous* exception trims the stack past the thunk's update
 //!   frame, the black hole is overwritten with [`Node::Poisoned`] — "if the
 //!   thunk is evaluated again, the same exception will be raised again";
@@ -37,11 +37,10 @@ use std::collections::HashSet;
 use std::mem;
 use std::rc::Rc;
 
-use urk_syntax::core::Expr;
 use urk_syntax::{Exception, Symbol};
 
 use crate::code::CodeId;
-use crate::env::{CEnv, MEnv};
+use crate::env::CEnv;
 
 /// Tag bit marking an immediate (unboxed) value packed into the id word.
 pub const TAG_IMM: u32 = 1 << 31;
@@ -133,16 +132,10 @@ impl NodeId {
 /// A heap node.
 #[derive(Clone, Debug)]
 pub enum Node {
-    /// An unevaluated suspension.
-    Thunk { expr: Rc<Expr>, env: MEnv },
+    /// An unevaluated suspension: flat code under its environment.
+    CThunk { code: CodeId, env: CEnv },
     /// A thunk currently under evaluation. Keeps its payload so an
     /// asynchronous interruption can restore it (§5.1).
-    Blackhole { expr: Rc<Expr>, env: MEnv },
-    /// An unevaluated suspension of *compiled* code: the same semantics
-    /// as [`Node::Thunk`] with a `CodeId` instead of an `Rc<Expr>`.
-    CThunk { code: CodeId, env: CEnv },
-    /// A compiled thunk under evaluation; restorable exactly like
-    /// [`Node::Blackhole`] (§5.1 is representation-independent).
     CBlackhole { code: CodeId, env: CEnv },
     /// An indirection to the updated value.
     Ind(NodeId),
@@ -169,14 +162,8 @@ pub enum HValue {
     /// A saturated constructor with lazy fields. Nullary constructors are
     /// normally immediate; a boxed nullary `Con` is still legal.
     Con(Symbol, Vec<NodeId>),
-    /// A function closure.
-    Fun {
-        param: Symbol,
-        body: Rc<Expr>,
-        env: MEnv,
-    },
-    /// A compiled function closure; the body's code was compiled
-    /// expecting its argument as the top environment slot.
+    /// A function closure; the body's code was compiled expecting its
+    /// argument as the top environment slot.
     CFun {
         body: CodeId,
         env: CEnv,
@@ -191,15 +178,7 @@ pub enum Whnf<'a> {
     Char(char),
     Str(&'a Rc<str>),
     Con(Symbol, &'a [NodeId]),
-    Fun {
-        param: Symbol,
-        body: &'a Rc<Expr>,
-        env: &'a MEnv,
-    },
-    CFun {
-        body: CodeId,
-        env: &'a CEnv,
-    },
+    CFun { body: CodeId, env: &'a CEnv },
 }
 
 /// What a minor collection did: how many nursery cells were promoted into
@@ -397,11 +376,6 @@ impl Heap {
                 HValue::Char(c) => Whnf::Char(*c),
                 HValue::Str(s) => Whnf::Str(s),
                 HValue::Con(sym, fields) => Whnf::Con(*sym, fields),
-                HValue::Fun { param, body, env } => Whnf::Fun {
-                    param: *param,
-                    body,
-                    env,
-                },
                 HValue::CFun { body, env } => Whnf::CFun { body: *body, env },
             }),
             _ => None,
@@ -532,7 +506,7 @@ impl Heap {
                     free_nodes += 1;
                     continue;
                 }
-                Node::Blackhole { .. } | Node::CBlackhole { .. } => {
+                Node::CBlackhole { .. } => {
                     blackholes += 1;
                     push(
                         &mut findings,
@@ -574,7 +548,7 @@ impl Heap {
         for (i, node) in self.nursery.iter().enumerate() {
             let id = NodeId(TAG_AUX | i as u32);
             match node {
-                Node::Blackhole { .. } | Node::CBlackhole { .. } => {
+                Node::CBlackhole { .. } => {
                     blackholes += 1;
                     push(
                         &mut findings,
@@ -748,7 +722,6 @@ impl Heap {
 /// idempotent (the minor collector's evacuation function is).
 pub(crate) fn rewrite_node_children(node: &mut Node, f: &mut dyn FnMut(NodeId) -> NodeId) {
     match node {
-        Node::Thunk { env, .. } | Node::Blackhole { env, .. } => env.update_nodes(f),
         Node::CThunk { env, .. } | Node::CBlackhole { env, .. } => env.update_nodes(f),
         Node::Ind(n) => *n = f(*n),
         Node::Value(v) => match v {
@@ -757,7 +730,6 @@ pub(crate) fn rewrite_node_children(node: &mut Node, f: &mut dyn FnMut(NodeId) -
                     *x = f(*x);
                 }
             }
-            HValue::Fun { env, .. } => env.update_nodes(f),
             HValue::CFun { env, .. } => env.update_nodes(f),
             HValue::Int(_) | HValue::Char(_) | HValue::Str(_) => {}
         },
@@ -768,7 +740,6 @@ pub(crate) fn rewrite_node_children(node: &mut Node, f: &mut dyn FnMut(NodeId) -
 /// Visits every child reference of `node` (read-only, for the audit).
 fn for_each_child(node: &Node, mut f: impl FnMut(NodeId)) {
     match node {
-        Node::Thunk { env, .. } | Node::Blackhole { env, .. } => env.for_each_node(f),
         Node::CThunk { env, .. } | Node::CBlackhole { env, .. } => env.for_each_node(f),
         Node::Ind(n) | Node::Forwarded(n) => f(*n),
         Node::Value(v) => match v {
@@ -777,7 +748,6 @@ fn for_each_child(node: &Node, mut f: impl FnMut(NodeId)) {
                     f(*x);
                 }
             }
-            HValue::Fun { env, .. } => env.for_each_node(f),
             HValue::CFun { env, .. } => env.for_each_node(f),
             HValue::Int(_) | HValue::Char(_) | HValue::Str(_) => {}
         },
@@ -791,8 +761,6 @@ pub const MAX_AUDIT_FINDINGS: usize = 16;
 
 fn node_kind_name(n: &Node) -> &'static str {
     match n {
-        Node::Thunk { .. } => "Thunk",
-        Node::Blackhole { .. } => "Blackhole",
         Node::CThunk { .. } => "CThunk",
         Node::CBlackhole { .. } => "CBlackhole",
         Node::Ind(_) => "Ind",
@@ -812,7 +780,7 @@ pub struct AuditFinding {
     /// The offending cell, or `None` for whole-heap findings (counter
     /// drift, aggregate mismatches).
     pub node: Option<NodeId>,
-    /// The node-kind name (`"Blackhole"`, `"Free"`, ...), `"counter"`, or
+    /// The node-kind name (`"CBlackhole"`, `"Free"`, ...), `"counter"`, or
     /// `"summary"`.
     pub kind: &'static str,
     /// Human-readable explanation of the violated invariant.

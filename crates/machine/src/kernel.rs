@@ -1,12 +1,11 @@
-//! The abstract-machine kernel both executors run: one eval/apply loop,
-//! generic over how deferred code is represented.
+//! The abstract-machine kernel: one eval/apply loop over flat code.
 //!
 //! The paper's implementation rules are written here once each:
 //!
 //! * the step prologue — the asynchronous event schedule, the interrupt
 //!   poll, the chaos plan, the timeout watchdog, the stack and heap limits
-//!   and the collection triggers — so every §5.1 delivery point exists on
-//!   both executors;
+//!   and the collection triggers — so every §5.1 delivery point exists
+//!   once;
 //! * §3.3's raise: trim the stack to the topmost catch mark, overwriting
 //!   each thunk under evaluation with `raise ex`; an asynchronous trim
 //!   restores those thunks resumably instead (§5.1);
@@ -14,98 +13,55 @@
 //! * the catch mark that ends its episode on the step its answer returns;
 //! * GC rooting of the control register and every stack frame.
 //!
-//! A [`Repr`] supplies only what differs between the `Rc<Expr>`
-//! tree-walker ([`crate::machine::Tree`]) and flat code
-//! ([`crate::compiled::Flat`]): the eval step, function application, case
-//! selection, resuming deferred code, and the shapes of its thunk and
-//! black-hole nodes. Both impls are zero-sized and the kernel is
-//! monomorphised per representation, so it never branches at runtime on
-//! which one it runs.
+//! Control evaluates a `CodeId` of the linked image ([`crate::code`])
+//! under a slot-addressed [`CEnv`]; suspensions are
+//! [`Node::CThunk`]/[`Node::CBlackhole`]. The eval step below fuses the
+//! administrative transitions (variable entry, direct calls, tier-2
+//! regions and inline caches) into the step that caused them, and a
+//! returned value pops the frames it meets inside the step that produced
+//! it; the fused paths themselves live in [`crate::compiled`].
 
+use rand::Rng;
 use urk_syntax::core::PrimOp;
 use urk_syntax::{Exception, Symbol};
 
-use crate::env::NodeEnv;
+use crate::code::{COp, CodeId};
+use crate::env::CEnv;
 use crate::heap::{HValue, Node, NodeId, Whnf};
 use crate::machine::{BlackholeMode, Machine, MachineError, Outcome, PrimResult};
-
-/// What an executor's code representation supplies to the kernel.
-///
-/// Impls mark their methods `#[inline]` (the eval step
-/// `#[inline(always)]`): the kernel is their only caller, and trait
-/// methods are otherwise compiled out of line, which costs a call per
-/// step.
-pub(crate) trait Repr: Sized {
-    /// Deferred code.
-    type Code: Clone;
-    /// The environment deferred code runs under.
-    type Env: NodeEnv;
-    /// What a `Select` frame matches the scrutinee against.
-    type Alts;
-    /// Pop the frames a returned value meets inside the step that produced
-    /// it, with no prologue pass per pop. The flat loop does (a `Return`
-    /// only consumes frames, so no delivery point that can run code is
-    /// lost); the tree loop spends one step per frame.
-    const FUSE_RETURNS: bool;
-
-    /// One `Eval` transition.
-    fn eval(
-        m: &mut Machine,
-        code: Self::Code,
-        env: Self::Env,
-        stack: &mut Vec<Frame<Self>>,
-    ) -> Control<Self>;
-    /// Continues with deferred code a popped frame held.
-    fn resume(
-        m: &mut Machine,
-        code: Self::Code,
-        env: Self::Env,
-        stack: &mut Vec<Frame<Self>>,
-    ) -> Control<Self>;
-    /// Applies the function value `fun` to `arg`.
-    fn apply(m: &mut Machine, fun: NodeId, arg: NodeId) -> Control<Self>;
-    /// Matches the value `node` against a `Select` frame's alternatives.
-    fn select(m: &mut Machine, node: NodeId, alts: &Self::Alts, env: &Self::Env) -> Control<Self>;
-    /// The code and environment of a thunk of this representation.
-    fn thunk(node: &Node) -> Option<(Self::Code, Self::Env)>;
-    /// The black hole marking that thunk as under evaluation.
-    fn blackhole(code: Self::Code, env: Self::Env) -> Node;
-    /// The resumable thunk a black hole of this representation restores
-    /// to (§5.1).
-    fn restore(node: &Node) -> Option<Node>;
-}
+use crate::OrderPolicy;
 
 /// The control register.
-pub(crate) enum Control<R: Repr> {
-    Eval(R::Code, R::Env),
+pub(crate) enum Control {
+    Eval(CodeId, CEnv),
     Enter(NodeId),
     Return(NodeId),
     Raising(Exception),
 }
 
 /// A stack frame.
-pub(crate) enum Frame<R: Repr> {
+pub(crate) enum Frame {
     /// Update this thunk with the result.
     Update(NodeId),
     /// Apply the result to this argument.
     Apply(NodeId),
-    /// Scrutinise the result with these alternatives.
-    Select { alts: R::Alts, env: R::Env },
+    /// Scrutinise the result with `n` pre-lowered arms from `arms_at`.
+    Select { arms_at: u32, n: u16, env: CEnv },
     /// A binary/unary strict primitive collecting its operands. Primops
     /// have at most two operands, so the frame is fixed-size — no
     /// per-evaluation vectors.
     PrimArgs {
         op: PrimOp,
-        env: R::Env,
+        env: CEnv,
         /// Operand position the result on top of the stack fills.
         current: u8,
         /// The not-yet-evaluated operand (position, code), if any.
-        pending: Option<(u8, R::Code)>,
+        pending: Option<(u8, CodeId)>,
         /// Evaluated operands by position.
         results: [Option<NodeId>; 2],
     },
     /// `seq`: discard the result, then evaluate this.
-    SeqSecond { code: R::Code, env: R::Env },
+    SeqSecond { code: CodeId, env: CEnv },
     /// Convert the returned `Exception` constructor value and raise it.
     RaiseEval,
     /// The payload of this exception constructor is being forced.
@@ -117,26 +73,26 @@ pub(crate) enum Frame<R: Repr> {
     /// raise means `Bad e` — purely, with the proof obligation.
     UnsafeGetExnCatch,
     /// `mapException f`: a synchronous raise is rewritten through `f`.
-    MapExnCatch { f: R::Code, env: R::Env },
+    MapExnCatch { f: CodeId, env: CEnv },
     /// A `getException` catch mark (the episode boundary for handlers).
     Catch,
 }
 
 /// The result of a transition that may end the episode.
-enum Step<R: Repr> {
-    Continue(Control<R>),
+enum Step {
+    Continue(Control),
     Done(Outcome),
 }
 
 impl Machine {
     /// Runs one evaluation episode from `control`. With `catch`, a catch
     /// mark is planted at the base of the stack (`getException`'s mode).
-    pub(crate) fn run<R: Repr>(
+    pub(crate) fn run(
         &mut self,
-        mut control: Control<R>,
+        mut control: Control,
         catch: bool,
     ) -> Result<Outcome, MachineError> {
-        let mut stack: Vec<Frame<R>> = Vec::with_capacity(64);
+        let mut stack: Vec<Frame> = Vec::with_capacity(64);
         if catch {
             stack.push(Frame::Catch);
         }
@@ -202,26 +158,24 @@ impl Machine {
 
             // --- the transition function --------------------------------
             control = match control {
-                Control::Eval(code, env) => R::eval(self, code, env, &mut stack),
+                Control::Eval(code, env) => self.step_eval(code, env, &mut stack),
                 Control::Enter(node) => self.step_enter(node, &mut stack),
-                // A fusing representation pops returns only in the loop
-                // below, so `step_return` keeps one call site (inlined).
-                Control::Return(node) if R::FUSE_RETURNS => Control::Return(node),
-                Control::Return(node) => match self.step_return(node, &mut stack) {
-                    Step::Continue(c) => c,
-                    Step::Done(outcome) => return Ok(self.tenure_outcome(outcome)),
-                },
+                // Returns pop only in the loop below, so `step_return`
+                // keeps one call site (inlined).
+                Control::Return(node) => Control::Return(node),
                 Control::Raising(exn) => match self.step_raise(exn, &mut stack) {
                     Step::Continue(c) => c,
                     Step::Done(outcome) => return Ok(self.tenure_outcome(outcome)),
                 },
             };
-            if R::FUSE_RETURNS {
-                while let Control::Return(node) = control {
-                    match self.step_return(node, &mut stack) {
-                        Step::Continue(c) => control = c,
-                        Step::Done(outcome) => return Ok(self.tenure_outcome(outcome)),
-                    }
+            // A returned value pops the frames it meets inside the step
+            // that produced it, with no prologue pass per pop: a `Return`
+            // only consumes frames, so no delivery point that can run
+            // code is lost.
+            while let Control::Return(node) = control {
+                match self.step_return(node, &mut stack) {
+                    Step::Continue(c) => control = c,
+                    Step::Done(outcome) => return Ok(self.tenure_outcome(outcome)),
                 }
             }
         }
@@ -238,11 +192,7 @@ impl Machine {
     // Out of line: it runs only under an armed plan, and inlined into the
     // run loop it costs the unarmed hot path.
     #[inline(never)]
-    fn chaos_tick<R: Repr>(
-        &mut self,
-        control: &mut Control<R>,
-        stack: &mut [Frame<R>],
-    ) -> Option<Control<R>> {
+    fn chaos_tick(&mut self, control: &mut Control, stack: &mut [Frame]) -> Option<Control> {
         let raising = matches!(control, Control::Raising(_));
         let step = self.stats.steps;
         let st = self.chaos.as_mut()?;
@@ -321,7 +271,7 @@ impl Machine {
     /// tenured space, rewriting every root the run loop holds — the
     /// registered roots, the inline caches, the current control, and every
     /// stack frame.
-    fn minor_collect<R: Repr>(&mut self, control: &mut Control<R>, stack: &mut [Frame<R>]) {
+    fn minor_collect(&mut self, control: &mut Control, stack: &mut [Frame]) {
         let reuses_before = self.heap.reuses();
         let Machine {
             heap, roots, ics, ..
@@ -349,7 +299,7 @@ impl Machine {
     /// live reference is immediate or tenured), then marks the transient
     /// roots of the current control and stack plus the registered roots
     /// and sweeps the tenured arena.
-    fn collect_during_run<R: Repr>(&mut self, control: &mut Control<R>, stack: &mut [Frame<R>]) {
+    fn collect_during_run(&mut self, control: &mut Control, stack: &mut [Frame]) {
         self.minor_collect(control, stack);
         let mut c = crate::gc::Collector::new(self.heap.tenured_len());
         let mut mark = |n| {
@@ -388,7 +338,7 @@ impl Machine {
     /// Forces `node`: values return, poisoned nodes re-raise (§3.3), black
     /// holes are detected (§5.2), and a thunk is black-holed under an
     /// update frame while its code runs.
-    fn step_enter<R: Repr>(&mut self, node: NodeId, stack: &mut Vec<Frame<R>>) -> Control<R> {
+    fn step_enter(&mut self, node: NodeId, stack: &mut Vec<Frame>) -> Control {
         let node = self.heap.resolve(node);
         if node.is_imm() {
             // Tagged immediates are WHNF already.
@@ -405,9 +355,8 @@ impl Machine {
             }
             // §3.3: a poisoned thunk re-raises the same exception.
             Node::Poisoned(exn) => Control::Raising(exn.clone()),
-            // §5.2: a black hole of either representation is the same
-            // detectable bottom.
-            Node::Blackhole { .. } | Node::CBlackhole { .. } => match self.config.blackholes {
+            // §5.2: a detectable bottom.
+            Node::CBlackhole { .. } => match self.config.blackholes {
                 BlackholeMode::Detect => {
                     self.stats.blackholes_detected += 1;
                     Control::Raising(Exception::NonTermination)
@@ -415,20 +364,216 @@ impl Machine {
                 // Spin in place; the step limit will eventually fire.
                 BlackholeMode::Loop => Control::Enter(node),
             },
-            thunk => {
-                // Episodes never mix executors: `eval_node` routes each
-                // suspension to the loop of its own representation.
-                let (code, env) = R::thunk(thunk)
-                    .unwrap_or_else(|| panic!("a thunk entered by the other executor"));
-                self.heap.set(node, R::blackhole(code.clone(), env.clone()));
+            Node::CThunk { code, env } => {
+                let (code, env) = (*code, env.clone());
+                self.heap.set(
+                    node,
+                    Node::CBlackhole {
+                        code,
+                        env: env.clone(),
+                    },
+                );
                 stack.push(Frame::Update(node));
                 Control::Eval(code, env)
             }
         }
     }
 
+    /// One `Eval` transition.
+    // Always inlined into the run loop, its only caller: out of line it
+    // costs a call per step.
+    #[inline(always)]
+    fn step_eval(&mut self, code: CodeId, env: CEnv, stack: &mut Vec<Frame>) -> Control {
+        let op = self.linked().op(code);
+        if let Some(cov) = self.coverage.as_deref_mut() {
+            cov.hit(op.kind_index());
+        }
+        match op {
+            COp::Local(back) => self.enter_fused(env.get_back(back), stack),
+            COp::Global(g) => {
+                let node = self.linked().global_nodes[g as usize];
+                self.enter_fused(node, stack)
+            }
+            COp::Int(n) => Control::Return(self.int_node(n)),
+            COp::Char(c) => Control::Return(self.alloc_value(HValue::Char(c))),
+            COp::Str(i) => {
+                let s = self.linked().str_at(i);
+                Control::Return(self.alloc_value(HValue::Str(s)))
+            }
+            COp::Con { tag, args, n } => {
+                if n == 0 {
+                    return Control::Return(self.nullary_con_node(tag));
+                }
+                let mut fields = Vec::with_capacity(usize::from(n));
+                for i in 0..u32::from(n) {
+                    let k = self.linked().kid(args + i);
+                    fields.push(self.alloc_code(k, &env));
+                }
+                Control::Return(self.alloc_value(HValue::Con(tag, fields)))
+            }
+            COp::Lam { body } => Control::Return(self.alloc_value(HValue::CFun { body, env })),
+            COp::App { .. } => self.eval_code_fused(code, &env, stack),
+            COp::Let { rhs, body } => {
+                let t = self.alloc_code(rhs, &env);
+                // Test-only sabotage: propagate a speculation's stored
+                // poison at the binding site — the "unlicensed fusion"
+                // that treats a lazy binding as strict. The differential
+                // battery proves the oracle catches it.
+                if !t.is_imm()
+                    && self
+                        .chaos
+                        .as_ref()
+                        .is_some_and(|st| st.plan.sabotage_spec_propagate)
+                {
+                    if let Node::Poisoned(exn) = self.heap.get(t) {
+                        return Control::Raising(exn.clone());
+                    }
+                }
+                Control::Eval(body, env.push(t))
+            }
+            COp::LetRec { rhss, n, body } => {
+                // Tie the knot: allocate empty-environment thunks, extend,
+                // then rewrite each with the extended environment.
+                let mut nodes = Vec::with_capacity(usize::from(n));
+                for i in 0..u32::from(n) {
+                    let k = self.linked().kid(rhss + i);
+                    nodes.push((
+                        k,
+                        self.alloc(Node::CThunk {
+                            code: k,
+                            env: CEnv::empty(),
+                        }),
+                    ));
+                }
+                let mut env2 = env;
+                for (_, nd) in &nodes {
+                    env2 = env2.push(*nd);
+                }
+                for (k, nd) in nodes {
+                    self.heap.set(
+                        nd,
+                        Node::CThunk {
+                            code: k,
+                            env: env2.clone(),
+                        },
+                    );
+                }
+                Control::Eval(body, env2)
+            }
+            COp::Case { scrut, arms_at, n } => {
+                // A forced scrutinee dispatches in this step — no Select
+                // frame, no Eval round trip.
+                if let Some(node) = self.immediate_node(scrut, &env) {
+                    return self.select_arms(node, arms_at, n, &env);
+                }
+                stack.push(Frame::Select {
+                    arms_at,
+                    n,
+                    env: env.clone(),
+                });
+                self.eval_code_fused(scrut, &env, stack)
+            }
+            COp::Prim1 { op, a } => {
+                if let Some(na) = self.immediate_node(a, &env) {
+                    return match self.apply_prim(op, &[na]) {
+                        PrimResult::Value(v) => Control::Return(v),
+                        PrimResult::Raise(exn) => Control::Raising(exn),
+                    };
+                }
+                stack.push(Frame::PrimArgs {
+                    op,
+                    env: env.clone(),
+                    current: 0,
+                    pending: None,
+                    results: [None, None],
+                });
+                self.eval_code_fused(a, &env, stack)
+            }
+            COp::Prim2 { op, a, b } => {
+                // The operand-order policy (§3.5). The Seeded draw must
+                // stay one `gen_bool` per binary primitive so both tiers
+                // see the same sequence — including on the fused path
+                // below, where the order is unobservable (both operands
+                // are values already) but the stream position must still
+                // advance.
+                let left_first = match self.config.order {
+                    OrderPolicy::LeftToRight => true,
+                    OrderPolicy::RightToLeft => false,
+                    OrderPolicy::Seeded(_) => self.rng.gen_bool(0.5),
+                };
+                if let Some(na) = self.immediate_node(a, &env) {
+                    if let Some(nb) = self.immediate_node(b, &env) {
+                        return match self.apply_prim(op, &[na, nb]) {
+                            PrimResult::Value(v) => Control::Return(v),
+                            PrimResult::Raise(exn) => Control::Raising(exn),
+                        };
+                    }
+                }
+                let (current, first, pending) = if left_first {
+                    (0u8, a, Some((1u8, b)))
+                } else {
+                    (1u8, b, Some((0u8, a)))
+                };
+                stack.push(Frame::PrimArgs {
+                    op,
+                    env: env.clone(),
+                    current,
+                    pending,
+                    results: [None, None],
+                });
+                self.eval_code_fused(first, &env, stack)
+            }
+            COp::Seq { a, b } => {
+                // `seq` on a value that already exists is the identity on
+                // control: go straight to `b`.
+                if self.immediate_node(a, &env).is_some() {
+                    return Control::Eval(b, env);
+                }
+                stack.push(Frame::SeqSecond {
+                    code: b,
+                    env: env.clone(),
+                });
+                self.eval_code_fused(a, &env, stack)
+            }
+            COp::MapExn { f, a } => {
+                stack.push(Frame::MapExnCatch {
+                    f,
+                    env: env.clone(),
+                });
+                Control::Eval(a, env)
+            }
+            COp::IsExn { a } => {
+                stack.push(Frame::IsExnCatch);
+                Control::Eval(a, env)
+            }
+            COp::GetExn { a } => {
+                stack.push(Frame::UnsafeGetExnCatch);
+                Control::Eval(a, env)
+            }
+            COp::Raise { a } => {
+                stack.push(Frame::RaiseEval);
+                Control::Eval(a, env)
+            }
+            COp::Fused { body } => match self.exec_region(body, &env) {
+                Some(Ok(v)) => Control::Return(v),
+                Some(Err(exn)) => Control::Raising(exn),
+                // Not every leaf is forced yet: fall back to stepped
+                // evaluation of the region body, which is ordinary code.
+                None => Control::Eval(body, env),
+            },
+            COp::Spec { body } => {
+                // Defensive: the pass only emits `Spec` in operand
+                // positions (handled by `alloc_code`), but evaluating one
+                // directly is still well-defined — build and enter.
+                let node = self.alloc_spec(body, &env);
+                self.enter_fused(node, stack)
+            }
+            COp::AppG { f, ic, a } => self.eval_appg(f, ic, a, &env, stack),
+        }
+    }
+
     /// Pops one frame for the value `node`.
-    fn step_return<R: Repr>(&mut self, node: NodeId, stack: &mut Vec<Frame<R>>) -> Step<R> {
+    fn step_return(&mut self, node: NodeId, stack: &mut Vec<Frame>) -> Step {
         let Some(frame) = stack.pop() else {
             return Step::Done(Outcome::Value(node));
         };
@@ -444,8 +589,15 @@ impl Machine {
                 self.heap.set(target, Node::Ind(node));
                 Control::Return(node)
             }
-            Frame::Apply(arg) => R::apply(self, node, arg),
-            Frame::Select { alts, env } => R::select(self, node, &alts, &env),
+            Frame::Apply(arg) => {
+                let (body, env) = match self.heap.whnf(node) {
+                    Some(Whnf::CFun { body, env }) => (body, env.clone()),
+                    _ => panic!("application of a non-function (ill-typed program)"),
+                };
+                // The compiler reserved the top slot for the argument.
+                Control::Eval(body, env.push(arg))
+            }
+            Frame::Select { arms_at, n, env } => self.select_arms(node, arms_at, n, &env),
             Frame::PrimArgs {
                 op,
                 env,
@@ -462,7 +614,7 @@ impl Machine {
                         pending: None,
                         results,
                     });
-                    R::resume(self, code, env, stack)
+                    self.eval_code_fused(code, &env, stack)
                 } else {
                     let mut nodes = [NodeId(0); 2];
                     let mut n = 0;
@@ -476,7 +628,7 @@ impl Machine {
                     }
                 }
             }
-            Frame::SeqSecond { code, env } => R::resume(self, code, env, stack),
+            Frame::SeqSecond { code, env } => self.eval_code_fused(code, &env, stack),
             Frame::RaiseEval => self.convert_and_raise(node, stack),
             Frame::RaisePayload { con } => {
                 let exn = match self.heap.whnf(node) {
@@ -498,11 +650,7 @@ impl Machine {
 
     /// Converts a WHNF `Exception` constructor value into a raise,
     /// forcing the string payload first if there is one.
-    fn convert_and_raise<R: Repr>(
-        &mut self,
-        node: NodeId,
-        stack: &mut Vec<Frame<R>>,
-    ) -> Control<R> {
+    fn convert_and_raise(&mut self, node: NodeId, stack: &mut Vec<Frame>) -> Control {
         let (name, payload) = match self.heap.whnf(node) {
             Some(Whnf::Con(name, fields)) => (name, fields.first().copied()),
             _ => panic!("raise applied to a non-Exception value (ill-typed program)"),
@@ -524,7 +672,7 @@ impl Machine {
     /// Synchronous raises poison the thunks under evaluation; asynchronous
     /// ones restore them (§5.1); handler frames intercept synchronous
     /// exceptions only.
-    fn step_raise<R: Repr>(&mut self, exn: Exception, stack: &mut Vec<Frame<R>>) -> Step<R> {
+    fn step_raise(&mut self, exn: Exception, stack: &mut Vec<Frame>) -> Step {
         let asynchronous = exn.is_asynchronous();
         loop {
             let Some(frame) = stack.pop() else {
@@ -543,7 +691,11 @@ impl Machine {
                             .is_some_and(|st| st.plan.sabotage_async_restore);
                         // §5.1: restore a *resumable* suspension.
                         if !sabotaged {
-                            if let Some(thunk) = R::restore(self.heap.get(target)) {
+                            if let Node::CBlackhole { code, env } = self.heap.get(target) {
+                                let thunk = Node::CThunk {
+                                    code: *code,
+                                    env: env.clone(),
+                                };
                                 self.heap.set(target, thunk);
                                 self.stats.thunks_restored += 1;
                             }
@@ -583,7 +735,7 @@ impl Machine {
     }
 }
 
-impl<R: Repr> Control<R> {
+impl Control {
     /// Passes every node reference the control register holds through
     /// `f`, storing what it returns: the minor collector's evacuation, or
     /// the major collector's marking with an `f` that returns its input.
@@ -596,7 +748,7 @@ impl<R: Repr> Control<R> {
     }
 }
 
-impl<R: Repr> Frame<R> {
+impl Frame {
     /// As [`Control::visit_nodes`], for every node reference the frame
     /// holds.
     fn visit_nodes(&mut self, f: &mut dyn FnMut(NodeId) -> NodeId) {

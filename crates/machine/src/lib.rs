@@ -11,18 +11,24 @@
 //! of the paper's optimiser: different policies surface different members
 //! of the (fixed) denotational exception set (§3.5).
 //!
+//! The machine runs one kind of code: a program lowered to a flat
+//! [`Code`] image ([`compile_program`], optionally through the tier-2
+//! pass), linked into the machine with [`Machine::link_code`]; queries
+//! lower into the machine's extension as they are evaluated.
+//!
 //! # Examples
 //!
 //! ```
-//! use std::rc::Rc;
-//! use urk_machine::{Machine, MachineConfig, MEnv, Outcome};
+//! use std::sync::Arc;
+//! use urk_machine::{compile_program, Machine, MachineConfig, Outcome};
 //! use urk_syntax::{parse_expr_src, desugar_expr, DataEnv, Exception};
 //!
 //! let data = DataEnv::new();
 //! let e = desugar_expr(&parse_expr_src("(1/0) + 2")?, &data)?;
 //! let mut m = Machine::new(MachineConfig::default());
+//! m.link_code(Arc::new(compile_program(&[])));
 //! // Evaluate under a catch mark, as getException would:
-//! match m.eval(Rc::new(e), &MEnv::empty(), true).expect("no machine error") {
+//! match m.eval_code_expr(&e, true).expect("no machine error") {
 //!     Outcome::Caught(exn) => assert_eq!(exn, Exception::DivideByZero),
 //!     other => panic!("expected a caught exception, got {other:?}"),
 //! }
@@ -45,7 +51,7 @@ pub mod validate;
 pub use chaos::FaultPlan;
 pub use code::{compile_program, Code, CodeVerifyError};
 pub use coverage::{OpCoverage, OPERAND_CLASSES, OP_KINDS, PRIM_OPS};
-pub use env::{CEnv, MEnv};
+pub use env::CEnv;
 pub use heap::{
     AuditFinding, HValue, Heap, HeapAudit, MinorOutcome, Node, NodeId, Whnf, MAX_AUDIT_FINDINGS,
 };
@@ -62,29 +68,33 @@ pub use validate::{validate_tier2, ValidationError, ValidationReport};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::rc::Rc;
+    use std::sync::Arc;
     use urk_syntax::core::Expr;
     use urk_syntax::Exception;
     use urk_syntax::{desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv};
 
-    fn core_of(src: &str) -> Rc<Expr> {
+    fn core_of(src: &str) -> Expr {
         let data = DataEnv::new();
-        Rc::new(desugar_expr(&parse_expr_src(src).expect("parses"), &data).expect("desugars"))
+        desugar_expr(&parse_expr_src(src).expect("parses"), &data).expect("desugars")
+    }
+
+    /// A machine with an empty program linked, ready for closed queries.
+    fn machine(config: MachineConfig) -> Machine {
+        let mut m = Machine::new(config);
+        m.link_code(Arc::new(compile_program(&[])));
+        m
     }
 
     fn eval_with(config: MachineConfig, src: &str, catch: bool) -> (Machine, Outcome) {
-        let mut m = Machine::new(config);
+        let mut m = machine(config);
         let out = m
-            .eval(core_of(src), &MEnv::empty(), catch)
+            .eval_code_expr(&core_of(src), catch)
             .expect("no machine error");
         (m, out)
     }
 
     fn render(src: &str) -> String {
-        let mut m = Machine::new(MachineConfig::default());
-        let out = m
-            .eval(core_of(src), &MEnv::empty(), false)
-            .expect("no machine error");
+        let (mut m, out) = eval_with(MachineConfig::default(), src, false);
         match out {
             Outcome::Value(n) => m.render(n, 16),
             Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
@@ -149,15 +159,13 @@ mod tests {
         )
         .expect("desugars");
         let mut m = Machine::new(MachineConfig::default());
-        let env = m.bind_recursive(&prog.binds, &MEnv::empty());
-        let e = Rc::new(
-            desugar_expr(
-                &parse_expr_src("zipWith (/) [1, 2] [1, 0]").expect("parses"),
-                &data,
-            )
-            .expect("desugars"),
-        );
-        let out = m.eval(e, &env, false).expect("no machine error");
+        m.link_code(Arc::new(compile_program(&prog.binds)));
+        let e = desugar_expr(
+            &parse_expr_src("zipWith (/) [1, 2] [1, 0]").expect("parses"),
+            &data,
+        )
+        .expect("desugars");
+        let out = m.eval_code_expr(&e, false).expect("no machine error");
         let Outcome::Value(n) = out else {
             panic!("spine is defined")
         };
@@ -187,11 +195,8 @@ mod tests {
     fn trimming_poisons_in_flight_thunks() {
         // Force a shared exceptional thunk twice: the second force must
         // re-raise the same exception without re-evaluating.
-        let mut m = Machine::new(MachineConfig::default());
-        let t = m.alloc_expr(
-            &Rc::new(Expr::div(Expr::int(1), Expr::int(0))),
-            &MEnv::empty(),
-        );
+        let mut m = machine(MachineConfig::default());
+        let t = m.alloc_code_thunk(&Expr::div(Expr::int(1), Expr::int(0)));
         let first = m.eval_node(t, true).expect("no machine error");
         assert!(matches!(first, Outcome::Caught(Exception::DivideByZero)));
         assert_eq!(m.stats().thunks_poisoned, 1);
@@ -299,13 +304,12 @@ mod tests {
 
     #[test]
     fn black_hole_loop_mode_spins_to_the_step_limit() {
-        let mut m = Machine::new(MachineConfig {
+        let mut m = machine(MachineConfig {
             blackholes: BlackholeMode::Loop,
             max_steps: 5_000,
             ..MachineConfig::default()
         });
-        let e = core_of("let black = black + 1 in black");
-        let r = m.eval(e, &MEnv::empty(), true);
+        let r = m.eval_code_expr(&core_of("let black = black + 1 in black"), true);
         assert_eq!(r.expect_err("should spin"), MachineError::StepLimit);
     }
 
@@ -313,18 +317,18 @@ mod tests {
     // §5.1: asynchronous exceptions
     // ------------------------------------------------------------------
 
-    fn slow_expr() -> Rc<Expr> {
+    fn slow_expr() -> Expr {
         core_of("let f = \\n -> if n == 0 then 42 else f (n - 1) in f 100000")
     }
 
     #[test]
     fn interrupts_are_delivered_and_thunks_are_resumable() {
-        let mut m = Machine::new(MachineConfig {
+        let mut m = machine(MachineConfig {
             event_schedule: vec![(1_000, Exception::Interrupt)],
             ..MachineConfig::default()
         });
         // Make the computation a shared heap node so we can resume it.
-        let work = m.alloc_expr(&slow_expr(), &MEnv::empty());
+        let work = m.alloc_code_thunk(&slow_expr());
         let first = m.eval_node(work, true).expect("no machine error");
         assert!(matches!(first, Outcome::Caught(Exception::Interrupt)));
         assert!(m.stats().thunks_restored >= 1, "{:?}", m.stats());
@@ -339,48 +343,52 @@ mod tests {
 
     #[test]
     fn timeout_on_step_limit_is_an_asynchronous_exception() {
-        let mut m = Machine::new(MachineConfig {
+        let mut m = machine(MachineConfig {
             max_steps: 2_000,
             timeout_on_step_limit: true,
             ..MachineConfig::default()
         });
         let out = m
-            .eval(slow_expr(), &MEnv::empty(), true)
+            .eval_code_expr(&slow_expr(), true)
             .expect("timeout is delivered as an exception");
         assert!(matches!(out, Outcome::Caught(Exception::Timeout)));
     }
 
     #[test]
     fn stack_exhaustion_raises_stack_overflow() {
-        let mut m = Machine::new(MachineConfig {
-            max_stack: 500,
-            ..MachineConfig::default()
-        });
         // Non-tail recursion grows the evaluation stack.
-        let e = core_of("let f = \\n -> 1 + f (n + 1) in f 0");
-        let out = m.eval(e, &MEnv::empty(), true).expect("no machine error");
+        let (_, out) = eval_with(
+            MachineConfig {
+                max_stack: 500,
+                ..MachineConfig::default()
+            },
+            "let f = \\n -> 1 + f (n + 1) in f 0",
+            true,
+        );
         assert!(matches!(out, Outcome::Caught(Exception::StackOverflow)));
     }
 
     #[test]
     fn heap_exhaustion_raises_heap_overflow() {
-        let mut m = Machine::new(MachineConfig {
-            max_heap: 2_000,
-            ..MachineConfig::default()
-        });
-        let e = core_of("let f = \\n -> n : f (n + 1) in let len = \\xs -> case xs of { [] -> 0; y:ys -> 1 + len ys } in len (f 0)");
-        let out = m.eval(e, &MEnv::empty(), true).expect("no machine error");
+        let (_, out) = eval_with(
+            MachineConfig {
+                max_heap: 2_000,
+                ..MachineConfig::default()
+            },
+            "let f = \\n -> n : f (n + 1) in let len = \\xs -> case xs of { [] -> 0; y:ys -> 1 + len ys } in len (f 0)",
+            true,
+        );
         assert!(matches!(out, Outcome::Caught(Exception::HeapOverflow)));
     }
 
     #[test]
     fn uncaught_async_exception_aborts_the_program() {
-        let mut m = Machine::new(MachineConfig {
+        let mut m = machine(MachineConfig {
             event_schedule: vec![(500, Exception::Interrupt)],
             ..MachineConfig::default()
         });
         let out = m
-            .eval(slow_expr(), &MEnv::empty(), false)
+            .eval_code_expr(&slow_expr(), false)
             .expect("no machine error");
         assert!(matches!(out, Outcome::Uncaught(Exception::Interrupt)));
     }
@@ -433,15 +441,15 @@ mod tests {
 
     #[test]
     fn map_exception_does_not_catch_async() {
-        let mut m = Machine::new(MachineConfig {
-            event_schedule: vec![(1_000, Exception::Interrupt)],
-            ..MachineConfig::default()
-        });
-        let e = core_of(
+        let (_, out) = eval_with(
+            MachineConfig {
+                event_schedule: vec![(1_000, Exception::Interrupt)],
+                ..MachineConfig::default()
+            },
             r#"mapException (\x -> UserError "remapped")
                  (let f = \n -> if n == 0 then 1 else f (n - 1) in f 100000)"#,
+            true,
         );
-        let out = m.eval(e, &MEnv::empty(), true).expect("no machine error");
         assert!(
             matches!(out, Outcome::Caught(Exception::Interrupt)),
             "async exceptions pass through mapException: {out:?}"
@@ -461,27 +469,27 @@ mod tests {
         // (BlackholeMode::Loop models an implementation without detectable
         // bottoms.)
         let src = "let loop = loop in unsafeIsException ((1/0) + loop)";
-        let mut l2r = Machine::new(MachineConfig {
+        let mut l2r = machine(MachineConfig {
             order: OrderPolicy::LeftToRight,
             blackholes: BlackholeMode::Loop,
             max_steps: 20_000,
             ..MachineConfig::default()
         });
         let out = l2r
-            .eval(core_of(src), &MEnv::empty(), false)
+            .eval_code_expr(&core_of(src), false)
             .expect("terminates");
         let Outcome::Value(n) = out else {
             panic!("{out:?}")
         };
         assert_eq!(l2r.render(n, 2), "True");
 
-        let mut r2l = Machine::new(MachineConfig {
+        let mut r2l = machine(MachineConfig {
             order: OrderPolicy::RightToLeft,
             blackholes: BlackholeMode::Loop,
             max_steps: 20_000,
             ..MachineConfig::default()
         });
-        let r = r2l.eval(core_of(src), &MEnv::empty(), false);
+        let r = r2l.eval_code_expr(&core_of(src), false);
         assert_eq!(r.expect_err("diverges"), MachineError::StepLimit);
     }
 
@@ -519,13 +527,14 @@ mod tests {
                        ; go = \\i acc -> if i == 0 then acc
                                          else go (i - 1) (acc + len (mk 50)) }
                    in go 200 0";
-        let mut m = Machine::new(MachineConfig {
-            gc_threshold: 20_000,
-            ..MachineConfig::default()
-        });
-        let out = m
-            .eval(core_of(src), &MEnv::empty(), false)
-            .expect("no machine error");
+        let (mut m, out) = eval_with(
+            MachineConfig {
+                gc_threshold: 20_000,
+                ..MachineConfig::default()
+            },
+            src,
+            false,
+        );
         let Outcome::Value(n) = out else {
             panic!("{out:?}")
         };
@@ -564,12 +573,12 @@ mod tests {
 
     #[test]
     fn unboxed_values_are_shared_across_evaluations_and_survive_gc() {
-        let mut m = Machine::new(MachineConfig::default());
+        let mut m = machine(MachineConfig::default());
         let a = m
-            .eval(core_of("1 + 2"), &MEnv::empty(), false)
+            .eval_code_expr(&core_of("1 + 2"), false)
             .expect("no machine error");
         let b = m
-            .eval(core_of("5 - 2"), &MEnv::empty(), false)
+            .eval_code_expr(&core_of("5 - 2"), false)
             .expect("no machine error");
         let (Outcome::Value(a), Outcome::Value(b)) = (a, b) else {
             panic!("expected values")
@@ -584,7 +593,7 @@ mod tests {
         m.collect_with(&[]);
         assert_eq!(m.render(a, 4), "3");
         let t = m
-            .eval(core_of("1 == 1"), &MEnv::empty(), false)
+            .eval_code_expr(&core_of("1 == 1"), false)
             .expect("no machine error");
         let Outcome::Value(t) = t else {
             panic!("expected a value")
@@ -598,11 +607,11 @@ mod tests {
         // word itself: a fresh machine has an *empty* heap (the PR 1
         // intern pool is gone), and arithmetic over small ints produces an
         // immediate result, not a cell.
-        let mut m = Machine::new(MachineConfig::default());
+        let mut m = machine(MachineConfig::default());
         assert_eq!(m.heap().len(), 0);
         assert_eq!(m.stats().allocations, 0);
         let out = m
-            .eval(core_of("(1 + 2) * 4"), &MEnv::empty(), false)
+            .eval_code_expr(&core_of("(1 + 2) * 4"), false)
             .expect("no machine error");
         let Outcome::Value(n) = out else {
             panic!("{out:?}")
@@ -620,14 +629,14 @@ mod tests {
         let src = "let { mk = \\n -> if n == 0 then [] else n : mk (n - 1)
                        ; len = \\xs -> case xs of { [] -> 0; y:ys -> 1 + len ys } }
                    in len (mk 400)";
-        let mut m = Machine::new(MachineConfig {
+        let mut m = machine(MachineConfig {
             gc_threshold: 2_000,
             nursery_size: 256,
             ..MachineConfig::default()
         });
         let run = |m: &mut Machine| {
             let out = m
-                .eval(core_of(src), &MEnv::empty(), false)
+                .eval_code_expr(&core_of(src), false)
                 .expect("no machine error");
             let Outcome::Value(n) = out else {
                 panic!("{out:?}")
@@ -659,16 +668,14 @@ mod tests {
             gc_threshold: 1_000,
             ..MachineConfig::default()
         });
-        let env = m.bind_recursive(&prog.binds, &MEnv::empty());
+        m.link_code(Arc::new(compile_program(&prog.binds)));
         // Churn to force collections, then use the program again.
         let churn = core_of("let f = \\n -> if n == 0 then 0 else f (n - 1) in f 20000");
-        let _ = m.eval(churn, &MEnv::empty(), false).expect("ok");
+        let _ = m.eval_code_expr(&churn, false).expect("ok");
         assert!(m.stats().gc_runs >= 1);
-        let e = Rc::new(
-            desugar_expr(&parse_expr_src("ten + double 100").expect("parses"), &data)
-                .expect("desugars"),
-        );
-        let out = m.eval(e, &env, false).expect("ok");
+        let e = desugar_expr(&parse_expr_src("ten + double 100").expect("parses"), &data)
+            .expect("desugars");
+        let out = m.eval_code_expr(&e, false).expect("ok");
         let Outcome::Value(n) = out else {
             panic!("{out:?}")
         };
@@ -677,18 +684,15 @@ mod tests {
 
     #[test]
     fn gc_can_be_disabled() {
-        let mut m = Machine::new(MachineConfig {
-            gc: false,
-            gc_threshold: 100,
-            ..MachineConfig::default()
-        });
-        let out = m
-            .eval(
-                core_of("let f = \\n -> if n == 0 then 7 else f (n - 1) in f 5000"),
-                &MEnv::empty(),
-                false,
-            )
-            .expect("ok");
+        let (m, out) = eval_with(
+            MachineConfig {
+                gc: false,
+                gc_threshold: 100,
+                ..MachineConfig::default()
+            },
+            "let f = \\n -> if n == 0 then 7 else f (n - 1) in f 5000",
+            false,
+        );
         assert!(matches!(out, Outcome::Value(_)));
         assert_eq!(m.stats().gc_runs, 0);
     }

@@ -1,7 +1,7 @@
 //! The lazy graph-reduction machine with §3.3's stack-trimming exception
-//! implementation: its configuration, state and allocators, and the
-//! `Rc<Expr>` tree representation ([`Tree`]) the shared
-//! [`crate::kernel`] runs.
+//! implementation: its configuration, state, allocators and primitives.
+//! The run loop is [`crate::kernel`]; the code it runs is flat
+//! ([`crate::code`], linked by [`Machine::link_code`]).
 //!
 //! One evaluation episode runs a standard eval/apply abstract machine:
 //!
@@ -24,18 +24,16 @@
 use std::rc::Rc;
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-use urk_syntax::core::{AltCon, Expr, PrimOp};
+use urk_syntax::core::PrimOp;
 use urk_syntax::{Exception, Symbol};
 
 use crate::chaos::{ChaosState, FaultPlan};
 use crate::code::LinkedCode;
-use crate::compiled::Flat;
-use crate::env::MEnv;
 use crate::heap::{HValue, Heap, HeapAudit, Node, NodeId, Whnf};
 use crate::interrupt::InterruptHandle;
-use crate::kernel::{Control, Frame, Repr};
+use crate::kernel::Control;
 
 /// In which order the machine evaluates the operands of a binary primitive.
 ///
@@ -52,12 +50,12 @@ pub enum OrderPolicy {
     Seeded(u64),
 }
 
-/// Which execution mode produced a result: the `Rc<Expr>` tree-walker or
-/// the flat arena-indexed compiled code (see [`crate::code`]).
+/// Which executor produced a result. There is one: flat arena-indexed
+/// code (see [`crate::code`]), at the [`Tier`] its image was built at.
+/// The tag survives in stats, wire frames and cache keys.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum Backend {
     #[default]
-    Tree,
     Compiled,
 }
 
@@ -65,7 +63,6 @@ impl Backend {
     /// The CLI/stats spelling.
     pub fn name(self) -> &'static str {
         match self {
-            Backend::Tree => "tree",
             Backend::Compiled => "compiled",
         }
     }
@@ -74,9 +71,8 @@ impl Backend {
 /// Which compilation tier produced the linked [`crate::Code`] image.
 /// Tier 1 is the direct lowering of Core; tier 2 runs the
 /// analysis-licensed superinstruction pass ([`crate::tier2_optimize`])
-/// over it. Part of cache keys (a tier byte, like the backend byte) —
-/// the two tiers denote the same sets but take different step/alloc
-/// paths to them.
+/// over it. Part of cache keys (a tier byte) — the two tiers denote the
+/// same sets but take different step/alloc paths to them.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum Tier {
     #[default]
@@ -149,8 +145,8 @@ pub struct MachineConfig {
     /// plumbing: deliberately excluded from pool cache keys, like
     /// `interrupt` and `chaos`.
     pub verify_code: bool,
-    /// Record compiled-op pair coverage ([`crate::OpCoverage`]) while the
-    /// compiled backend runs. Off by default: the disabled cost is one
+    /// Record op-pair coverage ([`crate::OpCoverage`]) while the machine
+    /// runs. Off by default: the disabled cost is one
     /// `Option` test per compiled dispatch. Run-only plumbing like
     /// `interrupt`/`chaos`/`verify_code` — never part of a cache key, and
     /// it cannot change any observable outcome or `Stats` counter.
@@ -239,8 +235,7 @@ pub struct Stats {
     /// Wall-clock microseconds spent compiling (same attribution as
     /// `compile_ops`).
     pub compile_micros: u64,
-    /// Which execution mode this machine ran (`Tree` until compiled code
-    /// is linked).
+    /// Which executor this machine ran (there is one).
     pub backend: Backend,
     /// Which compilation tier the linked code image was built at (`One`
     /// until a tier-2 image is linked). Like `backend`, a mode tag: it
@@ -295,8 +290,7 @@ impl std::fmt::Display for MachineError {
 
 impl std::error::Error for MachineError {}
 
-/// A strict primitive's outcome, independent of the executor's control
-/// representation.
+/// A strict primitive's outcome, before it becomes a control transition.
 pub(crate) enum PrimResult {
     Value(NodeId),
     Raise(Exception),
@@ -329,8 +323,8 @@ pub struct Machine {
     pub(crate) interrupt: InterruptHandle,
     /// Progress through the chaos fault plan, if one is armed.
     pub(crate) chaos: Option<ChaosState>,
-    /// The linked compiled program + query extension, once
-    /// [`Machine::link_code`] has run (the compiled backend's state).
+    /// The linked program image + query extension, once
+    /// [`Machine::link_code`] has run.
     pub(crate) code: Option<LinkedCode>,
     /// The op-pair coverage map, when [`MachineConfig::coverage`] is on.
     /// Boxed so the disabled case costs one word in the machine.
@@ -559,53 +553,11 @@ impl Machine {
         freed + outcome.freed
     }
 
-    /// Allocates a thunk for `expr` — except that variables reuse their
-    /// bound node (preserving sharing) and literals go straight to a WHNF
-    /// value (a tagged immediate where possible), skipping the
-    /// thunk/update round trip entirely.
-    ///
-    /// Public entry point for embedders: anything allocated is *tenured*,
-    /// so the returned id stays valid across collections (nursery cells
-    /// move). The run loop's internal allocations use the nursery variant.
-    pub fn alloc_expr(&mut self, expr: &Rc<Expr>, env: &MEnv) -> NodeId {
-        let id = self.alloc_expr_nursery(expr, env);
-        self.tenure_result(id)
-    }
-
-    /// The run loop's allocator for `alloc_expr`: fresh cells go to the
-    /// bump-allocated nursery (ids are rewritten by minor collections, so
-    /// only the run loop — whose roots the collector rewrites — may hold
-    /// them).
-    pub(crate) fn alloc_expr_nursery(&mut self, expr: &Rc<Expr>, env: &MEnv) -> NodeId {
-        match &**expr {
-            Expr::Var(v) => {
-                if let Some(n) = env.lookup(*v) {
-                    return n;
-                }
-                panic!("unbound variable '{v}' while allocating a thunk");
-            }
-            Expr::Int(n) => self.int_node(*n),
-            Expr::Char(c) => self.alloc_value(HValue::Char(*c)),
-            Expr::Str(s) => self.alloc_value(HValue::Str(s.clone())),
-            Expr::Con(c, args) if args.is_empty() => self.nullary_con_node(*c),
-            _ => self.alloc(Node::Thunk {
-                expr: expr.clone(),
-                env: env.clone(),
-            }),
-        }
-    }
-
     /// Allocates a WHNF value node (used by the IO layer to feed results
     /// back into the graph). Tenured: the caller holds the id across
     /// evaluations.
     pub fn alloc_hvalue(&mut self, v: HValue) -> NodeId {
         self.alloc_tenured(Node::Value(v))
-    }
-
-    /// Allocates an explicit thunk node. Tenured, like
-    /// [`Machine::alloc_hvalue`].
-    pub fn alloc_thunk(&mut self, expr: Rc<Expr>, env: MEnv) -> NodeId {
-        self.alloc_tenured(Node::Thunk { expr, env })
     }
 
     /// Overwrites a node (resolving indirections first) with a new WHNF
@@ -663,150 +615,14 @@ impl Machine {
         }
     }
 
-    /// Ties the knot for a recursive binding group at the *top level*,
-    /// registering the bound nodes as GC roots, and returns the extended
-    /// environment. The thunks are tenured: the returned environment is
-    /// held by the embedder, and its entries must survive minor
-    /// collections unmoved.
-    pub fn bind_recursive(&mut self, binds: &[(Symbol, Rc<Expr>)], env: &MEnv) -> MEnv {
-        let env2 = self.bind_recursive_with(binds, env, true);
-        env2.for_each_node(|n| {
-            self.roots.push(n);
-        });
-        env2
-    }
-
-    /// Ties the knot for a `letrec` group without rooting (the bindings
-    /// are reachable from the enclosing environment); the run loop's
-    /// nursery-allocating path.
-    fn bind_recursive_inner(&mut self, binds: &[(Symbol, Rc<Expr>)], env: &MEnv) -> MEnv {
-        self.bind_recursive_with(binds, env, false)
-    }
-
-    fn bind_recursive_with(
-        &mut self,
-        binds: &[(Symbol, Rc<Expr>)],
-        env: &MEnv,
-        tenured: bool,
-    ) -> MEnv {
-        let nodes: Vec<NodeId> = binds
-            .iter()
-            .map(|(_, rhs)| {
-                let node = Node::Thunk {
-                    expr: rhs.clone(),
-                    env: MEnv::empty(),
-                };
-                if tenured {
-                    self.alloc_tenured(node)
-                } else {
-                    self.alloc(node)
-                }
-            })
-            .collect();
-        let mut env2 = env.clone();
-        for ((name, _), n) in binds.iter().zip(&nodes) {
-            env2 = env2.bind(*name, *n);
-        }
-        for ((_, rhs), n) in binds.iter().zip(&nodes) {
-            self.heap.set(
-                *n,
-                Node::Thunk {
-                    expr: rhs.clone(),
-                    env: env2.clone(),
-                },
-            );
-        }
-        env2
-    }
-
-    /// Evaluates `expr` to WHNF in one episode. With `catch`, a catch mark
-    /// is planted at the base of the stack (this is `getException`'s mode).
-    pub fn eval(
-        &mut self,
-        expr: Rc<Expr>,
-        env: &MEnv,
-        catch: bool,
-    ) -> Result<Outcome, MachineError> {
-        self.run::<Tree>(Control::Eval(expr, env.clone()), catch)
-    }
-
-    /// Forces an existing node to WHNF. Compiled suspensions are routed to
-    /// the compiled run loop, so rendering a constructor whose fields were
-    /// built by either backend just works.
+    /// Forces an existing node to WHNF.
     pub fn eval_node(&mut self, node: NodeId, catch: bool) -> Result<Outcome, MachineError> {
         let r = self.heap.resolve(node);
         if r.is_imm() {
             // Tagged immediates are already WHNF — nothing to run.
             return Ok(Outcome::Value(r));
         }
-        if matches!(
-            self.heap.get(r),
-            Node::CThunk { .. } | Node::CBlackhole { .. }
-        ) {
-            return self.run::<Flat>(Control::Enter(node), catch);
-        }
-        self.run::<Tree>(Control::Enter(node), catch)
-    }
-
-    // Inlined into `Tree::eval`, its only caller.
-    #[inline]
-    fn step_prim(
-        &mut self,
-        op: PrimOp,
-        args: &[Rc<Expr>],
-        env: MEnv,
-        stack: &mut Vec<Frame<Tree>>,
-    ) -> Control<Tree> {
-        match op {
-            PrimOp::Seq => {
-                stack.push(Frame::SeqSecond {
-                    code: args[1].clone(),
-                    env: env.clone(),
-                });
-                Control::Eval(args[0].clone(), env)
-            }
-            PrimOp::MapExn => {
-                stack.push(Frame::MapExnCatch {
-                    f: args[0].clone(),
-                    env: env.clone(),
-                });
-                Control::Eval(args[1].clone(), env)
-            }
-            PrimOp::UnsafeIsException => {
-                stack.push(Frame::IsExnCatch);
-                Control::Eval(args[0].clone(), env)
-            }
-            PrimOp::UnsafeGetException => {
-                stack.push(Frame::UnsafeGetExnCatch);
-                Control::Eval(args[0].clone(), env)
-            }
-            _ => {
-                // Decide the operand order — the machine's "optimisation
-                // level" (§3.5).
-                let (first, pending) = if args.len() == 1 {
-                    (0u8, None)
-                } else {
-                    let left_first = match self.config.order {
-                        OrderPolicy::LeftToRight => true,
-                        OrderPolicy::RightToLeft => false,
-                        OrderPolicy::Seeded(_) => self.rng.gen_bool(0.5),
-                    };
-                    if left_first {
-                        (0, Some((1u8, args[1].clone())))
-                    } else {
-                        (1, Some((0u8, args[0].clone())))
-                    }
-                };
-                stack.push(Frame::PrimArgs {
-                    op,
-                    env: env.clone(),
-                    current: first,
-                    pending,
-                    results: [None, None],
-                });
-                Control::Eval(args[first as usize].clone(), env)
-            }
-        }
+        self.run(Control::Enter(node), catch)
     }
 
     /// Value-profile hook for the fuzzer: classifies each operand of a
@@ -954,7 +770,7 @@ impl Machine {
             Whnf::Int(n) => return n.to_string(),
             Whnf::Char(c) => return format!("{c:?}"),
             Whnf::Str(s) => return format!("{s:?}"),
-            Whnf::Fun { .. } | Whnf::CFun { .. } => return "<function>".into(),
+            Whnf::CFun { .. } => return "<function>".into(),
             Whnf::Con(c, []) => return c.to_string(),
             Whnf::Con(c, fields) => (c, fields.len()),
         };
@@ -978,155 +794,5 @@ impl Machine {
             }
         }
         out
-    }
-}
-
-/// The tree representation: `Rc<Expr>` code under `Symbol`-keyed
-/// [`MEnv`]s, one prologue pass per transition.
-pub(crate) struct Tree;
-
-impl Repr for Tree {
-    type Code = Rc<Expr>;
-    type Env = MEnv;
-    /// The whole `Case` expression, so no per-`case` copy of the
-    /// alternatives is made.
-    type Alts = Rc<Expr>;
-    const FUSE_RETURNS: bool = false;
-
-    #[inline(always)]
-    fn eval(
-        m: &mut Machine,
-        expr: Rc<Expr>,
-        env: MEnv,
-        stack: &mut Vec<Frame<Tree>>,
-    ) -> Control<Tree> {
-        match &*expr {
-            Expr::Var(v) => {
-                let node = env
-                    .lookup(*v)
-                    .unwrap_or_else(|| panic!("unbound variable '{v}'"));
-                Control::Enter(node)
-            }
-            Expr::Int(n) => Control::Return(m.int_node(*n)),
-            Expr::Char(c) => Control::Return(m.alloc_value(HValue::Char(*c))),
-            Expr::Str(s) => Control::Return(m.alloc_value(HValue::Str(s.clone()))),
-            Expr::Con(c, args) => {
-                if args.is_empty() {
-                    return Control::Return(m.nullary_con_node(*c));
-                }
-                let fields = args.iter().map(|a| m.alloc_expr_nursery(a, &env)).collect();
-                Control::Return(m.alloc_value(HValue::Con(*c, fields)))
-            }
-            Expr::Lam(x, b) => Control::Return(m.alloc_value(HValue::Fun {
-                param: *x,
-                body: b.clone(),
-                env,
-            })),
-            Expr::App(f, x) => {
-                let arg = m.alloc_expr_nursery(x, &env);
-                stack.push(Frame::Apply(arg));
-                Control::Eval(f.clone(), env)
-            }
-            Expr::Let(x, rhs, body) => {
-                let t = m.alloc_expr_nursery(rhs, &env);
-                Control::Eval(body.clone(), env.bind(*x, t))
-            }
-            Expr::LetRec(binds, body) => {
-                let env2 = m.bind_recursive_inner(binds, &env);
-                Control::Eval(body.clone(), env2)
-            }
-            Expr::Case(scrut, _) => {
-                let scrut = scrut.clone();
-                stack.push(Frame::Select {
-                    alts: expr,
-                    env: env.clone(),
-                });
-                Control::Eval(scrut, env)
-            }
-            Expr::Prim(op, args) => m.step_prim(*op, args, env, stack),
-            Expr::Raise(e) => {
-                stack.push(Frame::RaiseEval);
-                Control::Eval(e.clone(), env)
-            }
-        }
-    }
-
-    #[inline]
-    fn resume(
-        _: &mut Machine,
-        expr: Rc<Expr>,
-        env: MEnv,
-        _: &mut Vec<Frame<Tree>>,
-    ) -> Control<Tree> {
-        Control::Eval(expr, env)
-    }
-
-    #[inline]
-    fn apply(m: &mut Machine, fun: NodeId, arg: NodeId) -> Control<Tree> {
-        let (param, body, env) = match m.heap.whnf(fun) {
-            Some(Whnf::Fun { param, body, env }) => (param, body.clone(), env.clone()),
-            _ => panic!("application of a non-function (ill-typed program)"),
-        };
-        Control::Eval(body, env.bind(param, arg))
-    }
-
-    /// Matches a WHNF value against case alternatives.
-    #[inline]
-    fn select(m: &mut Machine, node: NodeId, case: &Rc<Expr>, env: &MEnv) -> Control<Tree> {
-        let Expr::Case(_, alts) = &**case else {
-            unreachable!("Select frame holds a Case expression");
-        };
-        let v = m.heap.whnf(node).expect("select on a non-value");
-        for alt in alts {
-            let matched = match (&alt.con, &v) {
-                // A default alternative may bind the forced scrutinee.
-                (AltCon::Default, _) => {
-                    let mut env2 = env.clone();
-                    if let Some(b) = alt.binders.first() {
-                        env2 = env2.bind(*b, node);
-                    }
-                    Some(env2)
-                }
-                (AltCon::Int(a), Whnf::Int(b)) if a == b => Some(env.clone()),
-                (AltCon::Char(a), Whnf::Char(b)) if a == b => Some(env.clone()),
-                (AltCon::Str(a), Whnf::Str(b)) if **a == ***b => Some(env.clone()),
-                (AltCon::Con(c), Whnf::Con(d, fields)) if c == d => {
-                    let mut env2 = env.clone();
-                    for (b, f) in alt.binders.iter().zip(fields.iter()) {
-                        env2 = env2.bind(*b, *f);
-                    }
-                    Some(env2)
-                }
-                _ => None,
-            };
-            if let Some(env2) = matched {
-                return Control::Eval(alt.rhs.clone(), env2);
-            }
-        }
-        Control::Raising(Exception::PatternMatchFail("case".into()))
-    }
-
-    #[inline]
-    fn thunk(node: &Node) -> Option<(Rc<Expr>, MEnv)> {
-        match node {
-            Node::Thunk { expr, env } => Some((expr.clone(), env.clone())),
-            _ => None,
-        }
-    }
-
-    #[inline]
-    fn blackhole(expr: Rc<Expr>, env: MEnv) -> Node {
-        Node::Blackhole { expr, env }
-    }
-
-    #[inline]
-    fn restore(node: &Node) -> Option<Node> {
-        match node {
-            Node::Blackhole { expr, env } => Some(Node::Thunk {
-                expr: expr.clone(),
-                env: env.clone(),
-            }),
-            _ => None,
-        }
     }
 }

@@ -37,9 +37,9 @@
 //!
 //! Everything the pass emits is re-checked: [`Code::verify`] knows the
 //! tier-2 ops' structural rules, and the differential battery
-//! (`tests/tier2.rs`) compares tier-2 runs against the tree machine,
-//! tier 1, and the denotational semantics under both order policies,
-//! chaos plans, and interrupt sweeps. Facts are a *licence*, never a
+//! (`tests/tier2.rs`) compares tier-2 runs against tier 1 and the
+//! denotational semantics under both order policies, chaos plans, and
+//! interrupt sweeps. Facts are a *licence*, never a
 //! proof — the oracle has the last word.
 
 use std::collections::HashMap;
@@ -290,9 +290,9 @@ impl Rewriter<'_> {
     /// replaced by a literal iff its fact proves a WHNF-safe literal
     /// value **and** the source body is already a literal op of the
     /// matching kind. The second condition keeps a Seeded machine in
-    /// lockstep with the tree backend: folding a *computed* constant
-    /// (say `k = 2 + 3`) would erase the §3.5 draw the tree machine
-    /// performs when `k` is first forced. The emitted literal comes from
+    /// lockstep with tier 1: folding a *computed* constant (say
+    /// `k = 2 + 3`) would erase the §3.5 draw tier 1 performs when `k` is
+    /// first forced. The emitted literal comes from
     /// the fact, so a corrupted licence is observable.
     fn const_literal(&mut self, g: u32) -> Option<COp> {
         let fact = self.facts.globals.get(g as usize)?;
@@ -717,8 +717,7 @@ mod tests {
     use super::*;
     use crate::code::compile_program;
     use crate::machine::{Machine, MachineConfig, Outcome};
-    use crate::{MEnv, OrderPolicy};
-    use std::rc::Rc;
+    use crate::OrderPolicy;
     use urk_syntax::{desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv};
 
     fn compile_src(src: &str) -> (DataEnv, Code) {
@@ -747,17 +746,9 @@ mod tests {
         }
     }
 
-    fn tree_render(src: &str, query: &str) -> String {
-        let mut data = DataEnv::new();
-        let prog =
-            desugar_program(&parse_program(src).expect("parses"), &mut data).expect("desugars");
-        let mut m = Machine::new(MachineConfig::default());
-        let env = m.bind_recursive(&prog.binds, &MEnv::empty());
-        let e = desugar_expr(&parse_expr_src(query).expect("parses"), &data).expect("desugars");
-        match m.eval(Rc::new(e), &env, false).expect("no machine error") {
-            Outcome::Value(n) => m.render(n, 32),
-            Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
-        }
+    fn tier1_render(src: &str, query: &str, config: MachineConfig) -> String {
+        let (data, code) = compile_src(src);
+        render_with(Arc::new(code), &data, query, config)
     }
 
     #[test]
@@ -854,7 +845,7 @@ mod tests {
     }
 
     #[test]
-    fn tier2_agrees_with_the_tree_machine_on_a_smoke_corpus() {
+    fn tier2_agrees_with_tier1_on_a_smoke_corpus() {
         let progs: &[(&str, &str)] = &[
             (
                 "fib n = if n < 2 then n else fib (n - 1) + fib (n - 2)",
@@ -882,7 +873,7 @@ mod tests {
             let t2 = Arc::new(tier2_optimize(&code, &Tier2Facts::empty()));
             t2.verify().expect("verifies");
             assert_eq!(
-                tree_render(prog, query),
+                tier1_render(prog, query, MachineConfig::default()),
                 render_with(t2.clone(), &data, query, MachineConfig::default()),
                 "{query}"
             );
@@ -890,7 +881,7 @@ mod tests {
     }
 
     #[test]
-    fn seeded_runs_stay_in_lockstep_with_the_tree_backend() {
+    fn seeded_runs_stay_in_lockstep_with_tier1() {
         let prog = "both a b = a + b\nmain = both ((1/0) + raise (UserError \"a\")) (2 - raise (UserError \"b\"))";
         let (data, code) = compile_src(prog);
         let t2 = Arc::new(tier2_optimize(&code, &Tier2Facts::empty()));
@@ -899,19 +890,8 @@ mod tests {
                 order: OrderPolicy::Seeded(seed),
                 ..MachineConfig::default()
             };
-            let mut data2 = DataEnv::new();
-            let prog2 = desugar_program(&parse_program(prog).expect("parses"), &mut data2)
-                .expect("desugars");
-            let mut tm = Machine::new(config.clone());
-            let env = tm.bind_recursive(&prog2.binds, &MEnv::empty());
-            let e =
-                desugar_expr(&parse_expr_src("main").expect("parses"), &data2).expect("desugars");
-            let tree = match tm.eval(Rc::new(e), &env, false).expect("no machine error") {
-                Outcome::Value(n) => tm.render(n, 32),
-                Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
-            };
             assert_eq!(
-                tree,
+                tier1_render(prog, "main", config.clone()),
                 render_with(t2.clone(), &data, "main", config),
                 "seed {seed}"
             );

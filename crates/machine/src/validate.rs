@@ -263,7 +263,7 @@ impl Checker<'_> {
     /// the fresh facts and the *source* arena: WHNF-safe, proven literal,
     /// and a source body that is already a literal op of the same kind
     /// (the §3.5 exclusion — substituting a computed constant would erase
-    /// a draw the tree machine performs). Returns the licensed value.
+    /// a draw tier 1 performs). Returns the licensed value.
     fn const_licence(&self, g: u32) -> Option<FactVal> {
         let fact = self.facts.globals.get(g as usize)?;
         if !fact.whnf_safe {

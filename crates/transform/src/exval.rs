@@ -262,8 +262,16 @@ fn encode_prim(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use urk_machine::{MEnv, Machine, MachineConfig, Outcome};
+    use std::sync::Arc;
+    use urk_machine::{compile_program, Machine, MachineConfig, Outcome};
     use urk_syntax::{desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv};
+
+    /// A fresh machine with `prog` lowered and linked.
+    fn machine_for(prog: &CoreProgram) -> Machine {
+        let mut m = Machine::new(MachineConfig::default());
+        m.link_code(Arc::new(compile_program(&prog.binds)));
+        m
+    }
 
     fn program(src: &str) -> CoreProgram {
         let mut env = DataEnv::new();
@@ -272,11 +280,9 @@ mod tests {
 
     fn run_with_program(prog: &CoreProgram, expr: &str) -> (String, urk_machine::Stats) {
         let data = DataEnv::new();
-        let mut m = Machine::new(MachineConfig::default());
-        let env = m.bind_recursive(&prog.binds, &MEnv::empty());
-        let e =
-            Rc::new(desugar_expr(&parse_expr_src(expr).expect("parses"), &data).expect("desugars"));
-        let out = m.eval(e, &env, false).expect("no machine error");
+        let mut m = machine_for(prog);
+        let e = desugar_expr(&parse_expr_src(expr).expect("parses"), &data).expect("desugars");
+        let out = m.eval_code_expr(&e, false).expect("no machine error");
         let rendered = match out {
             Outcome::Value(n) => m.render(n, 16),
             Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
@@ -361,10 +367,9 @@ mod tests {
             .expect("desugars");
         let encoded_query = encode_expr(&query, &known).expect("first-order query");
 
-        let mut m = Machine::new(MachineConfig::default());
-        let env = m.bind_recursive(&enc.binds, &MEnv::empty());
+        let mut m = machine_for(&enc);
         let out = m
-            .eval(Rc::new(encoded_query), &env, false)
+            .eval_code_expr(&encoded_query, false)
             .expect("no machine error");
         let Outcome::Value(n) = out else {
             panic!("{out:?}")

@@ -511,7 +511,7 @@ mod tests {
     #[test]
     fn optimized_prelude_still_computes() {
         // Optimize a small program and compare machine results.
-        use urk_machine::{MEnv, Machine, MachineConfig, Outcome};
+        use urk_machine::{compile_program, Machine, MachineConfig, Outcome};
         let (data, prog) = program(
             "fib n = if n < 2 then n else fib (n - 1) + fib (n - 2)\n\
              go = fib 12",
@@ -521,9 +521,9 @@ mod tests {
         let (out, _) = opt.optimize(&prog);
         for p in [&prog, &out] {
             let mut m = Machine::new(MachineConfig::default());
-            let env = m.bind_recursive(&p.binds, &MEnv::empty());
+            m.link_code(std::sync::Arc::new(compile_program(&p.binds)));
             let r = m
-                .eval(Rc::new(Expr::var("go")), &env, false)
+                .eval_code_expr(&Expr::var("go"), false)
                 .expect("terminates");
             let Outcome::Value(n) = r else {
                 panic!("{r:?}")

@@ -5,10 +5,10 @@
 //! cargo run --example async_interrupts
 //! ```
 
-use std::rc::Rc;
+use std::sync::Arc;
 
 use urk::{Exception, Session};
-use urk_machine::{MEnv, Machine, MachineConfig, Outcome};
+use urk_machine::{compile_program, Machine, MachineConfig, Outcome};
 use urk_syntax::{desugar_expr, parse_expr_src, DataEnv};
 
 fn main() -> Result<(), urk::Error> {
@@ -65,19 +65,19 @@ main = do
     // Drive the machine directly so we can interrupt a shared thunk, then
     // resume it.
     let data = DataEnv::new();
-    let expr = Rc::new(
-        desugar_expr(
-            &parse_expr_src("let f = \\n -> if n == 0 then 42 else f (n - 1) in f 300000")
-                .expect("parses"),
-            &data,
-        )
-        .expect("desugars"),
-    );
+    let expr = desugar_expr(
+        &parse_expr_src("let f = \\n -> if n == 0 then 42 else f (n - 1) in f 300000")
+            .expect("parses"),
+        &data,
+    )
+    .expect("desugars");
     let mut m = Machine::new(MachineConfig {
         event_schedule: vec![(50_000, Exception::Interrupt)],
         ..MachineConfig::default()
     });
-    let work = m.alloc_thunk(expr, MEnv::empty());
+    // No program: the query is closed.
+    m.link_code(Arc::new(compile_program(&[])));
+    let work = m.alloc_code_thunk(&expr);
     let first = m.eval_node(work, true).expect("no machine error");
     println!("  first attempt : {first:?}");
     println!(
@@ -96,10 +96,10 @@ main = do
     println!();
     println!("== 5. Contrast: synchronous exceptions DO poison (§3.3) ============");
     let data2 = DataEnv::new();
-    let boom =
-        Rc::new(desugar_expr(&parse_expr_src("1/0").expect("parses"), &data2).expect("desugars"));
+    let boom = desugar_expr(&parse_expr_src("1/0").expect("parses"), &data2).expect("desugars");
     let mut m2 = Machine::new(MachineConfig::default());
-    let t = m2.alloc_thunk(boom, MEnv::empty());
+    m2.link_code(Arc::new(compile_program(&[])));
+    let t = m2.alloc_code_thunk(&boom);
     let first = m2.eval_node(t, true).expect("no machine error");
     let steps_after_first = m2.stats().steps;
     let second = m2.eval_node(t, true).expect("no machine error");

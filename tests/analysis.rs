@@ -1,16 +1,16 @@
 //! The static-analysis soundness battery.
 //!
 //! The whole-program exception-effect analysis (`urk-analysis`) promises
-//! a *conservative* prediction: whatever exception either machine backend
-//! actually raises — and whatever the denotational semantics says the
+//! a *conservative* prediction: whatever exception the machine raises at
+//! either tier — and whatever the denotational semantics says the
 //! expression's set is — must be inside the statically predicted set.
 //! This file enforces that differentially:
 //!
-//! * over the soundness corpus, on both backends and both deterministic
+//! * over the soundness corpus, at both tiers and both deterministic
 //!   order policies: denoted set ⊆ predicted set, and every machine
 //!   representative ∈ predicted set;
-//! * over ≥256 vendored-proptest random core terms, machine-checked on
-//!   the tree and compiled executors (the compiled runs also pass every
+//! * over ≥256 vendored-proptest random core terms, machine-checked
+//!   against the tier-1 and tier-2 images (every run also passes its
 //!   arena through `Code::verify`, which panics in debug builds on any
 //!   structural defect — so this battery doubles as the verifier's
 //!   accept-side property);
@@ -25,10 +25,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use urk::{Backend, Session};
+use urk::{Session, Tier};
 use urk_analysis::analyze_program;
 use urk_denot::{Denot, DenotEvaluator, ExnSet};
-use urk_machine::{compile_program, MEnv, Machine, MachineConfig, OrderPolicy, Outcome};
+use urk_machine::{compile_program, tier2_optimize, Machine, MachineConfig, OrderPolicy, Outcome};
+use urk_machine::{Code, Tier2Facts};
 use urk_syntax::core::{Alt, CoreProgram, Expr, PrimOp};
 use urk_syntax::{DataEnv, Symbol};
 
@@ -85,15 +86,15 @@ fn assert_subset(smaller: &ExnSet, bigger: &ExnSet, ctx: &str) {
 }
 
 /// Predicted sets over-approximate the denotation and cover every
-/// machine representative, for the whole corpus, on both backends and
-/// both deterministic order policies.
+/// machine representative, for the whole corpus, at both tiers and both
+/// deterministic order policies.
 #[test]
 fn corpus_predictions_cover_denotation_and_both_backends() {
     for order in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
-        for backend in [Backend::Tree, Backend::Compiled] {
+        for tier in [Tier::One, Tier::Two] {
             let mut session = Session::new();
             session.options.machine.order = order;
-            session.options.backend = backend;
+            session.options.tier = tier;
             for src in CORPUS {
                 let predicted = session.predicted_exceptions(src).expect("analyzes");
                 if let Some(denoted) = session.exception_set(src).expect("denotes") {
@@ -103,8 +104,8 @@ fn corpus_predictions_cover_denotation_and_both_backends() {
                 if let Some(exn) = &out.exception {
                     assert!(
                         predicted.contains(exn),
-                        "{src}: {} machine raised {exn} outside the predicted set {predicted}",
-                        backend.name(),
+                        "{src}: tier-{} machine raised {exn} outside the predicted set {predicted}",
+                        tier.name(),
                     );
                 }
             }
@@ -120,9 +121,9 @@ fn loaded_programs_keep_predictions_conservative() {
                    useIt a b = case safeDiv a b of { OK v -> v; Bad ex -> 0 - 1 }\n\
                    sumTo n = if n == 0 then 0 else n + sumTo (n - 1)\n\
                    partial m = case m of { Just x -> x }";
-    for backend in [Backend::Tree, Backend::Compiled] {
+    for tier in [Tier::One, Tier::Two] {
         let mut session = Session::new();
-        session.options.backend = backend;
+        session.options.tier = tier;
         session.load(program).expect("loads");
         for src in [
             "useIt 10 2",
@@ -297,21 +298,17 @@ fn gen_int(depth: u32, scope: Vec<Symbol>) -> BoxedStrategy<Expr> {
 
 fn machine_exception(
     e: &Rc<Expr>,
-    compiled: bool,
+    image: &Arc<Code>,
     policy: OrderPolicy,
 ) -> Option<urk_syntax::Exception> {
     let mut m = Machine::new(MachineConfig {
         order: policy,
         ..MachineConfig::default()
     });
-    let out = if compiled {
-        // In debug builds the link/compile hooks also run `Code::verify`
-        // over the base arena and every query extension.
-        m.link_code(Arc::new(compile_program(&[])));
-        m.eval_code_expr(e, true).expect("terminates")
-    } else {
-        m.eval(e.clone(), &MEnv::empty(), true).expect("terminates")
-    };
+    // In debug builds the link/compile hooks also run `Code::verify` over
+    // the base arena and every query extension.
+    m.link_code(Arc::clone(image));
+    let out = m.eval_code_expr(e, true).expect("terminates");
     match out {
         Outcome::Caught(e) | Outcome::Uncaught(e) => Some(e),
         Outcome::Value(_) => None,
@@ -323,8 +320,8 @@ proptest! {
 
     /// The headline soundness property, ≥256 random closed terms: the
     /// statically predicted set contains the denoted set and whatever
-    /// representative either backend raises, under both deterministic
-    /// order policies.
+    /// representative the machine raises against either image, under both
+    /// deterministic order policies.
     #[test]
     fn random_terms_stay_inside_the_predicted_set(e in gen_int(4, vec![])) {
         let data = DataEnv::new();
@@ -346,13 +343,14 @@ proptest! {
             }
         }
 
+        let tier1 = Arc::new(compile_program(&[]));
+        let tier2 = Arc::new(tier2_optimize(&tier1, &Tier2Facts::empty()));
         for policy in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
-            for compiled in [false, true] {
-                if let Some(exn) = machine_exception(&e, compiled, policy) {
+            for (tier, image) in [("1", &tier1), ("2", &tier2)] {
+                if let Some(exn) = machine_exception(&e, image, policy) {
                     prop_assert!(
                         predicted.contains(&exn),
-                        "{} machine raised {exn} outside the predicted set {predicted}",
-                        if compiled { "compiled" } else { "tree" },
+                        "tier-{tier} machine raised {exn} outside the predicted set {predicted}",
                     );
                 }
             }

@@ -52,54 +52,50 @@ fn every_semantics_relevant_config_field_changes_the_key() {
     let expr = session.compile_expr("1 + 2").expect("compiles");
     let m = MachineConfig::default();
     let d = DenotConfig::default();
-    let base = cache_key(&expr, &m, &d, 32, Backend::Tree, Tier::One);
+    let base = cache_key(&expr, &m, &d, 32, Backend::Compiled, Tier::One);
 
     type Mutation = (
         &'static str,
-        Box<dyn Fn(&mut MachineConfig, &mut DenotConfig, &mut u32, &mut Backend, &mut Tier)>,
+        Box<dyn Fn(&mut MachineConfig, &mut DenotConfig, &mut u32, &mut Tier)>,
     );
     let mutations: Vec<Mutation> = vec![
         (
             "order=r",
-            Box::new(|m, _, _, _, _| m.order = OrderPolicy::RightToLeft),
+            Box::new(|m, _, _, _| m.order = OrderPolicy::RightToLeft),
         ),
         (
             "order=s7",
-            Box::new(|m, _, _, _, _| m.order = OrderPolicy::Seeded(7)),
+            Box::new(|m, _, _, _| m.order = OrderPolicy::Seeded(7)),
         ),
         (
             "order=s8",
-            Box::new(|m, _, _, _, _| m.order = OrderPolicy::Seeded(8)),
+            Box::new(|m, _, _, _| m.order = OrderPolicy::Seeded(8)),
         ),
         (
             "blackholes",
-            Box::new(|m, _, _, _, _| m.blackholes = urk::BlackholeMode::Loop),
+            Box::new(|m, _, _, _| m.blackholes = urk::BlackholeMode::Loop),
         ),
-        ("max_steps", Box::new(|m, _, _, _, _| m.max_steps += 1)),
-        ("max_stack", Box::new(|m, _, _, _, _| m.max_stack += 1)),
-        ("max_heap", Box::new(|m, _, _, _, _| m.max_heap += 1)),
+        ("max_steps", Box::new(|m, _, _, _| m.max_steps += 1)),
+        ("max_stack", Box::new(|m, _, _, _| m.max_stack += 1)),
+        ("max_heap", Box::new(|m, _, _, _| m.max_heap += 1)),
         (
             "timeout_on_step_limit",
-            Box::new(|m, _, _, _, _| m.timeout_on_step_limit = true),
+            Box::new(|m, _, _, _| m.timeout_on_step_limit = true),
         ),
-        ("gc", Box::new(|m, _, _, _, _| m.gc = false)),
-        (
-            "gc_threshold",
-            Box::new(|m, _, _, _, _| m.gc_threshold += 1),
-        ),
+        ("gc", Box::new(|m, _, _, _| m.gc = false)),
+        ("gc_threshold", Box::new(|m, _, _, _| m.gc_threshold += 1)),
         (
             "event_schedule",
-            Box::new(|m, _, _, _, _| m.event_schedule.push((10, urk::Exception::Interrupt))),
+            Box::new(|m, _, _, _| m.event_schedule.push((10, urk::Exception::Interrupt))),
         ),
-        ("fuel", Box::new(|_, d, _, _, _| d.fuel += 1)),
-        ("max_depth", Box::new(|_, d, _, _, _| d.max_depth += 1)),
+        ("fuel", Box::new(|_, d, _, _| d.fuel += 1)),
+        ("max_depth", Box::new(|_, d, _, _| d.max_depth += 1)),
         (
             "pessimistic",
-            Box::new(|_, d, _, _, _| d.pessimistic_is_exception = true),
+            Box::new(|_, d, _, _| d.pessimistic_is_exception = true),
         ),
-        ("render_depth", Box::new(|_, _, r, _, _| *r = 16)),
-        ("backend", Box::new(|_, _, _, b, _| *b = Backend::Compiled)),
-        ("tier", Box::new(|_, _, _, _, t| *t = Tier::Two)),
+        ("render_depth", Box::new(|_, _, r, _| *r = 16)),
+        ("tier", Box::new(|_, _, _, t| *t = Tier::Two)),
     ];
 
     let mut seen = vec![base.clone()];
@@ -107,10 +103,9 @@ fn every_semantics_relevant_config_field_changes_the_key() {
         let mut m2 = m.clone();
         let mut d2 = d.clone();
         let mut rd = 32u32;
-        let mut be = Backend::Tree;
         let mut tier = Tier::One;
-        mutate(&mut m2, &mut d2, &mut rd, &mut be, &mut tier);
-        let key = cache_key(&expr, &m2, &d2, rd, be, tier);
+        mutate(&mut m2, &mut d2, &mut rd, &mut tier);
+        let key = cache_key(&expr, &m2, &d2, rd, Backend::Compiled, tier);
         assert_ne!(key, base, "changing {name} must change the cache key");
         assert!(
             !seen.contains(&key),
@@ -123,7 +118,7 @@ fn every_semantics_relevant_config_field_changes_the_key() {
     let mut m3 = m.clone();
     m3.interrupt = Some(urk::InterruptHandle::new());
     assert_eq!(
-        cache_key(&expr, &m3, &d, 32, Backend::Tree, Tier::One),
+        cache_key(&expr, &m3, &d, 32, Backend::Compiled, Tier::One),
         base
     );
 }
@@ -139,7 +134,7 @@ fn keys_are_invariant_under_spelling_and_recompilation() {
             &m,
             &d,
             32,
-            Backend::Tree,
+            Backend::Compiled,
             Tier::One,
         )
     };

@@ -16,10 +16,11 @@
 //! §5.1 restore invariant is actually violated — i.e. the checker checks.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use urk::Session;
 use urk_io::{chaos_run_with_plan, ChaosReport};
-use urk_machine::{FaultPlan, MachineConfig};
+use urk_machine::{compile_program, Code, FaultPlan, MachineConfig};
 use urk_syntax::core::Expr;
 use urk_syntax::{desugar_expr, parse_expr_src, DataEnv, Exception};
 
@@ -121,7 +122,20 @@ fn sabotage_report() -> ChaosReport {
         sabotage_async_restore: true,
         ..FaultPlan::default()
     };
-    chaos_run_with_plan(&data, &[], &query, &MachineConfig::default(), 400_000, plan)
+    chaos_run_with_plan(
+        &data,
+        &[],
+        &empty_image(),
+        &query,
+        &MachineConfig::default(),
+        400_000,
+        plan,
+    )
+}
+
+/// The image of the empty program: every query here is closed.
+fn empty_image() -> Arc<Code> {
+    Arc::new(compile_program(&[]))
 }
 
 #[test]
@@ -147,7 +161,15 @@ fn the_same_plan_without_sabotage_passes() {
         injections: vec![(200, Exception::Interrupt)],
         ..FaultPlan::default()
     };
-    let r = chaos_run_with_plan(&data, &[], &query, &MachineConfig::default(), 400_000, plan);
+    let r = chaos_run_with_plan(
+        &data,
+        &[],
+        &empty_image(),
+        &query,
+        &MachineConfig::default(),
+        400_000,
+        plan,
+    );
     assert!(r.passed(), "{r:?}");
     assert_eq!(r.outcome, "Caught(Interrupt)");
 }

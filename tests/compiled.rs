@@ -1,30 +1,30 @@
-//! The compiled-backend differential battery: the flat-code executor must
-//! be observationally indistinguishable from the tree-walker on every
-//! corpus the repo already trusts, and both must stay inside the
-//! denotational exception set (§4.5 refinement).
+//! The flat-code differential battery: the tier-1 and tier-2 images must
+//! be observationally indistinguishable on every corpus the repo already
+//! trusts, and both must stay inside the denotational exception set (§4.5
+//! refinement).
 //!
 //! Four layers of evidence:
 //!
 //! * the soundness corpus and the paper's worked examples evaluate to
-//!   byte-identical renderings and identical representative exceptions on
-//!   both backends, under both deterministic order policies;
-//! * every exceptional outcome — from either backend — is a member of the
-//!   denoted set, so agreement is not two matching wrong answers;
+//!   byte-identical renderings and identical representative exceptions at
+//!   both tiers, under both deterministic order policies;
+//! * every exceptional outcome is a member of the denoted set, so
+//!   agreement is not two matching wrong answers;
 //! * the chaos corpus holds §5.1's invariants (soundness under injected
-//!   faults, clean heap audit, oracle-consistent re-eval) when the faulted
-//!   machine is executing flat code;
-//! * vendored-proptest random well-typed core terms agree compiled vs
-//!   tree-walked at the machine level, with denot-set membership.
+//!   faults, clean heap audit, oracle-consistent re-eval);
+//! * vendored-proptest random well-typed core terms, each bound as a
+//!   program global so the tier-2 pass rewrites it, agree tier 1 vs tier 2
+//!   at the machine level, with denot-set membership.
 
 use std::rc::Rc;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use urk::{Backend, EvalPool, Options, PoolConfig, Session};
+use urk::{tier2_facts_for, EvalPool, Options, PoolConfig, Session, Tier};
 use urk_denot::{Denot, DenotEvaluator};
-use urk_machine::{compile_program, MEnv, Machine, MachineConfig, OrderPolicy, Outcome};
-use urk_syntax::core::{Alt, Expr, PrimOp};
+use urk_machine::{compile_program, tier2_optimize, Machine, MachineConfig, OrderPolicy, Outcome};
+use urk_syntax::core::{Alt, CoreProgram, Expr, PrimOp};
 use urk_syntax::{DataEnv, Symbol};
 
 /// The closed-term corpus from `tests/soundness.rs`: every corner of the
@@ -101,39 +101,44 @@ const CHAOS_PROGRAMS: &[(&str, &str)] = &[
     ),
 ];
 
-/// A tree session and a compiled session with identical options.
-fn backend_pair(order: OrderPolicy) -> (Session, Session) {
-    let mut tree = Session::new();
-    tree.options.machine.order = order;
-    let mut compiled = Session::new();
-    compiled.options.machine.order = order;
-    compiled.options.backend = Backend::Compiled;
-    (tree, compiled)
+/// A tier-1 session and a tier-2 session with otherwise identical
+/// options.
+fn tier_pair(order: OrderPolicy) -> (Session, Session) {
+    let mut tier1 = Session::new();
+    tier1.options.machine.order = order;
+    let mut tier2 = Session::new();
+    tier2.options.machine.order = order;
+    tier2.options.tier = Tier::Two;
+    (tier1, tier2)
 }
 
 /// Asserts the two sessions agree on `src`, and that any exceptional
 /// outcome is a member of the denoted set.
-fn assert_agree(tree: &Session, compiled: &Session, src: &str) {
-    let a = tree
+fn assert_agree(tier1: &Session, tier2: &Session, src: &str) {
+    let a = tier1
         .eval(src)
-        .unwrap_or_else(|e| panic!("{src}: tree: {e}"));
-    let b = compiled
+        .unwrap_or_else(|e| panic!("{src}: tier 1: {e}"));
+    let b = tier2
         .eval(src)
-        .unwrap_or_else(|e| panic!("{src}: compiled: {e}"));
+        .unwrap_or_else(|e| panic!("{src}: tier 2: {e}"));
     assert_eq!(a.rendered, b.rendered, "{src}: rendered outcome diverged");
     assert_eq!(
         a.exception, b.exception,
         "{src}: representative exception diverged"
     );
-    assert_eq!(b.stats.backend.name(), "compiled", "{src}");
+    assert_eq!(
+        (a.stats.tier.name(), b.stats.tier.name()),
+        ("1", "2"),
+        "{src}"
+    );
     if let Some(exn) = &b.exception {
-        let set = compiled
+        let set = tier2
             .exception_set(src)
             .expect("denotes")
             .unwrap_or_else(|| panic!("{src}: machine raised {exn} but the denotation is Ok"));
         assert!(
             set.contains(exn),
-            "{src}: compiled chose {exn} outside the denoted set {set}"
+            "{src}: the machine chose {exn} outside the denoted set {set}"
         );
     }
 }
@@ -141,19 +146,19 @@ fn assert_agree(tree: &Session, compiled: &Session, src: &str) {
 #[test]
 fn the_soundness_corpus_agrees_under_both_order_policies() {
     for order in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
-        let (tree, compiled) = backend_pair(order);
+        let (tier1, tier2) = tier_pair(order);
         for src in CORPUS {
-            assert_agree(&tree, &compiled, src);
+            assert_agree(&tier1, &tier2, src);
         }
     }
 }
 
 #[test]
 fn the_chaos_corpus_agrees_when_evaluated_normally() {
-    let (tree, compiled) = backend_pair(OrderPolicy::LeftToRight);
+    let (tier1, tier2) = tier_pair(OrderPolicy::LeftToRight);
     for (name, src) in CHAOS_PROGRAMS {
-        let a = tree.eval(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let b = compiled.eval(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let a = tier1.eval(src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let b = tier2.eval(src).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(a.rendered, b.rendered, "{name}");
         assert_eq!(a.exception, b.exception, "{name}");
     }
@@ -162,13 +167,14 @@ fn the_chaos_corpus_agrees_when_evaluated_normally() {
 #[test]
 fn paper_example_programs_agree_through_loaded_definitions() {
     // Loaded top-level definitions exercise the global-reference path of
-    // the compiled format (the knot tied through `COp::Global`).
+    // the flat format (the knot tied through `COp::Global`) and give the
+    // tier-2 pass something to rewrite.
     let program = "safeDiv a b = if b == 0 then Bad DivideByZero else OK (a / b)\n\
                    useIt a b = case safeDiv a b of { OK v -> v; Bad ex -> 0 - 1 }\n\
                    sumTo n = if n == 0 then 0 else n + sumTo (n - 1)";
-    let (mut tree, mut compiled) = backend_pair(OrderPolicy::LeftToRight);
-    tree.load(program).expect("loads");
-    compiled.load(program).expect("loads");
+    let (mut tier1, mut tier2) = tier_pair(OrderPolicy::LeftToRight);
+    tier1.load(program).expect("loads");
+    tier2.load(program).expect("loads");
     for src in [
         "useIt 10 2",
         "useIt 10 0",
@@ -182,14 +188,13 @@ fn paper_example_programs_agree_through_loaded_definitions() {
         "head []",
         "map (\\x -> x * x) [1, 2, 3]",
     ] {
-        assert_agree(&tree, &compiled, src);
+        assert_agree(&tier1, &tier2, src);
     }
 }
 
 #[test]
 fn the_chaos_corpus_holds_the_invariants_on_the_compiled_backend() {
-    let mut session = Session::new();
-    session.options.backend = Backend::Compiled;
+    let session = Session::new();
     let mut injected_runs = 0u32;
     let mut runs = 0u32;
     for (name, src) in CHAOS_PROGRAMS {
@@ -206,12 +211,12 @@ fn the_chaos_corpus_holds_the_invariants_on_the_compiled_backend() {
             );
             assert!(
                 r.heap_consistent,
-                "{name} seed {seed}: heap audit failed after interrupted compiled run ({})",
+                "{name} seed {seed}: heap audit failed after an interrupted run ({})",
                 r.outcome
             );
             assert!(
                 r.reeval_ok,
-                "{name} seed {seed}: compiled re-evaluation after disarming disagrees with {}",
+                "{name} seed {seed}: re-evaluation after disarming disagrees with {}",
                 r.oracle
             );
             runs += 1;
@@ -222,14 +227,13 @@ fn the_chaos_corpus_holds_the_invariants_on_the_compiled_backend() {
     }
     assert!(
         injected_runs >= runs / 3,
-        "too few compiled runs actually injected faults: {injected_runs}/{runs}"
+        "too few runs actually injected faults: {injected_runs}/{runs}"
     );
 }
 
 #[test]
 fn first_compiled_eval_pays_for_lowering_and_later_ones_do_not() {
-    let mut session = Session::new();
-    session.options.backend = Backend::Compiled;
+    let session = Session::new();
     let first = session.eval("1 + 2").expect("evals");
     assert!(
         first.stats.compile_ops > 0 && first.stats.compile_micros > 0,
@@ -254,11 +258,11 @@ fn pools_on_both_backends_agree_with_one_shared_image() {
         .map(|i| format!("double (square {i}) + {i}"))
         .chain(["zipWith (/) [1, 2] [1, 0]".to_string(), "1/0".to_string()])
         .collect();
-    let run = |backend| {
+    let run = |tier| {
         let pool = EvalPool::start(
             sources,
             Options {
-                backend,
+                tier,
                 ..Options::default()
             },
             PoolConfig {
@@ -270,19 +274,19 @@ fn pools_on_both_backends_agree_with_one_shared_image() {
         .expect("pool starts");
         pool.eval_batch(&exprs)
     };
-    let tree = run(Backend::Tree);
-    let compiled = run(Backend::Compiled);
-    for ((src, a), b) in exprs.iter().zip(&tree).zip(&compiled) {
-        let a = a.as_ref().expect("tree evals");
-        let b = b.as_ref().expect("compiled evals");
+    let tier1 = run(Tier::One);
+    let tier2 = run(Tier::Two);
+    for ((src, a), b) in exprs.iter().zip(&tier1).zip(&tier2) {
+        let a = a.as_ref().expect("tier 1 evals");
+        let b = b.as_ref().expect("tier 2 evals");
         assert_eq!(a.rendered, b.rendered, "{src}");
         assert_eq!(a.exception, b.exception, "{src}");
-        assert_eq!(b.stats.backend.name(), "compiled", "{src}");
+        assert_eq!(b.stats.tier.name(), "2", "{src}");
     }
 }
 
 // ----------------------------------------------------------------------
-// Random well-typed terms, compiled vs tree-walked at the machine level.
+// Random well-typed terms, tier 1 vs tier 2 at the machine level.
 // ----------------------------------------------------------------------
 
 const POOL: [&str; 4] = ["pa", "pb", "pc", "pd"];
@@ -380,26 +384,33 @@ fn render_outcome(m: &mut Machine, out: Outcome) -> String {
     }
 }
 
-fn tree_result(e: &Rc<Expr>, policy: OrderPolicy) -> (String, Option<urk_syntax::Exception>) {
-    let mut m = Machine::new(MachineConfig {
-        order: policy,
-        ..MachineConfig::default()
-    });
-    let out = m.eval(e.clone(), &MEnv::empty(), true).expect("terminates");
-    let exn = match &out {
-        Outcome::Caught(e) | Outcome::Uncaught(e) => Some(e.clone()),
-        Outcome::Value(_) => None,
+/// Binds `e` as the global `main`, lowers that program at tier 1 or
+/// (analysis-licensed) at tier 2, and evaluates `main` under a catch mark.
+/// Queries always lower at tier 1, so the term must be a program global
+/// for the tier-2 pass to rewrite it.
+fn tier_result(
+    e: &Rc<Expr>,
+    tier2: bool,
+    policy: OrderPolicy,
+) -> (String, Option<urk_syntax::Exception>) {
+    let main = Symbol::intern("main");
+    let prog = CoreProgram {
+        binds: vec![(main, Rc::clone(e))],
+        sigs: Vec::new(),
     };
-    (render_outcome(&mut m, out), exn)
-}
-
-fn compiled_result(e: &Rc<Expr>, policy: OrderPolicy) -> (String, Option<urk_syntax::Exception>) {
+    let mut code = compile_program(&prog.binds);
+    if tier2 {
+        let facts = tier2_facts_for(urk::analyze_program(&prog, &DataEnv::new()), &prog.binds);
+        code = tier2_optimize(&code, &facts);
+    }
     let mut m = Machine::new(MachineConfig {
         order: policy,
         ..MachineConfig::default()
     });
-    m.link_code(Arc::new(compile_program(&[])));
-    let out = m.eval_code_expr(e, true).expect("terminates");
+    m.link_code(Arc::new(code));
+    let out = m
+        .eval_code_expr(&Expr::Var(main), true)
+        .expect("terminates");
     let exn = match &out {
         Outcome::Caught(e) | Outcome::Uncaught(e) => Some(e.clone()),
         Outcome::Value(_) => None,
@@ -410,18 +421,17 @@ fn compiled_result(e: &Rc<Expr>, policy: OrderPolicy) -> (String, Option<urk_syn
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The tentpole's validation property: for random well-typed terms
-    /// and every deterministic order policy, the compiled executor and
-    /// the tree-walker produce identical outcomes, and any exception is
+    /// For random well-typed terms and every order policy, the tier-1
+    /// and tier-2 images produce identical outcomes, and any exception is
     /// inside the denoted set.
     #[test]
-    fn compiled_execution_agrees_with_the_tree_walker(e in gen_int(4, Vec::new())) {
+    fn tier_two_agrees_with_tier_one_on_random_terms(e in gen_int(4, Vec::new())) {
         let e = Rc::new(e);
         let data = DataEnv::new();
         let denot = DenotEvaluator::new(&data).eval_closed(&e);
         for policy in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft, OrderPolicy::Seeded(11)] {
-            let (tr, te) = tree_result(&e, policy);
-            let (cr, ce) = compiled_result(&e, policy);
+            let (tr, te) = tier_result(&e, false, policy);
+            let (cr, ce) = tier_result(&e, true, policy);
             prop_assert_eq!(&tr, &cr, "rendered outcome diverged under {:?}", policy);
             prop_assert_eq!(&te, &ce, "exception diverged under {:?}", policy);
             if let Some(exn) = &ce {
@@ -431,7 +441,7 @@ proptest! {
                     )));
                 };
                 prop_assert!(set.contains(exn),
-                    "compiled chose {} outside the denoted set {}", exn, set);
+                    "the machine chose {} outside the denoted set {}", exn, set);
             }
         }
     }

@@ -5,8 +5,8 @@
 //! order-dependent exception sets, partial matches, deep recursion) that
 //! once exercised a distinct machine path. This suite promotes the whole
 //! corpus to a standing differential battery: each case must evaluate
-//! identically on the tree and compiled backends under both deterministic
-//! order policies, and the outcome must refine the denotational semantics
+//! identically at tier 1 and tier 2 under both deterministic order
+//! policies, and the outcome must refine the denotational semantics
 //! (§3.5: a raised exception is a member of the denoted set; a value is
 //! *the* denoted value).
 //!
@@ -16,7 +16,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use urk::{Backend, OrderPolicy, Session};
+use urk::{OrderPolicy, Session, Tier};
 
 fn corpus_cases() -> Vec<(PathBuf, String)> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("corpus");
@@ -35,18 +35,20 @@ fn corpus_cases() -> Vec<(PathBuf, String)> {
         .collect()
 }
 
-/// A loaded session pair (tree, compiled) with the given order policy.
-fn backend_pair(src: &str, order: OrderPolicy) -> (Session, Session) {
-    let mut tree = Session::new();
-    tree.options.machine.order = order;
-    tree.load(src).expect("corpus case loads on tree session");
-    let mut compiled = Session::new();
-    compiled.options.machine.order = order;
-    compiled.options.backend = Backend::Compiled;
-    compiled
+/// A loaded session pair (tier 1, tier 2) with the given order policy.
+fn tier_pair(src: &str, order: OrderPolicy) -> (Session, Session) {
+    let mut tier1 = Session::new();
+    tier1.options.machine.order = order;
+    tier1
         .load(src)
-        .expect("corpus case loads on compiled session");
-    (tree, compiled)
+        .expect("corpus case loads on the tier-1 session");
+    let mut tier2 = Session::new();
+    tier2.options.machine.order = order;
+    tier2.options.tier = Tier::Two;
+    tier2
+        .load(src)
+        .expect("corpus case loads on the tier-2 session");
+    (tier1, tier2)
 }
 
 /// Machine and oracle spell buried exceptional fields differently
@@ -72,13 +74,13 @@ fn every_corpus_case_agrees_across_backends_and_orders() {
     for (path, src) in &cases {
         let name = path.file_name().unwrap().to_string_lossy();
         for order in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
-            let (tree, compiled) = backend_pair(src, order);
-            let a = tree
+            let (tier1, tier2) = tier_pair(src, order);
+            let a = tier1
                 .eval("counterexample")
-                .unwrap_or_else(|e| panic!("{name} ({order:?}): tree: {e}"));
-            let b = compiled
+                .unwrap_or_else(|e| panic!("{name} ({order:?}): tier 1: {e}"));
+            let b = tier2
                 .eval("counterexample")
-                .unwrap_or_else(|e| panic!("{name} ({order:?}): compiled: {e}"));
+                .unwrap_or_else(|e| panic!("{name} ({order:?}): tier 2: {e}"));
             assert_eq!(
                 a.rendered, b.rendered,
                 "{name} ({order:?}): rendered outcome diverged"
@@ -91,7 +93,7 @@ fn every_corpus_case_agrees_across_backends_and_orders() {
             // Refinement against the denotational oracle.
             match &a.exception {
                 Some(exn) => {
-                    let set = tree
+                    let set = tier1
                         .exception_set("counterexample")
                         .unwrap_or_else(|e| panic!("{name}: denotation: {e}"))
                         .unwrap_or_else(|| {
@@ -105,7 +107,7 @@ fn every_corpus_case_agrees_across_backends_and_orders() {
                     );
                 }
                 None => {
-                    let oracle = tree
+                    let oracle = tier1
                         .denot_show("counterexample", 32)
                         .unwrap_or_else(|e| panic!("{name}: denotation: {e}"));
                     assert!(
@@ -126,8 +128,8 @@ fn corpus_outcomes_are_stable_across_repeated_evaluation() {
     // evaluation are reused by the second).
     for (path, src) in &corpus_cases() {
         let name = path.file_name().unwrap().to_string_lossy();
-        let (tree, compiled) = backend_pair(src, OrderPolicy::LeftToRight);
-        for s in [&tree, &compiled] {
+        let (tier1, tier2) = tier_pair(src, OrderPolicy::LeftToRight);
+        for s in [&tier1, &tier2] {
             let first = s
                 .eval("counterexample")
                 .unwrap_or_else(|e| panic!("{name}: {e}"));

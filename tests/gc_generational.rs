@@ -1,13 +1,13 @@
 //! The generational-heap battery: minor/major collection interleavings
-//! raced against evaluation and §5.1 asynchronous delivery, on both
-//! backends, with the heap audited after every episode.
+//! raced against evaluation and §5.1 asynchronous delivery, at both
+//! tiers, with the heap audited after every episode.
 //!
 //! What is being proven:
 //!
 //! * **evacuation preserves semantics** — a copying minor collection may
 //!   fire at any machine step (forced by a chaos plan, or organically by
 //!   nursery pressure) and the outcome still refines the denotational
-//!   oracle, on the tree walker and the compiled executor alike;
+//!   oracle, on the tier-1 and tier-2 images alike;
 //! * **§5.1 survives evacuation** — an interrupt delivered at any step,
 //!   immediately after a forced collection, still restores every
 //!   in-flight thunk resumably: the post-episode audit finds no stranded
@@ -23,8 +23,10 @@ use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use urk_io::{chaos_run_with_plan, chaos_run_with_plan_compiled, ChaosReport};
-use urk_machine::{compile_program, Code, FaultPlan, MEnv, Machine, MachineConfig, Outcome};
+use urk_io::{chaos_run_with_plan, ChaosReport};
+use urk_machine::{
+    compile_program, tier2_optimize, Code, FaultPlan, Machine, MachineConfig, Outcome,
+};
 use urk_syntax::core::Expr;
 use urk_syntax::{
     desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv, Exception, Symbol,
@@ -50,18 +52,21 @@ const QUERIES: &[(&str, &str)] = &[
 struct Ctx {
     data: DataEnv,
     binds: Vec<(Symbol, Rc<Expr>)>,
-    code: Arc<Code>,
+    /// The program lowered at tier 1 and, analysis-licensed, at tier 2.
+    images: [(&'static str, Arc<Code>); 2],
 }
 
 fn ctx() -> Ctx {
     let surface = parse_program(PROGRAM).expect("program parses");
     let mut data = DataEnv::new();
     let prog = desugar_program(&surface, &mut data).expect("program desugars");
-    let code = Arc::new(compile_program(&prog.binds));
+    let base = compile_program(&prog.binds);
+    let facts = urk::tier2_facts_for(urk::analyze_program(&prog, &data), &prog.binds);
+    let t2 = Arc::new(tier2_optimize(&base, &facts));
     Ctx {
         data,
         binds: prog.binds,
-        code,
+        images: [("tier1", Arc::new(base)), ("tier2", t2)],
     }
 }
 
@@ -81,24 +86,18 @@ fn pressured() -> MachineConfig {
 }
 
 fn run_both(ctx: &Ctx, q: &Rc<Expr>, plan: &FaultPlan) -> [(&'static str, ChaosReport); 2] {
-    let tree = chaos_run_with_plan(
-        &ctx.data,
-        &ctx.binds,
-        q,
-        &pressured(),
-        400_000,
-        plan.clone(),
-    );
-    let compiled = chaos_run_with_plan_compiled(
-        &ctx.data,
-        &ctx.binds,
-        &ctx.code,
-        q,
-        &pressured(),
-        400_000,
-        plan.clone(),
-    );
-    [("tree", tree), ("compiled", compiled)]
+    ctx.images.clone().map(|(tier, code)| {
+        let report = chaos_run_with_plan(
+            &ctx.data,
+            &ctx.binds,
+            &code,
+            q,
+            &pressured(),
+            400_000,
+            plan.clone(),
+        );
+        (tier, report)
+    })
 }
 
 #[test]
@@ -133,10 +132,10 @@ fn seeded_collection_interleavings_hold_the_invariants_on_both_backends() {
                 force_minor_at,
                 ..FaultPlan::default()
             };
-            for (backend, r) in run_both(&ctx, &q, &plan) {
+            for (tier, r) in run_both(&ctx, &q, &plan) {
                 assert!(
                     r.passed(),
-                    "{name} seed {seed} on {backend}: sound={} heap={} reeval={} \
+                    "{name} seed {seed} on {tier}: sound={} heap={} reeval={} \
                      outcome={} oracle={} plan={:?}",
                     r.sound,
                     r.heap_consistent,
@@ -160,10 +159,11 @@ fn interrupt_delivery_sweep_races_evacuation_at_every_step() {
     let ctx = ctx();
     let q = query(&ctx, "let s = gsum 40 in s + glen (gmk 25)");
 
-    // Calibrate the sweep to the episode's actual length.
+    // Calibrate the sweep to the episode's actual length at tier 1 (the
+    // longer of the two).
     let mut base = Machine::new(pressured());
-    let menv = base.bind_recursive(&ctx.binds, &MEnv::empty());
-    let out = base.eval(q.clone(), &menv, true).expect("baseline runs");
+    base.link_code(Arc::clone(&ctx.images[0].1));
+    let out = base.eval_code_expr(&q, true).expect("baseline runs");
     assert!(matches!(out, Outcome::Value(_)), "{out:?}");
     let steps = base.stats().steps.min(512);
     assert!(steps > 50, "sweep needs a real episode, got {steps} steps");
@@ -175,10 +175,10 @@ fn interrupt_delivery_sweep_races_evacuation_at_every_step() {
             force_minor_at: vec![at],
             ..FaultPlan::default()
         };
-        for (backend, r) in run_both(&ctx, &q, &plan) {
+        for (tier, r) in run_both(&ctx, &q, &plan) {
             assert!(
                 r.passed(),
-                "step {at} on {backend}: sound={} heap={} reeval={} outcome={} oracle={}",
+                "step {at} on {tier}: sound={} heap={} reeval={} outcome={} oracle={}",
                 r.sound,
                 r.heap_consistent,
                 r.reeval_ok,
@@ -194,40 +194,35 @@ fn organic_nursery_pressure_promotes_and_audits_clean() {
     // No chaos at all: a tiny nursery makes the run loop itself schedule
     // minor collections, and the gauges must show the generational heap
     // actually working — minors fired, survivors promoted, and the
-    // between-episode audit clean on both backends.
+    // between-episode audit clean at both tiers.
     let ctx = ctx();
     let q = query(&ctx, "glen (gmk 400) + gsum 200");
-    for compiled in [false, true] {
+    for (tier, code) in &ctx.images {
         let mut m = Machine::new(pressured());
-        let out = if compiled {
-            m.link_code(Arc::clone(&ctx.code));
-            m.eval_code_expr(&q, true).expect("runs")
-        } else {
-            let menv = m.bind_recursive(&ctx.binds, &MEnv::empty());
-            m.eval(q.clone(), &menv, true).expect("runs")
-        };
+        m.link_code(Arc::clone(code));
+        let out = m.eval_code_expr(&q, true).expect("runs");
         let Outcome::Value(n) = out else {
-            panic!("backend compiled={compiled}: {out:?}")
+            panic!("{tier}: {out:?}")
         };
-        assert_eq!(m.render(n, 16), "20500", "compiled={compiled}");
+        assert_eq!(m.render(n, 16), "20500", "{tier}");
         let stats = m.stats();
         assert!(
             stats.minor_gcs >= 1,
-            "compiled={compiled}: nursery pressure fired no minor collection: {stats:?}"
+            "{tier}: nursery pressure fired no minor collection: {stats:?}"
         );
         assert!(
             stats.nodes_promoted > 0,
-            "compiled={compiled}: no survivors promoted: {stats:?}"
+            "{tier}: no survivors promoted: {stats:?}"
         );
         assert_eq!(
             stats.gc_runs,
             stats.minor_gcs + stats.major_gcs,
-            "compiled={compiled}: gc_runs must tally both generations"
+            "{tier}: gc_runs must tally both generations"
         );
         let audit = m.audit_heap();
         assert!(
             audit.is_consistent(),
-            "compiled={compiled}: post-episode audit failed: {audit:?}"
+            "{tier}: post-episode audit failed: {audit:?}"
         );
     }
 }
@@ -249,14 +244,14 @@ fn sabotaged_forwarding_fails_the_audit_on_both_backends() {
     // may fall.
     let ctx = ctx();
     let q = query(&ctx, "let s = gsum 150 in s + 1");
-    for (backend, r) in run_both(&ctx, &q, &sabotage_plan()) {
+    for (tier, r) in run_both(&ctx, &q, &sabotage_plan()) {
         assert!(
             !r.heap_consistent,
-            "{backend}: planted stale forwarding must fail the audit: {r:?}"
+            "{tier}: planted stale forwarding must fail the audit: {r:?}"
         );
         assert!(
             r.sound,
-            "{backend}: the planted cell is unreachable, execution must stay sound: {r:?}"
+            "{tier}: the planted cell is unreachable, execution must stay sound: {r:?}"
         );
     }
 }
@@ -270,7 +265,7 @@ fn the_same_plan_without_sabotage_passes() {
         sabotage_forwarding: false,
         ..sabotage_plan()
     };
-    for (backend, r) in run_both(&ctx, &q, &plan) {
-        assert!(r.passed(), "{backend}: {r:?}");
+    for (tier, r) in run_both(&ctx, &q, &plan) {
+        assert!(r.passed(), "{tier}: {r:?}");
     }
 }

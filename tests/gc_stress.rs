@@ -5,10 +5,18 @@
 //! stranded black holes: the §5.1 restore reached every in-flight thunk).
 
 use std::rc::Rc;
+use std::sync::Arc;
 
 use urk::{Exception, IoResult, Session};
-use urk_machine::{MEnv, Machine, MachineConfig, Outcome};
+use urk_machine::{compile_program, Machine, MachineConfig, Outcome};
 use urk_syntax::{desugar_expr, parse_expr_src, DataEnv};
+
+/// A machine with an empty program linked, for closed queries.
+fn closed_machine(config: MachineConfig) -> Machine {
+    let mut m = Machine::new(config);
+    m.link_code(Arc::new(compile_program(&[])));
+    m
+}
 
 fn small_heap_session() -> Session {
     let mut s = Session::new();
@@ -98,14 +106,12 @@ fn no_black_hole_survives_an_interrupted_episode() {
     let core =
         Rc::new(desugar_expr(&parse_expr_src(src).expect("parses"), &data).expect("desugars"));
     for at in (50u64..2_000).step_by(50) {
-        let mut m = Machine::new(MachineConfig {
+        let mut m = closed_machine(MachineConfig {
             event_schedule: vec![(at, Exception::Interrupt)],
             gc_threshold: 500,
             ..MachineConfig::default()
         });
-        let out = m
-            .eval(core.clone(), &MEnv::empty(), true)
-            .expect("within limits");
+        let out = m.eval_code_expr(&core, true).expect("within limits");
         let audit = m.audit_heap();
         assert_eq!(
             audit.blackholes, 0,
@@ -137,24 +143,21 @@ fn re_evaluation_after_interruption_agrees_with_the_denotational_oracle() {
     let oracle = urk_denot::show_denot(&ev, &ev.eval_closed(&core), 16);
     assert_eq!(oracle, "31376");
 
-    for at in [100u64, 700, 1_500] {
-        let mut m = Machine::new(MachineConfig {
+    // Early, middle and late in the 756-step episode.
+    for at in [100u64, 400, 700] {
+        let mut m = closed_machine(MachineConfig {
             event_schedule: vec![(at, Exception::Interrupt)],
             gc_threshold: 500,
             ..MachineConfig::default()
         });
-        let first = m
-            .eval(core.clone(), &MEnv::empty(), true)
-            .expect("within limits");
+        let first = m.eval_code_expr(&core, true).expect("within limits");
         assert!(
             matches!(first, Outcome::Caught(Exception::Interrupt)),
             "interrupt at {at}: {first:?}"
         );
         // The schedule is exhausted; re-evaluation must now reach the
         // oracle's value using whatever the trim left behind.
-        let second = m
-            .eval(core.clone(), &MEnv::empty(), true)
-            .expect("within limits");
+        let second = m.eval_code_expr(&core, true).expect("within limits");
         let Outcome::Value(n) = second else {
             panic!("re-evaluation after interrupt at {at}: {second:?}")
         };

@@ -1,8 +1,8 @@
-//! Exact machine counters, pinned per executor.
+//! Exact machine counters, pinned per tier.
 //!
 //! Every deterministic `Stats` field (all but the wall-clock
-//! `compile_micros`) for each input on the tree-walker, the tier-1 flat
-//! image and the tier-2 image. The inputs cover the bench kernels, deep
+//! `compile_micros`) for each input on the tier-1 image and the tier-2
+//! image. The inputs cover the bench kernels, deep
 //! raise and propagate, a catch-episode loop, one `mapException`
 //! interception, and two runs under a fixed fault plan that forces a
 //! minor and a major collection and then injects an interrupt.
@@ -13,8 +13,8 @@
 //! intended update is a copy and paste.
 
 use urk_bench::{
-    compile, deep_propagate, deep_raise, lower, lower_t2, pipeline_workload, run, run_flat,
-    workloads, Compiled, Workload,
+    compile, deep_propagate, deep_raise, lower, lower_t2, pipeline_workload, run_flat, workloads,
+    Compiled, Workload,
 };
 use urk_machine::{FaultPlan, MachineConfig, Stats};
 use urk_syntax::Exception;
@@ -34,7 +34,7 @@ const BURIED: &str = "g n = if n == 0 then 0 else n + g (n - 1)\ns = g 250";
 
 /// A fixed fault plan: a forced minor collection, a forced major
 /// collection, then an injected interrupt, each landing inside both
-/// fault-plan inputs on every executor.
+/// fault-plan inputs at both tiers.
 fn fault_plan(minor_at: u64, major_at: u64, inject_at: u64) -> FaultPlan {
     FaultPlan {
         seed: 0,
@@ -92,20 +92,15 @@ fn row(s: &Stats) -> String {
     )
 }
 
-/// Runs `c` on all three executors under `config`; checks each rendering
-/// against `expected` and returns `(executor, counters)` rows.
-fn three_ways(c: &Compiled, expected: &str, config: &MachineConfig) -> Vec<(&'static str, String)> {
-    let (tree_out, tree) = run(c, config.clone());
+/// Runs `c` at both tiers under `config`; checks each rendering against
+/// `expected` and returns `(tier, counters)` rows.
+fn two_ways(c: &Compiled, expected: &str, config: &MachineConfig) -> Vec<(&'static str, String)> {
     let (t1_out, t1) = run_flat(c, &lower(c), config.clone());
     let (t2_out, t2) = run_flat(c, &lower_t2(c), config.clone());
-    for (engine, out) in [("tree", &tree_out), ("tier1", &t1_out), ("tier2", &t2_out)] {
+    for (engine, out) in [("tier1", &t1_out), ("tier2", &t2_out)] {
         assert_eq!(out, expected, "{engine}");
     }
-    vec![
-        ("tree", row(&tree)),
-        ("tier1", row(&t1)),
-        ("tier2", row(&t2)),
-    ]
+    vec![("tier1", row(&t1)), ("tier2", row(&t2))]
 }
 
 fn observed() -> Vec<(String, &'static str, String)> {
@@ -174,46 +169,35 @@ fn observed() -> Vec<(String, &'static str, String)> {
     ));
     let mut rows = Vec::new();
     for (name, c, expected, config) in &inputs {
-        for (engine, counters) in three_ways(c, expected, config) {
+        for (engine, counters) in two_ways(c, expected, config) {
             rows.push((name.clone(), engine, counters));
         }
     }
     rows
 }
 
-/// The pinned table: `(input, executor, counters)`.
+/// The pinned table: `(input, tier, counters)`.
 const EXPECTED: &[(&str, &str, &str)] = &[
-    ("fib", "tree", "steps=68645 allocations=3194 freelist_reuses=0 unboxed_hits=14367 thunk_updates=3193 max_stack_depth=19 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=0 backend=tree tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("fib", "tier1", "steps=9579 allocations=3194 freelist_reuses=0 unboxed_hits=14367 thunk_updates=3193 max_stack_depth=16 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("fib", "tier2", "steps=6387 allocations=2 freelist_reuses=0 unboxed_hits=14367 thunk_updates=1 max_stack_depth=15 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=6385 ic_hits=3190 ic_misses=2"),
-    ("sumto", "tree", "steps=120020 allocations=12003 freelist_reuses=0 unboxed_hits=20004 thunk_updates=8001 max_stack_depth=8000 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=1 minor_gcs=1 major_gcs=0 gc_freed=5459 nodes_promoted=2733 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=0 backend=tree tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("sumto", "tier1", "steps=20003 allocations=12003 freelist_reuses=0 unboxed_hits=20004 thunk_updates=8001 max_stack_depth=7997 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=1 minor_gcs=1 major_gcs=0 gc_freed=5460 nodes_promoted=2732 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=5 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("sumto", "tier2", "steps=12004 allocations=4003 freelist_reuses=0 unboxed_hits=20004 thunk_updates=1 max_stack_depth=1 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=5 backend=compiled tier=2 fused_steps=12001 ic_hits=3999 ic_misses=1"),
-    ("primes", "tree", "steps=617013 allocations=33407 freelist_reuses=0 unboxed_hits=101605 thunk_updates=15703 max_stack_depth=2305 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=4 minor_gcs=4 major_gcs=0 gc_freed=30762 nodes_promoted=2006 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=0 backend=tree tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("primes", "tier1", "steps=109299 allocations=33407 freelist_reuses=0 unboxed_hits=101605 thunk_updates=15703 max_stack_depth=2303 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=4 minor_gcs=4 major_gcs=0 gc_freed=30762 nodes_promoted=2006 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=7 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("primes", "tier2", "steps=68801 allocations=19706 freelist_reuses=0 unboxed_hits=101605 thunk_updates=2002 max_stack_depth=2303 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=2 minor_gcs=2 major_gcs=0 gc_freed=14382 nodes_promoted=2002 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=7 backend=compiled tier=2 fused_steps=42801 ic_hits=17693 ic_misses=6"),
-    ("sortlist", "tree", "steps=87784 allocations=11793 freelist_reuses=0 unboxed_hits=4777 thunk_updates=4172 max_stack_depth=248 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=1 minor_gcs=1 major_gcs=0 gc_freed=7998 nodes_promoted=194 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=0 backend=tree tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("sortlist", "tier1", "steps=19658 allocations=11793 freelist_reuses=0 unboxed_hits=4777 thunk_updates=4172 max_stack_depth=245 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=1 minor_gcs=1 major_gcs=0 gc_freed=7999 nodes_promoted=193 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("sortlist", "tier2", "steps=19299 allocations=11439 freelist_reuses=0 unboxed_hits=4777 thunk_updates=3818 max_stack_depth=244 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=1 minor_gcs=1 major_gcs=0 gc_freed=8004 nodes_promoted=188 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=4160 ic_hits=4045 ic_misses=9"),
-    ("pipeline", "tree", "steps=26258 allocations=2813 freelist_reuses=0 unboxed_hits=4207 thunk_updates=1808 max_stack_depth=210 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=0 backend=tree tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("pipeline", "tier1", "steps=5413 allocations=2813 freelist_reuses=0 unboxed_hits=4207 thunk_updates=1808 max_stack_depth=207 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("pipeline", "tier2", "steps=4213 allocations=2013 freelist_reuses=0 unboxed_hits=4207 thunk_updates=1008 max_stack_depth=206 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=1601 ic_hits=1395 ic_misses=9"),
-    ("deep-raise", "tree", "steps=22018 allocations=1002 freelist_reuses=0 unboxed_hits=5004 thunk_updates=1001 max_stack_depth=1004 frames_trimmed=1000 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=0 backend=tree tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("deep-raise", "tier1", "steps=3005 allocations=1002 freelist_reuses=0 unboxed_hits=6004 thunk_updates=1001 max_stack_depth=1001 frames_trimmed=1000 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("deep-raise", "tier2", "steps=2005 allocations=2 freelist_reuses=0 unboxed_hits=6004 thunk_updates=1 max_stack_depth=1001 frames_trimmed=1000 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=2001 ic_hits=999 ic_misses=1"),
-    ("deep-propagate", "tree", "steps=22018 allocations=2003 freelist_reuses=0 unboxed_hits=4004 thunk_updates=1001 max_stack_depth=1004 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=1 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=0 backend=tree tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
-    ("deep-propagate", "tier1", "steps=4005 allocations=2003 freelist_reuses=0 unboxed_hits=4004 thunk_updates=1001 max_stack_depth=1001 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=1 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
-    ("deep-propagate", "tier2", "steps=3005 allocations=1003 freelist_reuses=0 unboxed_hits=4004 thunk_updates=1 max_stack_depth=1000 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=1 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=2001 ic_hits=999 ic_misses=1"),
-    ("catchloop", "tree", "steps=14322 allocations=1205 freelist_reuses=0 unboxed_hits=2804 thunk_updates=602 max_stack_depth=604 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=0 backend=tree tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
+    ("deep-propagate", "tier1", "steps=4004 allocations=2003 freelist_reuses=0 unboxed_hits=4004 thunk_updates=1001 max_stack_depth=1001 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=1 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
+    ("deep-propagate", "tier2", "steps=3004 allocations=1003 freelist_reuses=0 unboxed_hits=4004 thunk_updates=1 max_stack_depth=1000 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=1 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=2001 ic_hits=999 ic_misses=1"),
     ("catchloop", "tier1", "steps=2804 allocations=1205 freelist_reuses=0 unboxed_hits=3104 thunk_updates=602 max_stack_depth=602 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=5 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("catchloop", "tier2", "steps=2504 allocations=905 freelist_reuses=0 unboxed_hits=2804 thunk_updates=302 max_stack_depth=602 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=5 backend=compiled tier=2 fused_steps=901 ic_hits=597 ic_misses=3"),
-    ("mapexception", "tree", "steps=19 allocations=3 freelist_reuses=0 unboxed_hits=4 thunk_updates=1 max_stack_depth=2 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=0 backend=tree tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("mapexception", "tier1", "steps=7 allocations=3 freelist_reuses=0 unboxed_hits=4 thunk_updates=1 max_stack_depth=2 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("mapexception", "tier2", "steps=7 allocations=3 freelist_reuses=0 unboxed_hits=4 thunk_updates=1 max_stack_depth=2 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=1 ic_hits=0 ic_misses=0"),
-    ("fib-faultplan", "tree", "steps=4000 allocations=188 freelist_reuses=0 unboxed_hits=835 thunk_updates=187 max_stack_depth=19 frames_trimmed=10 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=3 minor_gcs=2 major_gcs=1 gc_freed=70 nodes_promoted=2 async_injected=1 forced_gcs=2 cache_hits=0 cache_misses=0 compile_ops=0 backend=tree tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("fib-faultplan", "tier1", "steps=4000 allocations=1335 freelist_reuses=0 unboxed_hits=5990 thunk_updates=1333 max_stack_depth=16 frames_trimmed=10 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=3 minor_gcs=2 major_gcs=1 gc_freed=499 nodes_promoted=2 async_injected=1 forced_gcs=2 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("fib-faultplan", "tier2", "steps=4000 allocations=2 freelist_reuses=0 unboxed_hits=8990 thunk_updates=1 max_stack_depth=15 frames_trimmed=11 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=3 minor_gcs=2 major_gcs=1 gc_freed=0 nodes_promoted=1 async_injected=1 forced_gcs=2 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=3998 ic_hits=1997 ic_misses=2"),
-    ("buried-faultplan", "tree", "steps=400 allocations=20 freelist_reuses=0 unboxed_hits=67 thunk_updates=17 max_stack_depth=23 frames_trimmed=23 thunks_poisoned=0 thunks_restored=2 blackholes_detected=0 gc_runs=3 minor_gcs=2 major_gcs=1 gc_freed=7 nodes_promoted=2 async_injected=1 forced_gcs=2 cache_hits=0 cache_misses=0 compile_ops=0 backend=tree tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("buried-faultplan", "tier1", "steps=400 allocations=135 freelist_reuses=0 unboxed_hits=531 thunk_updates=133 max_stack_depth=135 frames_trimmed=134 thunks_poisoned=0 thunks_restored=1 blackholes_detected=0 gc_runs=3 minor_gcs=2 major_gcs=1 gc_freed=65 nodes_promoted=2 async_injected=1 forced_gcs=2 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
     ("buried-faultplan", "tier2", "steps=400 allocations=3 freelist_reuses=0 unboxed_hits=795 thunk_updates=1 max_stack_depth=200 frames_trimmed=200 thunks_poisoned=0 thunks_restored=1 blackholes_detected=0 gc_runs=3 minor_gcs=2 major_gcs=1 gc_freed=0 nodes_promoted=1 async_injected=1 forced_gcs=2 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=397 ic_hits=197 ic_misses=2"),
 ];

@@ -1,14 +1,17 @@
-//! A `mapException` interception on the tree-walker interns no symbol.
+//! The machine interns no symbol per intercepted raise or per IO bind.
 //!
-//! The handler is applied by pushing an `Apply` frame for the exception
-//! value, so no synthetic variable is minted per intercepted raise and
-//! the global interner does not grow with the number of raises. This file
-//! holds a single test: the fresh-symbol counter is process-global, so no
-//! other test may run beside it.
+//! A `mapException` handler is applied by pushing an `Apply` frame for the
+//! exception value, and an IO runner's `>>=` step applies its continuation
+//! through `Machine::alloc_apply`, which binds by environment slot. So no
+//! synthetic variable is minted per raise or per bind, and the global
+//! interner does not grow with the number of raises or with the length of
+//! a `main` loop. This file holds a single test: the fresh-symbol counter
+//! is process-global, so no other test may run beside it.
 
-use std::rc::Rc;
+use std::sync::Arc;
 
-use urk_machine::{MEnv, Machine, MachineConfig, Outcome};
+use urk::{IoResult, Session};
+use urk_machine::{compile_program, Machine, MachineConfig, Outcome};
 use urk_syntax::{desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv};
 use urk_syntax::{Exception, Symbol};
 
@@ -29,14 +32,13 @@ fn intercepted_raises_mint_no_fresh_symbols() {
         &mut data,
     )
     .expect("desugars");
-    let query = Rc::new(
-        desugar_expr(&parse_expr_src("mapped 0").expect("parses"), &data).expect("desugars"),
-    );
+    let query =
+        desugar_expr(&parse_expr_src("mapped 0").expect("parses"), &data).expect("desugars");
     let mut m = Machine::new(MachineConfig::default());
-    let env = m.bind_recursive(&prog.binds, &MEnv::empty());
+    m.link_code(Arc::new(compile_program(&prog.binds)));
     let before = probe();
     for _ in 0..N {
-        match m.eval(query.clone(), &env, true).expect("no machine error") {
+        match m.eval_code_expr(&query, true).expect("no machine error") {
             Outcome::Caught(Exception::Overflow) => {}
             other => panic!("expected the rewritten Overflow, got {other:?}"),
         }
@@ -46,6 +48,34 @@ fn intercepted_raises_mint_no_fresh_symbols() {
         after - before,
         1,
         "{N} intercepted raises minted {} fresh symbols",
+        after - before - 1
+    );
+
+    // A `main` loop of N binds, on the sequential runner and under the
+    // thread scheduler: every bind applies its continuation by slot.
+    let mut s = Session::new();
+    s.load(&format!(
+        "countdown n = if n == 0 then return 0 else return n >>= \\k -> countdown (k - 1)\n\
+         main = countdown {N}"
+    ))
+    .expect("loads");
+    let before = probe();
+    let seq = s.run_main("").expect("runs");
+    assert!(
+        matches!(seq.result, IoResult::Done(ref v) if v == "0"),
+        "{seq:?}"
+    );
+    let conc = s.run_main_concurrent("").expect("runs");
+    assert!(
+        matches!(conc.main, IoResult::Done(ref v) if v == "0"),
+        "{conc:?}"
+    );
+    let after = probe();
+    assert_eq!(
+        after - before,
+        1,
+        "{} IO binds minted {} fresh symbols",
+        2 * N,
         after - before - 1
     );
 }

@@ -17,13 +17,20 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use urk_denot::{compare_denots, denot_leq, show_denot, Denot, DenotConfig, DenotEvaluator};
-use urk_machine::{MEnv, Machine, MachineConfig, OrderPolicy, Outcome};
+use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy, Outcome};
 use urk_syntax::core::{Alt, Expr, PrimOp};
 use urk_syntax::{desugar_expr, parse_expr_src, pretty, DataEnv, Symbol};
 use urk_transform::{
     apply_everywhere, BetaReduce, CaseOfCase, CaseOfKnownCon, CaseOfLiteral, CommutePrimArgs,
     DeadLetElim, InlineLet, Transform,
 };
+
+/// A machine with an empty program linked, for closed queries.
+fn closed_machine(config: MachineConfig) -> Machine {
+    let mut m = Machine::new(config);
+    m.link_code(std::sync::Arc::new(compile_program(&[])));
+    m
+}
 
 const POOL: [&str; 4] = ["pa", "pb", "pc", "pd"];
 
@@ -123,11 +130,11 @@ fn closed_int_expr() -> BoxedStrategy<Expr> {
 }
 
 fn machine_result(e: &Rc<Expr>, policy: OrderPolicy) -> Outcome {
-    let mut m = Machine::new(MachineConfig {
+    let mut m = closed_machine(MachineConfig {
         order: policy,
         ..MachineConfig::default()
     });
-    m.eval(e.clone(), &MEnv::empty(), true).expect("terminates")
+    m.eval_code_expr(e, true).expect("terminates")
 }
 
 proptest! {
@@ -145,11 +152,11 @@ proptest! {
         for policy in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft, OrderPolicy::Seeded(11)] {
             match (&denot, machine_result(&e, policy)) {
                 (Denot::Ok(urk_denot::Value::Int(n)), Outcome::Value(node)) => {
-                    let mut m2 = Machine::new(MachineConfig {
+                    let mut m2 = closed_machine(MachineConfig {
                         order: policy,
                         ..MachineConfig::default()
                     });
-                    let Outcome::Value(node2) = m2.eval(e.clone(), &MEnv::empty(), true).expect("terminates") else {
+                    let Outcome::Value(node2) = m2.eval_code_expr(&e, true).expect("terminates") else {
                         unreachable!()
                     };
                     prop_assert_eq!(m2.render(node2, 4), n.to_string());

@@ -14,13 +14,20 @@
 use std::rc::Rc;
 
 use urk_denot::{compare_denots, denot_leq, show_denot, Denot, DenotConfig, DenotEvaluator, Value};
-use urk_machine::{MEnv, Machine, MachineConfig, OrderPolicy, Outcome};
+use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy, Outcome};
 use urk_syntax::core::{Alt, CoreProgram, Expr, PrimOp};
 use urk_syntax::{desugar_expr, parse_expr_src, pretty, DataEnv, Symbol};
 use urk_transform::{
     apply_everywhere, BetaReduce, CaseOfCase, CaseOfKnownCon, CaseOfLiteral, CommutePrimArgs,
     DeadLetElim, InlineLet, Optimizer, Transform,
 };
+
+/// A machine with an empty program linked, for closed queries.
+fn closed_machine(config: MachineConfig) -> Machine {
+    let mut m = Machine::new(config);
+    m.link_code(std::sync::Arc::new(compile_program(&[])));
+    m
+}
 
 fn raise_user_error(msg: &str) -> Expr {
     Expr::raise(Expr::con("UserError", [Expr::str(msg)]))
@@ -155,11 +162,11 @@ fn seed_2() -> Expr {
 }
 
 fn machine_result(e: &Rc<Expr>, policy: OrderPolicy) -> Outcome {
-    let mut m = Machine::new(MachineConfig {
+    let mut m = closed_machine(MachineConfig {
         order: policy,
         ..MachineConfig::default()
     });
-    m.eval(e.clone(), &MEnv::empty(), true).expect("terminates")
+    m.eval_code_expr(e, true).expect("terminates")
 }
 
 /// The `machine_sound_wrt_denotational_semantics` property, pinned.
@@ -175,14 +182,11 @@ fn check_machine_sound(e: Expr) {
     ] {
         match (&denot, machine_result(&e, policy)) {
             (Denot::Ok(Value::Int(n)), Outcome::Value(node)) => {
-                let mut m2 = Machine::new(MachineConfig {
+                let mut m2 = closed_machine(MachineConfig {
                     order: policy,
                     ..MachineConfig::default()
                 });
-                let Outcome::Value(node2) = m2
-                    .eval(e.clone(), &MEnv::empty(), true)
-                    .expect("terminates")
-                else {
+                let Outcome::Value(node2) = m2.eval_code_expr(&e, true).expect("terminates") else {
                     unreachable!()
                 };
                 assert_eq!(m2.render(node2, 4), n.to_string());

@@ -3,14 +3,14 @@
 //! `FaultPlan::sabotage_async_restore` makes an asynchronous trim skip the
 //! restore of the black holes it passes. The heap audit must then report
 //! stranded black holes, and the same plan with the switch off must pass
-//! every invariant. Both executors share one raise trim, so this checks
-//! that the shared trim carries the hook for the tree-walker, the tier-1
-//! image and the tier-2 image alike.
+//! every invariant. Both tiers run one kernel and its one raise trim, so
+//! this checks that the trim carries the hook for the tier-1 image and the
+//! tier-2 image alike.
 
 use std::sync::Arc;
 
 use urk_bench::{compile, lower, lower_t2, Compiled, Workload};
-use urk_io::{chaos_run_with_plan, chaos_run_with_plan_compiled, ChaosReport};
+use urk_io::{chaos_run_with_plan, ChaosReport};
 use urk_machine::{Code, FaultPlan, MachineConfig};
 use urk_syntax::Exception;
 
@@ -38,13 +38,13 @@ fn plan(sabotage: bool) -> FaultPlan {
     }
 }
 
-/// One report per executor: tree, tier 1, tier 2.
+/// One report per image: tier 1, tier 2.
 fn reports(sabotage: bool) -> Vec<(&'static str, ChaosReport)> {
     let c = program();
     let base = MachineConfig::default();
     let binds = &c.program.binds;
     let flat = |code: Arc<Code>| {
-        chaos_run_with_plan_compiled(
+        chaos_run_with_plan(
             &c.data,
             binds,
             &code,
@@ -54,14 +54,7 @@ fn reports(sabotage: bool) -> Vec<(&'static str, ChaosReport)> {
             plan(sabotage),
         )
     };
-    vec![
-        (
-            "tree",
-            chaos_run_with_plan(&c.data, binds, &c.query, &base, 400_000, plan(sabotage)),
-        ),
-        ("tier1", flat(lower(&c))),
-        ("tier2", flat(lower_t2(&c))),
-    ]
+    vec![("tier1", flat(lower(&c))), ("tier2", flat(lower_t2(&c)))]
 }
 
 #[test]

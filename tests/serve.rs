@@ -399,7 +399,7 @@ fn stats_snapshots_surface_pool_cache_and_protocol_counters() {
             assert_eq!(requests, 3);
             assert_eq!(jobs_submitted, 3);
             assert_eq!(jobs_shed, 0);
-            assert_eq!(backend, "tree");
+            assert_eq!(backend, "compiled");
             assert_eq!(cache.capacity, 64);
             assert!(
                 cache.insertions >= 2,

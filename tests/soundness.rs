@@ -7,8 +7,15 @@
 use std::rc::Rc;
 
 use urk_denot::{show_denot, Denot, DenotEvaluator, Env};
-use urk_machine::{MEnv, Machine, MachineConfig, OrderPolicy, Outcome};
+use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy, Outcome};
 use urk_syntax::{desugar_expr, parse_expr_src, DataEnv};
+
+/// A machine with an empty program linked, for closed queries.
+fn closed_machine(config: MachineConfig) -> Machine {
+    let mut m = Machine::new(config);
+    m.link_code(std::sync::Arc::new(compile_program(&[])));
+    m
+}
 
 /// Closed terms exercising every corner of the semantics.
 const CORPUS: &[&str] = &[
@@ -77,13 +84,11 @@ fn machine_agrees_with_the_denotational_semantics_on_the_corpus() {
 
         // Machine result (catching, to observe the representative).
         for policy in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
-            let mut m = Machine::new(MachineConfig {
+            let mut m = closed_machine(MachineConfig {
                 order: policy,
                 ..MachineConfig::default()
             });
-            let out = m
-                .eval(core.clone(), &MEnv::empty(), true)
-                .expect("within limits");
+            let out = m.eval_code_expr(&core, true).expect("within limits");
             match (&denot, out) {
                 (Denot::Ok(_), Outcome::Value(n)) => {
                     let machine_render = m.render(n, 16);
@@ -127,13 +132,11 @@ fn order_policies_never_change_normal_results() {
             OrderPolicy::RightToLeft,
             OrderPolicy::Seeded(99),
         ] {
-            let mut m = Machine::new(MachineConfig {
+            let mut m = closed_machine(MachineConfig {
                 order: policy,
                 ..MachineConfig::default()
             });
-            let out = m
-                .eval(core.clone(), &MEnv::empty(), true)
-                .expect("within limits");
+            let out = m.eval_code_expr(&core, true).expect("within limits");
             if let Outcome::Value(n) = out {
                 renders.push(m.render(n, 8));
             }
@@ -152,11 +155,11 @@ fn machine_representative_is_deterministic_per_policy() {
     let core =
         Rc::new(desugar_expr(&parse_expr_src(src).expect("parses"), &data).expect("desugars"));
     let run = |policy| {
-        let mut m = Machine::new(MachineConfig {
+        let mut m = closed_machine(MachineConfig {
             order: policy,
             ..MachineConfig::default()
         });
-        match m.eval(core.clone(), &MEnv::empty(), true).expect("ok") {
+        match m.eval_code_expr(&core, true).expect("ok") {
             Outcome::Caught(e) => e,
             other => panic!("{other:?}"),
         }
@@ -184,11 +187,11 @@ fn denotation_is_invariant_under_the_machine_policy_knob() {
         panic!("exceptional")
     };
     for policy in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
-        let mut m = Machine::new(MachineConfig {
+        let mut m = closed_machine(MachineConfig {
             order: policy,
             ..MachineConfig::default()
         });
-        let Outcome::Caught(e) = m.eval(core.clone(), &MEnv::empty(), true).expect("ok") else {
+        let Outcome::Caught(e) = m.eval_code_expr(&core, true).expect("ok") else {
             panic!("raises")
         };
         assert!(set.contains(&e));
@@ -214,8 +217,8 @@ fn env_binding_shapes_agree_between_layers() {
     assert_eq!(show_denot(&ev, &d, 4), "16");
 
     let mut m = Machine::new(MachineConfig::default());
-    let menv = m.bind_recursive(&prog.binds, &MEnv::empty());
-    let Outcome::Value(n) = m.eval(query, &menv, false).expect("ok") else {
+    m.link_code(std::sync::Arc::new(compile_program(&prog.binds)));
+    let Outcome::Value(n) = m.eval_code_expr(&query, false).expect("ok") else {
         panic!()
     };
     assert_eq!(m.render(n, 4), "16");

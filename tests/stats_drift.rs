@@ -8,7 +8,7 @@
 //! `examples/serve_load.rs` decodes with [`urk_io::Response::decode`],
 //! and the live counters an evaluation actually produces.
 
-use urk::{Backend, Session, Stats};
+use urk::{Session, Stats, Tier};
 use urk_io::{Response, WireStats, WireTotals};
 
 #[test]
@@ -49,7 +49,7 @@ fn wire_results_carry_unboxed_hits_and_round_trip() {
             compile_micros: 0,
             cache_hits: 0,
             cache_misses: 1,
-            backend: "tree".into(),
+            backend: "compiled".into(),
             tier: "1".into(),
         },
     };
@@ -98,14 +98,14 @@ fn wire_totals_carry_unboxed_hits_and_round_trip() {
 
 #[test]
 fn evaluations_actually_hit_the_unboxed_path_on_both_backends() {
-    for backend in [Backend::Tree, Backend::Compiled] {
+    for tier in [Tier::One, Tier::Two] {
         let mut s = Session::new();
-        s.options.backend = backend;
+        s.options.tier = tier;
         let r = s.eval("(1 + 2) * 4").expect("evaluates");
         assert_eq!(r.rendered, "12");
         assert!(
             r.stats.unboxed_hits >= 1,
-            "{backend:?}: small-integer arithmetic must hit the tagged \
+            "{tier:?}: small-integer arithmetic must hit the tagged \
              immediate path: {:?}",
             r.stats
         );

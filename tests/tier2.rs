@@ -1,7 +1,6 @@
 //! The tier-2 differential battery: the analysis-licensed
 //! superinstruction image must be observationally indistinguishable from
-//! the tree-walker *and* the tier-1 image on every corpus the repo
-//! trusts, under every order policy, chaos plan, and interrupt sweep —
+//! the tier-1 image on every corpus the repo trusts, under every order policy, chaos plan, and interrupt sweep —
 //! while actually being faster (the perf claim lives in
 //! `benches/codegen.rs` and `BENCH_codegen.json`; this file proves the
 //! speed is not bought with wrong answers).
@@ -9,7 +8,7 @@
 //! Layers of evidence:
 //!
 //! * the soundness corpus and the paper's worked examples agree across
-//!   all three engines under both deterministic orders, with every
+//!   both tiers under both deterministic orders, with every
 //!   exceptional outcome a member of the denoted set (§3.5 refinement);
 //! * the seeded order stays in per-seed lockstep across tiers, so the
 //!   §3.5 "pick any member" draw stream is preserved by fusion;
@@ -26,11 +25,11 @@
 
 use std::sync::Arc;
 
-use urk::{Backend, EvalPool, Options, PoolConfig, Session, Tier};
-use urk_bench::{compile, lower, lower_t2, pipeline_workload, run, run_flat, workloads, Workload};
+use urk::{EvalPool, Options, PoolConfig, Session, Tier};
+use urk_bench::{compile, lower, lower_t2, pipeline_workload, run_flat, workloads, Workload};
 use urk_machine::{
-    compile_program, tier2_optimize, FactVal, GlobalFact, Machine, MachineConfig, OrderPolicy,
-    Outcome, Tier2Facts,
+    compile_program, tier2_optimize, FactVal, FaultPlan, GlobalFact, Machine, MachineConfig,
+    OrderPolicy, Outcome, Tier2Facts,
 };
 use urk_syntax::{desugar_program, parse_program, DataEnv, Exception};
 
@@ -96,35 +95,27 @@ const CHAOS_PROGRAMS: &[(&str, &str)] = &[
     ),
 ];
 
-/// Tree, tier-1, and tier-2 sessions with identical options otherwise.
-fn engine_triple(order: OrderPolicy) -> (Session, Session, Session) {
-    let mut tree = Session::new();
-    tree.options.machine.order = order;
+/// Tier-1 and tier-2 sessions with identical options otherwise.
+fn tier_pair(order: OrderPolicy) -> (Session, Session) {
     let mut t1 = Session::new();
     t1.options.machine.order = order;
-    t1.options.backend = Backend::Compiled;
     let mut t2 = Session::new();
     t2.options.machine.order = order;
-    t2.options.backend = Backend::Compiled;
     t2.options.tier = Tier::Two;
-    (tree, t1, t2)
+    (t1, t2)
 }
 
-/// Asserts all three engines agree on `src`, the tier-2 run is tagged as
-/// tier 2, and any exceptional outcome is inside the denoted set.
-fn assert_three_way(tree: &Session, t1: &Session, t2: &Session, src: &str) {
-    let a = tree
-        .eval(src)
-        .unwrap_or_else(|e| panic!("{src}: tree: {e}"));
+/// Asserts both tiers agree on `src`, each run is tagged with its tier,
+/// and any exceptional outcome is inside the denoted set.
+fn assert_two_way(t1: &Session, t2: &Session, src: &str) {
     let b = t1
         .eval(src)
         .unwrap_or_else(|e| panic!("{src}: tier 1: {e}"));
     let c = t2
         .eval(src)
         .unwrap_or_else(|e| panic!("{src}: tier 2: {e}"));
-    assert_eq!(a.rendered, b.rendered, "{src}: tree vs tier 1");
-    assert_eq!(a.rendered, c.rendered, "{src}: tree vs tier 2");
-    assert_eq!(a.exception, c.exception, "{src}: representative exception");
+    assert_eq!(b.rendered, c.rendered, "{src}: tier 1 vs tier 2");
+    assert_eq!(b.exception, c.exception, "{src}: representative exception");
     assert_eq!(c.stats.tier.name(), "2", "{src}: stats must carry the tier");
     assert_eq!(b.stats.tier.name(), "1", "{src}");
     if let Some(exn) = &c.exception {
@@ -142,9 +133,9 @@ fn assert_three_way(tree: &Session, t1: &Session, t2: &Session, src: &str) {
 #[test]
 fn the_soundness_corpus_agrees_across_engines_under_both_orders() {
     for order in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
-        let (tree, t1, t2) = engine_triple(order);
+        let (t1, t2) = tier_pair(order);
         for src in CORPUS {
-            assert_three_way(&tree, &t1, &t2, src);
+            assert_two_way(&t1, &t2, src);
         }
     }
 }
@@ -157,8 +148,7 @@ fn paper_examples_agree_through_loaded_definitions_at_tier_2() {
     let program = "safeDiv a b = if b == 0 then Bad DivideByZero else OK (a / b)\n\
                    useIt a b = case safeDiv a b of { OK v -> v; Bad ex -> 0 - 1 }\n\
                    sumTo n = if n == 0 then 0 else n + sumTo (n - 1)";
-    let (mut tree, mut t1, mut t2) = engine_triple(OrderPolicy::LeftToRight);
-    tree.load(program).expect("loads");
+    let (mut t1, mut t2) = tier_pair(OrderPolicy::LeftToRight);
     t1.load(program).expect("loads");
     t2.load(program).expect("loads");
     for src in [
@@ -171,23 +161,21 @@ fn paper_examples_agree_through_loaded_definitions_at_tier_2() {
         "head []",
         "map (\\x -> x * x) [1, 2, 3]",
     ] {
-        assert_three_way(&tree, &t1, &t2, src);
+        assert_two_way(&t1, &t2, src);
     }
 }
 
 #[test]
-fn seeded_orders_stay_in_lockstep_across_all_three_engines() {
+fn seeded_orders_stay_in_lockstep_across_tiers() {
     // §3.5's seeded draw stream must survive fusion: the pass disables
     // prim-region speculation under Seeded and region-evaluates
-    // chosen-first, so each seed picks the same member everywhere.
+    // chosen-first, so each seed picks the same member at both tiers.
     let src = r#"(1/0) + (raise (UserError "a") + raise Overflow)"#;
     for seed in 0..16u64 {
-        let (tree, t1, t2) = engine_triple(OrderPolicy::Seeded(seed));
-        let a = tree.eval(src).expect("tree evals");
+        let (t1, t2) = tier_pair(OrderPolicy::Seeded(seed));
         let b = t1.eval(src).expect("tier 1 evals");
         let c = t2.eval(src).expect("tier 2 evals");
-        assert_eq!(a.rendered, b.rendered, "seed {seed}: tree vs tier 1");
-        assert_eq!(a.rendered, c.rendered, "seed {seed}: tree vs tier 2");
+        assert_eq!(b.rendered, c.rendered, "seed {seed}: tier 1 vs tier 2");
     }
 }
 
@@ -197,14 +185,12 @@ fn bench_workloads_agree_and_the_tier2_gauges_prove_the_claim() {
     all.push(pipeline_workload());
     for w in &all {
         let c = compile(w);
-        let (tree, _) = run(&c, MachineConfig::default());
         let code1 = lower(&c);
         let (t1, s1) = run_flat(&c, &code1, MachineConfig::default());
         let code2 = lower_t2(&c);
         assert!(code2.is_tier2());
         code2.verify().expect("tier-2 image verifies");
         let (t2, s2) = run_flat(&c, &code2, MachineConfig::default());
-        assert_eq!(tree, w.expected, "workload {}", w.name);
         assert_eq!(t1, w.expected, "workload {}", w.name);
         assert_eq!(t2, w.expected, "workload {}", w.name);
         // The gauges: agreement is only meaningful if the tier-2 ops ran.
@@ -238,7 +224,6 @@ fn bench_workloads_agree_and_the_tier2_gauges_prove_the_claim() {
 #[test]
 fn the_chaos_corpus_holds_the_invariants_on_the_tier2_image() {
     let mut session = Session::new();
-    session.options.backend = Backend::Compiled;
     session.options.tier = Tier::Two;
     let mut injected_runs = 0u32;
     let mut runs = 0u32;
@@ -381,6 +366,57 @@ fn speculative_raises_are_stored_not_propagated() {
 }
 
 #[test]
+fn the_spec_propagate_sabotage_fires_at_both_tiers() {
+    // The switch behind the test above: with `sabotage_spec_propagate`
+    // armed, a `let` that binds an already poisoned node raises at the
+    // binding site instead of storing the poison. `shared` binds a
+    // poisoned node at either tier; `main` only at tier 2, where the
+    // speculation site poisons `x` eagerly.
+    let mut data = DataEnv::new();
+    let prog = desugar_program(
+        &parse_program(
+            "main = let x = 1/0 in 42\n\
+             shared = let p = 1/0 in seq (unsafeIsException p) (let x = p in 42)",
+        )
+        .expect("parses"),
+        &mut data,
+    )
+    .expect("desugars");
+    let base = compile_program(&prog.binds);
+    let t2 = tier2_optimize(&base, &Tier2Facts::empty());
+    let images = [("tier1", Arc::new(base)), ("tier2", Arc::new(t2))];
+    let eval = |code: &Arc<urk::Code>, query: &str, sabotage: bool| {
+        let mut m = Machine::new(MachineConfig {
+            chaos: Some(FaultPlan {
+                horizon: u64::MAX,
+                sabotage_spec_propagate: sabotage,
+                ..FaultPlan::default()
+            }),
+            ..MachineConfig::default()
+        });
+        m.link_code(Arc::clone(code));
+        let e =
+            urk_syntax::desugar_expr(&urk_syntax::parse_expr_src(query).expect("parses"), &data)
+                .expect("desugars");
+        match m.eval_code_expr(&e, true).expect("no machine error") {
+            Outcome::Value(n) => m.render(n, 16),
+            Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
+        }
+    };
+    for (tier, code) in &images {
+        for query in ["main", "shared"] {
+            assert_eq!(eval(code, query, false), "42", "{tier} {query}: honest");
+        }
+        assert_eq!(
+            eval(code, "shared", true),
+            "(raise DivideByZero)",
+            "{tier}: the sabotage must fire"
+        );
+    }
+    assert_eq!(eval(&images[1].1, "main", true), "(raise DivideByZero)");
+}
+
+#[test]
 fn a_corrupted_licence_is_caught_by_the_differential_battery() {
     // Facts are a licence, not a proof: the constant-substitution pass
     // emits the *fact's* value, so a corrupted analysis produces an
@@ -434,17 +470,16 @@ fn a_corrupted_licence_is_caught_by_the_differential_battery() {
 }
 
 #[test]
-fn pools_at_tier_2_agree_with_the_tree_backend_on_one_shared_image() {
+fn pools_at_tier_2_agree_with_tier_1_on_one_shared_image() {
     let sources: &[&str] = &["double x = x + x\nsquare x = x * x"];
     let exprs: Vec<String> = (0..8)
         .map(|i| format!("double (square {i}) + {i}"))
         .chain(["zipWith (/) [1, 2] [1, 0]".to_string(), "1/0".to_string()])
         .collect();
-    let run = |backend, tier| {
+    let run = |tier| {
         let pool = EvalPool::start(
             sources,
             Options {
-                backend,
                 tier,
                 ..Options::default()
             },
@@ -457,10 +492,10 @@ fn pools_at_tier_2_agree_with_the_tree_backend_on_one_shared_image() {
         .expect("pool starts");
         pool.eval_batch(&exprs)
     };
-    let tree = run(Backend::Tree, Tier::One);
-    let t2 = run(Backend::Compiled, Tier::Two);
-    for ((src, a), b) in exprs.iter().zip(&tree).zip(&t2) {
-        let a = a.as_ref().expect("tree evals");
+    let t1 = run(Tier::One);
+    let t2 = run(Tier::Two);
+    for ((src, a), b) in exprs.iter().zip(&t1).zip(&t2) {
+        let a = a.as_ref().expect("tier 1 evals");
         let b = b.as_ref().expect("tier 2 evals");
         assert_eq!(a.rendered, b.rendered, "{src}");
         assert_eq!(a.exception, b.exception, "{src}");
@@ -471,7 +506,6 @@ fn pools_at_tier_2_agree_with_the_tree_backend_on_one_shared_image() {
 #[test]
 fn tier_switches_invalidate_the_session_image() {
     let mut s = Session::new();
-    s.options.backend = Backend::Compiled;
     s.load("inc x = x + 1").expect("loads");
     let first = s.eval("inc 1").expect("evals");
     assert_eq!(first.rendered, "2");
