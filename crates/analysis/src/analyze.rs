@@ -1,19 +1,24 @@
 //! The whole-program abstract interpreter.
 //!
 //! [`analyze_program`] computes a [`Summary`] per top-level binding via a
-//! Mycroft-style fixpoint mirroring `urk-transform`'s strictness analysis:
-//! peel the manifest lambdas, start from an optimistic summary, and
-//! re-analyse every body against the current summaries until nothing
-//! changes. Two departures keep the optimism sound:
+//! Mycroft-style fixpoint: peel the manifest lambdas, start from an
+//! optimistic summary, and re-analyse every body against the current
+//! summaries until nothing changes. The summary carries two lattices
+//! that need different treatment:
 //!
-//! * **Divergence cannot be discovered optimistically** — `loop = loop`
-//!   would happily stabilise at "pure". Every binding on a cycle of the
-//!   syntactic consultation graph (an edge `g → h` whenever `h` occurs
-//!   free in `g`'s right-hand side) is therefore *pinned* to the bottom
-//!   effect (may raise anything, may diverge) before iteration starts.
-//!   Recursion-free Core terms terminate, so the optimistic start is
-//!   sound for everything that is left — an acyclic system on which the
-//!   rounds converge within its depth.
+//! * **Effects: divergence cannot be discovered optimistically** —
+//!   `loop = loop` would happily stabilise at "pure". Every binding on a
+//!   cycle of the syntactic consultation graph (an edge `g → h` whenever
+//!   `h` occurs free in `g`'s right-hand side) is therefore *pinned* to
+//!   the bottom effect (may raise anything, may diverge) before iteration
+//!   starts. Recursion-free Core terms terminate, so the optimistic start
+//!   is sound for everything that is left.
+//! * **Demand is Mycroft's greatest fixpoint, cycles included** — every
+//!   binding starts demanding every parameter and the rounds only clear
+//!   bits. A call that never returns denotes `⊥`, which incorporates
+//!   every exception set (§4.1), so the optimism is sound on cycles too.
+//!   This is the one demand analysis: §3.4's call-by-value passes in
+//!   `urk-transform` and tier 2's call speculation both read it.
 //! * **Higher-order applications are opaque** — a lambda is WHNF-safe
 //!   but *applying* it can raise, so any application whose head is
 //!   neither a manifest lambda nor a known global summary falls to
@@ -46,9 +51,9 @@ pub struct Summary {
     /// forced (nor embedded in the result), so a saturated call only
     /// unions the effects of the `true` positions.
     pub uses: Vec<bool>,
-    /// Must-demand per parameter: `true` guarantees that an exceptional
-    /// argument in that position makes the saturated call's own result
-    /// exceptional — per §4 the licence for evaluating the argument
+    /// Must-demand per parameter: `true` guarantees that the argument's
+    /// exception set is contained in the saturated call's own (set
+    /// incorporation) — per §4 the licence for evaluating the argument
     /// eagerly without changing the denoted exception set. `false` is
     /// always sound.
     pub demands: Vec<bool>,
@@ -59,7 +64,8 @@ pub struct Summary {
 pub struct Analysis {
     /// One summary per top-level binding.
     pub summaries: HashMap<Symbol, Summary>,
-    /// Bindings on a consultation-graph cycle, pinned to bottom.
+    /// Bindings on a consultation-graph cycle, whose effects are pinned
+    /// to bottom.
     pub recursive: HashSet<Symbol>,
     /// Fixpoint rounds actually run (diagnostics / benchmarking).
     pub rounds: usize,
@@ -198,81 +204,70 @@ pub fn analyze_program(prog: &CoreProgram, data: &DataEnv) -> Analysis {
 
     let mut summaries: HashMap<Symbol, Summary> = HashMap::new();
     for (name, params, body) in &peeled {
-        if recursive.contains(name) {
-            summaries.insert(
-                *name,
-                Summary {
-                    arity: params.len(),
-                    body_effect: Effect::bottom(),
-                    uses: vec![true; params.len()],
-                    // A must-property cannot be discovered optimistically
-                    // on a cycle: pinned to all-false, which is always
-                    // sound.
-                    demands: vec![false; params.len()],
+        let pinned = recursive.contains(name);
+        let fv = body.free_vars();
+        summaries.insert(
+            *name,
+            Summary {
+                arity: params.len(),
+                body_effect: if pinned {
+                    Effect::bottom()
+                } else {
+                    Effect::pure()
                 },
-            );
-        } else {
-            let fv = body.free_vars();
-            summaries.insert(
-                *name,
-                Summary {
-                    arity: params.len(),
-                    body_effect: Effect::pure(),
-                    uses: params.iter().map(|p| fv.contains(p)).collect(),
-                    // Pessimistic start: demand grows monotonically as the
-                    // rounds fill in callee demands (false stays sound).
-                    demands: vec![false; params.len()],
-                },
-            );
-        }
+                uses: params.iter().map(|p| pinned || fv.contains(p)).collect(),
+                // Optimistic on every binding: the rounds only clear bits.
+                demands: vec![true; params.len()],
+            },
+        );
     }
 
-    // Mycroft rounds over the (acyclic) remainder. Convergence within the
-    // graph depth; the cap is defensive only.
-    let max_rounds = peeled.len().max(8);
+    // Rounds in program order, each binding re-analysed against the
+    // summaries as updated so far. Effects of the acyclic remainder
+    // converge within its depth; demand bits only fall, so they converge
+    // within the total arity. One more round confirms stability.
+    let total_arity: usize = peeled.iter().map(|(_, params, _)| params.len()).sum();
+    let max_rounds = peeled.len().max(total_arity) + 1;
     let mut rounds = 0;
     let mut stable = false;
     while rounds < max_rounds && !stable {
         rounds += 1;
-        let mut next: Vec<(Symbol, Effect, Vec<bool>)> = Vec::new();
-        {
+        stable = true;
+        for (name, params, body) in &peeled {
+            let pinned = recursive.contains(name);
             let an = Analyzer {
                 data,
                 summaries: &summaries,
             };
-            for (name, params, body) in &peeled {
-                if recursive.contains(name) {
-                    continue;
-                }
+            let effect = (!pinned).then(|| {
                 let mut env: Vec<(Symbol, Effect)> =
                     params.iter().map(|p| (*p, Effect::opaque_arg())).collect();
-                let be = an.effect(body, &mut env).normalize();
-                let dset = an.demanded(body, &mut Vec::new(), params);
-                let demands: Vec<bool> = params.iter().map(|p| dset.contains(p)).collect();
-                next.push((*name, be, demands));
+                an.effect(body, &mut env).normalize()
+            });
+            let dset = an.demanded(body, &mut Vec::new(), params);
+            let demands: Vec<bool> = params.iter().map(|p| dset.contains(p)).collect();
+            let slot = summaries.get_mut(name).expect("summary exists");
+            if let Some(be) = effect {
+                if slot.body_effect != be {
+                    stable = false;
+                    slot.body_effect = be;
+                }
             }
-        }
-        stable = true;
-        for (name, be, demands) in next {
-            let slot = summaries.get_mut(&name).expect("summary exists");
-            if slot.body_effect != be || slot.demands != demands {
+            if slot.demands != demands {
                 stable = false;
-                slot.body_effect = be;
                 slot.demands = demands;
             }
         }
     }
     if !stable {
-        // Defensive fallback (unreachable for an acyclic graph): keep
-        // only sound answers.
+        // Defensive fallback (unreachable within the cap): keep only
+        // sound answers.
         for (name, params, _) in &peeled {
-            if !recursive.contains(name) {
-                recursive.insert(*name);
-                let slot = summaries.get_mut(name).expect("summary exists");
-                slot.body_effect = Effect::bottom();
-                slot.uses = vec![true; params.len()];
-                slot.demands = vec![false; params.len()];
-            }
+            recursive.insert(*name);
+            let slot = summaries.get_mut(name).expect("summary exists");
+            slot.body_effect = Effect::bottom();
+            slot.uses = vec![true; params.len()];
+            slot.demands = vec![false; params.len()];
         }
     }
 
@@ -758,12 +753,19 @@ impl Analyzer<'_> {
         raise_of(ExnSet::bottom(), ie.diverges)
     }
 
+    /// Does forcing `body` to WHNF demand the free variable `x` — is
+    /// `x`'s exception set contained in `body`'s? The licence for §3.4's
+    /// let-to-case: `let x = r in body` may evaluate `r` first.
+    pub fn demands(&self, x: Symbol, body: &Expr) -> bool {
+        self.demanded(body, &mut Vec::new(), &[x]).contains(&x)
+    }
+
     /// The parameters of `params` *certainly demanded* by forcing `e` to
-    /// WHNF: an exceptional value in any returned position makes `e`'s
-    /// own result exceptional, whichever §3.5 order the machine runs in.
-    /// `env` carries let-bound locals with the demand set of their
-    /// right-hand sides (forcing the local forces the rhs); any binder
-    /// shadows an outer parameter of the same name.
+    /// WHNF: each returned parameter's exception set is contained in
+    /// `e`'s, whichever §3.5 order the machine runs in (set
+    /// incorporation). `env` carries let-bound locals with the demand set
+    /// of their right-hand sides (forcing the local forces the rhs); any
+    /// binder shadows an outer parameter of the same name.
     ///
     /// Under-approximation is the soundness direction: every case that is
     /// not provable returns the empty set.
@@ -774,15 +776,7 @@ impl Analyzer<'_> {
         params: &[Symbol],
     ) -> HashSet<Symbol> {
         match e {
-            Expr::Var(x) => {
-                if let Some((_, d)) = env.iter().rev().find(|(y, _)| *y == *x) {
-                    return d.clone();
-                }
-                if params.contains(x) {
-                    return HashSet::from([*x]);
-                }
-                HashSet::new() // globals never carry a parameter
-            }
+            Expr::Var(x) => self.var_demanded(*x, env, params),
             // Values: nothing inside is forced.
             Expr::Int(_) | Expr::Char(_) | Expr::Str(_) | Expr::Con(_, _) | Expr::Lam(_, _) => {
                 HashSet::new()
@@ -803,10 +797,8 @@ impl Analyzer<'_> {
                 out
             }
             // The scrutinee is always forced; beyond it, only what every
-            // alternative agrees on. An empty alternative list always
-            // raises PatternMatchFail, so the result is exceptional
-            // regardless of any argument: every parameter vacuously
-            // qualifies.
+            // alternative agrees on. No alternatives at all raise
+            // PatternMatchFail, which incorporates nothing.
             Expr::Case(s, alts) => {
                 let mut out = self.demanded(s, env, params);
                 let mut branches: Option<HashSet<Symbol>> = None;
@@ -822,21 +814,20 @@ impl Analyzer<'_> {
                         Some(prev) => prev.intersection(&d).copied().collect(),
                     });
                 }
-                match branches {
-                    Some(b) => out.extend(b),
-                    None => out.extend(params.iter().copied()),
-                }
+                out.extend(branches.unwrap_or_default());
                 out
             }
             Expr::Prim(op, args) => match op {
-                // §5.4: the observers swallow the subject's exception.
-                PrimOp::UnsafeIsException | PrimOp::UnsafeGetException => HashSet::new(),
-                // mapException transforms the subject's exception but an
-                // exceptional subject still yields an exceptional result.
-                PrimOp::MapExn => self.demanded(&args[1], env, params),
-                // Seq and the strict primitives force every operand; an
-                // exceptional operand surfaces whichever §3.5 order runs
-                // first (the result is exceptional either way).
+                // `seq (Bad s) b = Bad s` cuts the second operand's set
+                // off: only the first is incorporated.
+                PrimOp::Seq => self.demanded(&args[0], env, params),
+                // mapException replaces the subject's set and the §5.4
+                // observers consume it: nothing is incorporated.
+                PrimOp::MapExn | PrimOp::UnsafeIsException | PrimOp::UnsafeGetException => {
+                    HashSet::new()
+                }
+                // The strict primitives force every operand and union
+                // their sets (§4.2).
                 _ => {
                     let mut out = HashSet::new();
                     for a in args {
@@ -845,13 +836,9 @@ impl Analyzer<'_> {
                     out
                 }
             },
-            // The result is exceptional no matter what: vacuously demands
-            // everything.
-            Expr::Raise(_) => params.iter().copied().collect(),
+            // `raise` propagates its argument's set.
+            Expr::Raise(inner) => self.demanded(inner, env, params),
             Expr::App(_, _) => {
-                // Only a saturated call to a known global propagates
-                // demand through the callee's own demand vector; every
-                // other head shape is opaque.
                 let mut rev_args: Vec<&Rc<Expr>> = Vec::new();
                 let mut head = e;
                 while let Expr::App(f, a) = head {
@@ -861,9 +848,13 @@ impl Analyzer<'_> {
                 let Expr::Var(f) = head else {
                     return HashSet::new();
                 };
+                // A local or parameter head is forced before it is
+                // applied, and `Bad s` applied stays `Bad` (§4.3).
                 if env.iter().any(|(y, _)| *y == *f) || params.contains(f) {
-                    return HashSet::new(); // locally-bound head
+                    return self.var_demanded(*f, env, params);
                 }
+                // A saturated call to a known global propagates demand
+                // through the callee's own demand vector.
                 let Some(sum) = self.summaries.get(f) else {
                     return HashSet::new();
                 };
@@ -882,6 +873,21 @@ impl Analyzer<'_> {
                 out
             }
         }
+    }
+
+    fn var_demanded(
+        &self,
+        x: Symbol,
+        env: &[(Symbol, HashSet<Symbol>)],
+        params: &[Symbol],
+    ) -> HashSet<Symbol> {
+        if let Some((_, d)) = env.iter().rev().find(|(y, _)| *y == x) {
+            return d.clone();
+        }
+        if params.contains(&x) {
+            return HashSet::from([x]);
+        }
+        HashSet::new() // globals never carry a parameter
     }
 }
 
@@ -966,4 +972,141 @@ fn saturated_call(sum: &Summary, args: &[Effect]) -> Effect {
         },
     }
     .normalize()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use urk_syntax::{desugar_program, parse_program};
+
+    fn analyze(src: &str) -> Analysis {
+        let mut data = DataEnv::new();
+        let prog =
+            desugar_program(&parse_program(src).expect("parses"), &mut data).expect("desugars");
+        analyze_program(&prog, &data)
+    }
+
+    fn sig(an: &Analysis, name: &str) -> Vec<bool> {
+        an.summary(Symbol::intern(name))
+            .expect("summary")
+            .demands
+            .clone()
+    }
+
+    #[test]
+    fn arithmetic_demands_both_arguments() {
+        let s = analyze("plus a b = a + b");
+        assert_eq!(sig(&s, "plus"), vec![true, true]);
+    }
+
+    #[test]
+    fn const_is_lazy_in_its_second_argument() {
+        let s = analyze("konst a b = a\nignore a b = b + 0");
+        // Returning `a` forces it to WHNF; `b` is never touched.
+        assert_eq!(sig(&s, "konst"), vec![true, false]);
+        assert_eq!(sig(&s, "ignore"), vec![false, true]);
+    }
+
+    #[test]
+    fn returning_a_variable_forces_it() {
+        // f x = x : forcing f's result to WHNF forces x.
+        let s = analyze("f x = x");
+        assert_eq!(sig(&s, "f"), vec![true]);
+    }
+
+    #[test]
+    fn conditional_strictness_requires_all_branches() {
+        let s = analyze(
+            "both c x = if c then x + 1 else x - 1\n\
+             onearm c x = if c then x + 1 else 0",
+        );
+        // Strict in c (scrutinised) and x (both branches force it).
+        assert_eq!(sig(&s, "both"), vec![true, true]);
+        // Strict in c only.
+        assert_eq!(sig(&s, "onearm"), vec![true, false]);
+    }
+
+    #[test]
+    fn constructors_are_lazy() {
+        let s = analyze("box x = Just x\npair x y = (x, y)");
+        assert_eq!(sig(&s, "box"), vec![false]);
+        assert_eq!(sig(&s, "pair"), vec![false, false]);
+    }
+
+    #[test]
+    fn recursive_accumulator_is_strict() {
+        // sumTo is strict in both: the base case returns acc, the
+        // recursive case feeds acc into +.
+        let s = analyze("sumTo n acc = if n == 0 then acc else sumTo (n - 1) (acc + n)");
+        assert_eq!(sig(&s, "sumTo"), vec![true, true]);
+    }
+
+    #[test]
+    fn mutual_recursion_converges() {
+        let s = analyze(
+            "isEven n = if n == 0 then True else isOdd (n - 1)\n\
+             isOdd n = if n == 0 then False else isEven (n - 1)",
+        );
+        assert_eq!(sig(&s, "isEven"), vec![true]);
+        assert_eq!(sig(&s, "isOdd"), vec![true]);
+    }
+
+    #[test]
+    fn seq_demands_its_first_argument_only() {
+        // `seq (Bad s) b = Bad s`: the second argument's exception set is
+        // cut off when the first raises, so the analysis must not claim
+        // incorporation through it. (Found by the optimizer property test
+        // — see `tests/properties.rs::optimizer_pipeline_is_a_valid_rewrite`.)
+        let s = analyze("strictSnd a b = seq a b");
+        assert_eq!(sig(&s, "strictSnd"), vec![true, false]);
+    }
+
+    #[test]
+    fn exception_consumers_do_not_propagate_demand() {
+        // mapException replaces the set; unsafeIsException consumes it.
+        let s = analyze(
+            "remap e = mapException (\\x -> Overflow) e\n\
+             probe e = unsafeIsException e\n\
+             fetch e = unsafeGetException e",
+        );
+        assert_eq!(sig(&s, "remap"), vec![false]);
+        assert_eq!(sig(&s, "probe"), vec![false]);
+        assert_eq!(sig(&s, "fetch"), vec![false]);
+    }
+
+    #[test]
+    fn seq_cutoff_regression_from_the_property_test() {
+        // The distilled counterexample: the body demands m only under a
+        // seq whose first argument always raises; forcing m early adds
+        // exceptions the original never had.
+        let s = analyze("f m = seq (raise Overflow) ((if 0 < m then 0 else m) + 0)");
+        assert_eq!(sig(&s, "f"), vec![false]);
+    }
+
+    #[test]
+    fn raise_propagates_demand() {
+        let s = analyze("boom e = raise e\nquiet e = raise Overflow");
+        assert_eq!(sig(&s, "boom"), vec![true]);
+        assert_eq!(sig(&s, "quiet"), vec![false]);
+    }
+
+    #[test]
+    fn lazy_list_producers_are_lazy() {
+        let s = analyze("rep x = x : rep x");
+        assert_eq!(sig(&s, "rep"), vec![false]);
+    }
+
+    #[test]
+    fn the_demand_query_works_on_open_terms() {
+        let data = DataEnv::new();
+        let an = Analysis::default();
+        let an = an.analyzer(&data);
+        let core = |src: &str| {
+            urk_syntax::desugar_expr(&urk_syntax::parse_expr_src(src).expect("parses"), &data)
+                .expect("desugars")
+        };
+        let x = Symbol::intern("x");
+        assert!(an.demands(x, &core("x + 1")));
+        assert!(!an.demands(x, &core("Just x")));
+    }
 }

@@ -287,8 +287,9 @@ mod tests {
         assert_eq!(s("konst").demands, vec![true, false]);
         // The scrutinee is demanded; the branches disagree on a/b.
         assert_eq!(s("choose").demands, vec![true, false, false]);
-        // seq forces both sides.
-        assert_eq!(s("both").demands, vec![true, true]);
+        // seq incorporates only its first operand's set: `seq (Bad s) b`
+        // is `Bad s` whatever `b` is.
+        assert_eq!(s("both").demands, vec![true, false]);
         // Binding without forcing is not a demand.
         assert_eq!(s("discard").demands, vec![false]);
     }
@@ -311,13 +312,15 @@ mod tests {
     }
 
     #[test]
-    fn demand_is_pinned_false_on_cycles_and_implies_uses() {
+    fn demand_is_optimistic_on_cycles_and_implies_uses() {
         let (an, _, prog) = analyze_src(
             "loop x = if x == 0 then 0 else loop (x - 1)\n\
              sq y = y * y",
         );
         let s = |n: &str| an.summary(urk_syntax::Symbol::intern(n)).expect("summary");
-        assert_eq!(s("loop").demands, vec![false]);
+        // The greatest fixpoint: the scrutinee `x == 0` demands x, and the
+        // recursive call keeps the optimistic bit.
+        assert_eq!(s("loop").demands, vec![true]);
         let facts = an.binding_facts(&prog.binds);
         for (f, name) in facts.iter().zip(["loop", "sq"]) {
             let sum = an
@@ -340,10 +343,11 @@ mod tests {
         let s = |n: &str| an.summary(urk_syntax::Symbol::intern(n)).expect("summary");
         // The observer never lets the subject's exception escape.
         assert_eq!(s("probe").demands, vec![false]);
-        // mapException keeps the subject exceptional (with a new tag).
-        assert_eq!(s("mapped").demands, vec![true]);
-        // An always-raising body is vacuously exceptional whatever t is.
-        assert_eq!(s("thrown").demands, vec![true]);
+        // mapException replaces the subject's set: nothing of `m` is
+        // incorporated.
+        assert_eq!(s("mapped").demands, vec![false]);
+        // An always-raising body raises its own set, not `t`'s.
+        assert_eq!(s("thrown").demands, vec![false]);
     }
 
     #[test]

@@ -13,9 +13,6 @@
 //!   for parameters that do not exist licenses nothing meaningful);
 //! * `demands[i]` implies `uses[i]` — a parameter that is *certainly*
 //!   demanded is in particular *possibly* used;
-//! * a binding on a recursion cycle claims no demands (the must-property
-//!   cannot be discovered optimistically on a cycle, so a non-empty claim
-//!   there could only come from a corrupted licence);
 //! * a known constant (`val`) is claimed only for WHNF-safe arity-0
 //!   bindings — the constant-substitution licence's shape.
 //!
@@ -112,11 +109,6 @@ pub fn audit_binding_facts(
                 }
             }
         }
-        if fresh.recursive.contains(&mine.name) && mine.demands.iter().any(|d| *d) {
-            return Err(err(
-                "demand claimed on a recursion cycle (must-facts are pinned false there)".into(),
-            ));
-        }
         audit.bindings += 1;
         audit.demanded_params += mine.demands.iter().filter(|d| **d).count();
     }
@@ -177,9 +169,15 @@ mod tests {
     }
 
     #[test]
-    fn recursive_bindings_never_claim_demands() {
-        let (prog, data, facts) = setup("loop x = loop x\nmain = 1");
-        assert!(facts[0].demands.iter().all(|d| !*d));
-        audit_binding_facts(&prog, &data, &facts).expect("audits");
+    fn a_forged_demand_on_a_recursive_binding_is_refused() {
+        let (prog, data, mut facts) =
+            setup("loopy x y = if x == 0 then 0 else loopy (x - 1) y\nmain = loopy 3 4");
+        // The greatest fixpoint proves `x` (the scrutinee) but not `y`,
+        // which only ever reaches the recursive call.
+        assert_eq!(facts[0].demands, vec![true, false]);
+        audit_binding_facts(&prog, &data, &facts).expect("honest facts audit");
+        facts[0].demands = vec![true, true];
+        let err = audit_binding_facts(&prog, &data, &facts).expect_err("refuses");
+        assert!(err.message.contains("not reproducible"), "{err}");
     }
 }

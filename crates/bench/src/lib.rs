@@ -201,15 +201,17 @@ pub fn encode(c: &Compiled) -> Compiled {
     }
 }
 
-/// Applies the strictness-analysis-driven call-by-value transformation to
-/// every binding of a compiled workload. Returns the rewritten workload
-/// and the number of let-to-case rewrites performed.
+/// Applies the demand-driven call-by-value transformation to every
+/// binding of a compiled workload. Returns the rewritten workload and the
+/// number of call-by-value rewrites performed.
 pub fn apply_cbv(c: &Compiled) -> (Compiled, usize) {
-    let sigs = urk_transform::analyze_program(&c.program);
-    let pred = |x: Symbol, b: &Expr| urk_transform::strict_in(x, b, &sigs);
-    let let_to_case = urk_transform::LetToCase { is_strict: &pred };
+    let analysis = urk::analyze_program(&c.program, &c.data);
+    let analyzer = analysis.analyzer(&c.data);
+    let let_to_case = urk_transform::LetToCase {
+        analyzer: &analyzer,
+    };
     let call_sites = urk_transform::StrictCallSites {
-        sigs: &sigs,
+        analysis: &analysis,
         arg_safe: None,
     };
     let mut program = CoreProgram::default();

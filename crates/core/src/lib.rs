@@ -50,7 +50,8 @@
 //! | denotational semantics (+ rejected baselines) | `urk-denot` |
 //! | graph-reduction machine | `urk-machine` |
 //! | IO transition system | `urk-io` |
-//! | transformations, strictness, law validator | `urk-transform` |
+//! | exception-effect and demand analysis, lint | `urk-analysis` |
+//! | transformations, law validator | `urk-transform` |
 
 pub mod cache;
 pub mod error;
@@ -208,16 +209,21 @@ mod tests {
     }
 
     #[test]
-    fn strictness_of_prelude_functions() {
+    fn demand_of_prelude_functions() {
         let s = Session::new();
-        let sigs = s.strictness();
-        let sig = |n: &str| sigs[&urk_syntax::Symbol::intern(n)].clone();
-        // length is strict in its list; const is lazy in its second arg.
+        let analysis = s.analyze();
+        let sig = |n: &str| {
+            analysis
+                .summary(urk_syntax::Symbol::intern(n))
+                .expect("summary")
+                .demands
+                .clone()
+        };
+        // length demands its list; const is lazy in its second arg.
         assert_eq!(sig("length"), vec![true]);
         assert_eq!(sig("const"), vec![true, false]);
-        // sum forces the list (via foldl's application chain) — at least
-        // the analysis must be *sound*, so just check arity here.
-        assert_eq!(sig("sum").len(), 1);
+        // sum demands the list through foldl's recursive accumulator.
+        assert_eq!(sig("sum"), vec![true]);
     }
 
     #[test]

@@ -252,20 +252,19 @@ impl Session {
         let code = match tier {
             Tier::One => Arc::new(base),
             Tier::Two => {
-                let facts = self.tier2_facts();
+                let claimed = self.analyze().binding_facts(&self.program.binds);
+                let facts = tier2_facts_of(&claimed);
                 let (t2, cert) = tier2_optimize_certified(&base, &facts);
                 if self.options.validate_tier2 {
-                    // Audit the facts against a fresh analysis, then
-                    // discharge the certificate against freshly reshaped
-                    // facts — nothing the optimiser consumed is trusted.
-                    let claimed = self.analyze().binding_facts(&self.program.binds);
+                    // Audit the facts the optimiser consumed against a
+                    // fresh analysis; once they are proven reproducible,
+                    // discharge the certificate against them.
                     if let Err(e) =
                         urk_analysis::audit_binding_facts(&self.program, &self.data, &claimed)
                     {
                         panic!("refusing to link an unvalidated tier-2 image: {e}");
                     }
-                    let fresh = tier2_facts_for(self.analyze(), &self.program.binds);
-                    if let Err(e) = validate_tier2(&base, &t2, &cert, &fresh) {
+                    if let Err(e) = validate_tier2(&base, &t2, &cert, &facts) {
                         panic!("refusing to link an unvalidated tier-2 image: {e}");
                     }
                 }
@@ -274,12 +273,6 @@ impl Session {
         };
         self.compiled.replace(Some((tier, Arc::clone(&code))));
         code
-    }
-
-    /// The analysis summaries of the session program in the shape the
-    /// tier-2 pass consumes: one fact per global, in program order.
-    fn tier2_facts(&self) -> Tier2Facts {
-        tier2_facts_for(self.analyze(), &self.program.binds)
     }
 
     /// Whether the program is already lowered *at the current tier* —
@@ -507,11 +500,6 @@ impl Session {
         out
     }
 
-    /// Strictness signatures for the session program (§3.4's analysis).
-    pub fn strictness(&self) -> urk_transform::StrictSigs {
-        urk_transform::analyze_program(&self.program)
-    }
-
     /// The whole-program exception-effect analysis: per-binding summaries
     /// whose predicted sets conservatively over-approximate the §4
     /// denotational exception sets (⊥ — the analysis cannot bound the
@@ -569,7 +557,7 @@ impl Session {
     }
 
     /// Runs the optimisation pipeline over the session program (Prelude
-    /// included): simplifier to a fixpoint, then the strictness-driven
+    /// included): simplifier to a fixpoint, then the demand-driven
     /// call-by-value pass. The optimised program replaces the current one
     /// after re-type-checking.
     ///
@@ -629,19 +617,23 @@ pub fn tier2_facts_for(
     analysis: urk_analysis::Analysis,
     binds: &[(Symbol, Rc<Expr>)],
 ) -> Tier2Facts {
+    tier2_facts_of(&analysis.binding_facts(binds))
+}
+
+/// The reshaping behind [`tier2_facts_for`], over positional facts.
+fn tier2_facts_of(facts: &[urk_analysis::BindingFact]) -> Tier2Facts {
     Tier2Facts {
-        globals: analysis
-            .binding_facts(binds)
-            .into_iter()
+        globals: facts
+            .iter()
             .map(|f| GlobalFact {
                 whnf_safe: f.whnf_safe,
-                value: f.val.and_then(|v| match v {
-                    urk_analysis::Val::Int(i) => Some(FactVal::Int(i)),
-                    urk_analysis::Val::Char(c) => Some(FactVal::Char(c)),
+                value: f.val.as_ref().and_then(|v| match v {
+                    urk_analysis::Val::Int(i) => Some(FactVal::Int(*i)),
+                    urk_analysis::Val::Char(c) => Some(FactVal::Char(*c)),
                     urk_analysis::Val::Str(s) => Some(FactVal::Str(s.to_string())),
                     urk_analysis::Val::Con(_) => None,
                 }),
-                demands: f.demands,
+                demands: f.demands.clone(),
             })
             .collect(),
     }

@@ -1,7 +1,7 @@
 //! Seeded generation of closed, well-typed `Int` Core terms.
 //!
 //! The grammar mirrors the random-term differential batteries in
-//! `tests/compiled.rs` / `tests/properties.rs` — arithmetic with reachable
+//! `tests/tier2.rs` / `tests/properties.rs` — arithmetic with reachable
 //! `DivideByZero`/`Overflow`, raise leaves, sharing `let`s, beta redexes,
 //! boolean and constructor `case`s — and extends it with calls into the
 //! fuzz prelude ([`crate::FUZZ_PRELUDE_SRC`]): recursion for chaos plans to

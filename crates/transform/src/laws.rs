@@ -16,12 +16,13 @@
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
+use urk_analysis::Analysis;
 use urk_denot::{
     compare_denots, compare_pdenots, enumerate_outcomes, DenotConfig, DenotEvaluator, EvalOrder,
     NondetConfig, PreciseConfig, PreciseEvaluator, Verdict,
 };
 use urk_syntax::core::Expr;
-use urk_syntax::{desugar_expr, parse_expr_src, DataEnv, Symbol};
+use urk_syntax::{desugar_expr, parse_expr_src, DataEnv};
 
 use crate::rewrite::apply_everywhere;
 use crate::transforms::{CaseOfCase, LetToCase};
@@ -242,11 +243,14 @@ pub fn standard_laws() -> Vec<LawInstance> {
     });
 
     // The strictness-driven call-by-value transformation (§3.4), rhs
-    // generated by LetToCase with an always-strict oracle on a genuinely
-    // strict body.
+    // generated by LetToCase on a body that demands its binder.
     let cbv_lhs = core(r#"let x = raise Overflow in raise (UserError "Y") + x"#);
-    let always: &dyn Fn(Symbol, &Expr) -> bool = &|_, _| true;
-    let (cbv_rhs, n) = apply_everywhere(&LetToCase { is_strict: always }, &cbv_lhs);
+    let analysis = Analysis::default();
+    let data = DataEnv::new();
+    let let_to_case = LetToCase {
+        analyzer: &analysis.analyzer(&data),
+    };
+    let (cbv_rhs, n) = apply_everywhere(&let_to_case, &cbv_lhs);
     debug_assert!(n >= 1, "let-to-case should fire");
     laws.push(LawInstance {
         name: "strictness-call-by-value",

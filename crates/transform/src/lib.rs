@@ -5,9 +5,8 @@
 //! * [`transforms`] — the catalogue of rewrites the imprecise semantics is
 //!   designed to keep (beta, inlining, commutation, case-of-case,
 //!   strictness-driven call-by-value, ...), each a [`Transform`] usable
-//!   with the [`rewrite`] engine;
-//! * [`strictness`] — the two-point strictness analysis that licenses
-//!   §3.4's "crucial" call-by-need → call-by-value transformation;
+//!   with the [`rewrite`] engine; §3.4's "crucial" call-by-need →
+//!   call-by-value passes read the demand vectors of `urk-analysis`;
 //! * [`licensed`] — rewrites that fire only under proofs from the
 //!   `urk-analysis` exception-effect analysis (dead-alternative pruning,
 //!   `unsafeIsException`/`unsafeGetException` folding, licensed
@@ -23,7 +22,6 @@ pub mod laws;
 pub mod licensed;
 pub mod pipeline;
 pub mod rewrite;
-pub mod strictness;
 pub mod transforms;
 
 pub use exval::{encode_expr, encode_program, EncodeError};
@@ -31,7 +29,6 @@ pub use laws::{classify, classify_all, render_table, standard_laws, LawInstance,
 pub use licensed::LicensedRewriter;
 pub use pipeline::{InlineWorkSafe, OptimizeOptions, OptimizeReport, Optimizer};
 pub use rewrite::{apply_everywhere, apply_to_fixpoint, Transform};
-pub use strictness::{analyze_program, forces, strict_in, StrictSigs};
 pub use transforms::{
     BetaReduce, CaseOfCase, CaseOfKnownCon, CaseOfLiteral, CollapseIdenticalAlts, CommutePrimArgs,
     DeadLetElim, EtaReduce, InlineLet, LetToCase, StrictCallSites,
@@ -68,8 +65,9 @@ mod tests {
             "seq (1/0) (raise Overflow)",
             "(1 + 2) * (3 - 4)",
         ];
-        let always_strict: &dyn Fn(urk_syntax::Symbol, &Expr) -> bool =
-            &|x, b| strict_in(x, b, &StrictSigs::new());
+        let analysis = urk_analysis::Analysis::default();
+        let data = DataEnv::new();
+        let analyzer = analysis.analyzer(&data);
         let transforms: Vec<Box<dyn Transform>> = vec![
             Box::new(BetaReduce),
             Box::new(InlineLet),
@@ -79,7 +77,7 @@ mod tests {
             Box::new(CommutePrimArgs),
             Box::new(CaseOfCase),
             Box::new(LetToCase {
-                is_strict: always_strict,
+                analyzer: &analyzer,
             }),
         ];
         for src in corpus {
@@ -148,7 +146,7 @@ mod tests {
     }
 
     /// The pipeline combination used by `urk`'s optimiser: analyse
-    /// strictness, then let-to-case, then simplify — and the result still
+    /// demand, then let-to-case, then simplify — and the result still
     /// matches the original denotationally.
     #[test]
     fn optimisation_pipeline_preserves_meaning() {
@@ -160,12 +158,20 @@ mod tests {
             &mut data,
         )
         .expect("desugars");
-        let sigs = analyze_program(&prog);
-        assert_eq!(sigs[&urk_syntax::Symbol::intern("sumTo")], vec![true, true]);
+        let analysis = urk_analysis::analyze_program(&prog, &data);
+        let sum_to = analysis
+            .summary(urk_syntax::Symbol::intern("sumTo"))
+            .expect("summary");
+        assert_eq!(sum_to.demands, vec![true, true]);
 
         let e = core("let k = 3 * 4 in k + k");
-        let pred: &dyn Fn(urk_syntax::Symbol, &Expr) -> bool = &|x, b| strict_in(x, b, &sigs);
-        let (cbv, n) = apply_everywhere(&LetToCase { is_strict: pred }, &e);
+        let analyzer = analysis.analyzer(&data);
+        let (cbv, n) = apply_everywhere(
+            &LetToCase {
+                analyzer: &analyzer,
+            },
+            &e,
+        );
         assert_eq!(n, 1);
         let ev = DenotEvaluator::new(&data);
         let a = ev.eval_closed(&e);

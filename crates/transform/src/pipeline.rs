@@ -5,8 +5,8 @@
 //! exceptions"; this module is the compiler that banks on it. The
 //! [`Optimizer`] runs a GHC-flavoured simplifier (beta, case-of-known,
 //! case-of-literal, case-of-case, work-safe inlining, dead-let) to a
-//! fixpoint, optionally followed by the strictness-analysis-driven
-//! call-by-value pass of §3.4 — every one of them an evaluation-order- or
+//! fixpoint, optionally followed by the demand-driven call-by-value pass
+//! of §3.4 — every one of them an evaluation-order- or
 //! sharing-changing rewrite that only the imprecise semantics licenses
 //! wholesale.
 //!
@@ -23,7 +23,6 @@ use urk_syntax::{DataEnv, Symbol};
 
 use crate::licensed::LicensedRewriter;
 use crate::rewrite::{apply_everywhere, Transform};
-use crate::strictness::{analyze_program, strict_in};
 use crate::transforms::{
     BetaReduce, CaseOfCase, CaseOfKnownCon, CaseOfLiteral, DeadLetElim, LetToCase, StrictCallSites,
 };
@@ -84,7 +83,8 @@ pub struct OptimizeOptions {
     /// Maximum simplifier sweeps (each sweep applies every pass once,
     /// bottom-up, everywhere).
     pub max_sweeps: usize,
-    /// Run the strictness analysis and the §3.4 call-by-value passes.
+    /// Run the §3.4 call-by-value passes, licensed by the analysis's
+    /// demand vectors.
     pub call_by_value: bool,
     /// Run the whole-program exception-effect analysis and the rewrites
     /// it licenses (dead-alternative pruning, `unsafeIsException` /
@@ -198,7 +198,7 @@ impl Optimizer {
         }
 
         // The exception-effect analysis and the rewrites it licenses.
-        let effects = if self.options.exception_analysis {
+        if self.options.exception_analysis {
             let group = CoreProgram {
                 binds: binds.clone(),
                 sigs: Vec::new(),
@@ -225,35 +225,29 @@ impl Optimizer {
                     *rhs = Rc::new(current);
                 }
             }
-            // Re-analyse the rewritten group for the call-by-value
-            // upgrade below.
-            let group = CoreProgram {
-                binds: binds.clone(),
-                sigs: Vec::new(),
-            };
-            Some(urk_analysis::analyze_program(&group, data))
-        } else {
-            None
-        };
+        }
 
-        // The §3.4 worker: strictness-driven call-by-value, upgraded to
-        // also fire on provably WHNF-safe arguments when the effect
-        // analysis ran.
+        // The §3.4 worker: demand-driven call-by-value over the rewritten
+        // group, upgraded to also fire on provably WHNF-safe arguments
+        // when the effect analysis is on.
         if self.options.call_by_value {
             let group = CoreProgram {
                 binds: binds.clone(),
                 sigs: Vec::new(),
             };
-            let sigs = analyze_program(&group);
-            let pred = |x: Symbol, b: &Expr| strict_in(x, b, &sigs);
-            let safe = effects
-                .as_ref()
-                .map(|a| move |e: &Expr| a.effect_of(e, data).whnf_safe());
+            let analysis = urk_analysis::analyze_program(&group, data);
+            let safe = self
+                .options
+                .exception_analysis
+                .then_some(|e: &Expr| analysis.effect_of(e, data).whnf_safe());
             let call_sites = StrictCallSites {
-                sigs: &sigs,
+                analysis: &analysis,
                 arg_safe: safe.as_ref().map(|f| f as &dyn Fn(&Expr) -> bool),
             };
-            let let_to_case = LetToCase { is_strict: &pred };
+            let analyzer = analysis.analyzer(data);
+            let let_to_case = LetToCase {
+                analyzer: &analyzer,
+            };
             for (_, rhs) in binds.iter_mut() {
                 let (a, n1) = crate::rewrite::apply_to_fixpoint(&call_sites, rhs, 8);
                 let (b, n2) = crate::rewrite::apply_to_fixpoint(&let_to_case, &a, 4);

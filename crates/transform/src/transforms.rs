@@ -7,6 +7,8 @@
 
 use std::rc::Rc;
 
+use urk_analysis::analyze::Analyzer;
+use urk_analysis::Analysis;
 use urk_syntax::core::{Alt, AltCon, Expr};
 use urk_syntax::Symbol;
 
@@ -238,16 +240,16 @@ impl Transform for CollapseIdenticalAlts {
 }
 
 /// Strictness-driven call-by-value: `let x = r in b ⇒ case r of x { _ -> b }`
-/// when `b` is strict in `x`.
+/// when `b` demands `x`.
 ///
 /// "Haskell compilers perform strictness analysis to turn call-by-need
 /// into call-by-value. This crucial transformation changes the evaluation
 /// order" (§3.4) — valid with exception sets, invalid in the precise
-/// design. The strictness predicate is supplied by
-/// [`crate::strictness`].
+/// design. Demand (`x`'s exception set is contained in `b`'s) is
+/// decided by `urk-analysis`'s [`Analyzer::demands`].
 pub struct LetToCase<'a> {
-    /// Decides whether `body` is strict in `x`.
-    pub is_strict: &'a dyn Fn(Symbol, &Expr) -> bool,
+    /// The demand oracle, over the program's summaries.
+    pub analyzer: &'a Analyzer<'a>,
 }
 
 impl Transform for LetToCase<'_> {
@@ -266,13 +268,14 @@ impl Transform for LetToCase<'_> {
         ) {
             return None; // already cheap / already a value
         }
-        ((self.is_strict)(*x, b))
+        self.analyzer
+            .demands(*x, b)
             .then(|| Expr::Case(r.clone(), vec![Alt::default_bind(*x, (**b).clone())]))
     }
 }
 
 /// Call-site call-by-value: `f e1 ... en ⇒ case e_i of v_i { _ -> f ... v_i ... }`
-/// for every argument position the strictness signature marks strict.
+/// for every argument position `f`'s demand vector marks demanded.
 ///
 /// This is how §3.4's "crucial transformation" actually lands in compiled
 /// code: a strict argument is evaluated *before* the call instead of being
@@ -280,12 +283,13 @@ impl Transform for LetToCase<'_> {
 /// and the update. Changing the evaluation order like this is exactly what
 /// the exception-set semantics licenses.
 pub struct StrictCallSites<'a> {
-    pub sigs: &'a crate::strictness::StrictSigs,
+    /// The whole-program analysis whose summaries carry the demand
+    /// vectors.
+    pub analysis: &'a Analysis,
     /// Optional upgrade from the exception-effect analysis: an argument
     /// this predicate proves WHNF-safe (cannot raise, cannot diverge) may
-    /// be pre-evaluated even in a position plain strictness is
-    /// inconclusive about — moving a provably-effect-free evaluation
-    /// earlier is invisible.
+    /// be pre-evaluated even in a position demand is inconclusive about
+    /// — moving a provably-effect-free evaluation earlier is invisible.
     pub arg_safe: Option<&'a dyn Fn(&Expr) -> bool>,
 }
 
@@ -312,7 +316,7 @@ impl Transform for StrictCallSites<'_> {
         }
         let Expr::Var(f) = head else { return None };
         args.reverse();
-        let sig = self.sigs.get(f)?;
+        let sig = &self.analysis.summary(*f)?.demands;
         if sig.len() != args.len() {
             return None; // partial or over-saturated application
         }
@@ -349,6 +353,16 @@ mod tests {
     fn core(src: &str) -> Expr {
         let env = DataEnv::new();
         desugar_expr(&parse_expr_src(src).expect("parses"), &env).expect("desugars")
+    }
+
+    fn analysis_of(src: &str) -> Analysis {
+        let mut data = DataEnv::new();
+        let prog = urk_syntax::desugar_program(
+            &urk_syntax::parse_program(src).expect("parses"),
+            &mut data,
+        )
+        .expect("desugars");
+        urk_analysis::analyze_program(&prog, &data)
     }
 
     #[test]
@@ -444,15 +458,11 @@ mod tests {
 
     #[test]
     fn strict_call_sites_force_strict_arguments_only() {
-        use crate::strictness::StrictSigs;
-        let mut sigs = StrictSigs::new();
-        sigs.insert(
-            urk_syntax::Symbol::intern("f"),
-            vec![true, false], // strict in the first argument only
-        );
+        // Demands the first argument only.
+        let analysis = analysis_of("f a b = a + 0");
         let e = core("f (1 + 2) (3 + 4)");
         let t = StrictCallSites {
-            sigs: &sigs,
+            analysis: &analysis,
             arg_safe: None,
         };
         let (out, n) = apply_everywhere(&t, &e);
@@ -474,12 +484,10 @@ mod tests {
 
     #[test]
     fn strict_call_sites_reach_a_fixpoint() {
-        use crate::strictness::StrictSigs;
-        let mut sigs = StrictSigs::new();
-        sigs.insert(urk_syntax::Symbol::intern("g"), vec![true]);
+        let analysis = analysis_of("g x = x + 1");
         let e = core("g (g (1 + 2))");
         let t = StrictCallSites {
-            sigs: &sigs,
+            analysis: &analysis,
             arg_safe: None,
         };
         let (out, n) = apply_to_fixpoint(&t, &e, 8);
@@ -490,15 +498,14 @@ mod tests {
     }
 
     #[test]
-    fn let_to_case_respects_the_strictness_predicate() {
-        let strict_everything: &dyn Fn(Symbol, &Expr) -> bool = &|_, _| true;
+    fn let_to_case_fires_only_on_demanded_binders() {
+        let analysis = Analysis::default();
+        let data = DataEnv::new();
+        let t = LetToCase {
+            analyzer: &analysis.analyzer(&data),
+        };
         let e = core("let x = 1 + 2 in x * 3");
-        let (out, n) = apply_everywhere(
-            &LetToCase {
-                is_strict: strict_everything,
-            },
-            &e,
-        );
+        let (out, n) = apply_everywhere(&t, &e);
         assert_eq!(n, 1);
         let Expr::Case(_, alts) = &out else {
             panic!("{out:?}")
@@ -506,8 +513,8 @@ mod tests {
         assert_eq!(alts[0].con, AltCon::Default);
         assert_eq!(alts[0].binders.len(), 1);
 
-        let never: &dyn Fn(Symbol, &Expr) -> bool = &|_, _| false;
-        let (_, n2) = apply_everywhere(&LetToCase { is_strict: never }, &e);
+        // A constructor field is lazy: `x` is not demanded.
+        let (_, n2) = apply_everywhere(&t, &core("let x = 1 + 2 in Just x"));
         assert_eq!(n2, 0);
     }
 }

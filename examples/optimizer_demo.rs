@@ -1,4 +1,4 @@
-//! The compiler driver the paper's argument pays for: strictness
+//! The compiler the paper's argument pays for: demand
 //! analysis, the full transformation pipeline, and §4.5-style
 //! self-validation — end to end on a real program.
 //!
@@ -34,10 +34,13 @@ fn main() -> Result<(), urk::Error> {
     let mut session = Session::new();
     session.load(PROGRAM)?;
 
-    println!("== 1. Strictness analysis (§3.4) ====================================");
-    let sigs = session.strictness();
+    println!("== 1. Demand analysis (§3.4) =======================================");
+    let analysis = session.analyze();
     for name in ["mkdata", "mean", "variance", "crunch", "summary"] {
-        let sig = &sigs[&Symbol::intern(name)];
+        let sig = &analysis
+            .summary(Symbol::intern(name))
+            .expect("loaded")
+            .demands;
         let rendered: Vec<&str> = sig.iter().map(|s| if *s { "S" } else { "L" }).collect();
         println!("  {name:10} {}", rendered.join(" "));
     }

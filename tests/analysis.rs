@@ -33,7 +33,7 @@ use urk_machine::{Code, Tier2Facts};
 use urk_syntax::core::{Alt, CoreProgram, Expr, PrimOp};
 use urk_syntax::{DataEnv, Symbol};
 
-/// The closed-term corpus from `tests/soundness.rs` / `tests/compiled.rs`.
+/// The closed-term corpus from `tests/soundness.rs` / `tests/tier2.rs`.
 const CORPUS: &[&str] = &[
     "42",
     "1 + 2 * 3 - 4",
@@ -205,8 +205,152 @@ fn verify_accepts_every_compiler_emitted_arena() {
         .expect("the optimised program compiles to a well-formed arena");
 }
 
+/// Every binding's demand vector over the Prelude plus the benchmark
+/// kernels (`S` demanded, `L` lazy, `-` no parameters). The table is the
+/// two-point strictness signatures of the retired `urk-transform` pass;
+/// the one demand analysis reproduces every row.
+const DEMAND_TABLE: &str = "\
+id S
+const SL
+flip SLL
+not S
+otherwise -
+fst S
+snd S
+error L
+loop -
+head S
+tail S
+null S
+length S
+append SL
+map LS
+filter LS
+foldr LLS
+foldl LLS
+reverse S
+concat S
+concatMap LS
+take SL
+drop SS
+replicate SL
+iterate LL
+repeat L
+zipWith LSS
+zip SS
+sum S
+product S
+max SS
+min SS
+abs S
+even S
+odd S
+elem LS
+enumFromTo SS
+lookup LS
+fromMaybe LS
+maybe LLS
+insert LS
+sort S
+all LS
+any LS
+forceList S
+concatStr S
+unwordsInt S
+modifyMVar LL
+readMVar L
+killThread L
+fib S
+sumTo SS
+isPrime S
+allFrom SS
+countPrimes SSS
+ins LS
+isort S
+mklist S
+lsum S
+checksum S
+upto S
+mapmul S
+keepeven S
+total S
+pipe S
+deep S
+catchStep L
+catchloop SS";
+
+#[test]
+fn demand_vectors_match_the_recorded_table() {
+    let mut session = Session::new();
+    let kernels = urk_bench::workloads()
+        .into_iter()
+        .chain([urk_bench::pipeline_workload()]);
+    for w in kernels {
+        session.load(w.program).expect("kernel loads");
+    }
+    // The benchmark's two exception kernels.
+    session
+        .load("deep n = if n == 0 then raise Overflow else 1 + deep (n - 1)")
+        .expect("loads");
+    session
+        .load(
+            "catchStep n = case unsafeGetException (100 / (n % 3)) of { OK v -> v; Bad e -> 1000 }\n\
+             catchloop n acc = if n == 0 then acc else catchloop (n - 1) (acc + catchStep n)",
+        )
+        .expect("loads");
+    let analysis = session.analyze();
+    let actual: Vec<String> = session
+        .program()
+        .binds
+        .iter()
+        .map(|(name, _)| {
+            let demands = &analysis.summary(*name).expect("summary").demands;
+            let sig: String = demands.iter().map(|d| if *d { 'S' } else { 'L' }).collect();
+            format!("{name} {}", if sig.is_empty() { "-" } else { &sig })
+        })
+        .collect();
+    let expected: Vec<&str> = DEMAND_TABLE.lines().collect();
+    assert_eq!(actual.len(), 68);
+    assert_eq!(actual, expected);
+}
+
+/// `main` passes a raising argument down a chain of forwarding functions
+/// whose last link ignores it. No link demands its argument, so
+/// call-by-value must leave the raise unevaluated: a fixpoint stopped
+/// before the chain's length would still claim demand at the head.
+#[test]
+fn long_forwarding_chains_stay_lazy_after_optimisation() {
+    for links in [70, 200] {
+        let mut src = String::new();
+        for i in 1..links {
+            src.push_str(&format!("g{i} x = g{} x\n", i + 1));
+        }
+        src.push_str(&format!("g{links} x = 0\n"));
+        src.push_str("main = let y = raise Overflow in g1 y + 0\n");
+        let mut session = Session::new();
+        session.load(&src).expect("loads");
+        let g1 = session
+            .analyze()
+            .summary(Symbol::intern("g1"))
+            .expect("summary")
+            .demands
+            .clone();
+        assert_eq!(g1, vec![false], "{links} links: g1 ignores its argument");
+        let mut validated = Session::new();
+        validated.load(&src).expect("loads");
+        let report = validated.optimize_validated(&["main"]).expect("optimizes");
+        assert!(report.validated(), "{links} links: {:?}", report.validation);
+        session.optimize().expect("optimizes");
+        assert_eq!(
+            session.eval("main").expect("evals").rendered,
+            "0",
+            "{links} links"
+        );
+    }
+}
+
 // ----------------------------------------------------------------------
-// Random closed core terms (the `tests/compiled.rs` generator).
+// Random closed core terms (the `tests/tier2.rs` generator).
 // ----------------------------------------------------------------------
 
 const POOL: [&str; 4] = ["pa", "pb", "pc", "pd"];

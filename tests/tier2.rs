@@ -1,9 +1,11 @@
 //! The tier-2 differential battery: the analysis-licensed
 //! superinstruction image must be observationally indistinguishable from
-//! the tier-1 image on every corpus the repo trusts, under every order policy, chaos plan, and interrupt sweep —
-//! while actually being faster (the perf claim lives in
+//! the tier-1 image of the one flat-code executor on every corpus the
+//! repo trusts, under every order policy, chaos plan, and interrupt
+//! sweep — while actually being faster (the perf claim lives in
 //! `benches/codegen.rs` and `BENCH_codegen.json`; this file proves the
-//! speed is not bought with wrong answers).
+//! speed is not bought with wrong answers). The checks it shares with
+//! `tests/compiled.rs` live once, in `tests/common/mod.rs`.
 //!
 //! Layers of evidence:
 //!
@@ -23,9 +25,11 @@
 //!   load-bearing, and that unlicensed speculation (propagating instead
 //!   of storing a speculative raise) would be caught the same way.
 
+mod common;
+
 use std::sync::Arc;
 
-use urk::{EvalPool, Options, PoolConfig, Session, Tier};
+use urk::{Session, Tier};
 use urk_bench::{compile, lower, lower_t2, pipeline_workload, run_flat, workloads, Workload};
 use urk_machine::{
     compile_program, tier2_optimize, FactVal, FaultPlan, GlobalFact, Machine, MachineConfig,
@@ -33,136 +37,16 @@ use urk_machine::{
 };
 use urk_syntax::{desugar_program, parse_program, DataEnv, Exception};
 
-/// The closed-term corpus from `tests/soundness.rs` (same list the
-/// tier-1 battery in `tests/compiled.rs` pins).
-const CORPUS: &[&str] = &[
-    "42",
-    "1 + 2 * 3 - 4",
-    "7 / 2 + 7 % 2",
-    "'x'",
-    "\"hello\"",
-    "[1, 2, 3]",
-    "(1, (2, 3))",
-    "Just (Just 0)",
-    r"(\x -> 3) (1/0)",
-    "let x = raise Overflow in 42",
-    "case 1 : raise Overflow of { x : xs -> x; [] -> 0 }",
-    "fst (1, 1/0)",
-    "1/0",
-    "raise Overflow",
-    r#"raise (UserError "Urk")"#,
-    r#"(1/0) + raise (UserError "Urk")"#,
-    "case raise Overflow of { True -> 1; False -> 2 }",
-    "case Nothing of { Just n -> n }",
-    "raise (raise DivideByZero)",
-    "seq (1/0) 2",
-    "seq 2 (1/0)",
-    r#"mapException (\e -> Overflow) (1/0)"#,
-    "unsafeIsException (1/0)",
-    "unsafeIsException [1]",
-    "case unsafeGetException (1/0) of { OK v -> 0; Bad e -> 1 }",
-    "case unsafeGetException 9 of { OK v -> v; Bad e -> 0 }",
-    "let m = raise DivideByZero in seq (raise Overflow) ((case 0 < m of { True -> 0; False -> m }) + 0)",
-    "9223372036854775807 + 1",
-    "chr 97",
-    "ord 'a' + 1",
-    "let f = \\n -> if n == 0 then 1 else n * f (n - 1) in f 10",
-    "case (1/0, 5) of { (a, b) -> b }",
-    "case (1/0, 5) of { (a, b) -> a }",
-];
-
-/// The chaos corpus from `tests/chaos.rs`.
-const CHAOS_PROGRAMS: &[(&str, &str)] = &[
-    (
-        "fib",
-        "let f = \\n -> if n < 2 then n else f (n - 1) + f (n - 2) in f 14",
-    ),
-    (
-        "sum-buried-thunk",
-        "let s = (let g = \\n -> if n == 0 then 0 else n + g (n - 1) in g 250) in s + 1",
-    ),
-    (
-        "divide-by-zero-at-depth",
-        "let g = \\n -> if n == 0 then 1 / 0 else n + g (n - 1) in g 120",
-    ),
-    (
-        "order-dependent-set",
-        r#"(1/0) + (raise (UserError "Urk") + raise Overflow)"#,
-    ),
-    (
-        "match-failure-at-depth",
-        "let g = \\n -> if n == 0 then (case [] of { y : ys -> y }) else n + g (n - 1) in g 100",
-    ),
-];
-
-/// Tier-1 and tier-2 sessions with identical options otherwise.
-fn tier_pair(order: OrderPolicy) -> (Session, Session) {
-    let mut t1 = Session::new();
-    t1.options.machine.order = order;
-    let mut t2 = Session::new();
-    t2.options.machine.order = order;
-    t2.options.tier = Tier::Two;
-    (t1, t2)
-}
-
-/// Asserts both tiers agree on `src`, each run is tagged with its tier,
-/// and any exceptional outcome is inside the denoted set.
-fn assert_two_way(t1: &Session, t2: &Session, src: &str) {
-    let b = t1
-        .eval(src)
-        .unwrap_or_else(|e| panic!("{src}: tier 1: {e}"));
-    let c = t2
-        .eval(src)
-        .unwrap_or_else(|e| panic!("{src}: tier 2: {e}"));
-    assert_eq!(b.rendered, c.rendered, "{src}: tier 1 vs tier 2");
-    assert_eq!(b.exception, c.exception, "{src}: representative exception");
-    assert_eq!(c.stats.tier.name(), "2", "{src}: stats must carry the tier");
-    assert_eq!(b.stats.tier.name(), "1", "{src}");
-    if let Some(exn) = &c.exception {
-        let set = t2
-            .exception_set(src)
-            .expect("denotes")
-            .unwrap_or_else(|| panic!("{src}: tier 2 raised {exn} but the denotation is Ok"));
-        assert!(
-            set.contains(exn),
-            "{src}: tier 2 chose {exn} outside the denoted set {set}"
-        );
-    }
-}
+use common::tier_pair;
 
 #[test]
 fn the_soundness_corpus_agrees_across_engines_under_both_orders() {
-    for order in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
-        let (t1, t2) = tier_pair(order);
-        for src in CORPUS {
-            assert_two_way(&t1, &t2, src);
-        }
-    }
+    common::soundness_corpus_agrees();
 }
 
 #[test]
 fn paper_examples_agree_through_loaded_definitions_at_tier_2() {
-    // Loaded definitions are where the tier-2 ops actually live (query
-    // extensions lower at tier 1), so these exercise `Fused`, `Spec`,
-    // and `AppG` through the global table.
-    let program = "safeDiv a b = if b == 0 then Bad DivideByZero else OK (a / b)\n\
-                   useIt a b = case safeDiv a b of { OK v -> v; Bad ex -> 0 - 1 }\n\
-                   sumTo n = if n == 0 then 0 else n + sumTo (n - 1)";
-    let (mut t1, mut t2) = tier_pair(OrderPolicy::LeftToRight);
-    t1.load(program).expect("loads");
-    t2.load(program).expect("loads");
-    for src in [
-        "useIt 10 2",
-        "useIt 10 0",
-        "sumTo 100",
-        "zipWith (/) [1, 2] [1, 0]",
-        "seq (forceList (zipWith (/) [1] [0])) 5",
-        "take 5 (iterate (\\x -> x * 2) 1)",
-        "head []",
-        "map (\\x -> x * x) [1, 2, 3]",
-    ] {
-        assert_two_way(&t1, &t2, src);
-    }
+    common::paper_examples_agree();
 }
 
 #[test]
@@ -223,42 +107,7 @@ fn bench_workloads_agree_and_the_tier2_gauges_prove_the_claim() {
 
 #[test]
 fn the_chaos_corpus_holds_the_invariants_on_the_tier2_image() {
-    let mut session = Session::new();
-    session.options.tier = Tier::Two;
-    let mut injected_runs = 0u32;
-    let mut runs = 0u32;
-    for (name, src) in CHAOS_PROGRAMS {
-        for seed in 0..10u64 {
-            let r = session
-                .chaos_check(src, seed)
-                .unwrap_or_else(|e| panic!("{name}: front-end error: {e}"));
-            assert!(
-                r.sound,
-                "{name} seed {seed}: unsound under tier 2 — outcome {} not in oracle {} ∪ {:?}",
-                r.outcome,
-                r.oracle,
-                r.plan.injectable()
-            );
-            assert!(
-                r.heap_consistent,
-                "{name} seed {seed}: heap audit failed after faulted tier-2 run ({})",
-                r.outcome
-            );
-            assert!(
-                r.reeval_ok,
-                "{name} seed {seed}: tier-2 re-evaluation after disarming disagrees with {}",
-                r.oracle
-            );
-            runs += 1;
-            if r.faults_fired > 0 {
-                injected_runs += 1;
-            }
-        }
-    }
-    assert!(
-        injected_runs >= runs / 3,
-        "too few tier-2 runs actually injected faults: {injected_runs}/{runs}"
-    );
+    common::assert_chaos_invariants(Tier::Two, 10);
 }
 
 #[test]
@@ -471,36 +320,7 @@ fn a_corrupted_licence_is_caught_by_the_differential_battery() {
 
 #[test]
 fn pools_at_tier_2_agree_with_tier_1_on_one_shared_image() {
-    let sources: &[&str] = &["double x = x + x\nsquare x = x * x"];
-    let exprs: Vec<String> = (0..8)
-        .map(|i| format!("double (square {i}) + {i}"))
-        .chain(["zipWith (/) [1, 2] [1, 0]".to_string(), "1/0".to_string()])
-        .collect();
-    let run = |tier| {
-        let pool = EvalPool::start(
-            sources,
-            Options {
-                tier,
-                ..Options::default()
-            },
-            PoolConfig {
-                workers: 3,
-                cache_cap: 64,
-                ..PoolConfig::default()
-            },
-        )
-        .expect("pool starts");
-        pool.eval_batch(&exprs)
-    };
-    let t1 = run(Tier::One);
-    let t2 = run(Tier::Two);
-    for ((src, a), b) in exprs.iter().zip(&t1).zip(&t2) {
-        let a = a.as_ref().expect("tier 1 evals");
-        let b = b.as_ref().expect("tier 2 evals");
-        assert_eq!(a.rendered, b.rendered, "{src}");
-        assert_eq!(a.exception, b.exception, "{src}");
-        assert_eq!(b.stats.tier.name(), "2", "{src}");
-    }
+    common::pools_agree();
 }
 
 #[test]

@@ -14,18 +14,21 @@
 //!    `whnf_safe` claims, dropped certificate entries, and mutated
 //!    certificate kinds. None of these tests ever links or steps a
 //!    machine.
-//! 3. **Strictness facts are differentially sound** — `demands[i]`
-//!    claims that an exceptional argument in position `i` surfaces in
-//!    the call's answer. That must-property is checked here by actually
-//!    raising in each demanded position under *both* deterministic order
-//!    policies, at both the tree backend and the validated tier-2
-//!    backend; a never-demanded position must conversely stay lazy.
+//! 3. **Demand facts are differentially sound** — `demands[i]` claims
+//!    that argument `i`'s exception set is contained in the call's (set
+//!    incorporation). That must-property is checked here by actually
+//!    raising `Overflow` in each demanded position: the denoted set must
+//!    contain it, and the machine must raise under *both* deterministic
+//!    order policies at tier 1 and on the validated tier-2 image. A
+//!    never-demanded position must conversely stay lazy, and the
+//!    operators that cut a set off (`seq`'s second operand,
+//!    `mapException`, `unsafeIsException`) must not be claimed.
 
 use std::fs;
 use std::path::PathBuf;
 use std::rc::Rc;
 
-use urk::{tier2_facts_for, Backend, OrderPolicy, Session, Tier};
+use urk::{tier2_facts_for, OrderPolicy, Session, Tier};
 use urk_analysis::{analyze_program, audit_binding_facts};
 use urk_machine::{
     compile_program, tier2_optimize_certified, validate_tier2, CertKind, FactVal, ValidationReport,
@@ -48,8 +51,7 @@ fn compile_and_validate(src: &str) -> Result<ValidationReport, String> {
     let facts = tier2_facts_for(analyze_program(&prog, &data), &prog.binds);
     let base = compile_program(&prog.binds);
     let (t2, cert) = tier2_optimize_certified(&base, &facts);
-    let fresh = tier2_facts_for(analyze_program(&prog, &data), &prog.binds);
-    validate_tier2(&base, &t2, &cert, &fresh).map_err(|e| e.to_string())
+    validate_tier2(&base, &t2, &cert, &facts).map_err(|e| e.to_string())
 }
 
 #[test]
@@ -220,9 +222,11 @@ fn strictness_facts_license_call_speculation_on_real_programs() {
     assert!(report.spec_call >= 1, "{report:?}");
 }
 
-/// Every demanded position must surface an exceptional argument in the
-/// final answer — under both deterministic order policies and on both
-/// the tree backend and the validated tier-2 backend.
+/// Every demanded position must incorporate an exceptional argument:
+/// `Overflow` is in the call's denoted set, and the machine raises under
+/// both deterministic order policies at tier 1 and on the validated
+/// tier-2 image. The fixture includes recursion (an accumulator and a
+/// chain) and the three operators that cut a set off.
 #[test]
 fn demanded_positions_are_differentially_sound() {
     let src = "\
@@ -231,37 +235,54 @@ addmul a b = a * b + a
 choose c a b = case c of { 0 -> a + 0; n -> b + 0 }
 konst x y = x + 0
 viaCall y = sq y
+sumTo n acc = if n == 0 then acc else sumTo (n - 1) (acc + n)
+chainA x = chainB x
+chainB x = chainC x
+chainC x = x + 1
+seqSnd a b = seq a b
+remap m = mapException (\\e -> DivideByZero) (m + 1)
+probe p = case unsafeIsException p of { True -> 0; False -> 1 }
 ";
     let mut data = DataEnv::new();
     let prog = desugar_program(&parse_program(src).expect("parses"), &mut data).expect("desugars");
     let facts = analyze_program(&prog, &data).binding_facts(&prog.binds);
     let mut sessions = Vec::new();
     for order in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
-        let mut tree = Session::new();
-        tree.options.machine.order = order;
-        tree.load(src).expect("loads");
+        let mut t1 = Session::new();
+        t1.options.machine.order = order;
+        t1.load(src).expect("loads");
         let mut t2 = Session::new();
         t2.options.machine.order = order;
-        t2.options.backend = Backend::Compiled;
         t2.options.tier = Tier::Two;
         t2.options.validate_tier2 = true;
         t2.load(src).expect("loads");
-        sessions.push(tree);
+        sessions.push(t1);
         sessions.push(t2);
     }
+    // `name` applied to `(raise Overflow)` in position `i`, `1` elsewhere.
+    let call = |name: &str, arity: usize, i: usize| {
+        let mut s = name.to_string();
+        for j in 0..arity {
+            s.push_str(if j == i { " (raise Overflow)" } else { " 1" });
+        }
+        s
+    };
+    let overflow = urk_syntax::Exception::Overflow;
     let mut demanded_checked = 0usize;
     for fact in &facts {
         for (i, demanded) in fact.demands.iter().enumerate() {
             if !demanded {
                 continue;
             }
-            let call = {
-                let mut s = fact.name.to_string();
-                for j in 0..fact.demands.len() {
-                    s.push_str(if j == i { " (raise Overflow)" } else { " 1" });
-                }
-                s
-            };
+            let call = call(&fact.name.to_string(), fact.demands.len(), i);
+            let set = sessions[0]
+                .exception_set(&call)
+                .expect("denotes")
+                .unwrap_or_else(|| panic!("`{call}`: demanded position {i} denotes a value"));
+            assert!(
+                set.contains(&overflow),
+                "`{call}`: demanded position {i} is not incorporated: {set}"
+            );
             for session in &sessions {
                 let out = session.eval(&call).expect("evaluates");
                 assert!(
@@ -274,9 +295,35 @@ viaCall y = sq y
             demanded_checked += 1;
         }
     }
-    assert!(demanded_checked >= 5, "the fixture must prove real demands");
-    // The converse control: `konst`'s second parameter is never
-    // demanded, so laziness must swallow the raise everywhere.
+    assert!(
+        demanded_checked >= 10,
+        "the fixture must prove real demands"
+    );
+    let demands = |name: &str| {
+        facts
+            .iter()
+            .find(|f| f.name == Symbol::intern(name))
+            .expect("fact")
+            .demands
+            .clone()
+    };
+    assert_eq!(demands("sumTo"), vec![true, true]);
+    assert_eq!(demands("chainA"), vec![true]);
+    // The negative controls: each position is cut off from the call's
+    // set, so a demand claim there would license an unsound rewrite.
+    assert_eq!(demands("seqSnd"), vec![true, false]);
+    assert_eq!(demands("remap"), vec![false]);
+    assert_eq!(demands("probe"), vec![false]);
+    for (name, arity, i) in [("seqSnd", 2, 1), ("remap", 1, 0), ("probe", 1, 0)] {
+        let call = call(name, arity, i).replace(" 1", " (raise DivideByZero)");
+        let set = sessions[0].exception_set(&call).expect("denotes");
+        assert!(
+            !set.is_some_and(|s| s.contains(&overflow)),
+            "`{call}`: the control incorporated Overflow after all"
+        );
+    }
+    // `konst`'s second parameter is never demanded, so laziness must
+    // swallow the raise everywhere.
     for session in &sessions {
         let out = session.eval("konst 1 (raise Overflow)").expect("evaluates");
         assert_eq!(out.exception, None, "konst demanded its lazy argument");
