@@ -31,7 +31,7 @@ use std::process::ExitCode;
 
 use urk::{
     EvalPool, Exception, IoResult, OrderPolicy, PoolConfig, SemIoResult, ServeConfig, Server,
-    Session, Supervisor, Tier,
+    Session, Stats, Supervisor, Tier,
 };
 
 struct Args {
@@ -597,6 +597,15 @@ fn main() -> ExitCode {
                 cache.entries,
                 cache.evictions,
             );
+            let mut totals = Stats {
+                backend: session.options.backend,
+                tier: session.options.tier,
+                ..Stats::default()
+            };
+            for out in results.iter().flatten() {
+                totals.merge(&out.work());
+            }
+            eprintln!("totals: {totals}");
         }
         pool.shutdown();
         return if failed {
@@ -665,34 +674,7 @@ fn main() -> ExitCode {
             Ok(r) => {
                 println!("{}", r.rendered);
                 if args.stats {
-                    eprintln!(
-                        "backend: {}  steps: {}  allocations: {}  updates: {}  max-stack: {}  gc-runs: {}  gc-freed: {}",
-                        r.stats.backend.name(),
-                        r.stats.steps,
-                        r.stats.allocations,
-                        r.stats.thunk_updates,
-                        r.stats.max_stack_depth,
-                        r.stats.gc_runs,
-                        r.stats.gc_freed,
-                    );
-                    eprintln!(
-                        "heap: {} minor-gcs  {} major-gcs  {} promoted  {} unboxed-hits",
-                        r.stats.minor_gcs,
-                        r.stats.major_gcs,
-                        r.stats.nodes_promoted,
-                        r.stats.unboxed_hits,
-                    );
-                    eprintln!(
-                        "compile: {} ops in {}µs (program + query lowering)",
-                        r.stats.compile_ops, r.stats.compile_micros,
-                    );
-                    eprintln!(
-                        "tier: {}  fused-steps: {}  ic-hits: {}  ic-misses: {}",
-                        r.stats.tier.name(),
-                        r.stats.fused_steps,
-                        r.stats.ic_hits,
-                        r.stats.ic_misses,
-                    );
+                    eprintln!("stats: {}", r.stats);
                     if let Ok(set) = session.predicted_exceptions(e) {
                         eprintln!("predicted exceptions: {set}");
                     }

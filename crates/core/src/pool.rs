@@ -84,6 +84,21 @@ pub struct JobOutcome {
     pub timed_out: bool,
 }
 
+impl JobOutcome {
+    /// What this job adds to whole-run totals. A cache hit ran no
+    /// machine, so it adds only its `cache_hits` stamp; an evaluated job
+    /// adds everything its machine counted.
+    pub fn work(&self) -> Stats {
+        if !self.cache_hit {
+            return self.stats.clone();
+        }
+        Stats {
+            cache_hits: self.stats.cache_hits,
+            ..Stats::default()
+        }
+    }
+}
+
 /// Why a job failed: a front-end error, an evaluation error, a worker
 /// panic, or cancellation at shutdown. Stringified so job results stay
 /// `Send` regardless of what the underlying error carried.

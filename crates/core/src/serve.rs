@@ -42,8 +42,9 @@ use std::time::Duration;
 
 use urk_io::{
     parse_json, read_frame, write_frame, FrameError, Json, Request, Response, SharedBatch,
-    WireCacheStats, WireStats, WireTotals, MAX_FRAME_LEN,
+    WireCacheStats, WireStats, MAX_FRAME_LEN,
 };
+use urk_machine::Stats;
 
 use crate::error::Error;
 use crate::pool::{EvalPool, JobLimits, JobResult, PoolConfig, SubmitError};
@@ -98,16 +99,39 @@ struct Counters {
     requests: AtomicU64,
     jobs_submitted: AtomicU64,
     jobs_shed: AtomicU64,
+    jobs: AtomicU64,
     protocol_errors: AtomicU64,
-    total_jobs: AtomicU64,
-    total_steps: AtomicU64,
-    total_unboxed_hits: AtomicU64,
-    total_fused_steps: AtomicU64,
-    total_ic_hits: AtomicU64,
-    total_ic_misses: AtomicU64,
-    total_compile_micros: AtomicU64,
-    total_cache_hits: AtomicU64,
-    total_cache_misses: AtomicU64,
+    totals: Totals,
+}
+
+/// Every answered job's machine counters: one atomic per schema counter
+/// ([`Stats::counters`] order), each merged by its counter's kind.
+struct Totals(Vec<AtomicU64>);
+
+impl Default for Totals {
+    fn default() -> Totals {
+        Totals(Stats::counters().map(|_| AtomicU64::new(0)).collect())
+    }
+}
+
+impl Totals {
+    fn add(&self, stats: &Stats) {
+        for (c, total) in Stats::counters().zip(&self.0) {
+            let v = (c.get)(stats);
+            let _ = total.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |acc| {
+                Some(c.kind.merge(acc, v))
+            });
+        }
+    }
+
+    /// The totals so far, tagged with the pool's `backend` and `tier`.
+    fn snapshot(&self, tags: &Stats) -> Stats {
+        let mut s = tags.clone();
+        for (c, total) in Stats::counters().zip(&self.0) {
+            (c.set)(&mut s, total.load(Ordering::Relaxed));
+        }
+        s
+    }
 }
 
 /// State shared by the accept loop and every connection thread.
@@ -115,7 +139,8 @@ struct Shared {
     pool: EvalPool,
     stop: AtomicBool,
     addr: SocketAddr,
-    backend: &'static str,
+    /// The pool's mode tags (`backend`, `tier`), counters all zero.
+    tags: Stats,
     counters: Counters,
 }
 
@@ -151,7 +176,11 @@ impl Server {
         options: Options,
         config: ServeConfig,
     ) -> Result<Server, ServeError> {
-        let backend = options.backend.name();
+        let tags = Stats {
+            backend: options.backend,
+            tier: options.tier,
+            ..Stats::default()
+        };
         let pool = EvalPool::start(sources, options, config.pool).map_err(ServeError::Start)?;
         let listener = TcpListener::bind(&config.addr).map_err(ServeError::Io)?;
         let addr = listener.local_addr().map_err(ServeError::Io)?;
@@ -160,7 +189,7 @@ impl Server {
             pool,
             stop: AtomicBool::new(false),
             addr,
-            backend,
+            tags,
             counters: Counters::default(),
         });
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -439,31 +468,8 @@ fn serve_batch(
         } else {
             match batch.take(index) {
                 Ok(out) => {
-                    counters.total_jobs.fetch_add(1, Ordering::Relaxed);
-                    counters
-                        .total_steps
-                        .fetch_add(out.stats.steps, Ordering::Relaxed);
-                    counters
-                        .total_unboxed_hits
-                        .fetch_add(out.stats.unboxed_hits, Ordering::Relaxed);
-                    counters
-                        .total_fused_steps
-                        .fetch_add(out.stats.fused_steps, Ordering::Relaxed);
-                    counters
-                        .total_ic_hits
-                        .fetch_add(out.stats.ic_hits, Ordering::Relaxed);
-                    counters
-                        .total_ic_misses
-                        .fetch_add(out.stats.ic_misses, Ordering::Relaxed);
-                    counters
-                        .total_compile_micros
-                        .fetch_add(out.stats.compile_micros, Ordering::Relaxed);
-                    counters
-                        .total_cache_hits
-                        .fetch_add(out.stats.cache_hits, Ordering::Relaxed);
-                    counters
-                        .total_cache_misses
-                        .fetch_add(out.stats.cache_misses, Ordering::Relaxed);
+                    counters.jobs.fetch_add(1, Ordering::Relaxed);
+                    counters.totals.add(&out.work());
                     Response::Result {
                         id,
                         index: index as u64,
@@ -472,20 +478,7 @@ fn serve_batch(
                         cache_hit: out.cache_hit,
                         attempts: u64::from(out.attempts),
                         timed_out: out.timed_out,
-                        stats: WireStats {
-                            steps: out.stats.steps,
-                            allocations: out.stats.allocations,
-                            unboxed_hits: out.stats.unboxed_hits,
-                            fused_steps: out.stats.fused_steps,
-                            ic_hits: out.stats.ic_hits,
-                            ic_misses: out.stats.ic_misses,
-                            compile_ops: out.stats.compile_ops,
-                            compile_micros: out.stats.compile_micros,
-                            cache_hits: out.stats.cache_hits,
-                            cache_misses: out.stats.cache_misses,
-                            backend: out.stats.backend.name().to_string(),
-                            tier: out.stats.tier.name().to_string(),
-                        },
+                        stats: WireStats::from(&out.stats),
                     }
                 }
                 Err(e) => Response::JobError {
@@ -533,8 +526,9 @@ fn stats_response(shared: &Shared, id: u64) -> Response {
         requests: counters.requests.load(Ordering::Relaxed),
         jobs_submitted: counters.jobs_submitted.load(Ordering::Relaxed),
         jobs_shed: counters.jobs_shed.load(Ordering::Relaxed),
+        jobs: counters.jobs.load(Ordering::Relaxed),
         protocol_errors: counters.protocol_errors.load(Ordering::Relaxed),
-        backend: shared.backend.to_string(),
+        backend: shared.tags.backend.name().to_string(),
         cache: WireCacheStats {
             hits: cache.hits,
             misses: cache.misses,
@@ -544,17 +538,7 @@ fn stats_response(shared: &Shared, id: u64) -> Response {
             capacity: cache.capacity as u64,
             hit_rate: cache.hit_rate(),
         },
-        totals: WireTotals {
-            jobs: counters.total_jobs.load(Ordering::Relaxed),
-            steps: counters.total_steps.load(Ordering::Relaxed),
-            unboxed_hits: counters.total_unboxed_hits.load(Ordering::Relaxed),
-            fused_steps: counters.total_fused_steps.load(Ordering::Relaxed),
-            ic_hits: counters.total_ic_hits.load(Ordering::Relaxed),
-            ic_misses: counters.total_ic_misses.load(Ordering::Relaxed),
-            compile_micros: counters.total_compile_micros.load(Ordering::Relaxed),
-            cache_hits: counters.total_cache_hits.load(Ordering::Relaxed),
-            cache_misses: counters.total_cache_misses.load(Ordering::Relaxed),
-        },
+        totals: WireStats::from(&counters.totals.snapshot(&shared.tags)),
     }
 }
 

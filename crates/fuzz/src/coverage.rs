@@ -97,26 +97,34 @@ fn exn_set_mask(set: Option<&ExnSet>) -> u32 {
     set.iter().fold(0u32, |m, e| m | (1 << (exn_id(&e) - 1)))
 }
 
+/// The counters coverage buckets; a counter's index is its feature id.
+/// Which counters matter is the fuzzer's policy, and the ids are part of
+/// every seeded campaign's output: append, never reorder.
+const COVERED: [&str; 12] = [
+    "steps",
+    "allocations",
+    "thunk_updates",
+    "max_stack_depth",
+    "frames_trimmed",
+    "thunks_poisoned",
+    "thunks_restored",
+    "blackholes_detected",
+    "gc_runs",
+    "unboxed_hits",
+    "minor_gcs",
+    "nodes_promoted",
+];
+
 /// Log₂-bucketed stats features. Counter identity lives in bits 6+, the
 /// bucket in bits 0–5, so every (counter, magnitude) pair is one id.
+/// Values are read through the counter schema.
 pub fn stats_features(stats: &Stats) -> Vec<u32> {
-    let counters: [(u32, u64); 12] = [
-        (0, stats.steps),
-        (1, stats.allocations),
-        (2, stats.thunk_updates),
-        (3, stats.max_stack_depth as u64),
-        (4, stats.frames_trimmed),
-        (5, stats.thunks_poisoned),
-        (6, stats.thunks_restored),
-        (7, stats.blackholes_detected),
-        (8, stats.gc_runs),
-        (9, stats.unboxed_hits),
-        (10, stats.minor_gcs),
-        (11, stats.nodes_promoted),
-    ];
-    counters
-        .iter()
-        .map(|&(id, v)| STATS_BASE + (id << 6) + bucket(v))
+    (0..)
+        .zip(COVERED)
+        .map(|(id, name)| {
+            let v = stats.count(name).expect("coverage names a schema counter");
+            STATS_BASE + (id << 6) + bucket(v)
+        })
         .collect()
 }
 
@@ -159,6 +167,43 @@ mod tests {
         assert_eq!(bucket(2), 2);
         assert_eq!(bucket(3), 2);
         assert_eq!(bucket(1000), 10);
+    }
+
+    /// The feature ids are pinned: seeded campaigns stay byte-identical
+    /// only while every covered counter keeps its id and bucket.
+    #[test]
+    fn stats_feature_ids_are_pinned() {
+        let stats = Stats {
+            steps: 1 << 0,
+            allocations: 1 << 1,
+            freelist_reuses: 1 << 2,
+            unboxed_hits: 1 << 3,
+            thunk_updates: 1 << 4,
+            max_stack_depth: 1 << 5,
+            frames_trimmed: 1 << 6,
+            thunks_poisoned: 1 << 7,
+            thunks_restored: 1 << 8,
+            blackholes_detected: 1 << 9,
+            gc_runs: 1 << 10,
+            minor_gcs: 1 << 11,
+            major_gcs: 1 << 12,
+            gc_freed: 1 << 13,
+            nodes_promoted: 1 << 14,
+            async_injected: 1 << 15,
+            forced_gcs: 1 << 16,
+            cache_hits: 1 << 17,
+            cache_misses: 1 << 18,
+            compile_ops: 1 << 19,
+            compile_micros: 1 << 20,
+            fused_steps: 1 << 21,
+            ic_hits: 1 << 22,
+            ic_misses: 1 << 23,
+            ..Stats::default()
+        };
+        assert_eq!(
+            stats_features(&stats),
+            [4097, 4162, 4229, 4294, 4359, 4424, 4489, 4554, 4619, 4676, 4748, 4815]
+        );
     }
 
     #[test]

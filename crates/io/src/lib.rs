@@ -36,7 +36,7 @@ pub use oracle::{ExceptionOracle, MinOracle, OracleChoice, SeededOracle};
 pub use trace::{Event, Input, StringInput, Trace};
 pub use wire::{
     read_frame, write_frame, FrameError, Request, Response, WireCacheStats, WireError, WireStats,
-    WireTotals, MAX_FRAME_LEN,
+    MAX_FRAME_LEN,
 };
 
 #[cfg(test)]

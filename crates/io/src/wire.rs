@@ -24,6 +24,8 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
+use urk_machine::Stats;
+
 use crate::json::{parse_json, Json};
 
 /// Frames larger than this are rejected before their payload is read.
@@ -140,25 +142,71 @@ pub enum Request {
     Shutdown { id: u64 },
 }
 
-/// Per-result machine counters, the wire slice of
-/// [`urk_machine::Stats`](../../urk_machine/struct.Stats.html).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WireStats {
-    pub steps: u64,
-    pub allocations: u64,
-    pub unboxed_hits: u64,
-    pub fused_steps: u64,
-    pub ic_hits: u64,
-    pub ic_misses: u64,
-    pub compile_ops: u64,
-    pub compile_micros: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    /// Which executor produced the answer (always `"compiled"`).
-    pub backend: String,
-    /// Which execution tier produced the answer (`"1"` or `"2"`).
-    pub tier: String,
+/// Expands one schema entry by its kind: tags travel as strings,
+/// counters as integers.
+macro_rules! wire_kind {
+    (type Tag) => {
+        String
+    };
+    (type $kind:ident) => {
+        u64
+    };
+    (from Tag $v:expr) => {
+        $v.name().to_string()
+    };
+    (from $kind:ident $v:expr) => {
+        $v as u64
+    };
+    (json Tag $v:expr) => {
+        Json::str(&$v)
+    };
+    (json $kind:ident $v:expr) => {
+        Json::int($v)
+    };
+    (need Tag $json:expr, $key:expr) => {
+        need_str($json, $key)?
+    };
+    (need $kind:ident $json:expr, $key:expr) => {
+        need_u64($json, $key)?
+    };
 }
+
+macro_rules! define_wire_stats {
+    ($( $(#[doc = $doc:literal])+ $field:ident: $ty:ty = $kind:ident, )*) => {
+        /// Machine counters on the wire: every [`Stats`] field under its
+        /// own name, in declaration order (the schema in
+        /// [`urk_machine::stats_schema!`]). Tags (`backend`, `tier`)
+        /// travel as their display strings.
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct WireStats {
+            $( $(#[doc = $doc])+ pub $field: wire_kind!(type $kind), )*
+        }
+
+        impl From<&Stats> for WireStats {
+            fn from(s: &Stats) -> WireStats {
+                WireStats {
+                    $( $field: wire_kind!(from $kind s.$field), )*
+                }
+            }
+        }
+
+        impl WireStats {
+            fn to_json(&self) -> Json {
+                Json::Obj(vec![
+                    $( (stringify!($field).to_string(), wire_kind!(json $kind self.$field)), )*
+                ])
+            }
+
+            fn from_json(json: &Json) -> Result<WireStats, WireError> {
+                Ok(WireStats {
+                    $( $field: wire_kind!(need $kind json, stringify!($field)), )*
+                })
+            }
+        }
+    };
+}
+
+urk_machine::stats_schema!(define_wire_stats);
 
 /// The shared result cache's counters as served by a `stats` request.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -170,20 +218,6 @@ pub struct WireCacheStats {
     pub entries: u64,
     pub capacity: u64,
     pub hit_rate: f64,
-}
-
-/// Whole-server aggregates over every job served so far.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WireTotals {
-    pub jobs: u64,
-    pub steps: u64,
-    pub unboxed_hits: u64,
-    pub fused_steps: u64,
-    pub ic_hits: u64,
-    pub ic_misses: u64,
-    pub compile_micros: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
 }
 
 /// What the server sends back.
@@ -225,10 +259,15 @@ pub enum Response {
         requests: u64,
         jobs_submitted: u64,
         jobs_shed: u64,
+        /// Jobs answered with a result (cache hits included).
+        jobs: u64,
         protocol_errors: u64,
         backend: String,
         cache: WireCacheStats,
-        totals: WireTotals,
+        /// Every answered job's machine counters merged by the schema's
+        /// rules. A cache hit ran no machine, so it adds only its
+        /// `cache_hits` stamp.
+        totals: WireStats,
     },
     /// Answer to a ping.
     Pong { id: u64 },
@@ -329,42 +368,6 @@ impl Request {
     }
 }
 
-impl WireStats {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("steps".to_string(), Json::int(self.steps)),
-            ("allocations".to_string(), Json::int(self.allocations)),
-            ("unboxed_hits".to_string(), Json::int(self.unboxed_hits)),
-            ("fused_steps".to_string(), Json::int(self.fused_steps)),
-            ("ic_hits".to_string(), Json::int(self.ic_hits)),
-            ("ic_misses".to_string(), Json::int(self.ic_misses)),
-            ("compile_ops".to_string(), Json::int(self.compile_ops)),
-            ("compile_micros".to_string(), Json::int(self.compile_micros)),
-            ("cache_hits".to_string(), Json::int(self.cache_hits)),
-            ("cache_misses".to_string(), Json::int(self.cache_misses)),
-            ("backend".to_string(), Json::str(&self.backend)),
-            ("tier".to_string(), Json::str(&self.tier)),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Result<WireStats, WireError> {
-        Ok(WireStats {
-            steps: need_u64(json, "steps")?,
-            allocations: need_u64(json, "allocations")?,
-            unboxed_hits: need_u64(json, "unboxed_hits")?,
-            fused_steps: need_u64(json, "fused_steps")?,
-            ic_hits: need_u64(json, "ic_hits")?,
-            ic_misses: need_u64(json, "ic_misses")?,
-            compile_ops: need_u64(json, "compile_ops")?,
-            compile_micros: need_u64(json, "compile_micros")?,
-            cache_hits: need_u64(json, "cache_hits")?,
-            cache_misses: need_u64(json, "cache_misses")?,
-            backend: need_str(json, "backend")?,
-            tier: need_str(json, "tier")?,
-        })
-    }
-}
-
 impl WireCacheStats {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
@@ -390,36 +393,6 @@ impl WireCacheStats {
                 .get("hit_rate")
                 .and_then(Json::as_num)
                 .ok_or_else(|| WireError("missing 'hit_rate'".into()))?,
-        })
-    }
-}
-
-impl WireTotals {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("jobs".to_string(), Json::int(self.jobs)),
-            ("steps".to_string(), Json::int(self.steps)),
-            ("unboxed_hits".to_string(), Json::int(self.unboxed_hits)),
-            ("fused_steps".to_string(), Json::int(self.fused_steps)),
-            ("ic_hits".to_string(), Json::int(self.ic_hits)),
-            ("ic_misses".to_string(), Json::int(self.ic_misses)),
-            ("compile_micros".to_string(), Json::int(self.compile_micros)),
-            ("cache_hits".to_string(), Json::int(self.cache_hits)),
-            ("cache_misses".to_string(), Json::int(self.cache_misses)),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Result<WireTotals, WireError> {
-        Ok(WireTotals {
-            jobs: need_u64(json, "jobs")?,
-            steps: need_u64(json, "steps")?,
-            unboxed_hits: need_u64(json, "unboxed_hits")?,
-            fused_steps: need_u64(json, "fused_steps")?,
-            ic_hits: need_u64(json, "ic_hits")?,
-            ic_misses: need_u64(json, "ic_misses")?,
-            compile_micros: need_u64(json, "compile_micros")?,
-            cache_hits: need_u64(json, "cache_hits")?,
-            cache_misses: need_u64(json, "cache_misses")?,
         })
     }
 }
@@ -484,6 +457,7 @@ impl Response {
                 requests,
                 jobs_submitted,
                 jobs_shed,
+                jobs,
                 protocol_errors,
                 backend,
                 cache,
@@ -499,6 +473,7 @@ impl Response {
                     ("requests".to_string(), Json::int(*requests)),
                     ("jobs_submitted".to_string(), Json::int(*jobs_submitted)),
                     ("jobs_shed".to_string(), Json::int(*jobs_shed)),
+                    ("jobs".to_string(), Json::int(*jobs)),
                     ("protocol_errors".to_string(), Json::int(*protocol_errors)),
                     ("backend".to_string(), Json::str(backend)),
                     ("cache".to_string(), cache.to_json()),
@@ -566,13 +541,14 @@ impl Response {
                 requests: need_u64(&json, "requests")?,
                 jobs_submitted: need_u64(&json, "jobs_submitted")?,
                 jobs_shed: need_u64(&json, "jobs_shed")?,
+                jobs: need_u64(&json, "jobs")?,
                 protocol_errors: need_u64(&json, "protocol_errors")?,
                 backend: need_str(&json, "backend")?,
                 cache: WireCacheStats::from_json(
                     json.get("cache")
                         .ok_or_else(|| WireError("missing 'cache'".into()))?,
                 )?,
-                totals: WireTotals::from_json(
+                totals: WireStats::from_json(
                     json.get("totals")
                         .ok_or_else(|| WireError("missing 'totals'".into()))?,
                 )?,
@@ -707,8 +683,11 @@ mod tests {
                 compile_micros: 0,
                 cache_hits: 0,
                 cache_misses: 1,
+                thunks_poisoned: 4,
+                max_stack_depth: 9,
                 backend: "compiled".into(),
                 tier: "1".into(),
+                ..WireStats::default()
             },
         });
         round_trip_response(&Response::Result {
@@ -741,6 +720,7 @@ mod tests {
             requests: 10,
             jobs_submitted: 100,
             jobs_shed: 5,
+            jobs: 95,
             protocol_errors: 1,
             backend: "compiled".into(),
             cache: WireCacheStats {
@@ -752,8 +732,7 @@ mod tests {
                 capacity: 64,
                 hit_rate: 0.9,
             },
-            totals: WireTotals {
-                jobs: 100,
+            totals: WireStats {
                 steps: 12345,
                 unboxed_hits: 678,
                 fused_steps: 345,
@@ -762,6 +741,10 @@ mod tests {
                 compile_micros: 90,
                 cache_hits: 90,
                 cache_misses: 10,
+                blackholes_detected: 3,
+                backend: "compiled".into(),
+                tier: "2".into(),
+                ..WireStats::default()
             },
         });
         round_trip_response(&Response::Pong { id: 3 });

@@ -585,7 +585,8 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::code::compile_program;
-    use crate::machine::{Backend, MachineConfig, Stats};
+    use crate::machine::{Backend, MachineConfig};
+    use crate::stats::Stats;
     use crate::tier2::{tier2_optimize, Tier2Facts};
     use urk_syntax::{desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv};
 

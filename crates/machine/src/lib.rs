@@ -45,6 +45,7 @@ pub mod heap;
 pub mod interrupt;
 mod kernel;
 pub mod machine;
+pub mod stats;
 pub mod tier2;
 pub mod validate;
 
@@ -57,8 +58,9 @@ pub use heap::{
 };
 pub use interrupt::InterruptHandle;
 pub use machine::{
-    Backend, BlackholeMode, Machine, MachineConfig, MachineError, OrderPolicy, Outcome, Stats, Tier,
+    Backend, BlackholeMode, Machine, MachineConfig, MachineError, OrderPolicy, Outcome, Tier,
 };
+pub use stats::{Counter, Kind, Stats};
 pub use tier2::{
     tier2_optimize, tier2_optimize_certified, CertEntry, CertKind, FactVal, GlobalFact, Tier2Cert,
     Tier2Facts,

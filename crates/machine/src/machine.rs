@@ -34,6 +34,7 @@ use crate::code::LinkedCode;
 use crate::heap::{HValue, Heap, HeapAudit, Node, NodeId, Whnf};
 use crate::interrupt::InterruptHandle;
 use crate::kernel::Control;
+use crate::stats::Stats;
 
 /// In which order the machine evaluates the operands of a binary primitive.
 ///
@@ -172,85 +173,6 @@ impl Default for MachineConfig {
             coverage: false,
         }
     }
-}
-
-/// Counters exposed for the benchmark harness and tests.
-///
-/// `allocations` counts heap cells allocated *during evaluation* (nursery
-/// and tenured together). Small integers and nullary constructors are
-/// *unboxed*: they are packed into tagged immediate `NodeId` words and
-/// never touch the heap at all — those requests count in `unboxed_hits`,
-/// not here. (The tagged words supersede the old interned literal pool and
-/// its `interned_hits` counter.)
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Stats {
-    pub steps: u64,
-    pub allocations: u64,
-    /// Tenured allocations served by reusing a cell the major collector
-    /// reclaimed (a subset of `allocations` plus evacuation copies).
-    pub freelist_reuses: u64,
-    /// Value requests answered with a tagged immediate word (a small
-    /// integer or a nullary constructor) instead of a heap cell.
-    pub unboxed_hits: u64,
-    pub thunk_updates: u64,
-    pub max_stack_depth: usize,
-    /// Frames discarded while trimming for a raise.
-    pub frames_trimmed: u64,
-    /// Thunks overwritten with `raise ex` during synchronous trims (§3.3).
-    pub thunks_poisoned: u64,
-    /// Thunks restored (resumable) during asynchronous trims (§5.1).
-    pub thunks_restored: u64,
-    /// Black holes detected (§5.2).
-    pub blackholes_detected: u64,
-    /// Garbage collections performed (minor and major together).
-    pub gc_runs: u64,
-    /// Minor (copying nursery) collections (a subset of `gc_runs`).
-    pub minor_gcs: u64,
-    /// Major (full mark-sweep) collections (a subset of `gc_runs`).
-    pub major_gcs: u64,
-    /// Nodes reclaimed by the collector (both generations).
-    pub gc_freed: u64,
-    /// Nursery cells copied into the tenured space — by minor-collection
-    /// evacuation or by tenuring an evaluation result that escapes to the
-    /// embedder.
-    pub nodes_promoted: u64,
-    /// Asynchronous exceptions delivered from outside the step schedule
-    /// (interrupt handle or chaos plan).
-    pub async_injected: u64,
-    /// Collections forced by a chaos plan (a subset of `gc_runs`).
-    pub forced_gcs: u64,
-    /// Requests answered from the serving layer's shared result cache
-    /// (`urk::EvalPool`). The machine itself never sets this — a cache hit
-    /// means *no* machine ran; the pool stamps the counter onto the stats
-    /// it returns so hit rates are visible per result.
-    pub cache_hits: u64,
-    /// Requests that consulted the shared result cache and missed (also
-    /// stamped by the serving layer, never by the machine).
-    pub cache_misses: u64,
-    /// Flat code ops emitted by the compiler for this machine's work
-    /// (query-expression lowering; the serving layer additionally stamps
-    /// the program's one-time compile cost on the evaluation that paid
-    /// it, so pool consumers can see the amortisation).
-    pub compile_ops: u64,
-    /// Wall-clock microseconds spent compiling (same attribution as
-    /// `compile_ops`).
-    pub compile_micros: u64,
-    /// Which executor this machine ran (there is one).
-    pub backend: Backend,
-    /// Which compilation tier the linked code image was built at (`One`
-    /// until a tier-2 image is linked). Like `backend`, a mode tag: it
-    /// survives [`Machine::reset_stats`].
-    pub tier: Tier,
-    /// Fused superinstruction executions: straight-line regions (tier-2
-    /// `Fused` ops and licensed speculations) evaluated atomically inside
-    /// one step, without thunk/Update/blackhole round-trips.
-    pub fused_steps: u64,
-    /// Tier-2 inline-cache hits: global call sites whose cached callee was
-    /// still the resolved function value.
-    pub ic_hits: u64,
-    /// Tier-2 inline-cache misses (cold sites and callees not yet forced
-    /// to a function value).
-    pub ic_misses: u64,
 }
 
 /// How an evaluation episode ended.

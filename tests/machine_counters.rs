@@ -16,7 +16,7 @@ use urk_bench::{
     compile, deep_propagate, deep_raise, lower, lower_t2, pipeline_workload, run_flat, workloads,
     Compiled, Workload,
 };
-use urk_machine::{FaultPlan, MachineConfig, Stats};
+use urk_machine::{FaultPlan, Kind, MachineConfig, Stats};
 use urk_syntax::Exception;
 
 /// The catch-episode kernel of the compute benchmark: one
@@ -46,50 +46,15 @@ fn fault_plan(minor_at: u64, major_at: u64, inject_at: u64) -> FaultPlan {
     }
 }
 
-/// Every deterministic field, named, in declaration order. Destructured
-/// exhaustively so a new `Stats` field cannot be left out of the table.
+/// Every deterministic field as `name=value`, in declaration order: the
+/// schema's field iterator without the wall-clock kind, so a new `Stats`
+/// field joins the row by itself.
 fn row(s: &Stats) -> String {
-    let Stats {
-        steps,
-        allocations,
-        freelist_reuses,
-        unboxed_hits,
-        thunk_updates,
-        max_stack_depth,
-        frames_trimmed,
-        thunks_poisoned,
-        thunks_restored,
-        blackholes_detected,
-        gc_runs,
-        minor_gcs,
-        major_gcs,
-        gc_freed,
-        nodes_promoted,
-        async_injected,
-        forced_gcs,
-        cache_hits,
-        cache_misses,
-        compile_ops,
-        compile_micros: _,
-        backend,
-        tier,
-        fused_steps,
-        ic_hits,
-        ic_misses,
-    } = s;
-    format!(
-        "steps={steps} allocations={allocations} freelist_reuses={freelist_reuses} \
-         unboxed_hits={unboxed_hits} thunk_updates={thunk_updates} \
-         max_stack_depth={max_stack_depth} frames_trimmed={frames_trimmed} \
-         thunks_poisoned={thunks_poisoned} thunks_restored={thunks_restored} \
-         blackholes_detected={blackholes_detected} gc_runs={gc_runs} minor_gcs={minor_gcs} \
-         major_gcs={major_gcs} gc_freed={gc_freed} nodes_promoted={nodes_promoted} \
-         async_injected={async_injected} forced_gcs={forced_gcs} cache_hits={cache_hits} \
-         cache_misses={cache_misses} compile_ops={compile_ops} backend={} tier={} \
-         fused_steps={fused_steps} ic_hits={ic_hits} ic_misses={ic_misses}",
-        backend.name(),
-        tier.name()
-    )
+    s.fields()
+        .filter(|(_, kind, _)| *kind != Kind::WallClock)
+        .map(|(name, _, value)| format!("{name}={value}"))
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// Runs `c` at both tiers under `config`; checks each rendering against

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use urk::{
     Client, EvalPool, Options, PoolConfig, RemoteOutcome, ServeConfig, Server, Session, Supervisor,
 };
-use urk_io::{read_frame, Response};
+use urk_io::{read_frame, write_frame, Request, Response, WireStats};
 
 /// The pool tests' mixed corpus: values, top-level exceptions,
 /// exceptions buried in lazy structure, duplicates for the cache.
@@ -387,6 +387,7 @@ fn stats_snapshots_surface_pool_cache_and_protocol_counters() {
             requests,
             jobs_submitted,
             jobs_shed,
+            jobs,
             backend,
             cache,
             totals,
@@ -405,12 +406,69 @@ fn stats_snapshots_surface_pool_cache_and_protocol_counters() {
                 cache.insertions >= 2,
                 "both distinct pure outcomes are cached: {cache:?}"
             );
-            assert_eq!(totals.jobs, 3);
+            assert_eq!(jobs, 3);
             assert!(totals.steps > 0);
             assert_eq!(
                 totals.cache_hits + totals.cache_misses,
                 3,
                 "every job either hit or missed: {totals:?}"
+            );
+        }
+        other => panic!("expected stats, got {other:?}"),
+    }
+}
+
+/// A cache hit runs no machine, so it adds nothing to the serving
+/// totals but its `cache_hits` stamp: one miss followed by nine hits
+/// totals exactly one evaluation's counters.
+#[test]
+fn totals_count_machine_work_once_for_cache_hits() {
+    let server = server_with(PoolConfig {
+        workers: 1,
+        cache_cap: 64,
+        ..PoolConfig::default()
+    });
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connects");
+    let exprs = vec!["sum [1 .. 30]".to_string(); 10];
+    let batch = Request::Batch {
+        id: 1,
+        exprs,
+        deadline_ms: None,
+        max_steps: None,
+        max_heap: None,
+        max_stack: None,
+    };
+    write_frame(&mut stream, &batch.encode()).expect("sends");
+    let mut results = Vec::new();
+    loop {
+        let frame = read_frame(&mut stream).expect("reads").expect("open");
+        match Response::decode(&frame).expect("decodes") {
+            Response::Result {
+                cache_hit, stats, ..
+            } => results.push((cache_hit, stats)),
+            Response::BatchDone { .. } => break,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    let hits: Vec<bool> = results.iter().map(|(hit, _)| *hit).collect();
+    let mut expected_hits = vec![true; 10];
+    expected_hits[0] = false;
+    assert_eq!(hits, expected_hits, "one worker: the first job misses");
+    let evaluated = &results[0].1;
+    assert!(evaluated.steps > 0);
+
+    write_frame(&mut stream, &Request::Stats { id: 2 }.encode()).expect("sends");
+    let frame = read_frame(&mut stream).expect("reads").expect("open");
+    match Response::decode(&frame).expect("decodes") {
+        Response::Stats { jobs, totals, .. } => {
+            assert_eq!(jobs, 10);
+            assert_eq!(
+                totals,
+                WireStats {
+                    cache_hits: 9,
+                    ..evaluated.clone()
+                },
+                "nine hits add no machine work"
             );
         }
         other => panic!("expected stats, got {other:?}"),
