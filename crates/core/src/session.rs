@@ -317,10 +317,10 @@ impl Session {
     /// Front-end errors, or [`Error::Machine`] on hard limits.
     pub fn eval(&self, src: &str) -> Result<EvalResult, Error> {
         let e = self.compile_expr(src)?;
-        // If this evaluation is the one that pays the program's one-time
-        // lowering cost, stamp that cost onto its stats below.
         let first_compile = !self.has_compiled_code();
-        let mut m = self.compiled_machine();
+        let code = self.compiled_code();
+        let mut m = Machine::new(self.options.machine.clone());
+        m.link_code(Arc::clone(&code));
         let out = m.eval_code_expr(&e, false);
         // An aborted run still burned steps and allocations; carry the
         // counters into the error so hitting a limit is diagnosable.
@@ -333,13 +333,25 @@ impl Session {
                 })
             }
         };
+        Ok(self.eval_result(&mut m, out, first_compile.then_some(&*code)))
+    }
+
+    /// The result of an evaluation that ended on `m` with `out`. If this
+    /// evaluation is the one that paid the program's one-time lowering,
+    /// `lowered` is that image, and its `compile_ops` and `compile_micros`
+    /// are stamped onto the result's stats — here, and nowhere else.
+    pub(crate) fn eval_result(
+        &self,
+        m: &mut Machine,
+        out: Outcome,
+        lowered: Option<&Code>,
+    ) -> EvalResult {
         let mut stats = m.stats().clone();
-        if first_compile {
-            let code = self.compiled_code();
+        if let Some(code) = lowered {
             stats.compile_ops += code.compile_ops();
             stats.compile_micros += code.compile_micros();
         }
-        Ok(match out {
+        match out {
             Outcome::Value(n) => EvalResult {
                 rendered: m.render(n, self.options.render_depth),
                 exception: None,
@@ -350,7 +362,7 @@ impl Session {
                 exception: Some(exn),
                 stats,
             },
-        })
+        }
     }
 
     /// A denotational evaluator over the session's data environment.

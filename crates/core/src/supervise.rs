@@ -243,23 +243,7 @@ impl Session {
 
             let timed_out =
                 matches!(exception, Some(Exception::Timeout)) && m.stats().async_injected > 0;
-            let mut stats = m.stats().clone();
-            if first_compile {
-                stats.compile_ops += code.compile_ops();
-                stats.compile_micros += code.compile_micros();
-            }
-            let result = match out {
-                Outcome::Value(n) => EvalResult {
-                    rendered: m.render(n, self.options.render_depth),
-                    exception: None,
-                    stats,
-                },
-                Outcome::Caught(exn) | Outcome::Uncaught(exn) => EvalResult {
-                    rendered: format!("(raise {exn})"),
-                    exception: Some(exn),
-                    stats,
-                },
-            };
+            let result = self.eval_result(&mut m, out, first_compile.then_some(&*code));
             return Ok(SupervisedResult {
                 result,
                 attempts,

@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::rc::Rc;
 
-use crate::Symbol;
+use crate::{Known, Symbol};
 
 /// A core expression.
 #[derive(Clone, PartialEq, Debug)]
@@ -275,7 +275,7 @@ impl Expr {
 
     /// `raise (UserError msg)` — the paper's `error`.
     pub fn error(msg: &str) -> Expr {
-        Expr::raise(Expr::con("UserError", [Expr::str(msg)]))
+        Expr::raise(Expr::con(Known::UserError, [Expr::str(msg)]))
     }
 
     /// `case e of alts`.
@@ -285,7 +285,7 @@ impl Expr {
 
     /// The Boolean constructors.
     pub fn bool(b: bool) -> Expr {
-        Expr::con(if b { "True" } else { "False" }, [])
+        Expr::con(if b { Known::True } else { Known::False }, [])
     }
 
     /// An expression whose evaluation diverges: `letrec loop = loop in loop`.

@@ -13,47 +13,61 @@ use crate::ast::*;
 use crate::core::{Alt, CoreProgram, Expr, PrimOp};
 use crate::dataenv::DataEnv;
 use crate::matchc::{compile_match, DesugarError, Row, RowRhs};
-use crate::Symbol;
+use crate::{Known, Symbol};
 
 /// What a built-in (non-Prelude, non-user) name desugars to.
+#[derive(Copy, Clone)]
 enum Builtin {
     /// A primitive operation of the given arity.
     Prim(PrimOp),
     /// An `IO` constructor with the given name and arity.
-    IoCon(&'static str, usize),
+    IoCon(Known, usize),
     /// The `raise` construct itself (arity 1).
     Raise,
 }
 
-fn builtin(name: &str) -> Option<Builtin> {
-    Some(match name {
-        "raise" => Builtin::Raise,
-        "seq" => Builtin::Prim(PrimOp::Seq),
-        "negate" => Builtin::Prim(PrimOp::Neg),
-        "ord" => Builtin::Prim(PrimOp::Ord),
-        "chr" => Builtin::Prim(PrimOp::Chr),
-        "showInt" => Builtin::Prim(PrimOp::ShowInt),
-        "strAppend" => Builtin::Prim(PrimOp::StrAppend),
-        "strLen" => Builtin::Prim(PrimOp::StrLen),
-        "strEq" => Builtin::Prim(PrimOp::StrEq),
-        "eqChar" => Builtin::Prim(PrimOp::CharEq),
-        "mapException" => Builtin::Prim(PrimOp::MapExn),
-        "unsafeIsException" => Builtin::Prim(PrimOp::UnsafeIsException),
-        "unsafeGetException" => Builtin::Prim(PrimOp::UnsafeGetException),
-        "return" => Builtin::IoCon("Return", 1),
-        "getChar" => Builtin::IoCon("GetChar", 0),
-        "putChar" => Builtin::IoCon("PutChar", 1),
-        "putStr" => Builtin::IoCon("PutStr", 1),
-        "getException" => Builtin::IoCon("GetException", 1),
-        "forkIO" => Builtin::IoCon("Fork", 1),
-        "yield" => Builtin::IoCon("Yield", 0),
-        "newMVar" => Builtin::IoCon("NewMVar", 1),
-        "newEmptyMVar" => Builtin::IoCon("NewEmptyMVar", 0),
-        "takeMVar" => Builtin::IoCon("TakeMVar", 1),
-        "putMVar" => Builtin::IoCon("PutMVar", 2),
-        "throwTo" => Builtin::IoCon("ThrowTo", 2),
-        _ => return None,
-    })
+const BUILTINS: &[(Known, Builtin)] = &[
+    (Known::Raise, Builtin::Raise),
+    (Known::Seq, Builtin::Prim(PrimOp::Seq)),
+    (Known::Negate, Builtin::Prim(PrimOp::Neg)),
+    (Known::Ord, Builtin::Prim(PrimOp::Ord)),
+    (Known::Chr, Builtin::Prim(PrimOp::Chr)),
+    (Known::ShowInt, Builtin::Prim(PrimOp::ShowInt)),
+    (Known::StrAppend, Builtin::Prim(PrimOp::StrAppend)),
+    (Known::StrLen, Builtin::Prim(PrimOp::StrLen)),
+    (Known::StrEq, Builtin::Prim(PrimOp::StrEq)),
+    (Known::EqChar, Builtin::Prim(PrimOp::CharEq)),
+    (Known::MapException, Builtin::Prim(PrimOp::MapExn)),
+    (
+        Known::UnsafeIsException,
+        Builtin::Prim(PrimOp::UnsafeIsException),
+    ),
+    (
+        Known::UnsafeGetException,
+        Builtin::Prim(PrimOp::UnsafeGetException),
+    ),
+    (Known::ReturnFn, Builtin::IoCon(Known::Return, 1)),
+    (Known::GetCharFn, Builtin::IoCon(Known::GetChar, 0)),
+    (Known::PutCharFn, Builtin::IoCon(Known::PutChar, 1)),
+    (Known::PutStrFn, Builtin::IoCon(Known::PutStr, 1)),
+    (
+        Known::GetExceptionFn,
+        Builtin::IoCon(Known::GetException, 1),
+    ),
+    (Known::ForkIo, Builtin::IoCon(Known::Fork, 1)),
+    (Known::YieldFn, Builtin::IoCon(Known::Yield, 0)),
+    (Known::NewMVarFn, Builtin::IoCon(Known::NewMVar, 1)),
+    (
+        Known::NewEmptyMVarFn,
+        Builtin::IoCon(Known::NewEmptyMVar, 0),
+    ),
+    (Known::TakeMVarFn, Builtin::IoCon(Known::TakeMVar, 1)),
+    (Known::PutMVarFn, Builtin::IoCon(Known::PutMVar, 2)),
+    (Known::ThrowToFn, Builtin::IoCon(Known::ThrowTo, 2)),
+];
+
+fn builtin(name: Symbol) -> Option<Builtin> {
+    BUILTINS.iter().find(|(k, _)| k.is(name)).map(|&(_, b)| b)
 }
 
 fn builtin_arity(b: &Builtin) -> usize {
@@ -158,7 +172,10 @@ fn desugar_clauses(name: Symbol, clauses: &[Clause], env: &DataEnv) -> Result<Ex
             "equations for '{name}' have differing numbers of arguments"
         )));
     }
-    let fail = Expr::raise(Expr::con("PatternMatchFail", [Expr::str(&name.as_str())]));
+    let fail = Expr::raise(Expr::con(
+        Known::PatternMatchFail,
+        [name.with_str(Expr::str)],
+    ));
 
     if arity == 0 {
         if clauses.len() > 1 {
@@ -221,8 +238,8 @@ fn rhs_expr(
                 acc = Expr::case(
                     expr(g, env)?,
                     vec![
-                        Alt::con("True", vec![], expr(e, env)?),
-                        Alt::con("False", vec![], acc),
+                        Alt::con(Known::True, vec![], expr(e, env)?),
+                        Alt::con(Known::False, vec![], acc),
                     ],
                 );
             }
@@ -290,7 +307,7 @@ fn expr(e: &SExpr, env: &DataEnv) -> Result<Expr, DesugarError> {
                     })
                 })
                 .collect::<Result<Vec<_>, DesugarError>>()?;
-            let fail = Expr::raise(Expr::con("PatternMatchFail", [Expr::str("case")]));
+            let fail = Expr::raise(Expr::con(Known::PatternMatchFail, [Expr::str("case")]));
             // Scrutinise via a variable so the match compiler can re-test
             // it; when the compiled match uses the variable at most once,
             // substitute the scrutinee back in to keep the direct
@@ -310,15 +327,19 @@ fn expr(e: &SExpr, env: &DataEnv) -> Result<Expr, DesugarError> {
         SExpr::If(c, t, f) => Ok(Expr::case(
             expr(c, env)?,
             vec![
-                Alt::con("True", vec![], expr(t, env)?),
-                Alt::con("False", vec![], expr(f, env)?),
+                Alt::con(Known::True, vec![], expr(t, env)?),
+                Alt::con(Known::False, vec![], expr(f, env)?),
             ],
         )),
         SExpr::Do(stmts) => do_block(stmts, env),
         SExpr::BinOp(op, l, r) => binop(*op, l, r, env),
         SExpr::Neg(e) => Ok(Expr::prim(PrimOp::Neg, [expr(e, env)?])),
         SExpr::Tuple(items) => {
-            let con = if items.len() == 2 { "Pair" } else { "Triple" };
+            let con = if items.len() == 2 {
+                Known::Pair
+            } else {
+                Known::Triple
+            };
             let args = items
                 .iter()
                 .map(|i| expr(i, env))
@@ -326,9 +347,9 @@ fn expr(e: &SExpr, env: &DataEnv) -> Result<Expr, DesugarError> {
             Ok(Expr::con(con, args))
         }
         SExpr::List(items) => {
-            let mut acc = Expr::con("Nil", []);
+            let mut acc = Expr::con(Known::Nil, []);
             for i in items.iter().rev() {
-                acc = Expr::con("Cons", [expr(i, env)?, acc]);
+                acc = Expr::con(Known::Cons, [expr(i, env)?, acc]);
             }
             Ok(acc)
         }
@@ -361,7 +382,7 @@ fn lam_with_pats(pats: &[Pat], body: Expr, env: &DataEnv) -> Result<Expr, Desuga
         return Ok(Expr::lams(vars, body));
     }
     let args: Vec<Symbol> = (0..pats.len()).map(|_| Symbol::fresh("p")).collect();
-    let fail = Expr::raise(Expr::con("PatternMatchFail", [Expr::str("lambda")]));
+    let fail = Expr::raise(Expr::con(Known::PatternMatchFail, [Expr::str("lambda")]));
     let m = compile_match(
         env,
         &args,
@@ -388,14 +409,14 @@ fn do_block(stmts: &[Stmt], env: &DataEnv) -> Result<Expr, DesugarError> {
             Stmt::Expr(e) => {
                 // e >> acc  ==  Bind e (\_ -> acc)
                 let k = Expr::lam(Symbol::fresh("u"), acc);
-                Expr::con("Bind", [expr(e, env)?, k])
+                Expr::con(Known::Bind, [expr(e, env)?, k])
             }
             Stmt::Bind(p, e) => {
                 let k = match p {
                     Pat::Var(v) => Expr::Lam(*v, Rc::new(acc)),
                     _ => lam_with_pats(std::slice::from_ref(p), acc, env)?,
                 };
-                Expr::con("Bind", [expr(e, env)?, k])
+                Expr::con(Known::Bind, [expr(e, env)?, k])
             }
             Stmt::Let(decls) => wrap_where(acc, decls, env)?,
         };
@@ -405,61 +426,82 @@ fn do_block(stmts: &[Stmt], env: &DataEnv) -> Result<Expr, DesugarError> {
 
 /// Desugars a binary operator application.
 fn binop(op: Symbol, l: &SExpr, r: &SExpr, env: &DataEnv) -> Result<Expr, DesugarError> {
-    let name = op.as_str();
+    use Known as K;
+    const OPERATORS: &[Known] = &[
+        K::Plus,
+        K::Minus,
+        K::Times,
+        K::Divide,
+        K::Percent,
+        K::EqEq,
+        K::Less,
+        K::LessEq,
+        K::Greater,
+        K::GreaterEq,
+        K::NotEq,
+        K::Colon,
+        K::PlusPlus,
+        K::AndAnd,
+        K::OrOr,
+        K::Compose,
+        K::Dollar,
+        K::BindOp,
+        K::Then,
+    ];
     let prim = |p: PrimOp, l: Expr, r: Expr| Ok(Expr::prim(p, [l, r]));
-    match name.as_str() {
-        "+" => prim(PrimOp::Add, expr(l, env)?, expr(r, env)?),
-        "-" => prim(PrimOp::Sub, expr(l, env)?, expr(r, env)?),
-        "*" => prim(PrimOp::Mul, expr(l, env)?, expr(r, env)?),
-        "/" => prim(PrimOp::Div, expr(l, env)?, expr(r, env)?),
-        "%" => prim(PrimOp::Mod, expr(l, env)?, expr(r, env)?),
-        "==" => prim(PrimOp::IntEq, expr(l, env)?, expr(r, env)?),
-        "<" => prim(PrimOp::IntLt, expr(l, env)?, expr(r, env)?),
-        "<=" => prim(PrimOp::IntLe, expr(l, env)?, expr(r, env)?),
-        ">" => prim(PrimOp::IntGt, expr(l, env)?, expr(r, env)?),
-        ">=" => prim(PrimOp::IntGe, expr(l, env)?, expr(r, env)?),
-        "/=" => {
+    match Known::find(op, OPERATORS) {
+        Some(K::Plus) => prim(PrimOp::Add, expr(l, env)?, expr(r, env)?),
+        Some(K::Minus) => prim(PrimOp::Sub, expr(l, env)?, expr(r, env)?),
+        Some(K::Times) => prim(PrimOp::Mul, expr(l, env)?, expr(r, env)?),
+        Some(K::Divide) => prim(PrimOp::Div, expr(l, env)?, expr(r, env)?),
+        Some(K::Percent) => prim(PrimOp::Mod, expr(l, env)?, expr(r, env)?),
+        Some(K::EqEq) => prim(PrimOp::IntEq, expr(l, env)?, expr(r, env)?),
+        Some(K::Less) => prim(PrimOp::IntLt, expr(l, env)?, expr(r, env)?),
+        Some(K::LessEq) => prim(PrimOp::IntLe, expr(l, env)?, expr(r, env)?),
+        Some(K::Greater) => prim(PrimOp::IntGt, expr(l, env)?, expr(r, env)?),
+        Some(K::GreaterEq) => prim(PrimOp::IntGe, expr(l, env)?, expr(r, env)?),
+        Some(K::NotEq) => {
             // not (l == r)
             let eq = Expr::prim(PrimOp::IntEq, [expr(l, env)?, expr(r, env)?]);
             Ok(Expr::case(
                 eq,
                 vec![
-                    Alt::con("True", vec![], Expr::bool(false)),
-                    Alt::con("False", vec![], Expr::bool(true)),
+                    Alt::con(Known::True, vec![], Expr::bool(false)),
+                    Alt::con(Known::False, vec![], Expr::bool(true)),
                 ],
             ))
         }
-        ":" => Ok(Expr::con("Cons", [expr(l, env)?, expr(r, env)?])),
-        "++" => Ok(Expr::apps(
-            Expr::var("append"),
+        Some(K::Colon) => Ok(Expr::con(Known::Cons, [expr(l, env)?, expr(r, env)?])),
+        Some(K::PlusPlus) => Ok(Expr::apps(
+            Expr::var(Known::Append),
             [expr(l, env)?, expr(r, env)?],
         )),
-        "&&" => Ok(Expr::case(
+        Some(K::AndAnd) => Ok(Expr::case(
             expr(l, env)?,
             vec![
-                Alt::con("True", vec![], expr(r, env)?),
-                Alt::con("False", vec![], Expr::bool(false)),
+                Alt::con(Known::True, vec![], expr(r, env)?),
+                Alt::con(Known::False, vec![], Expr::bool(false)),
             ],
         )),
-        "||" => Ok(Expr::case(
+        Some(K::OrOr) => Ok(Expr::case(
             expr(l, env)?,
             vec![
-                Alt::con("True", vec![], Expr::bool(true)),
-                Alt::con("False", vec![], expr(r, env)?),
+                Alt::con(Known::True, vec![], Expr::bool(true)),
+                Alt::con(Known::False, vec![], expr(r, env)?),
             ],
         )),
-        "." => {
+        Some(K::Compose) => {
             // f . g  ==>  \x -> f (g x)
             let x = Symbol::fresh("x");
             let f = expr(l, env)?;
             let g = expr(r, env)?;
             Ok(Expr::lam(x, Expr::app(f, Expr::app(g, Expr::Var(x)))))
         }
-        "$" => Ok(Expr::app(expr(l, env)?, expr(r, env)?)),
-        ">>=" => Ok(Expr::con("Bind", [expr(l, env)?, expr(r, env)?])),
-        ">>" => {
+        Some(K::Dollar) => Ok(Expr::app(expr(l, env)?, expr(r, env)?)),
+        Some(K::BindOp) => Ok(Expr::con(Known::Bind, [expr(l, env)?, expr(r, env)?])),
+        Some(K::Then) => {
             let k = Expr::lam(Symbol::fresh("u"), expr(r, env)?);
-            Ok(Expr::con("Bind", [expr(l, env)?, k]))
+            Ok(Expr::con(Known::Bind, [expr(l, env)?, k]))
         }
         _ => {
             // Backtick application or an unknown operator: treat as a
@@ -504,7 +546,7 @@ fn app_spine(e: &SExpr, env: &DataEnv) -> Result<Expr, DesugarError> {
             Ok(saturate_con(*c, arity, core_args))
         }
         SExpr::Var(v) => {
-            if let Some(b) = builtin(&v.as_str()) {
+            if let Some(b) = builtin(*v) {
                 let arity = builtin_arity(&b);
                 if core_args.len() >= arity {
                     let rest = core_args.split_off(arity);

@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use crate::Symbol;
+use crate::{Known, Symbol};
 
 /// A single exception, synchronous or asynchronous.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -65,25 +65,30 @@ impl Exception {
         )
     }
 
+    /// The in-language constructor for this exception.
+    fn constructor(&self) -> Known {
+        match self {
+            Exception::DivideByZero => Known::DivideByZero,
+            Exception::Overflow => Known::Overflow,
+            Exception::UserError(_) => Known::UserError,
+            Exception::PatternMatchFail(_) => Known::PatternMatchFail,
+            Exception::NonTermination => Known::NonTermination,
+            Exception::Interrupt => Known::Interrupt,
+            Exception::Timeout => Known::Timeout,
+            Exception::StackOverflow => Known::StackOverflow,
+            Exception::HeapOverflow => Known::HeapOverflow,
+            Exception::BlockedIndefinitely => Known::BlockedIndefinitely,
+        }
+    }
+
     /// The in-language constructor name for this exception.
     pub fn constructor_name(&self) -> &'static str {
-        match self {
-            Exception::DivideByZero => "DivideByZero",
-            Exception::Overflow => "Overflow",
-            Exception::UserError(_) => "UserError",
-            Exception::PatternMatchFail(_) => "PatternMatchFail",
-            Exception::NonTermination => "NonTermination",
-            Exception::Interrupt => "Interrupt",
-            Exception::Timeout => "Timeout",
-            Exception::StackOverflow => "StackOverflow",
-            Exception::HeapOverflow => "HeapOverflow",
-            Exception::BlockedIndefinitely => "BlockedIndefinitely",
-        }
+        self.constructor().spelling()
     }
 
     /// The in-language constructor name, interned.
     pub fn constructor_symbol(&self) -> Symbol {
-        Symbol::intern(self.constructor_name())
+        self.constructor().symbol()
     }
 
     /// The string payload, if this exception carries one.
@@ -98,18 +103,30 @@ impl Exception {
     /// string payload. Returns `None` for unknown constructors or a missing
     /// payload on a payload-carrying constructor.
     pub fn from_constructor(name: Symbol, payload: Option<&str>) -> Option<Exception> {
-        let n = name.as_str();
-        Some(match n.as_str() {
-            "DivideByZero" => Exception::DivideByZero,
-            "Overflow" => Exception::Overflow,
-            "UserError" => Exception::UserError(payload?.to_owned()),
-            "PatternMatchFail" => Exception::PatternMatchFail(payload?.to_owned()),
-            "NonTermination" => Exception::NonTermination,
-            "Interrupt" => Exception::Interrupt,
-            "Timeout" => Exception::Timeout,
-            "StackOverflow" => Exception::StackOverflow,
-            "HeapOverflow" => Exception::HeapOverflow,
-            "BlockedIndefinitely" => Exception::BlockedIndefinitely,
+        use Known as K;
+        const CONSTRUCTORS: &[Known] = &[
+            K::DivideByZero,
+            K::Overflow,
+            K::UserError,
+            K::PatternMatchFail,
+            K::NonTermination,
+            K::Interrupt,
+            K::Timeout,
+            K::StackOverflow,
+            K::HeapOverflow,
+            K::BlockedIndefinitely,
+        ];
+        Some(match Known::find(name, CONSTRUCTORS)? {
+            K::DivideByZero => Exception::DivideByZero,
+            K::Overflow => Exception::Overflow,
+            K::UserError => Exception::UserError(payload?.to_owned()),
+            K::PatternMatchFail => Exception::PatternMatchFail(payload?.to_owned()),
+            K::NonTermination => Exception::NonTermination,
+            K::Interrupt => Exception::Interrupt,
+            K::Timeout => Exception::Timeout,
+            K::StackOverflow => Exception::StackOverflow,
+            K::HeapOverflow => Exception::HeapOverflow,
+            K::BlockedIndefinitely => Exception::BlockedIndefinitely,
             _ => return None,
         })
     }

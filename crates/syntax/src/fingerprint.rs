@@ -92,7 +92,7 @@ fn write_str(s: &str, out: &mut Vec<u8>) {
 }
 
 fn write_sym(s: Symbol, out: &mut Vec<u8>) {
-    write_str(&s.as_str(), out);
+    s.with_str(|s| write_str(s, out));
 }
 
 /// A bound variable is written as its de Bruijn *distance*: how many

@@ -4,7 +4,7 @@
 //! layout algorithm in [`crate::layout`] runs afterwards on the token
 //! stream.
 
-use crate::token::{Pos, Spanned, Tok};
+use crate::token::{Fixity, Pos, Spanned, Tok};
 use crate::Symbol;
 use std::fmt;
 
@@ -244,7 +244,7 @@ impl<'a> Lexer<'a> {
             "=" => Tok::Equals,
             "|" => Tok::Pipe,
             "::" => Tok::DoubleColon,
-            _ => Tok::Op(Symbol::intern(text)),
+            _ => Tok::Op(Symbol::intern(text), Fixity::of(text)),
         }
     }
 
@@ -326,6 +326,10 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
 mod tests {
     use super::*;
 
+    fn op(s: &str) -> Tok {
+        Tok::Op(Symbol::intern(s), Fixity::of(s))
+    }
+
     fn toks(src: &str) -> Vec<Tok> {
         lex(src)
             .expect("lexes")
@@ -345,10 +349,10 @@ mod tests {
                 Tok::LParen,
                 Tok::LParen,
                 Tok::Int(1),
-                Tok::Op(Symbol::intern("/")),
+                op("/"),
                 Tok::Int(0),
                 Tok::RParen,
-                Tok::Op(Symbol::intern("+")),
+                op("+"),
                 Tok::Lower(Symbol::intern("error")),
                 Tok::Str("Urk".into()),
                 Tok::RParen,
@@ -375,9 +379,9 @@ mod tests {
             toks("x >>= f >> g"),
             vec![
                 Tok::Lower(Symbol::intern("x")),
-                Tok::Op(Symbol::intern(">>=")),
+                op(">>="),
                 Tok::Lower(Symbol::intern("f")),
-                Tok::Op(Symbol::intern(">>")),
+                op(">>"),
                 Tok::Lower(Symbol::intern("g")),
             ]
         );

@@ -20,7 +20,7 @@ use std::rc::Rc;
 use crate::ast::Pat;
 use crate::core::{Alt, AltCon, Expr};
 use crate::dataenv::DataEnv;
-use crate::Symbol;
+use crate::{Known, Symbol};
 
 /// An error produced during match compilation or desugaring.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -73,17 +73,21 @@ fn normalize(p: &Pat) -> NPat {
         Pat::Str(s) => NPat::Str(s.clone()),
         Pat::Con(c, ps) => NPat::Con(*c, ps.iter().map(normalize).collect()),
         Pat::Tuple(ps) => {
-            let con = if ps.len() == 2 { "Pair" } else { "Triple" };
-            NPat::Con(Symbol::intern(con), ps.iter().map(normalize).collect())
+            let con = if ps.len() == 2 {
+                Known::Pair
+            } else {
+                Known::Triple
+            };
+            NPat::Con(con.symbol(), ps.iter().map(normalize).collect())
         }
         Pat::List(ps) => {
-            let mut acc = NPat::Con(Symbol::intern("Nil"), vec![]);
+            let mut acc = NPat::Con(Known::Nil.symbol(), vec![]);
             for p in ps.iter().rev() {
-                acc = NPat::Con(Symbol::intern("Cons"), vec![normalize(p), acc]);
+                acc = NPat::Con(Known::Cons.symbol(), vec![normalize(p), acc]);
             }
             acc
         }
-        Pat::ConsInfix(h, t) => NPat::Con(Symbol::intern("Cons"), vec![normalize(h), normalize(t)]),
+        Pat::ConsInfix(h, t) => NPat::Con(Known::Cons.symbol(), vec![normalize(h), normalize(t)]),
     }
 }
 
@@ -314,7 +318,10 @@ fn guards_to_expr(gs: Vec<(Expr, Expr)>, fallback: Expr) -> Expr {
     gs.into_iter().rev().fold(fallback, |acc, (g, e)| {
         Expr::case(
             g,
-            vec![Alt::con("True", vec![], e), Alt::con("False", vec![], acc)],
+            vec![
+                Alt::con(Known::True, vec![], e),
+                Alt::con(Known::False, vec![], acc),
+            ],
         )
     })
 }
@@ -336,7 +343,7 @@ pub fn potential_match_failures(e: &Expr) -> Vec<String> {
 fn collect_failures(e: &Expr, out: &mut Vec<String>) {
     if let Expr::Raise(inner) = e {
         if let Expr::Con(c, args) = &**inner {
-            if c.as_str() == "PatternMatchFail" {
+            if Known::PatternMatchFail.is(*c) {
                 if let Some(Expr::Str(loc)) = args.first().map(|a| &**a) {
                     out.push(loc.to_string());
                 }

@@ -12,7 +12,7 @@ use crate::ast::*;
 use crate::layout::layout;
 use crate::lexer::lex;
 use crate::token::{Pos, Spanned, Tok};
-use crate::Symbol;
+use crate::{Known, Symbol};
 use std::fmt;
 
 /// A parse error with its source position.
@@ -101,22 +101,6 @@ pub fn parse_expr_src(src: &str) -> Result<SExpr, SyntaxError> {
     Ok(e)
 }
 
-/// Operator fixity: (precedence, right-associative?).
-fn fixity(op: &str) -> Option<(u8, bool)> {
-    Some(match op {
-        "." => (9, true),
-        "*" | "/" | "%" => (7, false),
-        "+" | "-" => (6, false),
-        ":" | "++" => (5, true),
-        "==" | "/=" | "<" | "<=" | ">" | ">=" => (4, false),
-        "&&" => (3, true),
-        "||" => (2, true),
-        ">>" | ">>=" => (1, false),
-        "$" => (0, true),
-        _ => return None,
-    })
-}
-
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
@@ -184,8 +168,8 @@ impl Parser {
         }
     }
 
-    fn is_op(&self, name: &str) -> bool {
-        matches!(self.peek(), Tok::Op(s) if s.as_str() == name)
+    fn is_op(&self, name: Known) -> bool {
+        matches!(self.peek(), Tok::Op(s, _) if name.is(*s))
     }
 
     // ------------------------------------------------------------------
@@ -402,7 +386,7 @@ impl Parser {
             Tok::LParen => {
                 self.bump();
                 if self.eat(&Tok::RParen) {
-                    return Ok(SType::Con(Symbol::intern("Unit"), vec![]));
+                    return Ok(SType::Con(Known::Unit.symbol(), vec![]));
                 }
                 let first = self.ty()?;
                 if self.eat(&Tok::Comma) {
@@ -445,7 +429,7 @@ impl Parser {
     /// A full pattern: constructor applications and infix cons.
     fn pat(&mut self) -> Result<Pat, ParseError> {
         let head = self.pat10()?;
-        if self.is_op(":") {
+        if self.is_op(Known::Colon) {
             self.bump();
             let tail = self.pat()?;
             Ok(Pat::ConsInfix(Box::new(head), Box::new(tail)))
@@ -490,7 +474,7 @@ impl Parser {
                 self.bump();
                 Ok(Pat::Str(s))
             }
-            Tok::Op(o) if o.as_str() == "-" && matches!(self.peek_at(1), Tok::Int(_)) => {
+            Tok::Op(o, _) if Known::Minus.is(o) && matches!(self.peek_at(1), Tok::Int(_)) => {
                 self.bump();
                 let Tok::Int(n) = self.bump() else {
                     unreachable!()
@@ -504,7 +488,7 @@ impl Parser {
             Tok::LParen => {
                 self.bump();
                 if self.eat(&Tok::RParen) {
-                    return Ok(Pat::Con(Symbol::intern("Unit"), vec![]));
+                    return Ok(Pat::Con(Known::Unit.symbol(), vec![]));
                 }
                 let first = self.pat()?;
                 if self.eat(&Tok::Comma) {
@@ -557,15 +541,11 @@ impl Parser {
     fn op_rest(&mut self, mut lhs: SExpr, min_prec: u8) -> Result<SExpr, ParseError> {
         loop {
             let (op, prec, right) = match self.peek() {
-                Tok::Op(s) => {
-                    match fixity(&s.as_str()) {
-                        Some((p, r)) => (*s, p, r),
-                        // Unknown operators (such as `..` inside a range, or
-                        // a genuine typo) end the expression; the caller
-                        // reports trailing junk if it was a typo.
-                        None => break,
-                    }
-                }
+                Tok::Op(s, Some(f)) => (*s, f.prec, f.right),
+                // Unknown operators (such as `..` inside a range, or a
+                // genuine typo) end the expression; the caller reports
+                // trailing junk if it was a typo.
+                Tok::Op(_, None) => break,
                 Tok::Backtick => {
                     // `f` infix application, tighter than everything except
                     // ordinary application.
@@ -594,7 +574,7 @@ impl Parser {
     }
 
     fn unary(&mut self) -> Result<SExpr, ParseError> {
-        if self.is_op("-") {
+        if self.is_op(Known::Minus) {
             self.bump();
             let e = self.unary()?;
             return Ok(SExpr::Neg(Box::new(e)));
@@ -695,23 +675,21 @@ impl Parser {
             Tok::LParen => {
                 self.bump();
                 if self.eat(&Tok::RParen) {
-                    return Ok(SExpr::Con(Symbol::intern("Unit")));
+                    return Ok(SExpr::Con(Known::Unit.symbol()));
                 }
                 // `(+)` — an operator as a value; `(op e)` — a right
                 // section (except unary minus, which stays negation).
-                if let Tok::Op(o) = self.peek().clone() {
-                    if fixity(&o.as_str()).is_some() {
-                        if *self.peek_at(1) == Tok::RParen {
-                            self.bump();
-                            self.bump();
-                            return Ok(SExpr::OpSection(o));
-                        }
-                        if o.as_str() != "-" {
-                            self.bump();
-                            let e = self.expr()?;
-                            self.expect(Tok::RParen)?;
-                            return Ok(SExpr::SectionR(o, Box::new(e)));
-                        }
+                if let Tok::Op(o, Some(_)) = *self.peek() {
+                    if *self.peek_at(1) == Tok::RParen {
+                        self.bump();
+                        self.bump();
+                        return Ok(SExpr::OpSection(o));
+                    }
+                    if !Known::Minus.is(o) {
+                        self.bump();
+                        let e = self.expr()?;
+                        self.expect(Tok::RParen)?;
+                        return Ok(SExpr::SectionR(o, Box::new(e)));
                     }
                 }
                 // `(e op)` — a left section; the lhs is an application
@@ -720,8 +698,8 @@ impl Parser {
                 // each token is parsed once.
                 let first = if self.starts_atom() {
                     let lhs = self.app_expr()?;
-                    if let Tok::Op(o) = self.peek().clone() {
-                        if fixity(&o.as_str()).is_some() && *self.peek_at(1) == Tok::RParen {
+                    if let Tok::Op(o, Some(_)) = *self.peek() {
+                        if *self.peek_at(1) == Tok::RParen {
                             self.bump();
                             self.bump();
                             return Ok(SExpr::SectionL(Box::new(lhs), o));
@@ -752,11 +730,14 @@ impl Parser {
                     return Ok(SExpr::List(vec![]));
                 }
                 let first = self.expr()?;
-                if self.is_op("..") {
+                if self.is_op(Known::DotDot) {
                     self.bump();
                     let hi = self.expr()?;
                     self.expect(Tok::RBracket)?;
-                    return Ok(SExpr::apps(SExpr::var("enumFromTo"), vec![first, hi]));
+                    return Ok(SExpr::apps(
+                        SExpr::Var(Known::EnumFromTo.symbol()),
+                        vec![first, hi],
+                    ));
                 }
                 let mut items = vec![first];
                 while self.eat(&Tok::Comma) {
@@ -980,7 +961,7 @@ mod tests {
         // [1 .. 10] becomes enumFromTo 1 10
         match expr("[1 .. 10]") {
             SExpr::App(f, _) => match *f {
-                SExpr::App(g, _) => assert_eq!(*g, SExpr::var("enumFromTo")),
+                SExpr::App(g, _) => assert_eq!(*g, SExpr::Var(Known::EnumFromTo.symbol())),
                 other => panic!("{other:?}"),
             },
             other => panic!("{other:?}"),

@@ -20,8 +20,10 @@ pub enum Tok {
     Char(char),
     /// A string literal.
     Str(String),
-    /// A symbolic operator such as `+` or `>>=`.
-    Op(Symbol),
+    /// A symbolic operator such as `+` or `>>=`, with the fixity the lexer
+    /// found for its spelling (`None` for operators that are not binary
+    /// operators, such as `..`).
+    Op(Symbol, Option<Fixity>),
 
     // Keywords.
     Data,
@@ -77,7 +79,7 @@ impl fmt::Display for Tok {
             Tok::Int(n) => write!(f, "{n}"),
             Tok::Char(c) => write!(f, "{c:?}"),
             Tok::Str(s) => write!(f, "{s:?}"),
-            Tok::Op(s) => write!(f, "{s}"),
+            Tok::Op(s, _) => write!(f, "{s}"),
             Tok::Data => f.write_str("data"),
             Tok::Let => f.write_str("let"),
             Tok::In => f.write_str("in"),
@@ -109,6 +111,35 @@ impl fmt::Display for Tok {
             Tok::VSemi => f.write_str(";<layout>"),
             Tok::Eof => f.write_str("<end of input>"),
         }
+    }
+}
+
+/// A binary operator's fixity.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct Fixity {
+    /// Binding power: 9 binds tightest, 0 loosest.
+    pub prec: u8,
+    /// Whether the operator associates to the right.
+    pub right: bool,
+}
+
+impl Fixity {
+    /// The fixity of an operator spelling, or `None` if it is not a binary
+    /// operator of the language.
+    pub(crate) fn of(op: &str) -> Option<Fixity> {
+        let (prec, right) = match op {
+            "." => (9, true),
+            "*" | "/" | "%" => (7, false),
+            "+" | "-" => (6, false),
+            ":" | "++" => (5, true),
+            "==" | "/=" | "<" | "<=" | ">" | ">=" => (4, false),
+            "&&" => (3, true),
+            "||" => (2, true),
+            ">>" | ">>=" => (1, false),
+            "$" => (0, true),
+            _ => return None,
+        };
+        Some(Fixity { prec, right })
     }
 }
 

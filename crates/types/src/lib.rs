@@ -22,7 +22,7 @@
 pub mod infer;
 pub mod ty;
 
-pub use infer::{infer_bindings, infer_expr, infer_program, Inferencer, TypeError};
+pub use infer::{infer_bindings, infer_expr, infer_program, TypeError};
 pub use ty::{Scheme, TyVar, Type};
 
 #[cfg(test)]
@@ -109,6 +109,24 @@ mod tests {
     fn let_polymorphism() {
         assert_eq!(
             ty_str(r"let id = \x -> x in (id 1, id 'c')"),
+            "Pair Int Char"
+        );
+    }
+
+    #[test]
+    fn let_generalizes_only_what_the_environment_does_not_mention() {
+        // `y`'s type is the lambda-bound `x`'s: it stays monomorphic.
+        assert!(ty_of(r"\x -> let y = x in (y 1, y 'c')").is_err());
+        // `f` mentions `x` but quantifies its own argument.
+        assert_eq!(
+            ty_str(r"\x -> let f = \z -> (x, z) in (f 1, f 'c')"),
+            "a -> Pair (Pair a Int) (Pair a Char)"
+        );
+        // A variable unified with an outer one inside the rhs stays
+        // monomorphic too (levels are lowered on binding).
+        assert!(ty_of(r"\x -> let g = \z -> seq (x z) z in (g 1, g 'c')").is_err());
+        assert_eq!(
+            ty_str(r"let k = \a -> let h = \b -> a in h in (k 1 'c', k 'c' 1)"),
             "Pair Int Char"
         );
     }

@@ -1,9 +1,8 @@
 //! Types, type schemes, and pretty-printing.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
-use urk_syntax::Symbol;
+use urk_syntax::{Known, Symbol};
 
 /// A unification variable.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -32,58 +31,33 @@ impl Type {
     }
 
     /// A nullary type constructor.
-    pub fn con0(name: &str) -> Type {
-        Type::Con(Symbol::intern(name), vec![])
+    pub fn con0(name: impl Into<Symbol>) -> Type {
+        Type::Con(name.into(), vec![])
     }
 
     /// `Bool`.
     pub fn bool() -> Type {
-        Type::con0("Bool")
+        Type::con0(Known::Bool)
     }
 
     /// `Exception`.
     pub fn exception() -> Type {
-        Type::con0("Exception")
+        Type::con0(Known::Exception)
     }
 
     /// `IO t`.
     pub fn io(t: Type) -> Type {
-        Type::Con(Symbol::intern("IO"), vec![t])
+        Type::Con(Known::Io.symbol(), vec![t])
     }
 
     /// `List t`.
     pub fn list(t: Type) -> Type {
-        Type::Con(Symbol::intern("List"), vec![t])
+        Type::Con(Known::List.symbol(), vec![t])
     }
 
     /// `ExVal t`.
     pub fn exval(t: Type) -> Type {
-        Type::Con(Symbol::intern("ExVal"), vec![t])
-    }
-
-    /// The free unification variables.
-    pub fn free_vars(&self) -> BTreeSet<TyVar> {
-        let mut out = BTreeSet::new();
-        self.free_vars_into(&mut out);
-        out
-    }
-
-    pub(crate) fn free_vars_into(&self, out: &mut BTreeSet<TyVar>) {
-        match self {
-            Type::Var(v) => {
-                out.insert(*v);
-            }
-            Type::Int | Type::Char | Type::Str | Type::Skolem(_) => {}
-            Type::Fun(a, b) => {
-                a.free_vars_into(out);
-                b.free_vars_into(out);
-            }
-            Type::Con(_, args) => {
-                for a in args {
-                    a.free_vars_into(out);
-                }
-            }
-        }
+        Type::Con(Known::ExVal.symbol(), vec![t])
     }
 
     /// True if the type mentions any skolem constant.
@@ -165,7 +139,7 @@ fn fmt_ty(t: &Type, order: &[TyVar], prec: u8, f: &mut fmt::Formatter<'_>) -> fm
             Ok(())
         }
         Type::Con(name, args) => {
-            if name.as_str() == "List" && args.len() == 1 {
+            if Known::List.is(*name) && args.len() == 1 {
                 f.write_str("[")?;
                 fmt_ty(&args[0], order, 0, f)?;
                 return f.write_str("]");
@@ -220,9 +194,8 @@ mod tests {
     }
 
     #[test]
-    fn free_vars_and_skolems() {
+    fn skolems_are_detected() {
         let t = Type::fun(Type::Var(TyVar(1)), Type::Skolem(0));
-        assert_eq!(t.free_vars().len(), 1);
         assert!(t.has_skolem());
         assert!(!Type::Int.has_skolem());
     }

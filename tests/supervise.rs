@@ -134,3 +134,33 @@ fn aborted_runs_carry_their_stats_into_the_error() {
     // And the rendered error mentions them.
     assert!(err.to_string().contains("steps"), "{err}");
 }
+
+/// The evaluation that lowers the program carries the lowering's cost in
+/// its stats, once; later evaluations carry only their own query's. Both
+/// evaluation paths stamp through one helper.
+#[test]
+fn lowering_cost_is_stamped_on_the_first_evaluation_only() {
+    const QUERY: &str = "sum (map (\\x -> x * 2) [1 .. 10])";
+    let lowering = Session::new().compiled_code().compile_ops();
+    assert!(lowering > 0);
+
+    let direct = Session::new();
+    let first = direct.eval(QUERY).expect("evals").stats;
+    let second = direct.eval(QUERY).expect("evals").stats;
+    assert_eq!(first.compile_ops, second.compile_ops + lowering);
+
+    let supervised = Session::new();
+    let supervisor = Supervisor::with_deadline(10_000);
+    let first = supervised
+        .eval_supervised(QUERY, &supervisor)
+        .expect("evals")
+        .result
+        .stats;
+    let second = supervised
+        .eval_supervised(QUERY, &supervisor)
+        .expect("evals")
+        .result
+        .stats;
+    assert_eq!(first.compile_ops, second.compile_ops + lowering);
+    assert!(first.compile_micros >= second.compile_micros);
+}
