@@ -21,9 +21,14 @@
 //!
 //! The driver emits one JSON progress line per reporting interval and a
 //! final [`SoakReport`]; any violation is recorded, never panicked, so a
-//! soak always produces a report.
+//! soak always produces a report. Each line also carries the process's
+//! resident set and the size of the global symbol interner. Once every
+//! lane has answered every ring source, the ring has spelled every name
+//! it ever will, so any later interner growth is request state that
+//! outlived its request: an `interner-growth` violation
+//! ([`interner_growth`]).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -32,7 +37,7 @@ use rand::{Rng, SeedableRng};
 use urk_fuzz::{FuzzCtx, TermGen, FUZZ_PRELUDE_SRC};
 use urk_machine::{Machine, MachineConfig, Outcome};
 use urk_syntax::core::Expr;
-use urk_syntax::{pretty::pretty, Exception};
+use urk_syntax::{pretty::pretty, Exception, Symbol};
 
 use crate::pool::{EvalPool, PoolConfig};
 use crate::serve::{Client, RemoteOutcome, ServeConfig, Server};
@@ -92,6 +97,15 @@ pub struct SoakReport {
     pub violations: Vec<String>,
     pub violation_count: u64,
     pub elapsed_ms: u64,
+    /// Names in the global symbol interner when the report was made.
+    pub interned_len: usize,
+    /// The process's resident set (`VmRSS`) when the report was made, in
+    /// KiB; 0 where `/proc/self/status` cannot be read.
+    pub vm_rss_kb: u64,
+    /// The interner's size when every lane had answered every ring source:
+    /// the baseline of the `interner-growth` check. `None` if the run
+    /// ended first.
+    pub interned_after_first_pass: Option<usize>,
 }
 
 impl SoakReport {
@@ -106,12 +120,19 @@ impl SoakReport {
         }
     }
 
+    /// Stamps the elapsed time and the memory gauges.
+    fn sample(&mut self, started: Instant) {
+        self.elapsed_ms = started.elapsed().as_millis() as u64;
+        self.interned_len = Symbol::interned_len();
+        self.vm_rss_kb = vm_rss_kb();
+    }
+
     /// The report as one JSON object (also the progress-line shape).
     pub fn to_json(&self) -> String {
         format!(
             "{{\"evals\":{},\"machine_evals\":{},\"pool_evals\":{},\"serve_evals\":{},\
              \"batches\":{},\"cache_hits\":{},\"audits\":{},\"interrupts\":{},\
-             \"violations\":{},\"elapsed_ms\":{}}}",
+             \"violations\":{},\"elapsed_ms\":{},\"interned_len\":{},\"vm_rss_kb\":{}}}",
             self.evals,
             self.machine_evals,
             self.pool_evals,
@@ -121,9 +142,34 @@ impl SoakReport {
             self.audits,
             self.interrupts,
             self.violation_count,
-            self.elapsed_ms
+            self.elapsed_ms,
+            self.interned_len,
+            self.vm_rss_kb
         )
     }
+}
+
+/// This process's resident set in KiB, from `/proc/self/status`; 0 where
+/// that cannot be read.
+fn vm_rss_kb() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            status
+                .lines()
+                .find_map(|l| l.strip_prefix("VmRSS:"))
+                .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        })
+        .unwrap_or(0)
+}
+
+/// The first growth in `series`, the interner's size sampled from the end
+/// of the soak's first full pass over the ring: the first sample (the
+/// baseline) and the first later sample above it. `None` while the series
+/// is flat.
+pub fn interner_growth(series: &[usize]) -> Option<(usize, usize)> {
+    let (&baseline, rest) = series.split_first()?;
+    rest.iter().find(|&&n| n > baseline).map(|&n| (baseline, n))
 }
 
 /// One ring slot: the term, its source text (for the pool/serve lanes),
@@ -332,6 +378,14 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
     let mut serve_expected: HashMap<String, String> = HashMap::new();
     let mut last_report = Instant::now();
     let mut round = 0u64;
+    // Sampled from the end of the first full pass: once every lane has
+    // answered every distinct ring source.
+    let distinct_srcs = ring
+        .iter()
+        .map(|e| e.src.as_str())
+        .collect::<HashSet<_>>()
+        .len();
+    let mut interner_series: Vec<usize> = Vec::new();
 
     while started.elapsed() < cfg.duration {
         round += 1;
@@ -393,8 +447,18 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
             }
         }
 
+        let full_pass = pool_expected.len() == distinct_srcs
+            && (client.is_none() || serve_expected.len() == distinct_srcs);
+        if full_pass && interner_series.is_empty() {
+            let baseline = Symbol::interned_len();
+            interner_series.push(baseline);
+            report.interned_after_first_pass = Some(baseline);
+        }
         if !cfg.report_every.is_zero() && last_report.elapsed() >= cfg.report_every {
-            report.elapsed_ms = started.elapsed().as_millis() as u64;
+            report.sample(started);
+            if !interner_series.is_empty() {
+                interner_series.push(report.interned_len);
+            }
             println!("{}", report.to_json());
             last_report = Instant::now();
         }
@@ -414,13 +478,42 @@ pub fn run_soak(cfg: &SoakConfig) -> Result<SoakReport, String> {
         s.join();
     }
     pool.shutdown();
-    report.elapsed_ms = started.elapsed().as_millis() as u64;
+    report.sample(started);
+    if !interner_series.is_empty() {
+        interner_series.push(report.interned_len);
+    }
+    if let Some((baseline, grown)) = interner_growth(&interner_series) {
+        report.violate(format!(
+            "interner-growth: {baseline} interned names after the first full pass \
+             over the ring, {grown} later"
+        ));
+    }
     Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn interner_growth_fires_on_a_rising_series_only() {
+        assert_eq!(interner_growth(&[]), None);
+        assert_eq!(interner_growth(&[812]), None);
+        assert_eq!(interner_growth(&[812, 812, 812, 812]), None);
+        assert_eq!(interner_growth(&[812, 812, 815, 830]), Some((812, 815)));
+        assert_eq!(interner_growth(&[812, 900]), Some((812, 900)));
+    }
+
+    #[test]
+    fn the_report_carries_the_memory_gauges() {
+        let mut report = SoakReport::default();
+        report.sample(Instant::now());
+        let json = report.to_json();
+        assert!(json.contains(&format!("\"interned_len\":{}", report.interned_len)));
+        assert!(json.contains(&format!("\"vm_rss_kb\":{}}}", report.vm_rss_kb)));
+        #[cfg(target_os = "linux")]
+        assert!(report.vm_rss_kb > 0, "VmRSS is readable on Linux");
+    }
 
     #[test]
     fn a_two_second_soak_is_clean() {
@@ -434,11 +527,15 @@ mod tests {
             ..SoakConfig::default()
         })
         .expect("soak runs");
-        assert!(
-            report.is_clean(),
-            "soak violations: {:?}",
-            report.violations
-        );
+        // Other tests in this process intern names while the soak runs, so
+        // interner growth is checked by `tests/soak_interner.rs`, a process
+        // of its own; every other invariant must hold here.
+        let violations: Vec<_> = report
+            .violations
+            .iter()
+            .filter(|v| !v.starts_with("interner-growth"))
+            .collect();
+        assert!(violations.is_empty(), "soak violations: {violations:?}");
         assert!(report.evals > 1_000, "soak too slow: {}", report.evals);
         assert!(report.serve_evals > 0);
         assert!(

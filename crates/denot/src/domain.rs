@@ -10,10 +10,32 @@
 //! Values are *lazy*: constructor fields are unevaluated denotational
 //! thunks, so exceptional values can hide inside data structures exactly as
 //! §3.2's `zipWith` examples require.
+//!
+//! Thunks are the only mutable nodes. Every edge that is made when its
+//! node is made points from a newer node to an older one: an environment
+//! node to the thunk and environment it extends, a closure to its
+//! environment, a constructor to its fields, a pending thunk to its
+//! environment. Two mutations point an older thunk at something newer,
+//! and so can close an `Rc` cycle that reference counting alone never
+//! frees. Such a thunk is a *knot*:
+//!
+//! * `letrec` (`fix`) ties each thunk of its group to an environment that
+//!   contains the thunk itself;
+//! * memoization stores a thunk's value in the thunk, and the value can
+//!   reach the thunk again (`evens = 0 : map f evens`: the tail's value
+//!   holds a thunk whose environment binds the tail).
+//!
+//! Every cycle therefore passes through a knot of one of these kinds. The
+//! evaluator records each knot it ties, the second kind only when the
+//! value has fields or is a function, and when it is dropped it releases
+//! every knot still alive ([`ThunkState::Released`]), which breaks every
+//! cycle and frees everything its requests built. A denotation is
+//! therefore only meaningful while the evaluator that made it is alive:
+//! forcing a released knot panics rather than denote anything.
 
 use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use urk_syntax::core::Expr;
 use urk_syntax::Symbol;
@@ -52,6 +74,16 @@ impl Denot {
     /// True if this is any exceptional value.
     pub fn is_bad(&self) -> bool {
         matches!(self, Denot::Bad(_))
+    }
+
+    /// True if this value holds thunks or an environment, and so, stored
+    /// in a thunk, could reach that thunk again.
+    pub(crate) fn can_close_a_cycle(&self) -> bool {
+        match self {
+            Denot::Ok(Value::Con(_, fields)) => !fields.is_empty(),
+            Denot::Ok(Value::Fun(_)) => true,
+            _ => false,
+        }
     }
 }
 
@@ -104,6 +136,9 @@ pub enum ThunkState {
     Evaluating,
     /// Forced to a denotation.
     Done(Denot),
+    /// A knot whose evaluator was dropped: its expression, environment
+    /// and value are gone. Forcing it panics.
+    Released,
 }
 
 /// A memoizing thunk cell.
@@ -138,6 +173,59 @@ impl fmt::Debug for Thunk {
             ThunkState::Pending(_, _) => f.write_str("Thunk(pending)"),
             ThunkState::Evaluating => f.write_str("Thunk(evaluating)"),
             ThunkState::Done(d) => write!(f, "Thunk({d:?})"),
+            ThunkState::Released => f.write_str("Thunk(released)"),
+        }
+    }
+}
+
+impl Knot for Thunk {
+    fn release(&self) {
+        // Take the old state out first, so it is dropped (and whatever it
+        // alone kept alive with it) after the cell's borrow has ended.
+        let old = self.state.replace(ThunkState::Released);
+        drop(old);
+    }
+}
+
+/// The panic message for forcing a released knot: a denotation that was
+/// used after the evaluator that made it had been dropped.
+pub(crate) const RELEASED_KNOT: &str = "forced a thunk that was released when its evaluator \
+     was dropped: a denotation must not outlive the evaluator that made it";
+
+/// A thunk an evaluator can tie into a knot.
+pub(crate) trait Knot {
+    /// Breaks the knot: drops the thunk's state for good.
+    fn release(&self);
+}
+
+/// The knots an evaluator has tied, released when it is dropped (see the
+/// module docs). The record holds weak references, so a knot that is on
+/// no cycle is freed as soon as nothing else holds it, and the record
+/// forgets freed knots whenever it fills, so it stays proportional to the
+/// live ones.
+pub(crate) struct Knots<T: Knot>(RefCell<Vec<Weak<T>>>);
+
+impl<T: Knot> Knots<T> {
+    pub(crate) fn new() -> Knots<T> {
+        Knots(RefCell::new(Vec::new()))
+    }
+
+    /// Records a knot tied by this evaluator.
+    pub(crate) fn record(&self, knot: &Rc<T>) {
+        let mut knots = self.0.borrow_mut();
+        if knots.len() == knots.capacity() {
+            knots.retain(|k| k.strong_count() > 0);
+        }
+        knots.push(Rc::downgrade(knot));
+    }
+}
+
+impl<T: Knot> Drop for Knots<T> {
+    fn drop(&mut self) {
+        for knot in self.0.get_mut().drain(..) {
+            if let Some(t) = knot.upgrade() {
+                t.release();
+            }
         }
     }
 }

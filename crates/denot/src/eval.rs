@@ -25,9 +25,9 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use urk_syntax::core::{Alt, AltCon, Expr, PrimOp};
-use urk_syntax::{DataEnv, Exception, Symbol};
+use urk_syntax::{DataEnv, Exception, Known, Symbol};
 
-use crate::domain::{Closure, DThunk, Denot, Env, Thunk, ThunkState, Value};
+use crate::domain::{Closure, DThunk, Denot, Env, Knots, Thunk, ThunkState, Value, RELEASED_KNOT};
 use crate::exnset::ExnSet;
 
 /// Tunables for the denotational evaluator.
@@ -55,11 +55,20 @@ impl Default for DenotConfig {
 
 /// The imprecise denotational evaluator.
 ///
+/// The evaluator owns the knots it ties (every `letrec` group, including a
+/// program's top level passed to [`DenotEvaluator::bind_recursive`], and
+/// every memoized value that could reach its own thunk) and releases them
+/// when it is dropped, so the memory an evaluation used comes back with
+/// the evaluator. Keep the evaluator alive for as long as a [`Denot`] it
+/// produced is inspected.
+///
 /// # Panics
 ///
 /// The evaluator panics on dynamically ill-typed programs (applying an
 /// integer, adding a list, ...). Run [`urk_types::infer_program`] first;
-/// every public pipeline in the `urk` crate does.
+/// every public pipeline in the `urk` crate does. Forcing a denotation
+/// after its evaluator was dropped also panics, when it reaches a released
+/// knot.
 ///
 /// [`urk_types::infer_program`]: ../../urk_types/fn.infer_program.html
 pub struct DenotEvaluator<'a> {
@@ -67,6 +76,7 @@ pub struct DenotEvaluator<'a> {
     config: DenotConfig,
     fuel: Cell<u64>,
     depth: Cell<u32>,
+    knots: Knots<Thunk>,
 }
 
 impl<'a> DenotEvaluator<'a> {
@@ -83,6 +93,7 @@ impl<'a> DenotEvaluator<'a> {
             config,
             fuel: Cell::new(fuel),
             depth: Cell::new(0),
+            knots: Knots::new(),
         }
     }
 
@@ -186,7 +197,8 @@ impl<'a> DenotEvaluator<'a> {
         }
     }
 
-    /// Builds the cyclic environment for a recursive group.
+    /// Builds the cyclic environment for a recursive group. The knots it
+    /// ties live until this evaluator is dropped.
     pub fn bind_recursive(&self, binds: &[(Symbol, Rc<Expr>)], env: &Env) -> Env {
         // Allocate the thunks first (with a placeholder environment), build
         // the extended environment containing them, then retie the knot.
@@ -200,6 +212,7 @@ impl<'a> DenotEvaluator<'a> {
         }
         for ((_, rhs), t) in binds.iter().zip(&thunks) {
             *t.state.borrow_mut() = ThunkState::Pending(rhs.clone(), env2.clone());
+            self.knots.record(t);
         }
         env2
     }
@@ -207,6 +220,10 @@ impl<'a> DenotEvaluator<'a> {
     /// Forces a thunk to a denotation, memoizing the result. Re-entrant
     /// forcing (a directly self-referential value such as `black = black +
     /// 1`) is `⊥`.
+    ///
+    /// # Panics
+    ///
+    /// If `t` is a knot released by a dropped evaluator.
     pub fn force(&self, t: &DThunk) -> Denot {
         let pending = {
             let state = t.state.borrow();
@@ -214,10 +231,14 @@ impl<'a> DenotEvaluator<'a> {
                 ThunkState::Done(d) => return d.clone(),
                 ThunkState::Evaluating => return Denot::bottom(),
                 ThunkState::Pending(e, env) => (e.clone(), env.clone()),
+                ThunkState::Released => panic!("{RELEASED_KNOT}"),
             }
         };
         *t.state.borrow_mut() = ThunkState::Evaluating;
         let d = self.eval(&pending.0, &pending.1);
+        if d.can_close_a_cycle() {
+            self.knots.record(t);
+        }
         *t.state.borrow_mut() = ThunkState::Done(d.clone());
         d
     }
@@ -337,7 +358,7 @@ impl<'a> DenotEvaluator<'a> {
                 let d = self.eval(&args[0], env);
                 match d {
                     Denot::Ok(v) => Denot::Ok(Value::Con(
-                        Symbol::intern("OK"),
+                        Known::Ok.symbol(),
                         vec![Thunk::done(Denot::Ok(v))],
                     )),
                     Denot::Bad(s) => match s.some_member() {
@@ -345,7 +366,7 @@ impl<'a> DenotEvaluator<'a> {
                         // proof obligation is that this choice is moot.
                         Some(exn) => {
                             let inner = Thunk::done(Denot::Ok(self.exception_to_value(&exn)));
-                            Denot::Ok(Value::Con(Symbol::intern("Bad"), vec![inner]))
+                            Denot::Ok(Value::Con(Known::Bad.symbol(), vec![inner]))
                         }
                         // Bad {} is not denotable; All (⊥) stays ⊥.
                         None => Denot::bottom(),
@@ -494,5 +515,6 @@ impl<'a> DenotEvaluator<'a> {
 
 /// Builds the Boolean constructor values.
 pub fn bool_value(b: bool) -> Value {
-    Value::Con(Symbol::intern(if b { "True" } else { "False" }), vec![])
+    let con = if b { Known::True } else { Known::False };
+    Value::Con(con.symbol(), vec![])
 }

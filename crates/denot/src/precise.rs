@@ -17,7 +17,9 @@ use std::fmt;
 use std::rc::Rc;
 
 use urk_syntax::core::{Alt, AltCon, Expr, PrimOp};
-use urk_syntax::{Exception, Symbol};
+use urk_syntax::{Exception, Known, Symbol};
+
+use crate::domain::{Knot, Knots, RELEASED_KNOT};
 
 /// Which operand of a primitive a precise implementation evaluates first.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -75,11 +77,13 @@ pub struct PClosure {
 /// A memoizing lazy thunk.
 pub type PThunk = Rc<PThunkCell>;
 
-/// Thunk states mirror the imprecise evaluator's.
+/// Thunk states mirror the imprecise evaluator's, `Released` knots
+/// included.
 pub enum PThunkState {
     Pending(Rc<Expr>, PEnv),
     Evaluating,
     Done(PDenot),
+    Released,
 }
 
 pub struct PThunkCell {
@@ -97,6 +101,13 @@ impl PThunkCell {
         Rc::new(PThunkCell {
             state: RefCell::new(PThunkState::Done(d)),
         })
+    }
+}
+
+impl Knot for PThunkCell {
+    fn release(&self) {
+        let old = self.state.replace(PThunkState::Released);
+        drop(old);
     }
 }
 
@@ -159,13 +170,17 @@ impl Default for PreciseConfig {
     }
 }
 
-/// The precise-semantics evaluator.
+/// The precise-semantics evaluator. Like [`crate::DenotEvaluator`], it
+/// owns the knots it ties (`letrec` groups and memoized values that could
+/// reach their own thunk) and releases them when dropped.
 ///
 /// # Panics
 ///
-/// Panics on dynamically ill-typed programs; type-check first.
+/// Panics on dynamically ill-typed programs; type-check first. Also panics
+/// when a denotation is forced after its evaluator was dropped.
 pub struct PreciseEvaluator {
     config: PreciseConfig,
+    knots: Knots<PThunkCell>,
     fuel: Cell<u64>,
     depth: Cell<u32>,
     /// Oracle decision tape (used when `oracle_driven`).
@@ -179,6 +194,7 @@ impl PreciseEvaluator {
         let fuel = config.fuel;
         PreciseEvaluator {
             config,
+            knots: Knots::new(),
             fuel: Cell::new(fuel),
             depth: Cell::new(0),
             oracle_bits: RefCell::new(Vec::new()),
@@ -239,15 +255,15 @@ impl PreciseEvaluator {
             Expr::Int(n) => PDenot::Ok(PValue::Int(*n)),
             Expr::Char(c) => PDenot::Ok(PValue::Char(*c)),
             Expr::Str(s) => PDenot::Ok(PValue::Str(s.clone())),
-            Expr::Con(c, args) if self.config.oracle_driven && c.as_str() == "GetException" => {
+            Expr::Con(c, args) if self.config.oracle_driven && Known::GetException.is(*c) => {
                 // The non-deterministic design's *pure* getException.
                 match self.eval(&args[0], env) {
                     PDenot::Ok(v) => PDenot::Ok(PValue::Con(
-                        Symbol::intern("OK"),
+                        Known::Ok.symbol(),
                         vec![PThunkCell::done(PDenot::Ok(v))],
                     )),
                     PDenot::Exn(x) => PDenot::Ok(PValue::Con(
-                        Symbol::intern("Bad"),
+                        Known::Bad.symbol(),
                         vec![PThunkCell::done(PDenot::Ok(exception_to_pvalue(&x)))],
                     )),
                     PDenot::Bot => PDenot::Bot,
@@ -314,6 +330,7 @@ impl PreciseEvaluator {
         }
         for ((_, rhs), t) in binds.iter().zip(&thunks) {
             *t.state.borrow_mut() = PThunkState::Pending(rhs.clone(), env2.clone());
+            self.knots.record(t);
         }
         env2
     }
@@ -324,10 +341,16 @@ impl PreciseEvaluator {
                 PThunkState::Done(d) => return d.clone(),
                 PThunkState::Evaluating => return PDenot::Bot,
                 PThunkState::Pending(e, env) => (e.clone(), env.clone()),
+                PThunkState::Released => panic!("{RELEASED_KNOT}"),
             }
         };
         *t.state.borrow_mut() = PThunkState::Evaluating;
         let d = self.eval(&pending.0, &pending.1);
+        if matches!(&d, PDenot::Ok(PValue::Con(_, fs)) if !fs.is_empty())
+            || matches!(&d, PDenot::Ok(PValue::Fun(_)))
+        {
+            self.knots.record(t);
+        }
         *t.state.borrow_mut() = PThunkState::Done(d.clone());
         d
     }
@@ -363,11 +386,11 @@ impl PreciseEvaluator {
             }
             PrimOp::UnsafeGetException => match self.eval(&args[0], env) {
                 PDenot::Ok(v) => PDenot::Ok(PValue::Con(
-                    Symbol::intern("OK"),
+                    Known::Ok.symbol(),
                     vec![PThunkCell::done(PDenot::Ok(v))],
                 )),
                 PDenot::Exn(x) => PDenot::Ok(PValue::Con(
-                    Symbol::intern("Bad"),
+                    Known::Bad.symbol(),
                     vec![PThunkCell::done(PDenot::Ok(exception_to_pvalue(&x)))],
                 )),
                 PDenot::Bot => PDenot::Bot,
@@ -610,7 +633,8 @@ pub fn compare_pdenots(
 }
 
 fn pbool(b: bool) -> PValue {
-    PValue::Con(Symbol::intern(if b { "True" } else { "False" }), vec![])
+    let con = if b { Known::True } else { Known::False };
+    PValue::Con(con.symbol(), vec![])
 }
 
 /// Converts a runtime exception to an in-language value.

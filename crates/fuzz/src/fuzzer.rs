@@ -415,14 +415,14 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> Result<FuzzReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use urk_syntax::Symbol;
+    use urk_syntax::{Hint, Symbol};
 
     #[test]
     fn gensym_bearing_terms_are_not_persistable() {
         // A mutant spliced from a desugared parent can carry `$`-named
         // binders; its case file would not re-parse, so admission must
         // refuse it while plain terms pass.
-        let g = Symbol::fresh("a");
+        let g = Symbol::fresh(Hint::A);
         let bad = Expr::let_(g, Expr::int(1), Expr::var(g));
         assert!(!persists_faithfully(&bad));
         let good = Expr::add(Expr::int(1), Expr::int(2));

@@ -22,7 +22,7 @@
 //!   `BlockedIndefinitely` (GHC's `BlockedIndefinitelyOnMVar`).
 
 use urk_machine::{HValue, Machine, MachineError, NodeId, Outcome, Whnf};
-use urk_syntax::{Exception, Symbol};
+use urk_syntax::{Exception, Known, Symbol};
 
 use crate::machine_run::IoResult;
 use crate::trace::{Event, Input, Trace};
@@ -187,7 +187,7 @@ pub fn run_concurrent(
                             panic!("putChar of a non-character");
                         };
                         trace.push(Event::Output(c));
-                        machine.alloc_hvalue(HValue::Con(Symbol::intern("Unit"), vec![]))
+                        machine.alloc_hvalue(HValue::Con(Known::Unit.symbol(), vec![]))
                     }
                     Err(Died::Exception(e)) => {
                         if t.tid == 0 {
@@ -208,7 +208,7 @@ pub fn run_concurrent(
                             panic!("putStr of a non-string");
                         };
                         trace.push(Event::OutputStr(s.to_string()));
-                        machine.alloc_hvalue(HValue::Con(Symbol::intern("Unit"), vec![]))
+                        machine.alloc_hvalue(HValue::Con(Known::Unit.symbol(), vec![]))
                     }
                     Err(Died::Exception(e)) => {
                         if t.tid == 0 {
@@ -227,11 +227,11 @@ pub fn run_concurrent(
                     let exn = thrown.take().expect("checked");
                     trace.push(Event::AsyncDelivered(exn.clone()));
                     let ev = machine.alloc_exception_value(&exn);
-                    machine.alloc_hvalue(HValue::Con(Symbol::intern("Bad"), vec![ev]))
+                    machine.alloc_hvalue(HValue::Con(Known::Bad.symbol(), vec![ev]))
                 }
                 "GetException" => match machine.eval_node(fields[0], true) {
                     Ok(Outcome::Value(n)) => {
-                        machine.alloc_hvalue(HValue::Con(Symbol::intern("OK"), vec![n]))
+                        machine.alloc_hvalue(HValue::Con(Known::Ok.symbol(), vec![n]))
                     }
                     Ok(Outcome::Caught(exn)) | Ok(Outcome::Uncaught(exn)) => {
                         trace.push(if exn.is_asynchronous() {
@@ -240,7 +240,7 @@ pub fn run_concurrent(
                             Event::ChoseException(exn.clone())
                         });
                         let ev = machine.alloc_exception_value(&exn);
-                        machine.alloc_hvalue(HValue::Con(Symbol::intern("Bad"), vec![ev]))
+                        machine.alloc_hvalue(HValue::Con(Known::Bad.symbol(), vec![ev]))
                     }
                     Err(e) => {
                         main_result = Some(IoResult::MachineError(e));
@@ -259,7 +259,7 @@ pub fn run_concurrent(
                     });
                     machine.alloc_hvalue(HValue::Int(tid as i64))
                 }
-                "Yield" => machine.alloc_hvalue(HValue::Con(Symbol::intern("Unit"), vec![])),
+                "Yield" => machine.alloc_hvalue(HValue::Con(Known::Unit.symbol(), vec![])),
                 "ThrowTo" => match force_payload(machine, fields[0]) {
                     Ok(tid_node) => {
                         let Some(Whnf::Int(target)) = machine.heap().whnf(tid_node) else {
@@ -286,7 +286,7 @@ pub fn run_concurrent(
                                     }
                                 }
                                 pending_exn.insert(target, exn);
-                                machine.alloc_hvalue(HValue::Con(Symbol::intern("Unit"), vec![]))
+                                machine.alloc_hvalue(HValue::Con(Known::Unit.symbol(), vec![]))
                             }
                             Err(Died::Exception(e)) => {
                                 if t.tid == 0 {
@@ -377,7 +377,7 @@ pub fn run_concurrent(
                                 HValue::Con(Symbol::intern("MVarFull"), vec![v]),
                             );
                             wake(&mut blocked, &mut ready, slot);
-                            machine.alloc_hvalue(HValue::Con(Symbol::intern("Unit"), vec![]))
+                            machine.alloc_hvalue(HValue::Con(Known::Unit.symbol(), vec![]))
                         } else {
                             blocked.push((t, slot, BlockKind::Put));
                             continue 'scheduler;

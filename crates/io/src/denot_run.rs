@@ -20,7 +20,7 @@
 //! `perform`ing chooses.
 
 use urk_denot::{show_denot, DThunk, Denot, DenotEvaluator, ExnSet, Thunk, Value};
-use urk_syntax::{Exception, Symbol};
+use urk_syntax::{Exception, Known};
 
 use crate::oracle::{ExceptionOracle, OracleChoice};
 use crate::trace::{Event, Input, Trace};
@@ -170,7 +170,7 @@ pub fn run_denot(
                 } else {
                     match ev.force(&fields[0]) {
                         Denot::Ok(v) => Thunk::done(Denot::Ok(Value::Con(
-                            Symbol::intern("OK"),
+                            Known::Ok.symbol(),
                             vec![Thunk::done(Denot::Ok(v))],
                         ))),
                         Denot::Bad(s) => match oracle.choose(&s) {
@@ -209,12 +209,12 @@ pub fn run_denot(
 }
 
 fn unit_thunk() -> DThunk {
-    Thunk::done(Denot::Ok(Value::Con(Symbol::intern("Unit"), vec![])))
+    Thunk::done(Denot::Ok(Value::Con(Known::Unit.symbol(), vec![])))
 }
 
 fn bad_thunk(ev: &DenotEvaluator<'_>, exn: &Exception) -> DThunk {
     let inner = Thunk::done(Denot::Ok(ev.exception_to_value(exn)));
-    Thunk::done(Denot::Ok(Value::Con(Symbol::intern("Bad"), vec![inner])))
+    Thunk::done(Denot::Ok(Value::Con(Known::Bad.symbol(), vec![inner])))
 }
 
 fn bad_result(s: ExnSet) -> SemIoResult {

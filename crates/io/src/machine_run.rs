@@ -10,7 +10,7 @@
 
 use urk_machine::{HValue, Machine, MachineError, NodeId, Outcome, Whnf};
 use urk_syntax::core::Expr;
-use urk_syntax::{Exception, Symbol};
+use urk_syntax::{Exception, Known};
 
 use crate::trace::{Event, Input, Trace};
 
@@ -128,7 +128,7 @@ pub fn run_machine_node(machine: &mut Machine, root: NodeId, input: &mut dyn Inp
                             panic!("putChar of a non-character (ill-typed program)");
                         };
                         trace.push(Event::Output(c));
-                        machine.alloc_hvalue(HValue::Con(Symbol::intern("Unit"), vec![]))
+                        machine.alloc_hvalue(HValue::Con(Known::Unit.symbol(), vec![]))
                     }
                     Ok(Outcome::Uncaught(e)) | Ok(Outcome::Caught(e)) => {
                         return finish(machine, rooted, IoResult::Uncaught(e), trace)
@@ -142,7 +142,7 @@ pub fn run_machine_node(machine: &mut Machine, root: NodeId, input: &mut dyn Inp
                         panic!("putStr of a non-string (ill-typed program)");
                     };
                     trace.push(Event::OutputStr(s.to_string()));
-                    machine.alloc_hvalue(HValue::Con(Symbol::intern("Unit"), vec![]))
+                    machine.alloc_hvalue(HValue::Con(Known::Unit.symbol(), vec![]))
                 }
                 Ok(Outcome::Uncaught(e)) | Ok(Outcome::Caught(e)) => {
                     return finish(machine, rooted, IoResult::Uncaught(e), trace)
@@ -153,7 +153,7 @@ pub fn run_machine_node(machine: &mut Machine, root: NodeId, input: &mut dyn Inp
                 // §3.3: mark the stack, evaluate the argument.
                 match machine.eval_node(fields[0], true) {
                     Ok(Outcome::Value(n)) => {
-                        machine.alloc_hvalue(HValue::Con(Symbol::intern("OK"), vec![n]))
+                        machine.alloc_hvalue(HValue::Con(Known::Ok.symbol(), vec![n]))
                     }
                     Ok(Outcome::Caught(exn)) => {
                         trace.push(if exn.is_asynchronous() {
@@ -162,7 +162,7 @@ pub fn run_machine_node(machine: &mut Machine, root: NodeId, input: &mut dyn Inp
                             Event::ChoseException(exn.clone())
                         });
                         let ev = machine.alloc_exception_value(&exn);
-                        machine.alloc_hvalue(HValue::Con(Symbol::intern("Bad"), vec![ev]))
+                        machine.alloc_hvalue(HValue::Con(Known::Bad.symbol(), vec![ev]))
                     }
                     Ok(Outcome::Uncaught(exn)) => {
                         // Cannot happen: the catch mark is at the episode

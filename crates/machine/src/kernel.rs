@@ -23,7 +23,7 @@
 
 use rand::Rng;
 use urk_syntax::core::PrimOp;
-use urk_syntax::{Exception, Symbol};
+use urk_syntax::{Exception, Known, Symbol};
 
 use crate::code::{COp, CodeId};
 use crate::env::CEnv;
@@ -641,7 +641,7 @@ impl Machine {
             // The argument evaluated to a value: not an exception.
             Frame::IsExnCatch => Control::Return(self.bool_node(false)),
             Frame::UnsafeGetExnCatch => {
-                let ok = HValue::Con(Symbol::intern("OK"), vec![node]);
+                let ok = HValue::Con(Known::Ok.symbol(), vec![node]);
                 Control::Return(self.alloc_value(ok))
             }
             Frame::MapExnCatch { .. } => Control::Return(node),
@@ -714,7 +714,7 @@ impl Machine {
                 }
                 Frame::UnsafeGetExnCatch if !asynchronous => {
                     let ev = self.alloc_exception_value(&exn);
-                    let bad = HValue::Con(Symbol::intern("Bad"), vec![ev]);
+                    let bad = HValue::Con(Known::Bad.symbol(), vec![ev]);
                     let t = self.alloc_value(bad);
                     return Step::Continue(Control::Return(t));
                 }

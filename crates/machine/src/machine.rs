@@ -27,7 +27,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use urk_syntax::core::PrimOp;
-use urk_syntax::{Exception, Symbol};
+use urk_syntax::{Exception, Known, Symbol};
 
 use crate::chaos::{ChaosState, FaultPlan};
 use crate::code::LinkedCode;
@@ -271,9 +271,9 @@ impl Machine {
         let next_gc_at = config.gc_threshold;
         let heap = Heap::new();
         let true_node =
-            NodeId::imm_con(Symbol::intern("True")).expect("interner index fits a tagged word");
+            NodeId::imm_con(Known::True.symbol()).expect("interner index fits a tagged word");
         let false_node =
-            NodeId::imm_con(Symbol::intern("False")).expect("interner index fits a tagged word");
+            NodeId::imm_con(Known::False.symbol()).expect("interner index fits a tagged word");
         let interrupt = config.interrupt.clone().unwrap_or_default();
         let chaos = config.chaos.clone().map(ChaosState::new);
         let coverage = config

@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::rc::Rc;
 
-use crate::{Known, Symbol};
+use crate::{Hint, Known, Symbol};
 
 /// A core expression.
 #[derive(Clone, PartialEq, Debug)]
@@ -455,7 +455,7 @@ impl Expr {
                 if *x == var {
                     self.clone()
                 } else if rep_fv.contains(x) {
-                    let fresh = Symbol::fresh(&x.as_str());
+                    let fresh = Symbol::fresh(Hint::Rn);
                     let renamed = b.subst(*x, &Expr::Var(fresh));
                     Expr::Lam(fresh, Rc::new(renamed.subst_inner(var, rep, rep_fv)))
                 } else {
@@ -467,7 +467,7 @@ impl Expr {
                 if *x == var {
                     Expr::Let(*x, r2, b.clone())
                 } else if rep_fv.contains(x) {
-                    let fresh = Symbol::fresh(&x.as_str());
+                    let fresh = Symbol::fresh(Hint::Rn);
                     let renamed = b.subst(*x, &Expr::Var(fresh));
                     Expr::Let(fresh, r2, Rc::new(renamed.subst_inner(var, rep, rep_fv)))
                 } else {
@@ -511,7 +511,7 @@ impl Expr {
                             for i in 0..alt.binders.len() {
                                 if rep_fv.contains(&alt.binders[i]) {
                                     let old = alt.binders[i];
-                                    let fresh = Symbol::fresh(&old.as_str());
+                                    let fresh = Symbol::fresh(Hint::Rn);
                                     alt.binders[i] = fresh;
                                     alt.rhs = Rc::new(alt.rhs.subst(old, &Expr::Var(fresh)));
                                 }
@@ -538,7 +538,7 @@ impl Expr {
         let Expr::LetRec(binds, body) = self else {
             return self.clone();
         };
-        let fresh = Symbol::fresh(&old.as_str());
+        let fresh = Symbol::fresh(Hint::Rn);
         let rename = |e: &Expr| Rc::new(e.subst(old, &Expr::Var(fresh)));
         Expr::LetRec(
             binds

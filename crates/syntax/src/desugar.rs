@@ -13,7 +13,7 @@ use crate::ast::*;
 use crate::core::{Alt, CoreProgram, Expr, PrimOp};
 use crate::dataenv::DataEnv;
 use crate::matchc::{compile_match, DesugarError, Row, RowRhs};
-use crate::{Known, Symbol};
+use crate::{Hint, Known, Symbol};
 
 /// What a built-in (non-Prelude, non-user) name desugars to.
 #[derive(Copy, Clone)]
@@ -187,7 +187,7 @@ fn desugar_clauses(name: Symbol, clauses: &[Clause], env: &DataEnv) -> Result<Ex
         return rhs_expr(&c.rhs, &c.wheres, fail, env);
     }
 
-    let args: Vec<Symbol> = (0..arity).map(|_| Symbol::fresh("a")).collect();
+    let args: Vec<Symbol> = (0..arity).map(|_| Symbol::fresh(Hint::A)).collect();
     let rows = clauses
         .iter()
         .map(|c| {
@@ -315,7 +315,7 @@ fn expr(e: &SExpr, env: &DataEnv) -> Result<Expr, DesugarError> {
             if let Expr::Var(v) = scrut {
                 compile_match(env, &[v], rows, fail)
             } else {
-                let v = Symbol::fresh("s");
+                let v = Symbol::fresh(Hint::S);
                 let m = compile_match(env, &[v], rows, fail)?;
                 if m.count_var(v) <= 1 {
                     Ok(m.subst(v, &scrut))
@@ -354,18 +354,18 @@ fn expr(e: &SExpr, env: &DataEnv) -> Result<Expr, DesugarError> {
             Ok(acc)
         }
         SExpr::SectionL(lhs, op) => {
-            let r = Symbol::fresh("r");
+            let r = Symbol::fresh(Hint::R);
             let body = binop(*op, lhs, &SExpr::Var(r), env)?;
             Ok(Expr::Lam(r, Rc::new(body)))
         }
         SExpr::SectionR(op, rhs) => {
-            let l = Symbol::fresh("l");
+            let l = Symbol::fresh(Hint::L);
             let body = binop(*op, &SExpr::Var(l), rhs, env)?;
             Ok(Expr::Lam(l, Rc::new(body)))
         }
         SExpr::OpSection(op) => {
-            let a = Symbol::fresh("l");
-            let b = Symbol::fresh("r");
+            let a = Symbol::fresh(Hint::L);
+            let b = Symbol::fresh(Hint::R);
             let body = binop(*op, &SExpr::Var(a), &SExpr::Var(b), env)?;
             Ok(Expr::lams([a, b], body))
         }
@@ -381,7 +381,7 @@ fn lam_with_pats(pats: &[Pat], body: Expr, env: &DataEnv) -> Result<Expr, Desuga
         });
         return Ok(Expr::lams(vars, body));
     }
-    let args: Vec<Symbol> = (0..pats.len()).map(|_| Symbol::fresh("p")).collect();
+    let args: Vec<Symbol> = (0..pats.len()).map(|_| Symbol::fresh(Hint::P)).collect();
     let fail = Expr::raise(Expr::con(Known::PatternMatchFail, [Expr::str("lambda")]));
     let m = compile_match(
         env,
@@ -408,7 +408,7 @@ fn do_block(stmts: &[Stmt], env: &DataEnv) -> Result<Expr, DesugarError> {
         acc = match s {
             Stmt::Expr(e) => {
                 // e >> acc  ==  Bind e (\_ -> acc)
-                let k = Expr::lam(Symbol::fresh("u"), acc);
+                let k = Expr::lam(Symbol::fresh(Hint::U), acc);
                 Expr::con(Known::Bind, [expr(e, env)?, k])
             }
             Stmt::Bind(p, e) => {
@@ -492,7 +492,7 @@ fn binop(op: Symbol, l: &SExpr, r: &SExpr, env: &DataEnv) -> Result<Expr, Desuga
         )),
         Some(K::Compose) => {
             // f . g  ==>  \x -> f (g x)
-            let x = Symbol::fresh("x");
+            let x = Symbol::fresh(Hint::X);
             let f = expr(l, env)?;
             let g = expr(r, env)?;
             Ok(Expr::lam(x, Expr::app(f, Expr::app(g, Expr::Var(x)))))
@@ -500,7 +500,7 @@ fn binop(op: Symbol, l: &SExpr, r: &SExpr, env: &DataEnv) -> Result<Expr, Desuga
         Some(K::Dollar) => Ok(Expr::app(expr(l, env)?, expr(r, env)?)),
         Some(K::BindOp) => Ok(Expr::con(Known::Bind, [expr(l, env)?, expr(r, env)?])),
         Some(K::Then) => {
-            let k = Expr::lam(Symbol::fresh("u"), expr(r, env)?);
+            let k = Expr::lam(Symbol::fresh(Hint::U), expr(r, env)?);
             Ok(Expr::con(Known::Bind, [expr(l, env)?, k]))
         }
         _ => {
@@ -555,7 +555,7 @@ fn app_spine(e: &SExpr, env: &DataEnv) -> Result<Expr, DesugarError> {
                 } else {
                     // Eta-expand the missing arguments.
                     let missing: Vec<Symbol> = (core_args.len()..arity)
-                        .map(|_| Symbol::fresh("e"))
+                        .map(|_| Symbol::fresh(Hint::E))
                         .collect();
                     core_args.extend(missing.iter().map(|s| Expr::Var(*s)));
                     Ok(Expr::lams(missing, apply_builtin(&b, core_args)))
@@ -576,7 +576,9 @@ fn saturate_con(c: Symbol, arity: usize, mut args: Vec<Expr>) -> Expr {
     if args.len() == arity {
         return Expr::con(c, args);
     }
-    let missing: Vec<Symbol> = (args.len()..arity).map(|_| Symbol::fresh("c")).collect();
+    let missing: Vec<Symbol> = (args.len()..arity)
+        .map(|_| Symbol::fresh(Hint::C))
+        .collect();
     args.extend(missing.iter().map(|s| Expr::Var(*s)));
     Expr::lams(missing, Expr::con(c, args))
 }

@@ -8,13 +8,16 @@
 //!   counter, so compiling the same source twice — or on two different
 //!   pool workers — yields alpha-equivalent but not structurally equal
 //!   trees;
-//! * [`Symbol`]s are interner handles whose numeric value depends on
-//!   interning order, which differs between processes and runs.
+//! * [`Symbol`]s are numbers whose value depends on interning order (an
+//!   interned name) or on the counter (a generated one), which differ
+//!   between processes and runs.
 //!
 //! [`expr_canonical_bytes`] therefore serialises an expression into a
 //! canonical byte string that is invariant under alpha-renaming (bound
 //! variables become de Bruijn indices) and independent of the interner
-//! state (free variables are written by spelling). Equal byte strings are
+//! state (free variables are written by spelling; a generated name is
+//! bound inside the term that minted it, so its serial never reaches the
+//! bytes). Equal byte strings are
 //! exact witnesses of alpha-equivalence for cache purposes — the cache
 //! compares the full bytes, so hash collisions cannot alias two different
 //! programs. [`expr_fingerprint`] is a 64-bit FNV-1a digest of the same

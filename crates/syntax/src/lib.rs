@@ -57,4 +57,4 @@ pub use crate::fingerprint::{expr_canonical_bytes, expr_fingerprint, fnv1a};
 pub use crate::matchc::{potential_match_failures, DesugarError};
 pub use crate::parser::{parse_expr_src, parse_program, ParseError, SyntaxError};
 pub use crate::pretty::{pretty, pretty_exception_set};
-pub use crate::symbol::{Known, Symbol};
+pub use crate::symbol::{Hint, Known, Symbol};

@@ -20,7 +20,7 @@ use std::rc::Rc;
 use crate::ast::Pat;
 use crate::core::{Alt, AltCon, Expr};
 use crate::dataenv::DataEnv;
-use crate::{Known, Symbol};
+use crate::{Hint, Known, Symbol};
 
 /// An error produced during match compilation or desugaring.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -222,7 +222,7 @@ fn compile(
                     .ok_or_else(|| DesugarError(format!("unknown constructor '{cname}'")))?;
                 let arity = info.arity();
                 covered_cons.push(cname);
-                let binders: Vec<Symbol> = (0..arity).map(|_| Symbol::fresh("m")).collect();
+                let binders: Vec<Symbol> = (0..arity).map(|_| Symbol::fresh(Hint::M)).collect();
                 let mut sub_rows = Vec::new();
                 for mut r in group {
                     let NPat::Con(_, args) = r.pats.remove(0) else {

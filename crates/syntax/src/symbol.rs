@@ -1,35 +1,76 @@
-//! Interned identifiers.
+//! Interned and generated identifiers.
 //!
 //! Every name in the compiler — variables, constructors, type names — is a
-//! [`Symbol`]: a small copyable handle into a global interner. Symbol
-//! comparison is an integer comparison, which keeps the evaluators fast, and
-//! the interner can always recover the original spelling for diagnostics and
-//! pretty-printing.
+//! [`Symbol`]: a small copyable `u32`. Symbol comparison is an integer
+//! comparison, which keeps the evaluators fast, and every symbol can
+//! recover its spelling for diagnostics and pretty-printing.
+//!
+//! A symbol is one of two kinds, told apart by its high bit:
+//!
+//! * an **interned** symbol indexes a process-global interner, which
+//!   keeps the spellings of source names (and the compiler's own fixed
+//!   names) for the life of the process;
+//! * a **generated** symbol ([`Symbol::fresh`]) carries its own spelling
+//!   in its bits: a [`Hint`] from a closed table and a serial from one
+//!   global counter. Desugaring, the match compiler and the optimizer's
+//!   rewrites mint these per query, so they never touch the interner:
+//!   minting, spelling and [`Symbol::is_generated`] take no lock and grow
+//!   no table, and a long-running server's interner stays the size of the
+//!   names its sources spelled.
 //!
 //! The names the compiler itself dispatches on — the built-in constructors
 //! and types, the operator spellings and the built-in functions — are
 //! [`Known`] names: comparing a symbol with one is an integer comparison
 //! and needs neither the interner's lock nor a copy of the spelling.
+//!
+//! # Serial wrap-around
+//!
+//! A generated symbol's serial has 27 bits, so the counter wraps after
+//! 2^27 names, and a name minted after the wrap is bit-identical to one
+//! minted 2^27 names earlier with the same hint. That cannot alias two
+//! live binders of one query. A generated name is bound and used only
+//! inside the term whose desugaring or rewrite minted it, and one pass
+//! over one term mints far fewer than 2^27 names. Queries reach the
+//! program only through user-spelled (interned) globals, so a query's
+//! generated names never meet the Prelude's or the program's, however
+//! long the process runs. Capture-avoiding substitution
+//! ([`crate::core::Expr::subst`]) also renames an inner binder that
+//! shares a fresh name, so a clash with a binder inside the renamed body
+//! is harmless. The one place where names minted at different times share
+//! a term is the optimizer rewriting a program loaded earlier. A clash
+//! there needs a same-hint name minted exactly a multiple of 2^27 names
+//! before the rewrite, free under the rewrite's new binder.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// An interned string. Cheap to copy, compare and hash.
+/// An interned or generated name. Cheap to copy, compare and hash.
 ///
 /// # Examples
 ///
 /// ```
-/// use urk_syntax::Symbol;
+/// use urk_syntax::{Hint, Symbol};
 ///
 /// let a = Symbol::intern("zipWith");
 /// let b = Symbol::intern("zipWith");
 /// assert_eq!(a, b);
 /// assert_eq!(a.as_str(), "zipWith");
+///
+/// let g = Symbol::fresh(Hint::X);
+/// assert!(g.is_generated() && g.to_string().starts_with("$x"));
 /// ```
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
+
+/// The bit that marks a generated symbol. Interned indices stay below it.
+const GENERATED: u32 = 1 << 31;
+/// A generated symbol's hint index sits in the four bits below the tag.
+const HINT_SHIFT: u32 = 27;
+const HINT_MASK: u32 = 0b1111;
+/// The low 27 bits of a generated symbol: its serial.
+const SERIAL_MASK: u32 = (1 << HINT_SHIFT) - 1;
 
 struct Interner {
     names: Vec<String>,
@@ -55,7 +96,7 @@ impl Symbol {
         }
         let id = u32::try_from(i.names.len())
             .ok()
-            .filter(|&id| id != NOT_INTERNED)
+            .filter(|&id| id < GENERATED)
             .expect("interner full");
         i.names.push(name.to_owned());
         i.table.insert(name.to_owned(), id);
@@ -67,47 +108,61 @@ impl Symbol {
         Symbol(id)
     }
 
-    /// Returns the spelling of this symbol.
-    ///
-    /// The string is cloned out of the global interner; use this only on
-    /// cold paths (errors, pretty-printing).
-    pub fn as_str(self) -> String {
-        let i = interner().lock().expect("symbol interner poisoned");
-        i.names[self.0 as usize].clone()
+    /// How many names the interner holds: the source and built-in names
+    /// spelled so far. Generated symbols are not among them.
+    pub fn interned_len() -> usize {
+        interner()
+            .lock()
+            .expect("symbol interner poisoned")
+            .names
+            .len()
     }
 
-    /// Calls `f` with this symbol's spelling, borrowed from the interner
-    /// rather than cloned. The interner's lock is held while `f` runs, so
-    /// `f` must not intern or spell symbols itself.
+    /// Returns the spelling of this symbol.
+    ///
+    /// An interned spelling is cloned out of the global interner; use this
+    /// only on cold paths (errors, pretty-printing).
+    pub fn as_str(self) -> String {
+        self.with_str(str::to_owned)
+    }
+
+    /// Calls `f` with this symbol's spelling, borrowed rather than cloned.
+    /// For an interned symbol the interner's lock is held while `f` runs,
+    /// so `f` must not intern or spell symbols itself; a generated
+    /// symbol's spelling is built on the stack.
     pub(crate) fn with_str<R>(self, f: impl FnOnce(&str) -> R) -> R {
+        if self.is_generated() {
+            return f(GeneratedSpelling::of(self).as_str());
+        }
         let i = interner().lock().expect("symbol interner poisoned");
         f(&i.names[self.0 as usize])
     }
 
     /// A fresh symbol guaranteed not to clash with any source-level name.
     ///
-    /// Fresh names contain a `$`, which the lexer rejects, so they can never
-    /// be captured by user code.
-    pub fn fresh(hint: &str) -> Symbol {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        Symbol::intern(&format!("${hint}{n}"))
+    /// The symbol is spelled `$` + `hint` + serial. Fresh names contain a
+    /// `$`, which the lexer rejects, so they can never be captured by user
+    /// code. Minting one takes no lock, allocates nothing and adds nothing
+    /// to the interner (see the module docs on serial wrap-around).
+    pub fn fresh(hint: Hint) -> Symbol {
+        static SERIAL: AtomicU32 = AtomicU32::new(0);
+        let serial = SERIAL.fetch_add(1, Ordering::Relaxed) & SERIAL_MASK;
+        Symbol(GENERATED | (hint as u32) << HINT_SHIFT | serial)
     }
 
     /// True if this symbol was produced by [`Symbol::fresh`].
     pub fn is_generated(self) -> bool {
-        self.with_str(|s| s.starts_with('$'))
+        self.0 & GENERATED != 0
     }
 
-    /// The raw interner index, for embedders that pack symbols into tagged
-    /// words. Only meaningful when round-tripped through
-    /// [`Symbol::from_raw`] in the same process.
+    /// The raw bits, for embedders that pack symbols into tagged words.
+    /// Only meaningful when round-tripped through [`Symbol::from_raw`] in
+    /// the same process.
     pub fn raw(self) -> u32 {
         self.0
     }
 
-    /// Reconstructs a symbol from [`Symbol::raw`]. The index must have come
+    /// Reconstructs a symbol from [`Symbol::raw`]. The bits must have come
     /// from `raw` in this process; anything else may panic on use.
     pub fn from_raw(raw: u32) -> Symbol {
         Symbol(raw)
@@ -122,7 +177,11 @@ impl fmt::Debug for Symbol {
 
 impl fmt::Display for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.as_str())
+        if self.is_generated() {
+            f.write_str(GeneratedSpelling::of(*self).as_str())
+        } else {
+            f.write_str(&self.as_str())
+        }
     }
 }
 
@@ -132,8 +191,64 @@ impl From<&str> for Symbol {
     }
 }
 
-/// The value of an empty [`KNOWN_SLOTS`] entry; [`Symbol::intern`] never
-/// hands out this index.
+/// The spelling hint a generated symbol carries: a closed table of the
+/// compiler's own hints, so that the hint fits in the symbol's bits.
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub enum Hint {
+    A,
+    C,
+    E,
+    Ex,
+    Exn,
+    L,
+    M,
+    P,
+    R,
+    /// A capture-avoiding rename (only [`crate::core::Expr::subst`]).
+    Rn,
+    S,
+    Str,
+    U,
+    V,
+    X,
+}
+
+impl Hint {
+    const SPELLINGS: [&'static str; 15] = [
+        "a", "c", "e", "ex", "exn", "l", "m", "p", "r", "rn", "s", "str", "u", "v", "x",
+    ];
+}
+
+// The all-ones hint index stays unused, so no generated symbol is
+// `NOT_INTERNED` and `Known::is` never matches one.
+const _: () = assert!(Hint::SPELLINGS.len() <= HINT_MASK as usize);
+
+/// A generated symbol's spelling, built on the stack: `$`, a hint of at
+/// most three bytes and at most nine digits.
+struct GeneratedSpelling {
+    buf: [u8; 16],
+    len: usize,
+}
+
+impl GeneratedSpelling {
+    fn of(s: Symbol) -> GeneratedSpelling {
+        use std::io::Write;
+        let hint = Hint::SPELLINGS[(s.0 >> HINT_SHIFT & HINT_MASK) as usize];
+        let mut buf = [0u8; 16];
+        let mut rest = &mut buf[..];
+        write!(rest, "${hint}{}", s.0 & SERIAL_MASK).expect("a generated spelling fits");
+        let len = 16 - rest.len();
+        GeneratedSpelling { buf, len }
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[..self.len]).expect("a generated spelling is ASCII")
+    }
+}
+
+/// The value of an empty [`KNOWN_SLOTS`] entry. No symbol has these bits:
+/// the tag bit is set, so [`Symbol::intern`] never hands them out, and the
+/// hint index is all ones, which [`Symbol::fresh`] never uses.
 const NOT_INTERNED: u32 = u32::MAX;
 
 macro_rules! known_names {
@@ -192,6 +307,9 @@ known_names! {
     False = "False",
     Nil = "Nil",
     Cons = "Cons",
+    // §3.1's `ExVal` constructors.
+    Ok = "OK",
+    Bad = "Bad",
     // §3.1's exception constructors.
     DivideByZero = "DivideByZero",
     Overflow = "Overflow",
@@ -323,11 +441,36 @@ mod tests {
 
     #[test]
     fn fresh_symbols_are_distinct_and_generated() {
-        let a = Symbol::fresh("x");
-        let b = Symbol::fresh("x");
+        let a = Symbol::fresh(Hint::X);
+        let b = Symbol::fresh(Hint::X);
         assert_ne!(a, b);
         assert!(a.is_generated());
         assert!(!Symbol::intern("x").is_generated());
+    }
+
+    #[test]
+    fn fresh_symbols_spell_hint_and_serial_without_interning() {
+        let a = Symbol::fresh(Hint::Exn);
+        let serial = a.0 & SERIAL_MASK;
+        assert_eq!(a.to_string(), format!("$exn{serial}"));
+        assert_eq!(a.as_str(), a.to_string());
+        assert_eq!(a.with_str(str::len), a.to_string().len());
+        assert_eq!(format!("{a:?}"), format!("Symbol(\"$exn{serial}\")"));
+        let widest = Symbol(GENERATED | (Hint::Str as u32) << HINT_SHIFT | SERIAL_MASK);
+        assert_eq!(widest.to_string(), "$str134217727");
+        let zero = Symbol(GENERATED | (Hint::A as u32) << HINT_SHIFT);
+        assert_eq!(zero.to_string(), "$a0");
+    }
+
+    #[test]
+    fn no_known_name_matches_a_generated_symbol() {
+        // Even a slot no one has interned yet (it holds `NOT_INTERNED`).
+        for hint in [Hint::A, Hint::X] {
+            let g = Symbol(GENERATED | (hint as u32) << HINT_SHIFT | SERIAL_MASK);
+            assert_ne!(g.0, NOT_INTERNED);
+            assert_eq!(Known::find(g, &[Known::Cons, Known::Ok, Known::Bad]), None);
+        }
+        assert!(!Known::Cons.symbol().is_generated());
     }
 
     #[test]

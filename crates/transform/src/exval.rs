@@ -34,7 +34,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use urk_syntax::core::{Alt, AltCon, CoreProgram, Expr, PrimOp};
-use urk_syntax::Symbol;
+use urk_syntax::{Hint, Symbol};
 
 /// An expression the encoder cannot handle (higher-order, letrec-local, …).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -83,7 +83,7 @@ pub fn encode_expr(e: &Expr, known: &BTreeSet<Symbol>) -> Result<Expr, EncodeErr
 /// `case scrut of { OK v -> k; Bad e -> Bad e }` — the ubiquitous
 /// test-and-propagate.
 fn case_ok(scrut: Expr, v: Symbol, k: Expr) -> Expr {
-    let e = Symbol::fresh("ex");
+    let e = Symbol::fresh(Hint::Ex);
     Expr::Case(
         Rc::new(scrut),
         vec![
@@ -113,7 +113,7 @@ fn bind_all(
     locals: &BTreeSet<Symbol>,
     finish: impl FnOnce(Vec<Expr>) -> Expr,
 ) -> Result<Expr, EncodeError> {
-    let vars: Vec<Symbol> = (0..exprs.len()).map(|_| Symbol::fresh("v")).collect();
+    let vars: Vec<Symbol> = (0..exprs.len()).map(|_| Symbol::fresh(Hint::V)).collect();
     let body = finish(vars.iter().map(|v| Expr::Var(*v)).collect());
     let mut out = body;
     for (e, v) in exprs.iter().zip(&vars).rev() {
@@ -156,7 +156,7 @@ fn encode(
                     Ok(Expr::con("Bad", [(**x).clone()]))
                 }
                 _ => {
-                    let v = Symbol::fresh("exn");
+                    let v = Symbol::fresh(Hint::Exn);
                     let enc = encode(x, known, locals)?;
                     Ok(case_ok(enc, v, Expr::con("Bad", [Expr::Var(v)])))
                 }
@@ -170,7 +170,7 @@ fn encode(
             Ok(case_ok(enc_r, *x, enc_b))
         }
         Expr::Case(s, alts) => {
-            let v = Symbol::fresh("s");
+            let v = Symbol::fresh(Hint::S);
             let enc_s = encode(s, known, locals)?;
             let mut out_alts = Vec::with_capacity(alts.len());
             for a in alts {
@@ -221,7 +221,7 @@ fn encode_prim(
 ) -> Result<Expr, EncodeError> {
     match op {
         PrimOp::Seq => {
-            let v = Symbol::fresh("u");
+            let v = Symbol::fresh(Hint::U);
             let enc0 = encode(&args[0], known, locals)?;
             let enc1 = encode(&args[1], known, locals)?;
             Ok(case_ok(enc0, v, enc1))

@@ -10,7 +10,7 @@ use std::rc::Rc;
 use urk_analysis::analyze::Analyzer;
 use urk_analysis::Analysis;
 use urk_syntax::core::{Alt, AltCon, Expr};
-use urk_syntax::Symbol;
+use urk_syntax::{Hint, Symbol};
 
 use crate::rewrite::Transform;
 
@@ -332,7 +332,7 @@ impl Transform for StrictCallSites<'_> {
         let mut new_args = args.clone();
         let mut binds = Vec::new();
         for &i in &worth_it {
-            let v = Symbol::fresh("str");
+            let v = Symbol::fresh(Hint::Str);
             binds.push((v, args[i].clone()));
             new_args[i] = Rc::new(Expr::Var(v));
         }

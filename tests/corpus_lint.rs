@@ -39,8 +39,9 @@ fn every_corpus_case_lints_deterministically() {
         let src = fs::read_to_string(path).expect("read case");
         let a = lint_case(&src);
         let b = lint_case(&src);
-        // Breadcrumb paths embed gensym counters that depend on global
-        // intern state, so digit runs are normalized before comparing.
+        // Breadcrumb paths embed generated binder names (`$m12`), whose
+        // serials come from one process-global counter that both lint runs
+        // advance, so digit runs are normalized before comparing.
         let show = |ds: &[urk_analysis::Diagnostic]| {
             ds.iter()
                 .map(|d| {

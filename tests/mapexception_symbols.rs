@@ -13,14 +13,12 @@ use std::sync::Arc;
 use urk::{IoResult, Session};
 use urk_machine::{compile_program, Machine, MachineConfig, Outcome};
 use urk_syntax::{desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv};
-use urk_syntax::{Exception, Symbol};
+use urk_syntax::{Exception, Hint, Symbol};
 
-/// The number `Symbol::fresh` appended to a probe's name.
+/// The serial `Symbol::fresh` gave a probe: the digits after its `$p`.
 fn probe() -> u64 {
-    let s = Symbol::fresh("probe");
-    s.as_str()["$probe".len()..]
-        .parse()
-        .expect("numbered probe")
+    let s = Symbol::fresh(Hint::P);
+    s.to_string()["$p".len()..].parse().expect("numbered probe")
 }
 
 #[test]
