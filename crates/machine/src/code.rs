@@ -28,12 +28,13 @@
 
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use urk_syntax::core::{Alt, AltCon, Expr, PrimOp};
 use urk_syntax::Symbol;
 
 use crate::heap::NodeId;
+use crate::region::{RegionProgram, RegionPrograms};
 
 /// An index into a [`Code`] arena (base program or machine extension).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -43,7 +44,7 @@ pub struct CodeId(pub(crate) u32);
 /// the hot path; children are referenced by [`CodeId`] or by ranges into
 /// the side tables ([`CodeBuf::kids`], [`CodeBuf::arms`],
 /// [`CodeBuf::strs`]).
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub(crate) enum COp {
     /// A local variable, resolved to "slot `k` back from the top" of the
     /// runtime environment.
@@ -242,6 +243,9 @@ pub struct Code {
     /// Number of `AppG` inline-cache slots the image allocates (the
     /// machine sizes its per-machine cache table from this on link).
     pub(crate) ic_slots: u32,
+    /// The image's region programs, derived from `buf` on first use
+    /// ([`Code::region_programs`]).
+    pub(crate) regions: OnceLock<RegionPrograms>,
 }
 
 impl Code {
@@ -656,6 +660,7 @@ pub fn compile_program(binds: &[(Symbol, Rc<Expr>)]) -> Code {
         compile_micros: t0.elapsed().as_micros() as u64,
         tier2: false,
         ic_slots: 0,
+        regions: OnceLock::new(),
     }
 }
 
@@ -945,6 +950,25 @@ impl LinkedCode {
         } else {
             self.ext.arms[i - base.len()]
         }
+    }
+
+    /// The region program rooted at `root` (empty if it roots none).
+    #[inline]
+    pub(crate) fn region(&self, root: CodeId) -> RegionProgram {
+        self.base.region_programs().program(root)
+    }
+
+    /// The left-to-right slice of a region program, for scans that do
+    /// not depend on the order.
+    #[inline]
+    pub(crate) fn region_ops(&self, prog: RegionProgram) -> &[COp] {
+        &self.base.region_programs().ops[prog.at as usize..(prog.at + prog.len) as usize]
+    }
+
+    /// One op of a region program (see [`crate::region`]).
+    #[inline]
+    pub(crate) fn region_op(&self, pc: u32) -> COp {
+        self.base.region_programs().ops[pc as usize]
     }
 
     /// Borrowed view of an interned string literal (for comparisons that

@@ -19,11 +19,14 @@ use std::sync::Arc;
 use urk_syntax::core::Expr;
 use urk_syntax::Exception;
 
-use crate::code::{compile_apply, compile_query, COp, CPat, Code, CodeId, LinkedCode};
+use crate::code::{
+    compile_apply, compile_query, COp, CPat, Code, CodeId, LinkedCode, MAX_REGION_OPS,
+};
 use crate::env::CEnv;
 use crate::heap::{HValue, Node, NodeId, Whnf};
 use crate::kernel::{Control, Frame};
 use crate::machine::{Machine, MachineError, Outcome, PrimResult, Tier};
+use crate::region::RegionProgram;
 use crate::OrderPolicy;
 
 impl Machine {
@@ -42,7 +45,7 @@ impl Machine {
             "compiled code already linked into this machine"
         );
         if cfg!(debug_assertions) || self.config.verify_code {
-            if let Err(e) = base.verify() {
+            if let Err(e) = base.verify().and_then(|()| base.check_region_programs()) {
                 panic!("refusing to link corrupt compiled code: {e}");
             }
         }
@@ -221,55 +224,108 @@ impl Machine {
 
     /// Evaluates a fused region atomically if every leaf is already a
     /// value (`None` = not ready, caller falls back to stepped
-    /// evaluation). Ready regions run as one bounded recursive walk —
-    /// verified ≤ [`crate::code::MAX_REGION_OPS`] ops, call-free, so
-    /// termination is syntactic and no asynchronous delivery point is
-    /// lost: the whole region occupies a single step, exactly like a
-    /// tier-1 primitive over immediates.
+    /// evaluation). A ready region runs its straight-line program
+    /// ([`crate::region`]): verified ≤ [`crate::code::MAX_REGION_OPS`]
+    /// ops, call-free, so termination is syntactic and no asynchronous
+    /// delivery point is lost — the whole region occupies a single step,
+    /// exactly like a tier-1 primitive over immediates.
     pub(crate) fn exec_region(
         &mut self,
         root: CodeId,
         env: &CEnv,
     ) -> Option<Result<NodeId, Exception>> {
-        if !self.region_ready(root, env) {
+        let prog = self.linked().region(root);
+        if prog.len == 0 || !self.region_ready(prog, env) {
             return None;
         }
         self.stats.fused_steps += 1;
-        Some(self.region_eval(root, env))
+        let left_first = match self.config.order {
+            OrderPolicy::LeftToRight => true,
+            OrderPolicy::RightToLeft => false,
+            // No fixed slice encodes a per-primitive draw (DESIGN.md §15).
+            OrderPolicy::Seeded(_) => return Some(self.region_eval(root, env)),
+        };
+        Some(self.run_region(prog, env, left_first))
     }
 
-    /// True if every leaf of the region is already in WHNF — a draw-free
-    /// pre-scan, so a bail-out to stepped evaluation never perturbs the
-    /// §3.5 Seeded stream.
-    fn region_ready(&self, code: CodeId, env: &CEnv) -> bool {
-        match self.linked().op(code) {
-            COp::Local(back) => {
-                let n = self.heap.resolve(env.get_back(back));
-                n.is_imm() || matches!(self.heap.get(n), Node::Value(_))
-            }
-            COp::Global(g) => {
-                let n = self.heap.resolve(self.linked().global_nodes[g as usize]);
-                n.is_imm() || matches!(self.heap.get(n), Node::Value(_))
-            }
-            COp::Int(_) | COp::Char(_) | COp::Str(_) => true,
-            COp::Con { n: 0, .. } => true,
-            COp::Prim1 { a, .. } => self.region_ready(a, env),
-            COp::Prim2 { a, b, .. } | COp::Seq { a, b } => {
-                self.region_ready(a, env) && self.region_ready(b, env)
-            }
-            // Defensive: `Code::verify` already rejects anything else
-            // inside a region.
-            _ => false,
+    /// True if every variable leaf of the program is already in WHNF —
+    /// one draw-free scan, so a bail-out to stepped evaluation never
+    /// perturbs the §3.5 Seeded stream.
+    fn region_ready(&self, prog: RegionProgram, env: &CEnv) -> bool {
+        let code = self.linked();
+        let ready = |n: NodeId| {
+            let n = self.heap.resolve(n);
+            n.is_imm() || matches!(self.heap.get(n), Node::Value(_))
+        };
+        code.region_ops(prog).iter().all(|op| match *op {
+            COp::Local(back) => ready(env.get_back(back)),
+            COp::Global(g) => ready(code.global_nodes[g as usize]),
+            _ => true,
+        })
+    }
+
+    /// Runs a ready region program's slice for `left_first`'s order over
+    /// an operand stack. A `Prim2` pops its operands in the order the
+    /// slice pushed them, so `left_first` also says which one is `a`.
+    /// Raises propagate as `Err` — the caller decides whether that
+    /// poisons (speculation) or raises (strict position), which is the
+    /// entire §3.3 discipline in one line.
+    #[inline(always)]
+    pub(crate) fn run_region(
+        &mut self,
+        prog: RegionProgram,
+        env: &CEnv,
+        left_first: bool,
+    ) -> Result<NodeId, Exception> {
+        let mut stack = [NodeId(0); MAX_REGION_OPS];
+        let mut sp = 0;
+        let at = prog.start(left_first);
+        for pc in at..at + prog.len {
+            let v = match self.linked().region_op(pc) {
+                COp::Local(back) => self.heap.resolve(env.get_back(back)),
+                COp::Global(g) => self.heap.resolve(self.linked().global_nodes[g as usize]),
+                COp::Int(n) => self.int_node(n),
+                COp::Char(c) => self.alloc_value(HValue::Char(c)),
+                COp::Str(i) => {
+                    let s = self.linked().str_at(i);
+                    self.alloc_value(HValue::Str(s))
+                }
+                COp::Con { tag, .. } => self.nullary_con_node(tag),
+                COp::Prim1 { op, .. } => {
+                    sp -= 1;
+                    match self.apply_prim(op, &[stack[sp]]) {
+                        PrimResult::Value(v) => v,
+                        PrimResult::Raise(exn) => return Err(exn),
+                    }
+                }
+                COp::Prim2 { op, .. } => {
+                    sp -= 2;
+                    let (x, y) = (stack[sp], stack[sp + 1]);
+                    let (a, b) = if left_first { (x, y) } else { (y, x) };
+                    match self.apply_prim2(op, a, b) {
+                        PrimResult::Value(v) => v,
+                        PrimResult::Raise(exn) => return Err(exn),
+                    }
+                }
+                // Both slices run `a` before `b`: keep `b`.
+                COp::Seq { .. } => {
+                    sp -= 2;
+                    stack[sp + 1]
+                }
+                other => unreachable!("op kind {} in a region program", other.kind_index()),
+            };
+            stack[sp] = v;
+            sp += 1;
         }
+        Ok(stack[0])
     }
 
-    /// Evaluates a ready region. Raises propagate as `Err` — the caller
-    /// decides whether that poisons (speculation) or raises (strict
-    /// position), which is the entire §3.3 discipline in one line. The
-    /// §3.5 Seeded draw advances exactly once per binary primitive, and
-    /// the chosen-first operand's subtree evaluates first, so the draw
-    /// *sequence* matches the stepped loops op for op.
-    fn region_eval(&mut self, code: CodeId, env: &CEnv) -> Result<NodeId, Exception> {
+    /// Evaluates a ready region by walking its tree: the recursive
+    /// definition the programs are derived from, and the evaluator under
+    /// the Seeded policy. The §3.5 Seeded draw advances exactly once per
+    /// binary primitive, and the chosen-first operand's subtree evaluates
+    /// first, so the draw *sequence* matches the stepped loops op for op.
+    pub(crate) fn region_eval(&mut self, code: CodeId, env: &CEnv) -> Result<NodeId, Exception> {
         match self.linked().op(code) {
             COp::Local(back) => Ok(self.heap.resolve(env.get_back(back))),
             COp::Global(g) => Ok(self.heap.resolve(self.linked().global_nodes[g as usize])),
@@ -300,7 +356,7 @@ impl Machine {
                     let nb = self.region_eval(b, env)?;
                     (self.region_eval(a, env)?, nb)
                 };
-                match self.apply_prim(op, &[na, nb]) {
+                match self.apply_prim2(op, na, nb) {
                     PrimResult::Value(v) => Ok(v),
                     PrimResult::Raise(exn) => Err(exn),
                 }
@@ -331,8 +387,8 @@ impl Machine {
         if let Some(cached) = self.ics[ic as usize] {
             if let Some(Whnf::CFun { body, env: fenv }) = self.heap.whnf(cached) {
                 self.stats.ic_hits += 1;
-                let fenv = fenv.clone();
-                return Control::Eval(body, fenv.push(arg));
+                let fenv = fenv.push(arg);
+                return self.enter_body(body, fenv, stack);
             }
             self.ics[ic as usize] = None;
         }
@@ -344,12 +400,37 @@ impl Machine {
         let node = self.linked().global_nodes[g as usize];
         let resolved = self.heap.resolve(node);
         if let Some(Whnf::CFun { body, env: fenv }) = self.heap.whnf(resolved) {
-            let fenv = fenv.clone();
+            let fenv = fenv.push(arg);
             self.ics[ic as usize] = Some(resolved);
-            return Control::Eval(body, fenv.push(arg));
+            return self.enter_body(body, fenv, stack);
         }
         stack.push(Frame::Apply(arg));
         self.enter_fused(node, stack)
+    }
+
+    /// Saturated entry: control enters a function body whose parameter is
+    /// already bound in `env`. Each further `Lam` the body begins with
+    /// takes the argument of the `Apply` frame on top of the stack in this
+    /// same step, so a saturated k-ary call builds no intermediate closure
+    /// and costs one step, not k. A consumed `Apply` frame carries no
+    /// update and no catch mark, so §3.3 trimming and §5.1 restore see
+    /// the same stack they would have seen after the skipped steps.
+    #[inline]
+    pub(crate) fn enter_body(
+        &mut self,
+        mut body: CodeId,
+        mut env: CEnv,
+        stack: &mut Vec<Frame>,
+    ) -> Control {
+        while let COp::Lam { body: inner } = self.linked().op(body) {
+            let Some(&Frame::Apply(arg)) = stack.last() else {
+                break;
+            };
+            stack.pop();
+            env = env.push(arg);
+            body = inner;
+        }
+        Control::Eval(body, env)
     }
 
     /// Entering a node without paying a separate `Enter` step: values
@@ -437,8 +518,8 @@ impl Machine {
                     };
                     if let Some(node) = callee {
                         if let Some(Whnf::CFun { body, env: fenv }) = self.heap.whnf(node) {
-                            let fenv = fenv.clone();
-                            return Control::Eval(body, fenv.push(arg));
+                            let fenv = fenv.push(arg);
+                            return self.enter_body(body, fenv, stack);
                         }
                     }
                     stack.push(Frame::Apply(arg));
@@ -510,7 +591,7 @@ impl Machine {
                 if let OrderPolicy::Seeded(_) = self.config.order {
                     self.rng.gen_bool(0.5);
                 }
-                Some(match self.apply_prim(op, &[na, nb]) {
+                Some(match self.apply_prim2(op, na, nb) {
                     PrimResult::Value(v) => Ok(v),
                     PrimResult::Raise(exn) => Err(exn),
                 })
@@ -588,6 +669,7 @@ mod tests {
     use crate::machine::{Backend, MachineConfig};
     use crate::stats::Stats;
     use crate::tier2::{tier2_optimize, Tier2Facts};
+    use urk_syntax::core::Expr;
     use urk_syntax::{desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv};
 
     /// Renders `query` against `prog_src` lowered at tier 1, or at tier 2
@@ -652,6 +734,94 @@ mod tests {
                 ),
                 Outcome::Caught(Exception::Interrupt) => {}
                 other => panic!("delivery at step {at} produced {other:?}"),
+            }
+        }
+    }
+
+    /// A three-argument tail-recursive global loop: every argument of
+    /// the recursive call is a slot load, so the call itself needs no
+    /// argument thunk; the counter's `case` binding is the only thunk a
+    /// tier-1 iteration allocates.
+    const LOOP3: &str = "loop3 n a b c = case n - 1 of { 0 -> a + b + c; m -> loop3 m b c a }";
+
+    /// Links `prog_src` at tier 1 or tier 2 (no analysis licence) into a
+    /// fresh machine under `config`, with `query` desugared against it.
+    fn linked_at(
+        prog_src: &str,
+        query: &str,
+        tier2: bool,
+        config: MachineConfig,
+    ) -> (Machine, Expr) {
+        let mut data = DataEnv::new();
+        let prog = desugar_program(&parse_program(prog_src).expect("parses"), &mut data)
+            .expect("desugars");
+        let mut code = compile_program(&prog.binds);
+        if tier2 {
+            code = tier2_optimize(&code, &Tier2Facts::empty());
+        }
+        let mut m = Machine::new(config);
+        m.link_code(Arc::new(code));
+        let e = desugar_expr(&parse_expr_src(query).expect("parses"), &data).expect("desugars");
+        (m, e)
+    }
+
+    #[test]
+    fn a_saturated_loop_allocates_no_closure_per_iteration_at_either_tier() {
+        for tier2 in [false, true] {
+            let run = |trips: u32| {
+                let (mut m, e) = linked_at(
+                    LOOP3,
+                    &format!("loop3 {trips} 1 2 3"),
+                    tier2,
+                    MachineConfig::default(),
+                );
+                let out = m.eval_code_expr(&e, false).expect("no machine error");
+                assert!(matches!(out, Outcome::Value(_)), "{out:?}");
+                m.stats().clone()
+            };
+            let (short, long) = (run(10), run(2_000));
+            // Tier 2 speculates the counter, so nothing grows with the
+            // trip count; tier 1 grows by exactly its counter thunks.
+            let thunks = |s: &Stats| if tier2 { 0 } else { s.thunk_updates };
+            assert_eq!(
+                short.allocations - thunks(&short),
+                long.allocations - thunks(&long),
+                "tier2={tier2}: a closure per iteration\n{short:?}\n{long:?}"
+            );
+            if tier2 {
+                assert_eq!(short.allocations, long.allocations, "{long:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn async_delivery_at_every_step_of_a_three_argument_loop_is_caught() {
+        // Saturated entry consumes the loop's Apply frames inside the step
+        // that enters its body: no delivery point may find a frame it
+        // would mishandle, and no black hole may be stranded.
+        for tier2 in [false, true] {
+            let (mut m, e) = linked_at(LOOP3, "loop3 12 1 2 3", tier2, MachineConfig::default());
+            let _ = m.eval_code_expr(&e, true).expect("no machine error");
+            let undisturbed = m.stats().steps;
+            for at in 1..=undisturbed + 1 {
+                let config = MachineConfig {
+                    event_schedule: vec![(at, Exception::Interrupt)],
+                    ..MachineConfig::default()
+                };
+                let (mut m, e) = linked_at(LOOP3, "loop3 12 1 2 3", tier2, config);
+                match m.eval_code_expr(&e, true).expect("no machine error") {
+                    Outcome::Value(_) => assert!(
+                        m.stats().steps < at,
+                        "tier2={tier2}: a value past the delivery at step {at}"
+                    ),
+                    Outcome::Caught(Exception::Interrupt) => {}
+                    other => panic!("tier2={tier2}: delivery at step {at} produced {other:?}"),
+                }
+                assert!(
+                    m.audit_heap().is_consistent(),
+                    "tier2={tier2} step {at}: {:?}",
+                    m.audit_heap()
+                );
             }
         }
     }

@@ -52,6 +52,9 @@ pub(crate) enum Frame {
     /// per-evaluation vectors.
     PrimArgs {
         op: PrimOp,
+        /// The pending operand's environment; empty once none is pending,
+        /// so a frame keeps no environment (and no heap node) alive that
+        /// it will never read.
         env: CEnv,
         /// Operand position the result on top of the stack fills.
         current: u8,
@@ -466,6 +469,16 @@ impl Machine {
                 if let Some(node) = self.immediate_node(scrut, &env) {
                     return self.select_arms(node, arms_at, n, &env);
                 }
+                // So does a ready fused region: it occupies this step
+                // whole, so a Select frame would be pushed and popped (or
+                // trimmed) without ever being observable.
+                if let COp::Fused { body } = self.linked().op(scrut) {
+                    match self.exec_region(body, &env) {
+                        Some(Ok(node)) => return self.select_arms(node, arms_at, n, &env),
+                        Some(Err(exn)) => return Control::Raising(exn),
+                        None => {}
+                    }
+                }
                 stack.push(Frame::Select {
                     arms_at,
                     n,
@@ -482,7 +495,7 @@ impl Machine {
                 }
                 stack.push(Frame::PrimArgs {
                     op,
-                    env: env.clone(),
+                    env: CEnv::empty(),
                     current: 0,
                     pending: None,
                     results: [None, None],
@@ -503,7 +516,7 @@ impl Machine {
                 };
                 if let Some(na) = self.immediate_node(a, &env) {
                     if let Some(nb) = self.immediate_node(b, &env) {
-                        return match self.apply_prim(op, &[na, nb]) {
+                        return match self.apply_prim2(op, na, nb) {
                             PrimResult::Value(v) => Control::Return(v),
                             PrimResult::Raise(exn) => Control::Raising(exn),
                         };
@@ -591,11 +604,11 @@ impl Machine {
             }
             Frame::Apply(arg) => {
                 let (body, env) = match self.heap.whnf(node) {
-                    Some(Whnf::CFun { body, env }) => (body, env.clone()),
+                    // The compiler reserved the top slot for the argument.
+                    Some(Whnf::CFun { body, env }) => (body, env.push(arg)),
                     _ => panic!("application of a non-function (ill-typed program)"),
                 };
-                // The compiler reserved the top slot for the argument.
-                Control::Eval(body, env.push(arg))
+                self.enter_body(body, env, stack)
             }
             Frame::Select { arms_at, n, env } => self.select_arms(node, arms_at, n, &env),
             Frame::PrimArgs {
@@ -609,20 +622,19 @@ impl Machine {
                 if let Some((idx, code)) = pending.take() {
                     stack.push(Frame::PrimArgs {
                         op,
-                        env: env.clone(),
+                        env: CEnv::empty(),
                         current: idx,
                         pending: None,
                         results,
                     });
                     self.eval_code_fused(code, &env, stack)
                 } else {
-                    let mut nodes = [NodeId(0); 2];
-                    let mut n = 0;
-                    for r in results.into_iter().flatten() {
-                        nodes[n] = r;
-                        n += 1;
-                    }
-                    match self.apply_prim(op, &nodes[..n]) {
+                    let result = match results {
+                        [Some(a), Some(b)] => self.apply_prim2(op, a, b),
+                        [Some(a), None] => self.apply_prim(op, &[a]),
+                        _ => unreachable!("a completed primitive has its operands"),
+                    };
+                    match result {
                         PrimResult::Value(v) => Control::Return(v),
                         PrimResult::Raise(exn) => Control::Raising(exn),
                     }

@@ -45,6 +45,7 @@ pub mod heap;
 pub mod interrupt;
 mod kernel;
 pub mod machine;
+mod region;
 pub mod stats;
 pub mod tier2;
 pub mod validate;
@@ -60,6 +61,8 @@ pub use interrupt::InterruptHandle;
 pub use machine::{
     Backend, BlackholeMode, Machine, MachineConfig, MachineError, OrderPolicy, Outcome, Tier,
 };
+#[doc(hidden)]
+pub use region::{region_differential, RegionDiff};
 pub use stats::{Counter, Kind, Stats};
 pub use tier2::{
     tier2_optimize, tier2_optimize_certified, CertEntry, CertKind, FactVal, GlobalFact, Tier2Cert,

@@ -604,27 +604,11 @@ impl Machine {
             }
         };
         let result = match op {
-            Add => return self.arith(int(self, 0).checked_add(int(self, 1))),
-            Sub => return self.arith(int(self, 0).checked_sub(int(self, 1))),
-            Mul => return self.arith(int(self, 0).checked_mul(int(self, 1))),
-            Div => {
-                if int(self, 1) == 0 {
-                    return PrimResult::Raise(Exception::DivideByZero);
-                }
-                return self.arith(int(self, 0).checked_div(int(self, 1)));
-            }
-            Mod => {
-                if int(self, 1) == 0 {
-                    return PrimResult::Raise(Exception::DivideByZero);
-                }
-                return self.arith(int(self, 0).checked_rem(int(self, 1)));
+            Add | Sub | Mul | Div | Mod | IntEq | IntLt | IntLe | IntGt | IntGe => {
+                let (x, y) = (int(self, 0), int(self, 1));
+                return self.int_prim(op, x, y).expect("a binary integer primitive");
             }
             Neg => return self.arith(int(self, 0).checked_neg()),
-            IntEq => return self.boolean(int(self, 0) == int(self, 1)),
-            IntLt => return self.boolean(int(self, 0) < int(self, 1)),
-            IntLe => return self.boolean(int(self, 0) <= int(self, 1)),
-            IntGt => return self.boolean(int(self, 0) > int(self, 1)),
-            IntGe => return self.boolean(int(self, 0) >= int(self, 1)),
             CharEq => return self.boolean(chr(self, 0) == chr(self, 1)),
             StrEq => return self.boolean(string(self, 0) == string(self, 1)),
             StrAppend => HValue::Str(Rc::from(
@@ -643,6 +627,44 @@ impl Machine {
         };
         let n = self.alloc_value(result);
         PrimResult::Value(n)
+    }
+
+    /// A binary primitive. Integer primitives over two tagged immediates
+    /// compute in place, with no operand slice and no heap lookup; any
+    /// other operands (or an armed coverage map, which profiles them) go
+    /// through [`Machine::apply_prim`].
+    #[inline]
+    pub(crate) fn apply_prim2(&mut self, op: PrimOp, a: NodeId, b: NodeId) -> PrimResult {
+        if self.coverage.is_none() {
+            if let (Some(x), Some(y)) = (a.as_imm_int(), b.as_imm_int()) {
+                if let Some(r) = self.int_prim(op, x, y) {
+                    return r;
+                }
+            }
+        }
+        self.apply_prim(op, &[a, b])
+    }
+
+    /// A binary integer primitive on its operands' values (`None` for
+    /// any other primitive). Always inlined: returned through memory, its
+    /// result costs a store-forwarding stall on every region primitive.
+    #[inline(always)]
+    fn int_prim(&mut self, op: PrimOp, x: i64, y: i64) -> Option<PrimResult> {
+        use PrimOp::*;
+        Some(match op {
+            Add => self.arith(x.checked_add(y)),
+            Sub => self.arith(x.checked_sub(y)),
+            Mul => self.arith(x.checked_mul(y)),
+            Div | Mod if y == 0 => PrimResult::Raise(Exception::DivideByZero),
+            Div => self.arith(x.checked_div(y)),
+            Mod => self.arith(x.checked_rem(y)),
+            IntEq => self.boolean(x == y),
+            IntLt => self.boolean(x < y),
+            IntLe => self.boolean(x <= y),
+            IntGt => self.boolean(x > y),
+            IntGe => self.boolean(x >= y),
+            _ => return None,
+        })
     }
 
     fn arith(&mut self, n: Option<i64>) -> PrimResult {

@@ -232,6 +232,7 @@ pub fn tier2_optimize_certified(base: &Code, facts: &Tier2Facts) -> (Code, Tier2
         compile_micros: base.compile_micros() + t0.elapsed().as_micros() as u64,
         tier2: true,
         ic_slots,
+        regions: std::sync::OnceLock::new(),
     };
     (code, cert)
 }

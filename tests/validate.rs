@@ -330,3 +330,66 @@ probe p = case unsafeIsException p of { True -> 0; False -> 1 }
         assert_eq!(out.rendered, "1");
     }
 }
+
+/// The same incorporation check over the generator's terms: for each of
+/// the 256 seeds above, the generator builds an `Int` term over one
+/// parameter `p`, spliced after the fuzz prelude as `candidate p`.
+/// Wherever the analysis claims `p` demanded, `candidate (raise
+/// Overflow)` must denote a set holding `Overflow` and raise at both
+/// tiers under both deterministic orders.
+#[test]
+fn generator_terms_demanded_parameters_are_differentially_sound() {
+    let p = Symbol::intern("p");
+    let candidate = Symbol::intern("candidate");
+    let overflow = urk_syntax::Exception::Overflow;
+    let call = "candidate (raise Overflow)";
+    let mut demanded = 0usize;
+    for seed in 0..256u64 {
+        let body = urk_fuzz::TermGen::new(seed, 5).subterm(4, &[p]);
+        let src = format!(
+            "{}candidate p = {}\n",
+            urk_fuzz::FUZZ_PRELUDE_SRC,
+            urk_syntax::pretty(&body)
+        );
+        let mut data = DataEnv::new();
+        let prog =
+            desugar_program(&parse_program(&src).expect("parses"), &mut data).expect("desugars");
+        let facts = analyze_program(&prog, &data).binding_facts(&prog.binds);
+        let fact = facts.iter().find(|f| f.name == candidate).expect("fact");
+        if fact.demands != [true] {
+            continue;
+        }
+        let mut sessions = Vec::new();
+        for order in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
+            for tier in [Tier::One, Tier::Two] {
+                let mut s = Session::bare();
+                s.options.machine.order = order;
+                s.options.tier = tier;
+                s.options.validate_tier2 = tier == Tier::Two;
+                s.load(&src).expect("loads");
+                sessions.push(s);
+            }
+        }
+        let set = sessions[0]
+            .exception_set(call)
+            .expect("denotes")
+            .unwrap_or_else(|| panic!("seed {seed}: a demanded parameter denotes a value"));
+        assert!(
+            set.contains(&overflow),
+            "seed {seed}: the demanded parameter is not incorporated: {set}\n{src}"
+        );
+        for session in &sessions {
+            let out = session.eval(call).expect("evaluates");
+            assert!(
+                out.exception.is_some(),
+                "seed {seed}: the demanded parameter swallowed the raise ({})\n{src}",
+                out.rendered
+            );
+        }
+        demanded += 1;
+    }
+    assert!(
+        demanded >= 64,
+        "only {demanded} seeds demand their parameter"
+    );
+}
