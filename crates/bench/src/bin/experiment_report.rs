@@ -11,7 +11,7 @@ use urk_bench::{
     apply_cbv, compile, deep_propagate, deep_raise, encode, lower, lower_t2, pipeline_workload,
     run, run_caught, run_flat, workloads,
 };
-use urk_io::{run_concurrent, run_machine, IoResult, StringInput};
+use urk_io::{run_machine, IoResult, StringInput};
 use urk_machine::{compile_program, BlackholeMode, Machine, MachineConfig, OrderPolicy, Outcome};
 use urk_syntax::core::Expr;
 use urk_syntax::{desugar_expr, parse_expr_src, DataEnv};
@@ -303,50 +303,38 @@ fn main() {
 
     // ------------------------------------------------------------------
     // E14: the §4.4 concurrency extension — the scheduler drives the
-    // same machine one IO action per quantum.
+    // same machine one IO action per quantum; a program that never forks
+    // is a one-thread group.
     // ------------------------------------------------------------------
     println!();
-    println!("## E14 — concurrency: the same work sequentially and under the scheduler (§4.4)");
+    println!("## E14 — concurrency: the one IO runner, without and with forked threads (§4.4)");
     println!();
-    println!("| program | runner | result | steps | allocations | thunk updates |");
+    println!("| program | threads | result | steps | allocations | thunk updates |");
     println!("|---|---|---|---|---|---|");
     const WORK: &str = "work n acc = if n == 0 then return acc else work (n - 1) (acc + n)\n\
                         main = work 2000 0";
     const FOUR: &str = "work m n acc = if n == 0 then putMVar m acc else work m (n - 1) (acc + n)\n\
          collect m k acc = if k == 0 then return acc\n                   else takeMVar m >>= \\v -> collect m (k - 1) (acc + v)\n\
          main = do\n  m <- newEmptyMVar\n  forkIO (work m 500 0)\n  forkIO (work m 500 0)\n  forkIO (work m 500 0)\n  forkIO (work m 500 0)\n  collect m 4 0";
-    for (program, src, concurrent, expected) in [
-        ("work 2000", WORK, false, "2001000"),
-        ("work 2000", WORK, true, "2001000"),
-        ("4 × work 500 + MVar", FOUR, true, "501000"),
+    for (program, src, expected) in [
+        ("work 2000", WORK, "2001000"),
+        ("4 × work 500 + MVar", FOUR, "501000"),
     ] {
         let mut s = urk::Session::new();
         s.load(src).expect("loads");
         let mut m = s.compiled_machine();
-        let main = Expr::var("main");
         let mut input = StringInput::new("");
-        let result = if concurrent {
-            let root = m.alloc_code_thunk(&main);
-            run_concurrent(&mut m, root, &mut input).main
-        } else {
-            run_machine(&mut m, &main, &mut input).result
-        };
-        let IoResult::Done(result) = result else {
-            panic!("{program}: {result:?}")
+        let out = run_machine(&mut m, &Expr::var("main"), &mut input);
+        let IoResult::Done(result) = out.result else {
+            panic!("{program}: {:?}", out.result)
         };
         assert_eq!(result, expected, "{program}");
         println!(
             "| {program} | {} | {result} | {} | {} | {} |",
-            if concurrent {
-                "scheduler"
-            } else {
-                "sequential"
-            },
+            1 + out.threads.len(),
             m.stats().steps,
             m.stats().allocations,
             m.stats().thunk_updates,
         );
     }
-    println!();
-    println!("(Wall-clock medians live in the `concurrency_overhead` bench.)");
 }

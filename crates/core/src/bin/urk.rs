@@ -46,7 +46,6 @@ struct Args {
     stats: bool,
     input: Option<String>,
     semantic: bool,
-    concurrent: bool,
     seed: u64,
     trace: bool,
     max_steps: Option<u64>,
@@ -71,7 +70,7 @@ fn usage() -> ! {
         "usage: urk [FILE.urk] [--expr E | --type E | --denot E]\n\
          \x20          [--order l|r|s[:SEED]] [--tier 1|2]\n\
          \x20          [--optimize] [--input STR]\n\
-         \x20          [--semantic|--concurrent] [--seed N] [--trace] [--dump-core] [--stats]\n\
+         \x20          [--semantic] [--seed N] [--trace] [--dump-core] [--stats]\n\
          \x20          [--max-steps N] [--max-heap N] [--max-stack N]\n\
          \x20          [--timeout-ms N] [--chaos SEED] [--verify-code] [--validate-tier2]\n\
          \x20          [--batch FILE] [--jobs N] [--cache-cap N]\n\
@@ -240,7 +239,6 @@ fn parse_args() -> Args {
         stats: false,
         input: None,
         semantic: false,
-        concurrent: false,
         seed: 0,
         trace: false,
         max_steps: None,
@@ -283,7 +281,6 @@ fn parse_args() -> Args {
             "--dump-core" => out.dump_core = true,
             "--stats" => out.stats = true,
             "--semantic" => out.semantic = true,
-            "--concurrent" => out.concurrent = true,
             "--trace" => out.trace = true,
             "--seed" => {
                 out.seed = args
@@ -716,28 +713,6 @@ fn main() -> ExitCode {
         });
     }
 
-    if args.concurrent {
-        return match session.run_main_concurrent(&input) {
-            Ok(out) => {
-                print!("{}", out.trace.output());
-                if args.trace {
-                    eprintln!("\ntrace: {}", out.trace);
-                }
-                for (tid, r) in &out.threads {
-                    eprintln!("thread {tid}: {r:?}");
-                }
-                match out.result_exit() {
-                    true => ExitCode::SUCCESS,
-                    false => ExitCode::FAILURE,
-                }
-            }
-            Err(e) => {
-                eprintln!("urk: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
     if args.semantic {
         match session.run_main_semantic(&input, args.seed) {
             Ok(out) => {
@@ -762,6 +737,13 @@ fn main() -> ExitCode {
                         eprintln!("\nurk: getChar at end of input");
                         ExitCode::FAILURE
                     }
+                    SemIoResult::Unsupported(con) => {
+                        eprintln!(
+                            "\nurk: the semantic runner has one thread and does not perform \
+                             {con}; run without --semantic"
+                        );
+                        ExitCode::FAILURE
+                    }
                 }
             }
             Err(e) => {
@@ -776,7 +758,7 @@ fn main() -> ExitCode {
                 if args.trace {
                     eprintln!("\ntrace: {}", out.trace);
                 }
-                match out.result {
+                let code = match out.result {
                     IoResult::Done(v) => {
                         eprintln!("\nmain returned: {v}");
                         ExitCode::SUCCESS
@@ -795,7 +777,11 @@ fn main() -> ExitCode {
                         eprintln!("\nurk: {e}");
                         ExitCode::FAILURE
                     }
+                };
+                for (tid, r) in &out.threads {
+                    eprintln!("thread {tid}: {r:?}");
                 }
+                code
             }
             Err(e) => {
                 eprintln!("urk: {e}");

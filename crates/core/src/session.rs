@@ -422,7 +422,10 @@ impl Session {
         ))
     }
 
-    /// Performs `main` on the machine with the given input.
+    /// Performs `main` on the machine with the given input, as the main
+    /// thread of a cooperative thread group (`forkIO`/`yield`/`MVar`s, the
+    /// §4.4 concurrency extension). A program that never forks is a
+    /// one-thread group.
     ///
     /// # Errors
     ///
@@ -445,23 +448,6 @@ impl Session {
         let mut m = self.compiled_machine();
         let mut inp = StringInput::new(input);
         Ok(run_machine(&mut m, &Expr::Var(sym), &mut inp))
-    }
-
-    /// Performs `main` as the root of a cooperative thread group
-    /// (`forkIO`/`yield`, the §4.4 concurrency extension) on the machine.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::run_main`].
-    pub fn run_main_concurrent(&self, input: &str) -> Result<urk_io::ConcurrentOutcome, Error> {
-        let sym = Symbol::intern("main");
-        if self.program.lookup(sym).is_none() {
-            return Err(Error::MissingBinding("main".into()));
-        }
-        let mut m = self.compiled_machine();
-        let root = m.alloc_code_thunk(&Expr::Var(sym));
-        let mut inp = StringInput::new(input);
-        Ok(urk_io::run_concurrent(&mut m, root, &mut inp))
     }
 
     /// Performs `main` under the semantic LTS with a seeded oracle.

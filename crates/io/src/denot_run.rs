@@ -12,7 +12,13 @@
 //! getException (Bad s) → return (Bad x)        if x ∈ s
 //! getException (Bad s) → getException (Bad s)  if NonTermination ∈ s
 //! getException v --?x--> return (Bad x)        on asynchronous event x
+//! yield → return ()
 //! ```
+//!
+//! This is the one-thread LTS: `yield` has no other thread to cede to, and
+//! the other concurrency actions (`forkIO`, the `MVar` actions, `throwTo`)
+//! end the run with [`SemIoResult::Unsupported`]. The machine runner's
+//! scheduler performs them.
 //!
 //! The non-deterministic choice `x ∈ s` is delegated to an
 //! [`ExceptionOracle`], making the confinement of non-determinism to the
@@ -20,8 +26,9 @@
 //! `perform`ing chooses.
 
 use urk_denot::{show_denot, DThunk, Denot, DenotEvaluator, ExnSet, Thunk, Value};
-use urk_syntax::{Exception, Known};
+use urk_syntax::{Exception, Known, Symbol};
 
+use crate::machine_run::IO_CONSTRUCTORS;
 use crate::oracle::{ExceptionOracle, OracleChoice};
 use crate::trace::{Event, Input, Trace};
 
@@ -37,6 +44,9 @@ pub enum SemIoResult {
     Diverged,
     /// `getChar` at end of input.
     OutOfInput,
+    /// `main` performed a concurrency action, named by its constructor,
+    /// that the one-thread LTS does not model.
+    Unsupported(Symbol),
 }
 
 /// One semantic run's result and trace.
@@ -112,16 +122,18 @@ pub fn run_denot(
         let Value::Con(con, fields) = &v else {
             panic!("performed a non-IO value (ill-typed program)");
         };
-        let con = con.as_str();
+        let Some(io) = Known::find(*con, IO_CONSTRUCTORS) else {
+            panic!("performed an unknown IO constructor '{con}'");
+        };
 
-        let produced: DThunk = match con.as_str() {
-            "Bind" => {
+        let produced: DThunk = match io {
+            Known::Bind => {
                 konts.push(fields[1].clone());
                 current = fields[0].clone();
                 continue;
             }
-            "Return" => fields[0].clone(),
-            "GetChar" => match input.get_char() {
+            Known::Return => fields[0].clone(),
+            Known::GetChar => match input.get_char() {
                 Some(c) => {
                     trace.push(Event::Input(c));
                     Thunk::done(Denot::Ok(Value::Char(c)))
@@ -133,7 +145,7 @@ pub fn run_denot(
                     }
                 }
             },
-            "PutChar" => match ev.force(&fields[0]) {
+            Known::PutChar => match ev.force(&fields[0]) {
                 Denot::Ok(Value::Char(c)) => {
                     trace.push(Event::Output(c));
                     unit_thunk()
@@ -146,7 +158,7 @@ pub fn run_denot(
                     }
                 }
             },
-            "PutStr" => match ev.force(&fields[0]) {
+            Known::PutStr => match ev.force(&fields[0]) {
                 Denot::Ok(Value::Str(s)) => {
                     trace.push(Event::OutputStr(s.to_string()));
                     unit_thunk()
@@ -159,7 +171,7 @@ pub fn run_denot(
                     }
                 }
             },
-            "GetException" => {
+            Known::GetException => {
                 let n = get_exception_count;
                 get_exception_count += 1;
                 // §5.1's rule: an asynchronous event may pre-empt the value
@@ -188,7 +200,13 @@ pub fn run_denot(
                     }
                 }
             }
-            other => panic!("performed an unknown IO constructor '{other}'"),
+            Known::Yield => unit_thunk(),
+            _ => {
+                return SemRunOutcome {
+                    result: SemIoResult::Unsupported(*con),
+                    trace,
+                }
+            }
         };
 
         match konts.pop() {

@@ -5,12 +5,15 @@
 //!
 //! * [`run_machine`] performs `IO` actions on the graph-reduction machine,
 //!   where `getException` is the §3.3 catch-mark/stack-trim implementation
-//!   and the chosen exception is "the one encountered first";
+//!   and the chosen exception is "the one encountered first". It is also
+//!   the `forkIO`/`MVar` scheduler of §4.4's concurrency remark: a program
+//!   that never forks is a one-thread group;
 //! * [`run_denot`] performs the same actions as a labelled transition
 //!   system over *denotations*, where `getException (Bad s)` picks a
 //!   member of the set through an explicit [`ExceptionOracle`] — including
 //!   the `NonTermination` self-loop and §5.3's fictitious exceptions for
-//!   `⊥`.
+//!   `⊥`. It is the one-thread LTS: `forkIO`, the `MVar` actions and
+//!   `throwTo` end its run with [`SemIoResult::Unsupported`].
 //!
 //! Together they witness the paper's central confinement claim: all the
 //! non-determinism lives in the IO layer, and the machine's behaviour is
@@ -18,7 +21,6 @@
 
 pub mod batch;
 pub mod chaos;
-pub mod concurrent;
 pub mod denot_run;
 pub mod json;
 pub mod machine_run;
@@ -28,10 +30,9 @@ pub mod wire;
 
 pub use batch::{BatchOutcome, SharedBatch};
 pub use chaos::{chaos_run, chaos_run_with_plan, ChaosReport};
-pub use concurrent::{run_concurrent, ConcurrentOutcome, ThreadResult};
 pub use denot_run::{run_denot, AsyncSchedule, SemIoResult, SemRunOutcome};
 pub use json::{parse_json, Json, JsonError};
-pub use machine_run::{run_machine, run_machine_node, IoResult, RunOutcome};
+pub use machine_run::{run_machine, IoResult, RunOutcome, ThreadResult};
 pub use oracle::{ExceptionOracle, MinOracle, OracleChoice, SeededOracle};
 pub use trace::{Event, Input, StringInput, Trace};
 pub use wire::{

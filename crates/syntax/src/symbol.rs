@@ -335,6 +335,9 @@ known_names! {
     TakeMVar = "TakeMVar",
     PutMVar = "PutMVar",
     ThrowTo = "ThrowTo",
+    // The states of an `MVar` cell in the machine's IO runner.
+    MVarFull = "MVarFull",
+    MVarEmpty = "MVarEmpty",
     // Operator spellings.
     Plus = "+",
     Minus = "-",

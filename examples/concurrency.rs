@@ -6,7 +6,7 @@
 //! cargo run --example concurrency
 //! ```
 
-use urk::Session;
+use urk::{IoResult, Session};
 
 fn main() -> Result<(), urk::Error> {
     let mut session = Session::new();
@@ -32,12 +32,14 @@ main = do
   return (a, b)
 "#,
     )?;
-    let out = session.run_main_concurrent("")?;
+    let out = session.run_main("")?;
     println!("output : {}", out.trace.output());
     println!("trace  : {}", out.trace);
-    println!("main   : {:?}", out.main);
+    println!("main   : {:?}", out.result);
     for (tid, r) in &out.threads {
         println!("thread {tid}: {r:?}");
     }
+    assert!(matches!(out.result, IoResult::Done(ref v) if v == "Pair 1 2"));
+    assert_eq!(out.threads.len(), 2, "both forked threads are reported");
     Ok(())
 }

@@ -19,12 +19,12 @@ main = do
   return t"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = s.run_main("").expect("runs");
     // One action per quantum: outputs strictly alternate while both live
     // (the forked thread enters the ready queue ahead of the re-enqueued
     // main thread, so it goes first).
     assert_eq!(out.trace.output(), "bababa..", "{}", out.trace);
-    assert!(matches!(out.main, IoResult::Done(ref v) if v == "1"));
+    assert!(matches!(out.result, IoResult::Done(ref v) if v == "1"));
 }
 
 #[test]
@@ -38,9 +38,9 @@ fn forked_thread_exception_does_not_kill_main() {
   return ()"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = s.run_main("").expect("runs");
     assert_eq!(out.trace.output(), "main survived");
-    assert!(matches!(out.main, IoResult::Done(_)));
+    assert!(matches!(out.result, IoResult::Done(_)));
     // The forked thread died on DivideByZero and is recorded.
     assert!(out.threads.iter().any(|(tid, r)| {
         *tid == 1 && matches!(r, ThreadResult::Uncaught(Exception::DivideByZero))
@@ -64,7 +64,7 @@ main = do
   return ()"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = s.run_main("").expect("runs");
     assert_eq!(out.trace.output(), "thread recovered");
 }
 
@@ -88,7 +88,7 @@ main = do
   return ()"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = s.run_main("").expect("runs");
     // Both threads must report the same member (poisoning).
     let o = out.trace.output();
     assert!(
@@ -109,8 +109,8 @@ main = do
   return 99"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
-    assert!(matches!(out.main, IoResult::Done(ref v) if v == "99"));
+    let out = s.run_main("").expect("runs");
+    assert!(matches!(out.result, IoResult::Done(ref v) if v == "99"));
     assert!(out
         .threads
         .iter()
@@ -130,8 +130,8 @@ fn fork_returns_distinct_thread_ids_and_traces_them() {
   return (a, b)"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
-    assert!(matches!(out.main, IoResult::Done(ref v) if v == "Pair 1 2"));
+    let out = s.run_main("").expect("runs");
+    assert!(matches!(out.result, IoResult::Done(ref v) if v == "Pair 1 2"));
     let forks: Vec<String> = out
         .trace
         .events()
@@ -186,7 +186,7 @@ fn mvar_take_put_round_trip_single_thread() {
   putStr (showInt w)"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = s.run_main("").expect("runs");
     assert_eq!(out.trace.output(), "42");
 }
 
@@ -207,10 +207,10 @@ main = do
   consume m 4"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = s.run_main("").expect("runs");
     // One-slot channel: values arrive in order.
     assert_eq!(out.trace.output(), "4321");
-    assert!(matches!(out.main, IoResult::Done(_)));
+    assert!(matches!(out.result, IoResult::Done(_)));
 }
 
 #[test]
@@ -224,7 +224,7 @@ fn take_blocks_until_another_thread_puts() {
   putStr (showInt v)"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = s.run_main("").expect("runs");
     assert_eq!(out.trace.output(), "7");
 }
 
@@ -233,9 +233,9 @@ fn blocked_forever_is_reported_like_ghc() {
     let mut s = Session::new();
     s.load("main = newEmptyMVar >>= \\m -> takeMVar m")
         .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = s.run_main("").expect("runs");
     assert!(matches!(
-        out.main,
+        out.result,
         IoResult::Uncaught(Exception::BlockedIndefinitely)
     ));
 }
@@ -252,7 +252,7 @@ fn put_blocks_on_a_full_mvar() {
   putStr (showInt v)"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = s.run_main("").expect("runs");
     // Main's put blocks until the forked take empties the cell.
     assert_eq!(out.trace.output(), "12");
 }
@@ -276,7 +276,7 @@ main = do
   return ()"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = s.run_main("").expect("runs");
     // Whoever takes the lock first prints both its characters before the
     // other enters.
     let o = out.trace.output();
@@ -295,7 +295,7 @@ fn prelude_mvar_helpers() {
   putStr (showInt (v + w + 2))"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = s.run_main("").expect("runs");
     assert_eq!(out.trace.output(), "82");
 }
 
@@ -313,9 +313,9 @@ main = do
   putStr (showInt total)"#,
     )
     .expect("loads");
-    let before = s.run_main_concurrent("").expect("runs").trace.output();
+    let before = s.run_main("").expect("runs").trace.output();
     s.optimize().expect("optimizes");
-    let after = s.run_main_concurrent("").expect("runs").trace.output();
+    let after = s.run_main("").expect("runs").trace.output();
     assert_eq!(before, after);
     assert_eq!(after, "15");
 }
@@ -340,7 +340,7 @@ main = do
   return ()"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = s.run_main("").expect("runs");
     assert!(out.trace.output().ends_with("done"));
     assert!(out.threads.iter().any(|(tid, r)| {
         *tid == 1 && matches!(r, ThreadResult::Uncaught(Exception::UserError(_)))
@@ -367,7 +367,7 @@ main = do
   putStr (showInt r)"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = s.run_main("").expect("runs");
     assert_eq!(out.trace.output(), "1", "{}", out.trace);
 }
 
@@ -386,10 +386,46 @@ fn throw_to_wakes_a_blocked_thread() {
   return ()"#,
     )
     .expect("loads");
-    let out = s.run_main_concurrent("").expect("runs");
+    let out = s.run_main("").expect("runs");
     assert_eq!(out.trace.output(), "main done");
     assert!(out
         .threads
         .iter()
         .any(|(tid, r)| { *tid == 1 && matches!(r, ThreadResult::Uncaught(Exception::Timeout)) }));
+}
+
+#[test]
+fn the_default_runner_performs_fork_and_mvars() {
+    // `run_main` is the scheduler: a program that forks needs no other
+    // entry point, and its forked thread is reported.
+    let mut s = Session::new();
+    s.load(
+        r#"main = do
+  m <- newEmptyMVar
+  forkIO (putMVar m 41)
+  v <- takeMVar m
+  return (v + 1)"#,
+    )
+    .expect("loads");
+    let out = s.run_main("").expect("runs");
+    assert!(
+        matches!(out.result, IoResult::Done(ref v) if v == "42"),
+        "{out:?}"
+    );
+    assert!(
+        matches!(out.threads.as_slice(), [(1, ThreadResult::Done(v))] if v == "Unit"),
+        "{:?}",
+        out.threads
+    );
+}
+
+#[test]
+fn a_program_that_never_forks_reports_no_threads() {
+    let mut s = Session::new();
+    s.load("main = yield >> putStr \"one\" >> return 3")
+        .expect("loads");
+    let out = s.run_main("").expect("runs");
+    assert!(matches!(out.result, IoResult::Done(ref v) if v == "3"));
+    assert_eq!(out.trace.output(), "one");
+    assert!(out.threads.is_empty(), "{:?}", out.threads);
 }

@@ -157,3 +157,41 @@ main = do
     let out = s.run_main("").expect("runs");
     assert_eq!(out.trace.output(), "second interrupted only");
 }
+
+#[test]
+fn semantic_yield_is_return_unit() {
+    // The semantic LTS has one thread, so `yield` has no one to cede to.
+    let mut s = Session::new();
+    s.load("main = yield >> putStr \"y\" >> return 3")
+        .expect("loads");
+    let out = s.run_main_semantic("", 0).expect("runs");
+    assert!(
+        matches!(out.result, SemIoResult::Done(ref v) if v == "3"),
+        "{:?}",
+        out.result
+    );
+    assert_eq!(out.trace.output(), "y");
+}
+
+#[test]
+fn semantic_runner_ends_concurrency_actions_explicitly() {
+    // Any concurrency action but `yield` ends the one-thread LTS with a
+    // result naming its constructor.
+    for (main, con) in [
+        (
+            "main = putStr \"a\" >> forkIO (return 1) >> return 0",
+            "Fork",
+        ),
+        ("main = newMVar 1 >>= takeMVar", "NewMVar"),
+        ("main = newEmptyMVar >>= \\m -> putMVar m 1", "NewEmptyMVar"),
+        ("main = throwTo 0 Timeout", "ThrowTo"),
+    ] {
+        let mut s = Session::new();
+        s.load(main).expect("loads");
+        let out = s.run_main_semantic("", 0).expect("runs");
+        match out.result {
+            SemIoResult::Unsupported(c) => assert_eq!(c.to_string(), con, "{main}"),
+            other => panic!("{main}: {other:?}"),
+        }
+    }
+}
