@@ -9,7 +9,7 @@
 use std::rc::Rc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use urk_denot::{DenotEvaluator, NondetConfig, PreciseConfig, PreciseEvaluator};
+use urk_denot::{DenotConfig, DenotEvaluator, Design, EvalOrder, NondetConfig};
 use urk_syntax::{desugar_expr, parse_expr_src, DataEnv};
 use urk_transform::{classify, standard_laws};
 
@@ -43,7 +43,8 @@ fn bench(c: &mut Criterion) {
 
     group.bench_function("precise-denotation", |b| {
         b.iter(|| {
-            let ev = PreciseEvaluator::new(PreciseConfig::default());
+            let precise = Design::Precise(EvalOrder::LeftToRight);
+            let ev = DenotEvaluator::with_design(&data, DenotConfig::default(), precise);
             ev.eval_closed(&term)
         })
     });

@@ -26,7 +26,7 @@
 //! urk soak --duration-secs 60 --jobs 4 --serve         # long-run soak harness
 //! ```
 
-use std::io::Read;
+use std::io::{Read, Write};
 use std::process::ExitCode;
 
 use urk::{
@@ -412,7 +412,6 @@ fn main() -> ExitCode {
         // The one line scripts parse to find the port (`--listen ...:0`
         // binds an ephemeral one).
         println!("listening on {}", server.local_addr());
-        use std::io::Write;
         let _ = std::io::stdout().flush();
         server.join();
         eprintln!("urk: server stopped");
@@ -717,6 +716,8 @@ fn main() -> ExitCode {
         match session.run_main_semantic(&input, args.seed) {
             Ok(out) => {
                 print!("{}", out.trace.output());
+                // The program's output must precede the result lines.
+                let _ = std::io::stdout().flush();
                 if args.trace {
                     eprintln!("\ntrace: {}", out.trace);
                 }
@@ -755,6 +756,8 @@ fn main() -> ExitCode {
         match session.run_main(&input) {
             Ok(out) => {
                 print!("{}", out.trace.output());
+                // The program's output must precede the result lines.
+                let _ = std::io::stdout().flush();
                 if args.trace {
                     eprintln!("\ntrace: {}", out.trace);
                 }

@@ -2,7 +2,8 @@
 //! machine runner, concurrency actions included; there is no flag that
 //! selects another runner.
 
-use std::process::{Command, Output};
+use std::fs::File;
+use std::process::{Command, Output, Stdio};
 
 /// Runs `urk ARGS` on a program file holding `src`.
 fn urk_on(name: &str, src: &str, args: &[&str]) -> Output {
@@ -24,6 +25,34 @@ fn a_yield_program_runs_under_the_default_command() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(stderr.contains("main returned: 3"), "{stderr}");
     assert!(!stderr.contains("thread "), "{stderr}");
+}
+
+#[test]
+fn program_output_precedes_the_result_line() {
+    // stdout and stderr share one file, so the file holds them in the
+    // order the process wrote them.
+    let dir = std::env::temp_dir().join(format!("urk-io-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("order.urk");
+    std::fs::write(&file, "main = putStr \"got\" >> return 3\n").expect("write program");
+    for extra in [&[][..], &["--semantic"][..]] {
+        let log = dir.join("order.log");
+        let out = File::create(&log).expect("log file");
+        let err = out.try_clone().expect("clone log handle");
+        let status = Command::new(env!("CARGO_BIN_EXE_urk"))
+            .arg(&file)
+            .args(["--input", ""])
+            .args(extra)
+            .stdout(Stdio::from(out))
+            .stderr(Stdio::from(err))
+            .status()
+            .expect("run urk");
+        let text = std::fs::read_to_string(&log).expect("read log");
+        assert_eq!(status.code(), Some(0), "{extra:?}: {text}");
+        let got = text.find("got").expect("program output");
+        let result = text.find("main returned: 3").expect("result line");
+        assert!(got < result, "{extra:?}: {text}");
+    }
 }
 
 #[test]

@@ -7,16 +7,18 @@
 //! given structural depth, which of the four relationships holds.
 //!
 //! Function values cannot be compared extensionally; they are probed with
-//! distinctively marked exceptional arguments (`Bad {}`, marked singletons
-//! and `⊥`), which is sound for the ground-typed law corpus in this
-//! repository but approximate in general — see `DESIGN.md`.
+//! distinctively marked arguments (`Bad {}`, marked singletons and `⊥`
+//! under the imprecise design; a marked exception, `⊥` and `0` under the
+//! precise designs, whose domain has no `Bad {}`), which is sound for the
+//! ground-typed law corpus in this repository but approximate in general —
+//! see `DESIGN.md`.
 
 use std::fmt;
 
 use urk_syntax::Exception;
 
 use crate::domain::{Denot, Thunk, Value};
-use crate::eval::DenotEvaluator;
+use crate::eval::{DenotEvaluator, Design};
 use crate::exnset::ExnSet;
 
 /// The outcome of comparing two denotations under `⊑`.
@@ -93,7 +95,7 @@ fn value_leq(ev: &DenotEvaluator<'_>, v1: &Value, v2: &Value, depth: u32) -> boo
         }
         (Value::Fun(_), Value::Fun(_)) => {
             // Probe with marked exceptional arguments.
-            probes().iter().all(|p| {
+            probes(ev.design()).iter().all(|p| {
                 let a1 = Thunk::done(p.clone());
                 let a2 = Thunk::done(p.clone());
                 let r1 = ev.apply_denot(&Denot::Ok(v1.clone()), a1);
@@ -105,20 +107,41 @@ fn value_leq(ev: &DenotEvaluator<'_>, v1: &Value, v2: &Value, depth: u32) -> boo
     }
 }
 
-fn probes() -> Vec<Denot> {
-    vec![
-        Denot::Bad(ExnSet::empty()),
-        Denot::Bad(ExnSet::singleton(Exception::UserError("#probe".into()))),
-        Denot::bottom(),
-    ]
+fn probes(design: Design) -> Vec<Denot> {
+    let marked = Denot::Bad(ExnSet::singleton(Exception::UserError("#probe".into())));
+    match design {
+        Design::Imprecise => vec![Denot::Bad(ExnSet::empty()), marked, Denot::bottom()],
+        Design::Precise(_) | Design::Nondet => {
+            vec![marked, Denot::bottom(), Denot::Ok(Value::Int(0))]
+        }
+    }
 }
 
 /// Renders a denotation to `depth`, forcing constructor fields — the
-/// ground observation used by tests and the REPL.
+/// ground observation used by tests, the REPL and the non-deterministic
+/// design's outcome sets.
 pub fn show_denot(ev: &DenotEvaluator<'_>, d: &Denot, depth: u32) -> String {
     match d {
-        Denot::Bad(s) => format!("Bad {s}"),
+        Denot::Bad(s) => show_bad(ev, s, false),
         Denot::Ok(v) => show_value(ev, v, depth, false),
+    }
+}
+
+/// Spells an abnormal value: `Bad {..}` under the imprecise design, and
+/// the precise domain's `Exn e` or `⊥` under the others.
+fn show_bad(ev: &DenotEvaluator<'_>, s: &ExnSet, nested: bool) -> String {
+    let text = match (ev.design(), s.some_member()) {
+        (Design::Imprecise, _) => format!("Bad {s}"),
+        (Design::Precise(_) | Design::Nondet, None) => return "⊥".into(),
+        (Design::Precise(_) | Design::Nondet, Some(e)) => {
+            debug_assert_eq!(s.len(), Some(1), "a precise design raises one exception");
+            format!("Exn {e}")
+        }
+    };
+    if nested {
+        format!("({text})")
+    } else {
+        text
     }
 }
 
@@ -146,7 +169,7 @@ fn show_value(ev: &DenotEvaluator<'_>, v: &Value, depth: u32, nested: bool) -> S
                 out.push(' ');
                 let d = ev.force(f);
                 match d {
-                    Denot::Bad(s) => out.push_str(&format!("(Bad {s})")),
+                    Denot::Bad(s) => out.push_str(&show_bad(ev, &s, true)),
                     Denot::Ok(v) => out.push_str(&show_value(ev, &v, depth - 1, true)),
                 }
             }

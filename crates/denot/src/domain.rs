@@ -11,6 +11,14 @@
 //! thunks, so exceptional values can hide inside data structures exactly as
 //! §3.2's `zipWith` examples require.
 //!
+//! This one domain serves all three designs of §3.4 (see
+//! [`crate::eval::Design`]). The precise domain — a normal value, one
+//! exception `e`, or a `⊥` distinct from every exception — embeds into it
+//! exactly: `e` is `Bad {e}` and `⊥` is `Bad ALL`. On those points the
+//! order `⊑` of [`crate::compare::denot_leq`] is the precise domain's own:
+//! a singleton is below only itself (`{a} ⊇ {b}` iff `a = b`), `ALL` is
+//! below everything, and nothing but `ALL` is below a normal value.
+//!
 //! Thunks are the only mutable nodes. Every edge that is made when its
 //! node is made points from a newer node to an older one: an environment
 //! node to the thunk and environment it extends, a closure to its
@@ -178,40 +186,25 @@ impl fmt::Debug for Thunk {
     }
 }
 
-impl Knot for Thunk {
-    fn release(&self) {
-        // Take the old state out first, so it is dropped (and whatever it
-        // alone kept alive with it) after the cell's borrow has ended.
-        let old = self.state.replace(ThunkState::Released);
-        drop(old);
-    }
-}
-
 /// The panic message for forcing a released knot: a denotation that was
 /// used after the evaluator that made it had been dropped.
 pub(crate) const RELEASED_KNOT: &str = "forced a thunk that was released when its evaluator \
      was dropped: a denotation must not outlive the evaluator that made it";
-
-/// A thunk an evaluator can tie into a knot.
-pub(crate) trait Knot {
-    /// Breaks the knot: drops the thunk's state for good.
-    fn release(&self);
-}
 
 /// The knots an evaluator has tied, released when it is dropped (see the
 /// module docs). The record holds weak references, so a knot that is on
 /// no cycle is freed as soon as nothing else holds it, and the record
 /// forgets freed knots whenever it fills, so it stays proportional to the
 /// live ones.
-pub(crate) struct Knots<T: Knot>(RefCell<Vec<Weak<T>>>);
+pub(crate) struct Knots(RefCell<Vec<Weak<Thunk>>>);
 
-impl<T: Knot> Knots<T> {
-    pub(crate) fn new() -> Knots<T> {
+impl Knots {
+    pub(crate) fn new() -> Knots {
         Knots(RefCell::new(Vec::new()))
     }
 
     /// Records a knot tied by this evaluator.
-    pub(crate) fn record(&self, knot: &Rc<T>) {
+    pub(crate) fn record(&self, knot: &DThunk) {
         let mut knots = self.0.borrow_mut();
         if knots.len() == knots.capacity() {
             knots.retain(|k| k.strong_count() > 0);
@@ -220,11 +213,15 @@ impl<T: Knot> Knots<T> {
     }
 }
 
-impl<T: Knot> Drop for Knots<T> {
+impl Drop for Knots {
     fn drop(&mut self) {
         for knot in self.0.get_mut().drain(..) {
             if let Some(t) = knot.upgrade() {
-                t.release();
+                // Take the old state out first, so it is dropped (and
+                // whatever it alone kept alive with it) after the cell's
+                // borrow has ended.
+                let old = t.state.replace(ThunkState::Released);
+                drop(old);
             }
         }
     }

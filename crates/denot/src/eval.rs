@@ -1,5 +1,5 @@
-//! The denotational evaluator for the *imprecise* semantics — a direct
-//! transcription of the equations of §4.2–§4.3:
+//! The denotational evaluator — a direct transcription of the equations of
+//! §4.2–§4.3 for the *imprecise* semantics:
 //!
 //! * `[[e1 (+) e2]] = v1 ⊕ v2` when both normal, else
 //!   `Bad (S[[e1]] ∪ S[[e2]])`;
@@ -20,8 +20,27 @@
 //! Evaluation is lazy (call-by-need over memoizing [`DThunk`]s), so
 //! exceptional values hide inside data structures exactly as §3.2
 //! describes.
+//!
+//! The same evaluator also runs the two designs §3.4 rejects, selected by
+//! [`Design`]. They differ from the imprecise semantics in a handful of
+//! rules only, and the evaluator consults the design at exactly those
+//! sites:
+//!
+//! 1. applying an abnormal function returns the function's own exception
+//!    and never touches the argument;
+//! 2. `case` on an abnormal scrutinee propagates it (no exception-finding
+//!    mode);
+//! 3. a strict binary primitive evaluates its operands in a fixed order
+//!    ([`EvalOrder`]), or in the order an oracle picks under
+//!    [`Design::Nondet`], and the first abnormal operand wins;
+//! 4. `unsafeIsException` of `⊥` is `⊥`;
+//! 5. under [`Design::Nondet`], `getException` is a *pure* function.
+//!
+//! Every other rule is shared, so a precise design only ever builds
+//! `Bad {e}` (one exception) or `Bad ALL` (`⊥`), the embedding of the
+//! precise domain described in [`crate::domain`].
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use urk_syntax::core::{Alt, AltCon, Expr, PrimOp};
@@ -53,7 +72,30 @@ impl Default for DenotConfig {
     }
 }
 
-/// The imprecise denotational evaluator.
+/// Which operand of a strict binary primitive a precise design evaluates
+/// first.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum EvalOrder {
+    LeftToRight,
+    RightToLeft,
+}
+
+/// The three candidate semantics of §3.4, as rule sets of one evaluator
+/// (see the module docs for the rules that differ).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum Design {
+    /// The paper's semantics (§4): exceptional values are sets.
+    Imprecise,
+    /// The ML/FL-style design: one exception, a fixed evaluation order,
+    /// and `⊥` distinct from every exception.
+    Precise(EvalOrder),
+    /// The non-deterministic design: precise rules, but the order of each
+    /// strict primitive is chosen by an oracle tape
+    /// ([`DenotEvaluator::set_oracle`]) and `getException` is pure.
+    Nondet,
+}
+
+/// The denotational evaluator, for one [`Design`].
 ///
 /// The evaluator owns the knots it ties (every `letrec` group, including a
 /// program's top level passed to [`DenotEvaluator::bind_recursive`], and
@@ -74,27 +116,71 @@ impl Default for DenotConfig {
 pub struct DenotEvaluator<'a> {
     data: &'a DataEnv,
     config: DenotConfig,
+    design: Design,
     fuel: Cell<u64>,
     depth: Cell<u32>,
-    knots: Knots<Thunk>,
+    knots: Knots,
+    /// The oracle tape of [`Design::Nondet`]: one bit per strict binary
+    /// primitive, `true` meaning right operand first.
+    oracle: RefCell<Vec<bool>>,
+    oracle_consumed: Cell<usize>,
 }
 
 impl<'a> DenotEvaluator<'a> {
-    /// Creates an evaluator with the default configuration.
+    /// Creates an imprecise evaluator with the default configuration.
     pub fn new(data: &'a DataEnv) -> DenotEvaluator<'a> {
         DenotEvaluator::with_config(data, DenotConfig::default())
     }
 
-    /// Creates an evaluator with an explicit configuration.
+    /// Creates an imprecise evaluator with an explicit configuration.
     pub fn with_config(data: &'a DataEnv, config: DenotConfig) -> DenotEvaluator<'a> {
+        DenotEvaluator::with_design(data, config, Design::Imprecise)
+    }
+
+    /// Creates an evaluator for one of §3.4's designs. The precise designs
+    /// ignore `config.pessimistic_is_exception`: they always answer `⊥`
+    /// for `unsafeIsException ⊥`.
+    pub fn with_design(
+        data: &'a DataEnv,
+        config: DenotConfig,
+        design: Design,
+    ) -> DenotEvaluator<'a> {
         let fuel = config.fuel;
         DenotEvaluator {
             data,
             config,
+            design,
             fuel: Cell::new(fuel),
             depth: Cell::new(0),
             knots: Knots::new(),
+            oracle: RefCell::new(Vec::new()),
+            oracle_consumed: Cell::new(0),
         }
+    }
+
+    /// The design this evaluator runs.
+    pub fn design(&self) -> Design {
+        self.design
+    }
+
+    /// Installs an oracle decision tape for [`Design::Nondet`] (positions
+    /// beyond the tape mean left operand first) and refills fuel.
+    pub fn set_oracle(&self, bits: Vec<bool>) {
+        *self.oracle.borrow_mut() = bits;
+        self.oracle_consumed.set(0);
+        self.refill();
+    }
+
+    /// Number of oracle decisions consumed since the tape was installed.
+    pub fn oracle_decisions(&self) -> usize {
+        self.oracle_consumed.get()
+    }
+
+    /// Reads the next oracle decision: `true` means right operand first.
+    fn decide(&self) -> bool {
+        let i = self.oracle_consumed.get();
+        self.oracle_consumed.set(i + 1);
+        self.oracle.borrow().get(i).copied().unwrap_or(false)
     }
 
     /// Remaining fuel (diagnostics; also used by tests to measure cost).
@@ -143,6 +229,10 @@ impl<'a> DenotEvaluator<'a> {
             Expr::Int(n) => Denot::Ok(Value::Int(*n)),
             Expr::Char(c) => Denot::Ok(Value::Char(*c)),
             Expr::Str(s) => Denot::Ok(Value::Str(s.clone())),
+            // Rule 5: the non-deterministic design's *pure* getException.
+            Expr::Con(c, args) if self.design == Design::Nondet && Known::GetException.is(*c) => {
+                self.get_exception(self.eval(&args[0], env))
+            }
             Expr::Con(c, args) => {
                 let fields = args
                     .iter()
@@ -157,22 +247,7 @@ impl<'a> DenotEvaluator<'a> {
             }))),
             Expr::App(f, x) => {
                 let df = self.eval(f, env);
-                match df {
-                    Denot::Ok(Value::Fun(clo)) => {
-                        let arg = Thunk::pending(x.clone(), env.clone());
-                        self.apply(&clo, arg)
-                    }
-                    Denot::Ok(other) => {
-                        panic!("application of a non-function value {other:?} (ill-typed program)")
-                    }
-                    // §4.2: an exceptional function unions in the
-                    // argument's exceptions, licensing call-by-value for
-                    // strict functions.
-                    Denot::Bad(s) => {
-                        let dx = self.eval(x, env);
-                        Denot::Bad(s.union(&dx.exn_part()))
-                    }
-                }
+                self.apply_denot(&df, Thunk::pending(x.clone(), env.clone()))
             }
             Expr::Let(x, rhs, body) => {
                 let t = Thunk::pending(rhs.clone(), env.clone());
@@ -257,10 +332,14 @@ impl<'a> DenotEvaluator<'a> {
             Denot::Ok(other) => {
                 panic!("application of a non-function value {other:?} (ill-typed program)")
             }
-            Denot::Bad(s) => {
+            // §4.2: an exceptional function unions in the argument's
+            // exceptions, licensing call-by-value for strict functions.
+            Denot::Bad(s) if self.design == Design::Imprecise => {
                 let da = self.force(&arg);
                 Denot::Bad(s.union(&da.exn_part()))
             }
+            // Rule 1: the precise designs never touch the argument.
+            Denot::Bad(s) => Denot::Bad(s.clone()),
         }
     }
 
@@ -281,6 +360,8 @@ impl<'a> DenotEvaluator<'a> {
                     "case".into(),
                 )))
             }
+            // Rule 2: the precise designs propagate the scrutinee.
+            Denot::Bad(s) if self.design != Design::Imprecise => Denot::Bad(s),
             // Exception-finding mode: the semantics "must explore all the
             // ways in which the implementation might deliver an exception",
             // binding pattern variables to the strange value Bad {}.
@@ -346,7 +427,15 @@ impl<'a> DenotEvaluator<'a> {
                 match d {
                     Denot::Ok(_) => Denot::Ok(bool_value(false)),
                     Denot::Bad(s) => {
-                        if self.config.pessimistic_is_exception && s.may_diverge() {
+                        let bottom = match self.design {
+                            Design::Imprecise => {
+                                self.config.pessimistic_is_exception && s.may_diverge()
+                            }
+                            // Rule 4: ⊥ is not an exception in the precise
+                            // designs, so it is never reported as one.
+                            Design::Precise(_) | Design::Nondet => s.is_all(),
+                        };
+                        if bottom {
                             Denot::bottom()
                         } else {
                             Denot::Ok(bool_value(true))
@@ -354,25 +443,7 @@ impl<'a> DenotEvaluator<'a> {
                     }
                 }
             }
-            PrimOp::UnsafeGetException => {
-                let d = self.eval(&args[0], env);
-                match d {
-                    Denot::Ok(v) => Denot::Ok(Value::Con(
-                        Known::Ok.symbol(),
-                        vec![Thunk::done(Denot::Ok(v))],
-                    )),
-                    Denot::Bad(s) => match s.some_member() {
-                        // A deterministic (least-member) choice; the §6
-                        // proof obligation is that this choice is moot.
-                        Some(exn) => {
-                            let inner = Thunk::done(Denot::Ok(self.exception_to_value(&exn)));
-                            Denot::Ok(Value::Con(Known::Bad.symbol(), vec![inner]))
-                        }
-                        // Bad {} is not denotable; All (⊥) stays ⊥.
-                        None => Denot::bottom(),
-                    },
-                }
-            }
+            PrimOp::UnsafeGetException => self.get_exception(self.eval(&args[0], env)),
             _ if op.arity() == 1 => {
                 let d = self.eval(&args[0], env);
                 match d {
@@ -381,17 +452,60 @@ impl<'a> DenotEvaluator<'a> {
                 }
             }
             _ => {
-                // The (+) rule: both arguments evaluated; exception sets
-                // unioned when either is exceptional. The *order* in which
-                // we evaluate them here is irrelevant — both sets always
-                // participate — which is the whole point of the design.
-                let d1 = self.eval(&args[0], env);
-                let d2 = self.eval(&args[1], env);
+                // Rule 3: a precise design evaluates the operands in one
+                // order, fixed or chosen by the oracle, and the first
+                // abnormal operand wins; the imprecise design evaluates
+                // both, and the order is irrelevant.
+                let right_first = match self.design {
+                    Design::Imprecise => false,
+                    Design::Precise(order) => order == EvalOrder::RightToLeft,
+                    Design::Nondet => self.decide(),
+                };
+                let (i, j) = if right_first { (1, 0) } else { (0, 1) };
+                let first = self.eval(&args[i], env);
+                if first.is_bad() && self.design != Design::Imprecise {
+                    return first;
+                }
+                let second = self.eval(&args[j], env);
+                let (d1, d2) = if right_first {
+                    (second, first)
+                } else {
+                    (first, second)
+                };
                 match (&d1, &d2) {
                     (Denot::Ok(v1), Denot::Ok(v2)) => self.prim_binary(op, v1, v2),
+                    // The (+) rule: exception sets unioned when either
+                    // operand is exceptional — both sets always
+                    // participate, which is the whole point of the design.
+                    // (A precise design reaches this only with a normal
+                    // first operand.)
                     _ => Denot::Bad(d1.exn_part().union(&d2.exn_part())),
                 }
             }
+        }
+    }
+
+    /// `getException` as a pure function: `OK v` for a normal value, `Bad
+    /// x` for a member `x` of an exceptional one. This is
+    /// `unsafeGetException` (§5.4) in every design and `getException` under
+    /// [`Design::Nondet`].
+    fn get_exception(&self, d: Denot) -> Denot {
+        match d {
+            Denot::Ok(v) => Denot::Ok(Value::Con(
+                Known::Ok.symbol(),
+                vec![Thunk::done(Denot::Ok(v))],
+            )),
+            Denot::Bad(s) => match s.some_member() {
+                // A deterministic (least-member) choice; the §6 proof
+                // obligation is that this choice is moot. A precise
+                // design's set has exactly one member.
+                Some(exn) => {
+                    let inner = Thunk::done(Denot::Ok(self.exception_to_value(&exn)));
+                    Denot::Ok(Value::Con(Known::Bad.symbol(), vec![inner]))
+                }
+                // Bad {} is not denotable; All (⊥) stays ⊥.
+                None => Denot::bottom(),
+            },
         }
     }
 

@@ -3,15 +3,23 @@
 //! The denotational layer of the PLDI 1999 *imprecise exceptions*
 //! reproduction:
 //!
-//! * [`eval::DenotEvaluator`] — the paper's semantics (§4): exceptional
-//!   values are **sets** of exceptions, `⊥` is the set of all exceptions,
-//!   `case` explores alternatives in exception-finding mode, and `fix` is a
-//!   fuel-indexed ascending chain.
-//! * [`precise::PreciseEvaluator`] — the rejected ML/FL-style baseline
-//!   (§3.4, design 1): one exception, fixed evaluation order.
-//! * [`nondet`] — the rejected non-deterministic baseline (§3.4, design 2):
-//!   oracle-chosen order with a *pure* `getException`; outcome-set
-//!   enumeration exhibits the loss of beta reduction.
+//! * [`eval::DenotEvaluator`] — one evaluator over one domain
+//!   ([`domain`]), running any of the three designs of §3.4
+//!   ([`eval::Design`]):
+//!   * `Imprecise`, the paper's semantics (§4): exceptional values are
+//!     **sets** of exceptions, `⊥` is the set of all exceptions, `case`
+//!     explores alternatives in exception-finding mode, and `fix` is a
+//!     fuel-indexed ascending chain;
+//!   * `Precise(order)`, the rejected ML/FL-style baseline (design 1): one
+//!     exception, a fixed evaluation order, `case` propagates;
+//!   * `Nondet`, the rejected non-deterministic baseline (design 2):
+//!     oracle-chosen order with a *pure* `getException`.
+//!
+//!   The designs differ only in the few rules §3.4 names. A precise
+//!   exception `e` is the set `{e}` and a precise `⊥` is `⊥`, so all three
+//!   share values, thunks, knots, primitives, `⊑` and rendering.
+//! * [`nondet`] — outcome-set enumeration over every oracle tape, which
+//!   exhibits the non-deterministic design's loss of beta reduction.
 //! * [`compare`] — the refinement order `⊑` and verdicts for the §4.5 law
 //!   tables.
 //!
@@ -43,16 +51,12 @@ pub mod domain;
 pub mod eval;
 pub mod exnset;
 pub mod nondet;
-pub mod precise;
 
 pub use compare::{compare_denots, denot_leq, show_denot, Verdict};
 pub use domain::{Closure, DThunk, Denot, Env, Thunk, ThunkState, Value};
-pub use eval::{DenotConfig, DenotEvaluator};
+pub use eval::{DenotConfig, DenotEvaluator, Design, EvalOrder};
 pub use exnset::ExnSet;
 pub use nondet::{enumerate_outcomes, same_outcome_sets, NondetConfig};
-pub use precise::{
-    compare_pdenots, pdenot_leq, EvalOrder, PDenot, PValue, PreciseConfig, PreciseEvaluator,
-};
 
 #[cfg(test)]
 mod tests {
@@ -94,6 +98,20 @@ mod tests {
 
     fn urk() -> Exception {
         Exception::UserError("Urk".into())
+    }
+
+    /// An evaluator for the precise design.
+    fn precise(data: &DataEnv, order: EvalOrder, fuel: u64) -> DenotEvaluator<'_> {
+        let config = DenotConfig {
+            fuel,
+            ..DenotConfig::default()
+        };
+        DenotEvaluator::with_design(data, config, Design::Precise(order))
+    }
+
+    /// True if `d` is the precise design's single exception `x`.
+    fn is_exn(d: &Denot, x: Exception) -> bool {
+        matches!(d, Denot::Bad(s) if *s == ExnSet::singleton(x))
     }
 
     // ------------------------------------------------------------------
@@ -449,42 +467,30 @@ mod tests {
     #[test]
     fn precise_semantics_is_order_dependent() {
         let e = core_of(r#"(1/0) + raise (UserError "Urk")"#);
-        let l2r = PreciseEvaluator::new(PreciseConfig {
-            order: EvalOrder::LeftToRight,
-            ..PreciseConfig::default()
-        });
-        let r2l = PreciseEvaluator::new(PreciseConfig {
-            order: EvalOrder::RightToLeft,
-            ..PreciseConfig::default()
-        });
-        assert!(matches!(
-            l2r.eval_closed(&e),
-            PDenot::Exn(Exception::DivideByZero)
-        ));
-        assert!(matches!(
-            r2l.eval_closed(&e),
-            PDenot::Exn(Exception::UserError(_))
-        ));
+        let data = DataEnv::new();
+        let l2r = precise(&data, EvalOrder::LeftToRight, 1_000_000);
+        let r2l = precise(&data, EvalOrder::RightToLeft, 1_000_000);
+        assert!(is_exn(&l2r.eval_closed(&e), Exception::DivideByZero));
+        assert!(is_exn(&r2l.eval_closed(&e), urk()));
     }
 
     #[test]
     fn precise_addition_does_not_commute() {
         let a = core_of(r#"(1/0) + raise (UserError "Urk")"#);
         let b = core_of(r#"raise (UserError "Urk") + (1/0)"#);
-        let ev = PreciseEvaluator::new(PreciseConfig::default());
+        let data = DataEnv::new();
+        let ev = precise(&data, EvalOrder::LeftToRight, 1_000_000);
         let da = ev.eval_closed(&a);
         let db = ev.eval_closed(&b);
-        assert_ne!(ev.show(&da, 4), ev.show(&db, 4));
+        assert_ne!(show_denot(&ev, &da, 4), show_denot(&ev, &db, 4));
     }
 
     #[test]
     fn precise_case_propagates_without_exploring() {
         let e = core_of("case raise Overflow of { True -> 1/0; False -> 2 }");
-        let ev = PreciseEvaluator::new(PreciseConfig::default());
-        assert!(matches!(
-            ev.eval_closed(&e),
-            PDenot::Exn(Exception::Overflow)
-        ));
+        let data = DataEnv::new();
+        let ev = precise(&data, EvalOrder::LeftToRight, 1_000_000);
+        assert!(is_exn(&ev.eval_closed(&e), Exception::Overflow));
     }
 
     #[test]
@@ -495,22 +501,21 @@ mod tests {
             "case Just 5 of { Just n -> n; Nothing -> 0 }",
         ] {
             let e = core_of(src);
-            let pev = PreciseEvaluator::new(PreciseConfig::default());
+            let data = DataEnv::new();
+            let pev = precise(&data, EvalOrder::LeftToRight, 1_000_000);
             let pd = pev.eval_closed(&e);
-            assert_eq!(pev.show(&pd, 8), eval_show(src), "on {src}");
+            assert_eq!(show_denot(&pev, &pd, 8), eval_show(src), "on {src}");
         }
     }
 
     #[test]
     fn precise_distinguishes_bottom_from_exceptions() {
-        let ev = PreciseEvaluator::new(PreciseConfig {
-            fuel: 10_000,
-            ..PreciseConfig::default()
-        });
+        let data = DataEnv::new();
+        let ev = precise(&data, EvalOrder::LeftToRight, 10_000);
         let d = ev.eval_closed(&Rc::new(Expr::diverge()));
-        assert!(matches!(d, PDenot::Bot));
+        assert!(d.is_bottom());
         let d2 = ev.eval_closed(&core_of("raise Overflow"));
-        assert!(matches!(d2, PDenot::Exn(Exception::Overflow)));
+        assert!(is_exn(&d2, Exception::Overflow));
     }
 
     // ------------------------------------------------------------------

@@ -13,7 +13,7 @@
 //! right-hand side for both occurrences, the two evaluations may choose
 //! *different* orders and the expression can also be `False`.
 //!
-//! [`enumerate_outcomes`] runs the oracle-driven precise evaluator over
+//! [`enumerate_outcomes`] runs the evaluator under [`Design::Nondet`] over
 //! every decision tape (schedule exploration, bounded by
 //! `max_decisions`) and returns the set of observable outcomes, which is
 //! exactly the evidence the law validator needs.
@@ -22,15 +22,16 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use urk_syntax::core::Expr;
+use urk_syntax::DataEnv;
 
-use crate::precise::{PreciseConfig, PreciseEvaluator};
+use crate::compare::show_denot;
+use crate::eval::{DenotConfig, DenotEvaluator, Design};
 
 /// Configuration for outcome enumeration.
 #[derive(Clone, Debug)]
 pub struct NondetConfig {
-    /// Underlying evaluator configuration (its `oracle_driven` flag is
-    /// forced on).
-    pub precise: PreciseConfig,
+    /// Fuel and depth of each run.
+    pub denot: DenotConfig,
     /// Upper bound on oracle decisions explored per run; runs that consume
     /// more are truncated (remaining decisions default to "left first").
     pub max_decisions: usize,
@@ -41,10 +42,7 @@ pub struct NondetConfig {
 impl Default for NondetConfig {
     fn default() -> NondetConfig {
         NondetConfig {
-            precise: PreciseConfig {
-                oracle_driven: true,
-                ..PreciseConfig::default()
-            },
+            denot: DenotConfig::default(),
             max_decisions: 12,
             show_depth: 8,
         }
@@ -58,14 +56,13 @@ pub fn enumerate_outcomes(expr: &Rc<Expr>, config: &NondetConfig) -> BTreeSet<St
     // Depth-first schedule exploration: run with a prefix (default false
     // beyond it), then fork on every decision the run actually consumed.
     let mut stack: Vec<Vec<bool>> = vec![Vec::new()];
-    let mut precise_cfg = config.precise.clone();
-    precise_cfg.oracle_driven = true;
+    let data = DataEnv::new();
 
     while let Some(prefix) = stack.pop() {
-        let ev = PreciseEvaluator::new(precise_cfg.clone());
+        let ev = DenotEvaluator::with_design(&data, config.denot.clone(), Design::Nondet);
         ev.set_oracle(prefix.clone());
         let d = ev.eval_closed(expr);
-        results.insert(ev.show(&d, config.show_depth));
+        results.insert(show_denot(&ev, &d, config.show_depth));
         let consumed = ev.oracle_decisions().min(config.max_decisions);
         for i in prefix.len()..consumed {
             let mut fork = prefix.clone();

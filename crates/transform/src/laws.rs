@@ -18,8 +18,8 @@ use std::rc::Rc;
 
 use urk_analysis::Analysis;
 use urk_denot::{
-    compare_denots, compare_pdenots, enumerate_outcomes, DenotConfig, DenotEvaluator, EvalOrder,
-    NondetConfig, PreciseConfig, PreciseEvaluator, Verdict,
+    compare_denots, enumerate_outcomes, DenotConfig, DenotEvaluator, Design, EvalOrder,
+    NondetConfig, Verdict,
 };
 use urk_syntax::core::Expr;
 use urk_syntax::{desugar_expr, parse_expr_src, DataEnv};
@@ -267,29 +267,16 @@ pub fn standard_laws() -> Vec<LawInstance> {
 pub fn classify(law: &LawInstance) -> LawReport {
     let data = DataEnv::new();
 
-    // Imprecise.
-    let imprecise = {
-        let ev = DenotEvaluator::with_config(
-            &data,
-            DenotConfig {
-                fuel: 200_000,
-                ..DenotConfig::default()
-            },
-        );
+    // The imprecise and precise designs: compare the two denotations.
+    let verdict = |design: Design| {
+        let config = DenotConfig {
+            fuel: 200_000,
+            ..DenotConfig::default()
+        };
+        let ev = DenotEvaluator::with_design(&data, config, design);
         let l = ev.eval_closed(&law.lhs);
         let r = ev.eval_closed(&law.rhs);
         compare_denots(&ev, &l, &r, 8)
-    };
-
-    let precise = |order: EvalOrder| {
-        let ev = PreciseEvaluator::new(PreciseConfig {
-            fuel: 200_000,
-            order,
-            ..PreciseConfig::default()
-        });
-        let l = ev.eval_closed(&law.lhs);
-        let r = ev.eval_closed(&law.rhs);
-        compare_pdenots(&ev, &l, &r, 8)
     };
 
     // Non-deterministic: outcome-set comparison. A rewrite is valid when
@@ -305,9 +292,9 @@ pub fn classify(law: &LawInstance) -> LawReport {
         name: law.name,
         section: law.section,
         description: law.description,
-        imprecise,
-        precise_l2r: precise(EvalOrder::LeftToRight),
-        precise_r2l: precise(EvalOrder::RightToLeft),
+        imprecise: verdict(Design::Imprecise),
+        precise_l2r: verdict(Design::Precise(EvalOrder::LeftToRight)),
+        precise_r2l: verdict(Design::Precise(EvalOrder::RightToLeft)),
         nondet,
     }
 }

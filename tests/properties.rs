@@ -10,19 +10,25 @@
 //! * `+` and `*` commute denotationally (§3.4);
 //! * the catalogue transformations are identities or refinements (§4.5);
 //! * denotations are monotone in fuel (§4.2's ascending chain);
+//! * each precise order's result refines the imprecise denotation (§3.4:
+//!   the imprecise set contains whatever a fixed order raises), on random
+//!   terms and on every law side that does not observe exceptions;
 //! * `parse ∘ pretty` is the identity up to alpha on core terms.
 
 use std::rc::Rc;
 
 use proptest::prelude::*;
 
-use urk_denot::{compare_denots, denot_leq, show_denot, Denot, DenotConfig, DenotEvaluator};
+use urk_denot::{
+    compare_denots, denot_leq, show_denot, Denot, DenotConfig, DenotEvaluator, Design, EvalOrder,
+    ExnSet, Thunk, Value,
+};
 use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy, Outcome};
 use urk_syntax::core::{Alt, Expr, PrimOp};
-use urk_syntax::{desugar_expr, parse_expr_src, pretty, DataEnv, Symbol};
+use urk_syntax::{desugar_expr, parse_expr_src, pretty, DataEnv, Exception, Known, Symbol};
 use urk_transform::{
-    apply_everywhere, BetaReduce, CaseOfCase, CaseOfKnownCon, CaseOfLiteral, CommutePrimArgs,
-    DeadLetElim, InlineLet, Transform,
+    apply_everywhere, standard_laws, BetaReduce, CaseOfCase, CaseOfKnownCon, CaseOfLiteral,
+    CommutePrimArgs, DeadLetElim, InlineLet, Transform,
 };
 
 /// A machine with an empty program linked, for closed queries.
@@ -127,6 +133,113 @@ fn gen_int(depth: u32, scope: Vec<Symbol>) -> BoxedStrategy<Expr> {
 
 fn closed_int_expr() -> BoxedStrategy<Expr> {
     gen_int(4, Vec::new())
+}
+
+/// True if `e` observes exceptions through `getException` or one of
+/// §5.4's `unsafe*` primitives, where the designs may rightly disagree.
+fn observes_exceptions(e: &Expr) -> bool {
+    match e {
+        Expr::Con(c, args) => {
+            Known::GetException.is(*c) || args.iter().any(|a| observes_exceptions(a))
+        }
+        Expr::Prim(op, args) => {
+            matches!(op, PrimOp::UnsafeIsException | PrimOp::UnsafeGetException)
+                || args.iter().any(|a| observes_exceptions(a))
+        }
+        Expr::App(a, b) | Expr::Let(_, a, b) => observes_exceptions(a) || observes_exceptions(b),
+        Expr::Lam(_, b) | Expr::Raise(b) => observes_exceptions(b),
+        Expr::LetRec(binds, body) => {
+            binds.iter().any(|(_, rhs)| observes_exceptions(rhs)) || observes_exceptions(body)
+        }
+        Expr::Case(scrut, alts) => {
+            observes_exceptions(scrut) || alts.iter().any(|alt| observes_exceptions(&alt.rhs))
+        }
+        Expr::Var(_) | Expr::Int(_) | Expr::Char(_) | Expr::Str(_) => false,
+    }
+}
+
+/// `imprecise ⊑ precise` to `depth`, each side forced by the evaluator that
+/// made it: the raised exception is in the denoted set, or both are the
+/// same value, or the imprecise side is ⊥.
+fn refines(
+    ev_i: &DenotEvaluator<'_>,
+    di: &Denot,
+    ev_p: &DenotEvaluator<'_>,
+    dp: &Denot,
+    depth: u32,
+) -> bool {
+    let (Denot::Ok(vi), Denot::Ok(vp)) = (di, dp) else {
+        // An abnormal side: `denot_leq` forces nothing here.
+        return denot_leq(ev_i, di, dp, depth);
+    };
+    if depth == 0 {
+        return true;
+    }
+    match (vi, vp) {
+        (Value::Con(c, fi), Value::Con(d, fp)) => {
+            c == d
+                && fi.len() == fp.len()
+                && fi
+                    .iter()
+                    .zip(fp)
+                    .all(|(a, b)| refines(ev_i, &ev_i.force(a), ev_p, &ev_p.force(b), depth - 1))
+        }
+        (Value::Fun(_), Value::Fun(_)) => {
+            // The probes that exist in both domains.
+            let marked = Denot::Bad(ExnSet::singleton(Exception::UserError("#probe".into())));
+            [marked, Denot::bottom(), Denot::Ok(Value::Int(0))]
+                .iter()
+                .all(|p| {
+                    let ri = ev_i.apply_denot(di, Thunk::done(p.clone()));
+                    let rp = ev_p.apply_denot(dp, Thunk::done(p.clone()));
+                    refines(ev_i, &ri, ev_p, &rp, depth - 1)
+                })
+        }
+        // Scalars, or different shapes: compared without forcing.
+        _ => denot_leq(ev_i, di, dp, depth),
+    }
+}
+
+/// Checks that both precise orders refine the imprecise denotation of `e`.
+fn precise_refines_imprecise(e: &Rc<Expr>) -> Result<(), String> {
+    let data = DataEnv::new();
+    let config = DenotConfig {
+        fuel: 200_000,
+        ..DenotConfig::default()
+    };
+    let ev_i = DenotEvaluator::with_config(&data, config.clone());
+    let di = ev_i.eval_closed(e);
+    for order in [EvalOrder::LeftToRight, EvalOrder::RightToLeft] {
+        let ev_p = DenotEvaluator::with_design(&data, config.clone(), Design::Precise(order));
+        let dp = ev_p.eval_closed(e);
+        if !refines(&ev_i, &di, &ev_p, &dp, 8) {
+            return Err(format!(
+                "{order:?}: imprecise {} does not refine to precise {} on {}",
+                show_denot(&ev_i, &di, 8),
+                show_denot(&ev_p, &dp, 8),
+                pretty(e)
+            ));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn precise_orders_refine_the_imprecise_denotation_on_the_law_sides() {
+    let mut checked = 0;
+    for law in standard_laws() {
+        for side in [&law.lhs, &law.rhs] {
+            if observes_exceptions(side) {
+                continue;
+            }
+            checked += 1;
+            if let Err(msg) = precise_refines_imprecise(side) {
+                panic!("{}: {msg}", law.name);
+            }
+        }
+    }
+    // 19 laws; only let-inline-get-exception's two sides observe.
+    assert_eq!(checked, 36);
 }
 
 fn machine_result(e: &Rc<Expr>, policy: OrderPolicy) -> Outcome {
@@ -269,6 +382,15 @@ proptest! {
         };
         let v = compare_denots(&ev, &before, &after, 6);
         prop_assert!(v.is_valid_rewrite(), "pipeline produced {:?}", v);
+    }
+
+    /// §3.4: whatever a fixed evaluation order raises is a member of the
+    /// imprecise set; a normal precise result is the imprecise value.
+    #[test]
+    fn precise_orders_refine_the_imprecise_denotation(e in closed_int_expr()) {
+        let e = Rc::new(e);
+        let verdict = precise_refines_imprecise(&e);
+        prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());
     }
 
     /// Denotational evaluation is deterministic.

@@ -2,8 +2,8 @@
 //!
 //! A per-thread counting allocator tracks the bytes the current thread
 //! holds live. After a warm-up, a thousand calls each of the session's
-//! denotational entry points (and of a bare precise evaluator over a
-//! `letrec`) must give back what they allocated: the evaluators own the
+//! denotational entry points (and of a bare evaluator running the precise
+//! design over a `letrec`) must give back what they allocated: the evaluators own the
 //! knots that `letrec` and memoization tie, and release them when dropped
 //! (`evens` below is a memoized cycle as well as a `letrec` one). And a
 //! long run of queries whose desugaring mints names must not grow the
@@ -16,7 +16,7 @@ use std::rc::Rc;
 use std::sync::Mutex;
 
 use urk::Session;
-use urk_denot::{DenotEvaluator, PreciseConfig, PreciseEvaluator};
+use urk_denot::{DenotConfig, DenotEvaluator, Design, EvalOrder};
 use urk_syntax::{desugar_expr, parse_expr_src, DataEnv, Symbol};
 
 struct Counting;
@@ -127,9 +127,11 @@ fn denotational_requests_retain_no_memory() {
             }),
         ),
         (
-            "PreciseEvaluator over a letrec",
+            "the precise design over a letrec",
             Box::new(|| {
-                PreciseEvaluator::new(PreciseConfig::default()).eval_closed(&knot);
+                let precise = Design::Precise(EvalOrder::LeftToRight);
+                DenotEvaluator::with_design(&data, DenotConfig::default(), precise)
+                    .eval_closed(&knot);
             }),
         ),
     ];
