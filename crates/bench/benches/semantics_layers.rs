@@ -36,7 +36,7 @@ fn bench(c: &mut Criterion) {
 
     group.bench_function("imprecise-denotation", |b| {
         b.iter(|| {
-            let ev = DenotEvaluator::new(&data);
+            let ev = DenotEvaluator::new();
             ev.eval_closed(&term)
         })
     });
@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("precise-denotation", |b| {
         b.iter(|| {
             let precise = Design::Precise(EvalOrder::LeftToRight);
-            let ev = DenotEvaluator::with_design(&data, DenotConfig::default(), precise);
+            let ev = DenotEvaluator::with_design(DenotConfig::default(), precise);
             ev.eval_closed(&term)
         })
     });

@@ -30,7 +30,7 @@ use std::io::{Read, Write};
 use std::process::ExitCode;
 
 use urk::{
-    EvalPool, Exception, IoResult, OrderPolicy, PoolConfig, SemIoResult, ServeConfig, Server,
+    EvalPool, Exception, IoResult, OrderPolicy, PoolConfig, RunOutcome, ServeConfig, Server,
     Session, Stats, Supervisor, Tier,
 };
 
@@ -712,84 +712,59 @@ fn main() -> ExitCode {
         });
     }
 
-    if args.semantic {
-        match session.run_main_semantic(&input, args.seed) {
-            Ok(out) => {
-                print!("{}", out.trace.output());
-                // The program's output must precede the result lines.
-                let _ = std::io::stdout().flush();
-                if args.trace {
-                    eprintln!("\ntrace: {}", out.trace);
-                }
-                match out.result {
-                    SemIoResult::Done(v) => {
-                        eprintln!("\nmain returned: {v}");
-                        ExitCode::SUCCESS
-                    }
-                    SemIoResult::Uncaught(set) => {
-                        eprintln!("\nurk: uncaught exception set: {set}");
-                        ExitCode::FAILURE
-                    }
-                    SemIoResult::Diverged => {
-                        eprintln!("\nurk: the program diverges");
-                        ExitCode::FAILURE
-                    }
-                    SemIoResult::OutOfInput => {
-                        eprintln!("\nurk: getChar at end of input");
-                        ExitCode::FAILURE
-                    }
-                    SemIoResult::Unsupported(con) => {
-                        eprintln!(
-                            "\nurk: the semantic runner has one thread and does not perform \
-                             {con}; run without --semantic"
-                        );
-                        ExitCode::FAILURE
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!("urk: {e}");
-                ExitCode::FAILURE
-            }
-        }
+    // §4.4: "an uncaught exception, which the implementation should
+    // report" — one exception on the machine, a set over denotations.
+    let run = if args.semantic {
+        let out = session.run_main_semantic(&input, args.seed);
+        out.map(|out| report(out, args.trace, "uncaught exception set"))
     } else {
-        match session.run_main(&input) {
-            Ok(out) => {
-                print!("{}", out.trace.output());
-                // The program's output must precede the result lines.
-                let _ = std::io::stdout().flush();
-                if args.trace {
-                    eprintln!("\ntrace: {}", out.trace);
-                }
-                let code = match out.result {
-                    IoResult::Done(v) => {
-                        eprintln!("\nmain returned: {v}");
-                        ExitCode::SUCCESS
-                    }
-                    IoResult::Uncaught(e) => {
-                        // §4.4: "an uncaught exception, which the
-                        // implementation should report".
-                        eprintln!("\nurk: uncaught exception: {e}");
-                        ExitCode::FAILURE
-                    }
-                    IoResult::OutOfInput => {
-                        eprintln!("\nurk: getChar at end of input");
-                        ExitCode::FAILURE
-                    }
-                    IoResult::MachineError(e) => {
-                        eprintln!("\nurk: {e}");
-                        ExitCode::FAILURE
-                    }
-                };
-                for (tid, r) in &out.threads {
-                    eprintln!("thread {tid}: {r:?}");
-                }
-                code
-            }
-            Err(e) => {
-                eprintln!("urk: {e}");
-                ExitCode::FAILURE
-            }
-        }
+        let out = session.run_main(&input);
+        out.map(|out| report(out, args.trace, "uncaught exception"))
+    };
+    run.unwrap_or_else(|e| {
+        eprintln!("urk: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Prints a performed program's output on stdout, then on stderr its
+/// result (`uncaught` names an escaped abnormal value) and how each forked
+/// thread ended.
+fn report<A: std::fmt::Display + std::fmt::Debug>(
+    out: RunOutcome<A>,
+    trace: bool,
+    uncaught: &str,
+) -> ExitCode {
+    print!("{}", out.trace.output());
+    // The program's output must precede the result lines.
+    let _ = std::io::stdout().flush();
+    if trace {
+        eprintln!("\ntrace: {}", out.trace);
     }
+    let code = match out.result {
+        IoResult::Done(v) => {
+            eprintln!("\nmain returned: {v}");
+            ExitCode::SUCCESS
+        }
+        IoResult::Uncaught(a) => {
+            eprintln!("\nurk: {uncaught}: {a}");
+            ExitCode::FAILURE
+        }
+        IoResult::Diverged => {
+            eprintln!("\nurk: the program diverges");
+            ExitCode::FAILURE
+        }
+        IoResult::OutOfInput => {
+            eprintln!("\nurk: getChar at end of input");
+            ExitCode::FAILURE
+        }
+        IoResult::MachineError(e) => {
+            eprintln!("\nurk: {e}");
+            ExitCode::FAILURE
+        }
+    };
+    for (tid, r) in &out.threads {
+        eprintln!("thread {tid}: {r:?}");
+    }
+    code
 }

@@ -73,7 +73,7 @@ pub use supervise::{SupervisedResult, Supervisor};
 pub use urk_analysis::{analyze_program, Analysis, Diagnostic, Effect, LintCode};
 pub use urk_denot::{Denot, DenotConfig, ExnSet, Verdict};
 pub use urk_io::ChaosReport;
-pub use urk_io::{Event, IoResult, RunOutcome, SemIoResult, SemRunOutcome, Trace};
+pub use urk_io::{Event, IoResult, RunOutcome, ThreadResult, Trace};
 pub use urk_machine::{
     tier2_optimize, Backend, BlackholeMode, Code, FaultPlan, InterruptHandle, MachineConfig,
     MachineError, OrderPolicy, Stats, Tier, Tier2Facts,
@@ -89,7 +89,6 @@ pub fn prelude_source() -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use urk_io::SemIoResult;
 
     #[test]
     fn session_loads_the_prelude_and_evaluates() {
@@ -180,7 +179,7 @@ mod tests {
         assert_eq!(out.trace.output(), "q!");
 
         let sem = s.run_main_semantic("q", 0).expect("runs");
-        assert!(matches!(sem.result, SemIoResult::Done(ref v) if v == "7"));
+        assert!(matches!(sem.result, IoResult::Done(ref v) if v == "7"));
         assert_eq!(sem.trace.output(), "q!");
     }
 

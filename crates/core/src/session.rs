@@ -14,8 +14,7 @@ use std::sync::Arc;
 
 use urk_denot::{show_denot, Denot, DenotConfig, DenotEvaluator, Env as DEnv, ExnSet, Thunk};
 use urk_io::{
-    run_denot, run_machine, AsyncSchedule, ExceptionOracle, RunOutcome, SeededOracle,
-    SemRunOutcome, StringInput,
+    run_denot, run_machine, AsyncSchedule, ExceptionOracle, RunOutcome, SeededOracle, StringInput,
 };
 use urk_machine::{
     compile_program, tier2_optimize_certified, validate_tier2, Backend, Code, FactVal, GlobalFact,
@@ -365,9 +364,9 @@ impl Session {
         }
     }
 
-    /// A denotational evaluator over the session's data environment.
-    pub fn denot_evaluator(&self) -> DenotEvaluator<'_> {
-        DenotEvaluator::with_config(&self.data, self.options.denot.clone())
+    /// A denotational evaluator with the session's configuration.
+    pub fn denot_evaluator(&self) -> DenotEvaluator {
+        DenotEvaluator::with_config(self.options.denot.clone())
     }
 
     /// Evaluates an expression denotationally and returns the denotation
@@ -412,7 +411,6 @@ impl Session {
     pub fn chaos_check(&self, src: &str, seed: u64) -> Result<urk_io::ChaosReport, Error> {
         let e = self.compile_expr(src)?;
         Ok(urk_io::chaos_run(
-            &self.data,
             &self.program.binds,
             &self.compiled_code(),
             &e,
@@ -450,12 +448,13 @@ impl Session {
         Ok(run_machine(&mut m, &Expr::Var(sym), &mut inp))
     }
 
-    /// Performs `main` under the semantic LTS with a seeded oracle.
+    /// Performs `main` under the semantic LTS with a seeded oracle: the
+    /// same thread group as [`Session::run_main`], over denotations.
     ///
     /// # Errors
     ///
     /// As [`Session::run_main`].
-    pub fn run_main_semantic(&self, input: &str, seed: u64) -> Result<SemRunOutcome, Error> {
+    pub fn run_main_semantic(&self, input: &str, seed: u64) -> Result<RunOutcome<ExnSet>, Error> {
         let mut oracle = SeededOracle::new(seed);
         self.run_main_semantic_with(input, &mut oracle, &AsyncSchedule::default())
     }
@@ -471,7 +470,7 @@ impl Session {
         input: &str,
         oracle: &mut dyn ExceptionOracle,
         schedule: &AsyncSchedule,
-    ) -> Result<SemRunOutcome, Error> {
+    ) -> Result<RunOutcome<ExnSet>, Error> {
         let sym = Symbol::intern("main");
         if self.program.lookup(sym).is_none() {
             return Err(Error::MissingBinding("main".into()));

@@ -1,6 +1,6 @@
-//! `urk FILE.urk` performs every well-typed IO program through the one
-//! machine runner, concurrency actions included; there is no flag that
-//! selects another runner.
+//! `urk FILE.urk` performs every well-typed IO program, concurrency
+//! actions included, on the machine, or over denotations with
+//! `--semantic`; both report each forked thread on its own line.
 
 use std::fs::File;
 use std::process::{Command, Output, Stdio};
@@ -66,12 +66,35 @@ fn forked_threads_are_reported_one_line_each() {
 }
 
 #[test]
-fn the_semantic_runner_refuses_fork_with_exit_1() {
-    let src = "main = forkIO (return 1) >> return 0\n";
-    let out = urk_on("fork_sem.urk", src, &["--input", "", "--semantic"]);
-    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.contains("does not perform Fork"), "{stderr}");
+fn the_semantic_runner_performs_fork_mvars_and_throw_to() {
+    let throw = "main = do\n  m <- newEmptyMVar\n  t <- forkIO (takeMVar m)\n  yield\n  throwTo t Timeout\n  yield\n  return 5\n";
+    let mvar = "main = do\n  m <- newEmptyMVar\n  forkIO (putMVar m 41)\n  v <- takeMVar m\n  return (v + 1)\n";
+    for (name, src, result, thread) in [
+        (
+            "fork_sem.urk",
+            "main = forkIO (return 1) >> return 0\n",
+            "main returned: 0",
+            "thread 1: Done(\"1\")",
+        ),
+        (
+            "mvar_sem.urk",
+            mvar,
+            "main returned: 42",
+            "thread 1: Done(\"Unit\")",
+        ),
+        (
+            "throw_sem.urk",
+            throw,
+            "main returned: 5",
+            "thread 1: Uncaught(ExnSet{Timeout})",
+        ),
+    ] {
+        let out = urk_on(name, src, &["--input", "", "--semantic"]);
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert_eq!(out.status.code(), Some(0), "{name}: {stderr}");
+        assert!(stderr.contains(result), "{name}: {stderr}");
+        assert!(stderr.contains(thread), "{name}: {stderr}");
+    }
 }
 
 #[test]

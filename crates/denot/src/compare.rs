@@ -54,7 +54,7 @@ impl fmt::Display for Verdict {
 }
 
 /// Compares two denotations to `depth`.
-pub fn compare_denots(ev: &DenotEvaluator<'_>, d1: &Denot, d2: &Denot, depth: u32) -> Verdict {
+pub fn compare_denots(ev: &DenotEvaluator, d1: &Denot, d2: &Denot, depth: u32) -> Verdict {
     let le = denot_leq(ev, d1, d2, depth);
     let ge = denot_leq(ev, d2, d1, depth);
     match (le, ge) {
@@ -66,7 +66,7 @@ pub fn compare_denots(ev: &DenotEvaluator<'_>, d1: &Denot, d2: &Denot, depth: u3
 }
 
 /// The information order `d1 ⊑ d2`, decided to `depth`.
-pub fn denot_leq(ev: &DenotEvaluator<'_>, d1: &Denot, d2: &Denot, depth: u32) -> bool {
+pub fn denot_leq(ev: &DenotEvaluator, d1: &Denot, d2: &Denot, depth: u32) -> bool {
     match (d1, d2) {
         (Denot::Bad(s1), Denot::Bad(s2)) => s1.leq(s2),
         // Only ⊥ sits below normal values (coalesced sum, §4.1).
@@ -76,7 +76,7 @@ pub fn denot_leq(ev: &DenotEvaluator<'_>, d1: &Denot, d2: &Denot, depth: u32) ->
     }
 }
 
-fn value_leq(ev: &DenotEvaluator<'_>, v1: &Value, v2: &Value, depth: u32) -> bool {
+fn value_leq(ev: &DenotEvaluator, v1: &Value, v2: &Value, depth: u32) -> bool {
     if depth == 0 {
         return true; // structural cut-off: assume related
     }
@@ -120,7 +120,7 @@ fn probes(design: Design) -> Vec<Denot> {
 /// Renders a denotation to `depth`, forcing constructor fields — the
 /// ground observation used by tests, the REPL and the non-deterministic
 /// design's outcome sets.
-pub fn show_denot(ev: &DenotEvaluator<'_>, d: &Denot, depth: u32) -> String {
+pub fn show_denot(ev: &DenotEvaluator, d: &Denot, depth: u32) -> String {
     match d {
         Denot::Bad(s) => show_bad(ev, s, false),
         Denot::Ok(v) => show_value(ev, v, depth, false),
@@ -129,7 +129,7 @@ pub fn show_denot(ev: &DenotEvaluator<'_>, d: &Denot, depth: u32) -> String {
 
 /// Spells an abnormal value: `Bad {..}` under the imprecise design, and
 /// the precise domain's `Exn e` or `⊥` under the others.
-fn show_bad(ev: &DenotEvaluator<'_>, s: &ExnSet, nested: bool) -> String {
+fn show_bad(ev: &DenotEvaluator, s: &ExnSet, nested: bool) -> String {
     let text = match (ev.design(), s.some_member()) {
         (Design::Imprecise, _) => format!("Bad {s}"),
         (Design::Precise(_) | Design::Nondet, None) => return "⊥".into(),
@@ -145,7 +145,7 @@ fn show_bad(ev: &DenotEvaluator<'_>, s: &ExnSet, nested: bool) -> String {
     }
 }
 
-fn show_value(ev: &DenotEvaluator<'_>, v: &Value, depth: u32, nested: bool) -> String {
+fn show_value(ev: &DenotEvaluator, v: &Value, depth: u32, nested: bool) -> String {
     match v {
         Value::Int(n) => n.to_string(),
         Value::Char(c) => format!("{c:?}"),

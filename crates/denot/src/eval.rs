@@ -44,7 +44,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use urk_syntax::core::{Alt, AltCon, Expr, PrimOp};
-use urk_syntax::{DataEnv, Exception, Known, Symbol};
+use urk_syntax::{Exception, Known, Symbol};
 
 use crate::domain::{Closure, DThunk, Denot, Env, Knots, Thunk, ThunkState, Value, RELEASED_KNOT};
 use crate::exnset::ExnSet;
@@ -113,8 +113,7 @@ pub enum Design {
 /// knot.
 ///
 /// [`urk_types::infer_program`]: ../../urk_types/fn.infer_program.html
-pub struct DenotEvaluator<'a> {
-    data: &'a DataEnv,
+pub struct DenotEvaluator {
     config: DenotConfig,
     design: Design,
     fuel: Cell<u64>,
@@ -126,28 +125,29 @@ pub struct DenotEvaluator<'a> {
     oracle_consumed: Cell<usize>,
 }
 
-impl<'a> DenotEvaluator<'a> {
+impl Default for DenotEvaluator {
+    fn default() -> DenotEvaluator {
+        DenotEvaluator::new()
+    }
+}
+
+impl DenotEvaluator {
     /// Creates an imprecise evaluator with the default configuration.
-    pub fn new(data: &'a DataEnv) -> DenotEvaluator<'a> {
-        DenotEvaluator::with_config(data, DenotConfig::default())
+    pub fn new() -> DenotEvaluator {
+        DenotEvaluator::with_config(DenotConfig::default())
     }
 
     /// Creates an imprecise evaluator with an explicit configuration.
-    pub fn with_config(data: &'a DataEnv, config: DenotConfig) -> DenotEvaluator<'a> {
-        DenotEvaluator::with_design(data, config, Design::Imprecise)
+    pub fn with_config(config: DenotConfig) -> DenotEvaluator {
+        DenotEvaluator::with_design(config, Design::Imprecise)
     }
 
     /// Creates an evaluator for one of §3.4's designs. The precise designs
     /// ignore `config.pessimistic_is_exception`: they always answer `⊥`
     /// for `unsafeIsException ⊥`.
-    pub fn with_design(
-        data: &'a DataEnv,
-        config: DenotConfig,
-        design: Design,
-    ) -> DenotEvaluator<'a> {
+    pub fn with_design(config: DenotConfig, design: Design) -> DenotEvaluator {
         let fuel = config.fuel;
         DenotEvaluator {
-            data,
             config,
             design,
             fuel: Cell::new(fuel),
@@ -618,8 +618,6 @@ impl<'a> DenotEvaluator<'a> {
     /// `getException` and `mapException` must).
     pub fn exception_to_value(&self, e: &Exception) -> Value {
         let name = e.constructor_symbol();
-        let info = self.data.con(name);
-        debug_assert!(info.is_some(), "Exception constructors are built in");
         match e.payload() {
             None => Value::Con(name, vec![]),
             Some(s) => Value::Con(name, vec![Thunk::done(Denot::Ok(Value::Str(Rc::from(s))))]),

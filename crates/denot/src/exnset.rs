@@ -249,6 +249,12 @@ impl fmt::Debug for ExnSet {
     }
 }
 
+impl From<Exception> for ExnSet {
+    fn from(e: Exception) -> ExnSet {
+        ExnSet::singleton(e)
+    }
+}
+
 impl FromIterator<Exception> for ExnSet {
     fn from_iter<T: IntoIterator<Item = Exception>>(iter: T) -> ExnSet {
         let mut out = ExnSet::empty();

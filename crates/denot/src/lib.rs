@@ -38,7 +38,7 @@
 //!     &parse_expr_src(r#"(1/0) + raise (UserError "Urk")"#)?,
 //!     &data,
 //! )?;
-//! let ev = DenotEvaluator::new(&data);
+//! let ev = DenotEvaluator::new();
 //! let d = ev.eval_closed(&Rc::new(e));
 //! let Denot::Bad(s) = d else { panic!("expected an exceptional value") };
 //! assert!(s.contains(&Exception::DivideByZero));
@@ -72,15 +72,13 @@ mod tests {
     }
 
     fn eval_show(src: &str) -> String {
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         let d = ev.eval_closed(&core_of(src));
         show_denot(&ev, &d, 16)
     }
 
     fn eval_denot(src: &str) -> Denot {
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         ev.eval_closed(&core_of(src))
     }
 
@@ -90,7 +88,7 @@ mod tests {
             desugar_program(&parse_program(prog).expect("parses"), &mut data).expect("desugars");
         let e =
             Rc::new(desugar_expr(&parse_expr_src(expr).expect("parses"), &data).expect("desugars"));
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         let env = ev.bind_recursive(&p.binds, &Env::empty());
         let d = ev.eval(&e, &env);
         show_denot(&ev, &d, 16)
@@ -101,12 +99,12 @@ mod tests {
     }
 
     /// An evaluator for the precise design.
-    fn precise(data: &DataEnv, order: EvalOrder, fuel: u64) -> DenotEvaluator<'_> {
+    fn precise(order: EvalOrder, fuel: u64) -> DenotEvaluator {
         let config = DenotConfig {
             fuel,
             ..DenotConfig::default()
         };
-        DenotEvaluator::with_design(data, config, Design::Precise(order))
+        DenotEvaluator::with_design(config, Design::Precise(order))
     }
 
     /// True if `d` is the precise design's single exception `x`.
@@ -131,8 +129,7 @@ mod tests {
 
     #[test]
     fn addition_commutes_on_exceptional_values() {
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         let l = ev.eval_closed(&core_of(r#"(1/0) + raise (UserError "Urk")"#));
         let r = ev.eval_closed(&core_of(r#"raise (UserError "Urk") + (1/0)"#));
         assert_eq!(compare_denots(&ev, &l, &r, 8), Verdict::Equal);
@@ -180,8 +177,7 @@ mod tests {
     #[test]
     fn lambda_over_bottom_is_not_bottom() {
         // §4.2: λx.⊥ ≠ ⊥.
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         let lam = ev.eval_closed(&Rc::new(Expr::lam("x", Expr::diverge())));
         let bot = Denot::bottom();
         assert!(matches!(lam, Denot::Ok(Value::Fun(_))));
@@ -199,14 +195,10 @@ mod tests {
     fn loop_plus_error_is_bottom() {
         // loop's denotation is ⊥ = the set of all exceptions; union with
         // {UserError "Urk"} is still ⊥.
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::with_config(
-            &data,
-            DenotConfig {
-                fuel: 50_000,
-                ..DenotConfig::default()
-            },
-        );
+        let ev = DenotEvaluator::with_config(DenotConfig {
+            fuel: 50_000,
+            ..DenotConfig::default()
+        });
         let e = Rc::new(Expr::add(Expr::diverge(), Expr::error("Urk")));
         let d = ev.eval_closed(&e);
         assert!(d.is_bottom(), "got {d:?}");
@@ -230,20 +222,16 @@ mod tests {
 
     #[test]
     fn fuel_exhaustion_approximates_from_below_monotonically() {
-        let data = DataEnv::new();
         // A computation needing a fair amount of fuel.
         let src = "letrec-free"; // placeholder to keep naming clear
         let _ = src;
         let e = core_of(r"(\f -> f 1 + f 2 + f 3) (\x -> x * x)");
         let mut last: Option<Denot> = None;
         for fuel in [1u64, 5, 20, 100, 10_000] {
-            let ev = DenotEvaluator::with_config(
-                &data,
-                DenotConfig {
-                    fuel,
-                    ..DenotConfig::default()
-                },
-            );
+            let ev = DenotEvaluator::with_config(DenotConfig {
+                fuel,
+                ..DenotConfig::default()
+            });
             let d = ev.eval_closed(&e);
             if let Some(prev) = &last {
                 assert!(
@@ -253,8 +241,7 @@ mod tests {
             }
             last = Some(d);
         }
-        let data2 = DataEnv::new();
-        let ev = DenotEvaluator::new(&data2);
+        let ev = DenotEvaluator::new();
         assert!(
             matches!(last, Some(Denot::Ok(Value::Int(14)))),
             "{:?}",
@@ -296,8 +283,7 @@ mod tests {
         // §4.5's worked example: with e = raise E, x = raise X and
         // constant alternatives, lhs denotes Bad {E,X} and rhs Bad {E}:
         // lhs ⊑ rhs but not equal.
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         let lhs = ev.eval_closed(&core_of(
             r#"case raise Overflow of
                  { True -> (\x -> 1) (raise DivideByZero)
@@ -422,14 +408,10 @@ mod tests {
 
     #[test]
     fn map_exception_preserves_bottom() {
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::with_config(
-            &data,
-            DenotConfig {
-                fuel: 20_000,
-                ..DenotConfig::default()
-            },
-        );
+        let ev = DenotEvaluator::with_config(DenotConfig {
+            fuel: 20_000,
+            ..DenotConfig::default()
+        });
         let e = Rc::new(Expr::prim(
             urk_syntax::core::PrimOp::MapExn,
             [Expr::lam("x", Expr::con("Overflow", [])), Expr::diverge()],
@@ -442,21 +424,17 @@ mod tests {
         assert_eq!(eval_show("unsafeIsException (1/0)"), "True");
         assert_eq!(eval_show("unsafeIsException 3"), "False");
         // Optimistic: even ⊥ answers True.
-        let data = DataEnv::new();
         let probe = Rc::new(Expr::prim(
             urk_syntax::core::PrimOp::UnsafeIsException,
             [Expr::diverge()],
         ));
-        let opt = DenotEvaluator::new(&data);
+        let opt = DenotEvaluator::new();
         assert_eq!(show_denot(&opt, &opt.eval_closed(&probe), 4), "True");
         // Pessimistic: ⊥ answers ⊥.
-        let pess = DenotEvaluator::with_config(
-            &data,
-            DenotConfig {
-                pessimistic_is_exception: true,
-                ..DenotConfig::default()
-            },
-        );
+        let pess = DenotEvaluator::with_config(DenotConfig {
+            pessimistic_is_exception: true,
+            ..DenotConfig::default()
+        });
         assert!(pess.eval_closed(&probe).is_bottom());
     }
 
@@ -467,9 +445,8 @@ mod tests {
     #[test]
     fn precise_semantics_is_order_dependent() {
         let e = core_of(r#"(1/0) + raise (UserError "Urk")"#);
-        let data = DataEnv::new();
-        let l2r = precise(&data, EvalOrder::LeftToRight, 1_000_000);
-        let r2l = precise(&data, EvalOrder::RightToLeft, 1_000_000);
+        let l2r = precise(EvalOrder::LeftToRight, 1_000_000);
+        let r2l = precise(EvalOrder::RightToLeft, 1_000_000);
         assert!(is_exn(&l2r.eval_closed(&e), Exception::DivideByZero));
         assert!(is_exn(&r2l.eval_closed(&e), urk()));
     }
@@ -478,8 +455,7 @@ mod tests {
     fn precise_addition_does_not_commute() {
         let a = core_of(r#"(1/0) + raise (UserError "Urk")"#);
         let b = core_of(r#"raise (UserError "Urk") + (1/0)"#);
-        let data = DataEnv::new();
-        let ev = precise(&data, EvalOrder::LeftToRight, 1_000_000);
+        let ev = precise(EvalOrder::LeftToRight, 1_000_000);
         let da = ev.eval_closed(&a);
         let db = ev.eval_closed(&b);
         assert_ne!(show_denot(&ev, &da, 4), show_denot(&ev, &db, 4));
@@ -488,8 +464,7 @@ mod tests {
     #[test]
     fn precise_case_propagates_without_exploring() {
         let e = core_of("case raise Overflow of { True -> 1/0; False -> 2 }");
-        let data = DataEnv::new();
-        let ev = precise(&data, EvalOrder::LeftToRight, 1_000_000);
+        let ev = precise(EvalOrder::LeftToRight, 1_000_000);
         assert!(is_exn(&ev.eval_closed(&e), Exception::Overflow));
     }
 
@@ -501,8 +476,7 @@ mod tests {
             "case Just 5 of { Just n -> n; Nothing -> 0 }",
         ] {
             let e = core_of(src);
-            let data = DataEnv::new();
-            let pev = precise(&data, EvalOrder::LeftToRight, 1_000_000);
+            let pev = precise(EvalOrder::LeftToRight, 1_000_000);
             let pd = pev.eval_closed(&e);
             assert_eq!(show_denot(&pev, &pd, 8), eval_show(src), "on {src}");
         }
@@ -510,8 +484,7 @@ mod tests {
 
     #[test]
     fn precise_distinguishes_bottom_from_exceptions() {
-        let data = DataEnv::new();
-        let ev = precise(&data, EvalOrder::LeftToRight, 10_000);
+        let ev = precise(EvalOrder::LeftToRight, 10_000);
         let d = ev.eval_closed(&Rc::new(Expr::diverge()));
         assert!(d.is_bottom());
         let d2 = ev.eval_closed(&core_of("raise Overflow"));
@@ -569,8 +542,7 @@ mod tests {
 
     #[test]
     fn compare_ground_values() {
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         let a = ev.eval_closed(&core_of("[1, 2, 3]"));
         let b = ev.eval_closed(&core_of("1 : 2 : 3 : []"));
         assert_eq!(compare_denots(&ev, &a, &b, 8), Verdict::Equal);
@@ -580,8 +552,7 @@ mod tests {
 
     #[test]
     fn compare_respects_exception_set_inclusion() {
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         let both = ev.eval_closed(&core_of(r#"(1/0) + raise (UserError "Urk")"#));
         let one = ev.eval_closed(&core_of("1/0"));
         assert_eq!(
@@ -598,8 +569,7 @@ mod tests {
     fn error_this_is_not_error_that() {
         // §4.5: the lost law — error "This" = error "That" no longer holds,
         // and rightly not.
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         let this = ev.eval_closed(&Rc::new(Expr::error("This")));
         let that = ev.eval_closed(&Rc::new(Expr::error("That")));
         assert_eq!(compare_denots(&ev, &this, &that, 8), Verdict::Incomparable);
@@ -607,8 +577,7 @@ mod tests {
 
     #[test]
     fn functions_compare_via_probes() {
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         // \x -> x and \y -> y are equal.
         let a = ev.eval_closed(&core_of(r"\x -> x"));
         let b = ev.eval_closed(&core_of(r"\y -> y"));

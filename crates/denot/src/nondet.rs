@@ -22,7 +22,6 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use urk_syntax::core::Expr;
-use urk_syntax::DataEnv;
 
 use crate::compare::show_denot;
 use crate::eval::{DenotConfig, DenotEvaluator, Design};
@@ -56,10 +55,9 @@ pub fn enumerate_outcomes(expr: &Rc<Expr>, config: &NondetConfig) -> BTreeSet<St
     // Depth-first schedule exploration: run with a prefix (default false
     // beyond it), then fork on every decision the run actually consumed.
     let mut stack: Vec<Vec<bool>> = vec![Vec::new()];
-    let data = DataEnv::new();
 
     while let Some(prefix) = stack.pop() {
-        let ev = DenotEvaluator::with_design(&data, config.denot.clone(), Design::Nondet);
+        let ev = DenotEvaluator::with_design(config.denot.clone(), Design::Nondet);
         ev.set_oracle(prefix.clone());
         let d = ev.eval_closed(expr);
         results.insert(show_denot(&ev, &d, config.show_depth));

@@ -284,14 +284,11 @@ pub fn run_oracle(ctx: &FuzzCtx, query: &Rc<Expr>, cfg: &OracleConfig) -> Verdic
     // mutants splice in huge literals (`fzsum 3037000499`) that would
     // blow a 2 MiB test-thread stack before fuel runs out. Exhaustion
     // denotes ⊥, which the verdict below counts as a skip.
-    let ev = DenotEvaluator::with_config(
-        &ctx.data,
-        DenotConfig {
-            fuel: cfg.denot_fuel,
-            max_depth: 256,
-            ..DenotConfig::default()
-        },
-    );
+    let ev = DenotEvaluator::with_config(DenotConfig {
+        fuel: cfg.denot_fuel,
+        max_depth: 256,
+        ..DenotConfig::default()
+    });
     let denv = ev.bind_recursive(&ctx.binds, &Env::empty());
     let denot = ev.eval(query, &denv);
     if matches!(&denot, Denot::Bad(s) if s.is_all()) {
@@ -378,7 +375,6 @@ pub fn run_oracle(ctx: &FuzzCtx, query: &Rc<Expr>, cfg: &OracleConfig) -> Verdic
             let mut plan = FaultPlan::generate(seed, steps.max(64));
             plan.sabotage_async_restore = cfg.sabotage;
             let rep = chaos_run_with_plan(
-                &ctx.data,
                 &ctx.binds,
                 engine.code(ctx),
                 query,

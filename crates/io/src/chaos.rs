@@ -29,7 +29,7 @@ use std::sync::Arc;
 use urk_denot::{show_denot, Denot, DenotConfig, DenotEvaluator, Env};
 use urk_machine::{Code, FaultPlan, Machine, MachineConfig, Outcome};
 use urk_syntax::core::Expr;
-use urk_syntax::{DataEnv, Symbol};
+use urk_syntax::Symbol;
 
 /// The verdict of one fault-injected differential run.
 #[derive(Clone, Debug)]
@@ -65,7 +65,6 @@ impl ChaosReport {
 /// faults land mid-evaluation rather than after the answer is already
 /// computed.
 pub fn chaos_run(
-    data: &DataEnv,
     binds: &[(Symbol, Rc<Expr>)],
     code: &Arc<Code>,
     query: &Rc<Expr>,
@@ -75,14 +74,13 @@ pub fn chaos_run(
 ) -> ChaosReport {
     let horizon = baseline_steps(code, query, base);
     let plan = FaultPlan::generate(seed, horizon);
-    chaos_run_with_plan(data, binds, code, query, base, denot_fuel, plan)
+    chaos_run_with_plan(binds, code, query, base, denot_fuel, plan)
 }
 
 /// As [`chaos_run`], but with a caller-supplied plan — used by the tests
 /// that arm `sabotage_async_restore` to prove the audit catches a broken
 /// restore, and usable to replay a hand-written fault schedule.
 pub fn chaos_run_with_plan(
-    data: &DataEnv,
     binds: &[(Symbol, Rc<Expr>)],
     code: &Arc<Code>,
     query: &Rc<Expr>,
@@ -94,14 +92,11 @@ pub fn chaos_run_with_plan(
     // raised above the default so moderately deep recursion (the kind the
     // chaos corpus uses to give faults room to land) doesn't bottom out —
     // but kept low enough for a 2 MiB test-thread stack.
-    let ev = DenotEvaluator::with_config(
-        data,
-        DenotConfig {
-            fuel: denot_fuel,
-            max_depth: 2_000,
-            ..DenotConfig::default()
-        },
-    );
+    let ev = DenotEvaluator::with_config(DenotConfig {
+        fuel: denot_fuel,
+        max_depth: 2_000,
+        ..DenotConfig::default()
+    });
     let denv = ev.bind_recursive(binds, &Env::empty());
     let denot = ev.eval(query, &denv);
     let oracle = show_denot(&ev, &denot, 16);
@@ -187,7 +182,7 @@ fn renders_agree(machine: &str, denot: &str) -> bool {
 mod tests {
     use super::*;
     use urk_machine::compile_program;
-    use urk_syntax::{desugar_expr, parse_expr_src, Exception};
+    use urk_syntax::{desugar_expr, parse_expr_src, DataEnv, Exception};
 
     fn empty_image() -> Arc<Code> {
         Arc::new(compile_program(&[]))
@@ -209,7 +204,6 @@ mod tests {
             ..FaultPlan::default()
         };
         let r = chaos_run_with_plan(
-            &data,
             &[],
             &empty_image(),
             &query,
@@ -235,7 +229,6 @@ mod tests {
             ..FaultPlan::default()
         };
         let r = chaos_run_with_plan(
-            &data,
             &[],
             &empty_image(),
             &query,
@@ -257,7 +250,6 @@ mod tests {
         );
         for seed in 0..16 {
             let r = chaos_run(
-                &data,
                 &[],
                 &empty_image(),
                 &query,
@@ -286,7 +278,6 @@ mod tests {
             ..FaultPlan::default()
         };
         let r = chaos_run_with_plan(
-            &data,
             &[],
             &empty_image(),
             &query,
@@ -317,7 +308,6 @@ mod tests {
             ..FaultPlan::default()
         };
         let r = chaos_run_with_plan(
-            &data,
             &[],
             &empty_image(),
             &query,

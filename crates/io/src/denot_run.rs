@@ -1,60 +1,18 @@
-//! The *semantic* IO runner: the §4.4 labelled transition system executed
-//! over denotations.
+//! The *semantic* pure layer: the §4.4 transition system of
+//! [`crate::lts`] performed over denotations, thread group and all.
 //!
-//! The transition rules implemented here are the paper's, verbatim:
-//!
-//! ```text
-//! (v1 >>= k) → (v2 >>= k)                  if v1 → v2
-//! (return v) >>= k → k v
-//! getChar  --?c-->  return c
-//! putChar c --!c--> return ()
-//! getException (Ok v)  → return (OK v)
-//! getException (Bad s) → return (Bad x)        if x ∈ s
-//! getException (Bad s) → getException (Bad s)  if NonTermination ∈ s
-//! getException v --?x--> return (Bad x)        on asynchronous event x
-//! yield → return ()
-//! ```
-//!
-//! This is the one-thread LTS: `yield` has no other thread to cede to, and
-//! the other concurrency actions (`forkIO`, the `MVar` actions, `throwTo`)
-//! end the run with [`SemIoResult::Unsupported`]. The machine runner's
-//! scheduler performs them.
-//!
-//! The non-deterministic choice `x ∈ s` is delegated to an
-//! [`ExceptionOracle`], making the confinement of non-determinism to the
-//! IO monad (§3.5) literal: the pure layer computes the *set*; only
-//! `perform`ing chooses.
+//! The non-deterministic choice `x ∈ s` of `getException (Bad s)` is
+//! delegated to an [`ExceptionOracle`], making the confinement of
+//! non-determinism to the IO monad (§3.5) literal: the pure layer computes
+//! the *set*; only `perform`ing chooses. The oracle may also take the
+//! `NonTermination` self-loop, which diverges.
 
 use urk_denot::{show_denot, DThunk, Denot, DenotEvaluator, ExnSet, Thunk, Value};
-use urk_syntax::{Exception, Known, Symbol};
+use urk_syntax::{Exception, Known};
 
-use crate::machine_run::IO_CONSTRUCTORS;
+use crate::lts::{self, IoResult, PureLayer, RunOutcome, Shape, Stop};
 use crate::oracle::{ExceptionOracle, OracleChoice};
-use crate::trace::{Event, Input, Trace};
-
-/// How a semantic run ended.
-#[derive(Clone, Debug)]
-pub enum SemIoResult {
-    /// `main` performed to completion; the final value, rendered.
-    Done(String),
-    /// The action itself was an exceptional value — an uncaught exception
-    /// set.
-    Uncaught(ExnSet),
-    /// The LTS took the `NonTermination` self-loop (or the action was ⊥).
-    Diverged,
-    /// `getChar` at end of input.
-    OutOfInput,
-    /// `main` performed a concurrency action, named by its constructor,
-    /// that the one-thread LTS does not model.
-    Unsupported(Symbol),
-}
-
-/// One semantic run's result and trace.
-#[derive(Clone, Debug)]
-pub struct SemRunOutcome {
-    pub result: SemIoResult,
-    pub trace: Trace,
-}
+use crate::trace::Input;
 
 /// Asynchronous events for the semantic runner: delivered at the n-th
 /// `getException` transition (0-based).
@@ -72,14 +30,13 @@ pub struct AsyncSchedule {
 /// ```
 /// use std::rc::Rc;
 /// use urk_denot::{DenotEvaluator, Env, Thunk};
-/// use urk_io::{run_denot, AsyncSchedule, SeededOracle, StringInput, SemIoResult};
+/// use urk_io::{run_denot, AsyncSchedule, IoResult, SeededOracle, StringInput};
 /// use urk_syntax::{parse_expr_src, desugar_expr, DataEnv};
 ///
-/// let data = DataEnv::new();
-/// let ev = DenotEvaluator::new(&data);
+/// let ev = DenotEvaluator::new();
 /// let action = desugar_expr(
 ///     &parse_expr_src(r#"getException ((1/0) + raise (UserError "Urk"))"#)?,
-///     &data,
+///     &DataEnv::new(),
 /// )?;
 /// let mut input = StringInput::new("");
 /// let mut oracle = SeededOracle::new(7);
@@ -90,155 +47,101 @@ pub struct AsyncSchedule {
 ///     &mut oracle,
 ///     &AsyncSchedule::default(),
 /// );
-/// let SemIoResult::Done(v) = out.result else { panic!() };
+/// let IoResult::Done(v) = out.result else { panic!() };
 /// assert!(v == "Bad DivideByZero" || v == "Bad (UserError \"Urk\")");
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn run_denot(
-    ev: &DenotEvaluator<'_>,
+    ev: &DenotEvaluator,
     action: DThunk,
     input: &mut dyn Input,
     oracle: &mut dyn ExceptionOracle,
     schedule: &AsyncSchedule,
-) -> SemRunOutcome {
-    let mut trace = Trace::new();
-    let mut konts: Vec<DThunk> = Vec::new();
-    let mut current = action;
-    let mut get_exception_count: u64 = 0;
+) -> RunOutcome<ExnSet> {
+    let mut layer = DenotLayer {
+        ev,
+        oracle,
+        schedule,
+        get_exceptions: 0,
+    };
+    lts::run(&mut layer, action, input)
+}
 
-    loop {
-        let d = ev.force(&current);
-        let v = match d {
-            Denot::Ok(v) => v,
-            Denot::Bad(s) => {
-                let result = if s.is_all() {
-                    SemIoResult::Diverged
-                } else {
-                    SemIoResult::Uncaught(s)
-                };
-                return SemRunOutcome { result, trace };
-            }
-        };
-        let Value::Con(con, fields) = &v else {
-            panic!("performed a non-IO value (ill-typed program)");
-        };
-        let Some(io) = Known::find(*con, IO_CONSTRUCTORS) else {
-            panic!("performed an unknown IO constructor '{con}'");
-        };
+/// Denotations as a pure layer: a handle is a thunk.
+struct DenotLayer<'a> {
+    ev: &'a DenotEvaluator,
+    oracle: &'a mut dyn ExceptionOracle,
+    schedule: &'a AsyncSchedule,
+    /// `getException` transitions taken so far, for the schedule.
+    get_exceptions: u64,
+}
 
-        let produced: DThunk = match io {
-            Known::Bind => {
-                konts.push(fields[1].clone());
-                current = fields[0].clone();
-                continue;
-            }
-            Known::Return => fields[0].clone(),
-            Known::GetChar => match input.get_char() {
-                Some(c) => {
-                    trace.push(Event::Input(c));
-                    Thunk::done(Denot::Ok(Value::Char(c)))
-                }
-                None => {
-                    return SemRunOutcome {
-                        result: SemIoResult::OutOfInput,
-                        trace,
-                    }
-                }
-            },
-            Known::PutChar => match ev.force(&fields[0]) {
-                Denot::Ok(Value::Char(c)) => {
-                    trace.push(Event::Output(c));
-                    unit_thunk()
-                }
-                Denot::Ok(other) => panic!("putChar of a non-character {other:?}"),
-                Denot::Bad(s) => {
-                    return SemRunOutcome {
-                        result: bad_result(s),
-                        trace,
-                    }
-                }
-            },
-            Known::PutStr => match ev.force(&fields[0]) {
-                Denot::Ok(Value::Str(s)) => {
-                    trace.push(Event::OutputStr(s.to_string()));
-                    unit_thunk()
-                }
-                Denot::Ok(other) => panic!("putStr of a non-string {other:?}"),
-                Denot::Bad(s) => {
-                    return SemRunOutcome {
-                        result: bad_result(s),
-                        trace,
-                    }
-                }
-            },
-            Known::GetException => {
-                let n = get_exception_count;
-                get_exception_count += 1;
-                // §5.1's rule: an asynchronous event may pre-empt the value
-                // entirely.
-                if let Some((_, exn)) = schedule.events.iter().find(|(at, _)| *at == n) {
-                    trace.push(Event::AsyncDelivered(exn.clone()));
-                    bad_thunk(ev, exn)
-                } else {
-                    match ev.force(&fields[0]) {
-                        Denot::Ok(v) => Thunk::done(Denot::Ok(Value::Con(
-                            Known::Ok.symbol(),
-                            vec![Thunk::done(Denot::Ok(v))],
-                        ))),
-                        Denot::Bad(s) => match oracle.choose(&s) {
-                            OracleChoice::Diverge => {
-                                return SemRunOutcome {
-                                    result: SemIoResult::Diverged,
-                                    trace,
-                                }
-                            }
-                            OracleChoice::Exception(exn) => {
-                                trace.push(Event::ChoseException(exn.clone()));
-                                bad_thunk(ev, &exn)
-                            }
-                        },
-                    }
-                }
-            }
-            Known::Yield => unit_thunk(),
-            _ => {
-                return SemRunOutcome {
-                    result: SemIoResult::Unsupported(*con),
-                    trace,
-                }
-            }
-        };
-
-        match konts.pop() {
-            None => {
-                let d = ev.force(&produced);
-                let rendered = show_denot(ev, &d, 32);
-                return SemRunOutcome {
-                    result: SemIoResult::Done(rendered),
-                    trace,
-                };
-            }
-            Some(k) => {
-                let kd = ev.force(&k);
-                current = Thunk::done(ev.apply_denot(&kd, produced));
-            }
-        }
+/// `Bad s` escaping a thread: `⊥` diverges, anything else is uncaught.
+fn stop(s: ExnSet) -> Stop<ExnSet> {
+    if s.is_all() {
+        IoResult::Diverged
+    } else {
+        IoResult::Uncaught(s)
     }
 }
 
-fn unit_thunk() -> DThunk {
-    Thunk::done(Denot::Ok(Value::Con(Known::Unit.symbol(), vec![])))
+fn done(v: Value) -> DThunk {
+    Thunk::done(Denot::Ok(v))
 }
 
-fn bad_thunk(ev: &DenotEvaluator<'_>, exn: &Exception) -> DThunk {
-    let inner = Thunk::done(Denot::Ok(ev.exception_to_value(exn)));
-    Thunk::done(Denot::Ok(Value::Con(Known::Bad.symbol(), vec![inner])))
-}
+impl PureLayer for DenotLayer<'_> {
+    type Handle = DThunk;
+    type Abnormal = ExnSet;
 
-fn bad_result(s: ExnSet) -> SemIoResult {
-    if s.is_all() {
-        SemIoResult::Diverged
-    } else {
-        SemIoResult::Uncaught(s)
+    fn force(&mut self, h: &DThunk) -> Result<Shape<DThunk>, Stop<ExnSet>> {
+        Ok(match self.ev.force(h) {
+            Denot::Ok(Value::Con(con, fields)) => Shape::Con(con, fields),
+            Denot::Ok(Value::Int(n)) => Shape::Int(n),
+            Denot::Ok(Value::Char(c)) => Shape::Char(c),
+            Denot::Ok(Value::Str(s)) => Shape::Str(s),
+            Denot::Ok(Value::Fun(_)) => panic!("performed a function (ill-typed program)"),
+            Denot::Bad(s) => return Err(stop(s)),
+        })
+    }
+
+    fn value(&mut self, v: Shape<DThunk>) -> DThunk {
+        done(match v {
+            Shape::Con(con, fields) => Value::Con(con, fields),
+            Shape::Int(n) => Value::Int(n),
+            Shape::Char(c) => Value::Char(c),
+            Shape::Str(s) => Value::Str(s),
+        })
+    }
+
+    fn bad(&mut self, exn: &Exception) -> DThunk {
+        let inner = done(self.ev.exception_to_value(exn));
+        done(Value::Con(Known::Bad.symbol(), vec![inner]))
+    }
+
+    fn apply(&mut self, k: DThunk, v: DThunk) -> DThunk {
+        Thunk::done(self.ev.apply_denot(&self.ev.force(&k), v))
+    }
+
+    fn release(&mut self, _: DThunk) {}
+
+    fn render(&mut self, h: &DThunk, depth: u32) -> String {
+        show_denot(self.ev, &self.ev.force(h), depth)
+    }
+
+    fn get_exception(&mut self, arg: DThunk) -> Result<Result<DThunk, Exception>, Stop<ExnSet>> {
+        let n = self.get_exceptions;
+        self.get_exceptions += 1;
+        // §5.1's rule: an asynchronous event may pre-empt the value
+        // entirely.
+        if let Some((_, exn)) = self.schedule.events.iter().find(|(at, _)| *at == n) {
+            return Ok(Err(exn.clone()));
+        }
+        match self.ev.force(&arg) {
+            Denot::Ok(_) => Ok(Ok(arg)),
+            Denot::Bad(s) => match self.oracle.choose(&s) {
+                OracleChoice::Diverge => Err(IoResult::Diverged),
+                OracleChoice::Exception(exn) => Ok(Err(exn)),
+            },
+        }
     }
 }

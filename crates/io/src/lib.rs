@@ -1,28 +1,29 @@
 //! # urk-io
 //!
-//! The IO layer of the PLDI 1999 reproduction — §4.4's two-level design
-//! made executable twice over:
+//! The IO layer of the PLDI 1999 reproduction — §4.4's two-level design,
+//! with its labelled transition system written once ([`lts`]) and
+//! performed over either pure layer:
 //!
 //! * [`run_machine`] performs `IO` actions on the graph-reduction machine,
 //!   where `getException` is the §3.3 catch-mark/stack-trim implementation
-//!   and the chosen exception is "the one encountered first". It is also
-//!   the `forkIO`/`MVar` scheduler of §4.4's concurrency remark: a program
-//!   that never forks is a one-thread group;
-//! * [`run_denot`] performs the same actions as a labelled transition
-//!   system over *denotations*, where `getException (Bad s)` picks a
-//!   member of the set through an explicit [`ExceptionOracle`] — including
-//!   the `NonTermination` self-loop and §5.3's fictitious exceptions for
-//!   `⊥`. It is the one-thread LTS: `forkIO`, the `MVar` actions and
-//!   `throwTo` end its run with [`SemIoResult::Unsupported`].
+//!   and the chosen exception is "the one encountered first";
+//! * [`run_denot`] performs the same actions over *denotations*, where
+//!   `getException (Bad s)` picks a member of the set through an explicit
+//!   [`ExceptionOracle`] — including the `NonTermination` self-loop and
+//!   §5.3's fictitious exceptions for `⊥`.
 //!
-//! Together they witness the paper's central confinement claim: all the
-//! non-determinism lives in the IO layer, and the machine's behaviour is
-//! one of the semantic runner's possible behaviours.
+//! Both run the same thread group — `forkIO`, `yield`, the `MVar` actions
+//! and `throwTo`, §4.4's concurrency remark — so the semantic runner is an
+//! oracle for the scheduler. Together they witness the paper's central
+//! confinement claim: all the non-determinism lives in the IO layer, and
+//! the machine's behaviour is one of the semantic runner's possible
+//! behaviours.
 
 pub mod batch;
 pub mod chaos;
 pub mod denot_run;
 pub mod json;
+pub mod lts;
 pub mod machine_run;
 pub mod oracle;
 pub mod trace;
@@ -30,9 +31,10 @@ pub mod wire;
 
 pub use batch::{BatchOutcome, SharedBatch};
 pub use chaos::{chaos_run, chaos_run_with_plan, ChaosReport};
-pub use denot_run::{run_denot, AsyncSchedule, SemIoResult, SemRunOutcome};
+pub use denot_run::{run_denot, AsyncSchedule};
 pub use json::{parse_json, Json, JsonError};
-pub use machine_run::{run_machine, IoResult, RunOutcome, ThreadResult};
+pub use lts::{IoResult, RunOutcome, ThreadResult};
+pub use machine_run::run_machine;
 pub use oracle::{ExceptionOracle, MinOracle, OracleChoice, SeededOracle};
 pub use trace::{Event, Input, StringInput, Trace};
 pub use wire::{
@@ -46,7 +48,7 @@ mod tests {
     use std::collections::BTreeSet;
     use std::rc::Rc;
     use std::sync::Arc;
-    use urk_denot::{DenotEvaluator, Env, Thunk};
+    use urk_denot::{DenotEvaluator, Env, ExnSet, Thunk};
     use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy};
     use urk_syntax::core::Expr;
     use urk_syntax::Exception;
@@ -68,9 +70,8 @@ mod tests {
         run_machine(&mut m, &core_of(src), &mut inp)
     }
 
-    fn run_d(src: &str, input: &str, seed: u64) -> SemRunOutcome {
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::new(&data);
+    fn run_d(src: &str, input: &str, seed: u64) -> RunOutcome<ExnSet> {
+        let ev = DenotEvaluator::new();
         let action = Thunk::pending(core_of(src), Env::empty());
         let mut inp = StringInput::new(input);
         let mut oracle = SeededOracle::new(seed);
@@ -215,7 +216,7 @@ mod tests {
     #[test]
     fn semantic_runner_echoes() {
         let out = run_d(r"getChar >>= \c -> putChar c", "z", 0);
-        assert!(matches!(out.result, SemIoResult::Done(ref s) if s == "Unit"));
+        assert!(matches!(out.result, IoResult::Done(ref s) if s == "Unit"));
         assert_eq!(out.trace.to_string(), "?z !z");
     }
 
@@ -225,7 +226,7 @@ mod tests {
         let src = r#"getException ((1/0) + raise (UserError "Urk"))"#;
         let results: BTreeSet<String> = (0..32)
             .map(|seed| match run_d(src, "", seed).result {
-                SemIoResult::Done(s) => s,
+                IoResult::Done(s) => s,
                 other => panic!("{other:?}"),
             })
             .collect();
@@ -248,7 +249,7 @@ mod tests {
         };
         let semantic: BTreeSet<String> = (0..32)
             .map(|seed| match run_d(src, "", seed).result {
-                SemIoResult::Done(s) => s,
+                IoResult::Done(s) => s,
                 other => panic!("{other:?}"),
             })
             .collect();
@@ -259,14 +260,10 @@ mod tests {
     fn get_exception_of_loop_diverges_or_lies() {
         // §5.3: getException loop may diverge — or return a quite
         // fictitious exception.
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::with_config(
-            &data,
-            urk_denot::DenotConfig {
-                fuel: 50_000,
-                ..Default::default()
-            },
-        );
+        let ev = DenotEvaluator::with_config(urk_denot::DenotConfig {
+            fuel: 50_000,
+            ..Default::default()
+        });
         let action = Thunk::pending(
             Rc::new(Expr::con("GetException", [Expr::diverge()])),
             Env::empty(),
@@ -280,15 +277,12 @@ mod tests {
             &mut honest,
             &AsyncSchedule::default(),
         );
-        assert!(matches!(out.result, SemIoResult::Diverged));
+        assert!(matches!(out.result, IoResult::Diverged));
 
-        let ev2 = DenotEvaluator::with_config(
-            &data,
-            urk_denot::DenotConfig {
-                fuel: 50_000,
-                ..Default::default()
-            },
-        );
+        let ev2 = DenotEvaluator::with_config(urk_denot::DenotConfig {
+            fuel: 50_000,
+            ..Default::default()
+        });
         let action2 = Thunk::pending(
             Rc::new(Expr::con("GetException", [Expr::diverge()])),
             Env::empty(),
@@ -302,7 +296,7 @@ mod tests {
             &AsyncSchedule::default(),
         );
         assert!(
-            matches!(out2.result, SemIoResult::Done(ref s) if s == "Bad DivideByZero"),
+            matches!(out2.result, IoResult::Done(ref s) if s == "Bad DivideByZero"),
             "{:?}",
             out2.result
         );
@@ -312,8 +306,7 @@ mod tests {
     fn semantic_async_schedule_preempts_values() {
         // getException 42 can still return Bad Interrupt when the event
         // arrives (§5.1: "v might not be an exceptional value").
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         let action = Thunk::pending(core_of("getException 42"), Env::empty());
         let mut inp = StringInput::new("");
         let mut oracle = MinOracle;
@@ -321,13 +314,13 @@ mod tests {
             events: vec![(0, Exception::Interrupt)],
         };
         let out = run_denot(&ev, action, &mut inp, &mut oracle, &schedule);
-        assert!(matches!(out.result, SemIoResult::Done(ref s) if s == "Bad Interrupt"));
+        assert!(matches!(out.result, IoResult::Done(ref s) if s == "Bad Interrupt"));
     }
 
     #[test]
     fn semantic_put_char_of_exceptional_value_is_uncaught() {
         let out = run_d("putChar (chr (1/0))", "", 0);
-        let SemIoResult::Uncaught(set) = out.result else {
+        let IoResult::Uncaught(set) = out.result else {
             panic!("{:?}", out.result)
         };
         assert!(set.contains(&Exception::DivideByZero));
@@ -335,14 +328,10 @@ mod tests {
 
     #[test]
     fn semantic_put_str_of_bottom_diverges() {
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::with_config(
-            &data,
-            urk_denot::DenotConfig {
-                fuel: 20_000,
-                ..Default::default()
-            },
-        );
+        let ev = DenotEvaluator::with_config(urk_denot::DenotConfig {
+            fuel: 20_000,
+            ..Default::default()
+        });
         let action = Thunk::pending(
             Rc::new(Expr::con("PutStr", [Expr::diverge()])),
             Env::empty(),
@@ -356,21 +345,20 @@ mod tests {
             &mut oracle,
             &AsyncSchedule::default(),
         );
-        assert!(matches!(out.result, SemIoResult::Diverged));
+        assert!(matches!(out.result, IoResult::Diverged));
     }
 
     #[test]
     fn semantic_out_of_input() {
         let out = run_d("getChar", "", 0);
-        assert!(matches!(out.result, SemIoResult::OutOfInput));
+        assert!(matches!(out.result, IoResult::OutOfInput));
     }
 
     #[test]
     fn min_oracle_makes_the_semantic_runner_deterministic() {
         let src = r#"getException ((1/0) + raise (UserError "Urk"))"#;
-        let data = DataEnv::new();
         let run = || {
-            let ev = DenotEvaluator::new(&data);
+            let ev = DenotEvaluator::new();
             let action = Thunk::pending(core_of(src), Env::empty());
             let mut inp = StringInput::new("");
             let mut oracle = MinOracle;
@@ -384,7 +372,7 @@ mod tests {
         };
         let a = run();
         let b = run();
-        let (SemIoResult::Done(x), SemIoResult::Done(y)) = (a.result, b.result) else {
+        let (IoResult::Done(x), IoResult::Done(y)) = (a.result, b.result) else {
             panic!()
         };
         assert_eq!(x, y);
@@ -394,8 +382,7 @@ mod tests {
     #[test]
     fn async_schedule_targets_the_nth_get_exception() {
         // The event fires at the second getException only.
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         let action = Thunk::pending(
             core_of(
                 r"getException 1 >>= \a ->
@@ -409,7 +396,7 @@ mod tests {
             events: vec![(1, Exception::Timeout)],
         };
         let out = run_denot(&ev, action, &mut inp, &mut oracle, &schedule);
-        let SemIoResult::Done(v) = out.result else {
+        let IoResult::Done(v) = out.result else {
             panic!("{:?}", out.result)
         };
         assert_eq!(v, "Pair (OK 1) (Bad Timeout)");
@@ -432,7 +419,7 @@ mod tests {
         let outcomes = |src: &str| -> BTreeSet<String> {
             (0..64)
                 .map(|seed| match run_d(src, "", seed).result {
-                    SemIoResult::Done(s) => s,
+                    IoResult::Done(s) => s,
                     other => panic!("{other:?}"),
                 })
                 .collect()

@@ -418,8 +418,8 @@ impl Machine {
         self.roots[idx]
     }
 
-    /// Replaces the registered root at `idx` (the IO runner steers its
-    /// continuation roots through this instead of popping and re-pushing).
+    /// Replaces the registered root at `idx` (the IO runner reuses the
+    /// root slots of values it no longer holds through this).
     pub fn set_root(&mut self, idx: usize, id: NodeId) {
         self.roots[idx] = id;
     }
@@ -480,13 +480,6 @@ impl Machine {
     /// evaluations.
     pub fn alloc_hvalue(&mut self, v: HValue) -> NodeId {
         self.alloc_tenured(Node::Value(v))
-    }
-
-    /// Overwrites a node (resolving indirections first) with a new WHNF
-    /// value — the mutation primitive behind `MVar`s.
-    pub fn overwrite_hvalue(&mut self, id: NodeId, v: HValue) {
-        let id = self.heap.resolve(id);
-        self.heap.set(id, Node::Value(v));
     }
 
     /// Resolves indirections to the representative node.

@@ -265,15 +265,13 @@ pub fn standard_laws() -> Vec<LawInstance> {
 
 /// Classifies one law under all semantics.
 pub fn classify(law: &LawInstance) -> LawReport {
-    let data = DataEnv::new();
-
     // The imprecise and precise designs: compare the two denotations.
     let verdict = |design: Design| {
         let config = DenotConfig {
             fuel: 200_000,
             ..DenotConfig::default()
         };
-        let ev = DenotEvaluator::with_design(&data, config, design);
+        let ev = DenotEvaluator::with_design(config, design);
         let l = ev.eval_closed(&law.lhs);
         let r = ev.eval_closed(&law.rhs);
         compare_denots(&ev, &l, &r, 8)

@@ -87,8 +87,7 @@ mod tests {
                 if n == 0 {
                     continue;
                 }
-                let data = DataEnv::new();
-                let ev = DenotEvaluator::new(&data);
+                let ev = DenotEvaluator::new();
                 let dl = ev.eval_closed(&e);
                 let dr = ev.eval_closed(&Rc::new(out));
                 let verdict = compare_denots(&ev, &dl, &dr, 8);
@@ -106,11 +105,10 @@ mod tests {
     /// exceptional ones — the checker must notice both.
     #[test]
     fn collapse_identical_alts_obligation_is_detected() {
-        let data = DataEnv::new();
         let safe = core("case (1 < 2) of { True -> 7; False -> 7 }");
         let (out, n) = apply_everywhere(&CollapseIdenticalAlts, &safe);
         assert_eq!(n, 1);
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         let verdict = compare_denots(
             &ev,
             &ev.eval_closed(&safe),
@@ -138,8 +136,7 @@ mod tests {
         let e = core(r"\x -> (raise Overflow) x");
         let (out, n) = apply_everywhere(&EtaReduce, &e);
         assert_eq!(n, 1);
-        let data = DataEnv::new();
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         let dl = ev.eval_closed(&e);
         let dr = ev.eval_closed(&Rc::new(out));
         assert_eq!(compare_denots(&ev, &dl, &dr, 8), Verdict::Incomparable);
@@ -173,7 +170,7 @@ mod tests {
             &e,
         );
         assert_eq!(n, 1);
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         let a = ev.eval_closed(&e);
         let b = ev.eval_closed(&Rc::new(cbv));
         assert_eq!(compare_denots(&ev, &a, &b, 8), Verdict::Equal);

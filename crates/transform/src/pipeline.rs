@@ -280,7 +280,7 @@ impl Optimizer {
             ..DenotConfig::default()
         };
         for q in queries {
-            let ev = DenotEvaluator::with_config(data, config.clone());
+            let ev = DenotEvaluator::with_config(config.clone());
             let before_env = ev.bind_recursive(&prog.binds, &Env::empty());
             let before = ev.eval(q, &before_env);
             let after_env = ev.bind_recursive(&out.binds, &Env::empty());

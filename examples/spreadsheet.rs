@@ -13,7 +13,7 @@
 //! §2 asks from disaster-recovery handlers: "one part of a system can
 //! protect itself against failure in another part of the system".
 
-use urk::{SemIoResult, Session};
+use urk::{IoResult, Session};
 
 /// One worksheet: named cells with Urk formulas.
 struct Sheet {
@@ -99,7 +99,7 @@ fn main() -> Result<(), urk::Error> {
     Bad e -> putStr "bestPrice is unavailable""#,
     )?;
     let out = sem.run_main_semantic("", 42)?;
-    let SemIoResult::Done(_) = out.result else {
+    let IoResult::Done(_) = out.result else {
         panic!("semantic run should complete: {:?}", out.result);
     };
     println!();

@@ -473,7 +473,7 @@ proptest! {
         let analysis = analyze_program(&CoreProgram::default(), &data);
         let predicted = analysis.predicted_set(&e, &data);
 
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         if let Denot::Bad(denoted) = ev.eval_closed(&e) {
             if !predicted.is_all() {
                 let members = denoted.members()

@@ -123,7 +123,6 @@ fn sabotage_report() -> ChaosReport {
         ..FaultPlan::default()
     };
     chaos_run_with_plan(
-        &data,
         &[],
         &empty_image(),
         &query,
@@ -162,7 +161,6 @@ fn the_same_plan_without_sabotage_passes() {
         ..FaultPlan::default()
     };
     let r = chaos_run_with_plan(
-        &data,
         &[],
         &empty_image(),
         &query,

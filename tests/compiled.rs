@@ -227,8 +227,7 @@ proptest! {
     #[test]
     fn tier_two_agrees_with_tier_one_on_random_terms(e in gen_int(4, Vec::new())) {
         let e = Rc::new(e);
-        let data = DataEnv::new();
-        let denot = DenotEvaluator::new(&data).eval_closed(&e);
+        let denot = DenotEvaluator::new().eval_closed(&e);
         for policy in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft, OrderPolicy::Seeded(11)] {
             let (tr, te) = tier_result(&e, false, policy);
             let (cr, ce) = tier_result(&e, true, policy);

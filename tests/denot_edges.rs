@@ -57,20 +57,18 @@ proptest! {
     }
 }
 
-fn eval(src: &str) -> (DataEnv, Denot) {
+fn eval(src: &str) -> Denot {
     let data = DataEnv::new();
     let e = Rc::new(desugar_expr(&parse_expr_src(src).expect("parses"), &data).expect("desugars"));
-    let ev = DenotEvaluator::new(&data);
-    let d = ev.eval_closed(&e);
-    (data, d)
+    DenotEvaluator::new().eval_closed(&e)
 }
 
 #[test]
 fn compare_mixed_kinds_is_incomparable() {
-    let (data, int_val) = eval("42");
-    let ev = DenotEvaluator::new(&data);
-    let (_, con_val) = eval("Just 42");
-    let (_, bad) = eval("raise Overflow");
+    let int_val = eval("42");
+    let ev = DenotEvaluator::new();
+    let con_val = eval("Just 42");
+    let bad = eval("raise Overflow");
     assert_eq!(
         compare_denots(&ev, &int_val, &con_val, 4),
         Verdict::Incomparable
@@ -89,8 +87,7 @@ fn compare_mixed_kinds_is_incomparable() {
 fn bad_empty_sits_above_every_bad() {
     let empty = Denot::Bad(ExnSet::empty());
     let one = Denot::Bad(ExnSet::singleton(Exception::Overflow));
-    let data = DataEnv::new();
-    let ev = DenotEvaluator::new(&data);
+    let ev = DenotEvaluator::new();
     assert_eq!(
         compare_denots(&ev, &one, &empty, 4),
         Verdict::LeftRefinesToRight
@@ -100,15 +97,15 @@ fn bad_empty_sits_above_every_bad() {
         Verdict::LeftRefinesToRight
     );
     // But Bad {} is still not a normal value.
-    let (_, ok) = eval("1");
+    let ok = eval("1");
     assert_eq!(compare_denots(&ev, &empty, &ok, 4), Verdict::Incomparable);
 }
 
 #[test]
 fn structural_comparison_cuts_off_at_depth_zero() {
-    let (data, a) = eval("[1, 2, 3]");
-    let ev = DenotEvaluator::new(&data);
-    let (_, b) = eval("[1, 2, 9]");
+    let a = eval("[1, 2, 3]");
+    let ev = DenotEvaluator::new();
+    let b = eval("[1, 2, 9]");
     // Depth 0: assumed related (the cut-off).
     assert_eq!(compare_denots(&ev, &a, &b, 0), Verdict::Equal);
     // Enough depth: the difference shows.
@@ -117,16 +114,16 @@ fn structural_comparison_cuts_off_at_depth_zero() {
 
 #[test]
 fn show_denot_depth_limits_rendering() {
-    let (data, d) = eval("[1, 2, 3]");
-    let ev = DenotEvaluator::new(&data);
+    let d = eval("[1, 2, 3]");
+    let ev = DenotEvaluator::new();
     assert_eq!(show_denot(&ev, &d, 1), "Cons 1 (Cons ...)");
     assert_eq!(show_denot(&ev, &d, 8), "Cons 1 (Cons 2 (Cons 3 Nil))");
 }
 
 #[test]
 fn exceptional_fields_render_inside_structures() {
-    let (data, d) = eval("(1/0, raise Overflow)");
-    let ev = DenotEvaluator::new(&data);
+    let d = eval("(1/0, raise Overflow)");
+    let ev = DenotEvaluator::new();
     assert_eq!(
         show_denot(&ev, &d, 4),
         "Pair (Bad {DivideByZero}) (Bad {Overflow})"
@@ -136,7 +133,7 @@ fn exceptional_fields_render_inside_structures() {
 #[test]
 fn deeply_nested_exception_finding_mode() {
     // Nested cases under a Bad scrutinee union transitively.
-    let (_, d) = eval(
+    let d = eval(
         "case raise Overflow of
            { True -> case raise DivideByZero of { True -> 1; False -> 2 }
            ; False -> raise (UserError \"x\") }",
@@ -152,7 +149,7 @@ fn deeply_nested_exception_finding_mode() {
 fn exception_finding_mode_does_not_leak_binder_sets() {
     // Binders are Bad {} — even when an alternative scrutinises its binder
     // again, no phantom exceptions appear.
-    let (_, d) = eval(
+    let d = eval(
         "case raise Overflow of
            { Just x -> case x of { True -> 1/0; False -> 2 }
            ; Nothing -> 3 }",
@@ -168,7 +165,7 @@ fn exception_finding_mode_does_not_leak_binder_sets() {
 
 #[test]
 fn string_payload_exceptions_are_distinct_set_members() {
-    let (_, d) = eval(r#"raise (UserError "a") + (raise (UserError "b") + raise (UserError "a"))"#);
+    let d = eval(r#"raise (UserError "a") + (raise (UserError "b") + raise (UserError "a"))"#);
     let Denot::Bad(s) = d else { panic!() };
     let members = s.members().expect("finite");
     assert_eq!(members.len(), 2);

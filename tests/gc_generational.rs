@@ -87,15 +87,7 @@ fn pressured() -> MachineConfig {
 
 fn run_both(ctx: &Ctx, q: &Rc<Expr>, plan: &FaultPlan) -> [(&'static str, ChaosReport); 2] {
     ctx.images.clone().map(|(tier, code)| {
-        let report = chaos_run_with_plan(
-            &ctx.data,
-            &ctx.binds,
-            &code,
-            q,
-            &pressured(),
-            400_000,
-            plan.clone(),
-        );
+        let report = chaos_run_with_plan(&ctx.binds, &code, q, &pressured(), 400_000, plan.clone());
         (tier, report)
     })
 }

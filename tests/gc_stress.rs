@@ -133,13 +133,10 @@ fn re_evaluation_after_interruption_agrees_with_the_denotational_oracle() {
     let src = "let s = (let g = \\n -> if n == 0 then 0 else n + g (n - 1) in g 250) in s + 1";
     let core =
         Rc::new(desugar_expr(&parse_expr_src(src).expect("parses"), &data).expect("desugars"));
-    let ev = urk_denot::DenotEvaluator::with_config(
-        &data,
-        urk::DenotConfig {
-            max_depth: 2_000,
-            ..urk::DenotConfig::default()
-        },
-    );
+    let ev = urk_denot::DenotEvaluator::with_config(urk::DenotConfig {
+        max_depth: 2_000,
+        ..urk::DenotConfig::default()
+    });
     let oracle = urk_denot::show_denot(&ev, &ev.eval_closed(&core), 16);
     assert_eq!(oracle, "31376");
 

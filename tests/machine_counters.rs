@@ -193,3 +193,45 @@ fn every_deterministic_counter_matches_the_pinned_table() {
         );
     }
 }
+
+/// E14's two IO programs from `experiment_report`: one thread folding
+/// `work 2000`, and four forked workers handing their sums to `main`
+/// through one `MVar`.
+const E14_WORK: &str = "work n acc = if n == 0 then return acc else work (n - 1) (acc + n)\n\
+                        main = work 2000 0";
+const E14_FOUR: &str = "work m n acc = if n == 0 then putMVar m acc else work m (n - 1) (acc + n)\n\
+     collect m k acc = if k == 0 then return acc\n                   else takeMVar m >>= \\v -> collect m (k - 1) (acc + v)\n\
+     main = do\n  m <- newEmptyMVar\n  forkIO (work m 500 0)\n  forkIO (work m 500 0)\n  forkIO (work m 500 0)\n  forkIO (work m 500 0)\n  collect m 4 0";
+
+/// The IO runner's own allocations (one continuation application per
+/// `>>=`, one cell per `return`ed unit, `forkIO` id and `MVar`) are part
+/// of these counts, so a runner refactor must leave them unchanged.
+#[test]
+fn e14_io_programs_pin_steps_allocations_and_thunk_updates() {
+    for (program, src, expected, want) in [
+        ("work 2000", E14_WORK, "2001000", (8005, 4055, 4003)),
+        (
+            "4 × work 500 + MVar",
+            E14_FOUR,
+            "501000",
+            (8100, 4134, 4042),
+        ),
+    ] {
+        let mut s = urk::Session::new();
+        s.load(src).expect("loads");
+        let mut m = s.compiled_machine();
+        let mut input = urk_io::StringInput::new("");
+        let out = urk_io::run_machine(&mut m, &urk_syntax::core::Expr::var("main"), &mut input);
+        assert!(
+            matches!(out.result, urk::IoResult::Done(ref v) if v == expected),
+            "{program}: {:?}",
+            out.result
+        );
+        let stats = m.stats();
+        assert_eq!(
+            (stats.steps, stats.allocations, stats.thunk_updates),
+            want,
+            "{program}: (steps, allocations, thunk updates)"
+        );
+    }
+}

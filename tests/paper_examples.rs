@@ -159,7 +159,7 @@ fn get_exception_performed_twice_makes_independent_choices() {
     let mut outcomes = std::collections::BTreeSet::new();
     for seed in 0..64 {
         let out = s.run_main_semantic("", seed).expect("runs");
-        let urk::SemIoResult::Done(v) = out.result else {
+        let urk::IoResult::Done(v) = out.result else {
             panic!("{:?}", out.result)
         };
         outcomes.insert(v);

@@ -172,8 +172,7 @@ fn machine_result(e: &Rc<Expr>, policy: OrderPolicy) -> Outcome {
 /// The `machine_sound_wrt_denotational_semantics` property, pinned.
 fn check_machine_sound(e: Expr) {
     let e = Rc::new(e);
-    let data = DataEnv::new();
-    let ev = DenotEvaluator::new(&data);
+    let ev = DenotEvaluator::new();
     let denot = ev.eval_closed(&e);
     for policy in [
         OrderPolicy::LeftToRight,
@@ -214,13 +213,12 @@ fn check_transforms(e: &Expr) {
         Box::new(CommutePrimArgs),
         Box::new(CaseOfCase),
     ];
-    let data = DataEnv::new();
     for t in &transforms {
         let (out, n) = apply_everywhere(t.as_ref(), e);
         if n == 0 {
             continue;
         }
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         let dl = ev.eval_closed(&Rc::new(e.clone()));
         let dr = ev.eval_closed(&Rc::new(out.clone()));
         let v = compare_denots(&ev, &dl, &dr, 6);
@@ -244,8 +242,7 @@ fn check_optimizer_pipeline(e: &Expr) {
     };
     let opt = Optimizer::new();
     let (out, _) = opt.optimize(&prog);
-    let data = DataEnv::new();
-    let ev = DenotEvaluator::new(&data);
+    let ev = DenotEvaluator::new();
     let before = {
         let env = ev.bind_recursive(&prog.binds, &urk_denot::Env::empty());
         ev.eval(&Rc::new(Expr::Var(main)), &env)
@@ -265,16 +262,12 @@ fn check_optimizer_pipeline(e: &Expr) {
 /// The `fuel_monotonicity` property, pinned.
 fn check_fuel_monotonicity(e: Expr) {
     let e = Rc::new(e);
-    let data = DataEnv::new();
     let mut prev: Option<Denot> = None;
     for fuel in [4u64, 16, 64, 1024, 1_000_000] {
-        let ev = DenotEvaluator::with_config(
-            &data,
-            DenotConfig {
-                fuel,
-                ..DenotConfig::default()
-            },
-        );
+        let ev = DenotEvaluator::with_config(DenotConfig {
+            fuel,
+            ..DenotConfig::default()
+        });
         let d = ev.eval_closed(&e);
         if let Some(p) = &prev {
             assert!(

@@ -130,8 +130,7 @@ fn denotational_requests_retain_no_memory() {
             "the precise design over a letrec",
             Box::new(|| {
                 let precise = Design::Precise(EvalOrder::LeftToRight);
-                DenotEvaluator::with_design(&data, DenotConfig::default(), precise)
-                    .eval_closed(&knot);
+                DenotEvaluator::with_design(DenotConfig::default(), precise).eval_closed(&knot);
             }),
         ),
     ];
@@ -192,11 +191,11 @@ fn forcing_a_knot_after_its_evaluator_is_dropped_names_the_misuse() {
         )
         .expect("desugars"),
     );
-    let d = DenotEvaluator::new(&data).eval_closed(&e);
+    let d = DenotEvaluator::new().eval_closed(&e);
     let urk_denot::Denot::Ok(urk_denot::Value::Con(_, fields)) = d else {
         panic!("`ones` is a cons cell");
     };
     // The tail is `ones` again: a reference into the dropped evaluator's
     // knot, which must fail loudly rather than denote anything.
-    DenotEvaluator::new(&data).force(&fields[1]);
+    DenotEvaluator::new().force(&fields[1]);
 }

@@ -44,15 +44,7 @@ fn reports(sabotage: bool) -> Vec<(&'static str, ChaosReport)> {
     let base = MachineConfig::default();
     let binds = &c.program.binds;
     let flat = |code: Arc<Code>| {
-        chaos_run_with_plan(
-            &c.data,
-            binds,
-            &code,
-            &c.query,
-            &base,
-            400_000,
-            plan(sabotage),
-        )
+        chaos_run_with_plan(binds, &code, &c.query, &base, 400_000, plan(sabotage))
     };
     vec![("tier1", flat(lower(&c))), ("tier2", flat(lower_t2(&c)))]
 }

@@ -79,7 +79,7 @@ fn machine_agrees_with_the_denotational_semantics_on_the_corpus() {
             Rc::new(desugar_expr(&parse_expr_src(&src).expect("parses"), &data).expect("desugars"));
 
         // Denotational result.
-        let ev = DenotEvaluator::new(&data);
+        let ev = DenotEvaluator::new();
         let denot = ev.eval_closed(&core);
 
         // Machine result (catching, to observe the representative).
@@ -182,7 +182,7 @@ fn denotation_is_invariant_under_the_machine_policy_knob() {
     let data = DataEnv::new();
     let core =
         Rc::new(desugar_expr(&parse_expr_src(src).expect("parses"), &data).expect("desugars"));
-    let ev = DenotEvaluator::new(&data);
+    let ev = DenotEvaluator::new();
     let Denot::Bad(set) = ev.eval_closed(&core) else {
         panic!("exceptional")
     };
@@ -211,7 +211,7 @@ fn env_binding_shapes_agree_between_layers() {
     let query =
         Rc::new(desugar_expr(&parse_expr_src("quad 4").expect("parses"), &data).expect("desugars"));
 
-    let ev = DenotEvaluator::new(&data);
+    let ev = DenotEvaluator::new();
     let denv = ev.bind_recursive(&prog.binds, &Env::empty());
     let d = ev.eval(&query, &denv);
     assert_eq!(show_denot(&ev, &d, 4), "16");
