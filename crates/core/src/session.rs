@@ -7,7 +7,7 @@
 //! [`Session::exception_set`]), or performed as IO
 //! ([`Session::run_main`], [`Session::run_main_semantic`]).
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -18,7 +18,7 @@ use urk_io::{
 };
 use urk_machine::{
     compile_program, tier2_optimize_certified, validate_tier2, Backend, Code, FactVal, GlobalFact,
-    Machine, MachineConfig, Outcome, Stats, Tier, Tier2Facts,
+    Machine, MachineBuffers, MachineConfig, Outcome, Stats, Tier, Tier2Facts,
 };
 use urk_syntax::core::{CoreProgram, Expr};
 use urk_syntax::{
@@ -104,6 +104,12 @@ pub struct Session {
     /// recompiles instead of serving the other tier's image. Shared
     /// (`Arc`) so the pool can hand one compiled image to every worker.
     compiled: RefCell<Option<(Tier, Arc<Code>)>>,
+    /// The buffers of the last machine an evaluation handed back, which
+    /// the next one is recycled from ([`Session::machine`]).
+    spare: RefCell<MachineBuffers>,
+    /// The deadline watchdog of supervised evaluations, started by the
+    /// first deadline.
+    pub(crate) watchdog: OnceCell<crate::supervise::Watchdog>,
     /// How many leading bindings are the Prelude's, so user-facing
     /// diagnostics ([`Session::lint`]) skip them.
     prelude_len: usize,
@@ -140,6 +146,8 @@ impl Session {
             program: CoreProgram::default(),
             types: HashMap::new(),
             compiled: RefCell::new(None),
+            spare: RefCell::default(),
+            watchdog: OnceCell::new(),
             prelude_len: 0,
             options: Options::default(),
         }
@@ -299,12 +307,28 @@ impl Session {
         self.compiled.replace(Some((tier, code)));
     }
 
-    /// A fresh machine with the lowered program linked (globals
-    /// allocated and rooted), ready for [`Machine::eval_code_expr`].
+    /// A machine with the lowered program linked (globals allocated and
+    /// rooted), ready for [`Machine::eval_code_expr`]: equal to a fresh
+    /// one, recycled from the session's last evaluation.
     pub fn compiled_machine(&self) -> Machine {
-        let mut m = Machine::new(self.options.machine.clone());
-        m.link_code(self.compiled_code());
-        m
+        self.machine(self.options.machine.clone())
+    }
+
+    /// A machine under `config` with the lowered program linked: the
+    /// machine the session's last evaluation handed back, recycled
+    /// ([`Machine::recycle`]), which equals a new machine with the
+    /// program linked but reuses its grown buffers. Every session entry
+    /// point that runs the machine gets its machine here and gives it
+    /// back with [`Session::hand_back`] once it finished; a machine that
+    /// panicked, or that a caller keeps, is never handed back.
+    pub(crate) fn machine(&self, config: MachineConfig) -> Machine {
+        Machine::recycle(self.spare.take(), config, self.compiled_code())
+    }
+
+    /// Retires a machine whose evaluation finished, for the next
+    /// [`Session::machine`] to recycle.
+    pub(crate) fn hand_back(&self, m: Machine) {
+        self.spare.replace(m.retire());
     }
 
     /// Evaluates an expression on the machine (no catch mark: an
@@ -317,36 +341,34 @@ impl Session {
     pub fn eval(&self, src: &str) -> Result<EvalResult, Error> {
         let e = self.compile_expr(src)?;
         let first_compile = !self.has_compiled_code();
-        let code = self.compiled_code();
-        let mut m = Machine::new(self.options.machine.clone());
-        m.link_code(Arc::clone(&code));
+        let mut m = self.machine(self.options.machine.clone());
         let out = m.eval_code_expr(&e, false);
         // An aborted run still burned steps and allocations; carry the
         // counters into the error so hitting a limit is diagnosable.
-        let out = match out {
-            Ok(out) => out,
-            Err(error) => {
-                return Err(Error::Machine {
-                    error,
-                    stats: Some(Box::new(m.stats().clone())),
-                })
-            }
+        let result = match out {
+            Ok(out) => Ok(self.eval_result(&mut m, out, first_compile)),
+            Err(error) => Err(Error::Machine {
+                error,
+                stats: Some(Box::new(m.stats().clone())),
+            }),
         };
-        Ok(self.eval_result(&mut m, out, first_compile.then_some(&*code)))
+        self.hand_back(m);
+        result
     }
 
     /// The result of an evaluation that ended on `m` with `out`. If this
-    /// evaluation is the one that paid the program's one-time lowering,
-    /// `lowered` is that image, and its `compile_ops` and `compile_micros`
+    /// evaluation is the one that paid the program's one-time lowering
+    /// (`first_compile`), that image's `compile_ops` and `compile_micros`
     /// are stamped onto the result's stats — here, and nowhere else.
     pub(crate) fn eval_result(
         &self,
         m: &mut Machine,
         out: Outcome,
-        lowered: Option<&Code>,
+        first_compile: bool,
     ) -> EvalResult {
         let mut stats = m.stats().clone();
-        if let Some(code) = lowered {
+        if first_compile {
+            let code = self.compiled_code();
             stats.compile_ops += code.compile_ops();
             stats.compile_micros += code.compile_micros();
         }
@@ -445,7 +467,9 @@ impl Session {
         }
         let mut m = self.compiled_machine();
         let mut inp = StringInput::new(input);
-        Ok(run_machine(&mut m, &Expr::Var(sym), &mut inp))
+        let out = run_machine(&mut m, &Expr::Var(sym), &mut inp);
+        self.hand_back(m);
+        Ok(out)
     }
 
     /// Performs `main` under the semantic LTS with a seeded oracle: the

@@ -3,11 +3,14 @@
 //! A [`Supervisor`] describes the envelope one request is allowed to
 //! consume; [`Session::eval_supervised`] runs an expression inside it:
 //!
-//! * **wall-clock deadline** — a watchdog thread arms the machine's
-//!   [`InterruptHandle`] with `Timeout` when the deadline passes, so a
-//!   runaway evaluation is cancelled asynchronously (§5.1: the trim
-//!   restores in-flight thunks; nothing is corrupted, and the exception is
-//!   observed as `Caught(Timeout)` like any other);
+//! * **wall-clock deadline** — the session's watchdog thread arms the
+//!   machine's [`InterruptHandle`] with `Timeout` when the deadline
+//!   passes, so a runaway evaluation is cancelled asynchronously (§5.1:
+//!   the trim restores in-flight thunks; nothing is corrupted, and the
+//!   exception is observed as `Caught(Timeout)` like any other). One
+//!   thread per session, started by its first deadline, serves every
+//!   attempt: an attempt arms it and its end disarms it, so a request
+//!   neither spawns a thread nor waits for one;
 //! * **resource budgets** — per-request step/heap/stack caps overriding
 //!   the session defaults;
 //! * **panic isolation** — an internal machine panic (a bug, not a user
@@ -19,16 +22,17 @@
 //!   the failure is reported, since "the budget was too small" and "the
 //!   program is a hog" look identical on the first attempt.
 //!
-//! Every attempt runs on a *fresh* machine, so a failed attempt cannot
-//! leak poisoned thunks or a half-trimmed heap into the next one.
+//! Every attempt runs on a machine equal to a fresh one (the session's
+//! recycled machine), so a failed attempt cannot leak poisoned thunks or
+//! a half-trimmed heap into the next one.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use urk_machine::{InterruptHandle, Machine, MachineConfig, MachineError, Outcome};
+use urk_machine::{InterruptHandle, MachineConfig, MachineError, Outcome};
 use urk_syntax::core::Expr;
 use urk_syntax::Exception;
 
@@ -151,7 +155,9 @@ impl Session {
         // one-time lowering cost, that cost is stamped onto the final
         // result's stats.
         let first_compile = !self.has_compiled_code();
-        let code = self.compiled_code();
+        // Outside the unwind guard: a tier-2 image that fails validation
+        // panics to the caller, not as a machine bug.
+        self.compiled_code();
 
         let growth = u64::from(supervisor.growth.max(1));
         let mut attempts = 0u32;
@@ -164,38 +170,24 @@ impl Session {
                 ..cfg.clone()
             };
 
-            // The watchdog: sleeps in short slices so it both fires close
-            // to the deadline and exits promptly when the request finishes
-            // first (`done` flips before the join).
-            let done = Arc::new(AtomicBool::new(false));
-            let watchdog = supervisor.deadline.map(|d| {
-                let done = Arc::clone(&done);
-                let handle = handle.clone();
-                std::thread::spawn(move || {
-                    let deadline = Instant::now() + d;
-                    while !done.load(Ordering::Relaxed) {
-                        let now = Instant::now();
-                        if now >= deadline {
-                            handle.deliver(Exception::Timeout);
-                            return;
-                        }
-                        std::thread::sleep((deadline - now).min(Duration::from_millis(1)));
-                    }
-                })
-            });
+            if let Some(d) = supervisor.deadline {
+                self.watchdog
+                    .get_or_init(Watchdog::start)
+                    .arm(Instant::now() + d, handle.clone());
+            }
 
-            // One attempt on a fresh machine, panic-isolated. The machine
-            // is moved out so stats and rendering survive the unwind guard.
+            // One attempt, panic-isolated, on the session's recycled
+            // machine. The machine is moved out so stats and rendering
+            // survive the unwind guard; a machine that panicked unwinds
+            // with the attempt and is never handed back.
             let attempt = catch_unwind(AssertUnwindSafe(|| {
-                let mut m = Machine::new(run_cfg);
-                m.link_code(Arc::clone(&code));
+                let mut m = self.machine(run_cfg);
                 let out = m.eval_code_expr(&expr, true);
                 (m, out)
             }));
 
-            done.store(true, Ordering::Relaxed);
-            if let Some(t) = watchdog {
-                let _ = t.join();
+            if let (Some(_), Some(watchdog)) = (supervisor.deadline, self.watchdog.get()) {
+                watchdog.disarm();
                 // The watchdog may have fired in the instant the attempt
                 // finished; disarm the handle so a stale deadline cannot
                 // leak into a retry or (for a shared handle) the next
@@ -217,10 +209,9 @@ impl Session {
             let out = match out {
                 Ok(out) => out,
                 Err(error) => {
-                    return Err(Error::Machine {
-                        error,
-                        stats: Some(Box::new(m.stats().clone())),
-                    });
+                    let stats = Some(Box::new(m.stats().clone()));
+                    self.hand_back(m);
+                    return Err(Error::Machine { error, stats });
                 }
             };
 
@@ -230,12 +221,13 @@ impl Session {
             };
 
             // Escalate resource deaths: grow the budgets and go again on a
-            // fresh machine.
+            // recycled machine.
             if matches!(
                 exception,
                 Some(Exception::HeapOverflow | Exception::StackOverflow)
             ) && attempts <= supervisor.retries
             {
+                self.hand_back(m);
                 cfg.max_heap = cfg.max_heap.saturating_mul(growth as usize);
                 cfg.max_stack = cfg.max_stack.saturating_mul(growth as usize);
                 continue;
@@ -243,13 +235,100 @@ impl Session {
 
             let timed_out =
                 matches!(exception, Some(Exception::Timeout)) && m.stats().async_injected > 0;
-            let result = self.eval_result(&mut m, out, first_compile.then_some(&*code));
+            let result = self.eval_result(&mut m, out, first_compile);
+            self.hand_back(m);
             return Ok(SupervisedResult {
                 result,
                 attempts,
                 timed_out,
             });
         }
+    }
+}
+
+/// A session's deadline watchdog: one thread that delivers `Timeout` to
+/// the armed interrupt handle once the armed deadline passes.
+pub(crate) struct Watchdog {
+    shared: Arc<(Mutex<Arming>, Condvar)>,
+    thread: Option<JoinHandle<()>>,
+}
+
+/// What the watchdog thread watches.
+#[derive(Default)]
+struct Arming {
+    /// The deadline and the handle it fires into, while an attempt runs.
+    armed: Option<(Instant, InterruptHandle)>,
+    /// Set when the session drops: the thread ends.
+    stop: bool,
+}
+
+impl Watchdog {
+    fn start() -> Watchdog {
+        let shared = Arc::new((Mutex::new(Arming::default()), Condvar::new()));
+        let watched = Arc::clone(&shared);
+        let thread = std::thread::Builder::new()
+            .name("urk-watchdog".into())
+            .spawn(move || watch(&watched))
+            .expect("spawning the deadline watchdog");
+        Watchdog {
+            shared,
+            thread: Some(thread),
+        }
+    }
+
+    /// The arming, locked. Every update is one assignment, so a lock
+    /// poisoned by a panicking holder still guards consistent data.
+    fn arming(&self) -> MutexGuard<'_, Arming> {
+        self.shared.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Arms the watchdog: `Timeout` goes to `handle` at `deadline` unless
+    /// [`Watchdog::disarm`] comes first.
+    fn arm(&self, deadline: Instant, handle: InterruptHandle) {
+        self.arming().armed = Some((deadline, handle));
+        self.shared.1.notify_one();
+    }
+
+    /// Disarms the watchdog. It delivers under the same lock, so once this
+    /// returns nothing more is delivered. The thread is not woken: at the
+    /// old deadline it finds nothing armed (or a later deadline) and waits
+    /// again.
+    fn disarm(&self) {
+        self.arming().armed = None;
+    }
+}
+
+impl Drop for Watchdog {
+    fn drop(&mut self) {
+        self.arming().stop = true;
+        self.shared.1.notify_one();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The watchdog thread: sleeps until the armed deadline (or until armed),
+/// and delivers `Timeout` if the arming still stands when it passes.
+fn watch(shared: &(Mutex<Arming>, Condvar)) {
+    let (lock, wake) = shared;
+    let mut arming = lock.lock().unwrap_or_else(PoisonError::into_inner);
+    while !arming.stop {
+        let now = Instant::now();
+        arming = match &arming.armed {
+            None => wake.wait(arming).unwrap_or_else(PoisonError::into_inner),
+            Some((deadline, handle)) if now >= *deadline => {
+                handle.deliver(Exception::Timeout);
+                arming.armed = None;
+                arming
+            }
+            Some((deadline, _)) => {
+                let wait = *deadline - now;
+                wake.wait_timeout(arming, wait)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            }
+        };
     }
 }
 

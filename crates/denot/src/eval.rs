@@ -163,6 +163,11 @@ impl DenotEvaluator {
         self.design
     }
 
+    /// The configuration this evaluator runs under.
+    pub fn config(&self) -> &DenotConfig {
+        &self.config
+    }
+
     /// Installs an oracle decision tape for [`Design::Nondet`] (positions
     /// beyond the tape mean left operand first) and refills fuel.
     pub fn set_oracle(&self, bits: Vec<bool>) {

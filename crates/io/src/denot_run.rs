@@ -6,6 +6,12 @@
 //! non-determinism to the IO monad (§3.5) literal: the pure layer computes
 //! the *set*; only `perform`ing chooses. The oracle may also take the
 //! `NonTermination` self-loop, which diverges.
+//!
+//! Fuel bounds one pure evaluation, not a run: each action the LTS
+//! forces, each continuation it applies and the final rendering start
+//! from the evaluator's full fuel. The run itself is bounded by charging
+//! every action against a budget of the same size, so a program that
+//! performs actions forever still ends `Diverged`.
 
 use urk_denot::{show_denot, DThunk, Denot, DenotEvaluator, ExnSet, Thunk, Value};
 use urk_syntax::{Exception, Known};
@@ -63,6 +69,7 @@ pub fn run_denot(
         oracle,
         schedule,
         get_exceptions: 0,
+        actions_left: ev.config().fuel,
     };
     lts::run(&mut layer, action, input)
 }
@@ -74,6 +81,8 @@ struct DenotLayer<'a> {
     schedule: &'a AsyncSchedule,
     /// `getException` transitions taken so far, for the schedule.
     get_exceptions: u64,
+    /// Actions the run may still perform before it counts as diverging.
+    actions_left: u64,
 }
 
 /// `Bad s` escaping a thread: `⊥` diverges, anything else is uncaught.
@@ -92,6 +101,15 @@ fn done(v: Value) -> DThunk {
 impl PureLayer for DenotLayer<'_> {
     type Handle = DThunk;
     type Abnormal = ExnSet;
+
+    fn begin_action(&mut self) -> Result<(), Stop<ExnSet>> {
+        if self.actions_left == 0 {
+            return Err(IoResult::Diverged);
+        }
+        self.actions_left -= 1;
+        self.ev.refill();
+        Ok(())
+    }
 
     fn force(&mut self, h: &DThunk) -> Result<Shape<DThunk>, Stop<ExnSet>> {
         Ok(match self.ev.force(h) {
@@ -119,12 +137,14 @@ impl PureLayer for DenotLayer<'_> {
     }
 
     fn apply(&mut self, k: DThunk, v: DThunk) -> DThunk {
+        self.ev.refill();
         Thunk::done(self.ev.apply_denot(&self.ev.force(&k), v))
     }
 
     fn release(&mut self, _: DThunk) {}
 
     fn render(&mut self, h: &DThunk, depth: u32) -> String {
+        self.ev.refill();
         show_denot(self.ev, &self.ev.force(h), depth)
     }
 

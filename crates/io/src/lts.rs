@@ -109,6 +109,12 @@ pub(crate) trait PureLayer {
     /// An exceptional value that escaped a thread.
     type Abnormal: From<Exception>;
 
+    /// Called before the LTS forces a thread's next action (a `Bind`
+    /// unwound counts as one). The semantic layer refills its fuel here
+    /// and stops a run that has spent its budget of actions.
+    fn begin_action(&mut self) -> Result<(), Stop<Self::Abnormal>> {
+        Ok(())
+    }
     fn force(&mut self, h: &Self::Handle) -> Result<Shape<Self::Handle>, Stop<Self::Abnormal>>;
     fn value(&mut self, v: Shape<Self::Handle>) -> Self::Handle;
     /// `Bad exn`, the value `getException` returns for an exception.
@@ -292,6 +298,7 @@ impl<L: PureLayer> Group<'_, L> {
         t: &mut Thread<L::Handle>,
     ) -> Result<Performed<L::Handle>, Stop<L::Abnormal>> {
         loop {
+            self.layer.begin_action()?;
             // An exception *here* means the action value itself was
             // exceptional (e.g. `main = raise E`): uncaught.
             let Shape::Con(con, fields) = self.layer.force(&t.current)? else {

@@ -202,6 +202,18 @@ pub struct CodeBuf {
 }
 
 impl CodeBuf {
+    /// This buffer emptied, keeping at most `keep` entries of capacity
+    /// per table.
+    pub(crate) fn emptied(self, keep: usize) -> CodeBuf {
+        use crate::machine::emptied;
+        CodeBuf {
+            ops: emptied(self.ops, keep),
+            kids: emptied(self.kids, keep),
+            arms: emptied(self.arms, keep),
+            strs: emptied(self.strs, keep),
+        }
+    }
+
     fn len_of(&self) -> Bases {
         Bases {
             ops: self.ops.len() as u32,
@@ -958,11 +970,11 @@ impl LinkedCode {
         self.base.region_programs().program(root)
     }
 
-    /// The left-to-right slice of a region program, for scans that do
-    /// not depend on the order.
+    /// The slice of a region program for `left_first`'s order.
     #[inline]
-    pub(crate) fn region_ops(&self, prog: RegionProgram) -> &[COp] {
-        &self.base.region_programs().ops[prog.at as usize..(prog.at + prog.len) as usize]
+    pub(crate) fn region_slice(&self, prog: RegionProgram, left_first: bool) -> &[COp] {
+        let at = prog.start(left_first) as usize;
+        &self.base.region_programs().ops[at..at + prog.len as usize]
     }
 
     /// One op of a region program (see [`crate::region`]).

@@ -19,9 +19,7 @@ use std::sync::Arc;
 use urk_syntax::core::Expr;
 use urk_syntax::Exception;
 
-use crate::code::{
-    compile_apply, compile_query, COp, CPat, Code, CodeId, LinkedCode, MAX_REGION_OPS,
-};
+use crate::code::{compile_apply, compile_query, COp, CPat, Code, CodeId, LinkedCode};
 use crate::env::CEnv;
 use crate::heap::{HValue, Node, NodeId, Whnf};
 use crate::kernel::{Control, Frame};
@@ -40,40 +38,43 @@ impl Machine {
     /// Panics if compiled code is already linked (one program per
     /// machine; build a fresh machine to swap programs).
     pub fn link_code(&mut self, base: Arc<Code>) {
+        self.link(LinkedCode::new(base));
+    }
+
+    /// [`Machine::link_code`] into `linked`, whose buffers are empty.
+    pub(crate) fn link(&mut self, mut linked: LinkedCode) {
         assert!(
             self.code.is_none(),
             "compiled code already linked into this machine"
         );
+        let base = &linked.base;
         if cfg!(debug_assertions) || self.config.verify_code {
             if let Err(e) = base.verify().and_then(|()| base.check_region_programs()) {
                 panic!("refusing to link corrupt compiled code: {e}");
             }
         }
-        let entries: Vec<CodeId> = base.globals.iter().map(|(_, e)| *e).collect();
-        let tier2 = base.is_tier2();
-        let ic_slots = base.ic_slot_count() as usize;
-        let mut linked = LinkedCode::new(base);
-        for entry in entries {
+        for (_, entry) in &base.globals {
             // Global rhs code resolves cross-references through the
             // global node table itself, so the environment stays empty —
             // this *is* the recursive knot, tied by indices. Tenured: the
             // global node table is a plain `Vec<NodeId>` the minor
             // collector never rewrites, so the ids must be stable.
             let node = self.alloc_tenured(Node::CThunk {
-                code: entry,
+                code: *entry,
                 env: CEnv::empty(),
             });
             self.roots.push(node);
             linked.global_nodes.push(node);
         }
-        self.code = Some(linked);
         // Inline-cache slots are per-machine and per-link: relinking is
-        // impossible (the assert above), so a populated slot can never
-        // point at a stale program's callee.
-        self.ics = vec![None; ic_slots];
-        if tier2 {
+        // impossible (the assert above), and a recycled table is cleared
+        // here, so a populated slot can never point at a stale callee.
+        self.ics.clear();
+        self.ics.resize(base.ic_slot_count() as usize, None);
+        if base.is_tier2() {
             self.stats.tier = Tier::Two;
         }
+        self.code = Some(linked);
     }
 
     /// Compiles a query expression against the linked program (into the
@@ -235,55 +236,77 @@ impl Machine {
         env: &CEnv,
     ) -> Option<Result<NodeId, Exception>> {
         let prog = self.linked().region(root);
-        if prog.len == 0 || !self.region_ready(prog, env) {
+        // Under Seeded the scan reads the left-to-right slice: the leaves
+        // are the same.
+        let left_first = !matches!(self.config.order, OrderPolicy::RightToLeft);
+        if !self.region_ready(prog, left_first, env) {
             return None;
         }
         self.stats.fused_steps += 1;
-        let left_first = match self.config.order {
-            OrderPolicy::LeftToRight => true,
-            OrderPolicy::RightToLeft => false,
+        if let OrderPolicy::Seeded(_) = self.config.order {
             // No fixed slice encodes a per-primitive draw (DESIGN.md §15).
-            OrderPolicy::Seeded(_) => return Some(self.region_eval(root, env)),
-        };
-        Some(self.run_region(prog, env, left_first))
+            return Some(self.region_eval(root, env));
+        }
+        Some(self.run_region(prog, left_first))
     }
 
-    /// True if every variable leaf of the program is already in WHNF —
-    /// one draw-free scan, so a bail-out to stepped evaluation never
-    /// perturbs the §3.5 Seeded stream.
-    fn region_ready(&self, prog: RegionProgram, env: &CEnv) -> bool {
-        let code = self.linked();
-        let ready = |n: NodeId| {
-            let n = self.heap.resolve(n);
-            n.is_imm() || matches!(self.heap.get(n), Node::Value(_))
-        };
-        code.region_ops(prog).iter().all(|op| match *op {
-            COp::Local(back) => ready(env.get_back(back)),
-            COp::Global(g) => ready(code.global_nodes[g as usize]),
-            _ => true,
+    /// True if the program is non-empty and every variable leaf of the
+    /// slice for `left_first`'s order is already in WHNF — one draw-free
+    /// scan, so a bail-out to stepped evaluation never perturbs the §3.5
+    /// Seeded stream. A ready scan leaves the resolved leaves in
+    /// `region_vals`, in slice order, for [`Machine::run_region`].
+    pub(crate) fn region_ready(
+        &mut self,
+        prog: RegionProgram,
+        left_first: bool,
+        env: &CEnv,
+    ) -> bool {
+        if prog.len == 0 {
+            return false;
+        }
+        let Machine {
+            heap,
+            code,
+            region_vals,
+            ..
+        } = self;
+        let code = code.as_ref().expect("a region runs on linked code");
+        region_vals.clear();
+        code.region_slice(prog, left_first).iter().all(|op| {
+            let n = match *op {
+                COp::Local(back) => env.get_back(back),
+                COp::Global(g) => code.global_nodes[g as usize],
+                _ => return true,
+            };
+            let n = heap.resolve(n);
+            region_vals.push(n);
+            n.is_imm() || matches!(heap.get(n), Node::Value(_))
         })
     }
 
-    /// Runs a ready region program's slice for `left_first`'s order over
-    /// an operand stack. A `Prim2` pops its operands in the order the
-    /// slice pushed them, so `left_first` also says which one is `a`.
-    /// Raises propagate as `Err` — the caller decides whether that
-    /// poisons (speculation) or raises (strict position), which is the
-    /// entire §3.3 discipline in one line.
+    /// Runs a ready region program's slice for `left_first`'s order.
+    /// `region_vals` holds the leaves [`Machine::region_ready`] resolved,
+    /// in slice order, and the operand stack grows above them. A `Prim2`
+    /// pops its operands in the order the slice pushed them, so
+    /// `left_first` also says which one is `a`. Raises propagate as
+    /// `Err` — the caller decides whether that poisons (speculation) or
+    /// raises (strict position), which is the entire §3.3 discipline in
+    /// one line.
     #[inline(always)]
     pub(crate) fn run_region(
         &mut self,
         prog: RegionProgram,
-        env: &CEnv,
         left_first: bool,
     ) -> Result<NodeId, Exception> {
-        let mut stack = [NodeId(0); MAX_REGION_OPS];
-        let mut sp = 0;
+        let base = self.region_vals.len();
+        let mut leaf = 0;
         let at = prog.start(left_first);
         for pc in at..at + prog.len {
             let v = match self.linked().region_op(pc) {
-                COp::Local(back) => self.heap.resolve(env.get_back(back)),
-                COp::Global(g) => self.heap.resolve(self.linked().global_nodes[g as usize]),
+                COp::Local(_) | COp::Global(_) => {
+                    leaf += 1;
+                    self.region_vals[leaf - 1]
+                }
                 COp::Int(n) => self.int_node(n),
                 COp::Char(c) => self.alloc_value(HValue::Char(c)),
                 COp::Str(i) => {
@@ -292,15 +315,15 @@ impl Machine {
                 }
                 COp::Con { tag, .. } => self.nullary_con_node(tag),
                 COp::Prim1 { op, .. } => {
-                    sp -= 1;
-                    match self.apply_prim(op, &[stack[sp]]) {
+                    let x = self.region_operand();
+                    match self.apply_prim(op, &[x]) {
                         PrimResult::Value(v) => v,
                         PrimResult::Raise(exn) => return Err(exn),
                     }
                 }
                 COp::Prim2 { op, .. } => {
-                    sp -= 2;
-                    let (x, y) = (stack[sp], stack[sp + 1]);
+                    let y = self.region_operand();
+                    let x = self.region_operand();
                     let (a, b) = if left_first { (x, y) } else { (y, x) };
                     match self.apply_prim2(op, a, b) {
                         PrimResult::Value(v) => v,
@@ -309,15 +332,23 @@ impl Machine {
                 }
                 // Both slices run `a` before `b`: keep `b`.
                 COp::Seq { .. } => {
-                    sp -= 2;
-                    stack[sp + 1]
+                    let b = self.region_operand();
+                    self.region_operand();
+                    b
                 }
                 other => unreachable!("op kind {} in a region program", other.kind_index()),
             };
-            stack[sp] = v;
-            sp += 1;
+            self.region_vals.push(v);
         }
-        Ok(stack[0])
+        Ok(self.region_vals[base])
+    }
+
+    /// Pops the region operand stack.
+    #[inline(always)]
+    fn region_operand(&mut self) -> NodeId {
+        self.region_vals
+            .pop()
+            .expect("a verified region pops what it pushed")
     }
 
     /// Evaluates a ready region by walking its tree: the recursive

@@ -219,6 +219,34 @@ impl Heap {
         Heap::default()
     }
 
+    /// The heap's three vectors, for a later heap to
+    /// [`adopt`](Heap::adopt) once they are emptied.
+    pub(crate) fn into_buffers(self) -> (Vec<Node>, Vec<Node>, Vec<NodeId>) {
+        (self.tenured, self.nursery, self.remembered)
+    }
+
+    /// Takes over emptied vectors as this heap's own, so it grows into
+    /// their capacity. Only a heap that has allocated nothing may adopt:
+    /// it stays the same empty heap.
+    pub(crate) fn adopt(
+        &mut self,
+        tenured: Vec<Node>,
+        nursery: Vec<Node>,
+        remembered: Vec<NodeId>,
+    ) {
+        assert!(
+            self.is_empty() && self.remembered.is_empty(),
+            "only an empty heap adopts buffers"
+        );
+        assert!(
+            tenured.is_empty() && nursery.is_empty() && remembered.is_empty(),
+            "adopted buffers must be empty"
+        );
+        self.tenured = tenured;
+        self.nursery = nursery;
+        self.remembered = remembered;
+    }
+
     /// Bump-allocates a node in the nursery.
     #[inline]
     pub fn alloc(&mut self, node: Node) -> NodeId {

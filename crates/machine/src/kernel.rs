@@ -95,7 +95,9 @@ impl Machine {
         mut control: Control,
         catch: bool,
     ) -> Result<Outcome, MachineError> {
-        let mut stack: Vec<Frame> = Vec::with_capacity(64);
+        // The frame stack is the machine's buffer, taken for the episode
+        // and given back emptied, so an episode does not regrow it.
+        let mut stack = std::mem::take(&mut self.frames);
         if catch {
             stack.push(Frame::Catch);
         }
@@ -104,7 +106,7 @@ impl Machine {
         if let Some(cov) = self.coverage.as_deref_mut() {
             cov.end_episode();
         }
-        loop {
+        let out = 'episode: loop {
             // --- step accounting, limits, and asynchronous events -------
             self.stats.steps += 1;
             if stack.len() > self.stats.max_stack_depth {
@@ -141,7 +143,7 @@ impl Machine {
                         control = Control::Raising(Exception::Timeout);
                     }
                 } else {
-                    return Err(MachineError::StepLimit);
+                    break 'episode Err(MachineError::StepLimit);
                 }
             }
             if stack.len() >= self.config.max_stack && !matches!(control, Control::Raising(_)) {
@@ -168,7 +170,7 @@ impl Machine {
                 Control::Return(node) => Control::Return(node),
                 Control::Raising(exn) => match self.step_raise(exn, &mut stack) {
                     Step::Continue(c) => c,
-                    Step::Done(outcome) => return Ok(self.tenure_outcome(outcome)),
+                    Step::Done(outcome) => break 'episode Ok(self.tenure_outcome(outcome)),
                 },
             };
             // A returned value pops the frames it meets inside the step
@@ -178,10 +180,13 @@ impl Machine {
             while let Control::Return(node) = control {
                 match self.step_return(node, &mut stack) {
                     Step::Continue(c) => control = c,
-                    Step::Done(outcome) => return Ok(self.tenure_outcome(outcome)),
+                    Step::Done(outcome) => break 'episode Ok(self.tenure_outcome(outcome)),
                 }
             }
-        }
+        };
+        stack.clear();
+        self.frames = stack;
+        out
     }
 
     /// One step of the armed chaos plan: deliver at most one scheduled

@@ -59,7 +59,8 @@ pub use heap::{
 };
 pub use interrupt::InterruptHandle;
 pub use machine::{
-    Backend, BlackholeMode, Machine, MachineConfig, MachineError, OrderPolicy, Outcome, Tier,
+    Backend, BlackholeMode, Machine, MachineBuffers, MachineConfig, MachineError, OrderPolicy,
+    Outcome, Tier,
 };
 #[doc(hidden)]
 pub use region::{region_differential, RegionDiff};

@@ -22,6 +22,7 @@
 //!   `NonTermination` when [`BlackholeMode::Detect`] is selected.
 
 use std::rc::Rc;
+use std::sync::{Arc, Weak};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -30,10 +31,10 @@ use urk_syntax::core::PrimOp;
 use urk_syntax::{Exception, Known, Symbol};
 
 use crate::chaos::{ChaosState, FaultPlan};
-use crate::code::LinkedCode;
+use crate::code::{Code, CodeBuf, LinkedCode};
 use crate::heap::{HValue, Heap, HeapAudit, Node, NodeId, Whnf};
 use crate::interrupt::InterruptHandle;
-use crate::kernel::Control;
+use crate::kernel::{Control, Frame};
 use crate::stats::Stats;
 
 /// In which order the machine evaluates the operands of a binary primitive.
@@ -258,6 +259,50 @@ pub struct Machine {
     /// collections rewrite the entries (cached nodes may live in the
     /// nursery) and major collections mark them.
     pub(crate) ics: Vec<Option<NodeId>>,
+    /// The run loop's frame stack, kept between episodes so an episode
+    /// does not regrow it from empty.
+    pub(crate) frames: Vec<Frame>,
+    /// A region program's resolved leaves, then its operand stack
+    /// ([`Machine::exec_region`]).
+    pub(crate) region_vals: Vec<NodeId>,
+}
+
+/// Capacity a retired machine keeps per heap region, in cells.
+const KEEP_CELLS: usize = 1 << 14;
+/// Capacity a retired machine keeps in its frame stack, in frames.
+const KEEP_FRAMES: usize = 1 << 12;
+/// Capacity a retired machine keeps per table of node ids (roots, inline
+/// caches, the remembered set, the global node table) and per query
+/// extension table.
+const KEEP_SLOTS: usize = 1 << 12;
+
+/// The emptied buffers of a machine that has finished its work
+/// ([`Machine::retire`]), for [`Machine::recycle`] to move into the next
+/// one. They hold no node, frame or code, only capacity, and each keeps
+/// at most a fixed cap of it, so a large query does not pin its memory.
+/// The default is no buffers at all.
+#[derive(Default)]
+pub struct MachineBuffers {
+    /// The image the retired machine linked: the buffers are reused only
+    /// for the same image. Weak, so it never keeps an old image alive; the
+    /// allocation it pins cannot be reused by another image.
+    image: Weak<Code>,
+    tenured: Vec<Node>,
+    nursery: Vec<Node>,
+    remembered: Vec<NodeId>,
+    roots: Vec<NodeId>,
+    ics: Vec<Option<NodeId>>,
+    frames: Vec<Frame>,
+    region_vals: Vec<NodeId>,
+    global_nodes: Vec<NodeId>,
+    ext: CodeBuf,
+}
+
+/// `v` emptied, keeping at most `keep` elements of capacity.
+pub(crate) fn emptied<T>(mut v: Vec<T>, keep: usize) -> Vec<T> {
+    v.clear();
+    v.shrink_to(keep);
+    v
 }
 
 impl Machine {
@@ -295,6 +340,59 @@ impl Machine {
             code: None,
             coverage,
             ics: Vec::new(),
+            frames: Vec::new(),
+            region_vals: Vec::new(),
+        }
+    }
+
+    /// A machine equal to `Machine::new(config)` followed by
+    /// [`Machine::link_code`]`(code)`, grown into `spare`'s buffers instead
+    /// of from empty. Every field but those buffers comes from
+    /// [`Machine::new`], so nothing of the retired machine's state (rng,
+    /// interrupt handle, chaos plan, coverage, collection and timeout
+    /// triggers, counters, free list) carries over. Buffers retired from a
+    /// machine linked to another image are dropped, not reused: a load or
+    /// a tier switch gives their memory back.
+    pub fn recycle(spare: MachineBuffers, config: MachineConfig, code: Arc<Code>) -> Machine {
+        let mut m = Machine::new(config);
+        if spare.image.as_ptr() != Arc::as_ptr(&code) {
+            m.link_code(code);
+            return m;
+        }
+        m.heap.adopt(spare.tenured, spare.nursery, spare.remembered);
+        m.roots = spare.roots;
+        m.ics = spare.ics;
+        m.frames = spare.frames;
+        m.region_vals = spare.region_vals;
+        m.link(LinkedCode {
+            base: code,
+            ext: spare.ext,
+            global_nodes: spare.global_nodes,
+            apply: None,
+        });
+        m
+    }
+
+    /// Ends this machine's life, keeping its buffers emptied for
+    /// [`Machine::recycle`]: every node, frame, root and lowered query is
+    /// dropped here, and each buffer's capacity is capped.
+    pub fn retire(self) -> MachineBuffers {
+        let (tenured, nursery, remembered) = self.heap.into_buffers();
+        let (image, global_nodes, ext) = match self.code {
+            Some(code) => (Arc::downgrade(&code.base), code.global_nodes, code.ext),
+            None => (Weak::new(), Vec::new(), CodeBuf::default()),
+        };
+        MachineBuffers {
+            image,
+            tenured: emptied(tenured, KEEP_CELLS),
+            nursery: emptied(nursery, KEEP_CELLS),
+            remembered: emptied(remembered, KEEP_SLOTS),
+            roots: emptied(self.roots, KEEP_SLOTS),
+            ics: emptied(self.ics, KEEP_SLOTS),
+            frames: emptied(self.frames, KEEP_FRAMES),
+            region_vals: emptied(self.region_vals, KEEP_SLOTS),
+            global_nodes: emptied(global_nodes, KEEP_SLOTS),
+            ext: ext.emptied(KEEP_SLOTS),
         }
     }
 
@@ -731,5 +829,80 @@ impl Machine {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compile_program;
+    use urk_syntax::{desugar_expr, parse_expr_src, DataEnv};
+
+    /// Builds a 40 000-cell list (the minor collector tenures it) and
+    /// takes its length by plain recursion (40 000 frames deep).
+    const BIG: &str = "let build = \\n acc -> if n == 0 then acc else build (n - 1) (n : acc) in \
+                       let len = \\xs -> case xs of { [] -> 0; (y:ys) -> 1 + len ys } in \
+                       len (build 40000 [])";
+
+    fn run(m: &mut Machine, src: &str) -> String {
+        let e =
+            desugar_expr(&parse_expr_src(src).expect("parses"), &DataEnv::new()).expect("desugars");
+        match m.eval_code_expr(&e, false).expect("no machine error") {
+            Outcome::Value(n) => m.render(n, 8),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_retired_machine_keeps_only_capped_empty_buffers() {
+        let code = Arc::new(compile_program(&[]));
+        let mut m = Machine::new(MachineConfig::default());
+        m.link_code(Arc::clone(&code));
+        assert_eq!(run(&mut m, BIG), "40000");
+        assert!(m.heap.tenured_len() > KEEP_CELLS && m.frames.capacity() > KEEP_FRAMES);
+
+        let spare = m.retire();
+        assert!(spare.tenured.is_empty() && spare.tenured.capacity() <= KEEP_CELLS);
+        assert!(spare.nursery.is_empty() && spare.nursery.capacity() <= KEEP_CELLS);
+        assert!(spare.frames.is_empty() && spare.frames.capacity() <= KEEP_FRAMES);
+        for (len, cap) in [
+            (spare.remembered.len(), spare.remembered.capacity()),
+            (spare.roots.len(), spare.roots.capacity()),
+            (spare.global_nodes.len(), spare.global_nodes.capacity()),
+        ] {
+            assert!(len == 0 && cap <= KEEP_SLOTS);
+        }
+        assert!(spare.nursery.capacity() > 0, "the grown nursery is kept");
+
+        // The recycled machine is the fresh one: same heap, roots and
+        // counters after linking, and the same answer.
+        let mut recycled = Machine::recycle(spare, MachineConfig::default(), Arc::clone(&code));
+        let mut fresh = Machine::new(MachineConfig::default());
+        fresh.link_code(Arc::clone(&code));
+        assert_eq!(recycled.heap.len(), fresh.heap.len());
+        assert_eq!(recycled.roots, fresh.roots);
+        assert_eq!(recycled.stats, fresh.stats);
+        assert_eq!(run(&mut recycled, BIG), run(&mut fresh, BIG));
+        for m in [&mut recycled, &mut fresh] {
+            m.stats.compile_micros = 0;
+        }
+        assert_eq!(recycled.stats, fresh.stats);
+    }
+
+    #[test]
+    fn buffers_of_another_image_are_not_reused() {
+        let first = Arc::new(compile_program(&[]));
+        let mut m = Machine::new(MachineConfig::default());
+        m.link_code(Arc::clone(&first));
+        run(&mut m, BIG);
+        let spare = m.retire();
+        assert!(spare.nursery.capacity() > 0);
+        let other = Arc::new(compile_program(&[]));
+        let m = Machine::recycle(spare, MachineConfig::default(), other);
+        assert_eq!(
+            m.heap.into_buffers().1.capacity(),
+            0,
+            "the spare was dropped"
+        );
     }
 }

@@ -7,9 +7,9 @@
 //! slices of its own ops. There is one slice per deterministic order
 //! policy: left-to-right evaluates a `Prim2`'s left operand subtree
 //! first, right-to-left its right one, and `Seq` always runs `a` before
-//! `b`. The executor then checks readiness with one scan over a slice's
-//! leaves and evaluates with one loop over an operand stack
-//! ([`crate::Machine`]'s `exec_region`).
+//! `b`. The executor checks readiness with one scan over the leaves of
+//! the slice it will run, keeping them resolved, and evaluates with one
+//! loop over an operand stack ([`crate::Machine`]'s `exec_region`).
 //!
 //! The slices are derived from the verified ops and cached with the
 //! `Arc<Code>` ([`Code::region_programs`]); they are never a second source
@@ -277,7 +277,11 @@ pub fn region_differential(
                 let result = if walk == 1 {
                     m.region_eval(root, &env)
                 } else {
-                    m.run_region(prog, &env, left_first)
+                    assert!(
+                        m.region_ready(prog, left_first, &env),
+                        "every leaf is a value"
+                    );
+                    m.run_region(prog, left_first)
                 };
                 let stats = m.stats().clone();
                 let boxed = result.as_ref().is_ok_and(|v| {

@@ -3,7 +3,8 @@
 //! A counting global allocator counts the heap allocations (`alloc` and
 //! `realloc` calls) the current thread makes while the query path's three
 //! front-end phases — parse, desugar and `infer_expr` — run over a fixed
-//! list of Prelude queries. Wall-clock time on a shared machine spreads by
+//! list of Prelude queries, and then while whole `Session::eval` calls
+//! run over the same list. Wall-clock time on a shared machine spreads by
 //! ±15%; these counts do not move unless the code does, so they can gate
 //! CI. The ceilings sit at the counts the arena checker and symbol dispatch
 //! reach; EXPERIMENTS.md (E25) records the counts of the `Box`-tree checker
@@ -97,6 +98,11 @@ const QUERIES: &[&str] = &[
 const PARSE_CEILING: u64 = 316;
 const DESUGAR_CEILING: u64 = 488;
 const INFER_CEILING: u64 = 70;
+/// The ceiling on whole `Session::eval` calls over `QUERIES`, on the
+/// machine the session recycles. Debug builds verify the image at every
+/// link, which allocates. (With a new machine built and linked per
+/// evaluation: 1972 in release, 4278 in debug.)
+const EVAL_CEILING: u64 = if cfg!(debug_assertions) { 3688 } else { 1382 };
 
 #[test]
 fn front_end_allocations_stay_under_their_ceilings() {
@@ -137,5 +143,25 @@ fn front_end_allocations_stay_under_their_ceilings() {
     assert!(
         infer <= INFER_CEILING,
         "infer_expr made {infer} allocations, ceiling {INFER_CEILING}"
+    );
+
+    // The whole query path: the front end, the machine the session
+    // recycles (the program linked again), evaluation and rendering.
+    let session = urk::Session::new();
+    for q in QUERIES {
+        session.eval(q).expect("evaluates");
+    }
+    let mut eval = 0;
+    for q in QUERIES {
+        let (_, n) = count(|| session.eval(q).expect("evaluates"));
+        eval += n;
+    }
+    eprintln!(
+        "Session::eval allocations over {} queries: {eval}",
+        QUERIES.len()
+    );
+    assert!(
+        eval <= EVAL_CEILING,
+        "Session::eval made {eval} allocations, ceiling {EVAL_CEILING}"
     );
 }

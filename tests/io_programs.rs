@@ -140,6 +140,40 @@ fn semantic_runner_performs_concurrency_actions() {
     }
 }
 
+#[test]
+fn semantic_runner_refuels_every_action() {
+    // Fuel bounds one pure evaluation, not the run: a long, productive
+    // action loop performs to the end as it does on the machine.
+    let mut s = Session::new();
+    s.load(SPIN).expect("loads");
+    let machine = s.run_main("").expect("runs");
+    let semantic = s.run_main_semantic("", 0).expect("runs");
+    assert!(
+        matches!(semantic.result, IoResult::Done(ref v) if v == "0"),
+        "{:?}",
+        semantic.result
+    );
+    assert_eq!(semantic.trace.output().len(), 100_000);
+    assert_eq!(semantic.trace.to_string(), machine.trace.to_string());
+}
+
+#[test]
+fn semantic_runner_bounds_an_endless_action_loop() {
+    // The run is charged one unit of the fuel budget per action, so an
+    // action loop that never ends still ends `Diverged`.
+    let mut s = Session::new();
+    s.options.denot.fuel = 5_000;
+    s.load(FOREVER).expect("loads");
+    let out = s.run_main_semantic("", 0).expect("runs");
+    assert!(matches!(out.result, IoResult::Diverged), "{:?}", out.result);
+    assert!(!out.trace.output().is_empty());
+}
+
+const SPIN: &str = "spin n = if n == 0 then return 0 else putChar (chr 120) >> spin (n - 1)
+main = spin 100000";
+const FOREVER: &str = "forever = putChar 'x' >> forever
+main = forever";
+
 // ----------------------------------------------------------------------
 // Goldens: both runners' whole outcomes for every program here
 // ----------------------------------------------------------------------

@@ -5,7 +5,10 @@
 //! denotational entry points (and of a bare evaluator running the precise
 //! design over a `letrec`) must give back what they allocated: the evaluators own the
 //! knots that `letrec` and memoization tie, and release them when dropped
-//! (`evens` below is a memoized cycle as well as a `letrec` one). And a
+//! (`evens` below is a memoized cycle as well as a `letrec` one). So must
+//! a thousand machine evaluations, plain and supervised: the session
+//! keeps one machine's emptied buffers between them, and nothing else.
+//! And a
 //! long run of queries whose desugaring mints names must not grow the
 //! global symbol interner: generated names carry their spelling in their
 //! bits instead (EXPERIMENTS.md, E26).
@@ -15,7 +18,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Mutex;
 
-use urk::Session;
+use urk::{Session, Supervisor};
 use urk_denot::{DenotConfig, DenotEvaluator, Design, EvalOrder};
 use urk_syntax::{desugar_expr, parse_expr_src, DataEnv, Symbol};
 
@@ -151,6 +154,48 @@ fn denotational_requests_retain_no_memory() {
     assert!(
         total < RETAINED_CEILING,
         "{CALLS} calls of each denotational API retained {total} bytes \
+         (ceiling {RETAINED_CEILING})"
+    );
+}
+
+#[test]
+fn machine_requests_retain_no_memory() {
+    let _quiet = INTERNER_QUIET.lock().unwrap_or_else(|e| e.into_inner());
+    let mut s = Session::new();
+    s.load(PROGRAM).expect("loads");
+    let supervisor = Supervisor::with_deadline(10_000);
+    let mut apis: Vec<Api> = vec![
+        (
+            "Session::eval",
+            Box::new(|| {
+                s.eval("sum (take 20 evens) + length (reverse (map (\\x -> x * x) [1 .. 9]))")
+                    .expect("evaluates");
+            }),
+        ),
+        (
+            "Session::eval_supervised",
+            Box::new(|| {
+                s.eval_supervised("sum (take 20 evens) + (1 / 0)", &supervisor)
+                    .expect("evaluates");
+            }),
+        ),
+    ];
+    // The warm-up also grows the buffers of the machine the session
+    // recycles, which it keeps between evaluations.
+    for (_, f) in &mut apis {
+        for _ in 0..8 {
+            f();
+        }
+    }
+    let mut total = 0;
+    for (name, f) in &mut apis {
+        let bytes = retained(CALLS, f);
+        eprintln!("{CALLS} calls of {name} retained {bytes} bytes");
+        total += bytes;
+    }
+    assert!(
+        total < RETAINED_CEILING,
+        "{CALLS} calls of each machine API retained {total} bytes \
          (ceiling {RETAINED_CEILING})"
     );
 }
