@@ -258,6 +258,10 @@ pub struct Code {
     /// The image's region programs, derived from `buf` on first use
     /// ([`Code::region_programs`]).
     pub(crate) regions: OnceLock<RegionPrograms>,
+    /// The verdict of [`Code::verify`] and [`Code::check_region_programs`]
+    /// on this image, reached at its first checked link
+    /// ([`Code::verdict`]).
+    pub(crate) verdict: OnceLock<Result<(), CodeVerifyError>>,
 }
 
 impl Code {
@@ -380,7 +384,7 @@ impl Code {
     /// * `Global`, string, kid-range, and arm-range indices address their
     ///   tables in bounds.
     ///
-    /// Runs on every program compile in debug builds, and in release
+    /// Runs at an image's first link in debug builds, and in release
     /// under `--verify-code` (see `MachineConfig::verify_code`).
     pub fn verify(&self) -> Result<(), CodeVerifyError> {
         let view = VerifyView {
@@ -393,6 +397,15 @@ impl Code {
             verify_entry(&view, *entry, 0)?;
         }
         Ok(())
+    }
+
+    /// [`Code::verify`] and then [`Code::check_region_programs`], run once
+    /// per image: the image is immutable and shared, so every later link
+    /// of it (a recycled machine relinks at each evaluation) reuses the
+    /// first verdict.
+    pub(crate) fn verdict(&self) -> &Result<(), CodeVerifyError> {
+        self.verdict
+            .get_or_init(|| self.verify().and_then(|()| self.check_region_programs()))
     }
 }
 
@@ -673,6 +686,7 @@ pub fn compile_program(binds: &[(Symbol, Rc<Expr>)]) -> Code {
         tier2: false,
         ic_slots: 0,
         regions: OnceLock::new(),
+        verdict: OnceLock::new(),
     }
 }
 

@@ -49,7 +49,7 @@ impl Machine {
         );
         let base = &linked.base;
         if cfg!(debug_assertions) || self.config.verify_code {
-            if let Err(e) = base.verify().and_then(|()| base.check_region_programs()) {
+            if let Err(e) = base.verdict() {
                 panic!("refusing to link corrupt compiled code: {e}");
             }
         }

@@ -133,8 +133,8 @@ impl Code {
 
     /// Checks that every cached region program is exactly the lowering of
     /// the region it is indexed under: re-derives all of them from the
-    /// ops and reports the first root whose programs differ. Runs at link
-    /// time wherever [`Code::verify`] does.
+    /// ops and reports the first root whose programs differ. Runs with
+    /// [`Code::verify`], once per image, at its first checked link.
     pub fn check_region_programs(&self) -> Result<(), CodeVerifyError> {
         let cached = self.region_programs();
         let fresh = RegionPrograms::derive(&self.buf);
@@ -161,6 +161,8 @@ impl Code {
     #[doc(hidden)]
     pub fn sabotage_region_program(&mut self) -> bool {
         self.region_programs();
+        // A verdict reached before the corruption no longer holds.
+        self.verdict.take();
         let Some(programs) = self.regions.get_mut() else {
             return false;
         };

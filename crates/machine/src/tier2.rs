@@ -233,6 +233,7 @@ pub fn tier2_optimize_certified(base: &Code, facts: &Tier2Facts) -> (Code, Tier2
         tier2: true,
         ic_slots,
         regions: std::sync::OnceLock::new(),
+        verdict: std::sync::OnceLock::new(),
     };
     (code, cert)
 }

@@ -44,7 +44,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// An interned or generated name. Cheap to copy, compare and hash.
 ///
@@ -87,10 +87,19 @@ fn interner() -> &'static Mutex<Interner> {
     })
 }
 
-impl Symbol {
+/// The interner, locked for a run of interning: the lexer interns every
+/// name of one source under a single lock. While a `Names` is alive this
+/// thread must not intern or spell symbols any other way.
+pub(crate) struct Names(MutexGuard<'static, Interner>);
+
+impl Names {
+    pub(crate) fn lock() -> Names {
+        Names(interner().lock().expect("symbol interner poisoned"))
+    }
+
     /// Interns `name`, returning its canonical [`Symbol`].
-    pub fn intern(name: &str) -> Symbol {
-        let mut i = interner().lock().expect("symbol interner poisoned");
+    pub(crate) fn intern(&mut self, name: &str) -> Symbol {
+        let i = &mut *self.0;
         if let Some(&id) = i.table.get(name) {
             return Symbol(id);
         }
@@ -106,6 +115,13 @@ impl Symbol {
             KNOWN_SLOTS[k as usize].store(id, Ordering::Relaxed);
         }
         Symbol(id)
+    }
+}
+
+impl Symbol {
+    /// Interns `name`, returning its canonical [`Symbol`].
+    pub fn intern(name: &str) -> Symbol {
+        Names::lock().intern(name)
     }
 
     /// How many names the interner holds: the source and built-in names
