@@ -1,14 +1,15 @@
 //! # urk-bench
 //!
-//! Shared workloads and measurement helpers for the benchmark harness.
+//! Shared workloads and measurement helpers.
 //!
 //! The paper's evaluation is a set of performance *claims* rather than
-//! numeric tables (§2.2, §2.3, §3.3); each claim is regenerated twice:
+//! numeric tables (§2.2, §2.3, §3.3); each claim is measured twice:
 //!
 //! * deterministically, as machine step/allocation counts, by the
 //!   `experiment_report` binary (`cargo run -p urk-bench --bin
 //!   experiment_report`), whose output is recorded in `EXPERIMENTS.md`;
-//! * as wall-clock timings, by the Criterion benches in `benches/`.
+//! * as wall-clock timings per layer, by the benchmark in `perfbench/`,
+//!   which links these workloads.
 
 use std::collections::BTreeSet;
 use std::rc::Rc;

@@ -53,6 +53,12 @@ use crate::session::Options;
 /// How often a blocked connection read wakes up to check the stop flag.
 const POLL: Duration = Duration::from_millis(100);
 
+/// How long a write may make no progress before the connection is
+/// dropped: a client that sends but never reads fills the socket
+/// buffers, and without a bound its thread would block in `write_frame`
+/// forever, so the server's stop would never finish joining it.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// How the serving tier is shaped.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -351,6 +357,7 @@ fn read_frame_polling(
 fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let counters = &shared.counters;
     counters.connections.fetch_add(1, Ordering::Relaxed);
 

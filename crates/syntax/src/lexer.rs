@@ -30,7 +30,7 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 pub(crate) struct Lexer<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     line: u32,
     col: u32,
@@ -58,7 +58,7 @@ impl<'a> Lexer<'a> {
     /// `strs`. It locks the symbol interner until it is dropped.
     pub(crate) fn new(src: &'a str, strs: &'a mut Vec<Rc<str>>) -> Lexer<'a> {
         Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -74,12 +74,16 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    fn byte_at(&self, i: usize) -> Option<u8> {
+        self.src.as_bytes().get(i).copied()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.byte_at(self.pos)
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
+        self.byte_at(self.pos + 1)
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -113,10 +117,10 @@ impl<'a> Lexer<'a> {
                     // A line comment, unless `--` begins a longer operator
                     // like `-->`; Haskell has the same rule.
                     let mut look = self.pos + 2;
-                    while self.src.get(look).copied() == Some(b'-') {
+                    while self.byte_at(look) == Some(b'-') {
                         look += 1;
                     }
-                    if self.src.get(look).copied().is_some_and(is_symbol_char) {
+                    if self.byte_at(look).is_some_and(is_symbol_char) {
                         return Ok(());
                     }
                     while let Some(c) = self.peek() {
@@ -168,7 +172,7 @@ impl<'a> Lexer<'a> {
         while self.peek().is_some_and(|c| c.is_ascii_digit()) {
             self.bump();
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("digits are utf-8");
+        let text = &self.src[start..self.pos];
         text.parse::<i64>()
             .map(Tok::Int)
             .map_err(|_| self.error(format!("integer literal out of range: {text}")))
@@ -206,34 +210,36 @@ impl<'a> Lexer<'a> {
     fn lex_string(&mut self) -> Result<Tok, LexError> {
         let start = self.here();
         self.bump(); // opening quote
-        let body = self.pos;
-        // A literal of plain ASCII without escapes is its own spelling.
-        let plain = self.src[body..]
-            .iter()
-            .position(|&c| c == b'"' || c == b'\\' || c == b'\n' || !c.is_ascii())
-            .filter(|&n| self.src[body + n] == b'"');
-        let text: Rc<str> = match plain {
-            Some(n) => {
-                for _ in 0..=n {
-                    self.bump();
+
+        // Quote, backslash and newline are ASCII, so the run between two of
+        // them is whole UTF-8 and is copied as a `str`. A literal without
+        // escapes is one run: its own spelling, in one allocation.
+        let mut out = String::new();
+        let text: Rc<str> = loop {
+            let run = self.pos;
+            let n = self.src.as_bytes()[run..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c == b'\n')
+                .unwrap_or(self.src.len() - run);
+            self.pos += n;
+            self.col += n as u32;
+            let chunk = &self.src[run..self.pos];
+            match self.bump() {
+                // Every escape pushes a char, so an empty `out` means none.
+                Some(b'"') if out.is_empty() => break Rc::from(chunk),
+                Some(b'"') => {
+                    out.push_str(chunk);
+                    break Rc::from(out);
                 }
-                let text = std::str::from_utf8(&self.src[body..body + n]).expect("ASCII");
-                Rc::from(text)
-            }
-            None => {
-                let mut out = String::new();
-                loop {
-                    match self.bump() {
-                        Some(b'"') => break Rc::from(out),
-                        Some(b'\\') => out.push(self.lex_escape()?),
-                        Some(b'\n') | None => {
-                            return Err(LexError {
-                                pos: start,
-                                message: "unterminated string literal".into(),
-                            })
-                        }
-                        Some(c) => out.push(c as char),
-                    }
+                Some(b'\\') => {
+                    out.push_str(chunk);
+                    out.push(self.lex_escape()?);
+                }
+                _ => {
+                    return Err(LexError {
+                        pos: start,
+                        message: "unterminated string literal".into(),
+                    })
                 }
             }
         };
@@ -247,7 +253,7 @@ impl<'a> Lexer<'a> {
         while self.peek().is_some_and(is_ident_continue) {
             self.bump();
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("idents are utf-8");
+        let text = &self.src[start..self.pos];
         match text {
             "data" => Tok::Data,
             "let" => Tok::Let,
@@ -270,7 +276,7 @@ impl<'a> Lexer<'a> {
         while self.peek().is_some_and(is_symbol_char) {
             self.bump();
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ops are utf-8");
+        let text = &self.src[start..self.pos];
         match text {
             "->" => Tok::Arrow,
             "<-" => Tok::BackArrow,
@@ -455,7 +461,10 @@ mod tests {
     fn char_and_string_escapes() {
         assert_eq!(toks(r"'\n'"), vec![Tok::Char('\n')]);
         assert_eq!(toks(r#""a\tb""#), vec![Tok::Str(0)]);
-        assert_eq!(strs(r#""a\tb" "plain" "é""#), vec!["a\tb", "plain", "Ã©"]);
+        assert_eq!(
+            strs(r#""a\tb" "plain" "é" "λ\n→""#),
+            vec!["a\tb", "plain", "é", "λ\n→"]
+        );
         assert!(lex(r"'ab'").is_err());
         assert!(lex("\"unterminated").is_err());
     }

@@ -6,7 +6,7 @@
 //! cargo run --release --bin urk -- serve --listen 127.0.0.1:7199 --jobs 4
 //! # terminal 2
 //! cargo run --release --example serve_load -- --addr 127.0.0.1:7199 \
-//!     --clients 4 --rate 400 --duration 10 --json BENCH_serve.json
+//!     --clients 4 --rate 400 --duration 10 --json target/serve_load.json
 //! # CI smoke: one batch end to end, then a graceful remote shutdown
 //! cargo run --release --example serve_load -- --addr 127.0.0.1:7199 --smoke --shutdown
 //! ```

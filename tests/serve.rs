@@ -529,3 +529,51 @@ fn dropping_the_server_handle_stops_everything() {
         "a dropped server must not accept new work"
     );
 }
+
+#[test]
+fn a_client_that_never_reads_cannot_hang_the_shutdown() {
+    let server = server_with(PoolConfig {
+        workers: 1,
+        ..PoolConfig::default()
+    });
+    // Pipeline batches without reading a single answer. Once the answers
+    // fill both socket buffers the connection thread blocks writing and
+    // stops reading requests, so this client's own writes stall too.
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connects");
+    stream
+        .set_write_timeout(Some(Duration::from_millis(200)))
+        .expect("sets a write timeout");
+    let batch = Request::Batch {
+        id: 1,
+        exprs: vec!["1 + 1".to_string(); 64],
+        deadline_ms: None,
+        max_steps: None,
+        max_heap: None,
+        max_stack: None,
+    }
+    .encode();
+    let flooding = Instant::now();
+    while write_frame(&mut stream, &batch).is_ok() {
+        assert!(
+            flooding.elapsed() < Duration::from_secs(30),
+            "the server never stopped reading"
+        );
+    }
+
+    // The connection thread is now blocked on a reader that never reads;
+    // stopping the server must still finish.
+    let (done, stopped) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.stop();
+        server.join();
+        let _ = done.send(());
+    });
+    assert!(
+        stopped.recv_timeout(Duration::from_secs(30)).is_ok(),
+        "a client that never reads must not hang the server's shutdown"
+    );
+    stopper.join().expect("the stopping thread finishes");
+    // Connected until here: closing earlier would fail the server's write
+    // without any timeout.
+    drop(stream);
+}

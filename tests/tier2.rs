@@ -2,10 +2,11 @@
 //! superinstruction image must be observationally indistinguishable from
 //! the tier-1 image of the one flat-code executor on every corpus the
 //! repo trusts, under every order policy, chaos plan, and interrupt
-//! sweep — while actually being faster (the perf claim lives in
-//! `benches/codegen.rs` and `BENCH_codegen.json`; this file proves the
-//! speed is not bought with wrong answers). The checks it shares with
-//! `tests/compiled.rs` live once, in `tests/common/mod.rs`.
+//! sweep — while actually being faster (the perf claim is E20 of
+//! `experiment_report` and the `machine.*.exec_ms` metrics of
+//! `perfbench/`; this file proves the speed is not bought with wrong
+//! answers). The checks it shares with `tests/compiled.rs` live once,
+//! in `tests/common/mod.rs`.
 //!
 //! Layers of evidence:
 //!

@@ -80,6 +80,28 @@ fn every_corpus_case_validates_with_zero_false_alarms() {
 }
 
 #[test]
+fn the_prelude_and_lint_demo_validate_with_a_nonempty_certificate() {
+    // The one input that runs all three checks over the whole Prelude:
+    // the certifying tier-2 pass, the lockstep validator and the
+    // analysis-side fact audit, on a session with the lint demo loaded.
+    let mut session = Session::new();
+    session
+        .load(include_str!("../examples/lint_demo.urk"))
+        .expect("lint demo loads");
+    let binds = &session.program().binds;
+    let base = compile_program(binds);
+    let facts = tier2_facts_for(session.analyze(), binds);
+    let (t2, cert) = tier2_optimize_certified(&base, &facts);
+    assert!(
+        !cert.entries.is_empty(),
+        "the Prelude must produce rewrites"
+    );
+    validate_tier2(&base, &t2, &cert, &facts).expect("validates");
+    let claimed = session.analyze().binding_facts(binds);
+    audit_binding_facts(session.program(), session.data(), &claimed).expect("audits");
+}
+
+#[test]
 fn random_generator_terms_validate_with_zero_false_alarms() {
     // 256 deterministic generator terms, each spliced as a binding over
     // the fuzz prelude (recursion, a partial match, division, a
