@@ -266,7 +266,7 @@ fn main() {
     }
     println!();
     println!(
-        "(Step/allocation counts are deterministic; wall-clock equivalents live in `cargo bench`.)"
+        "(Step/allocation counts are deterministic; wall-clock equivalents are `perfbench`'s `machine.*.exec_ms`.)"
     );
 
     // ------------------------------------------------------------------
@@ -299,7 +299,7 @@ fn main() {
         );
     }
     println!();
-    println!("(Same machine, same flat executor; only the image differs. Wall-clock medians live in `BENCH_codegen.json`.)");
+    println!("(Same machine, same flat executor; only the image differs. Wall-clock times are `perfbench`'s `machine.*.exec_ms`.)");
 
     // ------------------------------------------------------------------
     // E14: the §4.4 concurrency extension — the scheduler drives the

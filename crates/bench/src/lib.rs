@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use urk_machine::{compile_program, Code, Machine, MachineConfig, Outcome, Stats};
+use urk_machine::{compile_program, Code, Machine, MachineConfig, Stats};
 use urk_syntax::core::{CoreProgram, Expr};
 use urk_syntax::{desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv, Symbol};
 
@@ -132,11 +132,7 @@ fn run_inner(
     let out = m
         .eval_code_expr(&c.query, catch)
         .expect("workload within limits");
-    let rendered = match out {
-        Outcome::Value(n) => m.render(n, 16),
-        Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
-    };
-    (rendered, m.stats().clone())
+    (m.render_outcome(&out, 16), m.stats().clone())
 }
 
 /// Runs a compiled workload on a fresh machine at tier 1, lowering its

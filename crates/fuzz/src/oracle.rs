@@ -26,7 +26,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use urk_denot::{show_denot, Denot, DenotConfig, DenotEvaluator, Env};
-use urk_io::chaos_run_with_plan;
+use urk_io::{admits, chaos_run_with_plan};
 use urk_machine::{FaultPlan, Machine, MachineConfig, MachineError, Outcome};
 use urk_syntax::core::Expr;
 use urk_syntax::Exception;
@@ -164,21 +164,12 @@ impl Default for OracleConfig {
     }
 }
 
-/// Machine and oracle spell buried exceptional fields differently
-/// (`raise {...}` vs `Bad {...}`); compare spines only in that case —
-/// the same normalization `urk_io::chaos` and the soundness suite use.
-pub fn renders_agree(machine: &str, denot: &str) -> bool {
-    if denot.contains("Bad {") {
-        machine.split_whitespace().next() == denot.split_whitespace().next()
-    } else {
-        machine == denot.replace("(Bad {", "(raise {")
-    }
-}
-
-/// One machine episode's observable behaviour, normalized for comparison.
-enum Observed {
-    Rendered(String),
-    Caught(Exception),
+/// One machine episode's observable behaviour, normalized for comparison,
+/// and whether the denotation [`admits`] it.
+struct Observed {
+    shown: String,
+    raised: bool,
+    admitted: Result<(), String>,
 }
 
 /// Which image one oracle run links: tier 1 or tier 2.
@@ -210,6 +201,8 @@ impl Engine {
 fn run_one(
     ctx: &FuzzCtx,
     query: &Rc<Expr>,
+    ev: &DenotEvaluator,
+    denot: &Denot,
     base: &MachineConfig,
     order: urk_machine::OrderPolicy,
     engine: Engine,
@@ -234,9 +227,9 @@ fn run_one(
             ))
         }
     };
-    let observed = match &outcome {
-        Outcome::Value(n) => Observed::Rendered(m.render(*n, 16)),
-        Outcome::Caught(e) => Observed::Caught(e.clone()),
+    let shown = match &outcome {
+        Outcome::Value(n) => format!("value {}", m.render(*n, 16)),
+        Outcome::Caught(e) => format!("caught {e}"),
         Outcome::Uncaught(e) => {
             return Err(Verdict::fail(
                 CheckKind::UncaughtEscape,
@@ -259,7 +252,12 @@ fn run_one(
         m.stats(),
         Some(&outcome),
     ));
-    Ok(observed)
+    // After the fingerprint: re-entering the rendered fields runs steps.
+    Ok(Observed {
+        shown,
+        raised: matches!(outcome, Outcome::Caught(_)),
+        admitted: admits(&mut m, &outcome, ev, denot, 16),
+    })
 }
 
 fn order_name(order: urk_machine::OrderPolicy) -> &'static str {
@@ -267,13 +265,6 @@ fn order_name(order: urk_machine::OrderPolicy) -> &'static str {
         urk_machine::OrderPolicy::LeftToRight => "l2r",
         urk_machine::OrderPolicy::RightToLeft => "r2l",
         urk_machine::OrderPolicy::Seeded(_) => "seeded",
-    }
-}
-
-fn observed_text(o: &Observed) -> String {
-    match o {
-        Observed::Rendered(s) => format!("value {s}"),
-        Observed::Caught(e) => format!("caught {e}"),
     }
 }
 
@@ -309,6 +300,8 @@ pub fn run_oracle(ctx: &FuzzCtx, query: &Rc<Expr>, cfg: &OracleConfig) -> Verdic
         let tier1 = match run_one(
             ctx,
             query,
+            &ev,
+            &denot,
             &cfg.machine,
             order,
             Engine::Tier1,
@@ -322,6 +315,8 @@ pub fn run_oracle(ctx: &FuzzCtx, query: &Rc<Expr>, cfg: &OracleConfig) -> Verdic
         let tier2 = match run_one(
             ctx,
             query,
+            &ev,
+            &denot,
             &cfg.machine,
             order,
             Engine::Tier2,
@@ -335,7 +330,7 @@ pub fn run_oracle(ctx: &FuzzCtx, query: &Rc<Expr>, cfg: &OracleConfig) -> Verdic
         // Same order ⇒ byte-identical behaviour at both tiers: the
         // analysis license never buys observable divergence, only fewer
         // steps.
-        let (c, c2) = (observed_text(&tier1), observed_text(&tier2));
+        let (c, c2) = (&tier1.shown, &tier2.shown);
         if c != c2 {
             return Verdict::fail(
                 CheckKind::BackendDivergence,
@@ -343,25 +338,16 @@ pub fn run_oracle(ctx: &FuzzCtx, query: &Rc<Expr>, cfg: &OracleConfig) -> Verdic
             );
         }
         // §3.5 refinement against the denoted set.
-        match &tier1 {
-            Observed::Rendered(r) => {
-                let ok = matches!(&denot, Denot::Ok(_)) && renders_agree(r, &oracle);
-                if !ok {
-                    return Verdict::fail(
-                        CheckKind::UnsoundValue,
-                        format!("{}: machine value {r}, oracle {oracle}", order_name(order)),
-                    );
-                }
-            }
-            Observed::Caught(e) => {
-                let ok = matches!(&denot, Denot::Bad(set) if set.contains(e));
-                if !ok {
-                    return Verdict::fail(
-                        CheckKind::UnsoundException,
-                        format!("{}: caught {e} not in oracle {oracle}", order_name(order)),
-                    );
-                }
-            }
+        if let Err(why) = tier1.admitted.and(tier2.admitted) {
+            let kind = if tier1.raised {
+                CheckKind::UnsoundException
+            } else {
+                CheckKind::UnsoundValue
+            };
+            return Verdict::fail(
+                kind,
+                format!("{}: {c}, oracle {oracle}: {why}", order_name(order)),
+            );
         }
     }
 
@@ -400,7 +386,7 @@ pub fn run_oracle(ctx: &FuzzCtx, query: &Rc<Expr>, cfg: &OracleConfig) -> Verdic
     }
 
     if cfg.wallclock_interrupt {
-        if let Some(f) = wallclock_interrupt_check(ctx, query, &cfg.machine, &denot, &oracle) {
+        if let Some(f) = wallclock_interrupt_check(ctx, query, &cfg.machine, &ev, &denot, &oracle) {
             return Verdict::fail(CheckKind::InterruptFailure, f);
         }
     }
@@ -428,6 +414,7 @@ fn wallclock_interrupt_check(
     ctx: &FuzzCtx,
     query: &Rc<Expr>,
     base: &MachineConfig,
+    ev: &DenotEvaluator,
     denot: &Denot,
     oracle: &str,
 ) -> Option<String> {
@@ -444,12 +431,10 @@ fn wallclock_interrupt_check(
     // must not bleed into rendering or the re-evaluation.
     m.interrupt_handle().clear();
     let ok = match &out {
-        Ok(Outcome::Value(n)) => {
-            let r = m.render(*n, 16);
-            matches!(denot, Denot::Ok(_)) && renders_agree(&r, oracle)
-        }
         Ok(Outcome::Caught(Exception::Interrupt)) => true,
-        Ok(Outcome::Caught(e)) => matches!(denot, Denot::Bad(set) if set.contains(e)),
+        Ok(o @ (Outcome::Value(_) | Outcome::Caught(_))) => {
+            admits(&mut m, o, ev, denot, 16).is_ok()
+        }
         _ => false,
     };
     if !ok {
@@ -461,11 +446,9 @@ fn wallclock_interrupt_check(
     }
     let re = m.eval_code_expr(query, true);
     let re_ok = match &re {
-        Ok(Outcome::Value(n)) => {
-            let r = m.render(*n, 16);
-            matches!(denot, Denot::Ok(_)) && renders_agree(&r, oracle)
+        Ok(o @ (Outcome::Value(_) | Outcome::Caught(_))) => {
+            admits(&mut m, o, ev, denot, 16).is_ok()
         }
-        Ok(Outcome::Caught(e)) => matches!(denot, Denot::Bad(set) if set.contains(e)),
         _ => false,
     };
     if !re_ok {

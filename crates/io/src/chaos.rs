@@ -10,8 +10,8 @@
 //!    and derive a [`FaultPlan`] whose faults land inside it;
 //! 3. run a fresh machine under the plan and check **soundness under
 //!    faults**: a caught exception must be a member of the denotational set
-//!    ∪ the plan's injectable asynchrony, and a normal value must render
-//!    exactly as the oracle says;
+//!    ∪ the plan's injectable asynchrony, and a normal value must be one
+//!    the denotation [`admits`], field by field;
 //! 4. check **heap consistency**: [`urk_machine::Machine::audit_heap`]
 //!    must find no stranded black holes — every thunk interrupted by the
 //!    trim was restored (§5.1) or poisoned (§3.3);
@@ -26,8 +26,8 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
-use urk_denot::{show_denot, Denot, DenotConfig, DenotEvaluator, Env};
-use urk_machine::{Code, FaultPlan, Machine, MachineConfig, Outcome};
+use urk_denot::{show_denot, Denot, DenotConfig, DenotEvaluator, Env, Value};
+use urk_machine::{Code, FaultPlan, Machine, MachineConfig, Outcome, Whnf};
 use urk_syntax::core::Expr;
 use urk_syntax::Symbol;
 
@@ -111,19 +111,15 @@ pub fn chaos_run_with_plan(
     let faults_fired = m.stats().async_injected + m.stats().forced_gcs;
 
     let (outcome, sound) = match &chaos_out {
-        Ok(Outcome::Value(n)) => {
+        Ok(out @ Outcome::Value(n)) => {
             // Rendering forces lazy fields; keep the plan out of it.
             m.disarm_chaos();
             let rendered = m.render(*n, 16);
-            let ok = match &denot {
-                Denot::Ok(_) => renders_agree(&rendered, &oracle),
-                Denot::Bad(_) => false,
-            };
-            (rendered, ok)
+            (rendered, admits(&mut m, out, &ev, &denot, 16).is_ok())
         }
-        Ok(Outcome::Caught(e)) => {
-            let in_set = matches!(&denot, Denot::Bad(set) if set.contains(e));
-            (format!("Caught({e})"), in_set || plan.allows(e))
+        Ok(out @ Outcome::Caught(e)) => {
+            let ok = plan.allows(e) || admits(&mut m, out, &ev, &denot, 16).is_ok();
+            (format!("Caught({e})"), ok)
         }
         Ok(Outcome::Uncaught(e)) => (format!("Uncaught({e})"), false),
         Err(err) => (format!("machine error: {err}"), false),
@@ -136,11 +132,9 @@ pub fn chaos_run_with_plan(
     // Same machine, faults disarmed: must agree with the oracle again.
     m.disarm_chaos();
     let reeval_ok = match m.eval_code_expr(query, true) {
-        Ok(Outcome::Value(n)) => {
-            let rendered = m.render(n, 16);
-            matches!(&denot, Denot::Ok(_)) && renders_agree(&rendered, &oracle)
+        Ok(out @ (Outcome::Value(_) | Outcome::Caught(_))) => {
+            admits(&mut m, &out, &ev, &denot, 16).is_ok()
         }
-        Ok(Outcome::Caught(e)) => matches!(&denot, Denot::Bad(set) if set.contains(&e)),
         _ => false,
     };
     let heap_consistent = first_audit.is_consistent() && m.audit_heap().is_consistent();
@@ -167,15 +161,70 @@ fn baseline_steps(code: &Arc<Code>, query: &Rc<Expr>, base: &MachineConfig) -> u
     m.stats().steps
 }
 
-/// Machine and oracle spell buried exceptional fields differently
-/// (`raise {...}` vs `Bad {...}`); compare spines only in that case, full
-/// renderings otherwise — the same normalization the soundness suite uses.
-fn renders_agree(machine: &str, denot: &str) -> bool {
-    if denot.contains("Bad {") {
-        machine.split_whitespace().next() == denot.split_whitespace().next()
-    } else {
-        machine == denot.replace("(Bad {", "(raise {")
+/// The refinement check every differential battery uses (§3.5: any
+/// member of the denoted set is a correct answer): `Ok` iff the machine's
+/// outcome `out` is one the denotation `d` allows, to `depth`.
+///
+/// A raise of `x` is admitted by `Bad s` iff `x ∈ s`, and `⊥` admits
+/// everything. A value must match `Ok`: equal ints, chars and strings,
+/// any function for a function, and for a constructor the same tag and
+/// arity, with each field forced on the machine and admitted by the
+/// denotation's field at `depth - 1`; at depth 0 the fields are not
+/// examined. The `Err` names the path to the first disagreement, such as
+/// `field 1: 6 vs 5`.
+pub fn admits(
+    m: &mut Machine,
+    out: &Outcome,
+    ev: &DenotEvaluator,
+    d: &Denot,
+    depth: u32,
+) -> Result<(), String> {
+    let con = match (out, d) {
+        (_, Denot::Bad(s)) if s.is_all() => return Ok(()),
+        (Outcome::Caught(x) | Outcome::Uncaught(x), Denot::Bad(s)) if s.contains(x) => {
+            return Ok(())
+        }
+        (Outcome::Value(n), Denot::Ok(v)) => match (m.heap().whnf(*n), v) {
+            (Some(Whnf::Int(a)), Value::Int(b)) if a == *b => return Ok(()),
+            (Some(Whnf::Char(a)), Value::Char(b)) if a == *b => return Ok(()),
+            (Some(Whnf::Str(a)), Value::Str(b)) if a == b => return Ok(()),
+            (Some(Whnf::CFun { .. }), Value::Fun(_)) => return Ok(()),
+            (Some(Whnf::Con(c, fs)), Value::Con(dc, dfs)) if c == *dc && fs.len() == dfs.len() => {
+                Some((*n, dfs))
+            }
+            _ => None,
+        },
+        _ => None,
+    };
+    let Some((node, fields)) = con else {
+        return Err(format!(
+            "{} vs {}",
+            m.render_outcome(out, 0),
+            show_denot(ev, d, 0)
+        ));
+    };
+    if depth == 0 {
+        return Ok(());
     }
+    let root = m.push_root(node);
+    let mut verdict = Ok(());
+    for (i, field) in fields.iter().enumerate() {
+        // Re-read the field from the rooted parent: forcing the previous
+        // field may have run a collection that moved this one.
+        let Some(Whnf::Con(_, fs)) = m.heap().whnf(m.root(root)) else {
+            unreachable!("a constructor was matched above")
+        };
+        let sub = match m.eval_node(fs[i], false) {
+            Ok(o) => admits(m, &o, ev, &ev.force(field), depth - 1),
+            Err(e) => Err(format!("machine error: {e}")),
+        };
+        if let Err(why) = sub {
+            verdict = Err(format!("field {i}: {why}"));
+            break;
+        }
+    }
+    m.pop_root();
+    verdict
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ pub mod trace;
 pub mod wire;
 
 pub use batch::{BatchOutcome, SharedBatch};
-pub use chaos::{chaos_run, chaos_run_with_plan, ChaosReport};
+pub use chaos::{admits, chaos_run, chaos_run_with_plan, ChaosReport};
 pub use denot_run::{run_denot, AsyncSchedule};
 pub use json::{parse_json, Json, JsonError};
 pub use lts::{IoResult, RunOutcome, ThreadResult};

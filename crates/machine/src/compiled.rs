@@ -717,10 +717,8 @@ mod tests {
         let mut m = Machine::new(config);
         m.link_code(Arc::new(code));
         let e = desugar_expr(&parse_expr_src(query).expect("parses"), &data).expect("desugars");
-        match m.eval_code_expr(&e, false).expect("no machine error") {
-            Outcome::Value(n) => m.render(n, 16),
-            Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
-        }
+        let out = m.eval_code_expr(&e, false).expect("no machine error");
+        m.render_outcome(&out, 16)
     }
 
     fn compiled_render(prog_src: &str, query: &str) -> String {
@@ -889,11 +887,8 @@ mod tests {
             ),
         ] {
             let e = desugar_expr(&parse_expr_src(query).expect("parses"), &data).expect("desugars");
-            let got = match m.eval_code_expr(&e, false).expect("no machine error") {
-                Outcome::Value(n) => m.render(n, 16),
-                Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
-            };
-            assert_eq!(got, want, "{query}");
+            let out = m.eval_code_expr(&e, false).expect("no machine error");
+            assert_eq!(m.render_outcome(&out, 16), want, "{query}");
         }
     }
 

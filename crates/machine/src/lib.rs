@@ -101,10 +101,7 @@ mod tests {
 
     fn render(src: &str) -> String {
         let (mut m, out) = eval_with(MachineConfig::default(), src, false);
-        match out {
-            Outcome::Value(n) => m.render(n, 16),
-            Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
-        }
+        m.render_outcome(&out, 16)
     }
 
     fn caught(src: &str) -> Exception {

@@ -797,6 +797,15 @@ impl Machine {
         out
     }
 
+    /// Renders an episode's outcome: a value as [`Machine::render`] does,
+    /// a raised exception as `(raise E)`.
+    pub fn render_outcome(&mut self, out: &Outcome, depth: u32) -> String {
+        match out {
+            Outcome::Value(n) => self.render(*n, depth),
+            Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
+        }
+    }
+
     fn render_value(&mut self, node: NodeId, depth: u32) -> String {
         // `node` is an episode result: immediate or tenured (results are
         // promoted on return), so it is stable across the collections that

@@ -289,10 +289,8 @@ pub fn region_differential(
                 let boxed = result.as_ref().is_ok_and(|v| {
                     !v.is_imm() && matches!(m.heap.whnf(*v), Some(crate::heap::Whnf::Int(_)))
                 });
-                let shown = match result {
-                    Ok(v) => m.render(v, 4),
-                    Err(e) => format!("(raise {e})"),
-                };
+                let out = result.map_or_else(crate::Outcome::Caught, crate::Outcome::Value);
+                let shown = m.render_outcome(&out, 4);
                 results.push((shown, stats, boxed));
             }
             out.runs += 1;

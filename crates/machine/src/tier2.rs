@@ -718,7 +718,7 @@ impl Rewriter<'_> {
 mod tests {
     use super::*;
     use crate::code::compile_program;
-    use crate::machine::{Machine, MachineConfig, Outcome};
+    use crate::machine::{Machine, MachineConfig};
     use crate::OrderPolicy;
     use urk_syntax::{desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv};
 
@@ -742,10 +742,8 @@ mod tests {
         let mut m = Machine::new(config);
         m.link_code(code);
         let e = desugar_expr(&parse_expr_src(query).expect("parses"), data).expect("desugars");
-        match m.eval_code_expr(&e, false).expect("no machine error") {
-            Outcome::Value(n) => m.render(n, 32),
-            Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
-        }
+        let out = m.eval_code_expr(&e, false).expect("no machine error");
+        m.render_outcome(&out, 32)
     }
 
     fn tier1_render(src: &str, query: &str, config: MachineConfig) -> String {

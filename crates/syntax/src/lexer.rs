@@ -198,7 +198,17 @@ impl<'a> Lexer<'a> {
             Some(b'\\') => self.lex_escape()?,
             Some(b'\'') => return Err(self.error("empty character literal")),
             Some(c) if c.is_ascii() => c as char,
-            Some(_) => return Err(self.error("non-ascii character literal")),
+            Some(_) => {
+                // A non-ASCII lead byte: the literal is the whole UTF-8
+                // scalar it starts (columns count bytes, as in strings).
+                let c = self.src[self.pos - 1..]
+                    .chars()
+                    .next()
+                    .expect("UTF-8 source");
+                self.pos += c.len_utf8() - 1;
+                self.col += c.len_utf8() as u32 - 1;
+                c
+            }
             None => return Err(self.error("unterminated character literal")),
         };
         match self.bump() {
@@ -460,6 +470,7 @@ mod tests {
     #[test]
     fn char_and_string_escapes() {
         assert_eq!(toks(r"'\n'"), vec![Tok::Char('\n')]);
+        assert_eq!(toks("'é' 'λ'"), vec![Tok::Char('é'), Tok::Char('λ')]);
         assert_eq!(toks(r#""a\tb""#), vec![Tok::Str(0)]);
         assert_eq!(
             strs(r#""a\tb" "plain" "é" "λ\n→""#),

@@ -283,11 +283,7 @@ mod tests {
         let mut m = machine_for(prog);
         let e = desugar_expr(&parse_expr_src(expr).expect("parses"), &data).expect("desugars");
         let out = m.eval_code_expr(&e, false).expect("no machine error");
-        let rendered = match out {
-            Outcome::Value(n) => m.render(n, 16),
-            Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
-        };
-        (rendered, m.stats().clone())
+        (m.render_outcome(&out, 16), m.stats().clone())
     }
 
     const FIB: &str = "fib n = if n < 2 then n else fib (n - 1) + fib (n - 2)";

@@ -1,8 +1,11 @@
-//! What the two tier-1/tier-2 differential batteries (`tests/compiled.rs`
-//! and `tests/tier2.rs`) share: the corpora, the session pair, the
-//! agreement assert, and the bodies of the checks both files run.
+//! What the tier-1/tier-2 differential batteries (`tests/compiled.rs`,
+//! `tests/tier2.rs`, `tests/saturated_entry.rs` and
+//! `tests/corpus_regress.rs`) share: the corpora, the session pair, the
+//! agreement assert, the refinement check against the denotation, and the
+//! bodies of the checks the first two run.
 
 use urk::{EvalPool, Options, PoolConfig, Session, Tier};
+use urk_denot::Env;
 use urk_machine::OrderPolicy;
 
 /// The closed-term corpus from `tests/soundness.rs`: every corner of the
@@ -90,9 +93,20 @@ pub fn tier_pair(order: OrderPolicy) -> (Session, Session) {
     (tier1, tier2)
 }
 
-/// Asserts the two sessions agree on `src`, and that any exceptional
-/// outcome is a member of the denoted set.
-fn assert_two_way(tier1: &Session, tier2: &Session, src: &str) {
+/// Evaluates `src` on a machine of `s` and checks that its outcome is one
+/// the denotation admits, to `depth` ([`urk_io::admits`]).
+pub fn admitted(s: &Session, src: &str, depth: u32) -> Result<(), String> {
+    let e = s.compile_expr(src).map_err(|e| e.to_string())?;
+    let ev = s.denot_evaluator();
+    let denot = ev.eval(&e, &ev.bind_recursive(&s.program().binds, &Env::empty()));
+    let mut m = s.compiled_machine();
+    let out = m.eval_code_expr(&e, false).map_err(|e| e.to_string())?;
+    urk_io::admits(&mut m, &out, &ev, &denot, depth)
+}
+
+/// Asserts the two sessions agree on `src`, and that the outcome is one
+/// the denotation admits.
+pub fn assert_two_way(tier1: &Session, tier2: &Session, src: &str) {
     let a = tier1
         .eval(src)
         .unwrap_or_else(|e| panic!("{src}: tier 1: {e}"));
@@ -109,15 +123,8 @@ fn assert_two_way(tier1: &Session, tier2: &Session, src: &str) {
         ("1", "2"),
         "{src}"
     );
-    if let Some(exn) = &b.exception {
-        let set = tier2
-            .exception_set(src)
-            .expect("denotes")
-            .unwrap_or_else(|| panic!("{src}: machine raised {exn} but the denotation is Ok"));
-        assert!(
-            set.contains(exn),
-            "{src}: the machine chose {exn} outside the denoted set {set}"
-        );
+    if let Err(why) = admitted(tier2, src, 16) {
+        panic!("{src}: {why}");
     }
 }
 

@@ -9,14 +9,14 @@
 //! * the soundness corpus and the paper's worked examples evaluate to
 //!   byte-identical renderings and identical representative exceptions at
 //!   both tiers, under both deterministic order policies;
-//! * every exceptional outcome is a member of the denoted set, so
+//! * every outcome is one the denotation admits (`urk_io::admits`), so
 //!   agreement is not two matching wrong answers;
 //! * the chaos corpus agrees when evaluated normally and holds §5.1's
 //!   invariants on the tier-1 image (soundness under injected faults,
 //!   clean heap audit, oracle-consistent re-eval);
 //! * vendored-proptest random well-typed core terms, each bound as a
 //!   program global so the tier-2 pass rewrites it, agree tier 1 vs tier 2
-//!   at the machine level, with denot-set membership.
+//!   at the machine level, and the denotation admits the outcome.
 
 mod common;
 
@@ -27,7 +27,8 @@ use proptest::prelude::*;
 
 use urk::{tier2_facts_for, Session, Tier};
 use urk_denot::{Denot, DenotEvaluator};
-use urk_machine::{compile_program, tier2_optimize, Machine, MachineConfig, OrderPolicy, Outcome};
+use urk_io::admits;
+use urk_machine::{compile_program, tier2_optimize, Machine, MachineConfig, OrderPolicy};
 use urk_syntax::core::{Alt, CoreProgram, Expr, PrimOp};
 use urk_syntax::{DataEnv, Symbol};
 
@@ -177,22 +178,18 @@ fn gen_int(depth: u32, scope: Vec<Symbol>) -> BoxedStrategy<Expr> {
     .boxed()
 }
 
-fn render_outcome(m: &mut Machine, out: Outcome) -> String {
-    match out {
-        Outcome::Value(n) => m.render(n, 16),
-        Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
-    }
-}
-
 /// Binds `e` as the global `main`, lowers that program at tier 1 or
 /// (analysis-licensed) at tier 2, and evaluates `main` under a catch mark.
 /// Queries always lower at tier 1, so the term must be a program global
-/// for the tier-2 pass to rewrite it.
+/// for the tier-2 pass to rewrite it. Returns the rendered outcome and
+/// whether the denotation `denot` admits it.
 fn tier_result(
     e: &Rc<Expr>,
     tier2: bool,
     policy: OrderPolicy,
-) -> (String, Option<urk_syntax::Exception>) {
+    ev: &DenotEvaluator,
+    denot: &Denot,
+) -> (String, Result<(), String>) {
     let main = Symbol::intern("main");
     let prog = CoreProgram {
         binds: vec![(main, Rc::clone(e))],
@@ -211,37 +208,27 @@ fn tier_result(
     let out = m
         .eval_code_expr(&Expr::Var(main), true)
         .expect("terminates");
-    let exn = match &out {
-        Outcome::Caught(e) | Outcome::Uncaught(e) => Some(e.clone()),
-        Outcome::Value(_) => None,
-    };
-    (render_outcome(&mut m, out), exn)
+    let rendered = m.render_outcome(&out, 16);
+    (rendered, admits(&mut m, &out, ev, denot, 16))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// For random well-typed terms and every order policy, the tier-1
-    /// and tier-2 images produce identical outcomes, and any exception is
-    /// inside the denoted set.
+    /// and tier-2 images produce identical outcomes, and the denotation
+    /// admits them.
     #[test]
     fn tier_two_agrees_with_tier_one_on_random_terms(e in gen_int(4, Vec::new())) {
         let e = Rc::new(e);
-        let denot = DenotEvaluator::new().eval_closed(&e);
+        let ev = DenotEvaluator::new();
+        let denot = ev.eval_closed(&e);
         for policy in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft, OrderPolicy::Seeded(11)] {
-            let (tr, te) = tier_result(&e, false, policy);
-            let (cr, ce) = tier_result(&e, true, policy);
+            let (tr, ta) = tier_result(&e, false, policy, &ev, &denot);
+            let (cr, ca) = tier_result(&e, true, policy, &ev, &denot);
             prop_assert_eq!(&tr, &cr, "rendered outcome diverged under {:?}", policy);
-            prop_assert_eq!(&te, &ce, "exception diverged under {:?}", policy);
-            if let Some(exn) = &ce {
-                let Denot::Bad(set) = &denot else {
-                    return Err(TestCaseError::fail(format!(
-                        "machine raised {exn} but the denotation is Ok"
-                    )));
-                };
-                prop_assert!(set.contains(exn),
-                    "the machine chose {} outside the denoted set {}", exn, set);
-            }
+            let admitted = ta.and(ca);
+            prop_assert!(admitted.is_ok(), "under {:?}: {:?}", policy, admitted);
         }
     }
 }

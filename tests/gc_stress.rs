@@ -137,8 +137,8 @@ fn re_evaluation_after_interruption_agrees_with_the_denotational_oracle() {
         max_depth: 2_000,
         ..urk::DenotConfig::default()
     });
-    let oracle = urk_denot::show_denot(&ev, &ev.eval_closed(&core), 16);
-    assert_eq!(oracle, "31376");
+    let denot = ev.eval_closed(&core);
+    assert_eq!(urk_denot::show_denot(&ev, &denot, 16), "31376");
 
     // Early, middle and late in the 756-step episode.
     for at in [100u64, 400, 700] {
@@ -155,10 +155,9 @@ fn re_evaluation_after_interruption_agrees_with_the_denotational_oracle() {
         // The schedule is exhausted; re-evaluation must now reach the
         // oracle's value using whatever the trim left behind.
         let second = m.eval_code_expr(&core, true).expect("within limits");
-        let Outcome::Value(n) = second else {
-            panic!("re-evaluation after interrupt at {at}: {second:?}")
-        };
-        assert_eq!(m.render(n, 16), oracle, "after interrupt at {at}");
+        if let Err(why) = urk_io::admits(&mut m, &second, &ev, &denot, 16) {
+            panic!("re-evaluation after interrupt at {at}: {why}");
+        }
         assert!(m.audit_heap().is_consistent());
     }
 }

@@ -23,7 +23,8 @@ use urk_denot::{
     compare_denots, denot_leq, show_denot, Denot, DenotConfig, DenotEvaluator, Design, EvalOrder,
     ExnSet, Thunk, Value,
 };
-use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy, Outcome};
+use urk_io::admits;
+use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy};
 use urk_syntax::core::{Alt, Expr, PrimOp};
 use urk_syntax::{desugar_expr, parse_expr_src, pretty, DataEnv, Exception, Known, Symbol};
 use urk_transform::{
@@ -284,14 +285,6 @@ fn precise_orders_refine_the_imprecise_denotation_on_the_law_sides() {
     assert_eq!(checked, 36);
 }
 
-fn machine_result(e: &Rc<Expr>, policy: OrderPolicy) -> Outcome {
-    let mut m = closed_machine(MachineConfig {
-        order: policy,
-        ..MachineConfig::default()
-    });
-    m.eval_code_expr(e, true).expect("terminates")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -304,24 +297,13 @@ proptest! {
         let ev = DenotEvaluator::new();
         let denot = ev.eval_closed(&e);
         for policy in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft, OrderPolicy::Seeded(11)] {
-            match (&denot, machine_result(&e, policy)) {
-                (Denot::Ok(urk_denot::Value::Int(n)), Outcome::Value(node)) => {
-                    let mut m2 = closed_machine(MachineConfig {
-                        order: policy,
-                        ..MachineConfig::default()
-                    });
-                    let Outcome::Value(node2) = m2.eval_code_expr(&e, true).expect("terminates") else {
-                        unreachable!()
-                    };
-                    prop_assert_eq!(m2.render(node2, 4), n.to_string());
-                    let _ = node;
-                }
-                (Denot::Bad(set), Outcome::Caught(exn)) => {
-                    prop_assert!(set.contains(&exn),
-                        "machine chose {} outside {}", exn, set);
-                }
-                (d, o) => prop_assert!(false, "layer mismatch: {:?} vs {:?}", d, o),
-            }
+            let mut m = closed_machine(MachineConfig {
+                order: policy,
+                ..MachineConfig::default()
+            });
+            let out = m.eval_code_expr(&e, true).expect("terminates");
+            let admitted = admits(&mut m, &out, &ev, &denot, 4);
+            prop_assert!(admitted.is_ok(), "machine under {:?}: {:?}", policy, admitted);
         }
     }
 

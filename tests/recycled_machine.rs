@@ -94,9 +94,12 @@ fn answer(m: &mut Machine, s: &Session, src: &str, catch: bool) -> Answer {
     let out = m.eval_code_expr(&e, catch);
     let stats = row(m.stats());
     let (rendered, exception, error) = match out {
-        Ok(Outcome::Value(n)) => (m.render(n, RENDER_DEPTH), None, None),
-        Ok(Outcome::Caught(x) | Outcome::Uncaught(x)) => {
-            (format!("(raise {x})"), Some(x.to_string()), None)
+        Ok(out) => {
+            let exception = match &out {
+                Outcome::Value(_) => None,
+                Outcome::Caught(x) | Outcome::Uncaught(x) => Some(x.to_string()),
+            };
+            (m.render_outcome(&out, RENDER_DEPTH), exception, None)
         }
         Err(error) => (String::new(), None, Some(error)),
     };

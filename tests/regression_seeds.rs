@@ -13,8 +13,9 @@
 
 use std::rc::Rc;
 
-use urk_denot::{compare_denots, denot_leq, show_denot, Denot, DenotConfig, DenotEvaluator, Value};
-use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy, Outcome};
+use urk_denot::{compare_denots, denot_leq, show_denot, Denot, DenotConfig, DenotEvaluator};
+use urk_io::admits;
+use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy};
 use urk_syntax::core::{Alt, CoreProgram, Expr, PrimOp};
 use urk_syntax::{desugar_expr, parse_expr_src, pretty, DataEnv, Symbol};
 use urk_transform::{
@@ -161,14 +162,6 @@ fn seed_2() -> Expr {
     )
 }
 
-fn machine_result(e: &Rc<Expr>, policy: OrderPolicy) -> Outcome {
-    let mut m = closed_machine(MachineConfig {
-        order: policy,
-        ..MachineConfig::default()
-    });
-    m.eval_code_expr(e, true).expect("terminates")
-}
-
 /// The `machine_sound_wrt_denotational_semantics` property, pinned.
 fn check_machine_sound(e: Expr) {
     let e = Rc::new(e);
@@ -179,25 +172,13 @@ fn check_machine_sound(e: Expr) {
         OrderPolicy::RightToLeft,
         OrderPolicy::Seeded(11),
     ] {
-        match (&denot, machine_result(&e, policy)) {
-            (Denot::Ok(Value::Int(n)), Outcome::Value(node)) => {
-                let mut m2 = closed_machine(MachineConfig {
-                    order: policy,
-                    ..MachineConfig::default()
-                });
-                let Outcome::Value(node2) = m2.eval_code_expr(&e, true).expect("terminates") else {
-                    unreachable!()
-                };
-                assert_eq!(m2.render(node2, 4), n.to_string());
-                let _ = node;
-            }
-            (Denot::Bad(set), Outcome::Caught(exn)) => {
-                assert!(
-                    set.contains(&exn),
-                    "machine ({policy:?}) chose {exn} outside {set}"
-                );
-            }
-            (d, o) => panic!("layer mismatch under {policy:?}: {d:?} vs {o:?}"),
+        let mut m = closed_machine(MachineConfig {
+            order: policy,
+            ..MachineConfig::default()
+        });
+        let out = m.eval_code_expr(&e, true).expect("terminates");
+        if let Err(why) = admits(&mut m, &out, &ev, &denot, 4) {
+            panic!("machine under {policy:?}: {why}");
         }
     }
 }

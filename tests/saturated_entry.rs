@@ -2,8 +2,11 @@
 //! takes the arguments of the `Apply` frames waiting for the body's
 //! further lambdas. Applications with fewer arguments than lambdas, with
 //! more, and through a local multi-argument lambda must agree between
-//! tier 1 and tier 2 under both deterministic orders, and every raised
-//! exception must lie in the denoted set.
+//! tier 1 and tier 2 under both deterministic orders, and every outcome
+//! must be one the denotation admits.
+
+#[allow(dead_code)]
+mod common;
 
 use urk::{Session, Tier};
 use urk_machine::OrderPolicy;
@@ -44,21 +47,7 @@ fn partial_over_and_local_applications_agree_across_tiers() {
     for order in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
         let (tier1, tier2) = (session(Tier::One, order), session(Tier::Two, order));
         for src in QUERIES {
-            let a = tier1
-                .eval(src)
-                .unwrap_or_else(|e| panic!("{src}: tier 1: {e}"));
-            let b = tier2
-                .eval(src)
-                .unwrap_or_else(|e| panic!("{src}: tier 2: {e}"));
-            assert_eq!(a.rendered, b.rendered, "{order:?} {src}");
-            assert_eq!(a.exception, b.exception, "{order:?} {src}");
-            if let Some(exn) = &b.exception {
-                let set = tier2
-                    .exception_set(src)
-                    .expect("denotes")
-                    .unwrap_or_else(|| panic!("{src}: raised {exn} but the denotation is Ok"));
-                assert!(set.contains(exn), "{src}: {exn} outside the denoted {set}");
-            }
+            common::assert_two_way(&tier1, &tier2, src);
         }
     }
 }

@@ -1,12 +1,14 @@
 //! Cross-layer soundness: the machine (the §3.3 implementation) must agree
 //! with the denotational semantics (§4) — equal values on normal results,
-//! and a representative *from the set* on exceptional ones. This is the
-//! paper's central implementation-correctness claim, checked over a fixed
-//! corpus here and over random terms in `properties.rs`.
+//! and a representative *from the set* on exceptional ones, field by field
+//! ([`urk_io::admits`]). This is the paper's central
+//! implementation-correctness claim, checked over a fixed corpus here and
+//! over random terms in `properties.rs`.
 
 use std::rc::Rc;
 
 use urk_denot::{show_denot, Denot, DenotEvaluator, Env};
+use urk_io::admits;
 use urk_machine::{compile_program, Machine, MachineConfig, OrderPolicy, Outcome};
 use urk_syntax::{desugar_expr, parse_expr_src, DataEnv};
 
@@ -65,6 +67,61 @@ const CORPUS: &[&str] = &[
     "case (1/0, 5) of { (a, b) -> a }",
 ];
 
+fn core_of(src: &str) -> Rc<urk_syntax::core::Expr> {
+    Rc::new(desugar_expr(&parse_expr_src(src).expect("parses"), &DataEnv::new()).expect("desugars"))
+}
+
+/// Checks the machine's outcome on `machine_src` under `order` against
+/// the denotation of `denot_src`.
+fn admitted(machine_src: &str, denot_src: &str, order: OrderPolicy) -> Result<(), String> {
+    let ev = DenotEvaluator::new();
+    let denot = ev.eval_closed(&core_of(denot_src));
+    let mut m = closed_machine(MachineConfig {
+        order,
+        ..MachineConfig::default()
+    });
+    let out = m
+        .eval_code_expr(&core_of(machine_src), true)
+        .expect("within limits");
+    admits(&mut m, &out, &ev, &denot, 16)
+}
+
+#[test]
+fn admits_rejects_a_wrong_field_beside_an_exceptional_one() {
+    // Each machine answer differs from the denotation in one field, and
+    // the denotation is exceptional elsewhere: comparing renderings up to
+    // the first exceptional field accepted all three.
+    for (machine, denot, path) in [
+        ("(1/0, 6)", "(1/0, 5)", "field 1: 6 vs 5"),
+        (
+            "[1, 2/0, 7]",
+            "[1, 2/0, 3]",
+            "field 1: field 1: field 0: 7 vs 3",
+        ),
+        (
+            "(1/0, 5)",
+            "(raise Overflow, 5)",
+            "field 0: (raise DivideByZero) vs Bad {Overflow}",
+        ),
+    ] {
+        assert_eq!(
+            admitted(machine, denot, OrderPolicy::LeftToRight),
+            Err(path.to_string()),
+            "{machine} against {denot}"
+        );
+    }
+    // Either member of a field's set is a correct answer for that field.
+    let both = "(1/0 + raise Overflow, 5)";
+    let ev = DenotEvaluator::new();
+    assert_eq!(
+        show_denot(&ev, &ev.eval_closed(&core_of(both)), 4),
+        "Pair (Bad {DivideByZero, Overflow}) 5"
+    );
+    for order in [OrderPolicy::LeftToRight, OrderPolicy::RightToLeft] {
+        assert_eq!(admitted(both, both, order), Ok(()), "{order:?}");
+    }
+}
+
 fn fst_is_case(src: &str) -> String {
     // `fst` is Prelude; rewrite the corpus entry inline.
     src.replace("fst (1, 1/0)", "case (1, 1/0) of { (a, b) -> a }")
@@ -89,31 +146,8 @@ fn machine_agrees_with_the_denotational_semantics_on_the_corpus() {
                 ..MachineConfig::default()
             });
             let out = m.eval_code_expr(&core, true).expect("within limits");
-            match (&denot, out) {
-                (Denot::Ok(_), Outcome::Value(n)) => {
-                    let machine_render = m.render(n, 16);
-                    let denot_render = show_denot(&ev, &denot, 16);
-                    // Renderings differ only in how buried exceptions are
-                    // spelled; normalize.
-                    let d = denot_render.replace("(Bad {", "(raise {");
-                    if denot_render.contains("Bad {") {
-                        // A buried exceptional field: check the spine only.
-                        assert_eq!(
-                            machine_render.split_whitespace().next(),
-                            denot_render.split_whitespace().next(),
-                            "on `{src}`"
-                        );
-                    } else {
-                        assert_eq!(machine_render, d, "on `{src}` under {policy:?}");
-                    }
-                }
-                (Denot::Bad(set), Outcome::Caught(exn)) => {
-                    assert!(
-                        set.contains(&exn),
-                        "machine chose {exn} outside the denotational set {set} on `{src}`"
-                    );
-                }
-                (d, o) => panic!("divergent layers on `{src}`: denot={d:?} machine={o:?}"),
+            if let Err(why) = admits(&mut m, &out, &ev, &denot, 16) {
+                panic!("`{src}` under {policy:?}: {why}");
             }
         }
     }

@@ -11,8 +11,8 @@
 //! Layers of evidence:
 //!
 //! * the soundness corpus and the paper's worked examples agree across
-//!   both tiers under both deterministic orders, with every
-//!   exceptional outcome a member of the denoted set (§3.5 refinement);
+//!   both tiers under both deterministic orders, with every outcome
+//!   one the denotation admits (§3.5 refinement);
 //! * the seeded order stays in per-seed lockstep across tiers, so the
 //!   §3.5 "pick any member" draw stream is preserved by fusion;
 //! * the bench workloads agree and the tier-2 gauges (`fused_steps`,
@@ -196,11 +196,7 @@ fn speculative_raises_are_stored_not_propagated() {
             urk_syntax::desugar_expr(&urk_syntax::parse_expr_src(query).expect("parses"), &data)
                 .expect("desugars");
         let out = m.eval_code_expr(&e, true).expect("no machine error");
-        let rendered = match out {
-            Outcome::Value(n) => m.render(n, 16),
-            Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
-        };
-        (rendered, m.stats().clone())
+        (m.render_outcome(&out, 16), m.stats().clone())
     };
     let (undemanded, stats) = eval("main");
     assert_eq!(undemanded, "42", "a stored speculative raise is invisible");
@@ -248,10 +244,8 @@ fn the_spec_propagate_sabotage_fires_at_both_tiers() {
         let e =
             urk_syntax::desugar_expr(&urk_syntax::parse_expr_src(query).expect("parses"), &data)
                 .expect("desugars");
-        match m.eval_code_expr(&e, true).expect("no machine error") {
-            Outcome::Value(n) => m.render(n, 16),
-            Outcome::Caught(e) | Outcome::Uncaught(e) => format!("(raise {e})"),
-        }
+        let out = m.eval_code_expr(&e, true).expect("no machine error");
+        m.render_outcome(&out, 16)
     };
     for (tier, code) in &images {
         for query in ["main", "shared"] {
