@@ -307,8 +307,8 @@ impl Session {
         self.compiled.replace(Some((tier, code)));
     }
 
-    /// A machine with the lowered program linked (globals allocated and
-    /// rooted), ready for [`Machine::eval_code_expr`]: equal to a fresh
+    /// A machine with the lowered program linked (its globals appended to
+    /// the heap), ready for [`Machine::eval_code_expr`]: equal to a fresh
     /// one, recycled from the session's last evaluation.
     pub fn compiled_machine(&self) -> Machine {
         self.machine(self.options.machine.clone())

@@ -33,7 +33,6 @@ use std::sync::{Arc, OnceLock};
 use urk_syntax::core::{Alt, AltCon, Expr, PrimOp};
 use urk_syntax::Symbol;
 
-use crate::heap::NodeId;
 use crate::region::{RegionProgram, RegionPrograms};
 
 /// An index into a [`Code`] arena (base program or machine extension).
@@ -49,8 +48,8 @@ pub(crate) enum COp {
     /// A local variable, resolved to "slot `k` back from the top" of the
     /// runtime environment.
     Local(u32),
-    /// A top-level binding, resolved to an index into the machine's
-    /// global node table.
+    /// A top-level binding, resolved to its index `g` in the image: the
+    /// linked machine's tenured cell `g`.
     Global(u32),
     Int(i64),
     Char(char),
@@ -927,10 +926,6 @@ impl Compiler<'_> {
 pub(crate) struct LinkedCode {
     pub(crate) base: Arc<Code>,
     pub(crate) ext: CodeBuf,
-    /// One heap node per top-level binding, knot-tied through this table
-    /// (global code refers here by index, so global thunks carry empty
-    /// environments).
-    pub(crate) global_nodes: Vec<NodeId>,
     /// The entry of [`compile_apply`]'s code in `ext`, once lowered.
     pub(crate) apply: Option<CodeId>,
 }
@@ -940,7 +935,6 @@ impl LinkedCode {
         LinkedCode {
             base,
             ext: CodeBuf::default(),
-            global_nodes: Vec::new(),
             apply: None,
         }
     }

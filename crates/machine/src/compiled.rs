@@ -2,9 +2,9 @@
 //! machine-local extension, and the fused paths the kernel's eval step
 //! ([`crate::kernel`]) takes.
 //!
-//! * top-level names are direct indices into the machine's global node
-//!   table ([`Machine::link_code`] ties the knot through it, so global
-//!   thunks carry *empty* environments);
+//! * top-level name `g` is tenured cell `g` ([`NodeId::global`]):
+//!   [`Machine::link_code`] appends the globals as cells `0..n`, so the
+//!   knot is tied by index and global thunks carry *empty* environments;
 //! * operand positions allocate without a thunk where they can: slot loads
 //!   reuse the bound node, literals go straight to WHNF, and tier-2
 //!   speculation sites build their value eagerly;
@@ -28,21 +28,24 @@ use crate::region::RegionProgram;
 use crate::OrderPolicy;
 
 impl Machine {
-    /// Links a compiled program into this machine: allocates one knot-tied
-    /// thunk per top-level binding (rooted for the machine's life) and
-    /// sets the machine's tier tag. The `Arc<Code>` is shared —
-    /// an evaluation pool links the same program into every worker.
+    /// Links a compiled program into this machine: appends one knot-tied
+    /// thunk per top-level binding as tenured cells `0..n` (live for the
+    /// machine's life: every collection marks them) and sets the
+    /// machine's tier tag. The `Arc<Code>` is shared — an evaluation pool
+    /// links the same program into every worker.
     ///
     /// # Panics
     ///
     /// Panics if compiled code is already linked (one program per
-    /// machine; build a fresh machine to swap programs).
+    /// machine; build a fresh machine to swap programs), or if the heap
+    /// is not empty.
     pub fn link_code(&mut self, base: Arc<Code>) {
         self.link(LinkedCode::new(base));
     }
 
-    /// [`Machine::link_code`] into `linked`, whose buffers are empty.
-    pub(crate) fn link(&mut self, mut linked: LinkedCode) {
+    /// [`Machine::link_code`] into `linked`, whose buffers are empty: the
+    /// one link path of fresh and recycled machines.
+    pub(crate) fn link(&mut self, linked: LinkedCode) {
         assert!(
             self.code.is_none(),
             "compiled code already linked into this machine"
@@ -53,19 +56,16 @@ impl Machine {
                 panic!("refusing to link corrupt compiled code: {e}");
             }
         }
-        for (_, entry) in &base.globals {
-            // Global rhs code resolves cross-references through the
-            // global node table itself, so the environment stays empty —
-            // this *is* the recursive knot, tied by indices. Tenured: the
-            // global node table is a plain `Vec<NodeId>` the minor
-            // collector never rewrites, so the ids must be stable.
-            let node = self.alloc_tenured(Node::CThunk {
-                code: *entry,
+        // Global code reaches global `g` as cell `g`, so the environment
+        // stays empty: this *is* the recursive knot, tied by indices.
+        // Tenured, so the ids are stable; each counts as one allocation.
+        let n = self
+            .heap
+            .append_globals(base.globals.iter().map(|&(_, code)| Node::CThunk {
+                code,
                 env: CEnv::empty(),
-            });
-            self.roots.push(node);
-            linked.global_nodes.push(node);
-        }
+            }));
+        self.stats.allocations += n as u64;
         // Inline-cache slots are per-machine and per-link: relinking is
         // impossible (the assert above), and a recycled table is cleared
         // here, so a populated slot can never point at a stale callee.
@@ -154,7 +154,7 @@ impl Machine {
     pub(crate) fn alloc_code(&mut self, code: CodeId, env: &CEnv) -> NodeId {
         match self.linked().op(code) {
             COp::Local(back) => env.get_back(back),
-            COp::Global(g) => self.linked().global_nodes[g as usize],
+            COp::Global(g) => NodeId::global(g),
             COp::Int(n) => self.int_node(n),
             COp::Char(c) => self.alloc_value(HValue::Char(c)),
             COp::Str(i) => {
@@ -275,7 +275,7 @@ impl Machine {
         code.region_slice(prog, left_first).iter().all(|op| {
             let n = match *op {
                 COp::Local(back) => env.get_back(back),
-                COp::Global(g) => code.global_nodes[g as usize],
+                COp::Global(g) => NodeId::global(g),
                 _ => return true,
             };
             let n = heap.resolve(n);
@@ -359,7 +359,7 @@ impl Machine {
     pub(crate) fn region_eval(&mut self, code: CodeId, env: &CEnv) -> Result<NodeId, Exception> {
         match self.linked().op(code) {
             COp::Local(back) => Ok(self.heap.resolve(env.get_back(back))),
-            COp::Global(g) => Ok(self.heap.resolve(self.linked().global_nodes[g as usize])),
+            COp::Global(g) => Ok(self.heap.resolve(NodeId::global(g))),
             COp::Int(n) => Ok(self.int_node(n)),
             COp::Char(c) => Ok(self.alloc_value(HValue::Char(c))),
             COp::Str(i) => {
@@ -401,11 +401,11 @@ impl Machine {
     }
 
     /// Applies a global through its monomorphic inline cache: a hit jumps
-    /// straight into the cached callee's body, a miss resolves through the
-    /// global node table and caches the result if it is already a
-    /// function value. The cache is per-machine (GC rewrites and marks
-    /// the slots) and per-link (relinking panics), so a populated slot is
-    /// always the current program's callee.
+    /// straight into the cached callee's body, a miss resolves the
+    /// global's cell and caches the result if it is already a function
+    /// value. The cache is per-machine (GC rewrites and marks the slots)
+    /// and per-link (relinking panics), so a populated slot is always the
+    /// current program's callee.
     pub(crate) fn eval_appg(
         &mut self,
         f: CodeId,
@@ -428,7 +428,7 @@ impl Machine {
             COp::Global(g) => g,
             _ => unreachable!("verified: AppG callee is a Global"),
         };
-        let node = self.linked().global_nodes[g as usize];
+        let node = NodeId::global(g);
         let resolved = self.heap.resolve(node);
         if let Some(Whnf::CFun { body, env: fenv }) = self.heap.whnf(resolved) {
             let fenv = fenv.push(arg);
@@ -528,10 +528,7 @@ impl Machine {
         loop {
             match self.linked().op(code) {
                 COp::Local(back) => return self.enter_fused(env.get_back(back), stack),
-                COp::Global(g) => {
-                    let node = self.linked().global_nodes[g as usize];
-                    return self.enter_fused(node, stack);
-                }
+                COp::Global(g) => return self.enter_fused(NodeId::global(g), stack),
                 COp::App { f, a } => {
                     // The application transition, spine-iterated: each
                     // level suspends its argument and either jumps
@@ -544,7 +541,7 @@ impl Machine {
                     let arg = self.alloc_code(a, env);
                     let callee = match self.linked().op(f) {
                         COp::Local(back) => Some(env.get_back(back)),
-                        COp::Global(g) => Some(self.linked().global_nodes[g as usize]),
+                        COp::Global(g) => Some(NodeId::global(g)),
                         _ => None,
                     };
                     if let Some(node) = callee {
@@ -643,7 +640,7 @@ impl Machine {
                 (n.is_imm() || matches!(self.heap.get(n), Node::Value(_))).then_some(n)
             }
             COp::Global(g) => {
-                let n = self.heap.resolve(self.linked().global_nodes[g as usize]);
+                let n = self.heap.resolve(NodeId::global(g));
                 (n.is_imm() || matches!(self.heap.get(n), Node::Value(_))).then_some(n)
             }
             COp::Int(n) => Some(self.int_node(n)),

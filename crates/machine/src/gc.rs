@@ -12,8 +12,10 @@
 //! empty and every reachable reference is an immediate or a tenured id —
 //! the mark table is indexed by tenured index alone.
 //!
-//! Roots come from three places:
+//! Roots come from four places:
 //!
+//! * the linked program's globals, tenured cells `0..n`, live for the
+//!   machine's whole life;
 //! * the machine's *registered* roots ([`crate::Machine::push_root`]) —
 //!   nodes the embedder (e.g. the IO runner's pending continuations)
 //!   still needs;

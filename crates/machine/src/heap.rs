@@ -122,6 +122,14 @@ impl NodeId {
         }
     }
 
+    /// The tenured cell of the linked program's global `g`: linking puts
+    /// the globals in tenured cells `0..n`, in image order
+    /// ([`Heap::append_globals`]).
+    #[inline]
+    pub(crate) fn global(g: u32) -> NodeId {
+        NodeId(g)
+    }
+
     /// The arena index for nursery/tenured references.
     #[inline]
     pub(crate) fn index(self) -> usize {
@@ -273,6 +281,19 @@ impl Heap {
         NodeId(idx as u32)
     }
 
+    /// Appends the program's globals to an empty heap, as tenured cells
+    /// `0..n` ([`NodeId::global`]), in one `extend`; returns `n`. The cells
+    /// are not remembered: a global's initial node must hold no nursery
+    /// reference (a global thunk's environment is empty).
+    pub(crate) fn append_globals(&mut self, globals: impl ExactSizeIterator<Item = Node>) -> usize {
+        assert!(self.is_empty(), "globals are linked into an empty heap");
+        let n = globals.len();
+        assert!(n < PAYLOAD as usize, "tenured space exhausted");
+        self.tenured.extend(globals);
+        self.tenured_live += n;
+        n
+    }
+
     /// Allocates directly in the tenured space, for nodes the embedder
     /// holds across evaluations: the returned id is stable (the tenured
     /// collector never moves cells). The cell is added to the remembered
@@ -392,13 +413,16 @@ impl Heap {
     /// The weak-head-normal-form view of `id`, following indirections and
     /// decoding immediates; `None` if the node is not in WHNF.
     pub fn whnf(&self, id: NodeId) -> Option<Whnf<'_>> {
+        // Resolve first: an updated thunk is an `Ind` that may point at an
+        // immediate.
+        let id = self.resolve(id);
         if let Some(n) = id.as_imm_int() {
             return Some(Whnf::Int(n));
         }
         if let Some(sym) = id.as_imm_con() {
             return Some(Whnf::Con(sym, &[]));
         }
-        match self.get(self.resolve(id)) {
+        match self.get(id) {
             Node::Value(v) => Some(match v {
                 HValue::Int(n) => Whnf::Int(*n),
                 HValue::Char(c) => Whnf::Char(*c),
@@ -966,6 +990,18 @@ mod tests {
         assert!(matches!(heap.whnf(c), Some(Whnf::Int(2))));
         assert_eq!(heap.len(), 3);
         assert!(!heap.is_empty());
+    }
+
+    #[test]
+    fn whnf_through_an_indirection_to_an_immediate() {
+        // An update frame overwrites a thunk whose value is immediate with
+        // `Ind(imm)`.
+        let mut heap = Heap::new();
+        let seven = heap.alloc(Node::Ind(NodeId::imm_int(7).unwrap()));
+        assert!(matches!(heap.whnf(seven), Some(Whnf::Int(7))));
+        let t = Symbol::intern("True");
+        let yes = heap.alloc_tenured(Node::Ind(NodeId::imm_con(t).unwrap()));
+        assert!(matches!(heap.whnf(yes), Some(Whnf::Con(c, [])) if c == t));
     }
 
     #[test]

@@ -305,8 +305,8 @@ impl Machine {
 
     /// A major collection mid-run: evacuates the nursery first (so every
     /// live reference is immediate or tenured), then marks the transient
-    /// roots of the current control and stack plus the registered roots
-    /// and sweeps the tenured arena.
+    /// roots of the current control and stack plus the machine's own
+    /// ([`Machine::mark_machine_roots`]) and sweeps the tenured arena.
     fn collect_during_run(&mut self, control: &mut Control, stack: &mut [Frame]) {
         self.minor_collect(control, stack);
         let mut c = crate::gc::Collector::new(self.heap.tenured_len());
@@ -318,18 +318,7 @@ impl Machine {
         for frame in stack.iter_mut() {
             frame.visit_nodes(&mut mark);
         }
-        // Registered roots include the flat executor's global node table
-        // (pushed by `link_code`), so every top-level binding survives.
-        for r in &self.roots {
-            c.mark_root(*r);
-        }
-        // Inline-cache entries are kept live defensively: a cached callee
-        // is always reachable through its global thunk anyway, but marking
-        // it here means a slot can never hold a freed node even if that
-        // invariant is ever weakened.
-        for slot in self.ics.iter().flatten() {
-            c.mark_root(*slot);
-        }
+        self.mark_machine_roots(&mut c);
         c.trace(&self.heap);
         let prev_free = self.heap.free_list();
         let (freed, head) = c.sweep(&mut self.heap, prev_free);
@@ -398,10 +387,7 @@ impl Machine {
         }
         match op {
             COp::Local(back) => self.enter_fused(env.get_back(back), stack),
-            COp::Global(g) => {
-                let node = self.linked().global_nodes[g as usize];
-                self.enter_fused(node, stack)
-            }
+            COp::Global(g) => self.enter_fused(NodeId::global(g), stack),
             COp::Int(n) => Control::Return(self.int_node(n)),
             COp::Char(c) => Control::Return(self.alloc_value(HValue::Char(c))),
             COp::Str(i) => {

@@ -272,8 +272,7 @@ const KEEP_CELLS: usize = 1 << 14;
 /// Capacity a retired machine keeps in its frame stack, in frames.
 const KEEP_FRAMES: usize = 1 << 12;
 /// Capacity a retired machine keeps per table of node ids (roots, inline
-/// caches, the remembered set, the global node table) and per query
-/// extension table.
+/// caches, the remembered set) and per query extension table.
 const KEEP_SLOTS: usize = 1 << 12;
 
 /// The emptied buffers of a machine that has finished its work
@@ -294,7 +293,6 @@ pub struct MachineBuffers {
     ics: Vec<Option<NodeId>>,
     frames: Vec<Frame>,
     region_vals: Vec<NodeId>,
-    global_nodes: Vec<NodeId>,
     ext: CodeBuf,
 }
 
@@ -367,7 +365,6 @@ impl Machine {
         m.link(LinkedCode {
             base: code,
             ext: spare.ext,
-            global_nodes: spare.global_nodes,
             apply: None,
         });
         m
@@ -378,9 +375,9 @@ impl Machine {
     /// dropped here, and each buffer's capacity is capped.
     pub fn retire(self) -> MachineBuffers {
         let (tenured, nursery, remembered) = self.heap.into_buffers();
-        let (image, global_nodes, ext) = match self.code {
-            Some(code) => (Arc::downgrade(&code.base), code.global_nodes, code.ext),
-            None => (Weak::new(), Vec::new(), CodeBuf::default()),
+        let (image, ext) = match self.code {
+            Some(code) => (Arc::downgrade(&code.base), code.ext),
+            None => (Weak::new(), CodeBuf::default()),
         };
         MachineBuffers {
             image,
@@ -391,7 +388,6 @@ impl Machine {
             ics: emptied(self.ics, KEEP_SLOTS),
             frames: emptied(self.frames, KEEP_FRAMES),
             region_vals: emptied(self.region_vals, KEEP_SLOTS),
-            global_nodes: emptied(global_nodes, KEEP_SLOTS),
             ext: ext.emptied(KEEP_SLOTS),
         }
     }
@@ -500,11 +496,12 @@ impl Machine {
 
     /// Registers a node as a GC root (stack discipline with
     /// [`Machine::pop_root`]) and returns its index in the root stack.
-    /// The top-level program environment and any node the embedder holds
-    /// across evaluations must be rooted. Minor collections *rewrite*
-    /// registered roots in place (the nursery is a copying space), so an
-    /// embedder that holds a rooted node across evaluations must re-read
-    /// it through [`Machine::root`] with the returned index.
+    /// Any node the embedder holds across evaluations must be rooted (the
+    /// linked globals need not be: every collection marks them). Minor
+    /// collections *rewrite* registered roots in place (the nursery is a
+    /// copying space), so an embedder that holds a rooted node across
+    /// evaluations must re-read it through [`Machine::root`] with the
+    /// returned index.
     pub fn push_root(&mut self, id: NodeId) -> usize {
         self.roots.push(id);
         self.roots.len() - 1
@@ -557,11 +554,9 @@ impl Machine {
         self.stats.nodes_promoted += outcome.promoted;
         self.stats.freelist_reuses += self.heap.reuses() - reuses_before;
         let mut c = crate::gc::Collector::new(self.heap.tenured_len());
-        for r in self.roots.iter().chain(&extras) {
+        self.mark_machine_roots(&mut c);
+        for r in &extras {
             c.mark_root(*r);
-        }
-        for slot in self.ics.iter().flatten() {
-            c.mark_root(*slot);
         }
         c.trace(&self.heap);
         let prev_free = self.heap.free_list();
@@ -571,6 +566,25 @@ impl Machine {
         self.stats.major_gcs += 1;
         self.stats.gc_freed += freed + outcome.freed;
         freed + outcome.freed
+    }
+
+    /// Marks what the machine keeps alive for its whole life: the linked
+    /// globals (tenured cells `0..n`), the registered roots and the inline
+    /// caches. Inline-cache entries are marked defensively: a cached
+    /// callee is always reachable through its global anyway, but marking
+    /// it means a slot can never hold a freed node even if that invariant
+    /// is ever weakened.
+    pub(crate) fn mark_machine_roots(&self, c: &mut crate::gc::Collector) {
+        let globals = self.code.as_ref().map_or(0, |code| code.base.globals.len());
+        for g in 0..globals as u32 {
+            c.mark_root(NodeId::global(g));
+        }
+        for r in &self.roots {
+            c.mark_root(*r);
+        }
+        for slot in self.ics.iter().flatten() {
+            c.mark_root(*slot);
+        }
     }
 
     /// Allocates a WHNF value node (used by the IO layer to feed results
@@ -785,16 +799,9 @@ impl Machine {
     /// Renders a node to `depth`, forcing as needed; exceptional fields
     /// render as `(raise E)`.
     pub fn render(&mut self, node: NodeId, depth: u32) -> String {
-        // Root the node so a collection triggered while forcing one field
-        // cannot reclaim its siblings.
-        self.push_root(node);
-        let out = match self.eval_node(node, false) {
-            Err(e) => format!("<machine error: {e}>"),
-            Ok(Outcome::Caught(exn)) | Ok(Outcome::Uncaught(exn)) => format!("(raise {exn})"),
-            Ok(Outcome::Value(n)) => self.render_value(n, depth),
-        };
-        self.pop_root();
-        out
+        let mut out = Rendering::new();
+        self.render_into(&mut out, node, depth);
+        out.text
     }
 
     /// Renders an episode's outcome: a value as [`Machine::render`] does,
@@ -806,22 +813,39 @@ impl Machine {
         }
     }
 
-    fn render_value(&mut self, node: NodeId, depth: u32) -> String {
+    /// Appends the rendering of `node`, forced in an episode of its own.
+    fn render_into(&mut self, out: &mut Rendering, node: NodeId, depth: u32) {
+        // Root the node so a collection triggered while forcing one field
+        // cannot reclaim its siblings.
+        self.push_root(node);
+        match self.eval_node(node, false) {
+            Err(e) => out.write(format_args!("<machine error: {e}>")),
+            Ok(Outcome::Caught(exn) | Outcome::Uncaught(exn)) => {
+                out.write(format_args!("(raise {exn})"));
+            }
+            Ok(Outcome::Value(n)) => self.render_value(out, n, depth),
+        }
+        self.pop_root();
+    }
+
+    fn render_value(&mut self, out: &mut Rendering, node: NodeId, depth: u32) {
         // `node` is an episode result: immediate or tenured (results are
         // promoted on return), so it is stable across the collections that
         // rendering a field may trigger.
         let (con, n_fields) = match self.heap.whnf(node).expect("rendered node in WHNF") {
-            Whnf::Int(n) => return n.to_string(),
-            Whnf::Char(c) => return format!("{c:?}"),
-            Whnf::Str(s) => return format!("{s:?}"),
-            Whnf::CFun { .. } => return "<function>".into(),
-            Whnf::Con(c, []) => return c.to_string(),
+            Whnf::Int(n) => return out.write(format_args!("{n}")),
+            Whnf::Char(c) => return out.write(format_args!("{c:?}")),
+            Whnf::Str(s) => return out.write(format_args!("{s:?}")),
+            Whnf::CFun { .. } => return out.text.push_str("<function>"),
             Whnf::Con(c, fields) => (c, fields.len()),
         };
-        if depth == 0 {
-            return format!("{con} ...");
+        out.spell(con);
+        if n_fields == 0 {
+            return;
         }
-        let mut out = con.to_string();
+        if depth == 0 {
+            return out.text.push_str(" ...");
+        }
         for i in 0..n_fields {
             // Re-read the field from the stable parent each time:
             // rendering the previous field may have run a minor collection
@@ -830,14 +854,70 @@ impl Machine {
                 Some(Whnf::Con(_, fields)) => fields[i],
                 _ => unreachable!("constructor scrutinised above"),
             };
-            let inner = self.render(f, depth - 1);
+            out.text.push(' ');
+            let start = out.text.len();
+            self.render_into(out, f, depth - 1);
+            let inner = &out.text[start..];
             if inner.contains(' ') && !inner.starts_with('(') && !inner.starts_with('"') {
-                out.push_str(&format!(" ({inner})"));
-            } else {
-                out.push_str(&format!(" {inner}"));
+                out.parenthesise_from(start);
             }
         }
-        out
+    }
+}
+
+/// A rendering under way: the text so far, and where in it the first
+/// constructors it spelled appear, so each is spelled out of the
+/// interner (which clones the name under a lock) once per rendering.
+struct Rendering {
+    text: String,
+    spelled: [(Symbol, u32, u32); SPELLED],
+    n_spelled: usize,
+}
+
+/// Constructors a [`Rendering`] remembers; any further ones are spelled
+/// each time.
+const SPELLED: usize = 8;
+
+impl Rendering {
+    fn new() -> Rendering {
+        Rendering {
+            text: String::new(),
+            spelled: [(Symbol::from_raw(0), 0, 0); SPELLED],
+            n_spelled: 0,
+        }
+    }
+
+    /// Appends `con`'s name.
+    fn spell(&mut self, con: Symbol) {
+        let known = self.spelled[..self.n_spelled].iter().find(|e| e.0 == con);
+        if let Some(&(_, from, to)) = known {
+            return self.text.extend_from_within(from as usize..to as usize);
+        }
+        let from = self.text.len();
+        self.write(format_args!("{con}"));
+        if self.n_spelled < SPELLED {
+            self.spelled[self.n_spelled] = (con, from as u32, self.text.len() as u32);
+            self.n_spelled += 1;
+        }
+    }
+
+    fn write(&mut self, args: std::fmt::Arguments<'_>) {
+        use std::fmt::Write;
+        self.text
+            .write_fmt(args)
+            .expect("writing to a String cannot fail");
+    }
+
+    /// Wraps the text from `start` on in parentheses.
+    fn parenthesise_from(&mut self, start: usize) {
+        self.text.insert(start, '(');
+        self.text.push(')');
+        for e in &mut self.spelled[..self.n_spelled] {
+            if e.1 as usize >= start {
+                e.1 += 1;
+                e.2 += 1;
+            }
+        }
     }
 }
 
@@ -877,7 +957,6 @@ mod tests {
         for (len, cap) in [
             (spare.remembered.len(), spare.remembered.capacity()),
             (spare.roots.len(), spare.roots.capacity()),
-            (spare.global_nodes.len(), spare.global_nodes.capacity()),
         ] {
             assert!(len == 0 && cap <= KEEP_SLOTS);
         }

@@ -217,7 +217,7 @@ pub fn region_differential(
     order: crate::OrderPolicy,
     ints: &[i64],
 ) -> RegionDiff {
-    use crate::heap::HValue;
+    use crate::heap::{HValue, NodeId};
     use crate::{CEnv, Machine, MachineConfig};
     let left_first = match order {
         crate::OrderPolicy::LeftToRight => true,
@@ -247,7 +247,7 @@ pub fn region_differential(
         let forced = machines.iter_mut().all(|m| {
             slice.iter().all(|op| match *op {
                 COp::Global(g) => {
-                    let node = m.linked().global_nodes[g as usize];
+                    let node = NodeId::global(g);
                     matches!(m.eval_node(node, false), Ok(crate::Outcome::Value(_)))
                 }
                 _ => true,

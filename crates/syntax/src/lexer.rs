@@ -53,6 +53,12 @@ fn is_ident_continue(c: u8) -> bool {
     c.is_ascii_alphanumeric() || c == b'_' || c == b'\''
 }
 
+/// True for a UTF-8 byte that continues a character rather than starting
+/// one.
+fn is_continuation(c: u8) -> bool {
+    c & 0xC0 == 0x80
+}
+
 impl<'a> Lexer<'a> {
     /// A lexer over `src` that appends the string literals it decodes to
     /// `strs`. It locks the symbol interner until it is dropped.
@@ -86,13 +92,15 @@ impl<'a> Lexer<'a> {
         self.byte_at(self.pos + 1)
     }
 
+    /// Consumes one byte. Columns count characters: a UTF-8
+    /// continuation byte does not start a column.
     fn bump(&mut self) -> Option<u8> {
         let c = self.peek()?;
         self.pos += 1;
         if c == b'\n' {
             self.line += 1;
             self.col = 1;
-        } else {
+        } else if !is_continuation(c) {
             self.col += 1;
         }
         Some(c)
@@ -200,13 +208,12 @@ impl<'a> Lexer<'a> {
             Some(c) if c.is_ascii() => c as char,
             Some(_) => {
                 // A non-ASCII lead byte: the literal is the whole UTF-8
-                // scalar it starts (columns count bytes, as in strings).
+                // scalar it starts, one column wide.
                 let c = self.src[self.pos - 1..]
                     .chars()
                     .next()
                     .expect("UTF-8 source");
                 self.pos += c.len_utf8() - 1;
-                self.col += c.len_utf8() as u32 - 1;
                 c
             }
             None => return Err(self.error("unterminated character literal")),
@@ -232,8 +239,8 @@ impl<'a> Lexer<'a> {
                 .position(|&c| c == b'"' || c == b'\\' || c == b'\n')
                 .unwrap_or(self.src.len() - run);
             self.pos += n;
-            self.col += n as u32;
             let chunk = &self.src[run..self.pos];
+            self.col += chunk.chars().count() as u32;
             match self.bump() {
                 // Every escape pushes a char, so an empty `out` means none.
                 Some(b'"') if out.is_empty() => break Rc::from(chunk),
@@ -485,6 +492,24 @@ mod tests {
         let (ts, _) = lex("x\n  y").expect("lexes");
         assert_eq!(ts[0].pos, Pos { line: 1, col: 1 });
         assert_eq!(ts[1].pos, Pos { line: 2, col: 3 });
+    }
+
+    #[test]
+    fn columns_count_characters_not_bytes() {
+        // Non-ASCII text in a string, a char literal or a block comment
+        // moves the next token as far as ASCII text of the same length.
+        for (src, ascii) in [
+            ("\"éé\" y", "\"ee\" y"),
+            ("\"λ\\n→\" y", "\"l\\n-\" y"),
+            ("'é' y", "'e' y"),
+            ("{- ünïcode -} y", "{- unicode -} y"),
+            ("x -- wörld\ny", "x -- world\ny"),
+        ] {
+            let last = |src: &str| lex(src).expect("lexes").0.last().expect("a token").pos;
+            assert_eq!(last(src), last(ascii), "{src}");
+        }
+        let (ts, _) = lex("{- ünïcode -} y").expect("lexes");
+        assert_eq!(ts[0].pos, Pos { line: 1, col: 15 });
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! A counting global allocator counts the heap allocations (`alloc` and
 //! `realloc` calls) the current thread makes while the query path's three
 //! front-end phases — parse, desugar and `infer_expr` — run over a fixed
-//! list of Prelude queries, and then while whole `Session::eval` calls
-//! run over the same list. Wall-clock time on a shared machine spreads by
+//! list of Prelude queries, then while whole `Session::eval` calls run
+//! over the same list, and while the machine renders an evaluated list of
+//! 8 and of 30 elements. Wall-clock time on a shared machine spreads by
 //! ±15%; these counts do not move unless the code does, so they can gate
 //! CI. The ceilings sit at the counts the arena front end (E29), the arena
 //! checker and symbol dispatch reach; EXPERIMENTS.md (E25, E29) records the
@@ -17,6 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
 
+use urk_machine::Outcome;
 use urk_syntax::{desugar_expr, desugar_program, parse_expr_src, parse_program, DataEnv};
 use urk_types::{infer_expr, infer_program};
 
@@ -82,8 +84,12 @@ const INFER_CEILING: u64 = 70;
 /// query, which allocates. (With the boxed front end: 1382 in release,
 /// and 3688 in debug while the image was verified at every link; with a
 /// new machine built and linked per evaluation: 1972 in release, 4278 in
-/// debug.)
-const EVAL_CEILING: u64 = if cfg!(debug_assertions) { 1050 } else { 1004 };
+/// debug; while a link pushed each global onto the root stack, a global
+/// table and the remembered set, and rendering built a string per node:
+/// 1004 in release, 1050 in debug.)
+const EVAL_CEILING: u64 = if cfg!(debug_assertions) { 979 } else { 933 };
+/// Render depth of the list check, deep enough for its longer list.
+const RENDER_DEPTH: u32 = 32;
 
 #[test]
 fn front_end_allocations_stay_under_their_ceilings() {
@@ -163,5 +169,43 @@ fn front_end_allocations_stay_under_their_ceilings() {
     assert!(
         eval <= EVAL_CEILING,
         "Session::eval made {eval} allocations, ceiling {EVAL_CEILING}"
+    );
+
+    // Rendering an evaluated value writes one buffer: a list of 30 costs
+    // what a list of 8 does, apart from that buffer's growth. The first
+    // renderings force both lists and grow the machine's root stack to
+    // the deeper one's depth.
+    let mut m = session.compiled_machine();
+    let mut evaluated = |len: usize| {
+        let e = session
+            .compile_expr(&format!("[1 .. {len}]"))
+            .expect("compiles");
+        match m.eval_code_expr(&e, false) {
+            Ok(Outcome::Value(n)) => n,
+            other => panic!("{other:?}"),
+        }
+    };
+    let (short, long) = (evaluated(8), evaluated(30));
+    m.render(short, RENDER_DEPTH);
+    m.render(long, RENDER_DEPTH);
+    let (short_text, short_allocs) = count(|| m.render(short, RENDER_DEPTH));
+    let (long_text, long_allocs) = count(|| m.render(long, RENDER_DEPTH));
+    // The allocations of a buffer that grows one character at a time to
+    // `text`, as the renderer's small appends grow it.
+    let growth = |text: &str| {
+        count(|| {
+            let mut buf = String::new();
+            for c in text.chars() {
+                buf.push(c);
+            }
+            buf
+        })
+        .1
+    };
+    eprintln!("render allocations: {short_allocs} for 8 list items, {long_allocs} for 30");
+    assert_eq!(
+        short_allocs - growth(&short_text),
+        long_allocs - growth(&long_text),
+        "render allocations grow with the value"
     );
 }
