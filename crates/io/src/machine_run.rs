@@ -140,7 +140,7 @@ impl PureLayer for MachineLayer<'_> {
         let ev = self.machine.alloc_exception_value(exn);
         let n = self
             .machine
-            .alloc_hvalue(HValue::Con(Known::Bad.symbol(), vec![ev]));
+            .alloc_hvalue(HValue::Con(Known::Bad.symbol(), [ev].into()));
         self.root(n)
     }
 

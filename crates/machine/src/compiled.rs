@@ -21,7 +21,7 @@ use urk_syntax::Exception;
 
 use crate::code::{compile_apply, compile_query, COp, CPat, Code, CodeId, LinkedCode};
 use crate::env::CEnv;
-use crate::heap::{HValue, Node, NodeId, Whnf};
+use crate::heap::{Fields, HValue, Node, NodeId, Whnf};
 use crate::kernel::{Control, Frame};
 use crate::machine::{Machine, MachineError, Outcome, PrimResult, Tier};
 use crate::region::RegionProgram;
@@ -135,10 +135,9 @@ impl Machine {
         let entry = *code
             .apply
             .get_or_insert_with(|| compile_apply(&code.base, &mut code.ext));
-        self.alloc_tenured(Node::CThunk {
-            code: entry,
-            env: CEnv::empty().push(fun).push(arg),
-        })
+        let chunks = &mut self.stats.env_chunks;
+        let env = CEnv::empty().push(fun, chunks).push(arg, chunks);
+        self.alloc_tenured(Node::CThunk { code: entry, env })
     }
 
     pub(crate) fn linked(&self) -> &LinkedCode {
@@ -170,6 +169,17 @@ impl Machine {
         }
     }
 
+    /// Allocates the operands of a constructor's `n` fields, whose codes
+    /// are the kids from `args`.
+    pub(crate) fn alloc_fields(&mut self, args: u32, n: u16, env: &CEnv) -> Fields {
+        (0..u32::from(n))
+            .map(|i| {
+                let k = self.linked().kid(args + i);
+                self.alloc_code(k, env)
+            })
+            .collect()
+    }
+
     /// Allocates a tier-2 speculation site: builds the value eagerly when
     /// the body is a value form or a ready fused region, falling back to a
     /// plain thunk otherwise. The paper's license (§4–§5) is exactly what
@@ -189,11 +199,7 @@ impl Machine {
             }
             COp::Con { tag, args, n } => {
                 self.stats.fused_steps += 1;
-                let mut fields = Vec::with_capacity(usize::from(n));
-                for i in 0..u32::from(n) {
-                    let k = self.linked().kid(args + i);
-                    fields.push(self.alloc_code(k, env));
-                }
+                let fields = self.alloc_fields(args, n, env);
                 self.alloc_value(HValue::Con(tag, fields))
             }
             COp::Str(i) => {
@@ -418,7 +424,7 @@ impl Machine {
         if let Some(cached) = self.ics[ic as usize] {
             if let Some(Whnf::CFun { body, env: fenv }) = self.heap.whnf(cached) {
                 self.stats.ic_hits += 1;
-                let fenv = fenv.push(arg);
+                let fenv = fenv.push(arg, &mut self.stats.env_chunks);
                 return self.enter_body(body, fenv, stack);
             }
             self.ics[ic as usize] = None;
@@ -431,7 +437,7 @@ impl Machine {
         let node = NodeId::global(g);
         let resolved = self.heap.resolve(node);
         if let Some(Whnf::CFun { body, env: fenv }) = self.heap.whnf(resolved) {
-            let fenv = fenv.push(arg);
+            let fenv = fenv.push(arg, &mut self.stats.env_chunks);
             self.ics[ic as usize] = Some(resolved);
             return self.enter_body(body, fenv, stack);
         }
@@ -458,7 +464,7 @@ impl Machine {
                 break;
             };
             stack.pop();
-            env = env.push(arg);
+            env = env.push(arg, &mut self.stats.env_chunks);
             body = inner;
         }
         Control::Eval(body, env)
@@ -546,7 +552,7 @@ impl Machine {
                     };
                     if let Some(node) = callee {
                         if let Some(Whnf::CFun { body, env: fenv }) = self.heap.whnf(node) {
-                            let fenv = fenv.push(arg);
+                            let fenv = fenv.push(arg, &mut self.stats.env_chunks);
                             return self.enter_body(body, fenv, stack);
                         }
                     }
@@ -582,11 +588,7 @@ impl Machine {
                 if n == 0 {
                     return Some(Ok(self.nullary_con_node(tag)));
                 }
-                let mut fields = Vec::with_capacity(usize::from(n));
-                for i in 0..u32::from(n) {
-                    let k = self.linked().kid(args + i);
-                    fields.push(self.alloc_code(k, env));
-                }
+                let fields = self.alloc_fields(args, n, env);
                 Some(Ok(self.alloc_value(HValue::Con(tag, fields))))
             }
             COp::Lam { body } => Some(Ok(self.alloc_value(HValue::CFun {
@@ -664,7 +666,7 @@ impl Machine {
             let arm = self.linked().arm(arms_at + i);
             let matched = match (arm.pat, &v) {
                 (CPat::Default, _) => Some(if arm.bind_scrut {
-                    env.push(node)
+                    env.push(node, &mut self.stats.env_chunks)
                 } else {
                     env.clone()
                 }),
@@ -676,7 +678,7 @@ impl Machine {
                 (CPat::Con(c), Whnf::Con(d, fields)) if c == *d => {
                     let mut env2 = env.clone();
                     for f in fields.iter().take(arm.binders as usize) {
-                        env2 = env2.push(*f);
+                        env2 = env2.push(*f, &mut self.stats.env_chunks);
                     }
                     Some(env2)
                 }
@@ -816,6 +818,30 @@ mod tests {
             );
             if tier2 {
                 assert_eq!(short.allocations, long.allocations, "{long:?}");
+            }
+        }
+    }
+
+    /// `env_chunks` counts the chunks environment spills allocate. An
+    /// environment keeps four slots inline, so a loop whose body binds
+    /// at most four allocates none, and `loop3`, whose four parameters
+    /// and `case` binder make five, allocates one per iteration.
+    #[test]
+    fn environment_chunks_count_the_calls_that_outgrow_the_inline_tip() {
+        const LOOP2: &str = "loop2 n a b = case n - 1 of { 0 -> a + b; m -> loop2 m b a }";
+        for tier2 in [false, true] {
+            let chunks = |prog: &str, query: &str| {
+                let (mut m, e) = linked_at(prog, query, tier2, MachineConfig::default());
+                m.eval_code_expr(&e, false).expect("no machine error");
+                m.stats().env_chunks
+            };
+            assert_eq!(chunks(LOOP2, "loop2 2000 1 2"), 0, "tier2={tier2}");
+            for trips in [10, 2_000] {
+                assert_eq!(
+                    chunks(LOOP3, &format!("loop3 {trips} 1 2 3")),
+                    trips,
+                    "tier2={tier2}"
+                );
             }
         }
     }

@@ -1,74 +1,93 @@
 //! Machine environments: persistent stacks of heap nodes, addressed by
 //! position.
 //!
-//! The representation is a *chunked* persistent list: slots are packed
-//! into shared chunks of up to [`CHUNK`] entries, and an environment is a
-//! `(chunk, length)` view of a chunk chain. Extending the tip of a chunk
-//! that still has room appends in place (the old view, being shorter, is
-//! unaffected), so a run of `push`es costs one `Rc` allocation per `CHUNK`
-//! slots instead of one per slot — and lookup chases one pointer per
-//! chunk instead of one per slot.
+//! An environment keeps its innermost [`TIP`] slots inline, in the value
+//! that holds it (a node, a frame, the control register). Pushing onto a
+//! tip with room copies 24 bytes and allocates nothing, so a call that
+//! binds a few parameters, lets and `case` binders allocates nothing.
+//!
+//! Older slots live in a persistent chain of shared chunks: a push onto a
+//! full tip moves the whole tip into one new `Rc` chunk whose parent is
+//! the chain below it, and starts a new tip. Chunks are immutable but for
+//! the collector's rewrite, so a chunk serves every environment that
+//! extends it, and lookup chases one pointer per [`TIP`] spilled slots.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
-use crate::heap::NodeId;
+use crate::heap::{NodeId, PAYLOAD};
 
-/// Bindings per chunk. Machine environments are almost always shallow
-/// (lambda params + a few lets), so one chunk covers the common case.
-const CHUNK: usize = 16;
+/// Slots kept inline. Machine environments are almost always shallow
+/// (lambda params + a few lets and case binders), so the tip covers the
+/// common case and a call allocates nothing.
+const TIP: usize = 4;
 
+/// An unused tip slot. It is tenured cell `PAYLOAD`, which the heap never
+/// allocates (the tenured space holds fewer cells), so no bound node is
+/// ever mistaken for it.
+const EMPTY: NodeId = NodeId(PAYLOAD);
+
+/// A spilled tip: `TIP` slots, innermost first, and the chain below them.
 struct CChunk {
-    /// Append-only within a chunk's lifetime, stored inline as a fixed
-    /// array, so starting a chunk is a single allocation (the `Rc`). Only
-    /// the first `init` slots are meaningful; slots below any view's `len`
-    /// are never mutated, so older (shorter) views stay valid.
-    entries: RefCell<[NodeId; CHUNK]>,
-    init: Cell<usize>,
-    parent: CEnv,
+    /// Never changed but by the collector's idempotent rewrite.
+    entries: [Cell<NodeId>; TIP],
+    parent: Option<Rc<CChunk>>,
 }
 
 /// The machine's environment. The compiler resolved every variable to a
 /// back-index at compile time, so slots are addressed by position —
-/// `get_back(k)` walks whole chunks instead of scanning names.
-#[derive(Clone, Default)]
+/// `get_back(k)` reads the tip or walks whole chunks instead of scanning
+/// names.
+#[derive(Clone)]
 pub struct CEnv {
+    /// The innermost slots, innermost first; unused slots are [`EMPTY`]
+    /// and follow the used ones.
+    tip: [NodeId; TIP],
+    /// The spilled slots, below the tip's. Non-empty only below a
+    /// non-empty tip.
     chunk: Option<Rc<CChunk>>,
-    len: u32,
+}
+
+impl Default for CEnv {
+    fn default() -> CEnv {
+        CEnv::empty()
+    }
 }
 
 impl CEnv {
     /// The empty environment.
     pub fn empty() -> CEnv {
         CEnv {
+            tip: [EMPTY; TIP],
             chunk: None,
-            len: 0,
         }
     }
 
-    /// Extends with one slot.
-    pub fn push(&self, node: NodeId) -> CEnv {
-        if let Some(c) = &self.chunk {
-            let init = c.init.get();
-            if init == self.len as usize && init < CHUNK {
-                c.entries.borrow_mut()[init] = node;
-                c.init.set(init + 1);
-                return CEnv {
-                    chunk: self.chunk.clone(),
-                    len: self.len + 1,
-                };
-            }
+    /// Extends with one slot. A push onto a full tip spills it into a new
+    /// chunk and adds one to `chunks`.
+    #[inline]
+    pub fn push(&self, node: NodeId, chunks: &mut u64) -> CEnv {
+        debug_assert_ne!(node, EMPTY, "the empty-slot marker is bound");
+        let [a, b, c, d] = self.tip;
+        if d == EMPTY {
+            return CEnv {
+                tip: [node, a, b, c],
+                chunk: self.chunk.clone(),
+            };
         }
-        let mut entries = [NodeId(0); CHUNK];
-        entries[0] = node;
+        *chunks += 1;
         CEnv {
+            tip: [node, EMPTY, EMPTY, EMPTY],
             chunk: Some(Rc::new(CChunk {
-                entries: RefCell::new(entries),
-                init: Cell::new(1),
-                parent: self.clone(),
+                entries: self.tip.map(Cell::new),
+                parent: self.chunk.clone(),
             })),
-            len: 1,
         }
+    }
+
+    /// The number of used tip slots.
+    fn tip_len(&self) -> usize {
+        self.tip.iter().take_while(|&&n| n != EMPTY).count()
     }
 
     /// The slot `back` positions from the top (0 = innermost binding).
@@ -78,69 +97,73 @@ impl CEnv {
     /// Panics if `back` exceeds the environment depth — which would mean
     /// compile-time scope resolution and the runtime environment
     /// disagree, a compiler bug.
+    #[inline]
     pub fn get_back(&self, back: u32) -> NodeId {
-        let mut back = back as usize;
-        let mut chunk = self.chunk.as_ref();
-        let mut len = self.len as usize;
-        while let Some(c) = chunk {
-            if back < len {
-                return c.entries.borrow()[len - 1 - back];
+        let back = back as usize;
+        if let Some(&n) = self.tip.get(back) {
+            if n != EMPTY {
+                return n;
             }
-            back -= len;
-            chunk = c.parent.chunk.as_ref();
-            len = c.parent.len as usize;
         }
-        panic!("slot {back} past the end of the environment (compiler bug)");
+        self.get_spilled(back - self.tip_len())
+    }
+
+    fn get_spilled(&self, back: usize) -> NodeId {
+        let mut chunk = self.chunk.as_deref();
+        for _ in 0..back / TIP {
+            chunk = chunk.and_then(|c| c.parent.as_deref());
+        }
+        match chunk {
+            Some(c) => c.entries[back % TIP].get(),
+            None => panic!("slot past the end of the environment (compiler bug)"),
+        }
     }
 
     /// Number of slots (diagnostics only).
     pub fn len(&self) -> usize {
-        let mut n = 0;
-        let mut chunk = self.chunk.as_ref();
-        let mut len = self.len as usize;
+        let mut n = self.tip_len();
+        let mut chunk = self.chunk.as_deref();
         while let Some(c) = chunk {
-            n += len;
-            chunk = c.parent.chunk.as_ref();
-            len = c.parent.len as usize;
+            n += TIP;
+            chunk = c.parent.as_deref();
         }
         n
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.chunk.is_none()
+        self.tip[0] == EMPTY
     }
 
     /// Visits every slot, innermost first. Used by the collector.
     pub fn for_each_node(&self, mut f: impl FnMut(NodeId)) {
-        let mut chunk = self.chunk.as_ref();
-        let mut len = self.len as usize;
+        for &id in self.tip.iter().take_while(|&&n| n != EMPTY) {
+            f(id);
+        }
+        let mut chunk = self.chunk.as_deref();
         while let Some(c) = chunk {
-            let entries = c.entries.borrow();
-            for id in entries[..len].iter().rev() {
-                f(*id);
+            for id in &c.entries {
+                f(id.get());
             }
-            chunk = c.parent.chunk.as_ref();
-            len = c.parent.len as usize;
+            chunk = c.parent.as_deref();
         }
     }
 
     /// Rewrites every slot in place through `f`. Used by the copying
     /// minor collector to redirect nursery references to their tenured
-    /// copies. `f` must be idempotent: shared chunks are reachable from
-    /// several views and are rewritten once per view.
-    pub fn update_nodes(&self, f: &mut dyn FnMut(NodeId) -> NodeId) {
-        let mut chunk = self.chunk.as_ref();
-        let mut len = self.len as usize;
+    /// copies. Every holder rewrites its own tip; chunks are shared by
+    /// several environments and rewritten once per environment, so `f`
+    /// must be idempotent.
+    pub fn update_nodes(&mut self, f: &mut dyn FnMut(NodeId) -> NodeId) {
+        for id in self.tip.iter_mut().take_while(|n| **n != EMPTY) {
+            *id = f(*id);
+        }
+        let mut chunk = self.chunk.as_deref();
         while let Some(c) = chunk {
-            {
-                let mut entries = c.entries.borrow_mut();
-                for id in entries[..len].iter_mut() {
-                    *id = f(*id);
-                }
+            for id in &c.entries {
+                id.set(f(id.get()));
             }
-            chunk = c.parent.chunk.as_ref();
-            len = c.parent.len as usize;
+            chunk = c.parent.as_deref();
         }
     }
 }
@@ -154,27 +177,53 @@ impl std::fmt::Debug for CEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn slots(env: &CEnv) -> Vec<NodeId> {
         (0..env.len() as u32).map(|k| env.get_back(k)).collect()
     }
 
+    /// `env` extended with `ids`, oldest first; returns the chunks the
+    /// pushes allocated.
+    fn extend(env: &CEnv, ids: impl IntoIterator<Item = u32>) -> (CEnv, u64) {
+        let mut chunks = 0;
+        let mut env = env.clone();
+        for i in ids {
+            env = env.push(NodeId(i), &mut chunks);
+        }
+        (env, chunks)
+    }
+
     #[test]
     fn push_shadow_get_back() {
-        let env = CEnv::empty().push(NodeId(1)).push(NodeId(2));
+        let (env, _) = extend(&CEnv::empty(), [1, 2]);
         assert_eq!(env.get_back(0), NodeId(2));
         assert_eq!(env.get_back(1), NodeId(1));
         assert_eq!(env.len(), 2);
         assert!(CEnv::empty().is_empty());
+        assert!(!env.is_empty());
     }
 
     #[test]
-    fn older_views_are_unaffected_by_in_place_extension() {
-        let base = CEnv::empty().push(NodeId(1));
-        // Extend the same tip twice: the two extensions must not see each
-        // other, and `base` must see neither.
-        let left = base.push(NodeId(2));
-        let right = base.push(NodeId(3));
+    fn only_a_push_onto_a_full_tip_allocates() {
+        let (env, chunks) = extend(&CEnv::empty(), 0..TIP as u32);
+        assert_eq!(chunks, 0);
+        assert!(env.chunk.is_none());
+        // Each push onto a full tip spills it into one chunk.
+        let (deep, chunks) = extend(&env, TIP as u32..3 * TIP as u32 + 1);
+        assert_eq!(chunks, 3);
+        assert_eq!(deep.len(), 3 * TIP + 1);
+        assert_eq!(deep.get_back(1), NodeId(3 * TIP as u32 - 1));
+    }
+
+    #[test]
+    fn older_environments_are_unaffected_by_extension() {
+        let (base, _) = extend(&CEnv::empty(), [1]);
+        // Extend the same environment twice: the two extensions must not
+        // see each other, and `base` must see neither.
+        let (left, _) = extend(&base, [2]);
+        let (right, _) = extend(&base, [3]);
         assert_eq!(slots(&base), vec![NodeId(1)]);
         assert_eq!(slots(&left), vec![NodeId(2), NodeId(1)]);
         assert_eq!(slots(&right), vec![NodeId(3), NodeId(1)]);
@@ -182,54 +231,123 @@ mod tests {
 
     #[test]
     fn get_back_across_chunk_boundaries() {
-        let mut env = CEnv::empty();
-        for i in 0..3 * CHUNK {
-            env = env.push(NodeId(i as u32));
-        }
-        assert_eq!(env.len(), 3 * CHUNK);
-        for i in 0..3 * CHUNK {
-            assert_eq!(env.get_back(i as u32), NodeId((3 * CHUNK - 1 - i) as u32));
+        let n = 4 * TIP + 3;
+        let (env, _) = extend(&CEnv::empty(), 0..n as u32);
+        assert_eq!(env.len(), n);
+        for i in 0..n {
+            assert_eq!(env.get_back(i as u32), NodeId((n - 1 - i) as u32));
         }
     }
 
     #[test]
     #[should_panic(expected = "past the end of the environment")]
     fn get_back_past_the_end_panics() {
-        CEnv::empty().push(NodeId(1)).get_back(1);
+        extend(&CEnv::empty(), [1]).0.get_back(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the end of the environment")]
+    fn get_back_past_a_full_tip_panics() {
+        extend(&CEnv::empty(), 0..TIP as u32).0.get_back(TIP as u32);
     }
 
     #[test]
     fn for_each_node_visits_innermost_first() {
-        let env = CEnv::empty()
-            .push(NodeId(1))
-            .push(NodeId(2))
-            .push(NodeId(3));
+        let n = 3 * TIP + 1;
+        let (env, _) = extend(&CEnv::empty(), 0..n as u32);
         let mut seen = Vec::new();
         env.for_each_node(|n| seen.push(n));
-        assert_eq!(seen, vec![NodeId(3), NodeId(2), NodeId(1)]);
+        let want: Vec<NodeId> = (0..n as u32).rev().map(NodeId).collect();
+        assert_eq!(seen, want);
     }
 
     #[test]
-    fn branching_past_a_full_tip_starts_a_fresh_chunk() {
-        let mut env = CEnv::empty();
-        for i in 0..CHUNK {
-            env = env.push(NodeId(i as u32));
+    fn branching_at_a_full_tip_spills_into_distinct_chunks() {
+        // A full tip over one spilled chunk.
+        let (env, _) = extend(&CEnv::empty(), 0..2 * TIP as u32);
+        let (a, a_chunks) = extend(&env, [100]);
+        let (b, b_chunks) = extend(&env, [200]);
+        assert_eq!((a_chunks, b_chunks), (1, 1));
+        let below: Vec<NodeId> = (0..2 * TIP as u32).rev().map(NodeId).collect();
+        for (branch, top) in [(&a, 100), (&b, 200)] {
+            let mut want = vec![NodeId(top)];
+            want.extend(&below);
+            assert_eq!(slots(branch), want);
         }
-        // Tip is full: both extensions land in (distinct) fresh chunks.
-        let a = env.push(NodeId(100));
-        let b = env.push(NodeId(200));
-        assert_eq!(a.get_back(0), NodeId(100));
-        assert_eq!(b.get_back(0), NodeId(200));
-        assert_eq!(a.get_back(CHUNK as u32), NodeId(0));
-        assert_eq!(a.len(), CHUNK + 1);
+        assert_eq!(slots(&env), below, "the branched environment is unchanged");
+        // Each branch keeps growing on its own chain.
+        let (a2, _) = extend(&a, 101..101 + TIP as u32);
+        let (b2, _) = extend(&b, 201..201 + TIP as u32);
+        assert_eq!(a2.get_back(TIP as u32), NodeId(100));
+        assert_eq!(b2.get_back(TIP as u32), NodeId(200));
+        assert_eq!(a2.get_back(TIP as u32 + 1), NodeId(2 * TIP as u32 - 1));
+        assert_eq!(b2.get_back(TIP as u32 + 1), NodeId(2 * TIP as u32 - 1));
     }
 
     #[test]
-    fn update_nodes_rewrites_every_view_of_a_shared_chunk() {
-        let base = CEnv::empty().push(NodeId(1));
-        let ext = base.push(NodeId(2));
-        ext.update_nodes(&mut |n| NodeId(n.0 + 10));
-        assert_eq!(slots(&ext), vec![NodeId(12), NodeId(11)]);
-        assert_eq!(slots(&base), vec![NodeId(11)]);
+    fn update_nodes_rewrites_the_tip_and_the_spilled_slots() {
+        let (base, _) = extend(&CEnv::empty(), 1..=TIP as u32 + 2);
+        let (mut ext, _) = extend(&base, [50]);
+        ext.update_nodes(&mut |n| NodeId(n.0 | 0x100));
+        let want: Vec<NodeId> = [50]
+            .into_iter()
+            .chain((1..=TIP as u32 + 2).rev())
+            .map(|n| NodeId(n | 0x100))
+            .collect();
+        assert_eq!(slots(&ext), want);
+        // `base` shares the spilled chunk, so it sees that rewrite, but
+        // its tip is its own.
+        let base_slots = slots(&base);
+        assert_eq!(
+            base_slots[..2],
+            [NodeId(TIP as u32 + 2), NodeId(TIP as u32 + 1)]
+        );
+        assert!(base_slots[2..].iter().all(|n| n.0 & 0x100 != 0));
+    }
+
+    /// Random push and branch sequences agree with a `Vec` model on every
+    /// read: `get_back`, `len`, `for_each_node` order and `update_nodes`.
+    #[test]
+    fn random_pushes_and_branches_agree_with_a_vec_model() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        for _ in 0..200 {
+            // Live views and their models, oldest slot first.
+            let mut views: Vec<(CEnv, Vec<NodeId>)> = vec![(CEnv::empty(), Vec::new())];
+            let mut chunks = 0;
+            for next in 0..rng.gen_range(1..120) {
+                let i = rng.gen_range(0..views.len());
+                let (env, model) = &views[i];
+                let (env, mut model) = (env.push(NodeId(next), &mut chunks), model.clone());
+                model.push(NodeId(next));
+                if rng.gen_bool(0.7) {
+                    views[i] = (env, model);
+                } else {
+                    views.push((env, model));
+                }
+            }
+            for (env, model) in &views {
+                check(env, model);
+            }
+            // An idempotent rewrite, as the collector's: views sharing a
+            // chunk rewrite its slots once each.
+            let f = |n: NodeId| NodeId(n.0 | 1 << 20);
+            for (env, model) in &mut views {
+                env.update_nodes(&mut |n| f(n));
+                model.iter_mut().for_each(|n| *n = f(*n));
+            }
+            for (env, model) in &views {
+                check(env, model);
+            }
+        }
+    }
+
+    fn check(env: &CEnv, model: &[NodeId]) {
+        assert_eq!(env.len(), model.len());
+        assert_eq!(env.is_empty(), model.is_empty());
+        let innermost_first: Vec<NodeId> = model.iter().rev().copied().collect();
+        assert_eq!(slots(env), innermost_first);
+        let mut seen = Vec::new();
+        env.for_each_node(|n| seen.push(n));
+        assert_eq!(seen, innermost_first);
     }
 }

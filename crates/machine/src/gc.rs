@@ -68,12 +68,8 @@ impl Collector {
     /// Traces the object graph from the marked roots.
     pub(crate) fn trace(&mut self, heap: &Heap) {
         while let Some(id) = self.worklist.pop() {
-            // Borrow-split: clone the small node descriptors we need.
             match heap.get(id) {
-                Node::CThunk { env, .. } | Node::CBlackhole { env, .. } => {
-                    let env = env.clone();
-                    self.mark_env(&env);
-                }
+                Node::CThunk { env, .. } | Node::CBlackhole { env, .. } => self.mark_env(env),
                 // A reachable Forwarded cell is corruption (the audit
                 // reports it), but the collector still traces through it
                 // rather than freeing the target out from under the graph.
@@ -83,14 +79,11 @@ impl Collector {
                 }
                 Node::Value(v) => match v {
                     HValue::Con(_, fields) => {
-                        for f in fields.clone() {
-                            self.mark_root(f);
+                        for f in fields.iter() {
+                            self.mark_root(*f);
                         }
                     }
-                    HValue::CFun { env, .. } => {
-                        let env = env.clone();
-                        self.mark_env(&env);
-                    }
+                    HValue::CFun { env, .. } => self.mark_env(env),
                     HValue::Int(_) | HValue::Char(_) | HValue::Str(_) => {}
                 },
                 Node::Poisoned(_) | Node::Free { .. } => {}
@@ -132,8 +125,10 @@ mod tests {
         let keep = heap.alloc_tenured(Node::Value(HValue::Int(1)));
         let drop1 = heap.alloc_tenured(Node::Value(HValue::Int(2)));
         let drop2 = heap.alloc_tenured(Node::Value(HValue::Str(Rc::from("bye"))));
-        let kept_con =
-            heap.alloc_tenured(Node::Value(HValue::Con(Symbol::intern("Just"), vec![keep])));
+        let kept_con = heap.alloc_tenured(Node::Value(HValue::Con(
+            Symbol::intern("Just"),
+            [keep].into(),
+        )));
 
         let mut c = Collector::new(heap.tenured_len());
         c.mark_root(kept_con);
@@ -150,7 +145,7 @@ mod tests {
     fn environments_keep_their_bindings_alive() {
         let mut heap = Heap::new();
         let bound = heap.alloc_tenured(Node::Value(HValue::Int(9)));
-        let env = CEnv::empty().push(bound);
+        let env = CEnv::empty().push(bound, &mut 0);
         // The collector never runs the code; any id will do.
         let thunk = heap.alloc_tenured(Node::CThunk {
             code: CodeId(0),

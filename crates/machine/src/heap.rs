@@ -35,6 +35,7 @@
 
 use std::collections::HashSet;
 use std::mem;
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 use urk_syntax::{Exception, Symbol};
@@ -169,13 +170,82 @@ pub enum HValue {
     Str(Rc<str>),
     /// A saturated constructor with lazy fields. Nullary constructors are
     /// normally immediate; a boxed nullary `Con` is still legal.
-    Con(Symbol, Vec<NodeId>),
+    Con(Symbol, Fields),
     /// A function closure; the body's code was compiled expecting its
     /// argument as the top environment slot.
     CFun {
         body: CodeId,
         env: CEnv,
     },
+}
+
+/// Fields stored inside the value; longer field lists are boxed.
+const INLINE_FIELDS: usize = 2;
+
+/// A constructor's fields: up to [`INLINE_FIELDS`] inside the value (a
+/// cons cell, `Just`, `OK`/`Bad`), so building one allocates nothing
+/// beyond its heap cell; longer lists in one boxed slice. Derefs to
+/// `[NodeId]`; built by `collect` or from an array.
+#[derive(Clone)]
+pub struct Fields(FieldsRepr);
+
+#[derive(Clone)]
+enum FieldsRepr {
+    Inline(u8, [NodeId; INLINE_FIELDS]),
+    Boxed(Box<[NodeId]>),
+}
+
+impl Deref for Fields {
+    type Target = [NodeId];
+
+    #[inline]
+    fn deref(&self) -> &[NodeId] {
+        match &self.0 {
+            FieldsRepr::Inline(n, ids) => &ids[..usize::from(*n)],
+            FieldsRepr::Boxed(ids) => ids,
+        }
+    }
+}
+
+impl DerefMut for Fields {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [NodeId] {
+        match &mut self.0 {
+            FieldsRepr::Inline(n, ids) => &mut ids[..usize::from(*n)],
+            FieldsRepr::Boxed(ids) => ids,
+        }
+    }
+}
+
+impl std::fmt::Debug for Fields {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<NodeId> for Fields {
+    fn from_iter<I: IntoIterator<Item = NodeId>>(iter: I) -> Fields {
+        let mut iter = iter.into_iter();
+        let mut ids = [NodeId(0); INLINE_FIELDS];
+        for n in 0..INLINE_FIELDS {
+            match iter.next() {
+                Some(id) => ids[n] = id,
+                None => return Fields(FieldsRepr::Inline(n as u8, ids)),
+            }
+        }
+        match iter.next() {
+            None => Fields(FieldsRepr::Inline(INLINE_FIELDS as u8, ids)),
+            Some(id) => Fields(FieldsRepr::Boxed(
+                ids.into_iter().chain([id]).chain(iter).collect(),
+            )),
+        }
+    }
+}
+
+impl<const N: usize> From<[NodeId; N]> for Fields {
+    fn from(ids: [NodeId; N]) -> Fields {
+        ids.into_iter().collect()
+    }
 }
 
 /// A weak-head-normal-form view of a node, unifying unboxed immediates
@@ -769,7 +839,7 @@ impl Heap {
     }
 }
 
-/// Rewrites every child reference of `node` in place through `f`. Shared
+/// Rewrites every child reference of `node` in place through `f`. Spilled
 /// environment chunks are reachable from several nodes, so `f` must be
 /// idempotent (the minor collector's evacuation function is).
 pub(crate) fn rewrite_node_children(node: &mut Node, f: &mut dyn FnMut(NodeId) -> NodeId) {
@@ -796,7 +866,7 @@ fn for_each_child(node: &Node, mut f: impl FnMut(NodeId)) {
         Node::Ind(n) | Node::Forwarded(n) => f(*n),
         Node::Value(v) => match v {
             HValue::Con(_, fields) => {
-                for x in fields {
+                for x in fields.iter() {
                     f(*x);
                 }
             }
@@ -1014,7 +1084,7 @@ mod tests {
         let holder = heap.alloc_tenured(Node::Value(HValue::Int(0)));
         heap.set(
             holder,
-            Node::Value(HValue::Con(Symbol::intern("Box"), vec![field])),
+            Node::Value(HValue::Con(Symbol::intern("Box"), [field].into())),
         );
         let mut root = kept;
         let outcome = heap.collect_minor(&mut |f| root = f(root));
@@ -1090,8 +1160,10 @@ mod tests {
     fn remembered_set_gap_is_an_audit_finding() {
         let mut heap = Heap::new();
         let field = heap.alloc(Node::Value(HValue::Int(1)));
-        let holder =
-            heap.alloc_tenured(Node::Value(HValue::Con(Symbol::intern("Box"), vec![field])));
+        let holder = heap.alloc_tenured(Node::Value(HValue::Con(
+            Symbol::intern("Box"),
+            [field].into(),
+        )));
         assert!(heap.audit().is_consistent(), "alloc_tenured remembers");
         // Wipe the remembered set behind the heap's back: the audit must
         // notice the unrecorded tenured→nursery edge.

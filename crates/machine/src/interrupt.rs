@@ -87,6 +87,12 @@ impl InterruptHandle {
         }
     }
 
+    /// True if no other clone of this handle exists, so no other thread
+    /// can deliver into it.
+    pub(crate) fn is_unshared(&self) -> bool {
+        Arc::strong_count(&self.cell) == 1
+    }
+
     /// Disarms the cell without reading it (e.g. when a request finishes
     /// before its watchdog fires, so the stale deadline cannot leak into
     /// the next evaluation on the same machine).

@@ -398,11 +398,7 @@ impl Machine {
                 if n == 0 {
                     return Control::Return(self.nullary_con_node(tag));
                 }
-                let mut fields = Vec::with_capacity(usize::from(n));
-                for i in 0..u32::from(n) {
-                    let k = self.linked().kid(args + i);
-                    fields.push(self.alloc_code(k, &env));
-                }
+                let fields = self.alloc_fields(args, n, &env);
                 Control::Return(self.alloc_value(HValue::Con(tag, fields)))
             }
             COp::Lam { body } => Control::Return(self.alloc_value(HValue::CFun { body, env })),
@@ -423,7 +419,7 @@ impl Machine {
                         return Control::Raising(exn.clone());
                     }
                 }
-                Control::Eval(body, env.push(t))
+                Control::Eval(body, env.push(t, &mut self.stats.env_chunks))
             }
             COp::LetRec { rhss, n, body } => {
                 // Tie the knot: allocate empty-environment thunks, extend,
@@ -441,7 +437,7 @@ impl Machine {
                 }
                 let mut env2 = env;
                 for (_, nd) in &nodes {
-                    env2 = env2.push(*nd);
+                    env2 = env2.push(*nd, &mut self.stats.env_chunks);
                 }
                 for (k, nd) in nodes {
                     self.heap.set(
@@ -596,7 +592,9 @@ impl Machine {
             Frame::Apply(arg) => {
                 let (body, env) = match self.heap.whnf(node) {
                     // The compiler reserved the top slot for the argument.
-                    Some(Whnf::CFun { body, env }) => (body, env.push(arg)),
+                    Some(Whnf::CFun { body, env }) => {
+                        (body, env.push(arg, &mut self.stats.env_chunks))
+                    }
                     _ => panic!("application of a non-function (ill-typed program)"),
                 };
                 self.enter_body(body, env, stack)
@@ -644,7 +642,7 @@ impl Machine {
             // The argument evaluated to a value: not an exception.
             Frame::IsExnCatch => Control::Return(self.bool_node(false)),
             Frame::UnsafeGetExnCatch => {
-                let ok = HValue::Con(Known::Ok.symbol(), vec![node]);
+                let ok = HValue::Con(Known::Ok.symbol(), [node].into());
                 Control::Return(self.alloc_value(ok))
             }
             Frame::MapExnCatch { .. } => Control::Return(node),
@@ -717,7 +715,7 @@ impl Machine {
                 }
                 Frame::UnsafeGetExnCatch if !asynchronous => {
                     let ev = self.alloc_exception_value(&exn);
-                    let bad = HValue::Con(Known::Bad.symbol(), vec![ev]);
+                    let bad = HValue::Con(Known::Bad.symbol(), [ev].into());
                     let t = self.alloc_value(bad);
                     return Step::Continue(Control::Return(t));
                 }

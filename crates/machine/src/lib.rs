@@ -55,7 +55,8 @@ pub use code::{compile_program, Code, CodeVerifyError};
 pub use coverage::{OpCoverage, OPERAND_CLASSES, OP_KINDS, PRIM_OPS};
 pub use env::CEnv;
 pub use heap::{
-    AuditFinding, HValue, Heap, HeapAudit, MinorOutcome, Node, NodeId, Whnf, MAX_AUDIT_FINDINGS,
+    AuditFinding, Fields, HValue, Heap, HeapAudit, MinorOutcome, Node, NodeId, Whnf,
+    MAX_AUDIT_FINDINGS,
 };
 pub use interrupt::InterruptHandle;
 pub use machine::{

@@ -277,9 +277,10 @@ const KEEP_SLOTS: usize = 1 << 12;
 
 /// The emptied buffers of a machine that has finished its work
 /// ([`Machine::retire`]), for [`Machine::recycle`] to move into the next
-/// one. They hold no node, frame or code, only capacity, and each keeps
-/// at most a fixed cap of it, so a large query does not pin its memory.
-/// The default is no buffers at all.
+/// one. They hold no node, frame or code, only capacity (and an interrupt
+/// cell nothing else holds), and each keeps at most a fixed cap of it, so
+/// a large query does not pin its memory. The default is no buffers at
+/// all.
 #[derive(Default)]
 pub struct MachineBuffers {
     /// The image the retired machine linked: the buffers are reused only
@@ -294,6 +295,9 @@ pub struct MachineBuffers {
     frames: Vec<Frame>,
     region_vals: Vec<NodeId>,
     ext: CodeBuf,
+    /// The retired machine's interrupt cell, kept only if no watchdog or
+    /// embedder still holds a clone that could deliver into it.
+    interrupt: Option<InterruptHandle>,
 }
 
 /// `v` emptied, keeping at most `keep` elements of capacity.
@@ -306,6 +310,12 @@ pub(crate) fn emptied<T>(mut v: Vec<T>, keep: usize) -> Vec<T> {
 impl Machine {
     /// Creates a machine.
     pub fn new(config: MachineConfig) -> Machine {
+        let interrupt = config.interrupt.clone().unwrap_or_default();
+        Machine::with_interrupt(config, interrupt)
+    }
+
+    /// [`Machine::new`] polling `interrupt`.
+    fn with_interrupt(config: MachineConfig, interrupt: InterruptHandle) -> Machine {
         let seed = match config.order {
             OrderPolicy::Seeded(s) => s,
             _ => 0,
@@ -317,7 +327,6 @@ impl Machine {
             NodeId::imm_con(Known::True.symbol()).expect("interner index fits a tagged word");
         let false_node =
             NodeId::imm_con(Known::False.symbol()).expect("interner index fits a tagged word");
-        let interrupt = config.interrupt.clone().unwrap_or_default();
         let chaos = config.chaos.clone().map(ChaosState::new);
         let coverage = config
             .coverage
@@ -347,12 +356,22 @@ impl Machine {
     /// [`Machine::link_code`]`(code)`, grown into `spare`'s buffers instead
     /// of from empty. Every field but those buffers comes from
     /// [`Machine::new`], so nothing of the retired machine's state (rng,
-    /// interrupt handle, chaos plan, coverage, collection and timeout
-    /// triggers, counters, free list) carries over. Buffers retired from a
-    /// machine linked to another image are dropped, not reused: a load or
-    /// a tier switch gives their memory back.
+    /// chaos plan, coverage, collection and timeout triggers, counters,
+    /// free list) carries over. Without `config.interrupt`, the machine
+    /// polls the retired machine's interrupt cell, cleared: it was kept
+    /// only if nothing else could still deliver into it. Buffers retired
+    /// from a machine linked to another image are dropped, not reused: a
+    /// load or a tier switch gives their memory back.
     pub fn recycle(spare: MachineBuffers, config: MachineConfig, code: Arc<Code>) -> Machine {
-        let mut m = Machine::new(config);
+        let interrupt = match (&config.interrupt, spare.interrupt) {
+            (Some(handle), _) => handle.clone(),
+            (None, Some(kept)) => {
+                kept.clear();
+                kept
+            }
+            (None, None) => InterruptHandle::default(),
+        };
+        let mut m = Machine::with_interrupt(config, interrupt);
         if spare.image.as_ptr() != Arc::as_ptr(&code) {
             m.link_code(code);
             return m;
@@ -372,7 +391,8 @@ impl Machine {
 
     /// Ends this machine's life, keeping its buffers emptied for
     /// [`Machine::recycle`]: every node, frame, root and lowered query is
-    /// dropped here, and each buffer's capacity is capped.
+    /// dropped here, and each buffer's capacity is capped. The interrupt
+    /// cell is kept only if this machine holds its last reference.
     pub fn retire(self) -> MachineBuffers {
         let (tenured, nursery, remembered) = self.heap.into_buffers();
         let (image, ext) = match self.code {
@@ -389,6 +409,7 @@ impl Machine {
             frames: emptied(self.frames, KEEP_FRAMES),
             region_vals: emptied(self.region_vals, KEEP_SLOTS),
             ext: ext.emptied(KEEP_SLOTS),
+            interrupt: self.interrupt.is_unshared().then_some(self.interrupt),
         }
     }
 
@@ -470,7 +491,7 @@ impl Machine {
                 self.stats.unboxed_hits += 1;
                 id
             }
-            None => self.alloc_value(HValue::Con(c, vec![])),
+            None => self.alloc_value(HValue::Con(c, [].into())),
         }
     }
 
@@ -791,7 +812,7 @@ impl Machine {
             None => self.nullary_con_node(name),
             Some(s) => {
                 let str_node = self.alloc_value(HValue::Str(Rc::from(s)));
-                self.alloc_value(HValue::Con(name, vec![str_node]))
+                self.alloc_value(HValue::Con(name, [str_node].into()))
             }
         }
     }

@@ -273,7 +273,7 @@ pub fn region_differential(
                         Sort::Char => m.alloc_value(HValue::Char(if n < 0 { 'a' } else { 'z' })),
                         Sort::Str => m.alloc_value(HValue::Str(n.to_string().as_str().into())),
                     };
-                    env = env.push(node);
+                    env = env.push(node, &mut 0);
                 }
                 m.reset_stats();
                 let result = if walk == 1 {

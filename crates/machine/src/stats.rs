@@ -96,6 +96,10 @@ macro_rules! stats_schema {
             /// Tier-2 inline-cache misses (cold sites and callees not yet
             /// forced to a function value).
             ic_misses: u64 = Sum,
+            /// Environment chunks allocated: a push onto an environment
+            /// whose four inline slots are full moves them into a new
+            /// chunk.
+            env_chunks: u64 = Sum,
         }
     };
 }

@@ -32,7 +32,7 @@ fn distinct_counters() -> Stats {
 #[test]
 fn every_counter_round_trips_by_name_through_results_and_totals() {
     let stats = distinct_counters();
-    assert_eq!(Stats::counters().count(), 24);
+    assert_eq!(Stats::counters().count(), 25);
     for text in [format!("{stats:?}"), stats.to_string()] {
         assert!(!text.contains("interned"), "{text}");
     }

@@ -143,28 +143,28 @@ fn observed() -> Vec<(String, &'static str, String)> {
 
 /// The pinned table: `(input, tier, counters)`.
 const EXPECTED: &[(&str, &str, &str)] = &[
-    ("fib", "tier1", "steps=9579 allocations=3194 freelist_reuses=0 unboxed_hits=14367 thunk_updates=3193 max_stack_depth=16 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
-    ("fib", "tier2", "steps=6387 allocations=2 freelist_reuses=0 unboxed_hits=14367 thunk_updates=1 max_stack_depth=15 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=6385 ic_hits=3190 ic_misses=2"),
-    ("sumto", "tier1", "steps=16002 allocations=8002 freelist_reuses=0 unboxed_hits=20004 thunk_updates=8001 max_stack_depth=7997 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=5 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
-    ("sumto", "tier2", "steps=8003 allocations=2 freelist_reuses=0 unboxed_hits=20004 thunk_updates=1 max_stack_depth=0 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=5 backend=compiled tier=2 fused_steps=12001 ic_hits=3999 ic_misses=1"),
-    ("primes", "tier1", "steps=91598 allocations=15706 freelist_reuses=0 unboxed_hits=101605 thunk_updates=15703 max_stack_depth=2303 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=1 minor_gcs=1 major_gcs=0 gc_freed=6189 nodes_promoted=2003 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=7 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
-    ("primes", "tier2", "steps=51100 allocations=2005 freelist_reuses=0 unboxed_hits=101605 thunk_updates=2002 max_stack_depth=2302 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=7 backend=compiled tier=2 fused_steps=42801 ic_hits=17693 ic_misses=6"),
-    ("sortlist", "tier1", "steps=15967 allocations=8102 freelist_reuses=0 unboxed_hits=4777 thunk_updates=4172 max_stack_depth=245 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
-    ("sortlist", "tier2", "steps=15608 allocations=7748 freelist_reuses=0 unboxed_hits=4777 thunk_updates=3818 max_stack_depth=244 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=4160 ic_hits=4045 ic_misses=9"),
-    ("pipeline", "tier1", "steps=5413 allocations=2813 freelist_reuses=0 unboxed_hits=4207 thunk_updates=1808 max_stack_depth=207 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
-    ("pipeline", "tier2", "steps=4213 allocations=2013 freelist_reuses=0 unboxed_hits=4207 thunk_updates=1008 max_stack_depth=206 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=1601 ic_hits=1395 ic_misses=9"),
-    ("deep-raise", "tier1", "steps=3005 allocations=1002 freelist_reuses=0 unboxed_hits=6004 thunk_updates=1001 max_stack_depth=1001 frames_trimmed=1000 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
-    ("deep-raise", "tier2", "steps=2005 allocations=2 freelist_reuses=0 unboxed_hits=6004 thunk_updates=1 max_stack_depth=1001 frames_trimmed=1000 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=2001 ic_hits=999 ic_misses=1"),
-    ("deep-propagate", "tier1", "steps=4004 allocations=2003 freelist_reuses=0 unboxed_hits=4004 thunk_updates=1001 max_stack_depth=1001 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=1 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
-    ("deep-propagate", "tier2", "steps=3004 allocations=1003 freelist_reuses=0 unboxed_hits=4004 thunk_updates=1 max_stack_depth=1000 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=1 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=2001 ic_hits=999 ic_misses=1"),
-    ("catchloop", "tier1", "steps=2503 allocations=904 freelist_reuses=0 unboxed_hits=3104 thunk_updates=602 max_stack_depth=602 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=5 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
-    ("catchloop", "tier2", "steps=2203 allocations=604 freelist_reuses=0 unboxed_hits=2804 thunk_updates=302 max_stack_depth=602 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=5 backend=compiled tier=2 fused_steps=901 ic_hits=597 ic_misses=3"),
-    ("mapexception", "tier1", "steps=7 allocations=3 freelist_reuses=0 unboxed_hits=4 thunk_updates=1 max_stack_depth=2 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
-    ("mapexception", "tier2", "steps=7 allocations=3 freelist_reuses=0 unboxed_hits=4 thunk_updates=1 max_stack_depth=2 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=1 ic_hits=0 ic_misses=0"),
-    ("fib-faultplan", "tier1", "steps=4000 allocations=1335 freelist_reuses=0 unboxed_hits=5990 thunk_updates=1333 max_stack_depth=16 frames_trimmed=10 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=3 minor_gcs=2 major_gcs=1 gc_freed=499 nodes_promoted=2 async_injected=1 forced_gcs=2 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
-    ("fib-faultplan", "tier2", "steps=4000 allocations=2 freelist_reuses=0 unboxed_hits=8990 thunk_updates=1 max_stack_depth=15 frames_trimmed=11 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=3 minor_gcs=2 major_gcs=1 gc_freed=0 nodes_promoted=1 async_injected=1 forced_gcs=2 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=3998 ic_hits=1997 ic_misses=2"),
-    ("buried-faultplan", "tier1", "steps=400 allocations=135 freelist_reuses=0 unboxed_hits=531 thunk_updates=133 max_stack_depth=135 frames_trimmed=134 thunks_poisoned=0 thunks_restored=1 blackholes_detected=0 gc_runs=3 minor_gcs=2 major_gcs=1 gc_freed=65 nodes_promoted=2 async_injected=1 forced_gcs=2 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0"),
-    ("buried-faultplan", "tier2", "steps=400 allocations=3 freelist_reuses=0 unboxed_hits=795 thunk_updates=1 max_stack_depth=200 frames_trimmed=200 thunks_poisoned=0 thunks_restored=1 blackholes_detected=0 gc_runs=3 minor_gcs=2 major_gcs=1 gc_freed=0 nodes_promoted=1 async_injected=1 forced_gcs=2 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=397 ic_hits=197 ic_misses=2"),
+    ("fib", "tier1", "steps=9579 allocations=3194 freelist_reuses=0 unboxed_hits=14367 thunk_updates=3193 max_stack_depth=16 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0 env_chunks=0"),
+    ("fib", "tier2", "steps=6387 allocations=2 freelist_reuses=0 unboxed_hits=14367 thunk_updates=1 max_stack_depth=15 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=6385 ic_hits=3190 ic_misses=2 env_chunks=0"),
+    ("sumto", "tier1", "steps=16002 allocations=8002 freelist_reuses=0 unboxed_hits=20004 thunk_updates=8001 max_stack_depth=7997 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=5 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0 env_chunks=0"),
+    ("sumto", "tier2", "steps=8003 allocations=2 freelist_reuses=0 unboxed_hits=20004 thunk_updates=1 max_stack_depth=0 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=5 backend=compiled tier=2 fused_steps=12001 ic_hits=3999 ic_misses=1 env_chunks=0"),
+    ("primes", "tier1", "steps=91598 allocations=15706 freelist_reuses=0 unboxed_hits=101605 thunk_updates=15703 max_stack_depth=2303 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=1 minor_gcs=1 major_gcs=0 gc_freed=6189 nodes_promoted=2003 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=7 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0 env_chunks=0"),
+    ("primes", "tier2", "steps=51100 allocations=2005 freelist_reuses=0 unboxed_hits=101605 thunk_updates=2002 max_stack_depth=2302 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=7 backend=compiled tier=2 fused_steps=42801 ic_hits=17693 ic_misses=6 env_chunks=0"),
+    ("sortlist", "tier1", "steps=15967 allocations=8102 freelist_reuses=0 unboxed_hits=4777 thunk_updates=4172 max_stack_depth=245 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0 env_chunks=0"),
+    ("sortlist", "tier2", "steps=15608 allocations=7748 freelist_reuses=0 unboxed_hits=4777 thunk_updates=3818 max_stack_depth=244 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=4160 ic_hits=4045 ic_misses=9 env_chunks=0"),
+    ("pipeline", "tier1", "steps=5413 allocations=2813 freelist_reuses=0 unboxed_hits=4207 thunk_updates=1808 max_stack_depth=207 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0 env_chunks=0"),
+    ("pipeline", "tier2", "steps=4213 allocations=2013 freelist_reuses=0 unboxed_hits=4207 thunk_updates=1008 max_stack_depth=206 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=1601 ic_hits=1395 ic_misses=9 env_chunks=0"),
+    ("deep-raise", "tier1", "steps=3005 allocations=1002 freelist_reuses=0 unboxed_hits=6004 thunk_updates=1001 max_stack_depth=1001 frames_trimmed=1000 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0 env_chunks=0"),
+    ("deep-raise", "tier2", "steps=2005 allocations=2 freelist_reuses=0 unboxed_hits=6004 thunk_updates=1 max_stack_depth=1001 frames_trimmed=1000 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=2001 ic_hits=999 ic_misses=1 env_chunks=0"),
+    ("deep-propagate", "tier1", "steps=4004 allocations=2003 freelist_reuses=0 unboxed_hits=4004 thunk_updates=1001 max_stack_depth=1001 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=1 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0 env_chunks=0"),
+    ("deep-propagate", "tier2", "steps=3004 allocations=1003 freelist_reuses=0 unboxed_hits=4004 thunk_updates=1 max_stack_depth=1000 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=1 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=2001 ic_hits=999 ic_misses=1 env_chunks=0"),
+    ("catchloop", "tier1", "steps=2503 allocations=904 freelist_reuses=0 unboxed_hits=3104 thunk_updates=602 max_stack_depth=602 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=5 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0 env_chunks=0"),
+    ("catchloop", "tier2", "steps=2203 allocations=604 freelist_reuses=0 unboxed_hits=2804 thunk_updates=302 max_stack_depth=602 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=5 backend=compiled tier=2 fused_steps=901 ic_hits=597 ic_misses=3 env_chunks=0"),
+    ("mapexception", "tier1", "steps=7 allocations=3 freelist_reuses=0 unboxed_hits=4 thunk_updates=1 max_stack_depth=2 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0 env_chunks=0"),
+    ("mapexception", "tier2", "steps=7 allocations=3 freelist_reuses=0 unboxed_hits=4 thunk_updates=1 max_stack_depth=2 frames_trimmed=0 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=0 minor_gcs=0 major_gcs=0 gc_freed=0 nodes_promoted=0 async_injected=0 forced_gcs=0 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=1 ic_hits=0 ic_misses=0 env_chunks=0"),
+    ("fib-faultplan", "tier1", "steps=4000 allocations=1335 freelist_reuses=0 unboxed_hits=5990 thunk_updates=1333 max_stack_depth=16 frames_trimmed=10 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=3 minor_gcs=2 major_gcs=1 gc_freed=499 nodes_promoted=2 async_injected=1 forced_gcs=2 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0 env_chunks=0"),
+    ("fib-faultplan", "tier2", "steps=4000 allocations=2 freelist_reuses=0 unboxed_hits=8990 thunk_updates=1 max_stack_depth=15 frames_trimmed=11 thunks_poisoned=0 thunks_restored=0 blackholes_detected=0 gc_runs=3 minor_gcs=2 major_gcs=1 gc_freed=0 nodes_promoted=1 async_injected=1 forced_gcs=2 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=3998 ic_hits=1997 ic_misses=2 env_chunks=0"),
+    ("buried-faultplan", "tier1", "steps=400 allocations=135 freelist_reuses=0 unboxed_hits=531 thunk_updates=133 max_stack_depth=135 frames_trimmed=134 thunks_poisoned=0 thunks_restored=1 blackholes_detected=0 gc_runs=3 minor_gcs=2 major_gcs=1 gc_freed=65 nodes_promoted=2 async_injected=1 forced_gcs=2 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=1 fused_steps=0 ic_hits=0 ic_misses=0 env_chunks=0"),
+    ("buried-faultplan", "tier2", "steps=400 allocations=3 freelist_reuses=0 unboxed_hits=795 thunk_updates=1 max_stack_depth=200 frames_trimmed=200 thunks_poisoned=0 thunks_restored=1 blackholes_detected=0 gc_runs=3 minor_gcs=2 major_gcs=1 gc_freed=0 nodes_promoted=1 async_injected=1 forced_gcs=2 cache_hits=0 cache_misses=0 compile_ops=3 backend=compiled tier=2 fused_steps=397 ic_hits=197 ic_misses=2 env_chunks=0"),
 ];
 
 #[test]

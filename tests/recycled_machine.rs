@@ -17,6 +17,7 @@ use urk::{Error, EvalResult, Session, Supervisor};
 use urk_machine::{
     Kind, Machine, MachineBuffers, MachineConfig, MachineError, Outcome, Stats, Tier,
 };
+use urk_syntax::Exception;
 
 const PROGRAM: &str = "\
 table = map (\\x -> x * x) [1 .. 60]
@@ -201,4 +202,34 @@ fn session_evals_on_its_recycled_machine_answer_like_fresh_machines() {
         );
     }
     assert!(step_limits > 0, "the list must hit the step limit");
+}
+
+#[test]
+fn an_interrupt_armed_after_its_job_ended_cannot_reach_the_next_job() {
+    let s = session();
+    let code = s.compiled_code();
+    let config = MachineConfig::default();
+    let want = fresh(&mut session(), &queries()[0], false);
+    let recycle = |spare| Machine::recycle(spare, config.clone(), code.clone());
+    // A watchdog keeps its clone of the first job's handle and fires
+    // while the next job runs: that job polls another cell.
+    let mut m = recycle(MachineBuffers::default());
+    let stale = m.interrupt_handle();
+    assert_eq!(answer(&mut m, &s, "sum table", false), want);
+    let mut m = recycle(m.retire());
+    assert!(stale.deliver(Exception::Interrupt));
+    assert_eq!(
+        answer(&mut m, &s, "sum table", false),
+        want,
+        "a stale watchdog interrupted the next job"
+    );
+    // A delivery left pending in a cell no one else holds any more is
+    // cleared before the cell serves the next job.
+    assert!(m.interrupt_handle().deliver(Exception::Interrupt));
+    let mut m = recycle(m.retire());
+    assert_eq!(
+        answer(&mut m, &s, "sum table", false),
+        want,
+        "a pending delivery outlived its job"
+    );
 }

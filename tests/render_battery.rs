@@ -84,6 +84,31 @@ const CASES: &[(&str, u32, &str)] = &[
     ("Just Nothing", 0, "Just ..."),
     ("Nothing", 0, "Nothing"),
     ("(1, 2)", 1, "Pair 1 2"),
+    // An environment deeper than its inline tip and a full chunk of
+    // spilled slots: 24 lets and a local 6-ary function with `case`
+    // binders, whose body reads the outermost let.
+    (
+        "let a1 = 1 in let a2 = a1 + 1 in let a3 = a2 + 1 in let a4 = a3 + 1 in \
+         let a5 = a4 + 1 in let a6 = a5 + 1 in let a7 = a6 + 1 in let a8 = a7 + 1 in \
+         let a9 = a8 + 1 in let a10 = a9 + 1 in let a11 = a10 + 1 in let a12 = a11 + 1 in \
+         let a13 = a12 + 1 in let a14 = a13 + 1 in let a15 = a14 + 1 in let a16 = a15 + 1 in \
+         let a17 = a16 + 1 in let a18 = a17 + 1 in let a19 = a18 + 1 in let a20 = a19 + 1 in \
+         let a21 = a20 + 1 in let a22 = a21 + 1 in let a23 = a22 + 1 in let a24 = a23 + 1 in \
+         let f = \\p q r s t u -> case (p, [q, r]) of { (x, y:ys) -> (x + y + s + t + u + a1, ys) } \
+         in f a24 a20 a16 a12 a8 a4",
+        32,
+        "Pair 69 (Cons 16 Nil)",
+    ),
+    // A recursive group of six: one step binds all six, so the tip
+    // spills into a chunk while the chunk's slots are still nursery
+    // cells, and the collection after that step must rewrite them.
+    (
+        "let { e1 = \\n -> if n == 0 then 1 else e6 (n - 1); e2 = \\n -> e1 n; \
+         e3 = \\n -> e2 n; e4 = \\n -> e3 n; e5 = \\n -> e4 n; e6 = \\n -> e5 n } \
+         in (e6 12, e1 3)",
+        32,
+        "Pair 1 1",
+    ),
     // Quirks, pinned.
     ("[' ', 'a']", 32, "Cons (' ') (Cons 'a' Nil)"),
     ("Just (0 - 3)", 32, "Just -3"),
