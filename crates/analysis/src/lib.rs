@@ -44,6 +44,32 @@ pub use effect::{Effect, Val};
 pub use lint::{lint_expr, lint_program, Diagnostic, LintCode};
 pub use validate::{audit_binding_facts, audit_binds, FactAudit, FactAuditError};
 
+use urk_machine::{FactVal, GlobalFact, Tier2Facts};
+
+/// Reshapes positional binding facts into the machine's tier-2 licence:
+/// the one mapping every tier-2 consumer (the session, the fuzz context,
+/// the bench harness) applies. `whnf_safe` (empty exception set, no
+/// divergence, no opacity) is the licence to substitute an arity-0
+/// binding's constant value; `Con` constants are dropped because the flat
+/// image only carries literal operands.
+pub fn tier2_facts(facts: &[BindingFact]) -> Tier2Facts {
+    Tier2Facts {
+        globals: facts
+            .iter()
+            .map(|f| GlobalFact {
+                whnf_safe: f.whnf_safe,
+                value: f.val.as_ref().and_then(|v| match v {
+                    Val::Int(i) => Some(FactVal::Int(*i)),
+                    Val::Char(c) => Some(FactVal::Char(*c)),
+                    Val::Str(s) => Some(FactVal::Str(s.to_string())),
+                    Val::Con(_) => None,
+                }),
+                demands: f.demands.clone(),
+            })
+            .collect(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

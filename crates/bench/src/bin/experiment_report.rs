@@ -4,6 +4,9 @@
 //! ```text
 //! cargo run -p urk-bench --bin experiment_report
 //! ```
+//!
+//! Its stdout is checked in as `crates/bench/experiment_report.golden`,
+//! and CI diffs the two byte for byte.
 
 use std::sync::Arc;
 

@@ -17,8 +17,8 @@ use urk_io::{
     run_denot, run_machine, AsyncSchedule, ExceptionOracle, RunOutcome, SeededOracle, StringInput,
 };
 use urk_machine::{
-    compile_program, tier2_optimize_certified, validate_tier2, Backend, Code, FactVal, GlobalFact,
-    Machine, MachineBuffers, MachineConfig, Outcome, Stats, Tier, Tier2Facts,
+    compile_program, tier2_optimize_certified, validate_tier2, Backend, Code, Machine,
+    MachineBuffers, MachineConfig, Outcome, Stats, Tier, Tier2Facts,
 };
 use urk_syntax::core::{CoreProgram, Expr};
 use urk_syntax::{
@@ -260,7 +260,7 @@ impl Session {
             Tier::One => Arc::new(base),
             Tier::Two => {
                 let claimed = self.analyze().binding_facts(&self.program.binds);
-                let facts = tier2_facts_of(&claimed);
+                let facts = urk_analysis::tier2_facts(&claimed);
                 let (t2, cert) = tier2_optimize_certified(&base, &facts);
                 if self.options.validate_tier2 {
                     // Audit the facts the optimiser consumed against a
@@ -628,34 +628,11 @@ impl Session {
 }
 
 /// Reshapes an exception-effect [`Analysis`](urk_analysis::Analysis) of
-/// `binds` into the machine's tier-2 licence — the mapping every tier-2
-/// consumer (the session, the fuzz context, the bench harness) applies.
-/// `whnf_safe` (empty exception set, no divergence, no opacity) is the
-/// license to substitute an arity-0 binding's constant value; `Con`
-/// constants are dropped because the flat image only carries literal
-/// operands.
+/// `binds` into the machine's tier-2 licence, through the one mapping
+/// every tier-2 consumer applies ([`urk_analysis::tier2_facts`]).
 pub fn tier2_facts_for(
     analysis: urk_analysis::Analysis,
     binds: &[(Symbol, Rc<Expr>)],
 ) -> Tier2Facts {
-    tier2_facts_of(&analysis.binding_facts(binds))
-}
-
-/// The reshaping behind [`tier2_facts_for`], over positional facts.
-fn tier2_facts_of(facts: &[urk_analysis::BindingFact]) -> Tier2Facts {
-    Tier2Facts {
-        globals: facts
-            .iter()
-            .map(|f| GlobalFact {
-                whnf_safe: f.whnf_safe,
-                value: f.val.as_ref().and_then(|v| match v {
-                    urk_analysis::Val::Int(i) => Some(FactVal::Int(*i)),
-                    urk_analysis::Val::Char(c) => Some(FactVal::Char(*c)),
-                    urk_analysis::Val::Str(s) => Some(FactVal::Str(s.to_string())),
-                    urk_analysis::Val::Con(_) => None,
-                }),
-                demands: f.demands.clone(),
-            })
-            .collect(),
-    }
+    urk_analysis::tier2_facts(&analysis.binding_facts(binds))
 }

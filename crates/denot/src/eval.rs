@@ -188,11 +188,6 @@ impl DenotEvaluator {
         self.oracle.borrow().get(i).copied().unwrap_or(false)
     }
 
-    /// Remaining fuel (diagnostics; also used by tests to measure cost).
-    pub fn fuel_left(&self) -> u64 {
-        self.fuel.get()
-    }
-
     /// Resets fuel and depth so the evaluator can be reused.
     pub fn refill(&self) {
         self.fuel.set(self.config.fuel);

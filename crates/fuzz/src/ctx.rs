@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use urk_machine::{compile_program, tier2_optimize, Code, FactVal, GlobalFact, Tier2Facts};
+use urk_machine::{compile_program, tier2_optimize, Code};
 use urk_syntax::{desugar_program, parse_program, DataEnv, Symbol};
 use urk_types::{infer_expr, infer_program, Scheme};
 
@@ -68,9 +68,7 @@ impl FuzzCtx {
         let mut data = DataEnv::new();
         let prog = desugar_program(&surface, &mut data).map_err(|e| format!("desugar: {e}"))?;
         let globals = infer_program(&prog, &data).map_err(|e| format!("typecheck: {e}"))?;
-        let base = compile_program(&prog.binds);
-        let code_t2 = Arc::new(tier2_optimize(&base, &tier2_facts(&prog, &data)));
-        let code = Arc::new(base);
+        let (code, code_t2) = images(&prog, &data);
         Ok(FuzzCtx {
             data,
             binds: prog.binds,
@@ -106,9 +104,7 @@ impl FuzzCtx {
             sigs: Vec::new(),
         };
         let globals = infer_program(&prog, &self.data).map_err(|e| format!("typecheck: {e}"))?;
-        let base = compile_program(&prog.binds);
-        let code_t2 = Arc::new(tier2_optimize(&base, &tier2_facts(&prog, &self.data)));
-        let code = Arc::new(base);
+        let (code, code_t2) = images(&prog, &self.data);
         Ok(FuzzCtx {
             data: self.data.clone(),
             binds: prog.binds,
@@ -127,29 +123,15 @@ impl FuzzCtx {
     }
 }
 
-/// Runs the exception-effect analysis over the program and reshapes its
-/// per-binding summaries into the machine's tier-2 license (the same
-/// mapping the `urk` session applies: `whnf_safe` gates constant
-/// substitution; `Con` constants are dropped because the flat image only
-/// carries literal operands).
-fn tier2_facts(prog: &urk_syntax::core::CoreProgram, data: &DataEnv) -> Tier2Facts {
+/// The program's tier-1 image and its tier-2 image, licensed by the
+/// exception-effect analysis through the session's mapping
+/// ([`urk_analysis::tier2_facts`]).
+fn images(prog: &urk_syntax::core::CoreProgram, data: &DataEnv) -> (Arc<Code>, Arc<Code>) {
+    let base = compile_program(&prog.binds);
     let analysis = urk_analysis::analyze_program(prog, data);
-    Tier2Facts {
-        globals: analysis
-            .binding_facts(&prog.binds)
-            .into_iter()
-            .map(|f| GlobalFact {
-                whnf_safe: f.whnf_safe,
-                value: f.val.and_then(|v| match v {
-                    urk_analysis::Val::Int(i) => Some(FactVal::Int(i)),
-                    urk_analysis::Val::Char(c) => Some(FactVal::Char(c)),
-                    urk_analysis::Val::Str(s) => Some(FactVal::Str(s.to_string())),
-                    urk_analysis::Val::Con(_) => None,
-                }),
-                demands: f.demands,
-            })
-            .collect(),
-    }
+    let facts = urk_analysis::tier2_facts(&analysis.binding_facts(&prog.binds));
+    let code_t2 = Arc::new(tier2_optimize(&base, &facts));
+    (Arc::new(base), code_t2)
 }
 
 impl Default for FuzzCtx {

@@ -13,7 +13,6 @@
 //! * case dispatch walks pre-lowered [`crate::code::CArm`]s, matching
 //!   constructor tags by interned-`u32` compare.
 
-use rand::Rng;
 use std::sync::Arc;
 
 use urk_syntax::core::Expr;
@@ -23,7 +22,7 @@ use crate::code::{compile_apply, compile_query, COp, CPat, Code, CodeId, LinkedC
 use crate::env::CEnv;
 use crate::heap::{Fields, HValue, Node, NodeId, Whnf};
 use crate::kernel::{Control, Frame};
-use crate::machine::{Machine, MachineError, Outcome, PrimResult, Tier};
+use crate::machine::{Machine, MachineError, Outcome, Tier};
 use crate::region::RegionProgram;
 use crate::OrderPolicy;
 
@@ -80,19 +79,7 @@ impl Machine {
     /// Compiles a query expression against the linked program (into the
     /// machine-local extension buffer) and evaluates it to WHNF.
     pub fn eval_code_expr(&mut self, expr: &Expr, catch: bool) -> Result<Outcome, MachineError> {
-        let t0 = std::time::Instant::now();
-        let code = self
-            .code
-            .as_mut()
-            .expect("no compiled code linked (call link_code first)");
-        let (entry, ops) = compile_query(&code.base, &mut code.ext, expr);
-        if cfg!(debug_assertions) || self.config.verify_code {
-            if let Err(e) = crate::code::verify_query(&code.base, &code.ext, entry) {
-                panic!("compiled query failed verification: {e}");
-            }
-        }
-        self.stats.compile_ops += ops;
-        self.stats.compile_micros += t0.elapsed().as_micros() as u64;
+        let entry = self.lower_query(expr);
         self.run(Control::Eval(entry, CEnv::empty()), catch)
     }
 
@@ -100,6 +87,19 @@ impl Machine {
     /// Forcing the node (with [`Machine::eval_node`]) runs it, and an
     /// asynchronous trim restores it resumably.
     pub fn alloc_code_thunk(&mut self, expr: &Expr) -> NodeId {
+        let entry = self.lower_query(expr);
+        // Tenured: the caller holds the id across evaluations, and nursery
+        // ids move at every minor collection.
+        self.alloc_tenured(Node::CThunk {
+            code: entry,
+            env: CEnv::empty(),
+        })
+    }
+
+    /// Lowers a query expression into the machine-local extension buffer
+    /// (verified in debug builds or under `verify_code`) and returns its
+    /// entry, counting its ops and time.
+    fn lower_query(&mut self, expr: &Expr) -> CodeId {
         let t0 = std::time::Instant::now();
         let code = self
             .code
@@ -113,12 +113,7 @@ impl Machine {
         }
         self.stats.compile_ops += ops;
         self.stats.compile_micros += t0.elapsed().as_micros() as u64;
-        // Tenured: the caller holds the id across evaluations, and nursery
-        // ids move at every minor collection.
-        self.alloc_tenured(Node::CThunk {
-            code: entry,
-            env: CEnv::empty(),
-        })
+        entry
     }
 
     /// Suspends the application `fun arg` as a heap thunk: the IO
@@ -154,6 +149,23 @@ impl Machine {
         match self.linked().op(code) {
             COp::Local(back) => env.get_back(back),
             COp::Global(g) => NodeId::global(g),
+            COp::Spec { body } => self.alloc_spec(body, env),
+            op => match self.literal_node(op) {
+                Some(n) => n,
+                None => self.alloc(Node::CThunk {
+                    code,
+                    env: env.clone(),
+                }),
+            },
+        }
+    }
+
+    /// The node for a literal op — an `Int`, a `Char`, a `Str` or a
+    /// nullary `Con` — a tagged immediate where possible; `None` for any
+    /// other op.
+    #[inline(always)]
+    pub(crate) fn literal_node(&mut self, op: COp) -> Option<NodeId> {
+        Some(match op {
             COp::Int(n) => self.int_node(n),
             COp::Char(c) => self.alloc_value(HValue::Char(c)),
             COp::Str(i) => {
@@ -161,11 +173,25 @@ impl Machine {
                 self.alloc_value(HValue::Str(s))
             }
             COp::Con { tag, n: 0, .. } => self.nullary_con_node(tag),
-            COp::Spec { body } => self.alloc_spec(body, env),
-            _ => self.alloc(Node::CThunk {
-                code,
+            _ => return None,
+        })
+    }
+
+    /// Builds a value form in place — a literal, a constructor (its fields
+    /// allocated as operands) or a lambda closing over `env`; `None` for
+    /// any other op.
+    #[inline(always)]
+    pub(crate) fn value_form(&mut self, op: COp, env: &CEnv) -> Option<NodeId> {
+        match op {
+            COp::Con { tag, args, n } if n > 0 => {
+                let fields = self.alloc_fields(args, n, env);
+                Some(self.alloc_value(HValue::Con(tag, fields)))
+            }
+            COp::Lam { body } => Some(self.alloc_value(HValue::CFun {
+                body,
                 env: env.clone(),
-            }),
+            })),
+            _ => self.literal_node(op),
         }
     }
 
@@ -189,44 +215,29 @@ impl Machine {
     /// demand that never arrives never observes the exception, and demand
     /// that does arrive raises the same member of the denoted set.
     pub(crate) fn alloc_spec(&mut self, body: CodeId, env: &CEnv) -> NodeId {
-        match self.linked().op(body) {
-            COp::Lam { body: lam_body } => {
-                self.stats.fused_steps += 1;
-                self.alloc_value(HValue::CFun {
-                    body: lam_body,
-                    env: env.clone(),
-                })
-            }
-            COp::Con { tag, args, n } => {
-                self.stats.fused_steps += 1;
-                let fields = self.alloc_fields(args, n, env);
-                self.alloc_value(HValue::Con(tag, fields))
-            }
-            COp::Str(i) => {
-                self.stats.fused_steps += 1;
-                let s = self.linked().str_at(i);
-                self.alloc_value(HValue::Str(s))
-            }
-            _ => {
-                // A prim region. Under a Seeded order policy the region
-                // stays a thunk: tier 1 draws from the §3.5 stream when
-                // the binding is *demanded*, and evaluating here would
-                // move (or drop) those draws and desync the per-seed
-                // lockstep the differential battery checks.
-                if !matches!(self.config.order, OrderPolicy::Seeded(_)) {
-                    if let Some(result) = self.exec_region(body, env) {
-                        return match result {
-                            Ok(v) => v,
-                            Err(exn) => self.alloc(Node::Poisoned(exn)),
-                        };
-                    }
-                }
-                self.alloc(Node::CThunk {
-                    code: body,
-                    env: env.clone(),
-                })
+        // A verified speculation body is a lambda, a constructor with
+        // fields, a string literal or a prim region.
+        if let Some(v) = self.value_form(self.linked().op(body), env) {
+            self.stats.fused_steps += 1;
+            return v;
+        }
+        // A prim region. Under a Seeded order policy the region stays a
+        // thunk: tier 1 draws from the §3.5 stream when the binding is
+        // *demanded*, and evaluating here would move (or drop) those draws
+        // and desync the per-seed lockstep the differential battery
+        // checks.
+        if !matches!(self.config.order, OrderPolicy::Seeded(_)) {
+            if let Some(result) = self.exec_region(body, env) {
+                return match result {
+                    Ok(v) => v,
+                    Err(exn) => self.alloc(Node::Poisoned(exn)),
+                };
             }
         }
+        self.alloc(Node::CThunk {
+            code: body,
+            env: env.clone(),
+        })
     }
 
     /// Evaluates a fused region atomically if every leaf is already a
@@ -278,16 +289,12 @@ impl Machine {
         } = self;
         let code = code.as_ref().expect("a region runs on linked code");
         region_vals.clear();
-        code.region_slice(prog, left_first).iter().all(|op| {
-            let n = match *op {
-                COp::Local(back) => env.get_back(back),
-                COp::Global(g) => NodeId::global(g),
-                _ => return true,
-            };
-            let n = heap.resolve(n);
-            region_vals.push(n);
-            n.is_imm() || matches!(heap.get(n), Node::Value(_))
-        })
+        code.region_slice(prog, left_first)
+            .iter()
+            .all(|&op| match leaf_node(op, env) {
+                Some(n) => heap.forced(n).map(|n| region_vals.push(n)).is_some(),
+                None => true,
+            })
     }
 
     /// Runs a ready region program's slice for `left_first`'s order.
@@ -313,28 +320,15 @@ impl Machine {
                     leaf += 1;
                     self.region_vals[leaf - 1]
                 }
-                COp::Int(n) => self.int_node(n),
-                COp::Char(c) => self.alloc_value(HValue::Char(c)),
-                COp::Str(i) => {
-                    let s = self.linked().str_at(i);
-                    self.alloc_value(HValue::Str(s))
-                }
-                COp::Con { tag, .. } => self.nullary_con_node(tag),
                 COp::Prim1 { op, .. } => {
                     let x = self.region_operand();
-                    match self.apply_prim(op, &[x]) {
-                        PrimResult::Value(v) => v,
-                        PrimResult::Raise(exn) => return Err(exn),
-                    }
+                    self.apply_prim(op, &[x])?
                 }
                 COp::Prim2 { op, .. } => {
                     let y = self.region_operand();
                     let x = self.region_operand();
                     let (a, b) = if left_first { (x, y) } else { (y, x) };
-                    match self.apply_prim2(op, a, b) {
-                        PrimResult::Value(v) => v,
-                        PrimResult::Raise(exn) => return Err(exn),
-                    }
+                    self.apply_prim2(op, a, b)?
                 }
                 // Both slices run `a` before `b`: keep `b`.
                 COp::Seq { .. } => {
@@ -342,7 +336,10 @@ impl Machine {
                     self.region_operand();
                     b
                 }
-                other => unreachable!("op kind {} in a region program", other.kind_index()),
+                other => match self.literal_node(other) {
+                    Some(v) => v,
+                    None => unreachable!("op kind {} in a region program", other.kind_index()),
+                },
             };
             self.region_vals.push(v);
         }
@@ -364,45 +361,30 @@ impl Machine {
     /// first, so the draw *sequence* matches the stepped loops op for op.
     pub(crate) fn region_eval(&mut self, code: CodeId, env: &CEnv) -> Result<NodeId, Exception> {
         match self.linked().op(code) {
-            COp::Local(back) => Ok(self.heap.resolve(env.get_back(back))),
-            COp::Global(g) => Ok(self.heap.resolve(NodeId::global(g))),
-            COp::Int(n) => Ok(self.int_node(n)),
-            COp::Char(c) => Ok(self.alloc_value(HValue::Char(c))),
-            COp::Str(i) => {
-                let s = self.linked().str_at(i);
-                Ok(self.alloc_value(HValue::Str(s)))
-            }
-            COp::Con { tag, .. } => Ok(self.nullary_con_node(tag)),
             COp::Prim1 { op, a } => {
                 let na = self.region_eval(a, env)?;
-                match self.apply_prim(op, &[na]) {
-                    PrimResult::Value(v) => Ok(v),
-                    PrimResult::Raise(exn) => Err(exn),
-                }
+                self.apply_prim(op, &[na])
             }
             COp::Prim2 { op, a, b } => {
-                let left_first = match self.config.order {
-                    OrderPolicy::LeftToRight => true,
-                    OrderPolicy::RightToLeft => false,
-                    OrderPolicy::Seeded(_) => self.rng.gen_bool(0.5),
-                };
-                let (na, nb) = if left_first {
+                let (na, nb) = if self.left_first() {
                     let na = self.region_eval(a, env)?;
                     (na, self.region_eval(b, env)?)
                 } else {
                     let nb = self.region_eval(b, env)?;
                     (self.region_eval(a, env)?, nb)
                 };
-                match self.apply_prim2(op, na, nb) {
-                    PrimResult::Value(v) => Ok(v),
-                    PrimResult::Raise(exn) => Err(exn),
-                }
+                self.apply_prim2(op, na, nb)
             }
             COp::Seq { a, b } => {
                 self.region_eval(a, env)?;
                 self.region_eval(b, env)
             }
-            other => unreachable!("op kind {} in a verified fused region", other.kind_index()),
+            other => match leaf_node(other, env) {
+                Some(n) => Ok(self.heap.resolve(n)),
+                None => self.literal_node(other).ok_or_else(|| {
+                    unreachable!("op kind {} in a verified fused region", other.kind_index())
+                }),
+            },
         }
     }
 
@@ -422,27 +404,38 @@ impl Machine {
     ) -> Control {
         let arg = self.alloc_code(a, env);
         if let Some(cached) = self.ics[ic as usize] {
-            if let Some(Whnf::CFun { body, env: fenv }) = self.heap.whnf(cached) {
+            if let Some((body, fenv)) = self.closure_entry(cached, arg) {
                 self.stats.ic_hits += 1;
-                let fenv = fenv.push(arg, &mut self.stats.env_chunks);
                 return self.enter_body(body, fenv, stack);
             }
             self.ics[ic as usize] = None;
         }
         self.stats.ic_misses += 1;
-        let g = match self.linked().op(f) {
-            COp::Global(g) => g,
-            _ => unreachable!("verified: AppG callee is a Global"),
+        let COp::Global(g) = self.linked().op(f) else {
+            unreachable!("verified: AppG callee is a Global")
         };
         let node = NodeId::global(g);
         let resolved = self.heap.resolve(node);
-        if let Some(Whnf::CFun { body, env: fenv }) = self.heap.whnf(resolved) {
-            let fenv = fenv.push(arg, &mut self.stats.env_chunks);
+        if let Some((body, fenv)) = self.closure_entry(resolved, arg) {
             self.ics[ic as usize] = Some(resolved);
             return self.enter_body(body, fenv, stack);
         }
         stack.push(Frame::Apply(arg));
         self.enter_fused(node, stack)
+    }
+
+    /// The body and environment a call of `fun` on `arg` enters, if `fun`
+    /// is a function value: the argument takes the slot the compiler
+    /// reserved on top of the closure's environment. `None` if `fun` is
+    /// not yet forced. The caller enters the body with
+    /// [`Machine::enter_body`]; returning the entered `Control` from here
+    /// instead cost every kernel 5–8 % (EXPERIMENTS.md E32).
+    #[inline(always)]
+    pub(crate) fn closure_entry(&mut self, fun: NodeId, arg: NodeId) -> Option<(CodeId, CEnv)> {
+        let Some(Whnf::CFun { body, env }) = self.heap.whnf(fun) else {
+            return None;
+        };
+        Some((body, env.push(arg, &mut self.stats.env_chunks)))
     }
 
     /// Saturated entry: control enters a function body whose parameter is
@@ -475,8 +468,9 @@ impl Machine {
     /// same step) and thunks blackhole + push their update frame here,
     /// leaving control at the thunk body — exactly the kernel's `Enter`
     /// transitions, minus the prologue passes between them. Black holes
-    /// and poisoned nodes take the kernel's full `Enter` step (they are rare and some — §5.2 detection — must
-    /// observe the prologue's state).
+    /// and poisoned nodes take the kernel's full `Enter` step (they are
+    /// rare and some — §5.2 detection — must observe the prologue's
+    /// state).
     pub(crate) fn enter_fused(&mut self, node: NodeId, stack: &mut Vec<Frame>) -> Control {
         let node = self.heap.resolve(node);
         // Tagged immediates are their own weak-head normal form — there is
@@ -494,29 +488,19 @@ impl Machine {
                 // update, return — no black-hole write, no Update frame,
                 // no extra prologue pass. A synchronous raise poisons the
                 // node exactly as trimming past its update frame would
-                // (§3.3).
-                if let Some(result) = self.fused_force_body(code, &env) {
-                    return match result {
-                        Ok(v) => {
-                            self.stats.thunk_updates += 1;
-                            self.heap.set(node, Node::Ind(v));
-                            Control::Return(v)
-                        }
-                        Err(exn) => {
-                            self.heap.set(node, Node::Poisoned(exn.clone()));
-                            Control::Raising(exn)
-                        }
-                    };
+                // (§3.3), but is not counted in `thunks_poisoned`, which
+                // counts the trim's overwrites.
+                match self.fused_force_body(code, &env) {
+                    Some(Ok(v)) => {
+                        self.update_thunk(node, v);
+                        Control::Return(v)
+                    }
+                    Some(Err(exn)) => {
+                        self.heap.set(node, Node::Poisoned(exn.clone()));
+                        Control::Raising(exn)
+                    }
+                    None => self.enter_thunk(node, code, env, stack),
                 }
-                self.heap.set(
-                    node,
-                    Node::CBlackhole {
-                        code,
-                        env: env.clone(),
-                    },
-                );
-                stack.push(Frame::Update(node));
-                Control::Eval(code, env)
             }
             _ => Control::Enter(node),
         }
@@ -545,14 +529,8 @@ impl Machine {
                     // the frames are pushed, exactly as a single deep
                     // push would.
                     let arg = self.alloc_code(a, env);
-                    let callee = match self.linked().op(f) {
-                        COp::Local(back) => Some(env.get_back(back)),
-                        COp::Global(g) => Some(NodeId::global(g)),
-                        _ => None,
-                    };
-                    if let Some(node) = callee {
-                        if let Some(Whnf::CFun { body, env: fenv }) = self.heap.whnf(node) {
-                            let fenv = fenv.push(arg, &mut self.stats.env_chunks);
+                    if let Some(fun) = leaf_node(self.linked().op(f), env) {
+                        if let Some((body, fenv)) = self.closure_entry(fun, arg) {
                             return self.enter_body(body, fenv, stack);
                         }
                     }
@@ -568,8 +546,7 @@ impl Machine {
                     // the raise path) exactly as it would after a stepped
                     // evaluation.
                     return match self.fused_force_body(code, env) {
-                        Some(Ok(v)) => Control::Return(v),
-                        Some(Err(exn)) => Control::Raising(exn),
+                        Some(r) => r.into(),
                         None => Control::Eval(code, env.clone()),
                     };
                 }
@@ -584,47 +561,34 @@ impl Machine {
     /// real stepped evaluation.
     fn fused_force_body(&mut self, code: CodeId, env: &CEnv) -> Option<Result<NodeId, Exception>> {
         match self.linked().op(code) {
-            COp::Con { tag, args, n } => {
-                if n == 0 {
-                    return Some(Ok(self.nullary_con_node(tag)));
-                }
-                let fields = self.alloc_fields(args, n, env);
-                Some(Ok(self.alloc_value(HValue::Con(tag, fields))))
-            }
-            COp::Lam { body } => Some(Ok(self.alloc_value(HValue::CFun {
-                body,
-                env: env.clone(),
-            }))),
-            COp::Prim1 { .. } | COp::Prim2 { .. } => self.immediate_prim(code, env),
+            op @ (COp::Con { .. } | COp::Lam { .. }) => self.value_form(op, env).map(Ok),
+            op @ (COp::Prim1 { .. } | COp::Prim2 { .. }) => self.immediate_prim(op, env),
             COp::Fused { body } => self.exec_region(body, env),
             _ => self.immediate_node(code, env).map(Ok),
         }
     }
 
-    /// Evaluates a primitive whose operands are all immediate, in place.
-    /// The §3.5 Seeded draw still advances exactly once per binary
-    /// primitive evaluation — after the immediacy check, so a bail-out
-    /// (which re-evaluates through the stepped path, drawing there)
-    /// never double-draws.
-    fn immediate_prim(&mut self, code: CodeId, env: &CEnv) -> Option<Result<NodeId, Exception>> {
-        match self.linked().op(code) {
+    /// Evaluates the primitive `op` in place if all its operands are
+    /// immediate; `None` (for any other op, too) leaves it to stepped
+    /// evaluation. A binary primitive makes its §3.5 Seeded draw here,
+    /// after the immediacy check, so a bail-out (which draws on the
+    /// stepped path) never double-draws.
+    #[inline(always)]
+    pub(crate) fn immediate_prim(
+        &mut self,
+        op: COp,
+        env: &CEnv,
+    ) -> Option<Result<NodeId, Exception>> {
+        match op {
             COp::Prim1 { op, a } => {
                 let na = self.immediate_node(a, env)?;
-                Some(match self.apply_prim(op, &[na]) {
-                    PrimResult::Value(v) => Ok(v),
-                    PrimResult::Raise(exn) => Err(exn),
-                })
+                Some(self.apply_prim(op, &[na]))
             }
             COp::Prim2 { op, a, b } => {
                 let na = self.immediate_node(a, env)?;
                 let nb = self.immediate_node(b, env)?;
-                if let OrderPolicy::Seeded(_) = self.config.order {
-                    self.rng.gen_bool(0.5);
-                }
-                Some(match self.apply_prim2(op, na, nb) {
-                    PrimResult::Value(v) => Ok(v),
-                    PrimResult::Raise(exn) => Err(exn),
-                })
+                self.left_first();
+                Some(self.apply_prim2(op, na, nb))
             }
             _ => None,
         }
@@ -634,21 +598,14 @@ impl Machine {
     /// holding a forced value — and materialises its node. Immediate
     /// operands cannot raise and cannot be interrupted mid-evaluation,
     /// so a parent primitive/case may consume them in its own step
-    /// without losing any §3.3/§5.1 behaviour.
+    /// without losing any §3.3/§5.1 behaviour. A string literal is not
+    /// immediate here: it takes an `Eval` step of its own.
     pub(crate) fn immediate_node(&mut self, code: CodeId, env: &CEnv) -> Option<NodeId> {
         match self.linked().op(code) {
-            COp::Local(back) => {
-                let n = self.heap.resolve(env.get_back(back));
-                (n.is_imm() || matches!(self.heap.get(n), Node::Value(_))).then_some(n)
-            }
-            COp::Global(g) => {
-                let n = self.heap.resolve(NodeId::global(g));
-                (n.is_imm() || matches!(self.heap.get(n), Node::Value(_))).then_some(n)
-            }
-            COp::Int(n) => Some(self.int_node(n)),
-            COp::Char(c) => Some(self.alloc_value(HValue::Char(c))),
-            COp::Con { tag, n: 0, .. } => Some(self.nullary_con_node(tag)),
-            _ => None,
+            COp::Local(back) => self.heap.forced(env.get_back(back)),
+            COp::Global(g) => self.heap.forced(NodeId::global(g)),
+            COp::Str(_) => None,
+            op => self.literal_node(op),
         }
     }
 
@@ -689,6 +646,17 @@ impl Machine {
             }
         }
         Control::Raising(Exception::PatternMatchFail("case".into()))
+    }
+}
+
+/// The node a `Local` or `Global` leaf reads, unresolved; `None` for any
+/// other op.
+#[inline(always)]
+pub(crate) fn leaf_node(op: COp, env: &CEnv) -> Option<NodeId> {
+    match op {
+        COp::Local(back) => Some(env.get_back(back)),
+        COp::Global(g) => Some(NodeId::global(g)),
+        _ => None,
     }
 }
 

@@ -480,6 +480,14 @@ impl Heap {
         id
     }
 
+    /// `id`'s representative if it is forced (an immediate or a value
+    /// cell); `None` while it is still a suspension.
+    #[inline(always)]
+    pub(crate) fn forced(&self, id: NodeId) -> Option<NodeId> {
+        let n = self.resolve(id);
+        (n.is_imm() || matches!(self.get(n), Node::Value(_))).then_some(n)
+    }
+
     /// The weak-head-normal-form view of `id`, following indirections and
     /// decoding immediates; `None` if the node is not in WHNF.
     pub fn whnf(&self, id: NodeId) -> Option<Whnf<'_>> {

@@ -28,7 +28,7 @@ use urk_syntax::{Exception, Known, Symbol};
 use crate::code::{COp, CodeId};
 use crate::env::CEnv;
 use crate::heap::{HValue, Node, NodeId, Whnf};
-use crate::machine::{BlackholeMode, Machine, MachineError, Outcome, PrimResult};
+use crate::machine::{BlackholeMode, Machine, MachineError, Outcome};
 use crate::OrderPolicy;
 
 /// The control register.
@@ -47,21 +47,22 @@ pub(crate) enum Frame {
     Apply(NodeId),
     /// Scrutinise the result with `n` pre-lowered arms from `arms_at`.
     Select { arms_at: u32, n: u16, env: CEnv },
-    /// A binary/unary strict primitive collecting its operands. Primops
-    /// have at most two operands, so the frame is fixed-size — no
-    /// per-evaluation vectors.
-    PrimArgs {
+    /// A binary primitive's first operand (the left one if `left_first`)
+    /// is being evaluated; `next` is the other operand's code.
+    PrimFirst {
         op: PrimOp,
-        /// The pending operand's environment; empty once none is pending,
-        /// so a frame keeps no environment (and no heap node) alive that
-        /// it will never read.
+        next: CodeId,
         env: CEnv,
-        /// Operand position the result on top of the stack fills.
-        current: u8,
-        /// The not-yet-evaluated operand (position, code), if any.
-        pending: Option<(u8, CodeId)>,
-        /// Evaluated operands by position.
-        results: [Option<NodeId>; 2],
+        left_first: bool,
+    },
+    /// A primitive's last operand is being evaluated: the only one of a
+    /// unary primitive (`first` is `None`), or the second of a binary one.
+    /// It holds no environment, so it keeps no heap node alive that it
+    /// will never read.
+    PrimLast {
+        op: PrimOp,
+        first: Option<NodeId>,
+        left_first: bool,
     },
     /// `seq`: discard the result, then evaluate this.
     SeqSecond { code: CodeId, env: CEnv },
@@ -363,16 +364,48 @@ impl Machine {
             },
             Node::CThunk { code, env } => {
                 let (code, env) = (*code, env.clone());
-                self.heap.set(
-                    node,
-                    Node::CBlackhole {
-                        code,
-                        env: env.clone(),
-                    },
-                );
-                stack.push(Frame::Update(node));
-                Control::Eval(code, env)
+                self.enter_thunk(node, code, env, stack)
             }
+        }
+    }
+
+    /// §5.2's thunk entry: the thunk `node` becomes a black hole under an
+    /// `Update` frame while its code runs.
+    #[inline(always)]
+    pub(crate) fn enter_thunk(
+        &mut self,
+        node: NodeId,
+        code: CodeId,
+        env: CEnv,
+        stack: &mut Vec<Frame>,
+    ) -> Control {
+        self.heap.set(
+            node,
+            Node::CBlackhole {
+                code,
+                env: env.clone(),
+            },
+        );
+        stack.push(Frame::Update(node));
+        Control::Eval(code, env)
+    }
+
+    /// Overwrites the forced thunk `target` with an indirection to its
+    /// value.
+    #[inline(always)]
+    pub(crate) fn update_thunk(&mut self, target: NodeId, value: NodeId) {
+        self.stats.thunk_updates += 1;
+        self.heap.set(target, Node::Ind(value));
+    }
+
+    /// §3.5's operand order for one binary primitive: the Seeded policy
+    /// draws once per call, so both tiers see the same sequence.
+    #[inline(always)]
+    pub(crate) fn left_first(&mut self) -> bool {
+        match self.config.order {
+            OrderPolicy::LeftToRight => true,
+            OrderPolicy::RightToLeft => false,
+            OrderPolicy::Seeded(_) => self.rng.gen_bool(0.5),
         }
     }
 
@@ -388,20 +421,9 @@ impl Machine {
         match op {
             COp::Local(back) => self.enter_fused(env.get_back(back), stack),
             COp::Global(g) => self.enter_fused(NodeId::global(g), stack),
-            COp::Int(n) => Control::Return(self.int_node(n)),
-            COp::Char(c) => Control::Return(self.alloc_value(HValue::Char(c))),
-            COp::Str(i) => {
-                let s = self.linked().str_at(i);
-                Control::Return(self.alloc_value(HValue::Str(s)))
+            op @ (COp::Int(_) | COp::Char(_) | COp::Str(_) | COp::Con { .. } | COp::Lam { .. }) => {
+                Control::Return(self.value_form(op, &env).expect("a value form"))
             }
-            COp::Con { tag, args, n } => {
-                if n == 0 {
-                    return Control::Return(self.nullary_con_node(tag));
-                }
-                let fields = self.alloc_fields(args, n, &env);
-                Control::Return(self.alloc_value(HValue::Con(tag, fields)))
-            }
-            COp::Lam { body } => Control::Return(self.alloc_value(HValue::CFun { body, env })),
             COp::App { .. } => self.eval_code_fused(code, &env, stack),
             COp::Let { rhs, body } => {
                 let t = self.alloc_code(rhs, &env);
@@ -473,53 +495,31 @@ impl Machine {
                 });
                 self.eval_code_fused(scrut, &env, stack)
             }
-            COp::Prim1 { op, a } => {
-                if let Some(na) = self.immediate_node(a, &env) {
-                    return match self.apply_prim(op, &[na]) {
-                        PrimResult::Value(v) => Control::Return(v),
-                        PrimResult::Raise(exn) => Control::Raising(exn),
-                    };
+            COp::Prim1 { op: prim, a } => {
+                if let Some(r) = self.immediate_prim(op, &env) {
+                    return r.into();
                 }
-                stack.push(Frame::PrimArgs {
-                    op,
-                    env: CEnv::empty(),
-                    current: 0,
-                    pending: None,
-                    results: [None, None],
+                stack.push(Frame::PrimLast {
+                    op: prim,
+                    first: None,
+                    left_first: true,
                 });
                 self.eval_code_fused(a, &env, stack)
             }
-            COp::Prim2 { op, a, b } => {
-                // The operand-order policy (§3.5). The Seeded draw must
-                // stay one `gen_bool` per binary primitive so both tiers
-                // see the same sequence — including on the fused path
-                // below, where the order is unobservable (both operands
-                // are values already) but the stream position must still
-                // advance.
-                let left_first = match self.config.order {
-                    OrderPolicy::LeftToRight => true,
-                    OrderPolicy::RightToLeft => false,
-                    OrderPolicy::Seeded(_) => self.rng.gen_bool(0.5),
-                };
-                if let Some(na) = self.immediate_node(a, &env) {
-                    if let Some(nb) = self.immediate_node(b, &env) {
-                        return match self.apply_prim2(op, na, nb) {
-                            PrimResult::Value(v) => Control::Return(v),
-                            PrimResult::Raise(exn) => Control::Raising(exn),
-                        };
-                    }
+            COp::Prim2 { op: prim, a, b } => {
+                if let Some(r) = self.immediate_prim(op, &env) {
+                    return r.into();
                 }
-                let (current, first, pending) = if left_first {
-                    (0u8, a, Some((1u8, b)))
-                } else {
-                    (1u8, b, Some((0u8, a)))
-                };
-                stack.push(Frame::PrimArgs {
-                    op,
+                // The §3.5 draw, once per binary primitive: made in
+                // `immediate_prim` when both operands are forced, here
+                // otherwise.
+                let left_first = self.left_first();
+                let (first, next) = if left_first { (a, b) } else { (b, a) };
+                stack.push(Frame::PrimFirst {
+                    op: prim,
+                    next,
                     env: env.clone(),
-                    current,
-                    pending,
-                    results: [None, None],
+                    left_first,
                 });
                 self.eval_code_fused(first, &env, stack)
             }
@@ -555,8 +555,7 @@ impl Machine {
                 Control::Eval(a, env)
             }
             COp::Fused { body } => match self.exec_region(body, &env) {
-                Some(Ok(v)) => Control::Return(v),
-                Some(Err(exn)) => Control::Raising(exn),
+                Some(r) => r.into(),
                 // Not every leaf is forced yet: fall back to stepped
                 // evaluation of the region body, which is ordinary code.
                 None => Control::Eval(body, env),
@@ -585,50 +584,39 @@ impl Machine {
             // from a fully protected episode.
             Frame::Catch => return Step::Done(Outcome::Value(node)),
             Frame::Update(target) => {
-                self.stats.thunk_updates += 1;
-                self.heap.set(target, Node::Ind(node));
+                self.update_thunk(target, node);
                 Control::Return(node)
             }
             Frame::Apply(arg) => {
-                let (body, env) = match self.heap.whnf(node) {
-                    // The compiler reserved the top slot for the argument.
-                    Some(Whnf::CFun { body, env }) => {
-                        (body, env.push(arg, &mut self.stats.env_chunks))
-                    }
-                    _ => panic!("application of a non-function (ill-typed program)"),
-                };
+                let (body, env) = self
+                    .closure_entry(node, arg)
+                    .expect("application of a non-function (ill-typed program)");
                 self.enter_body(body, env, stack)
             }
             Frame::Select { arms_at, n, env } => self.select_arms(node, arms_at, n, &env),
-            Frame::PrimArgs {
+            Frame::PrimFirst {
                 op,
+                next,
                 env,
-                current,
-                mut pending,
-                mut results,
+                left_first,
             } => {
-                results[current as usize] = Some(node);
-                if let Some((idx, code)) = pending.take() {
-                    stack.push(Frame::PrimArgs {
-                        op,
-                        env: CEnv::empty(),
-                        current: idx,
-                        pending: None,
-                        results,
-                    });
-                    self.eval_code_fused(code, &env, stack)
-                } else {
-                    let result = match results {
-                        [Some(a), Some(b)] => self.apply_prim2(op, a, b),
-                        [Some(a), None] => self.apply_prim(op, &[a]),
-                        _ => unreachable!("a completed primitive has its operands"),
-                    };
-                    match result {
-                        PrimResult::Value(v) => Control::Return(v),
-                        PrimResult::Raise(exn) => Control::Raising(exn),
-                    }
-                }
+                stack.push(Frame::PrimLast {
+                    op,
+                    first: Some(node),
+                    left_first,
+                });
+                self.eval_code_fused(next, &env, stack)
             }
+            Frame::PrimLast {
+                op,
+                first,
+                left_first,
+            } => match first {
+                None => self.apply_prim(op, &[node]),
+                Some(first) if left_first => self.apply_prim2(op, first, node),
+                Some(first) => self.apply_prim2(op, node, first),
+            }
+            .into(),
             Frame::SeqSecond { code, env } => self.eval_code_fused(code, &env, stack),
             Frame::RaiseEval => self.convert_and_raise(node, stack),
             Frame::RaisePayload { con } => {
@@ -736,6 +724,17 @@ impl Machine {
     }
 }
 
+impl From<Result<NodeId, Exception>> for Control {
+    /// A value returns, an exception raises.
+    #[inline(always)]
+    fn from(r: Result<NodeId, Exception>) -> Control {
+        match r {
+            Ok(v) => Control::Return(v),
+            Err(exn) => Control::Raising(exn),
+        }
+    }
+}
+
 impl Control {
     /// Passes every node reference the control register holds through
     /// `f`, storing what it returns: the minor collector's evacuation, or
@@ -754,21 +753,38 @@ impl Frame {
     /// holds.
     fn visit_nodes(&mut self, f: &mut dyn FnMut(NodeId) -> NodeId) {
         match self {
-            Frame::Update(n) | Frame::Apply(n) => *n = f(*n),
+            Frame::Update(n) | Frame::Apply(n) | Frame::PrimLast { first: Some(n), .. } => {
+                *n = f(*n)
+            }
             Frame::Select { env, .. }
+            | Frame::PrimFirst { env, .. }
             | Frame::SeqSecond { env, .. }
             | Frame::MapExnCatch { env, .. } => env.update_nodes(f),
-            Frame::PrimArgs { env, results, .. } => {
-                env.update_nodes(f);
-                for r in results.iter_mut().flatten() {
-                    *r = f(*r);
-                }
-            }
-            Frame::RaiseEval
+            Frame::PrimLast { first: None, .. }
+            | Frame::RaiseEval
             | Frame::RaisePayload { .. }
             | Frame::IsExnCatch
             | Frame::UnsafeGetExnCatch
             | Frame::Catch => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    /// The executor's working set is its heap cells, environments, control
+    /// register and frames, so a change to any of their sizes is a
+    /// performance change (EXPERIMENTS.md E31) and has to be made on
+    /// purpose.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn executor_cells_keep_their_sizes() {
+        assert_eq!(size_of::<Frame>(), 32, "Frame");
+        assert_eq!(size_of::<Node>(), 40, "Node");
+        assert_eq!(size_of::<CEnv>(), 24, "CEnv");
+        assert_eq!(size_of::<Control>(), 40, "Control");
     }
 }

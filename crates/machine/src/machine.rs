@@ -214,10 +214,7 @@ impl std::fmt::Display for MachineError {
 impl std::error::Error for MachineError {}
 
 /// A strict primitive's outcome, before it becomes a control transition.
-pub(crate) enum PrimResult {
-    Value(NodeId),
-    Raise(Exception),
-}
+pub(crate) type PrimResult = Result<NodeId, Exception>;
 
 /// The graph-reduction machine. The heap persists across episodes, so the
 /// IO layer can keep the program graph (and partial evaluations) alive
@@ -447,12 +444,6 @@ impl Machine {
         self.coverage.as_deref()
     }
 
-    /// Mutable access to the coverage map (to `clear` it between fuzz
-    /// candidates without rebuilding the machine).
-    pub fn coverage_mut(&mut self) -> Option<&mut crate::coverage::OpCoverage> {
-        self.coverage.as_deref_mut()
-    }
-
     /// Resets the coverage edge cursor at an episode boundary.
     pub fn end_coverage_episode(&mut self) {
         if let Some(cov) = self.coverage.as_deref_mut() {
@@ -615,11 +606,6 @@ impl Machine {
         self.alloc_tenured(Node::Value(v))
     }
 
-    /// Resolves indirections to the representative node.
-    pub fn resolve_node(&self, id: NodeId) -> NodeId {
-        self.heap.resolve(id)
-    }
-
     /// A nursery (bump) allocation — run-loop internal only.
     pub(crate) fn alloc(&mut self, node: Node) -> NodeId {
         self.stats.allocations += 1;
@@ -745,14 +731,14 @@ impl Machine {
             Ord => return self.arith(Some(chr(self, 0) as i64)),
             Chr => match u32::try_from(int(self, 0)).ok().and_then(char::from_u32) {
                 Some(c) => HValue::Char(c),
-                None => return PrimResult::Raise(Exception::Overflow),
+                None => return Err(Exception::Overflow),
             },
             Seq | MapExn | UnsafeIsException | UnsafeGetException => {
                 unreachable!("special-cased")
             }
         };
         let n = self.alloc_value(result);
-        PrimResult::Value(n)
+        Ok(n)
     }
 
     /// A binary primitive. Integer primitives over two tagged immediates
@@ -781,7 +767,7 @@ impl Machine {
             Add => self.arith(x.checked_add(y)),
             Sub => self.arith(x.checked_sub(y)),
             Mul => self.arith(x.checked_mul(y)),
-            Div | Mod if y == 0 => PrimResult::Raise(Exception::DivideByZero),
+            Div | Mod if y == 0 => Err(Exception::DivideByZero),
             Div => self.arith(x.checked_div(y)),
             Mod => self.arith(x.checked_rem(y)),
             IntEq => self.boolean(x == y),
@@ -795,13 +781,13 @@ impl Machine {
 
     fn arith(&mut self, n: Option<i64>) -> PrimResult {
         match n {
-            Some(n) => PrimResult::Value(self.int_node(n)),
-            None => PrimResult::Raise(Exception::Overflow),
+            Some(n) => Ok(self.int_node(n)),
+            None => Err(Exception::Overflow),
         }
     }
 
     fn boolean(&mut self, b: bool) -> PrimResult {
-        PrimResult::Value(self.bool_node(b))
+        Ok(self.bool_node(b))
     }
 
     /// Allocates the in-language value for a runtime exception (interned

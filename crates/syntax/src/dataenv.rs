@@ -271,11 +271,6 @@ impl DataEnv {
         self.cons.get(&name)
     }
 
-    /// Looks up a type constructor.
-    pub fn type_info(&self, name: Symbol) -> Option<&TypeInfo> {
-        self.types.get(&name)
-    }
-
     /// The sibling constructors of `con`'s type, in declaration order.
     pub fn siblings(&self, con: Symbol) -> Option<&[Symbol]> {
         let info = self.cons.get(&con)?;

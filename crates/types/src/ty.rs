@@ -78,13 +78,6 @@ pub struct Scheme {
     pub ty: Type,
 }
 
-impl Scheme {
-    /// A scheme with no quantified variables.
-    pub fn mono(ty: Type) -> Scheme {
-        Scheme { vars: vec![], ty }
-    }
-}
-
 fn var_name(index: usize) -> String {
     let letter = (b'a' + (index % 26) as u8) as char;
     let suffix = index / 26;
